@@ -2,7 +2,8 @@
 equilibrated a posteriori error estimator."""
 
 from . import _poly, adapt, bench, equilibrate, femsys, mesh, polyspace, residual
-from .adapt import AdaptiveConfig, adaptive_loop, dorfler_mark
+from .adapt import (AdaptiveConfig, Level, adaptive_loop, dorfler_mark,
+                    run_level)
 from .bench import ProblemSpec, RunConfig, builtin_problems, run_experiment
 from .equilibrate import (EquilibrationOutput, check_edge_compatibility,
                           estimate, step1_element_corrections,

@@ -1,4 +1,4 @@
-"""Adaptive refinement driver: solve, estimate, mark, refine."""
+"""Level pipeline and adaptive refinement driver: solve, estimate, mark, refine."""
 
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from .mesh import Mesh, refine
 
 log = logging.getLogger("curlest")
 
+ETA_SUM_TOL = 1e-12   # relative gap allowed between sum eta_T^2 and eta_h^2
+
 
 @dataclass
 class AdaptiveConfig:
@@ -26,8 +28,6 @@ class AdaptiveConfig:
     aux_degree: int | None = None  # defaults to degree
     strict_a2: bool = False
     solver: fem.SolverConfig = field(default_factory=fem.SolverConfig)
-    threads: int = 1
-    keep_marks: bool = False
     verify: bool = False
 
     def __post_init__(self):
@@ -35,6 +35,22 @@ class AdaptiveConfig:
             raise ValueError("bulk parameter must be in (0, 1]")
         if self.aux_degree is None:
             self.aux_degree = self.degree
+
+
+@dataclass
+class Level:
+    """What later levels, reference errors and reports read of one level.
+
+    Matrices and the estimator's intermediate fields are not kept.
+    ``marked`` is set by the adaptive loop; ``ok`` says whether the level's
+    hard invariant held.
+    """
+    mesh: Mesh
+    Hh: fem.BrokenPolyField
+    eta_T: np.ndarray
+    row: dict
+    ok: bool
+    marked: set | None = None
 
 
 def dorfler_mark(etas: np.ndarray, theta: float) -> set:
@@ -56,7 +72,11 @@ def dorfler_mark(etas: np.ndarray, theta: float) -> set:
 
 def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
                 cfg: AdaptiveConfig):
-    """Assemble, correct, and solve one mesh level; returns (dofmap, u, Hh)."""
+    """Assemble, correct, and solve one mesh level.
+
+    Returns (dofmap, u, Hh, data); ``data`` is the current the solve used
+    (the projected one under strict_a2 with non-polynomial data).
+    """
     dm = fem.build_dofmap(mesh, fem.KIND_NEDELEC, cfg.degree,
                           homogeneous_boundary=True)
     A = fem.assemble_curlcurl(mesh, dm, mu)
@@ -71,67 +91,73 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     return dm, u, Hh, data
 
 
-def adaptive_loop(problem, cfg: AdaptiveConfig):
+def run_level(problem, mesh: Mesh, cfg: AdaptiveConfig, **labels) -> Level:
+    """Solve and estimate one mesh level and build its report row.
+
+    ``problem`` provides mu, current() and optionally exact_H; ``labels``
+    (level, resolution) lead the row.  The residual estimator, the error
+    against exact_H and the equilibrium checks are added when cfg and the
+    problem ask for them.  The hard invariant is a finite eta_h with
+    sum eta_T^2 = eta_h^2 to ETA_SUM_TOL.
+    """
+    mu, j = problem.mu, problem.current()
+    t0 = time.perf_counter()
+    dm, _, Hh, data = solve_level(mesh, mu, j, cfg)
+    t_solve = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    out = eqm.estimate(mesh, mu, data, Hh, cfg.aux_degree,
+                       strict_a2=cfg.strict_a2)
+    t_est = time.perf_counter() - t0
+    eta_h, eta_T = out.result.eta_h, out.result.eta_T
+    row = dict(labels, n_tets=mesh.n_tets, n_dofs=dm.n_free,
+               h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
+               t_estimate=t_est)
+    row.update({k: out.result.diagnostics[k] for k in
+                ("max_re_abs", "max_re_variation", "oscillation",
+                 "step3_max_residual", "lam_scale")})
+    if cfg.verify:
+        rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
+        row["eq_elem_rel"] = rep["elem_resid_rel"]
+        row["eq_face_rel"] = rep["face_resid_rel"]
+    if cfg.estimator in ("res", "both"):
+        row["mu_h"] = resm.compute_residual_estimator(mesh, mu, j, Hh,
+                                                      cfg.degree).mu_h
+    exact_H = getattr(problem, "exact_H", None)
+    if exact_H is not None:
+        set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H,
+                                            2 * cfg.degree + 4))
+    gap = abs(eta_h ** 2 - float((eta_T ** 2).sum()))
+    ok = bool(np.isfinite(eta_h)) and gap <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300)
+    log.info("level %s: %d tets, %d dofs, eta=%.3e", labels.get("level"),
+             mesh.n_tets, dm.n_free, eta_h)
+    return Level(mesh, Hh, eta_T, row, ok)
+
+
+def set_error(row: dict, err: float) -> None:
+    """Error column and the efficiency indices that divide by it."""
+    row["error"] = err
+    row["eff_eq"] = row["eta_h"] / err if err > 0 else np.inf
+    if "mu_h" in row:
+        row["eff_res"] = row["mu_h"] / err if err > 0 else np.inf
+
+
+def adaptive_loop(problem, cfg: AdaptiveConfig) -> list[Level]:
     """Run the adaptive cycle on a problem description.
 
     ``problem`` provides initial_mesh(), mu, current(), and optionally
     exact_H.  Marking always uses the equilibrated per-element indicators;
-    the residual estimator is computed for reporting when requested.
-    Returns (rows, meshes): one report row per level plus the mesh sequence
-    (needed for reference-solution error studies).
+    every level, the last included, carries its Doerfler marks.
     """
     mesh = problem.initial_mesh()
-    mu = problem.mu
-    j = problem.current()
-    rows = []
-    meshes = [mesh]
+    levels = []
     for level in range(cfg.max_levels):
-        t0 = time.perf_counter()
-        dm, u, Hh, data = solve_level(mesh, mu, j, cfg)
-        t_solve = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        out = eqm.estimate(mesh, mu, data, Hh, cfg.aux_degree,
-                           strict_a2=cfg.strict_a2, threads=cfg.threads)
-        t_est = time.perf_counter() - t0
-        eta_T = out.result.eta_T
-        row = {
-            "level": level,
-            "n_tets": mesh.n_tets,
-            "n_dofs": dm.n_free,
-            "h_max": mesh.h_max(),
-            "eta_h": out.result.eta_h,
-            "t_solve": t_solve,
-            "t_estimate": t_est,
-        }
-        row.update({k: out.result.diagnostics[k] for k in
-                    ("max_re_abs", "max_re_variation", "oscillation",
-                     "step3_max_residual", "lam_scale")})
-        if cfg.verify:
-            rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
-            row["eq_elem_rel"] = rep["elem_resid_rel"]
-            row["eq_face_rel"] = rep["face_resid_rel"]
-        if cfg.estimator in ("res", "both"):
-            rr = resm.compute_residual_estimator(mesh, mu, j, Hh, cfg.degree)
-            row["mu_h"] = rr.mu_h
-        exact_H = getattr(problem, "exact_H", None)
-        if exact_H is not None:
-            err = fem.l2_error_against(mesh, mu, Hh, exact_H, 2 * cfg.degree + 4)
-            row["error"] = err
-            row["eff_eq"] = out.result.eta_h / err if err else np.inf
-            if "mu_h" in row:
-                row["eff_res"] = row["mu_h"] / err if err else np.inf
-        marked = dorfler_mark(eta_T, cfg.theta)
-        row["marked"] = len(marked)
-        if cfg.keep_marks:
-            row["marked_ids"] = sorted(marked)
-        rows.append(row)
-        log.info("level %d: %d tets, %d dofs, eta=%.3e", level, mesh.n_tets,
-                 dm.n_free, out.result.eta_h)
-        if level == cfg.max_levels - 1 or dm.n_free >= cfg.max_dofs:
+        lv = run_level(problem, mesh, cfg, level=level)
+        lv.marked = dorfler_mark(lv.eta_T, cfg.theta)
+        lv.row["marked"] = len(lv.marked)
+        levels.append(lv)
+        if level == cfg.max_levels - 1 or lv.row["n_dofs"] >= cfg.max_dofs:
             break
         t0 = time.perf_counter()
-        mesh = refine(mesh, marked)
-        rows[-1]["t_refine"] = time.perf_counter() - t0
-        meshes.append(mesh)
-    return rows, meshes
+        mesh = refine(mesh, lv.marked)
+        lv.row["t_refine"] = time.perf_counter() - t0
+    return levels

@@ -12,8 +12,6 @@ import numpy as np
 from . import adapt as adaptm
 from . import equilibrate as eqm
 from . import femsys as fem
-from . import polyspace as ps
-from . import residual as resm
 from .mesh import Mesh, l_brick_mesh, unit_cube_mesh, write_vtk
 
 CSV_SCHEMA = "v1"
@@ -232,12 +230,6 @@ def consistency_check(spec: ProblemSpec, n: int = 100, tol: float = 1e-8,
     return worst
 
 
-def compute_error(mesh: Mesh, mu: fem.MaterialField, Hh: fem.BrokenPolyField,
-                  exact_H, k: int) -> float:
-    """Energy-norm error against the analytic field, quadrature 2k+4."""
-    return fem.l2_error_against(mesh, mu, Hh, exact_H, 2 * k + 4)
-
-
 # ---------------------------------------------------------------------------
 # experiment runner
 # ---------------------------------------------------------------------------
@@ -252,7 +244,6 @@ class RunConfig:
     estimator: str = "both"        # eq | res | both
     strict_a2: bool = False
     max_dofs: int = 200_000
-    threads: int = 1
     solver_backend: str = "direct"
     solver_tol: float = 1e-10
     solver_max_iter: int = 50000
@@ -316,87 +307,34 @@ class ExperimentReport:
         return bool(self.metadata.get("hard_invariants_ok", False))
 
 
-def _uniform_level(spec: ProblemSpec, cfg: RunConfig, res: int):
-    mesh = spec.make_mesh(res)
-    acfg = adaptm.AdaptiveConfig(
-        theta=cfg.theta, degree=cfg.degree, aux_degree=cfg.aux_degree,
-        strict_a2=cfg.strict_a2, solver=cfg.solver(), threads=cfg.threads,
-        estimator=cfg.estimator)
-    dm, u, Hh, data = adaptm.solve_level(mesh, spec.mu, spec.current(), acfg)
-    return mesh, dm, u, Hh, data
-
-
 def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     """Execute the experiment and (optionally) emit report files.
 
-    The CSV carries no wall-clock fields, so sequential reruns are
-    byte-identical; timings live in the JSON report.
+    Uniform runs solve one level per resolution, adaptive runs the adaptive
+    loop; both go through adapt.run_level.  The CSV carries no wall-clock
+    fields, so sequential reruns are byte-identical; timings live in the
+    JSON report.
     """
     if spec.analysis_grade and not cfg.analysis_grade:
         raise ValueError(
             f"{spec.name} is analysis grade (numerically differentiated data); "
             "pass analysis_grade=True / --analysis-grade to run it")
     t_start = time.perf_counter()
-    hard_ok = True
-    rows = []
-    meshes = []
-
+    acfg = adaptm.AdaptiveConfig(
+        theta=cfg.theta, max_levels=cfg.levels or 8, max_dofs=cfg.max_dofs,
+        estimator=cfg.estimator, degree=cfg.degree, aux_degree=cfg.aux_degree,
+        strict_a2=cfg.strict_a2, solver=cfg.solver(), verify=cfg.verify)
     if cfg.mode == "uniform":
         res_list = spec.uniform_res.get(cfg.degree, [spec.base_res])
         if cfg.levels is not None:
             res_list = res_list[: cfg.levels]
-        for level, res in enumerate(res_list):
-            t0 = time.perf_counter()
-            mesh, dm, u, Hh, data = _uniform_level(spec, cfg, res)
-            t_solve = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            out = eqm.estimate(mesh, spec.mu, data, Hh, cfg.aux_degree,
-                               strict_a2=cfg.strict_a2, threads=cfg.threads)
-            t_est = time.perf_counter() - t0
-            row = {"level": level, "resolution": res, "n_tets": mesh.n_tets,
-                   "n_dofs": dm.n_free, "h_max": mesh.h_max(),
-                   "eta_h": out.result.eta_h, "t_solve": t_solve,
-                   "t_estimate": t_est}
-            row.update({k: out.result.diagnostics[k] for k in
-                        ("max_re_abs", "max_re_variation", "oscillation",
-                         "step3_max_residual", "lam_scale")})
-            if cfg.estimator in ("res", "both"):
-                rr = resm.compute_residual_estimator(mesh, spec.mu,
-                                                     spec.current(), Hh,
-                                                     cfg.degree)
-                row["mu_h"] = rr.mu_h
-            if spec.exact_H is not None:
-                err = compute_error(mesh, spec.mu, Hh, spec.exact_H, cfg.degree)
-                row["error"] = err
-                row["eff_eq"] = out.result.eta_h / err if err > 0 else np.inf
-                if "mu_h" in row:
-                    row["eff_res"] = row["mu_h"] / err if err > 0 else np.inf
-            if cfg.verify:
-                rep = eqm.verify_equilibrium(mesh, spec.mu, data, Hh, out)
-                row["eq_elem_rel"] = rep["elem_resid_rel"]
-                row["eq_face_rel"] = rep["face_resid_rel"]
-            eta_sq_gap = abs(out.result.eta_h ** 2
-                             - float((out.result.eta_T ** 2).sum()))
-            if not np.isfinite(out.result.eta_h) or \
-                    eta_sq_gap > 1e-12 * max(out.result.eta_h ** 2, 1e-300):
-                hard_ok = False
-            rows.append(row)
-            meshes.append(mesh)
-            if cfg.vtk and cfg.out_dir:
-                write_vtk(mesh, Path(cfg.out_dir) / f"mesh_level_{level}.vtk",
-                          {"eta_T": out.result.eta_T})
+        levels = [adaptm.run_level(spec, spec.make_mesh(res), acfg,
+                                   level=level, resolution=res)
+                  for level, res in enumerate(res_list)]
     elif cfg.mode == "adaptive":
-        acfg = adaptm.AdaptiveConfig(
-            theta=cfg.theta, max_levels=cfg.levels or 8, max_dofs=cfg.max_dofs,
-            estimator=cfg.estimator, degree=cfg.degree,
-            aux_degree=cfg.aux_degree, strict_a2=cfg.strict_a2,
-            solver=cfg.solver(), threads=cfg.threads, verify=cfg.verify)
-        rows, meshes = adaptm.adaptive_loop(spec, acfg)
-        for row in rows:
-            if not np.isfinite(row["eta_h"]):
-                hard_ok = False
+        levels = adaptm.adaptive_loop(spec, acfg)
         if cfg.reference_errors and spec.exact_H is None:
-            _attach_reference_errors(spec, cfg, acfg, rows, meshes)
+            _attach_reference_errors(spec, acfg, levels)
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
@@ -405,64 +343,47 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
         "config": {k: v for k, v in asdict(cfg).items()},
         "schema": CSV_SCHEMA,
         "wall_time": time.perf_counter() - t_start,
-        "hard_invariants_ok": hard_ok,
+        "hard_invariants_ok": all(lv.ok for lv in levels),
         "reference_protocol": "2 extra adaptive levels at the same degree"
                               if cfg.reference_errors else None,
         "notes": spec.notes,
     }
-    report = ExperimentReport(spec.name, rows, metadata)
+    report = ExperimentReport(spec.name, [lv.row for lv in levels], metadata)
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        if cfg.vtk:
+            for i, lv in enumerate(levels):
+                write_vtk(lv.mesh, out / f"mesh_level_{i}.vtk",
+                          {"eta_T": lv.eta_T})
         report.write_csv(out / "report.csv")
         report.write_json(out / "report.json")
     return report
 
 
-def _attach_reference_errors(spec: ProblemSpec, cfg: RunConfig,
-                             acfg: adaptm.AdaptiveConfig, rows, meshes) -> None:
-    """Error columns against a reference from two further adaptive levels."""
-    ref_cfg = adaptm.AdaptiveConfig(
-        theta=acfg.theta, max_levels=len(meshes) + 2, max_dofs=10 * acfg.max_dofs,
-        estimator="eq", degree=acfg.degree, aux_degree=acfg.aux_degree,
-        strict_a2=acfg.strict_a2, solver=acfg.solver, threads=acfg.threads)
-    mesh = meshes[-1]
-    chain = []
-    for _ in range(2):
-        dmr, ur, Hr, _ = adaptm.solve_level(mesh, spec.mu, spec.current(), ref_cfg)
-        outr = eqm.estimate(mesh, spec.mu, spec.current(), Hr, ref_cfg.aux_degree,
-                            threads=ref_cfg.threads)
-        marked = adaptm.dorfler_mark(outr.result.eta_T, ref_cfg.theta)
-        from .mesh import refine
-        mesh = refine(mesh, marked)
-        chain.append(mesh)
-    dmr, ur, H_ref, _ = adaptm.solve_level(mesh, spec.mu, spec.current(), ref_cfg)
-    # parent chain: parents[i] maps level-(i+1) tets to level-i tets, with the
-    # two extra reference levels appended (the last chain entry IS the
-    # reference mesh)
-    ref_mesh = mesh
-    parents = [m.parent for m in meshes[1:]] + [c.parent for c in chain]
-    mu_t_ref = spec.mu.per_tet(ref_mesh)
-    rule = ps.quadrature("tet", min(2 * acfg.degree + 4, ps.MAX_QUAD_EXACTNESS))
-    geom_ref = ref_mesh.geom()
-    pts_ref = geom_ref.map_points(np.arange(ref_mesh.n_tets), rule.points)
-    ref_vals = H_ref.eval(np.arange(ref_mesh.n_tets), rule.points)
-    for lvl, row in enumerate(rows):
-        anc = np.arange(ref_mesh.n_tets)
-        for pmap in reversed(parents[lvl:]):
-            anc = pmap[anc]
-        dml, ul, Hl, _ = adaptm.solve_level(meshes[lvl], spec.mu,
-                                            spec.current(), acfg)
-        geom_l = meshes[lvl].geom()
-        err_sq = 0.0
-        for tr in range(ref_mesh.n_tets):
-            a = anc[tr]
-            xr = geom_l.ref_coords(a, pts_ref[tr])
-            diff = ref_vals[tr] - Hl.eval_one(a, xr)
-            err_sq += geom_ref.detJ[tr] * mu_t_ref[tr] * float(
-                np.einsum("q,qc->", rule.weights, diff ** 2))
-        err = float(np.sqrt(err_sq))
-        row["error"] = err
-        row["eff_eq"] = row["eta_h"] / err if err > 0 else np.inf
-        if "mu_h" in row and err > 0:
-            row["eff_res"] = row["mu_h"] / err
+def _attach_reference_errors(spec: ProblemSpec, cfg: adaptm.AdaptiveConfig,
+                             levels: list) -> None:
+    """Error columns against a reference from two further adaptive levels.
+
+    The chain continues the adaptive run: the last level's marks refine it
+    once, that mesh is solved, estimated and marked, and its refinement is
+    the reference mesh.  Each level's field is compared with the reference
+    field at the reference mesh's quadrature points, located in the level's
+    tets through the refinement genealogy.
+    """
+    mu, j = spec.mu, spec.current()
+    mesh = adaptm.refine(levels[-1].mesh, levels[-1].marked)
+    _, _, Hh, data = adaptm.solve_level(mesh, mu, j, cfg)
+    marked = adaptm.dorfler_mark(
+        eqm.estimate(mesh, mu, data, Hh, cfg.aux_degree,
+                     strict_a2=cfg.strict_a2).result.eta_T, cfg.theta)
+    ref_mesh = adaptm.refine(mesh, marked)
+    _, _, H_ref, _ = adaptm.solve_level(ref_mesh, mu, j, cfg)
+    anc = mesh.parent[ref_mesh.parent]     # reference tet -> last-level tet
+    for lv in reversed(levels):
+        def coarse(p):  # l2_error_against passes the points tet by tet
+            return lv.Hh.eval_points(np.repeat(anc, len(p) // len(anc)), p)
+        adaptm.set_error(lv.row, fem.l2_error_against(
+            ref_mesh, mu, H_ref, coarse, 2 * cfg.degree + 4))
+        if lv.mesh.parent is not None:
+            anc = lv.mesh.parent[anc]

@@ -43,9 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--strict-a2", action="store_true", default=None)
     runp.add_argument("--max-dofs", type=int, default=None)
     runp.add_argument("--out", default=None)
-    runp.add_argument("--threads", type=int, default=None)
-    runp.add_argument("--sequential", action="store_true",
-                      help="force single-threaded, bit-reproducible mode")
     runp.add_argument("--solver", choices=("direct", "cg"), default=None)
     runp.add_argument("--tol", type=float, default=None)
     runp.add_argument("--max-iter", type=int, default=None)
@@ -64,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_TYPES = {
     "degree": int, "aux_degree": int, "levels": int, "max_dofs": int,
-    "threads": int, "max_iter": int, "theta": float, "tol": float,
+    "max_iter": int, "theta": float, "tol": float,
     "mode": str, "estimator": str, "solver": str, "out": str,
     "strict_a2": lambda s: s.lower() in ("1", "true", "yes"),
     "vtk": lambda s: s.lower() in ("1", "true", "yes"),
@@ -72,7 +69,6 @@ _CONFIG_TYPES = {
     "analysis_grade": lambda s: s.lower() in ("1", "true", "yes"),
     "reference_errors": lambda s: s.lower() in ("1", "true", "yes"),
     "verify": lambda s: s.lower() in ("1", "true", "yes"),
-    "sequential": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
 
@@ -107,8 +103,6 @@ def main(argv=None) -> int:
         return 2
     spec = problems[args.problem]
     opts = _merge_options(args)
-    if opts.pop("sequential", False):
-        opts["threads"] = 1
 
     cfg = bench.RunConfig(
         degree=opts.get("degree", 1),
@@ -119,7 +113,6 @@ def main(argv=None) -> int:
         estimator=opts.get("estimator", "both"),
         strict_a2=opts.get("strict_a2", False),
         max_dofs=opts.get("max_dofs", 200_000),
-        threads=opts.get("threads", 1),
         solver_backend=opts.get("solver", "direct"),
         solver_tol=opts.get("tol", 1e-10),
         solver_max_iter=opts.get("max_iter", 50000),
@@ -154,12 +147,9 @@ def main(argv=None) -> int:
 def _dump_matrix(spec, cfg) -> None:
     import scipy.io
 
-    from . import adapt as adaptm
     from . import femsys as fem
 
     mesh = spec.initial_mesh()
-    acfg = adaptm.AdaptiveConfig(degree=cfg.degree, aux_degree=cfg.aux_degree,
-                                 strict_a2=cfg.strict_a2, solver=cfg.solver())
     dm = fem.build_dofmap(mesh, fem.KIND_NEDELEC, cfg.degree,
                           homogeneous_boundary=True)
     A = fem.assemble_curlcurl(mesh, dm, spec.mu)

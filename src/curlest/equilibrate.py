@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,20 +36,6 @@ from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
 from .mesh import Mesh, edge_face_normals, face_frame
 
 log = logging.getLogger("curlest")
-
-
-def _parallel_ranges(n: int, threads: int, body) -> None:
-    """Run body(lo, hi) over a partition of range(n); disjoint writes only,
-    so the result is independent of scheduling."""
-    if threads <= 1 or n < 64:
-        body(0, n)
-        return
-    chunks = []
-    step = max(1, (n + threads - 1) // threads)
-    for lo in range(0, n, step):
-        chunks.append((lo, min(n, lo + step)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda c: body(*c), chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +61,7 @@ class ElementCorrection:
 def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                               Hh: BrokenPolyField, kp: int, *,
                               mode: str = "saddle", strict_a2: bool = False,
-                              osc_tol: float = 1e-8,
-                              threads: int = 1) -> ElementCorrection:
+                              osc_tol: float = 1e-8) -> ElementCorrection:
     """Solve the per-element saddle problems for the local correction.
 
     The curl constraint is imposed against the curls of the local basis (the
@@ -120,47 +104,44 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     ortho = np.zeros(mesh.n_tets)
     ccoef = N.curl_coeffs()
 
-    def body(lo, hi):
-        for t in range(lo, hi):
-            J = geom.J[t]
-            det = geom.detJ[t]
-            JtJ = J.T @ J
-            K = np.linalg.inv(JtJ)
-            A = np.einsum("ab,abij->ij", JtJ, TCC) / det
-            B = mu_t[t] * det * np.einsum("ab,abil->li", K, TVG)
-            jhat = jd[t] @ J                                  # J^T j_delta rows
-            g = np.einsum("q,qbi,qb->i", w, Ncurls, jhat)
-            if mode == "saddle":
-                S = np.zeros((nR + nB, nR + nB))
-                S[:nR, :nR] = A
-                S[:nR, nR:] = B.T
-                S[nR:, :nR] = B
-                rhs = np.zeros(nR + nB)
-                rhs[:nR] = g
-                try:
-                    sol = np.linalg.solve(S, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise LocalSolveSingular(f"element {t}: {exc}")
-                h = sol[:nR]
-            elif mode == "lstsq_dk":
-                Mdc = np.einsum("ab,abij->ij", JtJ, TDC) / det
-                rd = np.einsum("q,qbi,qb->i", w, Dvals, jhat)
-                top = np.vstack([Mdc, B])
-                rhs = np.concatenate([rd, np.zeros(nB)])
-                h, *_ = np.linalg.lstsq(top, rhs, rcond=None)
-            else:
-                raise ValueError(f"unknown step-1 mode {mode!r}")
-            cref = np.einsum("i,icm->cm", h, N.coeffs)
-            hhat[t] = geom.Jinv[t].T @ cref
-            ccref = np.einsum("i,iam->am", h, ccoef)
-            hhat_curl[t] = (J @ ccref) / det
-            cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
-            diff = cv - jd[t]
-            resid[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, diff ** 2)), 0.0))
-            jd_norm[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
-            ortho[t] = np.abs(B @ h).max(initial=0.0)
-
-    _parallel_ranges(mesh.n_tets, threads, body)
+    for t in range(mesh.n_tets):
+        J = geom.J[t]
+        det = geom.detJ[t]
+        JtJ = J.T @ J
+        K = np.linalg.inv(JtJ)
+        A = np.einsum("ab,abij->ij", JtJ, TCC) / det
+        B = mu_t[t] * det * np.einsum("ab,abil->li", K, TVG)
+        jhat = jd[t] @ J                                  # J^T j_delta rows
+        g = np.einsum("q,qbi,qb->i", w, Ncurls, jhat)
+        if mode == "saddle":
+            S = np.zeros((nR + nB, nR + nB))
+            S[:nR, :nR] = A
+            S[:nR, nR:] = B.T
+            S[nR:, :nR] = B
+            rhs = np.zeros(nR + nB)
+            rhs[:nR] = g
+            try:
+                sol = np.linalg.solve(S, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise LocalSolveSingular(f"element {t}: {exc}")
+            h = sol[:nR]
+        elif mode == "lstsq_dk":
+            Mdc = np.einsum("ab,abij->ij", JtJ, TDC) / det
+            rd = np.einsum("q,qbi,qb->i", w, Dvals, jhat)
+            top = np.vstack([Mdc, B])
+            rhs = np.concatenate([rd, np.zeros(nB)])
+            h, *_ = np.linalg.lstsq(top, rhs, rcond=None)
+        else:
+            raise ValueError(f"unknown step-1 mode {mode!r}")
+        cref = np.einsum("i,icm->cm", h, N.coeffs)
+        hhat[t] = geom.Jinv[t].T @ cref
+        ccref = np.einsum("i,iam->am", h, ccoef)
+        hhat_curl[t] = (J @ ccref) / det
+        cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
+        diff = cv - jd[t]
+        resid[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, diff ** 2)), 0.0))
+        jd_norm[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
+        ortho[t] = np.abs(B @ h).max(initial=0.0)
 
     if strict_a2:
         if not j.is_polynomial:
@@ -317,8 +298,7 @@ def _solve_single_face(mesh: Mesh, f: int, jump, rule, kp: int, form: str):
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            correction: ElementCorrection, kp: int, *,
                            form: str = "weak", strict: bool = False,
-                           tol: float = 1e-8,
-                           threads: int = 1) -> FaceMultiplier:
+                           tol: float = 1e-8) -> FaceMultiplier:
     """Solve the per-face surface-curl problems for the jump multipliers."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
@@ -340,19 +320,16 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
     div_norm = np.zeros(fi)
     mean_abs = np.zeros(fi)
 
-    def body(lo, hi):
-        for ii in range(lo, hi):
-            f = internal[ii]
-            jump = tangential_jump_values(mesh, total, f, rule)   # (q, 3)
-            (lam[ii], resid[ii], jnorm[ii], mean_abs[ii],
-             fr, org, hf) = _face_multiplier_solve(mesh, f, jump, rule, kp, form)
-            div_norm[ii] = _jump_divergence_norm(mesh, grad_coeffs, total.degree,
-                                                 f, rule, fr)
-            origin[ii] = org
-            t1v[ii], t2v[ii], nv[ii] = fr.t1, fr.t2, fr.n
-            hfv[ii] = hf
-
-    _parallel_ranges(fi, threads, body)
+    for ii in range(fi):
+        f = internal[ii]
+        jump = tangential_jump_values(mesh, total, f, rule)   # (q, 3)
+        (lam[ii], resid[ii], jnorm[ii], mean_abs[ii],
+         fr, org, hf) = _face_multiplier_solve(mesh, f, jump, rule, kp, form)
+        div_norm[ii] = _jump_divergence_norm(mesh, grad_coeffs, total.degree,
+                                             f, rule, fr)
+        origin[ii] = org
+        t1v[ii], t2v[ii], nv[ii] = fr.t1, fr.t2, fr.n
+        hfv[ii] = hf
 
     out = FaceMultiplier(kp, internal, index_of, lam, origin, t1v, t2v, nv,
                          hfv, resid, jnorm, div_norm, mean_abs)
@@ -460,9 +437,8 @@ class NodalPotential:
 
 
 def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
-                          strict: bool = False, lsq_tol: float = 1e-8,
-                          registry: NodeRegistry | None = None,
-                          threads: int = 1) -> NodalPotential:
+                          strict: bool = False,
+                          lsq_tol: float = 1e-8) -> NodalPotential:
     """Recover the jump potential node by node.
 
     Interior and boundary-face nodes are zero, internal-face nodes get half
@@ -473,7 +449,7 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
     """
     if fm.degree != kp:
         raise ValueError("multiplier degree must match the reconstruction degree")
-    reg = registry or build_node_registry(mesh, kp)
+    reg = build_node_registry(mesh, kp)
     nloc = reg.tet_nodes.shape[1]
     phi = np.zeros((mesh.n_tets, nloc))
 
@@ -485,51 +461,45 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
     worst = np.zeros(max(reg.n_nodes, 1))
     lam_scale = 0.0
 
-    def node_body(lo, hi):
-        nonlocal lam_scale
-        local_scale = 0.0
-        for g in range(lo, hi):
-            kind = reg.kind[g]
-            if kind == ps.NODE_CELL:
+    for g in range(reg.n_nodes):
+        kind = reg.kind[g]
+        if kind == ps.NODE_CELL:
+            continue
+        if kind == ps.NODE_FACE:
+            f = int(reg.entity[g])
+            if mesh.boundary_face[f]:
                 continue
-            if kind == ps.NODE_FACE:
-                f = int(reg.entity[g])
-                if mesh.boundary_face[f]:
-                    continue
-                idx = fm.index_of[f]
-                val = float(fm.eval(idx, reg.points[g][None, :])[0])
-                local_scale = max(local_scale, abs(val))
-                tp, tm = mesh.face_tets[f]
-                for (t, loc) in reg.incident[g]:
-                    phi[t, loc] = 0.5 * val if t == tp else -0.5 * val
-                continue
-            if kind == ps.NODE_VERTEX:
-                cand = vertex_faces.get(int(reg.entity[g]), [])
-            else:  # edge node
-                cand = [int(f) for f in mesh.edge_faces[int(reg.entity[g])]
-                        if fm.index_of[f] >= 0]
-            cand = [f for f in cand if fm.index_of[f] >= 0]
-            tets = [t for (t, _) in reg.incident[g]]
-            pos = {t: i for i, t in enumerate(tets)}
-            if not cand:
-                continue  # boundary node with no internal faces: all zeros
-            pairs = []
-            values = []
-            for f in cand:
-                tp, tm = mesh.face_tets[f]
-                if tp not in pos or tm not in pos:
-                    raise OrphanNode(
-                        f"node {g}: face {f} adjacent tets missing from patch")
-                pairs.append((pos[tp], pos[tm]))
-                v = float(fm.eval(fm.index_of[f], reg.points[g][None, :])[0])
-                values.append(v)
-                local_scale = max(local_scale, abs(v))
-            sol, worst[g] = solve_node_patch(len(tets), pairs, values)
+            idx = fm.index_of[f]
+            val = float(fm.eval(idx, reg.points[g][None, :])[0])
+            lam_scale = max(lam_scale, abs(val))
+            tp, tm = mesh.face_tets[f]
             for (t, loc) in reg.incident[g]:
-                phi[t, loc] = sol[pos[t]]
-        lam_scale = max(lam_scale, local_scale)
-
-    node_body(0, reg.n_nodes)  # node patches are tiny; threading buys nothing
+                phi[t, loc] = 0.5 * val if t == tp else -0.5 * val
+            continue
+        if kind == ps.NODE_VERTEX:
+            cand = vertex_faces.get(int(reg.entity[g]), [])
+        else:  # edge node
+            cand = [int(f) for f in mesh.edge_faces[int(reg.entity[g])]
+                    if fm.index_of[f] >= 0]
+        cand = [f for f in cand if fm.index_of[f] >= 0]
+        tets = [t for (t, _) in reg.incident[g]]
+        pos = {t: i for i, t in enumerate(tets)}
+        if not cand:
+            continue  # boundary node with no internal faces: all zeros
+        pairs = []
+        values = []
+        for f in cand:
+            tp, tm = mesh.face_tets[f]
+            if tp not in pos or tm not in pos:
+                raise OrphanNode(
+                    f"node {g}: face {f} adjacent tets missing from patch")
+            pairs.append((pos[tp], pos[tm]))
+            v = float(fm.eval(fm.index_of[f], reg.points[g][None, :])[0])
+            values.append(v)
+            lam_scale = max(lam_scale, abs(v))
+        sol, worst[g] = solve_node_patch(len(tets), pairs, values)
+        for (t, loc) in reg.incident[g]:
+            phi[t, loc] = sol[pos[t]]
 
     max_resid = float(worst.max(initial=0.0))
     scale = max(lam_scale, fm.lam_scale)
@@ -597,10 +567,8 @@ class EquilibrationOutput:
 
 
 def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
-             Hh: BrokenPolyField, kp: int, *, strict_a2: bool = False,
-             step1_mode: str = "saddle", step2_form: str = "weak",
-             threads: int = 1,
-             registry: NodeRegistry | None = None) -> EquilibrationOutput:
+             Hh: BrokenPolyField, kp: int, *,
+             strict_a2: bool = False) -> EquilibrationOutput:
     """Run steps 1-4 and collect the diagnostics the reports consume.
 
     ``j`` must be the current the discrete solution was computed with: the
@@ -609,13 +577,10 @@ def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     solution against the raw data (or vice versa) moves the projection error
     into the compatibility diagnostics.
     """
-    corr = step1_element_corrections(mesh, mu, j, Hh, kp, mode=step1_mode,
-                                     strict_a2=strict_a2, threads=threads)
-    fm = step2_face_multipliers(mesh, Hh, corr, kp, form=step2_form,
-                                strict=strict_a2, threads=threads)
+    corr = step1_element_corrections(mesh, mu, j, Hh, kp, strict_a2=strict_a2)
+    fm = step2_face_multipliers(mesh, Hh, corr, kp, strict=strict_a2)
     edge_report = check_edge_compatibility(mesh, fm)
-    phi = step3_reconstruct_phi(mesh, fm, kp, strict=strict_a2,
-                                registry=registry, threads=threads)
+    phi = step3_reconstruct_phi(mesh, fm, kp, strict=strict_a2)
     result = step4_estimator(mesh, mu, corr, phi)
     jd_scale = max(float(np.sqrt((corr.jdelta_norm ** 2).sum())), 1e-30)
     jumps = max(float(fm.jnorm.max(initial=0.0)), 1e-30)

@@ -85,6 +85,14 @@ class BrokenPolyField:
     def eval_one(self, t: int, ref_pts) -> np.ndarray:
         return self.eval([t], ref_pts)[0]
 
+    def eval_points(self, tets, pts) -> np.ndarray:
+        """Values at physical points, point i inside tet tets[i]: (n, comp)."""
+        geom = self.mesh.geom()
+        tets = np.asarray(tets)
+        ref = np.einsum("nba,na->nb", geom.Jinv[tets], pts - geom.v0[tets])
+        v = _poly.vandermonde(3, self.degree, ref)
+        return np.einsum("nm,ncm->nc", v, self.coeffs[tets])
+
     def curl(self) -> "BrokenPolyField":
         D = _poly.diff_stack(3, self.degree)
         Jinv = self.mesh.geom().Jinv
@@ -802,9 +810,10 @@ def normal_jump_norms(mesh: Mesh, field: BrokenPolyField,
     return out
 
 
-def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
-                     exact, exactness: int) -> float:
-    """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference."""
+def _sq_error_per_tet(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
+                      exact, exactness: int) -> np.ndarray:
+    """Per-tet mu int |exact - field|^2; ``exact`` gets the (T*q, 3)
+    quadrature points grouped tet by tet."""
     rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
     geom = mesh.geom()
     mu_t = mu.per_tet(mesh)
@@ -813,19 +822,17 @@ def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
     pts = geom.map_points(tets, rule.points)
     ex_vals = np.asarray(exact(pts.reshape(-1, 3))).reshape(vals.shape)
     diff = ex_vals - vals
-    per_tet = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.detJ * mu_t
-    return float(np.sqrt(per_tet.sum()))
+    return np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.detJ * mu_t
+
+
+def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
+                     exact, exactness: int) -> float:
+    """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference."""
+    return float(np.sqrt(_sq_error_per_tet(mesh, mu, field, exact,
+                                           exactness).sum()))
 
 
 def l2_error_per_tet(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
                      exact, exactness: int) -> np.ndarray:
-    rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
-    geom = mesh.geom()
-    mu_t = mu.per_tet(mesh)
-    tets = np.arange(mesh.n_tets)
-    vals = field.eval(tets, rule.points)
-    pts = geom.map_points(tets, rule.points)
-    ex_vals = np.asarray(exact(pts.reshape(-1, 3))).reshape(vals.shape)
-    diff = ex_vals - vals
-    per_tet = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.detJ * mu_t
-    return np.sqrt(np.maximum(per_tet, 0.0))
+    return np.sqrt(np.maximum(
+        _sq_error_per_tet(mesh, mu, field, exact, exactness), 0.0))

@@ -80,15 +80,16 @@ def test_config_validation():
 
 def test_theta_one_is_uniform_refinement():
     spec = bench.builtin_problems()["cube_jump_mu_10"]
-    cfg = adm.AdaptiveConfig(theta=1.0, max_levels=2, degree=1, keep_marks=True)
-    rows, meshes = adm.adaptive_loop(spec, cfg)
-    assert rows[0]["marked"] == meshes[0].n_tets
+    cfg = adm.AdaptiveConfig(theta=1.0, max_levels=2, degree=1)
+    levels = adm.adaptive_loop(spec, cfg)
+    assert levels[0].row["marked"] == levels[0].mesh.n_tets
+    assert levels[0].marked == set(range(levels[0].mesh.n_tets))
 
 
 def test_jump_problem_monotone_eta():
     spec = bench.builtin_problems()["cube_jump_mu_10"]
     cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=1, max_dofs=4000)
-    rows, meshes = adm.adaptive_loop(spec, cfg)
+    rows = [lv.row for lv in adm.adaptive_loop(spec, cfg)]
     etas = [r["eta_h"] for r in rows]
     assert all(b < a for a, b in zip(etas, etas[1:]))
     assert all(rows[i + 1]["n_dofs"] > rows[i]["n_dofs"] for i in range(len(rows) - 1))
@@ -101,16 +102,15 @@ def _touch_fraction(mesh, on_vertex):
 
 def test_lbrick_marking_concentrates_at_reentrant_edge():
     spec = bench.builtin_problems()["lbrick_singular"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=2, max_dofs=4000,
-                             keep_marks=True)
-    rows, meshes = adm.adaptive_loop(spec, cfg)
+    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=2, max_dofs=4000)
+    levels = adm.adaptive_loop(spec, cfg)
 
     def near_edge(v):
         return (np.abs(v[:, 0]) < 1e-9) & (np.abs(v[:, 1]) < 1e-9)
 
-    for lvl in range(2, len(rows)):
-        touching = _touch_fraction(meshes[lvl], near_edge)
-        marked = np.array(sorted(rows[lvl]["marked_ids"]))
+    for lv in levels[2:]:
+        touching = _touch_fraction(lv.mesh, near_edge)
+        marked = np.array(sorted(lv.marked))
         frac_marked = touching[marked].mean()
         frac_all = touching.mean()
         assert frac_marked > frac_all
@@ -118,17 +118,16 @@ def test_lbrick_marking_concentrates_at_reentrant_edge():
 
 def test_high_contrast_marking_concentrates_at_interface_edge():
     spec = bench.builtin_problems()["cube_jump_mu_1000"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, max_dofs=2500, degree=2,
-                             keep_marks=True)
-    rows, meshes = adm.adaptive_loop(spec, cfg)
+    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, max_dofs=2500, degree=2)
+    levels = adm.adaptive_loop(spec, cfg)
 
     def near_interface(v):
         return (np.abs(v[:, 1] - 0.5) < 1e-9) & (np.abs(v[:, 2] - 0.5) < 1e-9)
 
-    for lvl in range(2, len(rows)):
-        touching = np.array([near_interface(meshes[lvl].vertices[tet]).any()
-                             for tet in meshes[lvl].tets])
-        marked = np.array(rows[lvl]["marked_ids"])
+    for lv in levels[2:]:
+        touching = np.array([near_interface(lv.mesh.vertices[tet]).any()
+                             for tet in lv.mesh.tets])
+        marked = np.array(sorted(lv.marked))
         assert touching[marked].mean() > touching.mean()
 
 
@@ -138,13 +137,13 @@ def test_adaptive_cube_efficiency_stays_reliable():
     spec = bench.builtin_problems()["cube_poly"]
     cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=1, max_dofs=3000,
                              estimator="eq")
-    rows, meshes = adm.adaptive_loop(spec, cfg)
-    assert all(r["eff_eq"] >= 0.99 for r in rows)
+    levels = adm.adaptive_loop(spec, cfg)
+    assert all(lv.row["eff_eq"] >= 0.99 for lv in levels)
 
 
 def test_adaptive_loop_respects_dof_cap():
     spec = bench.builtin_problems()["cube_jump_mu_10"]
     cfg = adm.AdaptiveConfig(theta=0.5, max_levels=12, degree=1, max_dofs=500)
-    rows, meshes = adm.adaptive_loop(spec, cfg)
+    rows = [lv.row for lv in adm.adaptive_loop(spec, cfg)]
     assert len(rows) < 12
     assert rows[-1]["n_dofs"] >= 500 or len(rows) == 12

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 import sympy
 
+from curlest import adapt as adm
 from curlest import bench
 from curlest import cli
+from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
+from curlest import polyspace as ps
 from _helpers import MU1, cube_H
 
 RNG = np.random.default_rng(3)
@@ -143,7 +146,7 @@ def test_error_of_exact_interpolant_vanishes():
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh, _ = fem.compute_Hh(m, dm, u, MU1)
-    assert bench.compute_error(m, MU1, Hh, inspace_H, 2) < 1e-9
+    assert fem.l2_error_against(m, MU1, Hh, inspace_H, 2 * 2 + 4) < 1e-9
 
 
 def test_error_of_zero_field_is_field_norm():
@@ -156,7 +159,7 @@ def test_error_of_zero_field_is_field_norm():
         H.dot(H), (x, 0, 1)), (y, 0, 1)), (z, 0, 1))
     m = msh.unit_cube_mesh(2)
     Hh = fem.BrokenPolyField(m, 1, np.zeros((m.n_tets, 3, 4)))
-    err = bench.compute_error(m, MU1, Hh, cube_H, 1)
+    err = fem.l2_error_against(m, MU1, Hh, cube_H, 2 * 1 + 4)
     assert abs(err - float(sympy.sqrt(norm_sq))) < 1e-12
     assert norm_sq == sympy.Rational(1, 15)
 
@@ -170,8 +173,8 @@ def test_error_numbering_invariant():
     m2 = msh.build_mesh(m1.vertices[perm], inv[m1.tets])
     z1 = fem.BrokenPolyField(m1, 1, np.zeros((m1.n_tets, 3, 4)))
     z2 = fem.BrokenPolyField(m2, 1, np.zeros((m2.n_tets, 3, 4)))
-    e1 = bench.compute_error(m1, MU1, z1, cube_H, 1)
-    e2 = bench.compute_error(m2, MU1, z2, cube_H, 1)
+    e1 = fem.l2_error_against(m1, MU1, z1, cube_H, 2 * 1 + 4)
+    e2 = fem.l2_error_against(m2, MU1, z2, cube_H, 2 * 1 + 4)
     assert abs(e1 - e2) <= 1e-12 * e1
 
 
@@ -200,7 +203,7 @@ def test_csv_bytes_reproducible(tmp_path):
     spec = bench.builtin_problems()["cube_poly"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        cfg = bench.RunConfig(degree=1, levels=2, out_dir=str(out), threads=1)
+        cfg = bench.RunConfig(degree=1, levels=2, out_dir=str(out))
         bench.run_experiment(spec, cfg)
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
@@ -231,6 +234,95 @@ def test_reference_error_protocol(tmp_path):
     # itself an approximation, so allow its own error as slack)
     assert all(r["eta_h"] > 0.8 * r["error"] for r in rep.rows)
     assert rep.metadata["reference_protocol"].startswith("2 extra")
+
+
+def _resolved_reference_errors(spec, levels, cfg):
+    """Oracle: the reference protocol without reuse.  Re-solves the last
+    level and every level with solve_level, continues the chain from a fresh
+    estimate, and integrates the difference one reference tet at a time."""
+    j = spec.current()
+    mesh = levels[-1].mesh
+    chain = []
+    for _ in range(2):
+        _, _, Hr, _ = adm.solve_level(mesh, spec.mu, j, cfg)
+        out = eqm.estimate(mesh, spec.mu, j, Hr, cfg.aux_degree)
+        mesh = msh.refine(mesh, adm.dorfler_mark(out.result.eta_T, cfg.theta))
+        chain.append(mesh)
+    _, _, H_ref, _ = adm.solve_level(mesh, spec.mu, j, cfg)
+    parents = [lv.mesh.parent for lv in levels[1:]] + [c.parent for c in chain]
+    rule = ps.quadrature("tet", 2 * cfg.degree + 4)
+    geom_ref = mesh.geom()
+    ref_tets = np.arange(mesh.n_tets)
+    pts = geom_ref.map_points(ref_tets, rule.points)
+    ref_vals = H_ref.eval(ref_tets, rule.points)
+    mu_t = spec.mu.per_tet(mesh)
+    errs = []
+    for lvl, lv in enumerate(levels):
+        anc = ref_tets
+        for pmap in reversed(parents[lvl:]):
+            anc = pmap[anc]
+        _, _, Hl, _ = adm.solve_level(lv.mesh, spec.mu, j, cfg)
+        geom_l = lv.mesh.geom()
+        err_sq = 0.0
+        for tr in ref_tets:
+            xr = geom_l.ref_coords(anc[tr], pts[tr])
+            diff = ref_vals[tr] - Hl.eval_one(anc[tr], xr)
+            err_sq += geom_ref.detJ[tr] * mu_t[tr] * float(
+                np.einsum("q,qc->", rule.weights, diff ** 2))
+        errs.append(np.sqrt(err_sq))
+    return errs
+
+
+def test_reference_errors_reuse_the_solved_levels(monkeypatch):
+    spec = bench.builtin_problems()["cube_jump_mu_10"]
+    cfg = bench.RunConfig(degree=1, mode="adaptive", levels=3, max_dofs=2000,
+                          estimator="eq", reference_errors=True)
+    calls = []
+    solve = adm.solve_level
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n_tets)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(adm, "solve_level", counted)
+    rep = bench.run_experiment(spec, cfg)
+    monkeypatch.undo()
+    # three adaptive levels plus the two chain meshes; nothing is re-solved
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+    acfg = adm.AdaptiveConfig(theta=cfg.theta, max_levels=3, max_dofs=2000,
+                              degree=1)
+    levels = adm.adaptive_loop(spec, acfg)
+    expect = _resolved_reference_errors(spec, levels, acfg)
+    for row, err in zip(rep.rows, expect, strict=True):
+        assert abs(row["error"] - err) <= 1e-12 * err
+        assert abs(row["eff_eq"] - row["eta_h"] / err) <= 1e-12 * row["eff_eq"]
+
+
+def test_adaptive_run_checks_the_eta_sum(monkeypatch):
+    spec = bench.builtin_problems()["cube_jump_mu_10"]
+    cfg = bench.RunConfig(degree=1, mode="adaptive", levels=2, estimator="eq")
+    assert bench.run_experiment(spec, cfg).ok
+    estimate = eqm.estimate
+
+    def skewed(*args, **kwargs):
+        out = estimate(*args, **kwargs)
+        out.result.eta_T = out.result.eta_T * (1.0 + 1e-9)
+        return out
+    monkeypatch.setattr(eqm, "estimate", skewed)
+    rep = bench.run_experiment(spec, cfg)
+    assert np.isfinite([r["eta_h"] for r in rep.rows]).all()
+    assert not rep.ok
+
+
+def test_adaptive_run_writes_vtk_per_level(tmp_path):
+    spec = bench.builtin_problems()["cube_jump_mu_10"]
+    cfg = bench.RunConfig(degree=1, mode="adaptive", levels=2, estimator="eq",
+                          out_dir=str(tmp_path), vtk=True)
+    rep = bench.run_experiment(spec, cfg)
+    for lvl, row in enumerate(rep.rows):
+        vtk = (tmp_path / f"mesh_level_{lvl}.vtk").read_text()
+        assert f"CELLS {row['n_tets']} " in vtk
+        assert "SCALARS eta_T double 1" in vtk
 
 
 def test_reference_error_against_exact_solution():
@@ -267,7 +359,7 @@ def test_cli_run_and_config_override(tmp_path):
     config.write_text("degree = 2\nlevels = 1\nestimator = eq\n# comment\n")
     out = tmp_path / "rep"
     rc = cli.main(["run", "cube_poly", "--config", str(config),
-                   "--degree", "1", "--out", str(out), "--sequential"])
+                   "--degree", "1", "--out", str(out)])
     assert rc == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["metadata"]["config"]["degree"] == 1   # flag wins
