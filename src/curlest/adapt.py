@@ -87,7 +87,7 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     b = fem.assemble_rhs(mesh, dm, data)
     b = fem.gradient_correction(mesh, dm, b)
     u = fem.solve_magnetostatic(A, b, dm, cfg.solver, mass=M)
-    Hh, _ = fem.compute_Hh(mesh, dm, u, mu)
+    Hh = fem.compute_Hh(mesh, dm, u, mu)
     return dm, u, Hh, data
 
 

@@ -3,16 +3,19 @@
 The curl-conforming space is assembled from per-element dof matrices: the
 canonical moment functionals are parameterized by global vertex ids, so two
 elements sharing an edge or face apply identical functionals and tangential
-continuity of the assembled field is automatic.  Broken fields are carried
-around as per-element polynomial coefficient blocks over reference
-coordinates with physical components, which keeps curls, gradients, and
-jumps exact.
+continuity of the assembled field is automatic.  The dof matrices V_t of all
+elements come as one stack (``polyspace.nedelec_element_matrices``); assembly,
+H_h and field expansion are stacked products with V_t^-1, which the dof map
+keeps, and the discrete gradient with V_t.  Broken fields are carried around
+as per-element polynomial coefficient blocks over reference coordinates with
+physical components, which keeps curls, gradients, and jumps exact.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -312,9 +315,7 @@ class DofMap:
     boundary_mask: np.ndarray   # (n_dofs,) bool
     homogeneous_boundary: bool
     registry: NodeRegistry | None = None
-    # element dof matrices are reused across assembly passes; the mesh is
-    # immutable so the cache never invalidates
-    _vcache: dict = field(default_factory=dict, repr=False, compare=False)
+    _vinv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def free(self) -> np.ndarray:
@@ -354,21 +355,18 @@ def build_dofmap(mesh: Mesh, kind: str, degree: int,
         n_edge = mesh.n_edges * ne
         n_face = mesh.n_faces * nf
         n_dofs = n_edge + n_face + mesh.n_tets * nc
-        cell_dofs = np.empty((mesh.n_tets, 6 * ne + 4 * nf + nc), dtype=np.int64)
-        for t in range(mesh.n_tets):
-            cols = []
-            for e in mesh.tet_edges[t]:
-                cols.extend(range(e * ne, (e + 1) * ne))
-            for f in mesh.tet_faces[t]:
-                cols.extend(range(n_edge + f * nf, n_edge + (f + 1) * nf))
-            cols.extend(range(n_edge + n_face + t * nc,
-                              n_edge + n_face + (t + 1) * nc))
-            cell_dofs[t] = cols
-        mask = np.zeros(n_dofs, dtype=bool)
-        for e in np.nonzero(mesh.boundary_edge)[0]:
-            mask[e * ne:(e + 1) * ne] = True
-        for f in np.nonzero(mesh.boundary_face)[0]:
-            mask[n_edge + f * nf: n_edge + (f + 1) * nf] = True
+
+        def blocks(ids, width, offset):
+            return (offset + ids[:, :, None] * width
+                    + np.arange(width)).reshape(len(ids), -1)
+
+        cell_dofs = np.concatenate(
+            [blocks(mesh.tet_edges, ne, 0), blocks(mesh.tet_faces, nf, n_edge),
+             blocks(np.arange(mesh.n_tets)[:, None], nc, n_edge + n_face)],
+            axis=1)
+        mask = np.concatenate([np.repeat(mesh.boundary_edge, ne),
+                               np.repeat(mesh.boundary_face, nf),
+                               np.zeros(mesh.n_tets * nc, dtype=bool)])
         return DofMap(mesh, kind, degree, n_dofs, cell_dofs, mask,
                       homogeneous_boundary)
     if kind == KIND_LAGRANGE:
@@ -389,18 +387,6 @@ def build_dofmap(mesh: Mesh, kind: str, degree: int,
 # element-level machinery
 # ---------------------------------------------------------------------------
 
-def _covariant_eval(space: ps.ReferenceSpace, geom, t: int):
-    """field_eval closure: covariant-mapped reference basis at physical points."""
-    Jinv = geom.Jinv[t]
-
-    def field_eval(pts):
-        xhat = (np.asarray(pts) - geom.v0[t]) @ Jinv.T
-        vals = space.eval(xhat)                    # (q, 3, n)
-        return np.einsum("ba,qbn->qan", Jinv, vals)
-
-    return field_eval
-
-
 def _piola_eval(space: ps.ReferenceSpace, geom, t: int):
     J = geom.J[t]
     det = geom.detJ[t]
@@ -414,17 +400,20 @@ def _piola_eval(space: ps.ReferenceSpace, geom, t: int):
     return field_eval
 
 
-def nedelec_element_matrix(mesh: Mesh, dofmap: DofMap, t: int) -> np.ndarray:
-    """Dof matrix of the covariant-mapped reference basis on element t."""
-    V = dofmap._vcache.get(t)
-    if V is None:
-        space = ps.reference_space(ps.NEDELEC1_TET, dofmap.degree)
-        geom = mesh.geom()
-        verts = mesh.vertices[mesh.tets[t]]
-        V = ps.nedelec_dof_matrix(verts, mesh.tets[t], dofmap.degree,
-                                  _covariant_eval(space, geom, t))
-        dofmap._vcache[t] = V
-    return V
+def _inverse_element_matrices(dofmap: DofMap) -> np.ndarray:
+    """(T, n, n) stack of V_t^-1, built on first use and kept on the dof map
+    (the mesh is immutable, so it never invalidates)."""
+    if dofmap._vinv is None:
+        m = dofmap.mesh
+        dofmap._vinv = np.linalg.inv(ps.nedelec_element_matrices(
+            m.vertices[m.tets], m.tets, dofmap.degree))
+    return dofmap._vinv
+
+
+def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
+    """(T, n) reference-basis coefficients V_t^-1 u_loc of every element."""
+    return np.einsum("tij,tj->ti", _inverse_element_matrices(dofmap),
+                     u.values[dofmap.cell_dofs])
 
 
 class _RefTables:
@@ -433,7 +422,6 @@ class _RefTables:
     def __init__(self, degree: int, exactness: int):
         self.rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
         space = ps.reference_space(ps.NEDELEC1_TET, degree)
-        self.space = space
         v = _poly.vandermonde(3, degree, self.rule.points)
         self.vals = np.einsum("qm,icm->qci", v, space.coeffs)       # (q,3,n)
         self.curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
@@ -442,67 +430,48 @@ class _RefTables:
         self.TVV = np.einsum("q,qai,qbj->abij", w, self.vals, self.vals)
 
 
-_ref_tables_cache: dict = {}
+_ref_tables = lru_cache(maxsize=None)(_RefTables)
 
 
-def _ref_tables(degree: int, exactness: int) -> _RefTables:
-    key = (degree, exactness)
-    tab = _ref_tables_cache.get(key)
-    if tab is None:
-        tab = _RefTables(degree, exactness)
-        _ref_tables_cache[key] = tab
-    return tab
+def _scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             shape) -> sp.csr_matrix:
+    """Sum element blocks (T, n, m) into a sparse matrix; entry (i, j) of
+    block t lands at (rows[t, i], cols[t, j])."""
+    r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
 
 
-def _reduce(mat: sp.coo_matrix, dofmap: DofMap) -> sp.csr_matrix:
+def _assemble_free(dofmap: DofMap, A_gen: np.ndarray) -> sp.csr_matrix:
+    """Map reference-basis element matrices to V^-T A_gen V^-1, sum them and
+    keep the free rows and columns."""
+    Vinv = _inverse_element_matrices(dofmap)
+    A_loc = Vinv.transpose(0, 2, 1) @ A_gen @ Vinv
+    A = _scatter(A_loc, dofmap.cell_dofs, dofmap.cell_dofs,
+                 (dofmap.n_dofs, dofmap.n_dofs))
     free = dofmap.free
-    return mat.tocsr()[free][:, free].tocsr()
+    return A[free][:, free].tocsr()
 
 
-def assemble_curlcurl(mesh: Mesh, dofmap: DofMap, mu: MaterialField,
-                      exactness: int | None = None) -> sp.csr_matrix:
+def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
+                      mu: MaterialField) -> sp.csr_matrix:
     """Stiffness (mu^-1 curl u, curl w) over the free dofs."""
     k = dofmap.degree
-    tab = _ref_tables(k, 2 * k + 2 if exactness is None else exactness)
+    tab = _ref_tables(k, 2 * k + 2)
     geom = mesh.geom()
-    mu_t = mu.per_tet(mesh)
-    rows, cols, vals = [], [], []
-    for t in range(mesh.n_tets):
-        V = nedelec_element_matrix(mesh, dofmap, t)
-        Vinv = np.linalg.inv(V)
-        JtJ = geom.J[t].T @ geom.J[t]
-        A_gen = np.einsum("ab,abij->ij", JtJ, tab.TCC) / (geom.detJ[t] * mu_t[t])
-        A_loc = Vinv.T @ A_gen @ Vinv
-        dofs = dofmap.cell_dofs[t]
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(A_loc.ravel())
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dofmap.n_dofs, dofmap.n_dofs))
-    return _reduce(A, dofmap)
+    JtJ = geom.J.transpose(0, 2, 1) @ geom.J
+    A_gen = np.einsum("tab,abij->tij", JtJ, tab.TCC)
+    return _assemble_free(
+        dofmap, A_gen / (geom.detJ * mu.per_tet(mesh))[:, None, None])
 
 
-def assemble_mass(mesh: Mesh, dofmap: DofMap,
-                  exactness: int | None = None) -> sp.csr_matrix:
+def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     k = dofmap.degree
-    tab = _ref_tables(k, 2 * k + 2 if exactness is None else exactness)
+    tab = _ref_tables(k, 2 * k + 2)
     geom = mesh.geom()
-    rows, cols, vals = [], [], []
-    for t in range(mesh.n_tets):
-        V = nedelec_element_matrix(mesh, dofmap, t)
-        Vinv = np.linalg.inv(V)
-        K = np.linalg.inv(geom.J[t].T @ geom.J[t])
-        M_gen = np.einsum("ab,abij->ij", K, tab.TVV) * geom.detJ[t]
-        M_loc = Vinv.T @ M_gen @ Vinv
-        dofs = dofmap.cell_dofs[t]
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(M_loc.ravel())
-    M = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dofmap.n_dofs, dofmap.n_dofs))
-    return _reduce(M, dofmap)
+    K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
+    M_gen = np.einsum("tab,abij->tij", K, tab.TVV)
+    return _assemble_free(dofmap, M_gen * geom.detJ[:, None, None])
 
 
 def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
@@ -514,16 +483,13 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
     tab = _ref_tables(k, exactness)
     geom = mesh.geom()
     rule = tab.rule
-    b = np.zeros(dofmap.n_dofs)
-    all_tets = np.arange(mesh.n_tets)
-    jvals = j.eval_elements(mesh, all_tets, rule.points)  # (T, q, 3)
-    for t in range(mesh.n_tets):
-        V = nedelec_element_matrix(mesh, dofmap, t)
-        jhat = jvals[t] @ geom.Jinv[t].T                  # J^-1 j
-        b_gen = geom.detJ[t] * np.einsum("q,qbi,qb->i", rule.weights,
-                                         tab.vals, jhat)
-        b_loc = np.linalg.solve(V.T, b_gen)
-        np.add.at(b, dofmap.cell_dofs[t], b_loc)
+    jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
+    jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)    # J^-1 j
+    b_gen = geom.detJ[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
+                                           tab.vals, jhat)
+    b_loc = np.einsum("tji,tj->ti", _inverse_element_matrices(dofmap), b_gen)
+    b = np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
+                    minlength=dofmap.n_dofs)
     if dofmap.homogeneous_boundary:
         b[dofmap.boundary_mask] = 0.0
     return b
@@ -552,70 +518,52 @@ def nedelec_field_to_poly(mesh: Mesh, dofmap: DofMap,
     """Expand assembled coefficients into the broken polynomial representation."""
     k = dofmap.degree
     space = ps.reference_space(ps.NEDELEC1_TET, k)
-    geom = mesh.geom()
-    out = np.empty((mesh.n_tets, 3, _poly.n_monomials(3, k)))
-    for t in range(mesh.n_tets):
-        V = nedelec_element_matrix(mesh, dofmap, t)
-        cgen = np.linalg.solve(V, u.values[dofmap.cell_dofs[t]])
-        cref = np.einsum("i,icm->cm", cgen, space.coeffs)
-        out[t] = geom.Jinv[t].T @ cref
+    cref = np.einsum("ti,icm->tcm", _local_coefficients(dofmap, u), space.coeffs)
+    out = np.einsum("tbc,tbm->tcm", mesh.geom().Jinv, cref)   # J^-T cref
     return BrokenPolyField(mesh, k, out)
 
 
 def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
-               mu: MaterialField):
-    """H_h = mu^-1 curl u_h as a broken polynomial, plus its element curls."""
+               mu: MaterialField) -> BrokenPolyField:
+    """H_h = mu^-1 curl u_h as a broken polynomial."""
     k = dofmap.degree
-    space = ps.reference_space(ps.NEDELEC1_TET, k)
+    ccoef = ps.reference_space(ps.NEDELEC1_TET, k).curl_coeffs()
     geom = mesh.geom()
-    mu_t = mu.per_tet(mesh)
-    ccoef = space.curl_coeffs()
-    out = np.empty((mesh.n_tets, 3, _poly.n_monomials(3, k)))
-    for t in range(mesh.n_tets):
-        V = nedelec_element_matrix(mesh, dofmap, t)
-        cgen = np.linalg.solve(V, u.values[dofmap.cell_dofs[t]])
-        cc = np.einsum("i,iam->am", cgen, ccoef)
-        out[t] = (geom.J[t] @ cc) / (geom.detJ[t] * mu_t[t])
-    Hh = BrokenPolyField(mesh, k, out)
-    return Hh, Hh.curl()
+    cc = np.einsum("ti,iam->tam", _local_coefficients(dofmap, u), ccoef)
+    out = (geom.J @ cc) / (geom.detJ * mu.per_tet(mesh))[:, None, None]
+    return BrokenPolyField(mesh, k, out)
 
 
 # ---------------------------------------------------------------------------
 # discrete gradient and right-hand-side correction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _reference_gradient_dofs(degree: int) -> np.ndarray:
+    """(n_ned, n_lag) reference Nedelec dofs of the scalar-basis gradients."""
+    gradc = ps.reference_space(ps.P_SCALAR_TET, degree).grad_coeffs()
+
+    def field_eval(pts):
+        return np.einsum("qm,ibm->qbi", _poly.vandermonde(3, degree, pts), gradc)
+
+    C = ps.nedelec_dof_matrix(ps.TET_VERTS, np.arange(4), degree, field_eval)
+    C.setflags(write=False)
+    return C
+
+
 def discrete_gradient(mesh: Mesh, dm_ned: DofMap, dm_lag: DofMap) -> sp.csr_matrix:
-    """Coefficient map G with grad(psi) = field(G psi): full dof sizes."""
+    """Coefficient map G with grad(psi) = field(G psi): full dof sizes.
+
+    Gradients map covariantly, so the local block is V_t C with C the
+    reference dofs of the scalar-basis gradients."""
     if dm_lag.degree != dm_ned.degree:
         raise ValueError("scalar degree must match the curl-space degree")
-    scal = ps.reference_space(ps.P_SCALAR_TET, dm_lag.degree)
-    gradc = scal.grad_coeffs()                    # (n, 3, nm)
-    geom = mesh.geom()
-    rows, cols, vals = [], [], []
-    for t in range(mesh.n_tets):
-        Jinv = geom.Jinv[t]
-        v0 = geom.v0[t]
-
-        def field_eval(pts):
-            xhat = (np.asarray(pts) - v0) @ Jinv.T
-            v = _poly.vandermonde(3, dm_lag.degree, xhat)
-            g = np.einsum("qm,ibm->qbi", v, gradc)
-            return np.einsum("ba,qbn->qan", Jinv, g)
-
-        locG = ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]],
-                                     mesh.tets[t], dm_ned.degree, field_eval)
-        nd = dm_ned.cell_dofs[t]
-        nl = dm_lag.cell_dofs[t]
-        rows.append(np.repeat(nd, len(nl)))
-        cols.append(np.tile(nl, len(nd)))
-        vals.append(locG.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    G = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(dm_ned.n_dofs, dm_lag.n_dofs)).tocsr()
-    cnt = sp.coo_matrix((np.ones_like(vals), (rows, cols)),
-                        shape=G.shape).tocsr()
+    k = dm_ned.degree
+    locG = (ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
+            @ _reference_gradient_dofs(k))
+    shape = (dm_ned.n_dofs, dm_lag.n_dofs)
+    G = _scatter(locG, dm_ned.cell_dofs, dm_lag.cell_dofs, shape)
+    cnt = _scatter(np.ones_like(locG), dm_ned.cell_dofs, dm_lag.cell_dofs, shape)
     G.data /= cnt.data  # duplicates from shared entities are equal; average
     return G
 

@@ -245,6 +245,54 @@ def nedelec_dof_matrix(verts: np.ndarray, gids, k: int, field_eval,
     return np.vstack(blocks)
 
 
+@lru_cache(maxsize=None)
+def _reference_nedelec_dofs(k: int, ranks: tuple) -> np.ndarray:
+    """Reference-basis dof matrix under the vertex order given by ranks."""
+    V = nedelec_dof_matrix(TET_VERTS, np.array(ranks), k,
+                           reference_space(NEDELEC1_TET, k).eval)
+    V.setflags(write=False)
+    return V
+
+
+def _face_scales(p: np.ndarray) -> np.ndarray:
+    """area2 / |e_d| of face frames p (..., 3, 3), vertices in frame order."""
+    e = p[..., 1:, :] - p[..., :1, :]
+    area2 = np.linalg.norm(np.cross(e[..., 0, :], e[..., 1, :]), axis=-1)
+    return area2[..., None] / np.linalg.norm(e, axis=-1)
+
+
+def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
+    """Stacked ``nedelec_dof_matrix`` of the covariant-mapped reference basis
+    on tets verts (T, 4, 3) with vertex ids gids (T, 4): (T, n, n).
+
+    On an affine tet the matrix is S_t V_sigma, V_sigma the reference matrix
+    under the tet's global-id vertex order.  S_t is the identity on edge rows,
+    the ratio of physical to reference area2/|e_d| on face rows and
+    kron(I, vol6 J^-T) on interior rows.
+    """
+    verts = np.asarray(verts, dtype=float)
+    ranks = np.argsort(np.argsort(np.asarray(gids), axis=1), axis=1)
+    orders, which = np.unique(ranks, axis=0, return_inverse=True)
+    V = np.stack([_reference_nedelec_dofs(k, tuple(o)) for o in orders])
+    V = V[which.ravel()]
+    T, n_edge, n_face = len(V), 6 * k, 4 * k * (k - 1)
+    if k >= 2:
+        faces = np.array(TET_FACES)
+        lv = faces[np.arange(4)[:, None], np.argsort(ranks[:, faces], axis=2)]
+        scale = (_face_scales(verts[np.arange(T)[:, None, None], lv])
+                 / _face_scales(TET_VERTS[lv]))
+        # face rows run monomial-major, direction-minor
+        V[:, n_edge:n_edge + n_face] *= np.tile(scale, n_face // 8).reshape(T, -1, 1)
+    if k >= 3:
+        J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+        vol6 = np.abs(np.linalg.det(J))
+        S = vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1)
+        interior = V[:, n_edge + n_face:].reshape(T, -1, 3, V.shape[2])
+        V[:, n_edge + n_face:] = np.einsum(
+            "tcb,tobn->tocn", S, interior).reshape(T, -1, V.shape[2])
+    return V
+
+
 def rt_dof_matrix(verts: np.ndarray, gids, k: int, field_eval,
                   exactness: int | None = None) -> np.ndarray:
     """Canonical face-flux / interior moments of the div-conforming space.

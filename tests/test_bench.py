@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_error_of_exact_interpolant_vanishes():
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
-    Hh, _ = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
     assert fem.l2_error_against(m, MU1, Hh, inspace_H, 2 * 2 + 4) < 1e-9
 
 
@@ -323,6 +324,16 @@ def test_adaptive_run_writes_vtk_per_level(tmp_path):
         vtk = (tmp_path / f"mesh_level_{lvl}.vtk").read_text()
         assert f"CELLS {row['n_tets']} " in vtk
         assert "SCALARS eta_T double 1" in vtk
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # the frozen benchmark wraps these module attributes by name; a renamed
+    # or deleted function would only surface in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import repetition
+    assert repetition.TARGETS
+    for owner, attr, _span, _counter in repetition.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
 def test_reference_error_against_exact_solution():

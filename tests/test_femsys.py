@@ -6,8 +6,10 @@ from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree
-from _helpers import (MU1, cube_H, cube_j, inspace_H, inspace_u,
-                      solve_cube, two_tet_mesh)
+from _helpers import (MU1, covariant_basis, cube_H, cube_j, element_dof_matrix,
+                      inspace_H, inspace_u, jittered_cube, loop_curlcurl_mass,
+                      loop_gradient, loop_Hh, loop_nedelec_dofs, solve_cube,
+                      two_tet_mesh)
 
 RNG = np.random.default_rng(17)
 
@@ -124,19 +126,12 @@ def test_rhs_constant_current_orthogonal_to_gradients():
 
 def _slow_rhs(mesh, dm, j_func, exactness=10):
     """Independent assembler: per-element loop straight from definitions."""
-    space = ps.reference_space(ps.NEDELEC1_TET, dm.degree)
     rule = ps.quadrature("tet", exactness)
     geom = mesh.geom()
     b = np.zeros(dm.n_dofs)
     for t in range(mesh.n_tets):
-        verts = mesh.vertices[mesh.tets[t]]
-        Jinv = geom.Jinv[t]
-
-        def phys_eval(pts):
-            xhat = (np.asarray(pts) - geom.v0[t]) @ Jinv.T
-            return np.einsum("ba,qbn->qan", Jinv, space.eval(xhat))
-
-        V = ps.nedelec_dof_matrix(verts, mesh.tets[t], dm.degree, phys_eval)
+        phys_eval = covariant_basis(mesh, dm.degree, t)
+        V = element_dof_matrix(mesh, dm.degree, t)
         pts = geom.v0[t] + rule.points @ geom.J[t].T
         jv = j_func(pts)
         vals = phys_eval(pts)
@@ -147,15 +142,55 @@ def _slow_rhs(mesh, dm, j_func, exactness=10):
     return b
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_rhs_against_slow_assembler(k):
-    m = msh.unit_cube_mesh(2)
+@pytest.mark.parametrize(
+    "k, make_mesh", [(k, msh.unit_cube_mesh) for k in (1, 2, 3)]
+    + [(k, jittered_cube) for k in (1, 2, 3)],
+    ids=["1", "2", "3", "1-jittered", "2-jittered", "3-jittered"])
+def test_rhs_against_slow_assembler(k, make_mesh):
+    m = make_mesh(2)
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, k, homogeneous_boundary=True)
     b_fast = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j),
                               exactness=10)
     b_slow = _slow_rhs(m, dm, cube_j)
     scale = np.abs(b_slow).max()
     assert np.abs(b_fast - b_slow).max() < 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# the stacked element map against per-tet loops
+# ---------------------------------------------------------------------------
+
+MU_JUMP = fem.MaterialField({0: 1.0, 1: 100.0})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nedelec_dofmap_matches_loop(k):
+    m = jittered_cube(2)
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, k)
+    cell_dofs, mask = loop_nedelec_dofs(m, k)
+    assert dm.cell_dofs.dtype == np.int64
+    assert np.array_equal(dm.cell_dofs, cell_dofs)
+    assert np.array_equal(dm.boundary_mask, mask)
+    assert dm.n_dofs == len(mask)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_assembly_matches_per_tet_loops(k):
+    m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, k, homogeneous_boundary=True)
+    dml = fem.build_dofmap(m, fem.KIND_LAGRANGE, k, homogeneous_boundary=True)
+    A_ref, M_ref = loop_curlcurl_mass(m, dm, MU_JUMP.per_tet(m))
+    free = np.ix_(dm.free, dm.free)
+    for fast, ref in ((fem.assemble_curlcurl(m, dm, MU_JUMP), A_ref[free]),
+                      (fem.assemble_mass(m, dm), M_ref[free]),
+                      (fem.discrete_gradient(m, dm, dml),
+                       loop_gradient(m, dm, dml))):
+        assert fast.shape == ref.shape
+        assert np.abs(fast.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    u = RNG.standard_normal(dm.n_dofs)
+    Hh = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, u), MU_JUMP)
+    ref = loop_Hh(m, dm, u, MU_JUMP.per_tet(m))
+    assert np.abs(Hh.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +234,7 @@ def test_zero_rhs_zero_curl():
     dm0 = fem.build_dofmap(m, fem.KIND_NEDELEC, 1, homogeneous_boundary=True)
     A = fem.assemble_curlcurl(m, dm0, MU1)
     u0 = fem.solve_magnetostatic(A, np.zeros(dm0.n_dofs), dm0)
-    H0, _ = fem.compute_Hh(m, dm0, u0, MU1)
+    H0 = fem.compute_Hh(m, dm0, u0, MU1)
     assert H0.norm() < 1e-12
 
 
@@ -262,7 +297,7 @@ def test_interpolation_reproduces_in_space_field():
     poly = fem.nedelec_field_to_poly(m, dm, u)
     err = fem.l2_error_against(m, MU1, poly, inspace_u, 8)
     assert err < 1e-12
-    Hh, jh = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
     assert fem.l2_error_against(m, MU1, Hh, inspace_H, 8) < 1e-11
     assert fem.tangential_jump_norms(m, Hh).max() < 1e-12
 
@@ -331,7 +366,7 @@ def test_gradient_potential_has_zero_field():
     q = np.zeros(dml.n_dofs)
     q[dml.free] = RNG.standard_normal(dml.n_free)
     u = fem.FieldCoefficients(dm, G @ q)
-    Hh, _ = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
     assert Hh.norm() < 1e-12 * max(1.0, np.abs(q).max())
 
 
@@ -340,7 +375,8 @@ def test_elementwise_stokes_identity():
     m = msh.unit_cube_mesh(1)
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
-    Hh, jh = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
+    jh = Hh.curl()
     rule = ps.quadrature("tet", 8)
     tri = ps.quadrature("tri", 8)
     geom = m.geom()

@@ -6,6 +6,7 @@ import pytest
 from curlest import _poly
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree, WrongKind
+from _helpers import element_dof_matrix, jittered_cube
 
 RNG = np.random.default_rng(42)
 
@@ -195,6 +196,19 @@ def test_covariant_preserves_tangential_trace():
         vals_phys = np.einsum("ba,qbn->qan", np.linalg.inv(J), vals_ref)
         mom_phys = np.einsum("q,qci,c->i", seg.weights, vals_phys, t_phys)
         assert np.abs(mom_phys - mom_ref).max() < 1e-10 * max(1, np.abs(mom_ref).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_element_matrices_match_per_tet_functionals(k):
+    # jittered, relabelled cube: every tet has its own shape and one of many
+    # global-id vertex orders
+    m = jittered_cube(2)
+    V = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
+    assert V.shape == (m.n_tets, ps.dim_nedelec_tet(k), ps.dim_nedelec_tet(k))
+    assert len(np.unique(np.argsort(m.tets, axis=1), axis=0)) > 6
+    for t in range(m.n_tets):
+        ref = element_dof_matrix(m, k, t)
+        assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ def test_exact_field_gives_zero():
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
-    Hh, _ = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
     rr = res.compute_residual_estimator(
         m, MU1, fem.CurrentDensity(func=inspace_j), Hh, 2)
     assert rr.mu_h < 1e-10
@@ -24,7 +24,7 @@ def test_lowest_order_volume_term_is_data_only():
     m = msh.unit_cube_mesh(1)
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 1)
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
-    Hh, _ = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
     jconst = np.array([0.3, 0.7, -0.2])
     j = fem.CurrentDensity(func=lambda p: np.tile(jconst, (len(p), 1)))
     rr = res.compute_residual_estimator(m, MU1, j, Hh, 1)
@@ -78,7 +78,7 @@ def test_totals_additive():
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 1)
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
-    Hh, _ = fem.compute_Hh(m, dm, u, MU1)
+    Hh = fem.compute_Hh(m, dm, u, MU1)
     j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
     rr = res.compute_residual_estimator(m, MU1, j, Hh, 1)
     assert abs(rr.mu_h ** 2 - rr.total_sq) <= 1e-12 * rr.mu_h ** 2
