@@ -31,9 +31,9 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, build_dofmap, build_node_registry,
-                     face_rule_points, tangential_jump_norms,
+                     face_jump_values, face_rule_points, tangential_jump_norms,
                      tangential_jump_values, KIND_LAGRANGE)
-from .mesh import Mesh, edge_face_normals, face_frame
+from .mesh import FaceFrame, Mesh, edge_face_normals, face_frame
 
 log = logging.getLogger("curlest")
 
@@ -187,167 +187,148 @@ class FaceMultiplier:
     def n_faces(self) -> int:
         return len(self.internal_faces)
 
-    def eval(self, idx: int, pts: np.ndarray) -> np.ndarray:
-        """Values of multiplier idx at 3D points on the face plane."""
-        rel = np.asarray(pts) - self.origin[idx]
-        xi = np.stack([rel @ self.t1[idx], rel @ self.t2[idx]], axis=1) / self.hf[idx]
-        return _poly.vandermonde(2, self.degree, xi) @ self.lam[idx]
+    def eval(self, idx, pts) -> np.ndarray:
+        """Values of multiplier idx at 3D points on its face plane: (n,) for
+        one index and pts (n, 3), (len(idx), n) for an index array and pts
+        (len(idx), n, 3)."""
+        frame = np.stack([self.t1[idx], self.t2[idx]], axis=-1)   # (..., 3, 2)
+        xi = (np.asarray(pts) - self.origin[idx][..., None, :]) @ frame
+        xi /= np.asarray(self.hf[idx])[..., None, None]
+        v = _poly.vandermonde(2, self.degree, xi)
+        v = v.reshape(xi.shape[:-1] + self.lam.shape[1:])
+        return (v @ self.lam[idx][..., None])[..., 0]
 
 
-def _face_multiplier_solve(mesh: Mesh, f: int, jump, rule, kp: int, form: str):
-    """Single-face surface-curl solve.
+def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
+                           jump: np.ndarray, rule, kp: int):
+    """Surface-curl solves on the listed faces as one batch.
 
-    ``jump`` holds the 3D tangential data at the face rule points.  Returns
-    the multiplier coefficients in scaled-frame monomials plus residual and
-    compatibility diagnostics.
+    ``jump`` holds the 3D tangential data at the face rule points,
+    (Fi, q, 3), and ``fr`` the faces' frames.  Each face is a constrained L2
+    least-squares problem: the minimizer is geometric, so the result is
+    frame- and numbering-independent even when the data carries a small
+    incompatibility.  Returns the multiplier coefficients in scaled-frame
+    monomials, (Fi, nP), and the residual, data-norm and mean diagnostics.
     """
     w = rule.weights
     nP = ps.dim_p_tri(kp)
-    gens = _rt_tri_generators(kp)
     D2 = _poly.diff_stack(2, kp)
-    divgen = np.einsum("cmn,icn->im", D2, gens)
-    fr = face_frame(mesh, f)
-    org = mesh.vertices[mesh.faces[f][0]]
-    hf = mesh.face_diameters()[f]
-    pts = face_rule_points(mesh, f, rule)
-    j2 = np.stack([jump @ fr.t1, jump @ fr.t2], axis=1)
-    rel = pts - org
-    xi = np.stack([rel @ fr.t1, rel @ fr.t2], axis=1) / hf
-    v_lam = _poly.vandermonde(2, kp, xi)
-    dlam = np.einsum("qm,bmn->qbn", v_lam, D2) / hf
-    curl_cols = np.stack([dlam[:, 1, :], -dlam[:, 0, :]], axis=1)
-    s = 2.0 * mesh.face_areas()[f]
-    mean_row = s * np.einsum("q,qm->m", w, v_lam)
-    jn2 = s * float(np.einsum("q,qc->", w, j2 ** 2))
-    if form == "weak":
-        # constrained L2 least squares: the minimizer is geometric, so the
-        # result is frame- and numbering-independent even when the data
-        # carries a small incompatibility
-        K = s * np.einsum("q,qcn,qcm->nm", w, curl_cols, curl_cols)
-        g = s * np.einsum("q,qcn,qc->n", w, curl_cols, j2)
-        S = np.zeros((nP + 1, nP + 1))
-        S[:nP, :nP] = K
-        S[:nP, nP] = mean_row
-        S[nP, :nP] = mean_row
-        b = np.concatenate([g, [0.0]])
-        try:
-            sol = np.linalg.solve(S, b)[:nP]
-        except np.linalg.LinAlgError as exc:
-            raise FaceSolveSingular(f"face {f}: {exc}")
-    elif form == "strong":
-        # fit the data in the trace space, then match surface-curl
-        # coefficients; agrees with 'weak' on compatible data
-        dvals = np.einsum("qm,icm->qci", v_lam, gens)
-        gram = s * np.einsum("q,qci,qcj->ij", w, dvals, dvals)
-        R = s * np.einsum("q,qci,qcn->in", w, dvals, curl_cols)
-        rhs = s * np.einsum("q,qci,qc->i", w, dvals, j2)
-        cfit = np.linalg.solve(gram, rhs)
-        C = np.linalg.solve(gram, R)
-        A = np.vstack([C, mean_row])
-        b = np.concatenate([cfit, [0.0]])
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        raise ValueError(f"unknown step-2 form {form!r}")
-    if not np.all(np.isfinite(sol)):
+    hf = mesh.face_diameters()[faces][:, None, None]
+    s = 2.0 * mesh.face_areas()[faces]
+    frame = np.stack([fr.t1, fr.t2], axis=-1)                      # (Fi, 3, 2)
+    org = mesh.vertices[mesh.faces[faces, 0]][:, None, :]
+    xi = (face_rule_points(mesh, faces, rule) - org) @ frame / hf
+    v_lam = _poly.vandermonde(2, kp, xi).reshape(xi.shape[:2] + (nP,))
+    dlam = np.einsum("fqm,bmn->fqbn", v_lam, D2) / hf[..., None]
+    curl_cols = np.stack([dlam[:, :, 1], -dlam[:, :, 0]], axis=2)  # (Fi, q, 2, nP)
+    del dlam
+    j2 = jump @ frame
+    mean_row = s[:, None] * np.einsum("q,fqm->fm", w, v_lam)
+    S = np.zeros((len(faces), nP + 1, nP + 1))
+    S[:, :nP, :nP] = s[:, None, None] * np.einsum("q,fqcn,fqcm->fnm", w,
+                                                  curl_cols, curl_cols)
+    S[:, :nP, nP] = mean_row
+    S[:, nP, :nP] = mean_row
+    b = np.zeros((len(faces), nP + 1, 1))
+    b[:, :nP, 0] = s[:, None] * np.einsum("q,fqcn,fqc->fn", w, curl_cols, j2)
+    try:
+        sol = np.linalg.solve(S, b)[:, :nP, 0]
+    except np.linalg.LinAlgError:
+        sv = np.linalg.svd(S, compute_uv=False)
+        rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
+                          where=sv[:, 0] > 0)
+        i = int(np.argmin(rcond))
         raise FaceSolveSingular(
-            f"face {f}: multiplier solve produced non-finite values")
-    cl = np.einsum("qcn,n->qc", curl_cols, sol)
-    resid = np.sqrt(max(s * float(np.einsum("q,qc->", w, (cl - j2) ** 2)), 0.0))
-    jnorm = np.sqrt(max(jn2, 0.0))
-    mean_abs = abs(float(mean_row @ sol))
-    return sol, resid, jnorm, mean_abs, fr, org, hf
+            f"face {faces[i]}: singular multiplier system, reciprocal "
+            f"condition {rcond[i]:.3e}", face=int(faces[i]),
+            value=float(rcond[i]))
+    finite = np.isfinite(sol)
+    if not finite.all():
+        i, m = np.unravel_index(np.argmin(finite), finite.shape)
+        raise FaceSolveSingular(
+            f"face {faces[i]}: multiplier solve produced non-finite values "
+            f"({sol[i, m]} in {int((~finite.all(axis=1)).sum())} faces)",
+            face=int(faces[i]), value=float(sol[i, m]))
+    cl = np.einsum("fqcn,fn->fqc", curl_cols, sol)
+    resid = np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, (cl - j2) ** 2), 0.0))
+    jnorm = np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, j2 ** 2), 0.0))
+    mean_abs = np.abs(np.einsum("fm,fm->f", mean_row, sol))
+    return sol, resid, jnorm, mean_abs
 
 
-def _physical_gradients(field: BrokenPolyField) -> np.ndarray:
-    """Coefficient blocks of d_b F_c per tet, (T, 3, 3, nm)."""
+def _physical_gradients(field: BrokenPolyField) -> BrokenPolyField:
+    """The broken gradient of a vector field, component 3 b + c = d_b F_c."""
     D = _poly.diff_stack(3, field.degree)
     Jinv = field.mesh.geom().Jinv
-    return np.einsum("tnb,nij,tcj->tbci", Jinv, D, field.coeffs, optimize=True)
+    grads = np.einsum("tnb,nij,tcj->tbci", Jinv, D, field.coeffs, optimize=True)
+    return BrokenPolyField(field.mesh, field.degree,
+                           grads.reshape(len(grads), 9, -1))
 
 
-def _jump_divergence_norm(mesh: Mesh, grad_coeffs: np.ndarray, degree: int,
-                          f: int, rule, fr) -> float:
+def _jump_divergence_norm(mesh: Mesh, grads: BrokenPolyField, faces: np.ndarray,
+                          rule, fr: FaceFrame) -> np.ndarray:
     """Exact in-plane divergence of the tangential jump of a broken field.
 
     The jump is a polynomial trace, so its surface divergence is evaluated
-    from precomputed gradient coefficient blocks; no fitting is involved and
-    compatible data reports machine zero.
+    from the jump of the field's gradient ``grads`` on the listed faces; no
+    fitting is involved and compatible data reports machine zero.
     """
-    geom = mesh.geom()
-    pts = face_rule_points(mesh, f, rule)
-    tp, tm = mesh.face_tets[f]
-    grads = []
-    for t in (tp, tm):
-        v = _poly.vandermonde(3, degree, geom.ref_coords(t, pts))
-        grads.append(np.einsum("qi,bci->qbc", v, grad_coeffs[t]))
-    dG = grads[0] - grads[1]
-    div = np.zeros(len(pts))
+    dG = face_jump_values(mesh, grads, faces, rule)
+    dG = dG.reshape(dG.shape[:2] + (3, 3))
+    div = np.zeros(dG.shape[:2])
     for tvec in (fr.t1, fr.t2):
-        dF = np.einsum("b,qbc->qc", tvec, dG)      # (t . grad) of the jump base
-        div += np.cross(fr.n[None, :], dF) @ tvec
-    s = 2.0 * mesh.face_areas()[f]
-    return float(np.sqrt(max(s * np.dot(rule.weights, div ** 2), 0.0)))
+        dF = np.einsum("fb,fqbc->fqc", tvec, dG)   # (t . grad) of the jump base
+        div += np.einsum("fqc,fc->fq", np.cross(fr.n[:, None, :], dF), tvec)
+    s = 2.0 * mesh.face_areas()[faces]
+    return np.sqrt(np.maximum(s * np.einsum("q,fq->f", rule.weights, div ** 2),
+                              0.0))
 
 
-def _solve_single_face(mesh: Mesh, f: int, jump, rule, kp: int, form: str):
-    """Test hook: multiplier coefficients and residual for one face."""
-    sol, resid, *_ = _face_multiplier_solve(mesh, f, jump, rule, kp, form)
-    return sol, resid
+def _solve_single_face(mesh: Mesh, f: int, jump, rule, kp: int):
+    """Test hook: multiplier coefficients and residual for one face, from
+    the batched solve on a one-face batch."""
+    faces = np.array([f])
+    sol, resid, *_ = _face_multiplier_solve(mesh, faces, face_frame(mesh, faces),
+                                            np.asarray(jump)[None], rule, kp)
+    return sol[0], resid[0]
 
 
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            correction: ElementCorrection, kp: int, *,
-                           form: str = "weak", strict: bool = False,
+                           strict: bool = False,
                            tol: float = 1e-8) -> FaceMultiplier:
-    """Solve the per-face surface-curl problems for the jump multipliers."""
+    """Solve the surface-curl problems of all internal faces as one batch."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
-    grad_coeffs = _physical_gradients(total)
-
     internal = mesh.internal_faces()
     fi = len(internal)
     index_of = np.full(mesh.n_faces, -1, dtype=np.int64)
     index_of[internal] = np.arange(fi)
-    nm2 = _poly.n_monomials(2, kp)
-    lam = np.zeros((fi, nm2))
-    origin = np.zeros((fi, 3))
-    t1v = np.zeros((fi, 3))
-    t2v = np.zeros((fi, 3))
-    nv = np.zeros((fi, 3))
-    hfv = np.zeros(fi)
-    resid = np.zeros(fi)
-    jnorm = np.zeros(fi)
-    div_norm = np.zeros(fi)
-    mean_abs = np.zeros(fi)
-
-    for ii in range(fi):
-        f = internal[ii]
-        jump = tangential_jump_values(mesh, total, f, rule)   # (q, 3)
-        (lam[ii], resid[ii], jnorm[ii], mean_abs[ii],
-         fr, org, hf) = _face_multiplier_solve(mesh, f, jump, rule, kp, form)
-        div_norm[ii] = _jump_divergence_norm(mesh, grad_coeffs, total.degree,
-                                             f, rule, fr)
-        origin[ii] = org
-        t1v[ii], t2v[ii], nv[ii] = fr.t1, fr.t2, fr.n
-        hfv[ii] = hf
-
-    out = FaceMultiplier(kp, internal, index_of, lam, origin, t1v, t2v, nv,
-                         hfv, resid, jnorm, div_norm, mean_abs)
+    fr = face_frame(mesh, internal)
+    div_norm = _jump_divergence_norm(mesh, _physical_gradients(total),
+                                     internal, rule, fr)
+    jump = tangential_jump_values(mesh, total, internal, rule)   # (Fi, q, 3)
+    lam, resid, jnorm, mean_abs = _face_multiplier_solve(mesh, internal, fr,
+                                                         jump, rule, kp)
+    hf = mesh.face_diameters()[internal]
+    out = FaceMultiplier(kp, internal, index_of, lam,
+                         mesh.vertices[mesh.faces[internal, 0]], fr.t1, fr.t2,
+                         fr.n, hf, resid, jnorm, div_norm, mean_abs)
     # amplitude scale over the faces' sample points, used by tolerances
     if fi:
         sample = _poly.vandermonde(2, kp, ps.quadrature("tri", 2).points)
         out.lam_scale = float(np.abs(sample @ lam.T).max(initial=0.0))
     if strict:
-        jscale = max(float(jnorm.max(initial=0.0)), 1e-30)
-        bad = div_norm * hfv > tol * jscale
+        ratio = div_norm * hf / max(float(jnorm.max(initial=0.0)), 1e-30)
+        bad = ratio > tol
         if bad.any():
+            i = int(np.argmax(ratio))
             raise FaceIncompatible(
-                f"{int(bad.sum())} faces violate the in-plane divergence condition")
+                f"{int(bad.sum())} faces violate the in-plane divergence "
+                f"condition; worst face {internal[i]}: div_norm*h_f/jscale = "
+                f"{ratio[i]:.3e} > tol {tol:.1e}",
+                face=int(internal[i]), value=float(ratio[i]))
     return out
-
-
-def _rt_tri_generators(k: int) -> np.ndarray:
-    return ps.reference_space(ps.RT_TANGENTIAL_TRI, k).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +357,29 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier,
 
     For compatible data the sum is exactly zero; the variation along the edge
     and the absolute size are reported separately so constancy and zero mean
-    can be checked independently.
+    can be checked independently.  Every face around an interior edge is
+    internal, so the (edge, face) incidences come from the internal faces'
+    edges; each edge sums its faces in ascending face order.
     """
     interior = mesh.internal_edges()
     npts = n_samples or (fm.degree + 3)
     s = ps.quadrature("segment", 2 * npts - 2).points[:, 0]
-    max_abs = np.zeros(len(interior))
-    variation = np.zeros(len(interior))
-    for i, e in enumerate(interior):
-        a, b = mesh.edges[e]
-        pts = mesh.vertices[a] + s[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-        r = np.zeros(len(pts))
-        for f in mesh.edge_faces[e]:
-            idx = fm.index_of[f]
-            if idx < 0:
-                continue
-            _, n_fe = edge_face_normals(mesh, e, f)
-            sign = float(np.dot(mesh.face_normal(f), n_fe))
-            r += sign * fm.eval(idx, pts)
-        max_abs[i] = np.abs(r).max(initial=0.0)
-        variation[i] = (r.max() - r.min()) if len(r) else 0.0
+    idx = np.repeat(np.arange(fm.n_faces), 3)
+    e = mesh.face_edges[fm.internal_faces].ravel()
+    keep = ~mesh.boundary_edge[e]
+    order = np.argsort(e[keep], kind="stable")
+    idx, e = idx[keep][order], e[keep][order]
+    _, n_fe = edge_face_normals(mesh, e, fm.internal_faces[idx])
+    sign = np.einsum("ia,ia->i", fm.normal[idx], n_fe)
+    va = mesh.vertices[mesh.edges[e, 0]][:, None, :]
+    vb = mesh.vertices[mesh.edges[e, 1]][:, None, :]
+    pts = va + s[:, None] * (vb - va)                           # (N, ns, 3)
+    row = np.full(mesh.n_edges, -1, dtype=np.int64)
+    row[interior] = np.arange(len(interior))
+    r = np.zeros((len(interior), len(s)))
+    np.add.at(r, row[e], sign[:, None] * fm.eval(idx, pts))
+    max_abs = np.abs(r).max(axis=1, initial=0.0)
+    variation = r.max(axis=1) - r.min(axis=1)
     return EdgeCompatibility(interior, max_abs, variation, fm.lam_scale)
 
 
@@ -646,6 +630,11 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     P = ps.reference_space(ps.P_SCALAR_TET, dml.degree)
     corrected = Hh.padded_to(kp).plus(corr.Hhat)
     tri_rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    internal = mesh.internal_faces()
+    jump = tangential_jump_values(mesh, corrected, internal, tri_rule)
+    face_pts = face_rule_points(mesh, internal, tri_rule)
+    face_w = 2.0 * mesh.face_areas()[internal]
+    plus = mesh.face_tets[internal, 0]
     ortho_rels = []
     for _ in range(n_psi):
         vals = np.zeros(dml.n_dofs)
@@ -657,14 +646,8 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         gv = gpsi.eval(tets, rule.points)
         vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,
                                     jv - cv, gv) * geom.detJ).sum())
-        face_term = 0.0
-        for f in mesh.internal_faces():
-            jump = tangential_jump_values(mesh, corrected, f, tri_rule)
-            tp = mesh.face_tets[f, 0]
-            pts = face_rule_points(mesh, f, tri_rule)
-            gpv = gpsi.eval_one(tp, geom.ref_coords(tp, pts))
-            face_term += 2.0 * mesh.face_areas()[f] * float(
-                np.einsum("q,qc,qc->", tri_rule.weights, jump, gpv))
+        face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
+                                    jump, gpsi.eval_points(plus, face_pts)))
         scale = max(jnorm * psi_scale(gpsi), 1e-30)
         ortho_rels.append(abs(vol_term + face_term) / scale)
 

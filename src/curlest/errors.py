@@ -53,11 +53,22 @@ class DataIncompatible(CurlestError):
     """Element residual current violates the divergence compatibility in strict mode."""
 
 
-class FaceSolveSingular(CurlestError):
-    """Per-face multiplier system is singular."""
+class FaceError(CurlestError):
+    """Failure located on a face: ``face`` is the global id of the worst
+    face, ``value`` the quantity at fault there."""
+
+    def __init__(self, message: str, face: int = -1,
+                 value: float = float("nan")):
+        super().__init__(message)
+        self.face = face
+        self.value = value
 
 
-class FaceIncompatible(CurlestError):
+class FaceSolveSingular(FaceError):
+    """Per-face multiplier system is singular or gives non-finite values."""
+
+
+class FaceIncompatible(FaceError):
     """Face residual current has nonzero in-plane divergence in strict mode."""
 
 

@@ -89,12 +89,19 @@ class BrokenPolyField:
         return self.eval([t], ref_pts)[0]
 
     def eval_points(self, tets, pts) -> np.ndarray:
-        """Values at physical points, point i inside tet tets[i]: (n, comp)."""
+        """Values at physical points inside the listed tets: (n, comp) for
+        pts (n, 3) with point i in tets[i], (n, q, comp) for pts (n, q, 3)
+        with the q points of row i in tets[i]."""
         geom = self.mesh.geom()
         tets = np.asarray(tets)
-        ref = np.einsum("nba,na->nb", geom.Jinv[tets], pts - geom.v0[tets])
+        pts = np.asarray(pts)
+        rows = pts if pts.ndim == 3 else pts[:, None, :]
+        ref = ((rows - geom.v0[tets][:, None, :])
+               @ geom.Jinv[tets].transpose(0, 2, 1))
         v = _poly.vandermonde(3, self.degree, ref)
-        return np.einsum("nm,ncm->nc", v, self.coeffs[tets])
+        v = v.reshape(rows.shape[:2] + v.shape[-1:])
+        out = v @ self.coeffs[tets].transpose(0, 2, 1)
+        return out if pts.ndim == 3 else out[:, 0]
 
     def curl(self) -> "BrokenPolyField":
         D = _poly.diff_stack(3, self.degree)
@@ -706,25 +713,32 @@ def project_current(mesh: Mesh, j_func, degree: int,
 # face jump utilities and norms
 # ---------------------------------------------------------------------------
 
-def face_rule_points(mesh: Mesh, f: int, rule) -> np.ndarray:
-    """Physical quadrature points of a face, identical from both sides."""
-    a, b, c = mesh.faces[f]
-    va = mesh.vertices[a]
-    e1 = mesh.vertices[b] - va
-    e2 = mesh.vertices[c] - va
+def face_rule_points(mesh: Mesh, f, rule) -> np.ndarray:
+    """Physical quadrature points of face f, identical from both sides:
+    (q, 3) for one face, (len(f), q, 3) for an index array."""
+    v = mesh.vertices[mesh.faces[f]]
+    va = v[..., None, 0, :]
+    e1 = v[..., None, 1, :] - va
+    e2 = v[..., None, 2, :] - va
     return va + rule.points[:, 0:1] * e1 + rule.points[:, 1:2] * e2
 
 
-def tangential_jump_values(mesh: Mesh, field: BrokenPolyField, f: int,
+def face_jump_values(mesh: Mesh, field: BrokenPolyField, f,
+                     rule) -> np.ndarray:
+    """F+ - F- at the face rule points: (q, comp) for one internal face,
+    (len(f), q, comp) for an index array of internal faces."""
+    faces = np.atleast_1d(f)
+    pts = face_rule_points(mesh, faces, rule)
+    jump = field.eval_points(mesh.face_tets[faces, 0], pts)
+    jump -= field.eval_points(mesh.face_tets[faces, 1], pts)
+    return jump if np.ndim(f) else jump[0]
+
+
+def tangential_jump_values(mesh: Mesh, field: BrokenPolyField, f,
                            rule) -> np.ndarray:
-    """n x (F+ - F-) at the face rule points; requires an internal face."""
-    tp, tm = mesh.face_tets[f]
-    pts = face_rule_points(mesh, f, rule)
-    geom = mesh.geom()
-    vplus = field.eval_one(tp, geom.ref_coords(tp, pts))
-    vminus = field.eval_one(tm, geom.ref_coords(tm, pts))
-    n = mesh.face_normal(f)
-    return np.cross(n[None, :], vplus - vminus)
+    """n x (F+ - F-) at the face rule points; shapes as face_jump_values."""
+    n = mesh.face_normals()[f]
+    return np.cross(n[..., None, :], face_jump_values(mesh, field, f, rule))
 
 
 def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField,
@@ -732,29 +746,25 @@ def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField,
     """L2 norms of the tangential jump on every internal face (0 on boundary)."""
     ex = 2 * field.degree if exactness is None else exactness
     rule = ps.quadrature("tri", min(max(ex, 2), ps.MAX_QUAD_EXACTNESS))
-    areas = mesh.face_areas()
+    internal = mesh.internal_faces()
+    jump = tangential_jump_values(mesh, field, internal, rule)
     out = np.zeros(mesh.n_faces)
-    for f in mesh.internal_faces():
-        jump = tangential_jump_values(mesh, field, f, rule)
-        out[f] = np.sqrt(2.0 * areas[f] *
-                         float(np.einsum("q,qc->", rule.weights, jump ** 2)))
+    out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(
+        "q,fqc->f", rule.weights, jump ** 2))
     return out
 
 
 def normal_jump_norms(mesh: Mesh, field: BrokenPolyField,
                       exactness: int | None = None) -> np.ndarray:
+    """L2 norms of the normal jump on every internal face (0 on boundary)."""
     ex = 2 * field.degree if exactness is None else exactness
     rule = ps.quadrature("tri", min(max(ex, 2), ps.MAX_QUAD_EXACTNESS))
-    areas = mesh.face_areas()
-    geom = mesh.geom()
+    internal = mesh.internal_faces()
+    jump = face_jump_values(mesh, field, internal, rule)
+    dv = np.einsum("fqc,fc->fq", jump, mesh.face_normals()[internal])
     out = np.zeros(mesh.n_faces)
-    for f in mesh.internal_faces():
-        tp, tm = mesh.face_tets[f]
-        pts = face_rule_points(mesh, f, rule)
-        n = mesh.face_normal(f)
-        dv = (field.eval_one(tp, geom.ref_coords(tp, pts))
-              - field.eval_one(tm, geom.ref_coords(tm, pts))) @ n
-        out[f] = np.sqrt(2.0 * areas[f] * float(np.dot(rule.weights, dv ** 2)))
+    out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(
+        "q,fq->f", rule.weights, dv ** 2))
     return out
 
 

@@ -157,10 +157,11 @@ class Mesh:
         """Unit normal pointing out of the plus-side tet."""
         return self.face_normals()[f]
 
-    def edge_tangent(self, e: int) -> np.ndarray:
-        a, b = self.edges[e]
-        t = self.vertices[b] - self.vertices[a]
-        return t / np.linalg.norm(t)
+    def edge_tangent(self, e) -> np.ndarray:
+        """Unit tangent of edge e, (3,); (len(e), 3) for an index array."""
+        ab = self.edges[e]
+        t = self.vertices[ab[..., 1]] - self.vertices[ab[..., 0]]
+        return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
     def internal_faces(self) -> np.ndarray:
         return np.nonzero(~self.boundary_face)[0]
@@ -561,36 +562,33 @@ def refine(mesh: Mesh, marked) -> Mesh:
 # frames
 # ---------------------------------------------------------------------------
 
-def face_frame(mesh: Mesh, f: int) -> FaceFrame:
+def face_frame(mesh: Mesh, f) -> FaceFrame:
     """Deterministic orthonormal face frame: t1 along the lowest-id face edge,
-    t2 = n x t1."""
-    n = mesh.face_normal(f)
-    e = int(mesh.face_edges[f].min())
-    t1 = mesh.edge_tangent(e)
+    t2 = n x t1.  For an index array of faces the vectors are (len(f), 3)."""
+    n = mesh.face_normals()[f]
+    t1 = mesh.edge_tangent(mesh.face_edges[f].min(axis=-1))
     t2 = np.cross(n, t1)
-    t2 /= np.linalg.norm(t2)
+    t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
     return FaceFrame(t1=t1, t2=t2, n=n)
 
 
-def _cross3(a, b):
-    # single 3-vector cross without the np.cross dispatch overhead
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
-def edge_face_normals(mesh: Mesh, e: int, f: int):
+def edge_face_normals(mesh: Mesh, e, f):
     """In-plane outward normal of the face boundary along edge e, and the
-    edge-frame normal tangent x in-plane normal."""
-    if f not in mesh.edge_faces[e]:
-        raise NotAdjacent(f"face {f} is not adjacent to edge {e}")
-    a, b = mesh.edges[e]
-    opp = [v for v in mesh.faces[f] if v != a and v != b][0]
+    edge-frame normal tangent x in-plane normal; e and f may be matching
+    index arrays of (edge, face) incidences, giving (len(e), 3) each."""
+    e, f = np.asarray(e), np.asarray(f)
+    adjacent = (mesh.face_edges[f] == e[..., None]).any(axis=-1)
+    if not adjacent.all():
+        bad = np.argmin(adjacent.ravel())
+        raise NotAdjacent(f"face {f.ravel()[bad]} is not adjacent to edge "
+                          f"{e.ravel()[bad]}")
+    ab = mesh.edges[e]
+    opp = mesh.faces[f].sum(axis=-1) - ab[..., 0] - ab[..., 1]
     t = mesh.edge_tangent(e)
-    w = mesh.vertices[opp] - mesh.vertices[a]
-    m = w - np.dot(w, t) * t
-    n_ef = -m / np.linalg.norm(m)
-    n_fe = _cross3(t, n_ef)
+    w = mesh.vertices[opp] - mesh.vertices[ab[..., 0]]
+    m = w - np.sum(w * t, axis=-1, keepdims=True) * t
+    n_ef = -m / np.linalg.norm(m, axis=-1, keepdims=True)
+    n_fe = np.cross(t, n_ef)
     return n_ef, n_fe
 
 

@@ -49,10 +49,10 @@ def compute_residual_estimator(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     hf = mesh.face_diameters()
     face_sq = (hf / k) * jumps ** 2
 
+    internal = mesh.internal_faces()
+    half = 0.5 * face_sq[internal]
     mu_T = vol_T.copy()
-    for f in mesh.internal_faces():
-        tp, tm = mesh.face_tets[f]
-        mu_T[tp] += 0.5 * face_sq[f]
-        mu_T[tm] += 0.5 * face_sq[f]
+    np.add.at(mu_T, mesh.face_tets[internal, 0], half)
+    np.add.at(mu_T, mesh.face_tets[internal, 1], half)
     mu_h = float(np.sqrt(vol_T.sum() + face_sq.sum()))
     return ResidualResult(vol_T=vol_T, face_sq=face_sq, mu_T=mu_T, mu_h=mu_h)

@@ -210,3 +210,139 @@ def loop_Hh(mesh, dm, u, mu_t):
         cc = np.einsum("i,iam->am", cgen, ccoef)
         out[t] = (geom.J[t] @ cc) / (geom.detJ[t] * mu_t[t])
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-face and per-edge reference loops for the batched estimator kernels:
+# each evaluates the two traces of one face, or the faces around one edge, at
+# a time with its own point and trace arithmetic
+# ---------------------------------------------------------------------------
+
+def _loop_face_points(mesh, f, rule):
+    a, b, c = mesh.vertices[mesh.faces[f]]
+    return a + rule.points[:, 0:1] * (b - a) + rule.points[:, 1:2] * (c - a)
+
+
+def _loop_traces(mesh, coeffs, degree, f, pts):
+    """Values of the coefficient blocks on T+ and T- of face f at pts."""
+    geom = mesh.geom()
+    return [np.einsum("qm,...m->q...",
+                      _poly.vandermonde(3, degree, geom.ref_coords(t, pts)),
+                      coeffs[t])
+            for t in mesh.face_tets[f]]
+
+
+def loop_face_solve(mesh, f, jump, rule, kp, form):
+    """Single-face surface-curl solve, ``form`` 'weak' (constrained L2 least
+    squares) or 'strong' (fit the data in the trace space, then match
+    surface-curl coefficients); returns (lam, resid, jnorm, mean_abs)."""
+    w = rule.weights
+    nP = ps.dim_p_tri(kp)
+    D2 = _poly.diff_stack(2, kp)
+    fr = msh.face_frame(mesh, f)
+    org = mesh.vertices[mesh.faces[f][0]]
+    hf = mesh.face_diameters()[f]
+    j2 = np.stack([jump @ fr.t1, jump @ fr.t2], axis=1)
+    rel = _loop_face_points(mesh, f, rule) - org
+    xi = np.stack([rel @ fr.t1, rel @ fr.t2], axis=1) / hf
+    v_lam = _poly.vandermonde(2, kp, xi)
+    dlam = np.einsum("qm,bmn->qbn", v_lam, D2) / hf
+    curl_cols = np.stack([dlam[:, 1, :], -dlam[:, 0, :]], axis=1)
+    s = 2.0 * mesh.face_areas()[f]
+    mean_row = s * np.einsum("q,qm->m", w, v_lam)
+    if form == "weak":
+        S = np.zeros((nP + 1, nP + 1))
+        S[:nP, :nP] = s * np.einsum("q,qcn,qcm->nm", w, curl_cols, curl_cols)
+        S[:nP, nP] = mean_row
+        S[nP, :nP] = mean_row
+        b = np.concatenate([s * np.einsum("q,qcn,qc->n", w, curl_cols, j2), [0.0]])
+        sol = np.linalg.solve(S, b)[:nP]
+    elif form == "strong":
+        gens = ps.reference_space(ps.RT_TANGENTIAL_TRI, kp).coeffs
+        dvals = np.einsum("qm,icm->qci", v_lam, gens)
+        gram = s * np.einsum("q,qci,qcj->ij", w, dvals, dvals)
+        R = s * np.einsum("q,qci,qcn->in", w, dvals, curl_cols)
+        rhs = s * np.einsum("q,qci,qc->i", w, dvals, j2)
+        A = np.vstack([np.linalg.solve(gram, R), mean_row])
+        b = np.concatenate([np.linalg.solve(gram, rhs), [0.0]])
+        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    else:
+        raise ValueError(f"unknown step-2 form {form!r}")
+    cl = np.einsum("qcn,n->qc", curl_cols, sol)
+    resid = np.sqrt(s * np.einsum("q,qc->", w, (cl - j2) ** 2))
+    jnorm = np.sqrt(s * np.einsum("q,qc->", w, j2 ** 2))
+    return sol, resid, jnorm, abs(mean_row @ sol)
+
+
+def loop_face_multipliers(mesh, Hh, correction, kp, form="weak"):
+    """Step 2 face by face: dict of lam, resid, jnorm, div_norm, mean_abs
+    over the internal faces in ascending order."""
+    total = Hh.padded_to(kp).plus(correction.Hhat)
+    rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    grad_coeffs = np.einsum("tnb,nij,tcj->tbci", mesh.geom().Jinv,
+                            _poly.diff_stack(3, kp), total.coeffs)
+    rows = []
+    for f in mesh.internal_faces():
+        pts = _loop_face_points(mesh, f, rule)
+        vp, vm = _loop_traces(mesh, total.coeffs, kp, f, pts)
+        fr = msh.face_frame(mesh, f)
+        jump = np.cross(fr.n[None, :], vp - vm)
+        gp, gm = _loop_traces(mesh, grad_coeffs, kp, f, pts)
+        div = np.zeros(len(pts))
+        for tvec in (fr.t1, fr.t2):
+            dF = np.einsum("b,qbc->qc", tvec, gp - gm)
+            div += np.cross(fr.n[None, :], dF) @ tvec
+        div_norm = np.sqrt(2.0 * mesh.face_areas()[f] * np.dot(rule.weights, div ** 2))
+        sol, resid, jnorm, mean_abs = loop_face_solve(mesh, f, jump, rule, kp, form)
+        rows.append((sol, resid, jnorm, div_norm, mean_abs))
+    names = ("lam", "resid", "jnorm", "div_norm", "mean_abs")
+    return {k: np.array(v) for k, v in zip(names, zip(*rows))}
+
+
+def loop_edge_sums(mesh, fm, n_samples=None):
+    """(max_abs, variation) of the signed multiplier sums, edge by edge over
+    the interior edges, each summing its faces in ascending order."""
+    npts = n_samples or (fm.degree + 3)
+    s = ps.quadrature("segment", 2 * npts - 2).points[:, 0]
+    max_abs, variation = [], []
+    for e in mesh.internal_edges():
+        a, b = mesh.edges[e]
+        pts = mesh.vertices[a] + s[:, None] * (mesh.vertices[b] - mesh.vertices[a])
+        r = np.zeros(len(pts))
+        for f in mesh.edge_faces[e]:
+            i = fm.index_of[f]
+            _, n_fe = msh.edge_face_normals(mesh, e, f)
+            rel = pts - fm.origin[i]
+            xi = np.stack([rel @ fm.t1[i], rel @ fm.t2[i]], axis=1) / fm.hf[i]
+            r += float(np.dot(mesh.face_normal(f), n_fe)) * (
+                _poly.vandermonde(2, fm.degree, xi) @ fm.lam[i])
+        max_abs.append(np.abs(r).max())
+        variation.append(r.max() - r.min())
+    return np.array(max_abs), np.array(variation)
+
+
+def loop_jump_norms(mesh, field, exactness=None):
+    """(tangential, normal) jump norms face by face, 0 on boundary faces."""
+    ex = 2 * field.degree if exactness is None else exactness
+    rule = ps.quadrature("tri", min(max(ex, 2), ps.MAX_QUAD_EXACTNESS))
+    tang = np.zeros(mesh.n_faces)
+    norm = np.zeros(mesh.n_faces)
+    for f in mesh.internal_faces():
+        pts = _loop_face_points(mesh, f, rule)
+        vp, vm = _loop_traces(mesh, field.coeffs, field.degree, f, pts)
+        n = mesh.face_normal(f)
+        s = 2.0 * mesh.face_areas()[f]
+        tang[f] = np.sqrt(s * np.einsum("q,qc->", rule.weights,
+                                        np.cross(n[None, :], vp - vm) ** 2))
+        norm[f] = np.sqrt(s * np.dot(rule.weights, ((vp - vm) @ n) ** 2))
+    return tang, norm
+
+
+def loop_mu_split(mesh, rr):
+    """Residual-estimator mu_T with the face terms split face by face."""
+    mu_T = rr.vol_T.copy()
+    for f in mesh.internal_faces():
+        tp, tm = mesh.face_tets[f]
+        mu_T[tp] += 0.5 * rr.face_sq[f]
+        mu_T[tm] += 0.5 * rr.face_sq[f]
+    return mu_T

@@ -179,7 +179,7 @@ def test_criterion_05_local_well_posedness_oracles():
         lam0[0] -= float(mean_vec @ lam0) / mean_vec[0]
         grads = np.einsum("qm,bmn,n->qb", v, D2, lam0) / hf
         data3d = grads[:, 1:2] * fr.t1[None, :] - grads[:, 0:1] * fr.t2[None, :]
-        lam, resid = eqm._solve_single_face(m1, f, data3d, rule, kp, "weak")
+        lam, resid = eqm._solve_single_face(m1, f, data3d, rule, kp)
         scale = max(np.abs(v @ lam0).max(), 1e-12)
         worst2 = max(worst2, np.abs(v @ (lam - lam0)).max() / scale)
 

@@ -1,15 +1,19 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from curlest import _poly
+from curlest import adapt as adm
 from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from _helpers import (MU1, cube_H, cube_j, inspace_j, inspace_u,
-                      solve_cube)
+                      jittered_cube, loop_edge_sums, loop_face_multipliers,
+                      loop_face_solve, loop_jump_norms, solve_cube)
 
 RNG = np.random.default_rng(23)
 
@@ -190,7 +194,10 @@ def test_step2_roundtrip(kp, form):
         grads = np.einsum("qm,bmn,n->qb", v, D2, lam0) / hf
         data3d = (grads[:, 1:2] * fr.t1[None, :] - grads[:, 0:1] * fr.t2[None, :])
 
-        lam, resid = eqm._solve_single_face(m, f, data3d, rule, kp, form)
+        if form == "weak":
+            lam, resid = eqm._solve_single_face(m, f, data3d, rule, kp)
+        else:
+            lam, resid, *_ = loop_face_solve(m, f, data3d, rule, kp, form)
         vals = v @ lam
         vals0 = v @ lam0
         scale = max(np.abs(vals0).max(), 1e-30)
@@ -202,10 +209,10 @@ def test_step2_roundtrip(kp, form):
 def test_step2_forms_agree_on_pipeline_data():
     m, dm, u, Hh, data = solve_cube(2, 1)
     corr = eqm.step1_element_corrections(m, MU1, data, Hh, 3)
-    f1 = eqm.step2_face_multipliers(m, Hh, corr, 3, form="weak")
-    f2 = eqm.step2_face_multipliers(m, Hh, corr, 3, form="strong")
+    f1 = eqm.step2_face_multipliers(m, Hh, corr, 3)
+    f2 = loop_face_multipliers(m, Hh, corr, 3, form="strong")
     scale = max(f1.lam_scale, 1e-30)
-    assert np.abs(f1.lam - f2.lam).max() < 1e-9 * scale
+    assert np.abs(f1.lam - f2["lam"]).max() < 1e-9 * scale
 
 
 def test_step2_zero_mean_invariant():
@@ -286,6 +293,125 @@ def test_edge_compat_strict_projected_pipeline():
     scale = max(rep.lam_scale, 1e-30)
     assert rep.worst_abs <= 1e-9 * scale
     assert rep.worst_variation <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# batched face kernels against the per-face and per-edge loops
+# ---------------------------------------------------------------------------
+
+MU_JUMP = fem.MaterialField({0: 1.0, 1: 100.0})
+
+
+def wave_j(p):
+    # curl of (0, 0, sin 3x cos 2y): divergence-free and in no polynomial
+    # space, so the face data keeps an in-plane divergence at every degree
+    x, y = p[:, 0], p[:, 1]
+    return np.stack([-2.0 * np.sin(3 * x) * np.sin(2 * y),
+                     -3.0 * np.cos(3 * x) * np.cos(2 * y), np.zeros_like(x)],
+                    axis=1)
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def jump_level(request):
+    """Jittered two-material cube (mu 1 / 100) solved and estimated at k."""
+    k = request.param
+    m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
+    j = fem.CurrentDensity(func=wave_j)
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.AdaptiveConfig(degree=k))
+    return m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, k)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_step2_matches_loop_oracle(jump_level):
+    m, Hh, out = jump_level
+    fm = out.multipliers
+    ref = loop_face_multipliers(m, Hh, out.correction, fm.degree)
+    for key in ("lam", "jnorm", "div_norm"):
+        assert _rel_err(getattr(fm, key), ref[key]) <= 1e-12, key
+    for key in ("resid", "mean_abs"):   # roundoff-level on compatible data
+        assert np.abs(getattr(fm, key) - ref[key]).max() <= 1e-12 * fm.lam_scale
+    # the estimator built on the loop multipliers
+    phi = eqm.step3_reconstruct_phi(m, dataclasses.replace(fm, lam=ref["lam"]),
+                                    fm.degree)
+    res = eqm.step4_estimator(m, MU_JUMP, out.correction, phi)
+    assert _rel_err(out.result.eta_T, res.eta_T) <= 1e-12
+    assert abs(out.result.eta_h - res.eta_h) <= 1e-12 * res.eta_h
+
+
+def test_edge_sums_match_loop_oracle(jump_level):
+    m, Hh, out = jump_level
+    rep = out.edge_report
+    max_abs, variation = loop_edge_sums(m, out.multipliers)
+    assert np.abs(rep.max_abs - max_abs).max() <= 1e-12 * rep.lam_scale
+    assert np.abs(rep.variation - variation).max() <= 1e-12 * rep.lam_scale
+    # random multipliers: the sums are O(1), so signs and incidences show
+    fm = dataclasses.replace(out.multipliers, lam=RNG.standard_normal(
+        out.multipliers.lam.shape))
+    rep = eqm.check_edge_compatibility(m, fm)
+    max_abs, variation = loop_edge_sums(m, fm)
+    assert _rel_err(rep.max_abs, max_abs) <= 1e-12
+    assert _rel_err(rep.variation, variation) <= 1e-12
+
+
+def test_jump_norms_match_loop_oracle(jump_level):
+    m, Hh, out = jump_level
+    tang, norm = loop_jump_norms(m, Hh)
+    assert _rel_err(fem.tangential_jump_norms(m, Hh), tang) <= 1e-12
+    assert _rel_err(fem.normal_jump_norms(m, Hh), norm) <= 1e-12
+
+
+def test_face_kernels_memory_peak():
+    # the batched kernels hold (faces, points, ...) temporaries; each call's
+    # traced peak on the 2376-internal-face cube at k=1 stays below 10 MB
+    m, dm, u, Hh, data = solve_cube(6, 1)
+    corr = eqm.step1_element_corrections(m, MU1, data, Hh, 1)
+    fm = eqm.step2_face_multipliers(m, Hh, corr, 1)
+    calls = {"step2": lambda: eqm.step2_face_multipliers(m, Hh, corr, 1),
+             "edge_check": lambda: eqm.check_edge_compatibility(m, fm),
+             "jump_norms": lambda: fem.tangential_jump_norms(m, Hh)}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            call()                          # fill the mesh and table caches
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 10 * 2 ** 20, peaks
+
+
+def test_singular_face_system_names_the_face():
+    # a zero area on one face (written into the mesh's cached areas) zeroes
+    # its bordered system, so the batched solve fails on that face alone
+    m = msh.unit_cube_mesh(2)
+    faces = m.internal_faces()
+    m.face_areas()[faces[3]] = 0.0
+    rule = ps.quadrature("tri", 4)
+    jump = np.ones((len(faces), len(rule.weights), 3))
+    with pytest.raises(eqm.FaceSolveSingular) as exc:
+        eqm._face_multiplier_solve(m, faces, msh.face_frame(m, faces), jump,
+                                   rule, 1)
+    assert exc.value.face == faces[3] and exc.value.value == 0.0
+    assert f"face {faces[3]}" in str(exc.value)
+
+
+def test_nan_trace_names_the_face():
+    m, dm, u, Hh, data = solve_cube(2, 1)
+    corr = eqm.step1_element_corrections(m, MU1, data, Hh, 1)
+    t = 7
+    bad = fem.BrokenPolyField(m, Hh.degree, Hh.coeffs.copy())
+    bad.coeffs[t] = np.nan
+    with pytest.raises(eqm.FaceSolveSingular) as exc:
+        eqm.step2_face_multipliers(m, bad, corr, 1)
+    assert exc.value.face in m.tet_faces[t]
+    assert not m.boundary_face[exc.value.face]
+    assert f"face {exc.value.face}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +646,15 @@ def test_strict_mode_rejects_incompatible_face_data():
     m, dm, u, Hh, data = solve_cube(2, 1)
     corr = eqm.step1_element_corrections(m, MU1, data, Hh, 1)
     assert corr.oscillation > 1e-3   # data genuinely incompatible at k'=1
-    with pytest.raises(eqm.FaceIncompatible):
+    with pytest.raises(eqm.FaceIncompatible) as exc:
         eqm.step2_face_multipliers(m, Hh, corr, 1, strict=True)
+    # the error names the face with the largest div_norm * h_f and its ratio
+    fm = eqm.step2_face_multipliers(m, Hh, corr, 1)
+    ratio = fm.div_norm * fm.hf / fm.jnorm.max()
+    worst = int(np.argmax(ratio))
+    assert exc.value.face == fm.internal_faces[worst]
+    assert exc.value.value == pytest.approx(ratio[worst], rel=1e-12)
+    assert f"face {exc.value.face}" in str(exc.value)
 
 
 def test_strict_mode_rejects_inconsistent_multipliers():

@@ -4,7 +4,8 @@ from curlest import _poly
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import residual as res
-from _helpers import MU1, inspace_j, inspace_u, two_tet_mesh
+from _helpers import (MU1, inspace_j, inspace_u, jittered_cube, loop_mu_split,
+                      two_tet_mesh)
 
 RNG = np.random.default_rng(31)
 
@@ -99,3 +100,16 @@ def test_volume_term_quarters_under_structured_halving():
         vals[n] = rr.vol_T.sum() / 1.0  # total over the fixed domain
     # halving h multiplies each element's h_T^2 by 1/4 at fixed field
     assert abs(vals[4] / vals[2] - 0.25) < 1e-12
+
+
+def test_face_split_matches_loop():
+    # random field on a jittered cube: every internal face has a jump, and
+    # the two scatter-adds give each tet half of each of its faces' terms
+    m = jittered_cube(2)
+    Hh = fem.BrokenPolyField(m, 2, RNG.standard_normal(
+        (m.n_tets, 3, _poly.n_monomials(3, 2))))
+    j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
+    rr = res.compute_residual_estimator(m, MU1, j, Hh, 2)
+    want = loop_mu_split(m, rr)
+    assert np.abs(rr.mu_T - want).max() <= 1e-14 * want.max()
+    assert abs(rr.mu_T.sum() - rr.total_sq) <= 1e-14 * rr.total_sq
