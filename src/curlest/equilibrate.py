@@ -7,7 +7,7 @@ Pipeline (per estimator run):
   step 2  per internal face: a scalar multiplier whose surface curl matches
           the tangential jump of the corrected field;
   step 3  per Lagrange node: jump-consistent potential values from tiny
-          least-squares systems;
+          least-squares systems, solved in batches of equal shape;
   step 4  the elementwise energy norm of the corrected field.
 
 The face multiplier data lives in the span of tangential traces, realized as
@@ -387,22 +387,34 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier,
 # step 3: nodal reconstruction
 # ---------------------------------------------------------------------------
 
-def solve_node_patch(n: int, pairs, values):
-    """Least-squares solve of a nodal difference system with the zero-mean row.
+def solve_node_patches(n: int, pairs: np.ndarray, values: np.ndarray):
+    """Least-squares solves of a batch of nodal difference systems of one
+    shape, each with the zero-mean row.
 
-    ``pairs`` are (plus, minus) member indices, ``values`` the prescribed
-    differences.  The continuous theory makes these systems consistent, so
-    the returned residual is a pure compatibility diagnostic.
+    ``pairs`` (B, c, 2) are (plus, minus) member indices among the n patch
+    members, ``values`` (B, c) the prescribed differences.  The continuous
+    theory makes these systems consistent, so the residuals (B,) are a pure
+    compatibility diagnostic.  Returns the (B, n) solutions.
     """
-    rows = np.zeros((len(pairs) + 1, n))
-    rhs = np.zeros(len(pairs) + 1)
-    for r, ((a, b), v) in enumerate(zip(pairs, values)):
-        rows[r, a] = 1.0
-        rows[r, b] = -1.0
-        rhs[r] = v
-    rows[-1, :] = 1.0
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    return sol, float(np.linalg.norm(rows @ sol - rhs))
+    B, c = values.shape
+    rows = np.zeros((B, c + 1, n))
+    b = np.arange(B)[:, None]
+    r = np.arange(c)
+    rows[b, r, pairs[..., 0]] = 1.0
+    rows[b, r, pairs[..., 1]] = -1.0
+    rows[:, c, :] = 1.0
+    rhs = np.zeros((B, c + 1))
+    rhs[:, :c] = values
+    sol = (np.linalg.pinv(rows) @ rhs[..., None])[..., 0]
+    resid = np.linalg.norm((rows @ sol[..., None])[..., 0] - rhs, axis=1)
+    return sol, resid
+
+
+def solve_node_patch(n: int, pairs, values):
+    """One nodal difference system through ``solve_node_patches``."""
+    sol, resid = solve_node_patches(n, np.asarray(pairs).reshape(1, -1, 2),
+                                    np.asarray(values, dtype=float).reshape(1, -1))
+    return sol[0], float(resid[0])
 
 
 @dataclass
@@ -423,74 +435,79 @@ class NodalPotential:
 def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
                           strict: bool = False,
                           lsq_tol: float = 1e-8) -> NodalPotential:
-    """Recover the jump potential node by node.
+    """Recover the jump potential on all nodes at once.
 
     Interior and boundary-face nodes are zero, internal-face nodes get half
     the multiplier value; edge and vertex nodes solve a small overdetermined
     system (difference equation per incident internal face plus the zero-mean
-    row).  The theory makes these systems consistent, so least squares
-    recovers the unique solution; the residual is tracked as a diagnostic.
+    row), batched over patches of equal shape.  The theory makes these
+    systems consistent, so least squares recovers the unique solution; the
+    residual is tracked as a diagnostic.
     """
     if fm.degree != kp:
         raise ValueError("multiplier degree must match the reconstruction degree")
     reg = build_node_registry(mesh, kp)
     nloc = reg.tet_nodes.shape[1]
-    phi = np.zeros((mesh.n_tets, nloc))
+    ptr, occ = reg.incident_ptr, reg.incident
+    phi = np.zeros(mesh.n_tets * nloc)
+    internal = fm.internal_faces
 
-    vertex_faces: dict[int, list] = {}
-    for f in mesh.internal_faces():
-        for v in mesh.faces[f]:
-            vertex_faces.setdefault(int(v), []).append(int(f))
+    # internal-face nodes sit in the two tets of their face
+    is_face = reg.kind == ps.NODE_FACE
+    fnode = np.nonzero(is_face)[0][fm.index_of[reg.entity[is_face]] >= 0]
+    f = reg.entity[fnode]
+    fval = fm.eval(fm.index_of[f], reg.points[fnode][:, None, :])[:, 0]
+    focc = occ[ptr[fnode, None] + np.arange(2)]
+    phi[focc] = np.where(focc // nloc == mesh.face_tets[f, :1], 0.5, -0.5) * fval[:, None]
 
-    worst = np.zeros(max(reg.n_nodes, 1))
-    lam_scale = 0.0
+    # (vertex or edge node, internal face) incidences, by node then face
+    by_entity = np.lexsort((reg.entity, reg.kind))  # vertex nodes, then kp-1 per edge
+    edge_slots = (mesh.n_vertices + (kp - 1) * mesh.face_edges[internal][..., None]
+                  + np.arange(kp - 1)).reshape(len(internal), 3 * (kp - 1))
+    node = by_entity[np.concatenate([mesh.faces[internal], edge_slots], axis=1)]
+    face = np.repeat(internal, node.shape[1])
+    order = np.lexsort((face, node.ravel()))
+    node, face = node.ravel()[order], face[order]
+    val = fm.eval(fm.index_of[face], reg.points[node][:, None, :])[:, 0]
 
-    for g in range(reg.n_nodes):
-        kind = reg.kind[g]
-        if kind == ps.NODE_CELL:
-            continue
-        if kind == ps.NODE_FACE:
-            f = int(reg.entity[g])
-            if mesh.boundary_face[f]:
-                continue
-            idx = fm.index_of[f]
-            val = float(fm.eval(idx, reg.points[g][None, :])[0])
-            lam_scale = max(lam_scale, abs(val))
-            tp, tm = mesh.face_tets[f]
-            for (t, loc) in reg.incident[g]:
-                phi[t, loc] = 0.5 * val if t == tp else -0.5 * val
-            continue
-        if kind == ps.NODE_VERTEX:
-            cand = vertex_faces.get(int(reg.entity[g]), [])
-        else:  # edge node
-            cand = [int(f) for f in mesh.edge_faces[int(reg.entity[g])]
-                    if fm.index_of[f] >= 0]
-        cand = [f for f in cand if fm.index_of[f] >= 0]
-        tets = [t for (t, _) in reg.incident[g]]
-        pos = {t: i for i, t in enumerate(tets)}
-        if not cand:
-            continue  # boundary node with no internal faces: all zeros
-        pairs = []
-        values = []
-        for f in cand:
-            tp, tm = mesh.face_tets[f]
-            if tp not in pos or tm not in pos:
-                raise OrphanNode(
-                    f"node {g}: face {f} adjacent tets missing from patch")
-            pairs.append((pos[tp], pos[tm]))
-            v = float(fm.eval(fm.index_of[f], reg.points[g][None, :])[0])
-            values.append(v)
-            lam_scale = max(lam_scale, abs(v))
-        sol, worst[g] = solve_node_patch(len(tets), pairs, values)
-        for (t, loc) in reg.incident[g]:
-            phi[t, loc] = sol[pos[t]]
+    # patch positions of T+ and T-: occurrences are sorted by (node, tet)
+    occ_key = np.repeat(np.arange(reg.n_nodes), np.diff(ptr)) * mesh.n_tets + occ // nloc
+    want = node[:, None] * mesh.n_tets + mesh.face_tets[face]
+    at = np.minimum(np.searchsorted(occ_key, want), len(occ_key) - 1)
+    missing = occ_key[at] != want
+    if missing.any():
+        i = int(np.argmax(missing.any(axis=1)))
+        g = int(node[i])
+        raise OrphanNode(
+            f"node {g}: tets {mesh.face_tets[face[i]]} of face {face[i]} not all "
+            f"in the patch", node=g, kind=int(reg.kind[g]), entity=int(reg.entity[g]))
+    pairs = at - ptr[node, None]
 
+    # one batched least-squares solve per (patch tets, patch faces) shape
+    n_faces = np.bincount(node, minlength=reg.n_nodes)
+    start = np.cumsum(n_faces) - n_faces
+    solved = np.nonzero(n_faces)[0]
+    shapes, group = np.unique(np.stack([np.diff(ptr)[solved], n_faces[solved]], axis=1),
+                              axis=0, return_inverse=True)
+    worst = np.zeros(reg.n_nodes)
+    for s, (n_tets, n_rows) in enumerate(shapes):
+        g = solved[group.ravel() == s]
+        rows = start[g, None] + np.arange(n_rows)
+        sol, worst[g] = solve_node_patches(n_tets, pairs[rows], val[rows])
+        phi[occ[ptr[g, None] + np.arange(n_tets)]] = sol
+
+    scale = max(np.abs(fval).max(initial=0.0), np.abs(val).max(initial=0.0),
+                fm.lam_scale)
     max_resid = float(worst.max(initial=0.0))
-    scale = max(lam_scale, fm.lam_scale)
     if strict and max_resid > lsq_tol * max(scale, 1e-30):
+        g = int(np.argmax(worst))
+        k, e = int(reg.kind[g]), int(reg.entity[g])
+        rel = max_resid / max(scale, 1e-30)
         raise InconsistentPatch(
-            f"nodal patch residual {max_resid:.3e} above {lsq_tol:.1e} * {scale:.3e}")
-    return NodalPotential(reg, phi, max_resid, scale, kp)
+            f"node {g} ({ps.NODE_NAMES[k]} {e}): patch residual {max_resid:.3e} "
+            f"= {rel:.3e} x {scale:.3e}, above {lsq_tol:.1e}",
+            node=g, kind=k, entity=e, value=rel)
+    return NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, kp)
 
 
 # ---------------------------------------------------------------------------

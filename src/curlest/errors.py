@@ -72,12 +72,24 @@ class FaceIncompatible(FaceError):
     """Face residual current has nonzero in-plane divergence in strict mode."""
 
 
-class InconsistentPatch(CurlestError):
+class NodeError(CurlestError):
+    """Failure located at a Lagrange node: ``node`` is its registry id,
+    ``kind`` its polyspace NODE_* code, ``entity`` the global id of the
+    vertex, edge, face or tet it belongs to and ``value`` the quantity at
+    fault there."""
+
+    def __init__(self, message: str, node: int = -1, kind: int = -1,
+                 entity: int = -1, value: float = float("nan")):
+        super().__init__(message)
+        self.node, self.kind, self.entity, self.value = node, kind, entity, value
+
+
+class InconsistentPatch(NodeError):
     """Nodal least-squares system has residual above tolerance."""
 
 
-class OrphanNode(CurlestError):
-    """Node registry mismatch; indicates an internal bug."""
+class OrphanNode(NodeError):
+    """Node registry or patch membership mismatch; indicates an internal bug."""
 
 
 class EquilibriumViolated(CurlestError):

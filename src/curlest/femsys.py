@@ -209,13 +209,13 @@ class CurrentDensity:
 
 @dataclass
 class NodeRegistry:
-    degree: int
     points: np.ndarray        # (N, 3)
     kind: np.ndarray          # (N,) polyspace NODE_* codes
     entity: np.ndarray        # (N,) global vertex/edge/face/tet id
     boundary: np.ndarray      # (N,) bool
     tet_nodes: np.ndarray     # (T, nloc) global node id per local node
-    incident: list            # per node: list of (tet, local node index)
+    incident: np.ndarray      # occurrences t * nloc + loc by node, ascending
+    incident_ptr: np.ndarray  # (N+1,) CSR offsets into incident
 
     @property
     def n_nodes(self) -> int:
@@ -225,82 +225,61 @@ class NodeRegistry:
 def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
     """Deduplicate the per-element Lagrange nodes into a global registry.
 
-    Node coordinates are accumulated in ascending global-vertex-id order with
-    exact rational weights, so coincident nodes from different elements agree
-    bitwise; the hash buckets keyed on a 1e-8*h grid only exist as a guard.
+    A node is named by topology: its support vertices' global ids in
+    ascending order paired with its barycentric multi-index, packed as
+    gid * (degree + 1) + weight with zero-weight slots last.  Nodes are
+    numbered in order of first occurrence over (tet, local node).
+    Coordinates are accumulated in ascending global-vertex-id order with
+    exact rational weights, so coincident nodes from different elements
+    agree bitwise.
     """
     nodes = ps.lagrange_nodes(degree)
-    nloc = nodes.n_nodes
-    multi = nodes.multi
-    rho = 1e-8 * mesh.h_min_edge()
-    buckets: dict[tuple, int] = {}
-    points: list[np.ndarray] = []
-    kind: list[int] = []
-    entity: list[int] = []
-    incident: list[list] = []
-    tet_nodes = np.empty((mesh.n_tets, nloc), dtype=np.int64)
+    nt, nloc = mesh.n_tets, nodes.n_nodes
+    order = np.argsort(mesh.tets, axis=1)
+    gids = np.take_along_axis(mesh.tets, order, axis=1)         # (T, 4)
+    w = nodes.multi[:, order].transpose(1, 0, 2)                 # (T, nloc, 4)
+    codes = np.where(w > 0, gids[:, None, :] * (degree + 1) + w,
+                     np.iinfo(np.int64).max)
+    _, first, inverse = np.unique(np.sort(codes, axis=2).reshape(-1, 4),
+                                  axis=0, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    tet_nodes = rank[inverse.ravel()].reshape(nt, nloc)
+    first = np.sort(first)                 # first occurrence of each node
 
-    verts = mesh.vertices
-    for t in range(mesh.n_tets):
-        gids = mesh.tets[t]
-        order = np.argsort(gids)
-        vv = verts[gids[order]]
-        w = multi[:, order] / float(degree)
-        # fixed-order accumulation => bitwise identical coordinates
-        pos = w[:, 0:1] * vv[0] + w[:, 1:2] * vv[1]
-        pos += w[:, 2:3] * vv[2]
-        pos += w[:, 3:4] * vv[3]
-        pos = pos + 0.0  # normalize signed zeros
-        for loc in range(nloc):
-            p = pos[loc]
-            key = (int(round(p[0] / rho)), int(round(p[1] / rho)),
-                   int(round(p[2] / rho)))
-            g = buckets.get(key)
-            if g is None:
-                for d in _NEIGHBOR_OFFSETS:
-                    g = buckets.get((key[0] + d[0], key[1] + d[1], key[2] + d[2]))
-                    if g is not None and np.linalg.norm(points[g] - p) <= rho:
-                        break
-                    g = None
-            k = int(nodes.kind[loc])
-            if k == ps.NODE_VERTEX:
-                ent = int(gids[nodes.entity[loc]])
-            elif k == ps.NODE_EDGE:
-                ent = int(mesh.tet_edges[t, nodes.entity[loc]])
-            elif k == ps.NODE_FACE:
-                ent = int(mesh.tet_faces[t, nodes.entity[loc]])
-            else:
-                ent = t
-            if g is None:
-                g = len(points)
-                buckets[key] = g
-                points.append(p)
-                kind.append(k)
-                entity.append(ent)
-                incident.append([])
-            else:
-                if kind[g] != k or entity[g] != ent:
-                    raise OrphanNode(
-                        f"node at {p} resolves to ({k},{ent}) vs ({kind[g]},{entity[g]})")
-            incident[g].append((t, loc))
-            tet_nodes[t, loc] = g
+    # per occurrence: column of the (vertex | edge | face | tet) table
+    col = np.array([0, 4, 10, 14])[nodes.kind] + nodes.entity
+    cells = np.arange(nt)[:, None]
+    ent = np.concatenate([mesh.tets, mesh.tet_edges, mesh.tet_faces, cells],
+                         axis=1)[:, col].ravel()
+    kind_occ = np.tile(nodes.kind, nt)
+    kind, entity = kind_occ[first], ent[first]
+    flat = tet_nodes.ravel()
+    bad = (kind_occ != kind[flat]) | (ent != entity[flat])
+    if bad.any():
+        i = int(np.argmax(bad))
+        g = int(flat[i])
+        raise OrphanNode(
+            f"node {g}: tet {i // nloc} local node {i % nloc} resolves to "
+            f"({kind_occ[i]},{ent[i]}) vs ({kind[g]},{entity[g]})",
+            node=g, kind=int(kind[g]), entity=int(entity[g]))
+    boundary = np.concatenate(
+        [mesh.boundary_vertex[mesh.tets], mesh.boundary_edge[mesh.tet_edges],
+         mesh.boundary_face[mesh.tet_faces], np.zeros((nt, 1), dtype=bool)],
+        axis=1)[:, col].ravel()[first]
 
-    kind = np.array(kind, dtype=np.int64)
-    entity = np.array(entity, dtype=np.int64)
-    boundary = np.zeros(len(points), dtype=bool)
-    for g in range(len(points)):
-        if kind[g] == ps.NODE_VERTEX:
-            boundary[g] = mesh.boundary_vertex[entity[g]]
-        elif kind[g] == ps.NODE_EDGE:
-            boundary[g] = mesh.boundary_edge[entity[g]]
-        elif kind[g] == ps.NODE_FACE:
-            boundary[g] = mesh.boundary_face[entity[g]]
-    return NodeRegistry(degree, np.array(points), kind, entity, boundary,
-                        tet_nodes, incident)
+    vv = mesh.vertices[gids[first // nloc]]
+    wf = w.reshape(-1, 4)[first] / float(degree)
+    # fixed-order accumulation => bitwise identical coordinates
+    pos = wf[:, 0:1] * vv[:, 0] + wf[:, 1:2] * vv[:, 1]
+    pos += wf[:, 2:3] * vv[:, 2]
+    pos += wf[:, 3:4] * vv[:, 3]
+    pos = pos + 0.0  # normalize signed zeros
 
-
-_NEIGHBOR_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                     for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(first)))])
+    return NodeRegistry(pos, kind, entity, boundary, tet_nodes,
+                        np.argsort(flat, kind="stable"), ptr)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +300,6 @@ class DofMap:
     cell_dofs: np.ndarray       # (T, nloc)
     boundary_mask: np.ndarray   # (n_dofs,) bool
     homogeneous_boundary: bool
-    registry: NodeRegistry | None = None
     _vinv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -333,11 +311,6 @@ class DofMap:
     @property
     def n_free(self) -> int:
         return len(self.free)
-
-    def full_to_free(self) -> np.ndarray:
-        idx = np.full(self.n_dofs, -1, dtype=np.int64)
-        idx[self.free] = np.arange(self.n_free)
-        return idx
 
 
 @dataclass
@@ -379,7 +352,7 @@ def build_dofmap(mesh: Mesh, kind: str, degree: int,
     if kind == KIND_LAGRANGE:
         reg = build_node_registry(mesh, degree)
         return DofMap(mesh, kind, degree, reg.n_nodes, reg.tet_nodes,
-                      reg.boundary.copy(), homogeneous_boundary, registry=reg)
+                      reg.boundary, homogeneous_boundary)
     if kind == KIND_BROKEN_SCALAR:
         nloc = ps.dim_p_tet(degree)
         cell_dofs = np.arange(mesh.n_tets * nloc,
@@ -575,8 +548,7 @@ def discrete_gradient(mesh: Mesh, dm_ned: DofMap, dm_lag: DofMap) -> sp.csr_matr
     return G
 
 
-def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray,
-                        G: sp.csr_matrix | None = None) -> np.ndarray:
+def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray) -> np.ndarray:
     """Project the load vector onto the complement of the discrete gradients.
 
     Returns r' = r - G q with q solving (G^T G) q = G^T r over the interior
@@ -585,8 +557,7 @@ def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray,
     """
     dm_lag = build_dofmap(mesh, KIND_LAGRANGE, dofmap.degree,
                           homogeneous_boundary=True)
-    if G is None:
-        G = discrete_gradient(mesh, dofmap, dm_lag)
+    G = discrete_gradient(mesh, dofmap, dm_lag)
     Gf = G[dofmap.free][:, dm_lag.free].tocsc()
     if Gf.shape[1] == 0:
         return rhs.copy()

@@ -484,9 +484,6 @@ def refine(mesh: Mesh, marked) -> Mesh:
     marked_edges = set(_longest_edge(varr, tets[t]) for t in marked)
     midpoint: dict[tuple, int] = {}
 
-    def vcoord(i):
-        return verts[i] if i < len(varr) else verts[i]
-
     for round_no in range(_CLOSURE_CAP):
         varray = np.asarray(verts)
         # closure: any tet touching a marked edge must have its own longest

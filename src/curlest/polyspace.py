@@ -129,6 +129,7 @@ def quadrature(domain: str, exactness: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 NODE_VERTEX, NODE_EDGE, NODE_FACE, NODE_CELL = 0, 1, 2, 3
+NODE_NAMES = ("vertex", "edge", "face", "tet")   # indexed by the codes above
 
 
 @dataclass(frozen=True)

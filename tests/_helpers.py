@@ -346,3 +346,115 @@ def loop_mu_split(mesh, rr):
         mu_T[tp] += 0.5 * rr.face_sq[f]
         mu_T[tm] += 0.5 * rr.face_sq[f]
     return mu_T
+
+
+# ---------------------------------------------------------------------------
+# node registry by coordinate hashing and step 3 node by node: the reference
+# for the topological registry and the batched patch solves
+# ---------------------------------------------------------------------------
+
+_NEIGHBOR_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                     for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
+
+
+def hash_node_registry(mesh, degree):
+    """Lagrange nodes deduplicated by hashing their coordinates on a
+    1e-8*h grid, tet by tet and node by node; same numbering contract as
+    ``femsys.build_node_registry``."""
+    nodes = ps.lagrange_nodes(degree)
+    nloc = nodes.n_nodes
+    rho = 1e-8 * mesh.h_min_edge()
+    buckets = {}
+    points, kind, entity, incident = [], [], [], []
+    tet_nodes = np.empty((mesh.n_tets, nloc), dtype=np.int64)
+    for t in range(mesh.n_tets):
+        gids = mesh.tets[t]
+        order = np.argsort(gids)
+        vv = mesh.vertices[gids[order]]
+        w = nodes.multi[:, order] / float(degree)
+        pos = w[:, 0:1] * vv[0] + w[:, 1:2] * vv[1]
+        pos += w[:, 2:3] * vv[2]
+        pos += w[:, 3:4] * vv[3]
+        pos = pos + 0.0
+        for loc in range(nloc):
+            p = pos[loc]
+            key = tuple(int(round(c / rho)) for c in p)
+            g = buckets.get(key)
+            if g is None:
+                for d in _NEIGHBOR_OFFSETS:
+                    g = buckets.get((key[0] + d[0], key[1] + d[1], key[2] + d[2]))
+                    if g is not None and np.linalg.norm(points[g] - p) <= rho:
+                        break
+                    g = None
+            k = int(nodes.kind[loc])
+            ent = (int(gids[nodes.entity[loc]]) if k == ps.NODE_VERTEX
+                   else int(mesh.tet_edges[t, nodes.entity[loc]]) if k == ps.NODE_EDGE
+                   else int(mesh.tet_faces[t, nodes.entity[loc]]) if k == ps.NODE_FACE
+                   else t)
+            if g is None:
+                g = len(points)
+                buckets[key] = g
+                points.append(p)
+                kind.append(k)
+                entity.append(ent)
+                incident.append([])
+            assert (kind[g], entity[g]) == (k, ent), f"node {g} at {p}"
+            incident[g].append(t * nloc + loc)
+            tet_nodes[t, loc] = g
+    boundary = np.zeros(len(points), dtype=bool)
+    for g in range(len(points)):
+        if kind[g] == ps.NODE_VERTEX:
+            boundary[g] = mesh.boundary_vertex[entity[g]]
+        elif kind[g] == ps.NODE_EDGE:
+            boundary[g] = mesh.boundary_edge[entity[g]]
+        elif kind[g] == ps.NODE_FACE:
+            boundary[g] = mesh.boundary_face[entity[g]]
+    ptr = np.cumsum([0] + [len(occ) for occ in incident])
+    return fem.NodeRegistry(np.array(points), np.array(kind),
+                            np.array(entity), boundary, tet_nodes,
+                            np.array(sum(incident, []), dtype=np.int64), ptr)
+
+
+def loop_step3(mesh, fm, kp):
+    """Step 3 node by node on the hashed registry, one ``np.linalg.lstsq``
+    per vertex or edge patch; returns an ``equilibrate.NodalPotential``."""
+    from curlest import equilibrate as eqm
+    reg = hash_node_registry(mesh, kp)
+    nloc = reg.tet_nodes.shape[1]
+    phi = np.zeros((mesh.n_tets, nloc))
+    internal = [int(f) for f in mesh.internal_faces()]
+    worst, lam_scale = 0.0, 0.0
+    for g in range(reg.n_nodes):
+        occ = [divmod(int(i), nloc)
+               for i in reg.incident[reg.incident_ptr[g]:reg.incident_ptr[g + 1]]]
+        p = reg.points[g][None, :]
+        if reg.kind[g] == ps.NODE_FACE and fm.index_of[reg.entity[g]] >= 0:
+            f = int(reg.entity[g])
+            val = float(fm.eval(fm.index_of[f], p)[0])
+            lam_scale = max(lam_scale, abs(val))
+            for t, loc in occ:
+                phi[t, loc] = 0.5 * val if t == mesh.face_tets[f, 0] else -0.5 * val
+            continue
+        if reg.kind[g] == ps.NODE_VERTEX:
+            cand = [f for f in internal if reg.entity[g] in mesh.faces[f]]
+        elif reg.kind[g] == ps.NODE_EDGE:
+            cand = [f for f in internal if reg.entity[g] in mesh.face_edges[f]]
+        else:
+            continue
+        if not cand:
+            continue
+        pos = {t: i for i, (t, _) in enumerate(occ)}
+        rows = np.zeros((len(cand) + 1, len(occ)))
+        rhs = np.zeros(len(cand) + 1)
+        for r, f in enumerate(cand):
+            tp, tm = mesh.face_tets[f]
+            rows[r, pos[tp]] = 1.0
+            rows[r, pos[tm]] = -1.0
+            rhs[r] = float(fm.eval(fm.index_of[f], p)[0])
+            lam_scale = max(lam_scale, abs(rhs[r]))
+        rows[-1, :] = 1.0
+        sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        worst = max(worst, float(np.linalg.norm(rows @ sol - rhs)))
+        for (t, loc), v in zip(occ, sol):
+            phi[t, loc] = v
+    return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale), kp)

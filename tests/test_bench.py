@@ -14,7 +14,7 @@ from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from _helpers import MU1, cube_H
+from _helpers import MU1, cube_H, solve_cube
 
 RNG = np.random.default_rng(3)
 
@@ -334,6 +334,26 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert repetition.TARGETS
     for owner, attr, _span, _counter in repetition.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_benchmark_patch_node_counter(monkeypatch):
+    # the traced benchmark counts step-3 patch nodes from the registry's
+    # kind/entity arrays and NodalPotential.registry; the count must be the
+    # number of vertex and edge nodes the batched patch solver solved
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import repetition
+    m, dm, u, Hh, data = solve_cube(2, 2)
+    solved = []
+    batch_solve = eqm.solve_node_patches
+
+    def counting(n, pairs, values):
+        solved.append(len(values))
+        return batch_solve(n, pairs, values)
+
+    monkeypatch.setattr(eqm, "solve_node_patches", counting)
+    out = eqm.estimate(m, MU1, data, Hh, 2)
+    assert sum(solved) > 0
+    assert repetition._patch_nodes((m,), out.phi) == {"patch_nodes": sum(solved)}
 
 
 def test_reference_error_against_exact_solution():

@@ -13,7 +13,7 @@ from curlest import mesh as msh
 from curlest import polyspace as ps
 from _helpers import (MU1, cube_H, cube_j, inspace_j, inspace_u,
                       jittered_cube, loop_edge_sums, loop_face_multipliers,
-                      loop_face_solve, loop_jump_norms, solve_cube)
+                      loop_face_solve, loop_jump_norms, loop_step3, solve_cube)
 
 RNG = np.random.default_rng(23)
 
@@ -341,6 +341,30 @@ def test_step2_matches_loop_oracle(jump_level):
     assert abs(out.result.eta_h - res.eta_h) <= 1e-12 * res.eta_h
 
 
+def _step3_against_loop(m, Hh, out):
+    fm = out.multipliers
+    got = eqm.step3_reconstruct_phi(m, fm, fm.degree)
+    ref = loop_step3(m, fm, fm.degree)
+    assert _rel_err(got.phi, ref.phi) <= 1e-12
+    assert abs(got.max_residual - ref.max_residual) <= 1e-12 * ref.lam_scale
+    assert abs(got.lam_scale - ref.lam_scale) <= 1e-12 * ref.lam_scale
+    res = eqm.step4_estimator(m, MU_JUMP, out.correction, ref)
+    assert _rel_err(out.result.eta_T, res.eta_T) <= 1e-12
+    assert abs(out.result.eta_h - res.eta_h) <= 1e-12 * res.eta_h
+
+
+def test_step3_matches_loop_oracle(jump_level):
+    _step3_against_loop(*jump_level)
+
+
+def test_step3_matches_loop_oracle_above_solve_degree():
+    # k = 3 < k' = 4: face and cell nodes, degree-4 registry
+    m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
+    j = fem.CurrentDensity(func=wave_j)
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.AdaptiveConfig(degree=3))
+    _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, 4))
+
+
 def test_edge_sums_match_loop_oracle(jump_level):
     m, Hh, out = jump_level
     rep = out.edge_report
@@ -449,7 +473,8 @@ def test_step3_face_interior_half_values():
         f = int(reg.entity[g])
         val = float(fm.eval(fm.index_of[f], reg.points[g][None, :])[0])
         tp, tm = m.face_tets[f]
-        got = {t: out.phi.phi[t, loc] for (t, loc) in reg.incident[g]}
+        occ = reg.incident[reg.incident_ptr[g]:reg.incident_ptr[g + 1]]
+        got = dict(zip(occ // reg.tet_nodes.shape[1], out.phi.phi.ravel()[occ]))
         assert abs(got[tp] - 0.5 * val) < 1e-12 * max(1, abs(val))
         assert abs(got[tm] + 0.5 * val) < 1e-12 * max(1, abs(val))
         checked += 1
@@ -486,7 +511,8 @@ def test_step3_mean_condition():
     m, Hh, data, out = _estimate_cube(2, 1)
     reg = out.phi.registry
     for g in range(reg.n_nodes):
-        vals = [out.phi.phi[t, loc] for (t, loc) in reg.incident[g]]
+        vals = out.phi.phi.ravel()[
+            reg.incident[reg.incident_ptr[g]:reg.incident_ptr[g + 1]]]
         assert abs(sum(vals)) < 1e-10 * max(1.0, np.abs(vals).max())
 
 
@@ -661,8 +687,16 @@ def test_strict_mode_rejects_inconsistent_multipliers():
     m, Hh, data, out = _estimate_cube(2, 1, strict=True)
     fm = out.multipliers
     fm.lam[0, 0] += 10.0 * max(fm.lam_scale, 1.0)   # break one face constant
-    with pytest.raises(eqm.InconsistentPatch):
+    with pytest.raises(eqm.InconsistentPatch) as exc:
         eqm.step3_reconstruct_phi(m, fm, 1, strict=True)
+    # the error names a node of the broken face and its residual over scale
+    err = exc.value
+    f = fm.internal_faces[0]
+    assert err.kind in (ps.NODE_VERTEX, ps.NODE_EDGE)
+    assert err.entity in (m.faces[f] if err.kind == ps.NODE_VERTEX else m.face_edges[f])
+    phi = eqm.step3_reconstruct_phi(m, fm, 1)
+    assert err.value == pytest.approx(phi.max_residual / phi.lam_scale, rel=1e-12)
+    assert f"node {err.node} " in str(err)
 
 
 def test_equilibrium_on_irregular_bisected_mesh():

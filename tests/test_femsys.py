@@ -1,3 +1,6 @@
+from functools import lru_cache
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,9 @@ from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree
 from _helpers import (MU1, covariant_basis, cube_H, cube_j, element_dof_matrix,
-                      inspace_H, inspace_u, jittered_cube, loop_curlcurl_mass,
-                      loop_gradient, loop_Hh, loop_nedelec_dofs, solve_cube,
-                      two_tet_mesh)
+                      hash_node_registry, inspace_H, inspace_u, jittered_cube,
+                      loop_curlcurl_mass, loop_gradient, loop_Hh,
+                      loop_nedelec_dofs, solve_cube, two_tet_mesh)
 
 RNG = np.random.default_rng(17)
 
@@ -49,14 +52,47 @@ def test_random_conforming_field_tangential_continuity(k):
     assert fem.tangential_jump_norms(m, poly).max() < 1e-11 * scale
 
 
+@lru_cache(maxsize=None)
+def _registry_mesh(name):
+    if name.startswith("cube"):
+        return msh.unit_cube_mesh(int(name[4:]))
+    if name == "jittered":
+        return jittered_cube(2)
+    if name == "lbrick":
+        return msh.l_brick_mesh(1)
+    # seeded random bisection sequences: stretched, irregularly numbered tets
+    rng = np.random.default_rng(int(name[6:]))
+    m = msh.unit_cube_mesh(1)
+    for _ in range(4):
+        m = msh.refine(m, set(rng.choice(m.n_tets, size=max(1, m.n_tets // 3),
+                                         replace=False).tolist()))
+    return m
+
+
+REGISTRY_MESHES = ["cube1", "cube2", "cube3", "jittered", "bisect0", "bisect1",
+                   "bisect2", "lbrick"]
+
+
 def test_lagrange_registry_counts():
-    m = msh.unit_cube_mesh(2)
-    dm1 = fem.build_dofmap(m, fem.KIND_LAGRANGE, 1)
-    assert dm1.n_dofs == m.n_vertices
-    dm2 = fem.build_dofmap(m, fem.KIND_LAGRANGE, 2)
-    assert dm2.n_dofs == m.n_vertices + m.n_edges
-    dm3 = fem.build_dofmap(m, fem.KIND_LAGRANGE, 3)
-    assert dm3.n_dofs == m.n_vertices + 2 * m.n_edges + m.n_faces
+    for m in (msh.unit_cube_mesh(2), _registry_mesh("bisect0")):
+        for k in (1, 2, 3, 4):
+            n = (m.n_vertices + (k - 1) * m.n_edges + comb(k - 1, 2) * m.n_faces
+                 + comb(k - 1, 3) * m.n_tets)
+            assert fem.build_node_registry(m, k).n_nodes == n, k
+            if k <= fem.MAX_DEGREE:
+                assert fem.build_dofmap(m, fem.KIND_LAGRANGE, k).n_dofs == n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", REGISTRY_MESHES)
+def test_registry_matches_hash_oracle(name, k):
+    m = _registry_mesh(name)
+    got = fem.build_node_registry(m, k)
+    ref = hash_node_registry(m, k)
+    for key in ("tet_nodes", "kind", "entity", "boundary", "incident",
+                "incident_ptr"):
+        assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+    assert got.points.tobytes() == ref.points.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +244,8 @@ def _setup_correction(k=1, n=2):
 def test_correction_fixed_point():
     m, dm, dml, G = _setup_correction()
     b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
-    b1 = fem.gradient_correction(m, dm, b, G=G)
-    b2 = fem.gradient_correction(m, dm, b1, G=G)
+    b1 = fem.gradient_correction(m, dm, b)
+    b2 = fem.gradient_correction(m, dm, b1)
     assert np.linalg.norm(b2 - b1) <= 1e-12 * max(np.linalg.norm(b1), 1e-30)
     resid = (G.T @ b1)[dml.free]
     assert np.abs(resid).max() <= 1e-12 * max(np.abs(b1).max(), 1e-30)
@@ -221,7 +257,7 @@ def test_correction_annihilates_pure_gradients():
     q[dml.free] = RNG.standard_normal(dml.n_free)
     b = G @ q
     b[dm.boundary_mask] = 0.0
-    b1 = fem.gradient_correction(m, dm, b, G=G)
+    b1 = fem.gradient_correction(m, dm, b)
     assert np.linalg.norm(b1) <= 1e-10 * np.linalg.norm(b)
 
 
