@@ -3,7 +3,7 @@
 Pipeline (per estimator run):
   step 1  per tet: a curl-conforming local field whose curl matches the
           residual current, orthogonal to gradients in the weighted inner
-          product;
+          product; all tets in one stacked solve;
   step 2  per internal face: a scalar multiplier whose surface curl matches
           the tangential jump of the corrected field;
   step 3  per Lagrange node: jump-consistent potential values from tiny
@@ -32,10 +32,13 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, build_dofmap, build_node_registry,
                      face_jump_values, face_rule_points, tangential_jump_norms,
-                     tangential_jump_values, KIND_LAGRANGE)
+                     tangential_jump_values, KIND_LAGRANGE, _ref_tables)
 from .mesh import FaceFrame, Mesh, edge_face_normals, face_frame
 
 log = logging.getLogger("curlest")
+
+STRICT_TOL = 1e-8       # relative tolerance of the strict checks of steps 1-3
+EQUILIBRIUM_TOL = 1e-9  # relative residuals that verify_equilibrium accepts
 
 
 # ---------------------------------------------------------------------------
@@ -58,101 +61,88 @@ class ElementCorrection:
         return float(np.sqrt((self.resid ** 2).sum()))
 
 
+def _solve_stack(S: np.ndarray, b: np.ndarray, ids: np.ndarray, error,
+                 entity: str, system: str) -> np.ndarray:
+    """``np.linalg.solve`` over a stack of small systems S (n, m, m), b
+    (n, m, 1), one per entity ids[i].  A failure raises ``error`` naming the
+    worst entity: the one with the smallest reciprocal condition number when
+    a system is singular, the first non-finite solution value otherwise."""
+    try:
+        sol = np.linalg.solve(S, b)
+    except np.linalg.LinAlgError:
+        sv = np.linalg.svd(S, compute_uv=False)
+        rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
+                          where=sv[:, 0] > 0)
+        i = int(np.argmin(rcond))
+        raise error(f"{entity} {ids[i]}: singular {system} system, reciprocal "
+                    f"condition {rcond[i]:.3e}", int(ids[i]), float(rcond[i]))
+    finite = np.isfinite(sol.reshape(len(sol), -1))
+    if not finite.all():
+        i, m = np.unravel_index(np.argmin(finite), finite.shape)
+        v = float(sol.reshape(len(sol), -1)[i, m])
+        raise error(f"{entity} {ids[i]}: {system} solve produced non-finite "
+                    f"values ({v} in {int((~finite.all(axis=1)).sum())} "
+                    f"{entity}s)", int(ids[i]), v)
+    return sol
+
+
 def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                               Hh: BrokenPolyField, kp: int, *,
-                              mode: str = "saddle", strict_a2: bool = False,
-                              osc_tol: float = 1e-8) -> ElementCorrection:
-    """Solve the per-element saddle problems for the local correction.
+                              strict_a2: bool = False) -> ElementCorrection:
+    """Solve the per-element saddle problems for the local correction as one
+    stacked solve.
 
     The curl constraint is imposed against the curls of the local basis (the
     normal equations of the least-squares curl match), the gradient
-    orthogonality through Lagrange multipliers; the system is square and
-    nonsingular.  ``mode='lstsq_dk'`` instead stacks the constraint tested
-    against a full div-conforming basis and solves in the least-squares
-    sense; both agree on compatible data.
+    orthogonality through Lagrange multipliers; every system is square,
+    nonsingular and of the same shape.  Reference tensors map to each tet
+    through J^T J and its inverse.
     """
     if kp < Hh.degree:
         raise ValueError("auxiliary degree must be >= the field degree")
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
-    D = ps.reference_space(ps.RT_TET, kp)
     ex = 2 * kp + (2 if j.is_polynomial else 4)
-    rule = ps.quadrature("tet", min(ex, ps.MAX_QUAD_EXACTNESS))
-    w = rule.weights
-    vand = _poly.vandermonde(3, kp, rule.points)
-    Nvals = np.einsum("qm,icm->qci", vand, N.coeffs)
-    Ncurls = np.einsum("qm,iam->qai", vand, N.curl_coeffs())
-    Dstack = _poly.diff_stack(3, kp)
-    Pg = np.einsum("qm,bmn->qbn", vand, Dstack)[:, :, 1:]   # grads of monomials
-    Dvals = np.einsum("qm,icm->qci", vand, D.coeffs)
-    TCC = np.einsum("q,qai,qbj->abij", w, Ncurls, Ncurls)
-    TVG = np.einsum("q,qai,qbl->abil", w, Nvals, Pg)
-    TDC = np.einsum("q,qai,qbj->abij", w, Dvals, Ncurls)
+    tab = _ref_tables(kp, ex)
+    w = tab.rule.weights
 
     geom = mesh.geom()
-    mu_t = mu.per_tet(mesh)
+    J, det = geom.J, geom.detJ
+    JtJ = J.transpose(0, 2, 1) @ J
     jh = Hh.curl()
     all_tets = np.arange(mesh.n_tets)
-    jd = (j.eval_elements(mesh, all_tets, rule.points)
-          - jh.eval(all_tets, rule.points))                  # (T, q, 3)
+    jd = (j.eval_elements(mesh, all_tets, tab.rule.points)
+          - jh.eval(all_tets, tab.rule.points))             # (T, q, 3)
 
-    nR, nB = N.dim, _poly.n_monomials(3, kp) - 1
-    nm = _poly.n_monomials(3, kp)
-    hhat = np.zeros((mesh.n_tets, 3, nm))
-    hhat_curl = np.zeros((mesh.n_tets, 3, nm))
-    resid = np.zeros(mesh.n_tets)
-    jd_norm = np.zeros(mesh.n_tets)
-    ortho = np.zeros(mesh.n_tets)
-    ccoef = N.curl_coeffs()
+    A = np.einsum("tab,abij->tij", JtJ, tab.TCC) / det[:, None, None]
+    B = (mu.per_tet(mesh) * det)[:, None, None] * np.einsum(
+        "tab,abil->tli", np.linalg.inv(JtJ), tab.TVG)
+    nR, nB = N.dim, B.shape[1]
+    S = np.block([[A, B.transpose(0, 2, 1)],
+                  [B, np.zeros((mesh.n_tets, nB, nB))]])
+    rhs = np.zeros((mesh.n_tets, nR + nB, 1))
+    rhs[:, :nR, 0] = np.einsum("q,qbi,tqb->ti", w, tab.curls, jd @ J)
+    h = _solve_stack(S, rhs, all_tets, LocalSolveSingular, "tet", "saddle")[:, :nR, 0]
 
-    for t in range(mesh.n_tets):
-        J = geom.J[t]
-        det = geom.detJ[t]
-        JtJ = J.T @ J
-        K = np.linalg.inv(JtJ)
-        A = np.einsum("ab,abij->ij", JtJ, TCC) / det
-        B = mu_t[t] * det * np.einsum("ab,abil->li", K, TVG)
-        jhat = jd[t] @ J                                  # J^T j_delta rows
-        g = np.einsum("q,qbi,qb->i", w, Ncurls, jhat)
-        if mode == "saddle":
-            S = np.zeros((nR + nB, nR + nB))
-            S[:nR, :nR] = A
-            S[:nR, nR:] = B.T
-            S[nR:, :nR] = B
-            rhs = np.zeros(nR + nB)
-            rhs[:nR] = g
-            try:
-                sol = np.linalg.solve(S, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise LocalSolveSingular(f"element {t}: {exc}")
-            h = sol[:nR]
-        elif mode == "lstsq_dk":
-            Mdc = np.einsum("ab,abij->ij", JtJ, TDC) / det
-            rd = np.einsum("q,qbi,qb->i", w, Dvals, jhat)
-            top = np.vstack([Mdc, B])
-            rhs = np.concatenate([rd, np.zeros(nB)])
-            h, *_ = np.linalg.lstsq(top, rhs, rcond=None)
-        else:
-            raise ValueError(f"unknown step-1 mode {mode!r}")
-        cref = np.einsum("i,icm->cm", h, N.coeffs)
-        hhat[t] = geom.Jinv[t].T @ cref
-        ccref = np.einsum("i,iam->am", h, ccoef)
-        hhat_curl[t] = (J @ ccref) / det
-        cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
-        diff = cv - jd[t]
-        resid[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, diff ** 2)), 0.0))
-        jd_norm[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
-        ortho[t] = np.abs(B @ h).max(initial=0.0)
+    hhat = geom.Jinv.transpose(0, 2, 1) @ np.einsum("ti,icm->tcm", h, N.coeffs)
+    hhat_curl = (J @ np.einsum("ti,iam->tam", h, N.curl_coeffs())) / det[:, None, None]
+    cv = np.einsum("qai,ti->tqa", tab.curls, h) @ (J.transpose(0, 2, 1) / det[:, None, None])
+    resid = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, (cv - jd) ** 2), 0.0))
+    jd_norm = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, jd ** 2), 0.0))
+    ortho = np.abs(B @ h[..., None]).max(axis=(1, 2), initial=0.0)
 
     if strict_a2:
         if not j.is_polynomial:
             raise DataIncompatible("strict mode requires piecewise-polynomial data")
         jd_poly = j.field.padded_to(kp).plus(jh.padded_to(kp).scale(-1.0))
-        div_norms = jd_poly.div().mu_norms()
         scale = max(float(jd_norm.max(initial=0.0)), 1e-30) / mesh.h_min_edge()
-        bad = div_norms > osc_tol * scale
-        if bad.any():
+        ratio = jd_poly.div().mu_norms() / scale
+        t = int(np.argmax(ratio))
+        if ratio[t] > STRICT_TOL:
             raise DataIncompatible(
-                f"{int(bad.sum())} elements violate the divergence compatibility")
+                f"{int((ratio > STRICT_TOL).sum())} elements violate the "
+                f"divergence compatibility; worst tet {t}: div_norm*h_min/"
+                f"jscale = {ratio[t]:.3e} > tol {STRICT_TOL:.1e}",
+                t, float(ratio[t]))
 
     return ElementCorrection(
         Hhat=BrokenPolyField(mesh, kp, hhat),
@@ -231,24 +221,8 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     S[:, nP, :nP] = mean_row
     b = np.zeros((len(faces), nP + 1, 1))
     b[:, :nP, 0] = s[:, None] * np.einsum("q,fqcn,fqc->fn", w, curl_cols, j2)
-    try:
-        sol = np.linalg.solve(S, b)[:, :nP, 0]
-    except np.linalg.LinAlgError:
-        sv = np.linalg.svd(S, compute_uv=False)
-        rcond = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
-                          where=sv[:, 0] > 0)
-        i = int(np.argmin(rcond))
-        raise FaceSolveSingular(
-            f"face {faces[i]}: singular multiplier system, reciprocal "
-            f"condition {rcond[i]:.3e}", face=int(faces[i]),
-            value=float(rcond[i]))
-    finite = np.isfinite(sol)
-    if not finite.all():
-        i, m = np.unravel_index(np.argmin(finite), finite.shape)
-        raise FaceSolveSingular(
-            f"face {faces[i]}: multiplier solve produced non-finite values "
-            f"({sol[i, m]} in {int((~finite.all(axis=1)).sum())} faces)",
-            face=int(faces[i]), value=float(sol[i, m]))
+    sol = _solve_stack(S, b, faces, FaceSolveSingular, "face",
+                       "multiplier")[:, :nP, 0]
     cl = np.einsum("fqcn,fn->fqc", curl_cols, sol)
     resid = np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, (cl - j2) ** 2), 0.0))
     jnorm = np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, j2 ** 2), 0.0))
@@ -295,8 +269,7 @@ def _solve_single_face(mesh: Mesh, f: int, jump, rule, kp: int):
 
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            correction: ElementCorrection, kp: int, *,
-                           strict: bool = False,
-                           tol: float = 1e-8) -> FaceMultiplier:
+                           strict: bool = False) -> FaceMultiplier:
     """Solve the surface-curl problems of all internal faces as one batch."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
@@ -320,13 +293,13 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
         out.lam_scale = float(np.abs(sample @ lam.T).max(initial=0.0))
     if strict:
         ratio = div_norm * hf / max(float(jnorm.max(initial=0.0)), 1e-30)
-        bad = ratio > tol
+        bad = ratio > STRICT_TOL
         if bad.any():
             i = int(np.argmax(ratio))
             raise FaceIncompatible(
                 f"{int(bad.sum())} faces violate the in-plane divergence "
                 f"condition; worst face {internal[i]}: div_norm*h_f/jscale = "
-                f"{ratio[i]:.3e} > tol {tol:.1e}",
+                f"{ratio[i]:.3e} > tol {STRICT_TOL:.1e}",
                 face=int(internal[i]), value=float(ratio[i]))
     return out
 
@@ -351,8 +324,7 @@ class EdgeCompatibility:
         return float(self.variation.max(initial=0.0))
 
 
-def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier,
-                             n_samples: int | None = None) -> EdgeCompatibility:
+def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibility:
     """Evaluate the signed multiplier sums around every interior edge.
 
     For compatible data the sum is exactly zero; the variation along the edge
@@ -362,8 +334,7 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier,
     edges; each edge sums its faces in ascending face order.
     """
     interior = mesh.internal_edges()
-    npts = n_samples or (fm.degree + 3)
-    s = ps.quadrature("segment", 2 * npts - 2).points[:, 0]
+    s = ps.quadrature("segment", 2 * fm.degree + 4).points[:, 0]
     idx = np.repeat(np.arange(fm.n_faces), 3)
     e = mesh.face_edges[fm.internal_faces].ravel()
     keep = ~mesh.boundary_edge[e]
@@ -433,8 +404,7 @@ class NodalPotential:
 
 
 def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
-                          strict: bool = False,
-                          lsq_tol: float = 1e-8) -> NodalPotential:
+                          strict: bool = False) -> NodalPotential:
     """Recover the jump potential on all nodes at once.
 
     Interior and boundary-face nodes are zero, internal-face nodes get half
@@ -499,13 +469,13 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
     scale = max(np.abs(fval).max(initial=0.0), np.abs(val).max(initial=0.0),
                 fm.lam_scale)
     max_resid = float(worst.max(initial=0.0))
-    if strict and max_resid > lsq_tol * max(scale, 1e-30):
+    if strict and max_resid > STRICT_TOL * max(scale, 1e-30):
         g = int(np.argmax(worst))
         k, e = int(reg.kind[g]), int(reg.entity[g])
         rel = max_resid / max(scale, 1e-30)
         raise InconsistentPatch(
             f"node {g} ({ps.NODE_NAMES[k]} {e}): patch residual {max_resid:.3e} "
-            f"= {rel:.3e} x {scale:.3e}, above {lsq_tol:.1e}",
+            f"= {rel:.3e} x {scale:.3e}, above {STRICT_TOL:.1e}",
             node=g, kind=k, entity=e, value=rel)
     return NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, kp)
 
@@ -542,13 +512,10 @@ class EstimatorResult:
 
 
 def step4_estimator(mesh: Mesh, mu: MaterialField, correction: ElementCorrection,
-                    phi: NodalPotential,
-                    exactness: int | None = None) -> EstimatorResult:
+                    phi: NodalPotential) -> EstimatorResult:
     phi_poly = phi.poly(mesh)
     Htilde = correction.Hhat.plus(phi_poly.grad())
-    mu_t = mu.per_tet(mesh)
-    ex = 2 * correction.degree if exactness is None else exactness
-    eta_T = Htilde.mu_norms(mu_t, exactness=ex)
+    eta_T = Htilde.mu_norms(mu.per_tet(mesh), exactness=2 * correction.degree)
     eta_h = float(np.sqrt((eta_T ** 2).sum()))
     return EstimatorResult(eta_T=eta_T, eta_h=eta_h, Htilde=Htilde,
                            phi_field=phi_poly)
@@ -610,7 +577,6 @@ def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
 def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                        Hh: BrokenPolyField, output: EquilibrationOutput, *,
-                       n_psi: int = 5, seed: int = 0, tol: float | None = None,
                        raise_on_fail: bool = False) -> dict:
     """Check that the corrected field satisfies the equilibrium condition.
 
@@ -642,7 +608,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     base_jump = float(np.sqrt((tangential_jump_norms(mesh, Hh) ** 2).sum()))
 
     # gradient-orthogonality sum with random conforming potentials
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dml = build_dofmap(mesh, KIND_LAGRANGE, min(kp, 3), homogeneous_boundary=True)
     P = ps.reference_space(ps.P_SCALAR_TET, dml.degree)
     corrected = Hh.padded_to(kp).plus(corr.Hhat)
@@ -653,7 +619,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     face_w = 2.0 * mesh.face_areas()[internal]
     plus = mesh.face_tets[internal, 0]
     ortho_rels = []
-    for _ in range(n_psi):
+    for _ in range(5):
         vals = np.zeros(dml.n_dofs)
         if dml.n_free:
             vals[dml.free] = rng.standard_normal(dml.n_free)
@@ -678,14 +644,13 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         "j_norm": jnorm,
         "base_jump_norm": base_jump,
     }
-    if tol is None:
-        tol = 1e-9
-    ok = report["elem_resid_rel"] <= tol and report["face_resid_rel"] <= tol
+    ok = (report["elem_resid_rel"] <= EQUILIBRIUM_TOL
+          and report["face_resid_rel"] <= EQUILIBRIUM_TOL)
     report["ok"] = bool(ok)
     if raise_on_fail and not ok:
         raise EquilibriumViolated(
             f"equilibrium residuals elem {report['elem_resid_rel']:.3e} / "
-            f"face {report['face_resid_rel']:.3e} exceed {tol:.1e}")
+            f"face {report['face_resid_rel']:.3e} exceed {EQUILIBRIUM_TOL:.1e}")
     return report
 
 

@@ -45,11 +45,22 @@ class NoConvergence(CurlestError):
 
 
 # equilibration
-class LocalSolveSingular(CurlestError):
-    """Per-element saddle system is rank deficient beyond the known redundancy."""
+class ElementError(CurlestError):
+    """Failure located in a tet: ``tet`` is the id of the worst tet,
+    ``value`` the quantity at fault there."""
+
+    def __init__(self, message: str, tet: int = -1,
+                 value: float = float("nan")):
+        super().__init__(message)
+        self.tet = tet
+        self.value = value
 
 
-class DataIncompatible(CurlestError):
+class LocalSolveSingular(ElementError):
+    """Per-element saddle system is singular or gives non-finite values."""
+
+
+class DataIncompatible(ElementError):
     """Element residual current violates the divergence compatibility in strict mode."""
 
 

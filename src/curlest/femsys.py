@@ -62,10 +62,14 @@ class MaterialField:
     def per_tet(self, mesh: Mesh) -> np.ndarray:
         if len(self.values) == 1:
             return np.full(mesh.n_tets, next(iter(self.values.values())))
-        try:
-            return np.array([self.values[int(t)] for t in mesh.subdomain_tag])
-        except KeyError as exc:
-            raise ValueError(f"subdomain tag {exc} has no permeability value")
+        keys = np.array(sorted(self.values))
+        tags = mesh.subdomain_tag
+        at = np.minimum(np.searchsorted(keys, tags), len(keys) - 1)
+        missing = keys[at] != tags
+        if missing.any():
+            raise ValueError(f"subdomain tag {tags[np.argmax(missing)]} has no "
+                             "permeability value")
+        return np.array([self.values[k] for k in keys])[at]
 
 
 @dataclass
@@ -367,19 +371,6 @@ def build_dofmap(mesh: Mesh, kind: str, degree: int,
 # element-level machinery
 # ---------------------------------------------------------------------------
 
-def _piola_eval(space: ps.ReferenceSpace, geom, t: int):
-    J = geom.J[t]
-    det = geom.detJ[t]
-    Jinv = geom.Jinv[t]
-
-    def field_eval(pts):
-        xhat = (np.asarray(pts) - geom.v0[t]) @ Jinv.T
-        vals = space.eval(xhat)
-        return np.einsum("ab,qbn->qan", J, vals) / det
-
-    return field_eval
-
-
 def _inverse_element_matrices(dofmap: DofMap) -> np.ndarray:
     """(T, n, n) stack of V_t^-1, built on first use and kept on the dof map
     (the mesh is immutable, so it never invalidates)."""
@@ -397,7 +388,9 @@ def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
 
 
 class _RefTables:
-    """Reference basis tables at a tet quadrature rule, shared per degree."""
+    """Reference basis tables at a tet quadrature rule, shared per degree;
+    TVG pairs the basis values with the gradients of the non-constant
+    monomials (the gradient orthogonality of estimator step 1)."""
 
     def __init__(self, degree: int, exactness: int):
         self.rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
@@ -408,6 +401,8 @@ class _RefTables:
         w = self.rule.weights
         self.TCC = np.einsum("q,qai,qbj->abij", w, self.curls, self.curls)
         self.TVV = np.einsum("q,qai,qbj->abij", w, self.vals, self.vals)
+        grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, degree))[:, :, 1:]
+        self.TVG = np.einsum("q,qai,qbl->abil", w, self.vals, grads)
 
 
 _ref_tables = lru_cache(maxsize=None)(_RefTables)
@@ -475,19 +470,18 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
     return b
 
 
-def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func,
-                        exactness: int | None = None) -> FieldCoefficients:
+def _stacked_eval(func):
+    """field_eval of the stacked dof functionals for a function of (N, 3) points."""
+    return lambda pts: np.asarray(func(pts.reshape(-1, 3))).reshape(pts.shape)[..., None]
+
+
+def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
     """Canonical dof interpolation of an analytic field; shared dofs receive
     identical values from both sides by construction."""
     vals = np.zeros(dofmap.n_dofs)
-
-    def wrap(pts):
-        return np.asarray(func(pts))[:, :, None]
-
-    for t in range(mesh.n_tets):
-        verts = mesh.vertices[mesh.tets[t]]
-        loc = ps.nedelec_dof_matrix(verts, mesh.tets[t], dofmap.degree, wrap)[:, 0]
-        vals[dofmap.cell_dofs[t]] = loc
+    vals[dofmap.cell_dofs] = ps.nedelec_dof_matrix(
+        mesh.vertices[mesh.tets], mesh.tets, dofmap.degree,
+        _stacked_eval(func))[:, :, 0]
     if dofmap.homogeneous_boundary:
         vals[dofmap.boundary_mask] = 0.0
     return FieldCoefficients(dofmap, vals)
@@ -650,8 +644,7 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
 # current projection
 # ---------------------------------------------------------------------------
 
-def project_current(mesh: Mesh, j_func, degree: int,
-                    exactness: int | None = None) -> CurrentDensity:
+def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     """Element-wise div-conforming interpolation of an analytic current.
 
     Face moments follow the global-id orientation, so normal fluxes match
@@ -659,23 +652,13 @@ def project_current(mesh: Mesh, j_func, degree: int,
     """
     space = ps.reference_space(ps.RT_TET, degree)
     geom = mesh.geom()
-    ex = 2 * degree + 4 if exactness is None else exactness
-    nm = _poly.n_monomials(3, degree)
-    out = np.empty((mesh.n_tets, 3, nm))
-
-    def wrap(pts):
-        return np.asarray(j_func(pts))[:, :, None]
-
-    for t in range(mesh.n_tets):
-        verts = mesh.vertices[mesh.tets[t]]
-        gids = mesh.tets[t]
-        V = ps.rt_dof_matrix(verts, gids, degree,
-                             _piola_eval(space, geom, t), exactness=ex)
-        bvec = ps.rt_dof_matrix(verts, gids, degree, wrap, exactness=ex)[:, 0]
-        c = np.linalg.solve(V, bvec)
-        cref = np.einsum("i,icm->cm", c, space.coeffs)
-        out[t] = (geom.J[t] @ cref) / geom.detJ[t]
-    field = BrokenPolyField(mesh, degree, out)
+    verts = mesh.vertices[mesh.tets]
+    V = ps.rt_element_matrices(verts, mesh.tets, degree)
+    b = ps.rt_dof_matrix(verts, mesh.tets, degree, _stacked_eval(j_func),
+                         exactness=2 * degree + 4)
+    c = np.linalg.solve(V, b)[:, :, 0]
+    cref = np.einsum("ti,icm->tcm", c, space.coeffs)
+    field = BrokenPolyField(mesh, degree, (geom.J @ cref) / geom.detJ[:, None, None])
     return CurrentDensity(func=j_func, field=field, divergence_free=True,
                           label="projected")
 

@@ -188,71 +188,109 @@ def _legendre_rows(s: np.ndarray, n: int) -> np.ndarray:
     return np.array([legval(2.0 * s - 1.0, eye[j]) for j in range(n)])
 
 
-def nedelec_dof_matrix(verts: np.ndarray, gids, k: int, field_eval,
-                       exactness: int | None = None) -> np.ndarray:
+def _stack_of_tets(verts, gids, field_eval):
+    """One tet (4, 3) as a stack of one, with a field_eval lifted to match;
+    a stack (T, 4, 3) passes through.  Returns (verts, gids, field_eval,
+    whether the input was one tet)."""
+    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
+    if verts.ndim == 3:
+        return verts, gids, field_eval, False
+    return verts[None], gids[None], lambda p: field_eval(p[0])[None], True
+
+
+def _gid_sorted(gids: np.ndarray, local) -> np.ndarray:
+    """Local vertices of each entity (rows of ``local``) in ascending
+    global-id order on every tet: (T, len(local), width)."""
+    local = np.asarray(local)
+    return local[np.arange(len(local))[:, None], np.argsort(gids[:, local], axis=2)]
+
+
+def _face_values(verts: np.ndarray, gids: np.ndarray, xi: np.ndarray, field_eval):
+    """Per local face, in its global-id frame (va, e1, e2): e1, e2 (T, 3)
+    and the fields (T, m, 3, nf) at the points va + xi_1 e1 + xi_2 e2."""
+    tets = np.arange(len(verts))
+    for order in _gid_sorted(gids, TET_FACES).transpose(1, 0, 2):
+        va, vb, vc = (verts[tets, order[:, i]] for i in range(3))
+        e1, e2 = vb - va, vc - va
+        yield e1, e2, field_eval(va[:, None] + xi[:, 0:1] * e1[:, None]
+                                 + xi[:, 1:2] * e2[:, None])
+
+
+def _interior_moments(verts: np.ndarray, field_eval, ex: int, degree: int):
+    """Moments of the fields against the monomials of degree <= degree in
+    reference coordinates, monomial-major, component-minor: (T, 3 n_mono, nf)."""
+    tet = quadrature("tet", ex)
+    E = verts[:, 1:] - verts[:, :1]                 # rows: edges from vertex 0
+    vals = field_eval(verts[:, :1] + tet.points @ E)
+    wmono = tet.weights[:, None] * _poly.vandermonde(3, degree, tet.points)
+    vol6 = np.abs(np.linalg.det(E.transpose(0, 2, 1)))
+    rows = vol6[:, None, None, None] * np.einsum("mo,tmcf->tocf", wmono, vals)
+    return rows.reshape(len(rows), -1, rows.shape[3])
+
+
+def nedelec_dof_matrix(verts: np.ndarray, gids, k: int, field_eval) -> np.ndarray:
     """Apply the canonical edge/face/interior moments to a set of fields.
 
     ``field_eval(points (m,3)) -> (m, 3, nf)`` evaluates the fields at
     physical points.  Vertex ids ``gids`` fix the orientation of the edge and
     face parameterizations, so two elements sharing an entity produce the
     same functionals.  Row order: per local edge k tangential moments, per
-    local face k(k-1) in-plane moments, then interior moments.  ``exactness``
-    raises the rule orders for non-polynomial fields.
+    local face k(k-1) in-plane moments, then interior moments.  A stack of
+    tets, verts (T, 4, 3) with gids (T, 4), gives (T, n, nf); field_eval then
+    gets points (T, m, 3) and returns (T, m, 3, nf).
     """
-    verts = np.asarray(verts, dtype=float)
-    gids = np.asarray(gids)
-    ex = 2 * k if exactness is None else exactness
+    verts, gids, field_eval, one = _stack_of_tets(verts, gids, field_eval)
+    tets = np.arange(len(verts))
+    ex = 2 * k
     blocks = []
 
     seg = quadrature("segment", ex + 2)
     s = seg.points[:, 0]
     wleg = seg.weights[None, :] * _legendre_rows(s, k)   # (k, m)
-    for a, b in TET_EDGES:
-        lo, hi = (a, b) if gids[a] < gids[b] else (b, a)
-        vec = verts[hi] - verts[lo]
-        length = np.linalg.norm(vec)
-        pts = verts[lo] + s[:, None] * vec[None, :]
-        vals = field_eval(pts)                      # (m, 3, nf)
-        tv = np.einsum("mcf,c->mf", vals, vec / length)
-        blocks.append(length * (wleg @ tv))         # (k, nf)
+    for lo, hi in _gid_sorted(gids, TET_EDGES).transpose(1, 2, 0):
+        va, vec = verts[tets, lo], verts[tets, hi] - verts[tets, lo]
+        length = np.linalg.norm(vec, axis=1)
+        pts = va[:, None, :] + s[:, None] * vec[:, None, :]
+        vals = field_eval(pts)                      # (T, m, 3, nf)
+        tv = np.einsum("tmcf,tc->tmf", vals, vec / length[:, None])
+        blocks.append(length[:, None, None] * (wleg @ tv))   # (T, k, nf)
 
     if k >= 2:
         tri = quadrature("tri", ex)
-        xi = tri.points
-        monos = _poly.vandermonde(2, k - 2, xi)      # (m, nmono)
-        wmono = tri.weights[:, None] * monos
-        for face in TET_FACES:
-            order = sorted(face, key=lambda l: gids[l])
-            va, vb, vc = (verts[l] for l in order)
-            e1, e2 = vb - va, vc - va
-            area2 = np.linalg.norm(np.cross(e1, e2))  # twice the area
-            dirs = np.stack([e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)])
-            pts = va + xi[:, 0:1] * e1 + xi[:, 1:2] * e2
-            vals = field_eval(pts)
+        wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 2, tri.points)
+        for e1, e2, vals in _face_values(verts, gids, tri.points, field_eval):
+            area2 = np.linalg.norm(np.cross(e1, e2), axis=1)  # twice the area
+            dirs = np.stack([e1 / np.linalg.norm(e1, axis=1)[:, None],
+                             e2 / np.linalg.norm(e2, axis=1)[:, None]], axis=1)
             # row order: monomial-major, direction-minor
-            rows = area2 * np.einsum("mo,dc,mcf->odf", wmono, dirs, vals)
-            blocks.append(rows.reshape(-1, rows.shape[2]))
+            rows = area2[:, None, None, None] * np.einsum(
+                "mo,tdc,tmcf->todf", wmono, dirs, vals)
+            blocks.append(rows.reshape(len(rows), -1, rows.shape[3]))
 
     if k >= 3:
-        tet = quadrature("tet", ex)
-        xr = tet.points
-        vol6 = abs(np.linalg.det(np.column_stack([verts[i] - verts[0] for i in (1, 2, 3)])))
-        pts = verts[0] + xr @ np.column_stack([verts[i] - verts[0] for i in (1, 2, 3)]).T
-        wmono = tet.weights[:, None] * _poly.vandermonde(3, k - 3, xr)
-        vals = field_eval(pts)
-        rows = vol6 * np.einsum("mo,mcf->ocf", wmono, vals)
-        blocks.append(rows.reshape(-1, rows.shape[2]))
+        blocks.append(_interior_moments(verts, field_eval, ex, k - 3))
 
-    return np.vstack(blocks)
+    out = np.concatenate(blocks, axis=1)
+    return out[0] if one else out
 
 
 @lru_cache(maxsize=None)
-def _reference_nedelec_dofs(k: int, ranks: tuple) -> np.ndarray:
-    """Reference-basis dof matrix under the vertex order given by ranks."""
-    V = nedelec_dof_matrix(TET_VERTS, np.array(ranks), k,
-                           reference_space(NEDELEC1_TET, k).eval)
+def _reference_dofs(kind: str, k: int, ranks: tuple) -> np.ndarray:
+    """Reference-basis dof matrix of ``kind`` under the vertex order given
+    by ranks."""
+    dofm = nedelec_dof_matrix if kind == NEDELEC1_TET else rt_dof_matrix
+    V = dofm(TET_VERTS, np.array(ranks), k, reference_space(kind, k).eval)
     V.setflags(write=False)
     return V
+
+
+def _reference_dofs_per_tet(kind: str, gids: np.ndarray, k: int) -> np.ndarray:
+    """(T, n, n) reference dof matrices under each tet's global-id vertex
+    order, a writable copy."""
+    ranks = np.argsort(np.argsort(gids, axis=1), axis=1)
+    orders, which = np.unique(ranks, axis=0, return_inverse=True)
+    V = np.stack([_reference_dofs(kind, k, tuple(o)) for o in orders])
+    return V[which.ravel()]
 
 
 def _face_scales(p: np.ndarray) -> np.ndarray:
@@ -260,6 +298,14 @@ def _face_scales(p: np.ndarray) -> np.ndarray:
     e = p[..., 1:, :] - p[..., :1, :]
     area2 = np.linalg.norm(np.cross(e[..., 0, :], e[..., 1, :]), axis=-1)
     return area2[..., None] / np.linalg.norm(e, axis=-1)
+
+
+def _map_interior_rows(V: np.ndarray, first: int, S: np.ndarray) -> None:
+    """Apply S (T, 3, 3) to the component axis of the interior moment rows
+    V[:, first:] in place; those rows run monomial-major, component-minor."""
+    interior = V[:, first:].reshape(len(V), -1, 3, V.shape[2])
+    V[:, first:] = np.einsum("tcb,tobn->tocn", S, interior).reshape(
+        len(V), -1, V.shape[2])
 
 
 def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
@@ -271,15 +317,11 @@ def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
     the ratio of physical to reference area2/|e_d| on face rows and
     kron(I, vol6 J^-T) on interior rows.
     """
-    verts = np.asarray(verts, dtype=float)
-    ranks = np.argsort(np.argsort(np.asarray(gids), axis=1), axis=1)
-    orders, which = np.unique(ranks, axis=0, return_inverse=True)
-    V = np.stack([_reference_nedelec_dofs(k, tuple(o)) for o in orders])
-    V = V[which.ravel()]
+    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
+    V = _reference_dofs_per_tet(NEDELEC1_TET, gids, k)
     T, n_edge, n_face = len(V), 6 * k, 4 * k * (k - 1)
     if k >= 2:
-        faces = np.array(TET_FACES)
-        lv = faces[np.arange(4)[:, None], np.argsort(ranks[:, faces], axis=2)]
+        lv = _gid_sorted(gids, TET_FACES)
         scale = (_face_scales(verts[np.arange(T)[:, None, None], lv])
                  / _face_scales(TET_VERTS[lv]))
         # face rows run monomial-major, direction-minor
@@ -287,10 +329,24 @@ def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
     if k >= 3:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         vol6 = np.abs(np.linalg.det(J))
-        S = vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1)
-        interior = V[:, n_edge + n_face:].reshape(T, -1, 3, V.shape[2])
-        V[:, n_edge + n_face:] = np.einsum(
-            "tcb,tobn->tocn", S, interior).reshape(T, -1, V.shape[2])
+        _map_interior_rows(V, n_edge + n_face,
+                           vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1))
+    return V
+
+
+def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
+    """Stacked ``rt_dof_matrix`` of the Piola-mapped reference basis on tets
+    verts (T, 4, 3) with vertex ids gids (T, 4): (T, n, n).
+
+    The Piola map preserves face fluxes, so S_t is the identity on face rows
+    and kron(I, sign(det J) J) on interior rows.
+    """
+    verts = np.asarray(verts, dtype=float)
+    V = _reference_dofs_per_tet(RT_TET, np.asarray(gids), k)
+    if k >= 2:
+        J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+        S = np.sign(np.linalg.det(J))[:, None, None] * J
+        _map_interior_rows(V, 4 * dim_p_tri(k - 1), S)
     return V
 
 
@@ -299,38 +355,26 @@ def rt_dof_matrix(verts: np.ndarray, gids, k: int, field_eval,
     """Canonical face-flux / interior moments of the div-conforming space.
 
     Face normals follow the ascending-global-id convention so that shared
-    faces receive identical functionals from both sides.
+    faces receive identical functionals from both sides.  Takes one tet or
+    a stack of tets as ``nedelec_dof_matrix`` does.
     """
-    verts = np.asarray(verts, dtype=float)
-    gids = np.asarray(gids)
+    verts, gids, field_eval, one = _stack_of_tets(verts, gids, field_eval)
     ex = 2 * k if exactness is None else exactness
     blocks = []
 
     tri = quadrature("tri", ex)
-    xi = tri.points
-    wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 1, xi)
-    for face in TET_FACES:
-        order = sorted(face, key=lambda l: gids[l])
-        va, vb, vc = (verts[l] for l in order)
-        e1, e2 = vb - va, vc - va
+    wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 1, tri.points)
+    for e1, e2, vals in _face_values(verts, gids, tri.points, field_eval):
         nvec = np.cross(e1, e2)
-        area2 = np.linalg.norm(nvec)
-        pts = va + xi[:, 0:1] * e1 + xi[:, 1:2] * e2
-        vals = field_eval(pts)
-        nv = np.einsum("mcf,c->mf", vals, nvec / area2)
-        blocks.append(area2 * (wmono.T @ nv))
+        area2 = np.linalg.norm(nvec, axis=1)
+        nv = np.einsum("tmcf,tc->tmf", vals, nvec / area2[:, None])
+        blocks.append(area2[:, None, None] * (wmono.T @ nv))
 
     if k >= 2:
-        tet = quadrature("tet", ex)
-        xr = tet.points
-        vol6 = abs(np.linalg.det(np.column_stack([verts[i] - verts[0] for i in (1, 2, 3)])))
-        pts = verts[0] + xr @ np.column_stack([verts[i] - verts[0] for i in (1, 2, 3)]).T
-        wmono = tet.weights[:, None] * _poly.vandermonde(3, k - 2, xr)
-        vals = field_eval(pts)
-        rows = vol6 * np.einsum("mo,mcf->ocf", wmono, vals)
-        blocks.append(rows.reshape(-1, rows.shape[2]))
+        blocks.append(_interior_moments(verts, field_eval, ex, k - 2))
 
-    return np.vstack(blocks)
+    out = np.concatenate(blocks, axis=1)
+    return out[0] if one else out
 
 
 def rt_tri_dof_matrix(verts2: np.ndarray, k: int, field_eval) -> np.ndarray:
@@ -569,15 +613,12 @@ def reference_space(kind: str, degree: int) -> ReferenceSpace:
 
 def unisolvence_matrix(space: ReferenceSpace) -> np.ndarray:
     """Canonical functionals applied to the space's own basis (should be I)."""
-    def field_eval(pts):
-        return space.eval(pts)
-
     if space.kind == NEDELEC1_TET:
-        return nedelec_dof_matrix(TET_VERTS, np.arange(4), space.degree, field_eval)
+        return nedelec_dof_matrix(TET_VERTS, np.arange(4), space.degree, space.eval)
     if space.kind == RT_TET:
-        return rt_dof_matrix(TET_VERTS, np.arange(4), space.degree, field_eval)
+        return rt_dof_matrix(TET_VERTS, np.arange(4), space.degree, space.eval)
     if space.kind == RT_TANGENTIAL_TRI:
-        return rt_tri_dof_matrix(TRI_VERTS, space.degree, field_eval)
+        return rt_tri_dof_matrix(TRI_VERTS, space.degree, space.eval)
     if space.kind == P_SCALAR_TET:
         nodes = (lagrange_nodes(space.degree).ref_coords() if space.degree > 0
                  else np.array([[0.25, 0.25, 0.25]]))

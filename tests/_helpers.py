@@ -105,8 +105,9 @@ def jittered_cube(n, seed=5, tag_fn=None):
 
 
 # ---------------------------------------------------------------------------
-# per-tet reference loops for the stacked element map in femsys: each applies
-# the canonical functionals to the covariant-mapped basis of one tet at a time
+# per-tet reference loops for the stacked element maps: each applies the
+# canonical functionals to the covariant- or Piola-mapped basis of one tet at
+# a time
 # ---------------------------------------------------------------------------
 
 def covariant_basis(mesh, k, t):
@@ -118,6 +119,18 @@ def covariant_basis(mesh, k, t):
     def field_eval(pts):
         xhat = (np.asarray(pts) - geom.v0[t]) @ Jinv.T
         return np.einsum("ba,qbn->qan", Jinv, space.eval(xhat))
+
+    return field_eval
+
+
+def piola_basis(mesh, k, t):
+    """field_eval of the Piola-mapped reference div-conforming basis on tet t."""
+    space = ps.reference_space(ps.RT_TET, k)
+    geom = mesh.geom()
+
+    def field_eval(pts):
+        xhat = (np.asarray(pts) - geom.v0[t]) @ geom.Jinv[t].T
+        return np.einsum("ab,qbn->qan", geom.J[t], space.eval(xhat)) / geom.detJ[t]
 
     return field_eval
 
@@ -458,3 +471,104 @@ def loop_step3(mesh, fm, kp):
         for (t, loc), v in zip(occ, sol):
             phi[t, loc] = v
     return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale), kp)
+
+
+# ---------------------------------------------------------------------------
+# per-tet references for the stacked step 1 and the stacked dof functionals
+# ---------------------------------------------------------------------------
+
+def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
+    """Step 1 tet by tet with its own reference tables; returns an
+    ``equilibrate.ElementCorrection``.  ``mode='saddle'`` solves each square
+    saddle system; ``mode='lstsq_dk'`` instead tests the curl constraint
+    against a full div-conforming basis and solves the stacked system in the
+    least-squares sense.  Both agree on compatible data."""
+    from curlest import equilibrate as eqm
+    N = ps.reference_space(ps.NEDELEC1_TET, kp)
+    D = ps.reference_space(ps.RT_TET, kp)
+    ex = 2 * kp + (2 if j.is_polynomial else 4)
+    rule = ps.quadrature("tet", min(ex, ps.MAX_QUAD_EXACTNESS))
+    w = rule.weights
+    vand = _poly.vandermonde(3, kp, rule.points)
+    Nvals = np.einsum("qm,icm->qci", vand, N.coeffs)
+    Ncurls = np.einsum("qm,iam->qai", vand, N.curl_coeffs())
+    Pg = np.einsum("qm,bmn->qbn", vand, _poly.diff_stack(3, kp))[:, :, 1:]
+    Dvals = np.einsum("qm,icm->qci", vand, D.coeffs)
+    TCC = np.einsum("q,qai,qbj->abij", w, Ncurls, Ncurls)
+    TVG = np.einsum("q,qai,qbl->abil", w, Nvals, Pg)
+    TDC = np.einsum("q,qai,qbj->abij", w, Dvals, Ncurls)
+
+    geom = mesh.geom()
+    mu_t = mu.per_tet(mesh)
+    all_tets = np.arange(mesh.n_tets)
+    jd = (j.eval_elements(mesh, all_tets, rule.points)
+          - Hh.curl().eval(all_tets, rule.points))
+    nR, nB = N.dim, _poly.n_monomials(3, kp) - 1
+    nm = _poly.n_monomials(3, kp)
+    hhat = np.zeros((mesh.n_tets, 3, nm))
+    hhat_curl = np.zeros((mesh.n_tets, 3, nm))
+    resid, jd_norm, ortho = (np.zeros(mesh.n_tets) for _ in range(3))
+    for t in range(mesh.n_tets):
+        J, det = geom.J[t], geom.detJ[t]
+        JtJ = J.T @ J
+        A = np.einsum("ab,abij->ij", JtJ, TCC) / det
+        B = mu_t[t] * det * np.einsum("ab,abil->li", np.linalg.inv(JtJ), TVG)
+        jhat = jd[t] @ J
+        if mode == "saddle":
+            S = np.zeros((nR + nB, nR + nB))
+            S[:nR, :nR] = A
+            S[:nR, nR:] = B.T
+            S[nR:, :nR] = B
+            rhs = np.zeros(nR + nB)
+            rhs[:nR] = np.einsum("q,qbi,qb->i", w, Ncurls, jhat)
+            h = np.linalg.solve(S, rhs)[:nR]
+        else:
+            Mdc = np.einsum("ab,abij->ij", JtJ, TDC) / det
+            rd = np.einsum("q,qbi,qb->i", w, Dvals, jhat)
+            h, *_ = np.linalg.lstsq(np.vstack([Mdc, B]),
+                                    np.concatenate([rd, np.zeros(nB)]), rcond=None)
+        hhat[t] = geom.Jinv[t].T @ np.einsum("i,icm->cm", h, N.coeffs)
+        hhat_curl[t] = (J @ np.einsum("i,iam->am", h, N.curl_coeffs())) / det
+        cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
+        resid[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, (cv - jd[t]) ** 2)), 0.0))
+        jd_norm[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
+        ortho[t] = np.abs(B @ h).max(initial=0.0)
+    return eqm.ElementCorrection(
+        Hhat=fem.BrokenPolyField(mesh, kp, hhat),
+        Hhat_curl=fem.BrokenPolyField(mesh, kp, hhat_curl),
+        resid=resid, jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
+
+
+def _one_tet_eval(func):
+    return lambda pts: np.asarray(func(pts))[:, :, None]
+
+
+def loop_interpolate_nedelec(mesh, dm, func):
+    """Nedelec interpolation with one ``nedelec_dof_matrix`` call per tet;
+    returns the full coefficient vector."""
+    vals = np.zeros(dm.n_dofs)
+    for t in range(mesh.n_tets):
+        vals[dm.cell_dofs[t]] = ps.nedelec_dof_matrix(
+            mesh.vertices[mesh.tets[t]], mesh.tets[t], dm.degree,
+            _one_tet_eval(func))[:, 0]
+    if dm.homogeneous_boundary:
+        vals[dm.boundary_mask] = 0.0
+    return vals
+
+
+def loop_project_current(mesh, j_func, k):
+    """Div-conforming interpolation tet by tet: the canonical functionals of
+    the Piola-mapped basis and of the data, then one small solve; returns
+    the (T, 3, nm) physical coefficients."""
+    space = ps.reference_space(ps.RT_TET, k)
+    geom = mesh.geom()
+    out = np.empty((mesh.n_tets, 3, _poly.n_monomials(3, k)))
+    for t in range(mesh.n_tets):
+        verts, gids = mesh.vertices[mesh.tets[t]], mesh.tets[t]
+        V = ps.rt_dof_matrix(verts, gids, k, piola_basis(mesh, k, t),
+                             exactness=2 * k + 4)
+        b = ps.rt_dof_matrix(verts, gids, k, _one_tet_eval(j_func),
+                             exactness=2 * k + 4)[:, 0]
+        cref = np.einsum("i,icm->cm", np.linalg.solve(V, b), space.coeffs)
+        out[t] = (geom.J[t] @ cref) / geom.detJ[t]
+    return out

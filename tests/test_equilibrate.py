@@ -13,7 +13,8 @@ from curlest import mesh as msh
 from curlest import polyspace as ps
 from _helpers import (MU1, cube_H, cube_j, inspace_j, inspace_u,
                       jittered_cube, loop_edge_sums, loop_face_multipliers,
-                      loop_face_solve, loop_jump_norms, loop_step3, solve_cube)
+                      loop_face_solve, loop_jump_norms, loop_step1, loop_step3,
+                      solve_cube)
 
 RNG = np.random.default_rng(23)
 
@@ -132,9 +133,11 @@ def test_step1_roundtrip_on_reference_tet(kp):
 
 
 def test_step1_modes_agree_on_compatible_data():
+    # the saddle solve against the least-squares solve tested with a full
+    # div-conforming basis
     m, dm, u, Hh, data = solve_cube(2, 1)
-    c1 = eqm.step1_element_corrections(m, MU1, data, Hh, 3, mode="saddle")
-    c2 = eqm.step1_element_corrections(m, MU1, data, Hh, 3, mode="lstsq_dk")
+    c1 = eqm.step1_element_corrections(m, MU1, data, Hh, 3)
+    c2 = loop_step1(m, MU1, data, Hh, 3, mode="lstsq_dk")
     diff = c1.Hhat.plus(c2.Hhat.scale(-1.0)).norm()
     assert diff < 1e-9 * max(c1.Hhat.norm(), 1e-30)
 
@@ -325,6 +328,61 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def _eta_from(m, Hh, corr, kp):
+    fm = eqm.step2_face_multipliers(m, Hh, corr, kp)
+    return eqm.step4_estimator(m, MU_JUMP, corr,
+                               eqm.step3_reconstruct_phi(m, fm, kp))
+
+
+def test_step1_matches_loop_oracle(jump_level):
+    # batched step 1 against the per-tet loop, at k' = k and k + 1, on the
+    # analytic current and on its div-conforming projection
+    m, Hh, out = jump_level
+    k = Hh.degree
+    for kp in (k, k + 1):
+        for j in (fem.CurrentDensity(func=wave_j), fem.project_current(m, wave_j, kp)):
+            got = eqm.step1_element_corrections(m, MU_JUMP, j, Hh, kp)
+            ref = loop_step1(m, MU_JUMP, j, Hh, kp)
+            for key in ("Hhat", "Hhat_curl"):
+                assert _rel_err(getattr(got, key).coeffs,
+                                getattr(ref, key).coeffs) <= 1e-14, key
+            assert _rel_err(got.jdelta_norm, ref.jdelta_norm) <= 1e-14
+            # roundoff-level on projected data, so relative to the data
+            jscale = ref.jdelta_norm.max()
+            for key in ("resid", "ortho_resid"):
+                assert (np.abs(getattr(got, key) - getattr(ref, key)).max()
+                        <= 1e-14 * jscale), key
+            res, res_ref = _eta_from(m, Hh, got, kp), _eta_from(m, Hh, ref, kp)
+            assert _rel_err(res.eta_T, res_ref.eta_T) <= 1e-14
+            assert abs(res.eta_h - res_ref.eta_h) <= 1e-14 * res_ref.eta_h
+
+
+def test_singular_step1_system_names_the_tet():
+    # permeability 0 on one subdomain (written past the constructor's check)
+    # zeroes the multiplier block of its tets, so the stacked solve fails
+    m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
+    j = fem.CurrentDensity(func=wave_j)
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.AdaptiveConfig(degree=1))
+    mu = fem.MaterialField({0: 1.0, 1: 100.0})
+    mu.values[1] = 0.0
+    with pytest.raises(eqm.LocalSolveSingular) as exc:
+        eqm.step1_element_corrections(m, mu, j, Hh, 1)
+    assert m.subdomain_tag[exc.value.tet] == 1
+    assert exc.value.value < 1e-12
+    assert f"tet {exc.value.tet}:" in str(exc.value)
+
+
+def test_nan_field_names_the_tet():
+    m, dm, u, Hh, data = solve_cube(2, 1)
+    t = 7
+    bad = fem.BrokenPolyField(m, Hh.degree, Hh.coeffs.copy())
+    bad.coeffs[t] = np.nan
+    with pytest.raises(eqm.LocalSolveSingular) as exc:
+        eqm.step1_element_corrections(m, MU1, data, bad, 1)
+    assert exc.value.tet == t and np.isnan(exc.value.value)
+    assert f"tet {t}:" in str(exc.value)
+
+
 def test_step2_matches_loop_oracle(jump_level):
     m, Hh, out = jump_level
     fm = out.multipliers
@@ -388,12 +446,14 @@ def test_jump_norms_match_loop_oracle(jump_level):
 
 
 def test_face_kernels_memory_peak():
-    # the batched kernels hold (faces, points, ...) temporaries; each call's
-    # traced peak on the 2376-internal-face cube at k=1 stays below 10 MB
+    # the batched kernels hold (tets or faces, points, ...) temporaries; each
+    # call's traced peak on the 1296-tet, 2376-internal-face cube at k=1
+    # stays below 10 MB
     m, dm, u, Hh, data = solve_cube(6, 1)
     corr = eqm.step1_element_corrections(m, MU1, data, Hh, 1)
     fm = eqm.step2_face_multipliers(m, Hh, corr, 1)
-    calls = {"step2": lambda: eqm.step2_face_multipliers(m, Hh, corr, 1),
+    calls = {"step1": lambda: eqm.step1_element_corrections(m, MU1, data, Hh, 1),
+             "step2": lambda: eqm.step2_face_multipliers(m, Hh, corr, 1),
              "edge_check": lambda: eqm.check_edge_compatibility(m, fm),
              "jump_norms": lambda: fem.tangential_jump_norms(m, Hh)}
     peaks = {}
@@ -661,9 +721,17 @@ def test_strict_mode_rejects_divergent_data():
     m, dm, u, Hh, data = solve_cube(2, 1, strict_a2=True)
     bad = fem.CurrentDensity(func=data.func, field=fem.BrokenPolyField(
         m, data.field.degree, data.field.coeffs.copy()))
-    bad.field.coeffs[:, 0, 1] += 1.0     # add x-dependence: div becomes 1
-    with pytest.raises(eqm.DataIncompatible):
+    t = 13
+    bad.field.coeffs[t, 0, 1] += 1.0     # x-dependence in one tet: div != 0
+    with pytest.raises(eqm.DataIncompatible) as exc:
         eqm.step1_element_corrections(m, MU1, bad, Hh, 1, strict_a2=True)
+    # the error names that tet and its div_norm * h_min / jscale
+    jd = bad.field.plus(Hh.curl().scale(-1.0))
+    corr = eqm.step1_element_corrections(m, MU1, bad, Hh, 1)
+    ratio = jd.div().mu_norms()[t] * m.h_min_edge() / corr.jdelta_norm.max()
+    assert exc.value.tet == t
+    assert exc.value.value == pytest.approx(ratio, rel=1e-12)
+    assert f"tet {t}:" in str(exc.value)
 
 
 def test_strict_mode_rejects_incompatible_face_data():

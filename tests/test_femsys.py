@@ -12,7 +12,8 @@ from curlest.errors import UnsupportedDegree
 from _helpers import (MU1, covariant_basis, cube_H, cube_j, element_dof_matrix,
                       hash_node_registry, inspace_H, inspace_u, jittered_cube,
                       loop_curlcurl_mass, loop_gradient, loop_Hh,
-                      loop_nedelec_dofs, solve_cube, two_tet_mesh)
+                      loop_interpolate_nedelec, loop_nedelec_dofs,
+                      loop_project_current, solve_cube, two_tet_mesh)
 
 RNG = np.random.default_rng(17)
 
@@ -384,6 +385,27 @@ def test_projection_flux_continuity_low_degree():
     assert v["max_div"] < 1e-9 * v["scale"]
 
 
+def wavy(p):
+    # analytic and in no polynomial space, so every quadrature point counts
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    return np.stack([np.sin(3 * y) * z, np.cos(2 * x + z), x * np.exp(y)], axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_interpolation_and_projection_match_per_tet_loops(k):
+    m = jittered_cube(2)
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, k, homogeneous_boundary=True)
+    got = fem.interpolate_nedelec(m, dm, wavy).values
+    ref = loop_interpolate_nedelec(m, dm, wavy)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # projections compared as fields, per tet in L2: their monomial
+    # coefficients amplify the roundoff of the small solves
+    got = fem.project_current(m, wavy, k).field
+    ref = fem.BrokenPolyField(m, k, loop_project_current(m, wavy, k))
+    diff = got.plus(ref.scale(-1.0)).mu_norms()
+    assert (diff / ref.mu_norms()).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # H_h and the element curls
 # ---------------------------------------------------------------------------
@@ -446,7 +468,11 @@ def test_material_field_validation():
     mf = fem.MaterialField({1: 1.0, 2: 1000.0})
     assert mf.mu_min == 1.0 and mf.mu_max == 1000.0
     m = msh.unit_cube_mesh(1, tag_fn=lambda c: 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tag 7 "):
         mf.per_tet(m)
+    m2 = msh.unit_cube_mesh(2, tag_fn=lambda c: 1 + int(c[0] > 0.5))
+    assert (mf.per_tet(m2) == np.where(m2.subdomain_tag == 1, 1.0, 1000.0)).all()
+    with pytest.raises(ValueError, match="tag 2 "):   # between the keys
+        fem.MaterialField({1: 1.0, 3: 2.0}).per_tet(m2)
     # scalar permeability ignores tags entirely
     assert (fem.MaterialField(2.5).per_tet(m) == 2.5).all()

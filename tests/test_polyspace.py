@@ -6,7 +6,7 @@ import pytest
 from curlest import _poly
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree, WrongKind
-from _helpers import element_dof_matrix, jittered_cube
+from _helpers import element_dof_matrix, jittered_cube, piola_basis
 
 RNG = np.random.default_rng(42)
 
@@ -208,6 +208,13 @@ def test_stacked_element_matrices_match_per_tet_functionals(k):
     assert len(np.unique(np.argsort(m.tets, axis=1), axis=0)) > 6
     for t in range(m.n_tets):
         ref = element_dof_matrix(m, k, t)
+        assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the div-conforming map: face fluxes kept, interior rows mapped by J
+    V = ps.rt_element_matrices(m.vertices[m.tets], m.tets, k)
+    assert V.shape == (m.n_tets, ps.dim_rt_tet(k), ps.dim_rt_tet(k))
+    for t in range(m.n_tets):
+        ref = ps.rt_dof_matrix(m.vertices[m.tets[t]], m.tets[t], k,
+                               piola_basis(m, k, t))
         assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
