@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ClosureOverflow, DegenerateTet, NonConforming, NotAdjacent
 
@@ -22,7 +24,13 @@ LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 VOLUME_EPS = 1e-12          # relative to diameter^3
 BOUNDARY = -1
-_CLOSURE_CAP = 64
+_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T
+_ROUND_CAP = 64
+
+
+def _diameters(v):
+    """Longest edge of each tet from its (T, 4, 3) vertex coordinates."""
+    return np.linalg.norm(v[:, _EDGE_A] - v[:, _EDGE_B], axis=-1).max(axis=1)
 
 
 class _Geometry:
@@ -59,13 +67,10 @@ class Mesh:
     edges: np.ndarray             # (E, 2) ascending vertex ids
     tet_edges: np.ndarray         # (T, 6) in LOCAL_EDGES order
     face_edges: np.ndarray        # (F, 3)
-    edge_faces: list = field(repr=False, default=None)
-    edge_tets: list = field(repr=False, default=None)
     boundary_face: np.ndarray = None
     boundary_edge: np.ndarray = None
     boundary_vertex: np.ndarray = None
     _geom: _Geometry = field(default=None, repr=False, compare=False)
-    _vertex_tets: list = field(default=None, repr=False, compare=False)
     _face_areas: np.ndarray = field(default=None, repr=False, compare=False)
     _face_diameters: np.ndarray = field(default=None, repr=False, compare=False)
     _tet_diameters: np.ndarray = field(default=None, repr=False, compare=False)
@@ -94,26 +99,12 @@ class Mesh:
             self._geom = _Geometry(self)
         return self._geom
 
-    def vertex_tets(self) -> list:
-        if self._vertex_tets is None:
-            adj = [[] for _ in range(self.n_vertices)]
-            for t, tet in enumerate(self.tets):
-                for v in tet:
-                    adj[v].append(t)
-            self._vertex_tets = [np.array(a, dtype=np.int64) for a in adj]
-        return self._vertex_tets
-
     def tet_volumes(self) -> np.ndarray:
         return self.geom().vol
 
     def tet_diameters(self) -> np.ndarray:
         if self._tet_diameters is None:
-            v = self.vertices[self.tets]
-            d = np.zeros(self.n_tets)
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    d = np.maximum(d, np.linalg.norm(v[:, a] - v[:, b], axis=1))
-            self._tet_diameters = d
+            self._tet_diameters = _diameters(self.vertices[self.tets])
         return self._tet_diameters
 
     def face_areas(self) -> np.ndarray:
@@ -178,88 +169,77 @@ class FaceFrame:
     n: np.ndarray
 
 
-def _edge_link(mesh: "Mesh", e: int):
-    """Order the faces/tets around an edge.
+def _dedupe(keys):
+    """Distinct rows of the 2-d array keys, numbered by first occurrence.
 
-    Returns (tets_in_order, closed).  Raises NonConforming when the link is
-    not a single chain/cycle (non-manifold edge).
+    Returns (distinct rows, id of every row of keys, ranks) where ranks maps
+    the lexicographic position of a distinct row to its id.
     """
-    faces = list(mesh.edge_faces[e])
-    tets = list(mesh.edge_tets[e])
-    if not faces:
-        raise NonConforming(f"edge {e} has no adjacent faces")
-    face_set = set(faces)
-    # tet -> its (<=2) adjacent faces containing e
-    tet_faces = {t: [f for f in mesh.tet_faces[t] if f in face_set] for t in tets}
-    if any(len(fs) != 2 for fs in tet_faces.values()):
-        raise NonConforming(f"edge {e}: tet without exactly two faces on the edge")
-    bfaces = [f for f in faces if mesh.face_tets[f, 1] == BOUNDARY]
-    closed = len(bfaces) == 0
-    if closed:
-        start_tet = tets[0]
-        start_face = tet_faces[start_tet][0]
-    else:
-        if len(bfaces) != 2:
-            raise NonConforming(f"edge {e}: {len(bfaces)} boundary faces on link")
-        start_face = bfaces[0]
-        start_tet = mesh.face_tets[start_face, 0]
-    order = [start_tet]
-    prev_face = start_face
-    cur = start_tet
-    for _ in range(len(tets)):
-        nxt_face = [f for f in tet_faces[cur] if f != prev_face]
-        if not nxt_face:
-            break
-        nxt_face = nxt_face[0]
-        a, b = mesh.face_tets[nxt_face]
-        nxt = b if a == cur else a
-        if nxt == BOUNDARY:
-            break
-        if nxt in order:
-            if closed and nxt == start_tet and len(order) == len(tets):
-                return order, True
-            raise NonConforming(f"edge {e}: link revisits tet {nxt}")
-        order.append(nxt)
-        prev_face, cur = nxt_face, nxt
-    if len(order) != len(tets):
-        raise NonConforming(f"edge {e}: link does not cover all adjacent tets")
-    return order, closed
+    uniq, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.reshape(-1)], rank
 
 
-def edge_link(mesh: Mesh, e: int):
-    """Public wrapper: ordered tets around edge e and whether the loop closes."""
-    return _edge_link(mesh, e)
+def _check_edge_links(n_edges, tet_edges, face_tets, face_edges, boundary_face):
+    """Raise NonConforming unless the tets around every edge form one chain
+    (boundary edge) or one cycle (interior edge).
+
+    Graph nodes are the (tet, local edge) incidences; every internal face
+    links the two incidences of each of its edges.  A node has degree at
+    most two, so the link of an edge is a chain or a cycle exactly when its
+    incidences form one component.
+    """
+    internal = np.nonzero(~boundary_face)[0]
+    plus, minus = face_tets[internal, 0], face_tets[internal, 1]
+    fe = face_edges[internal][:, :, None]
+    local_plus = (tet_edges[plus][:, None, :] == fe).argmax(axis=2)
+    local_minus = (tet_edges[minus][:, None, :] == fe).argmax(axis=2)
+    n = tet_edges.size
+    graph = sp.coo_matrix(
+        (np.ones(local_plus.size), ((6 * plus[:, None] + local_plus).ravel(),
+                                    (6 * minus[:, None] + local_minus).ravel())),
+        shape=(n, n))
+    n_comp, label = connected_components(graph, directed=False)
+    comp_edge = np.empty(n_comp, dtype=np.int64)
+    comp_edge[label] = tet_edges.ravel()
+    comps = np.bincount(comp_edge, minlength=n_edges)
+    bad = np.nonzero(comps != 1)[0]
+    if len(bad):
+        e = int(bad[0])
+        nb = int((face_edges[boundary_face] == e).sum())
+        raise NonConforming(
+            f"edge {e}: {nb} boundary faces on link, {comps[e]} components")
 
 
 def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
-               parents=None, check_links: bool = True) -> Mesh:
+               parents=None) -> Mesh:
     """Assemble the full topology from vertex coordinates and tet tuples.
 
-    Tets are reordered to positive orientation.  Raises NonConforming for
-    invalid complexes and DegenerateTet for (near-)flat cells.
+    Tets are reordered to positive orientation.  Faces and edges are
+    numbered in order of first occurrence in the tet list.  Raises
+    NonConforming for invalid complexes and DegenerateTet for (near-)flat
+    cells.
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float).reshape(-1, 3))
     tets = np.asarray(tets, dtype=np.int64).reshape(-1, 4)
     nv, nt = len(vertices), len(tets)
     if tets.min(initial=0) < 0 or tets.max(initial=-1) >= nv:
         raise NonConforming("tet references an invalid vertex id")
-    for t, tet in enumerate(tets):
-        if len(set(tet)) != 4:
-            raise NonConforming(f"tet {t} repeats a vertex")
+    ordered = np.sort(tets, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise NonConforming(f"tet {int(repeats.argmax())} repeats a vertex")
 
     tets = tets.copy()
     v = vertices[tets]
     vol6 = np.linalg.det(np.stack([v[:, i] - v[:, 0] for i in (1, 2, 3)], axis=2))
     flip = vol6 < 0.0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    v = vertices[tets]
-    vol6 = np.abs(vol6)
-    diam3 = np.zeros(nt)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            diam3 = np.maximum(diam3, np.linalg.norm(v[:, a] - v[:, b], axis=1))
-    diam3 = diam3 ** 3
-    bad = vol6 / 6.0 <= VOLUME_EPS * diam3
+    diam = _diameters(vertices[tets])
+    bad = np.abs(vol6) / 6.0 <= VOLUME_EPS * diam ** 3
     if bad.any():
         raise DegenerateTet(f"tets {np.nonzero(bad)[0][:10].tolist()} are degenerate")
 
@@ -269,66 +249,36 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         raise NonConforming(
             f"dangling vertices: {np.nonzero(~used)[0][:10].tolist()}")
 
-    face_ids: dict[tuple, int] = {}
-    face_list: list[tuple] = []
-    face_adj: list[list[int]] = []
-    tet_faces = np.empty((nt, 4), dtype=np.int64)
-    for t, tet in enumerate(tets):
-        for i, loc in enumerate(LOCAL_FACES):
-            key = tuple(sorted(int(tet[l]) for l in loc))
-            f = face_ids.get(key)
-            if f is None:
-                f = len(face_list)
-                face_ids[key] = f
-                face_list.append(key)
-                face_adj.append([])
-            if len(face_adj[f]) >= 2:
-                raise NonConforming(f"face {key} shared by more than two tets")
-            face_adj[f].append(t)
-            tet_faces[t, i] = f
-    faces = np.array(face_list, dtype=np.int64)
+    faces, face_of, _ = _dedupe(np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3))
+    tet_faces = face_of.reshape(nt, 4)
+    count = np.bincount(face_of, minlength=len(faces))
+    if (count > 2).any():
+        raise NonConforming(f"face {tuple(faces[count.argmax()].tolist())} "
+                            "shared by more than two tets")
+    # rows grouped by face, in tet order within each face
+    rows = np.argsort(face_of, kind="stable")
+    start = np.cumsum(count) - count
     face_tets = np.full((len(faces), 2), BOUNDARY, dtype=np.int64)
-    for f, adj in enumerate(face_adj):
-        adj = sorted(adj)
-        face_tets[f, 0] = adj[0]
-        if len(adj) == 2:
-            face_tets[f, 1] = adj[1]
+    face_tets[:, 0] = rows[start] // 4
+    two = count == 2
+    face_tets[two, 1] = rows[start[two] + 1] // 4
 
-    edge_ids: dict[tuple, int] = {}
-    edge_list: list[tuple] = []
-    tet_edges = np.empty((nt, 6), dtype=np.int64)
-    for t, tet in enumerate(tets):
-        for i, (a, b) in enumerate(LOCAL_EDGES):
-            key = (int(tet[a]), int(tet[b]))
-            key = key if key[0] < key[1] else (key[1], key[0])
-            e = edge_ids.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_ids[key] = e
-                edge_list.append(key)
-            tet_edges[t, i] = e
-    edges = np.array(edge_list, dtype=np.int64)
-
-    face_edges = np.empty((len(faces), 3), dtype=np.int64)
-    for f, (a, b, c) in enumerate(faces):
-        face_edges[f] = [edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)]]
-
-    ne = len(edges)
-    edge_faces = [[] for _ in range(ne)]
-    for f in range(len(faces)):
-        for e in face_edges[f]:
-            edge_faces[e].append(f)
-    edge_tets = [[] for _ in range(ne)]
-    for t in range(nt):
-        for e in tet_edges[t]:
-            edge_tets[e].append(t)
+    edge_keys = np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
+    edges, edge_of, edge_rank = _dedupe(edge_keys)
+    tet_edges = edge_of.reshape(nt, 6)
+    # (a, b), (a, c), (b, c) of each ascending face, located among the
+    # lexicographically sorted edge keys
+    sorted_keys = np.sort(edges[:, 0] * nv + edges[:, 1])
+    a, b, c = faces.T
+    face_edges = edge_rank[np.searchsorted(
+        sorted_keys, np.stack([a * nv + b, a * nv + c, b * nv + c], axis=1))]
 
     boundary_face = face_tets[:, 1] == BOUNDARY
-    boundary_edge = np.zeros(ne, dtype=bool)
-    for f in np.nonzero(boundary_face)[0]:
-        boundary_edge[face_edges[f]] = True
+    boundary_edge = np.zeros(len(edges), dtype=bool)
+    boundary_edge[face_edges[boundary_face]] = True
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[faces[boundary_face].ravel()] = True
+    _check_edge_links(len(edges), tet_edges, face_tets, face_edges, boundary_face)
 
     if subdomain_tags is None:
         subdomain_tags = np.zeros(nt, dtype=np.int64)
@@ -336,34 +286,25 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         subdomain_tags = np.asarray(subdomain_tags, dtype=np.int64).reshape(nt)
     if refinement_levels is None:
         refinement_levels = np.zeros(nt, dtype=np.int64)
-    mesh = Mesh(
+    return Mesh(
         vertices=vertices, tets=tets, subdomain_tag=subdomain_tags,
         refinement_level=np.asarray(refinement_levels, dtype=np.int64),
         parent=None if parents is None else np.asarray(parents, dtype=np.int64),
         faces=faces, face_tets=face_tets, tet_faces=tet_faces,
         edges=edges, tet_edges=tet_edges, face_edges=face_edges,
-        edge_faces=[np.array(a, dtype=np.int64) for a in edge_faces],
-        edge_tets=[np.array(a, dtype=np.int64) for a in edge_tets],
         boundary_face=boundary_face, boundary_edge=boundary_edge,
-        boundary_vertex=boundary_vertex)
-
-    if check_links:
-        for e in range(ne):
-            _, closed = _edge_link(mesh, e)
-            if closed == boundary_edge[e]:
-                raise NonConforming(
-                    f"edge {e}: link {'closed' if closed else 'open'} vs boundary flag")
-    return mesh
+        boundary_vertex=boundary_vertex, _tet_diameters=diam)
 
 
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
-def _lattice_coord(base_num: int, i: int, n: int) -> float:
-    # (base_num + i)/n with integer numerator: identical bits wherever two
-    # blocks generate the same lattice point.
-    return (base_num + i) / n
+# vertex paths from a cube's lowest corner to its highest, one per
+# permutation of the axes: the six tets of the Kuhn split
+_KUHN_PATHS = np.array([
+    np.vstack([np.zeros(3, np.int64), np.eye(3, dtype=np.int64)[list(perm)]]).cumsum(axis=0)
+    for perm in itertools.permutations((0, 1, 2))])
 
 
 def _box_kuhn(n, origin_num, tag_fn=None):
@@ -373,32 +314,11 @@ def _box_kuhn(n, origin_num, tag_fn=None):
     1/n; vertex coordinates are computed as exact rationals over n so that
     adjacent boxes share bitwise-identical vertices.
     """
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    verts = np.empty(((n + 1) ** 3, 3))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                verts[vid(i, j, k)] = (
-                    _lattice_coord(origin_num[0], i, n),
-                    _lattice_coord(origin_num[1], j, n),
-                    _lattice_coord(origin_num[2], k, n))
-    tets = []
-    perms = list(itertools.permutations((0, 1, 2)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corner = np.array((i, j, k))
-                for perm in perms:
-                    p = corner.copy()
-                    ids = [vid(*p)]
-                    for ax in perm:
-                        p = p.copy()
-                        p[ax] += 1
-                        ids.append(vid(*p))
-                    tets.append(ids)
-    tets = np.asarray(tets, dtype=np.int64)
+    lattice = np.indices((n + 1,) * 3).reshape(3, -1).T      # (i, j, k) rows
+    verts = (lattice + np.asarray(origin_num)) / n
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    corners = np.indices((n,) * 3).reshape(3, -1).T @ stride
+    tets = (corners[:, None, None] + _KUHN_PATHS @ stride).reshape(-1, 4)
     if tag_fn is None:
         tags = np.zeros(len(tets), dtype=np.int64)
     else:
@@ -424,38 +344,25 @@ def l_brick_mesh(n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    blocks = [(-n, -n, 0), (-n, 0, 0), (0, 0, 0)]
-    all_verts: list[np.ndarray] = []
-    all_tets: list[np.ndarray] = []
-    vid_of: dict[bytes, int] = {}
-    for origin in blocks:
-        verts, tets, _ = _box_kuhn(n, origin)
-        remap = np.empty(len(verts), dtype=np.int64)
-        for i, p in enumerate(verts):
-            key = p.tobytes()
-            g = vid_of.get(key)
-            if g is None:
-                g = len(all_verts)
-                vid_of[key] = g
-                all_verts.append(p)
-            remap[i] = g
-        all_tets.append(remap[tets])
-    return build_mesh(np.array(all_verts), np.vstack(all_tets))
+    blocks = [_box_kuhn(n, origin) for origin in ((-n, -n, 0), (-n, 0, 0), (0, 0, 0))]
+    offsets = np.cumsum([0] + [len(v) for v, _, _ in blocks[:-1]])
+    verts, vid, _ = _dedupe(np.vstack([v for v, _, _ in blocks]))
+    tets = vid[np.vstack([t + off for (_, t, _), off in zip(blocks, offsets)])]
+    return build_mesh(verts, tets)
 
 
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
 
-def _longest_edge(verts, tet):
-    best = None
-    for a, b in LOCAL_EDGES:
-        va, vb = tet[a], tet[b]
-        key = (va, vb) if va < vb else (vb, va)
-        ln = float(np.linalg.norm(verts[key[0]] - verts[key[1]]))
-        if best is None or ln > best[0] or (ln == best[0] and key < best[1]):
-            best = (ln, key)
-    return best[1]
+def _longest_edges(vertices, tets):
+    """Ascending end points (T, 6, 2) of every tet's edges and the local index
+    of its longest edge; ties go to the smallest (low id, high id) pair."""
+    ends = np.sort(tets[:, LOCAL_EDGES], axis=2)
+    length = np.linalg.norm(vertices[ends[..., 0]] - vertices[ends[..., 1]], axis=-1)
+    key = ends[..., 0] * len(vertices) + ends[..., 1]
+    key[length < length.max(axis=1, keepdims=True)] = np.iinfo(np.int64).max
+    return ends, key.argmin(axis=1)
 
 
 def refine(mesh: Mesh, marked) -> Mesh:
@@ -465,94 +372,80 @@ def refine(mesh: Mesh, marked) -> Mesh:
     needed until no hanging vertices remain.  Subdomain tags and levels are
     inherited; ``parent`` maps every new tet to its ancestor in ``mesh``.
     """
-    marked = set(int(t) for t in marked)
-    if not marked:
+    marked = np.unique(np.fromiter(marked, dtype=np.int64))
+    if not len(marked):
         return build_mesh(mesh.vertices.copy(), mesh.tets.copy(),
                           mesh.subdomain_tag.copy(),
                           refinement_levels=mesh.refinement_level.copy(),
                           parents=np.arange(mesh.n_tets))
-    if marked - set(range(mesh.n_tets)):
+    if marked[0] < 0 or marked[-1] >= mesh.n_tets:
         raise ValueError("marked set contains invalid tet ids")
 
-    verts = [v for v in mesh.vertices]
-    tets = [tuple(int(x) for x in tet) for tet in mesh.tets]
-    tags = list(mesh.subdomain_tag)
-    levels = list(mesh.refinement_level)
-    parents = list(range(mesh.n_tets))
+    verts, tets = mesh.vertices, mesh.tets
+    tags, levels = mesh.subdomain_tag, mesh.refinement_level
+    parents = np.arange(mesh.n_tets)
+    ends, longest = _longest_edges(verts, tets[marked])
+    # marked edges as (low, high) vertex pairs and their midpoint ids (-1:
+    # not split yet); they carry over between rounds
+    mark_ends = ends[np.arange(len(marked)), longest]
+    mark_mid = np.full(len(marked), -1)
 
-    varr = mesh.vertices
-    marked_edges = set(_longest_edge(varr, tets[t]) for t in marked)
-    midpoint: dict[tuple, int] = {}
+    for _ in range(_ROUND_CAP):
+        nv, nt = len(verts), len(tets)
+        ends, longest = _longest_edges(verts, tets)
+        keys, eid = np.unique(ends[..., 0] * nv + ends[..., 1], return_inverse=True)
+        eid = eid.reshape(nt, 6)
+        lid = eid[np.arange(nt), longest]
+        at = np.searchsorted(keys, mark_ends[:, 0] * nv + mark_ends[:, 1])
+        is_marked = np.zeros(len(keys), dtype=bool)
+        is_marked[at] = True
+        mid = np.full(len(keys), -1)
+        mid[at] = mark_mid
+        # closure: a tet touching a marked edge must have its longest edge
+        # marked; the mark set only grows, so the sweeps terminate
+        while True:
+            grown = is_marked.copy()
+            grown[lid[is_marked[eid].any(axis=1)]] = True
+            if (grown == is_marked).all():
+                break
+            is_marked = grown
 
-    for round_no in range(_CLOSURE_CAP):
-        varray = np.asarray(verts)
-        # closure: any tet touching a marked edge must have its own longest
-        # edge marked before it may split
-        changed = True
-        guard = 0
-        while changed:
-            changed = False
-            guard += 1
-            if guard > _CLOSURE_CAP:
-                raise ClosureOverflow("closure marking did not stabilize")
-            for tet in tets:
-                touch = False
-                for a, b in LOCAL_EDGES:
-                    key = (tet[a], tet[b]) if tet[a] < tet[b] else (tet[b], tet[a])
-                    if key in marked_edges:
-                        touch = True
-                        break
-                if touch:
-                    le = _longest_edge(varray, tet)
-                    if le not in marked_edges:
-                        marked_edges.add(le)
-                        changed = True
-        # split every tet whose longest edge is marked
-        new_tets, new_tags, new_levels, new_parents = [], [], [], []
-        any_split = False
-        for tet, tag, lvl, par in zip(tets, tags, levels, parents):
-            le = _longest_edge(varray, tet)
-            if le in marked_edges:
-                any_split = True
-                m = midpoint.get(le)
-                if m is None:
-                    m = len(verts)
-                    verts.append(0.5 * (varray[le[0]] + varray[le[1]]))
-                    midpoint[le] = m
-                ia = tet.index(le[0])
-                ib = tet.index(le[1])
-                child_a = list(tet)
-                child_a[ib] = m
-                child_b = list(tet)
-                child_b[ia] = m
-                new_tets.extend([tuple(child_a), tuple(child_b)])
-                new_tags.extend([tag, tag])
-                new_levels.extend([lvl + 1, lvl + 1])
-                new_parents.extend([par, par])
-            else:
-                new_tets.append(tet)
-                new_tags.append(tag)
-                new_levels.append(lvl)
-                new_parents.append(par)
-        tets, tags, levels, parents = new_tets, new_tags, new_levels, new_parents
-        # drop edge marks that no longer occur in any tet
-        live = set()
-        for tet in tets:
-            for a, b in LOCAL_EDGES:
-                key = (tet[a], tet[b]) if tet[a] < tet[b] else (tet[b], tet[a])
-                if key in marked_edges:
-                    live.add(key)
-        marked_edges = live
-        if not marked_edges:
+        split = np.nonzero(is_marked[lid])[0]
+        cut = lid[split]
+        _, first = np.unique(cut, return_index=True)
+        fresh = cut[np.sort(first)]
+        fresh = fresh[mid[fresh] < 0]          # in order of the first splitting tet
+        mid[fresh] = nv + np.arange(len(fresh))
+        verts = np.vstack([verts, 0.5 * (verts[keys[fresh] // nv]
+                                         + verts[keys[fresh] % nv])])
+
+        # children replace the high (child a) or the low (child b) end of the
+        # longest edge by its midpoint, in place of their parent
+        child_a = split + np.arange(len(split))
+        copies = np.ones(nt, dtype=np.int64)
+        copies[split] = 2
+        src = np.repeat(np.arange(nt), copies)
+        new_tets = tets[src]
+        la, lb = _EDGE_A[longest[split]], _EDGE_B[longest[split]]
+        low_first = tets[split, la] < tets[split, lb]
+        at_low, at_high = np.where(low_first, la, lb), np.where(low_first, lb, la)
+        new_tets[child_a, at_high] = mid[cut]
+        new_tets[child_a + 1, at_low] = mid[cut]
+        levels = levels[src] + (copies[src] - 1)
+        tets, tags, parents = new_tets, tags[src], parents[src]
+
+        # marks live on while some tet keeps the edge: one not split at it
+        alive = np.zeros(len(keys), dtype=bool)
+        alive[eid[eid != lid[:, None]]] = True
+        carry = np.nonzero(is_marked & alive)[0]
+        if not len(carry):
             break
-        if not any_split:
-            raise ClosureOverflow("marked edges remain but nothing splits")
+        mark_ends = np.stack([keys[carry] // nv, keys[carry] % nv], axis=1)
+        mark_mid = mid[carry]
     else:
         raise ClosureOverflow("bisection rounds exceeded the iteration cap")
 
-    return build_mesh(np.asarray(verts), np.asarray(tets, dtype=np.int64),
-                      np.asarray(tags), refinement_levels=np.asarray(levels),
-                      parents=np.asarray(parents))
+    return build_mesh(verts, tets, tags, refinement_levels=levels, parents=parents)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +498,16 @@ def write_mesh_text(mesh: Mesh, path) -> None:
 def read_mesh_text(path) -> Mesh:
     """Read the plain-text interchange format and validate conformity."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    it = iter(tokens)
-    nv, nt = int(next(it)), int(next(it))
-    verts = np.array([[float(next(it)) for _ in range(3)] for _ in range(nv)])
-    rows = [[int(next(it)) for _ in range(5)] for _ in range(nt)]
-    rows = np.asarray(rows, dtype=np.int64)
+        tokens = np.array(fh.read().split())
+    if len(tokens) < 2:
+        raise NonConforming(f"{path}: no 'vertices tets' header")
+    nv, nt = int(tokens[0]), int(tokens[1])
+    if min(nv, nt) < 0 or len(tokens) != 2 + 3 * nv + 5 * nt:
+        raise NonConforming(
+            f"{path}: header announces {nv} vertices and {nt} tets, "
+            f"{3 * nv + 5 * nt} numbers; found {len(tokens) - 2}")
+    verts = tokens[2:2 + 3 * nv].astype(float).reshape(nv, 3)
+    rows = tokens[2 + 3 * nv:].astype(np.int64).reshape(nt, 5)
     return build_mesh(verts, rows[:, :4], rows[:, 4])
 
 

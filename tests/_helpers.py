@@ -1,6 +1,8 @@
 """Shared fixtures-in-plain-code for the test suite: manufactured fields,
 one-call solvers, and small independent oracles."""
 
+import itertools
+
 import numpy as np
 
 from curlest import _poly
@@ -8,6 +10,7 @@ from curlest import adapt as adm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
+from curlest.errors import NonConforming
 
 
 def g(s):
@@ -322,7 +325,7 @@ def loop_edge_sums(mesh, fm, n_samples=None):
         a, b = mesh.edges[e]
         pts = mesh.vertices[a] + s[:, None] * (mesh.vertices[b] - mesh.vertices[a])
         r = np.zeros(len(pts))
-        for f in mesh.edge_faces[e]:
+        for f in edge_faces(mesh, e):
             i = fm.index_of[f]
             _, n_fe = msh.edge_face_normals(mesh, e, f)
             rel = pts - fm.origin[i]
@@ -572,3 +575,239 @@ def loop_project_current(mesh, j_func, k):
         cref = np.einsum("i,icm->cm", np.linalg.solve(V, b), space.coeffs)
         out[t] = (geom.J[t] @ cref) / geom.detJ[t]
     return out
+
+
+# ---------------------------------------------------------------------------
+# loop oracles for the array topology, generators and bisection of
+# curlest.mesh: dict deduplication, the per-edge link walk and the
+# sequential longest-edge bisection, entity by entity
+# ---------------------------------------------------------------------------
+
+def edge_faces(mesh, e):
+    """Faces containing edge e, ascending."""
+    return np.nonzero((mesh.face_edges == e).any(axis=1))[0]
+
+
+def loop_topology(tets, n_vertices):
+    """Oriented topology of positively oriented tets, built with dicts in
+    tet order; also the per-edge face and tet lists the link walk reads."""
+    nt = len(tets)
+    face_ids, face_list, face_adj = {}, [], []
+    tet_faces = np.empty((nt, 4), dtype=np.int64)
+    for t, tet in enumerate(tets):
+        for i, loc in enumerate(msh.LOCAL_FACES):
+            key = tuple(sorted(int(tet[l]) for l in loc))
+            f = face_ids.get(key)
+            if f is None:
+                f = len(face_list)
+                face_ids[key] = f
+                face_list.append(key)
+                face_adj.append([])
+            if len(face_adj[f]) >= 2:
+                raise NonConforming(f"face {key} shared by more than two tets")
+            face_adj[f].append(t)
+            tet_faces[t, i] = f
+    faces = np.array(face_list, dtype=np.int64)
+    face_tets = np.full((len(faces), 2), msh.BOUNDARY, dtype=np.int64)
+    for f, adj in enumerate(face_adj):
+        adj = sorted(adj)
+        face_tets[f, 0] = adj[0]
+        if len(adj) == 2:
+            face_tets[f, 1] = adj[1]
+
+    edge_ids, edge_list = {}, []
+    tet_edges = np.empty((nt, 6), dtype=np.int64)
+    for t, tet in enumerate(tets):
+        for i, (a, b) in enumerate(msh.LOCAL_EDGES):
+            key = (int(tet[a]), int(tet[b]))
+            key = key if key[0] < key[1] else (key[1], key[0])
+            e = edge_ids.get(key)
+            if e is None:
+                e = len(edge_list)
+                edge_ids[key] = e
+                edge_list.append(key)
+            tet_edges[t, i] = e
+    edges = np.array(edge_list, dtype=np.int64)
+
+    face_edges = np.empty((len(faces), 3), dtype=np.int64)
+    for f, (a, b, c) in enumerate(faces):
+        face_edges[f] = [edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)]]
+    edge_faces_l = [[] for _ in range(len(edges))]
+    for f in range(len(faces)):
+        for e in face_edges[f]:
+            edge_faces_l[e].append(f)
+    edge_tets = [[] for _ in range(len(edges))]
+    for t in range(nt):
+        for e in tet_edges[t]:
+            edge_tets[e].append(t)
+
+    boundary_face = face_tets[:, 1] == msh.BOUNDARY
+    boundary_edge = np.zeros(len(edges), dtype=bool)
+    for f in np.nonzero(boundary_face)[0]:
+        boundary_edge[face_edges[f]] = True
+    boundary_vertex = np.zeros(n_vertices, dtype=bool)
+    boundary_vertex[faces[boundary_face].ravel()] = True
+    return dict(faces=faces, face_tets=face_tets, tet_faces=tet_faces,
+                edges=edges, tet_edges=tet_edges, face_edges=face_edges,
+                boundary_face=boundary_face, boundary_edge=boundary_edge,
+                boundary_vertex=boundary_vertex, edge_faces=edge_faces_l,
+                edge_tets=edge_tets)
+
+
+def walk_edge_link(topo, e):
+    """Walk the faces and tets around edge e of a ``loop_topology``.
+
+    Returns (tets_in_order, closed).  Raises NonConforming when the link is
+    not a single chain or cycle (non-manifold edge).
+    """
+    faces = list(topo["edge_faces"][e])
+    tets = list(topo["edge_tets"][e])
+    face_tets = topo["face_tets"]
+    face_set = set(faces)
+    tet_faces = {t: [f for f in topo["tet_faces"][t] if f in face_set]
+                 for t in tets}
+    bfaces = [f for f in faces if face_tets[f, 1] == msh.BOUNDARY]
+    closed = len(bfaces) == 0
+    if closed:
+        start_tet = tets[0]
+        start_face = tet_faces[start_tet][0]
+    else:
+        if len(bfaces) != 2:
+            raise NonConforming(f"edge {e}: {len(bfaces)} boundary faces on link")
+        start_face = bfaces[0]
+        start_tet = face_tets[start_face, 0]
+    order = [start_tet]
+    prev_face, cur = start_face, start_tet
+    for _ in range(len(tets)):
+        nxt_face = [f for f in tet_faces[cur] if f != prev_face]
+        if not nxt_face:
+            break
+        nxt_face = nxt_face[0]
+        a, b = face_tets[nxt_face]
+        nxt = b if a == cur else a
+        if nxt == msh.BOUNDARY:
+            break
+        if nxt in order:
+            if closed and nxt == start_tet and len(order) == len(tets):
+                return order, True
+            raise NonConforming(f"edge {e}: link revisits tet {nxt}")
+        order.append(nxt)
+        prev_face, cur = nxt_face, nxt
+    if len(order) != len(tets):
+        raise NonConforming(f"edge {e}: link does not cover all adjacent tets")
+    return order, closed
+
+
+def loop_box_kuhn(n, origin_num, tag_fn=None):
+    """Kuhn mesh of the box at integer origin origin_num / n, vertex by
+    vertex and cube by cube; returns (vertices, tets, tags)."""
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    verts = np.empty(((n + 1) ** 3, 3))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                verts[vid(i, j, k)] = ((origin_num[0] + i) / n,
+                                       (origin_num[1] + j) / n,
+                                       (origin_num[2] + k) / n)
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for perm in itertools.permutations((0, 1, 2)):
+                    p = [i, j, k]
+                    ids = [vid(*p)]
+                    for ax in perm:
+                        p[ax] += 1
+                        ids.append(vid(*p))
+                    tets.append(ids)
+    tets = np.asarray(tets, dtype=np.int64)
+    centroids = verts[tets].mean(axis=1)
+    tags = np.array([0 if tag_fn is None else tag_fn(c) for c in centroids],
+                    dtype=np.int64)
+    return verts, tets, tags
+
+
+def loop_glue(blocks):
+    """Union of (vertices, tets) blocks, vertices identified by their bytes
+    and numbered by first occurrence; returns (vertices, tets)."""
+    all_verts, all_tets, vid_of = [], [], {}
+    for verts, tets in blocks:
+        remap = np.empty(len(verts), dtype=np.int64)
+        for i, p in enumerate(verts):
+            g = vid_of.setdefault(p.tobytes(), len(all_verts))
+            if g == len(all_verts):
+                all_verts.append(p)
+            remap[i] = g
+        all_tets.append(remap[tets])
+    return np.array(all_verts), np.vstack(all_tets)
+
+
+def _loop_longest_edge(verts, tet):
+    best = None
+    for a, b in msh.LOCAL_EDGES:
+        va, vb = tet[a], tet[b]
+        key = (va, vb) if va < vb else (vb, va)
+        ln = float(np.linalg.norm(verts[key[0]] - verts[key[1]]))
+        if best is None or ln > best[0] or (ln == best[0] and key < best[1]):
+            best = (ln, key)
+    return best[1]
+
+
+def loop_refine(mesh, marked):
+    """Longest-edge bisection with a sequential closure, tet by tet; returns
+    (vertices, tets, tags, levels, parents) before the topology build."""
+    verts = [v for v in mesh.vertices]
+    tets = [tuple(int(x) for x in tet) for tet in mesh.tets]
+    tags = list(mesh.subdomain_tag)
+    levels = list(mesh.refinement_level)
+    parents = list(range(mesh.n_tets))
+    marked_edges = set(_loop_longest_edge(mesh.vertices, tets[t])
+                       for t in marked)
+    midpoint = {}
+    while marked_edges:
+        varray = np.asarray(verts)
+        changed = True
+        while changed:
+            changed = False
+            for tet in tets:
+                keys = [tuple(sorted((tet[a], tet[b])))
+                        for a, b in msh.LOCAL_EDGES]
+                if any(key in marked_edges for key in keys):
+                    le = _loop_longest_edge(varray, tet)
+                    if le not in marked_edges:
+                        marked_edges.add(le)
+                        changed = True
+        new_tets, new_tags, new_levels, new_parents = [], [], [], []
+        for tet, tag, lvl, par in zip(tets, tags, levels, parents):
+            le = _loop_longest_edge(varray, tet)
+            if le in marked_edges:
+                m = midpoint.get(le)
+                if m is None:
+                    m = len(verts)
+                    verts.append(0.5 * (varray[le[0]] + varray[le[1]]))
+                    midpoint[le] = m
+                ia, ib = tet.index(le[0]), tet.index(le[1])
+                child_a, child_b = list(tet), list(tet)
+                child_a[ib] = m
+                child_b[ia] = m
+                new_tets.extend([tuple(child_a), tuple(child_b)])
+                new_tags.extend([tag, tag])
+                new_levels.extend([lvl + 1, lvl + 1])
+                new_parents.extend([par, par])
+            else:
+                new_tets.append(tet)
+                new_tags.append(tag)
+                new_levels.append(lvl)
+                new_parents.append(par)
+        tets, tags, levels, parents = new_tets, new_tags, new_levels, new_parents
+        live = set()
+        for tet in tets:
+            for a, b in msh.LOCAL_EDGES:
+                key = tuple(sorted((tet[a], tet[b])))
+                if key in marked_edges:
+                    live.add(key)
+        marked_edges = live
+    return (np.asarray(verts), np.asarray(tets, dtype=np.int64),
+            np.asarray(tags), np.asarray(levels), np.asarray(parents))

@@ -11,7 +11,7 @@ from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from _helpers import (MU1, cube_H, cube_j, inspace_j, inspace_u,
+from _helpers import (MU1, cube_H, cube_j, edge_faces, inspace_j, inspace_u,
                       jittered_cube, loop_edge_sums, loop_face_multipliers,
                       loop_face_solve, loop_jump_norms, loop_step1, loop_step3,
                       solve_cube)
@@ -251,7 +251,7 @@ def test_edge_compat_perturbation_linearity():
     # pick an interior edge and one adjacent face; shift that multiplier by a
     # constant and check the signed response
     e = int(m.internal_edges()[0])
-    f = int(m.edge_faces[e][0])
+    f = int(edge_faces(m, e)[0])
     idx = fm.index_of[f]
     _, n_fe = msh.edge_face_normals(m, e, f)
     sign = float(np.dot(m.face_normal(f), n_fe))
@@ -262,7 +262,7 @@ def test_edge_compat_perturbation_linearity():
 
     def r_e(fmx):
         r = np.zeros(len(pts))
-        for ff in m.edge_faces[e]:
+        for ff in edge_faces(m, e):
             ii = fmx.index_of[ff]
             _, nfe = msh.edge_face_normals(m, e, ff)
             sg = float(np.dot(m.face_normal(ff), nfe))

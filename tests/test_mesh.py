@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from curlest import bench
 from curlest import mesh as msh
 from curlest.errors import DegenerateTet, NonConforming, NotAdjacent
-from _helpers import brute_force_faces, check_conforming, two_tet_mesh
+from _helpers import (brute_force_faces, check_conforming, edge_faces,
+                      jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
+                      loop_topology, two_tet_mesh, walk_edge_link)
 
 RNG = np.random.default_rng(7)
 
@@ -47,6 +52,20 @@ def test_nonconforming_rejected():
     # three tets sharing one face
     with pytest.raises(NonConforming):
         msh.build_mesh(verts, [[0, 1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 5]])
+
+
+def test_edge_shared_by_two_tets_only_rejected():
+    # the tets meet in edge 0 alone: its link is two separate chains
+    verts = np.vstack([REF_VERTS, [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]])
+    with pytest.raises(NonConforming, match="edge 0: 4 boundary faces on link"):
+        msh.build_mesh(verts, [[0, 1, 2, 3], [0, 1, 4, 5]])
+
+
+def test_kuhn_blocks_touching_along_an_edge_rejected():
+    verts, tets = loop_glue([loop_box_kuhn(1, origin)[:2]
+                             for origin in ((0, 0, 0), (1, 1, 0))])
+    with pytest.raises(NonConforming, match="edge 5: 4 boundary faces on link"):
+        msh.build_mesh(verts, tets)
 
 
 def test_dangling_vertex_rejected():
@@ -111,6 +130,87 @@ def test_l_brick_block_interfaces_conforming():
             assert not m.boundary_face[f]
         if np.abs(pts[:, 1]).max() < 1e-14 and pts[:, 0].max() < -1e-14:
             assert not m.boundary_face[f]
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_generators_match_loop_construction():
+    def tag(c):
+        return 1 if (c[1] < 0.5 and c[2] < 0.5) else 2
+
+    for n in (1, 2, 3, 4):
+        m = msh.unit_cube_mesh(n, tag_fn=tag)
+        ref = msh.build_mesh(*loop_box_kuhn(n, (0, 0, 0), tag))
+        for name in ("vertices", "tets", "subdomain_tag"):
+            assert bitwise_equal(getattr(m, name), getattr(ref, name)), name
+        brick = msh.l_brick_mesh(n)
+        ref = msh.build_mesh(*loop_glue(
+            [loop_box_kuhn(n, origin)[:2]
+             for origin in ((-n, -n, 0), (-n, 0, 0), (0, 0, 0))]))
+        assert bitwise_equal(brick.vertices, ref.vertices)
+        assert bitwise_equal(brick.tets, ref.tets)
+
+
+# ---------------------------------------------------------------------------
+# topology and refinement against the loop oracles
+# ---------------------------------------------------------------------------
+
+TOPOLOGY = ("faces", "face_tets", "tet_faces", "edges", "tet_edges",
+            "face_edges", "boundary_face", "boundary_edge", "boundary_vertex")
+
+
+def assert_topology_matches_loops(m):
+    """Integer-equal topology to the dict builder, and every edge's link
+    closed exactly when the edge is interior, by the walk around it."""
+    topo = loop_topology(m.tets, m.n_vertices)
+    for name in TOPOLOGY:
+        assert bitwise_equal(getattr(m, name), topo[name]), name
+    for e in range(m.n_edges):
+        _, closed = walk_edge_link(topo, e)
+        assert closed == (not m.boundary_edge[e])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: msh.unit_cube_mesh(1), lambda: msh.unit_cube_mesh(2),
+    lambda: msh.unit_cube_mesh(3), lambda: msh.unit_cube_mesh(4),
+    lambda: msh.l_brick_mesh(1), lambda: msh.l_brick_mesh(2),
+    lambda: jittered_cube(3)],
+    ids=["cube1", "cube2", "cube3", "cube4", "lbrick1", "lbrick2", "jittered3"])
+def test_topology_matches_loop_builder(make):
+    assert_topology_matches_loops(make())
+
+
+def octahedron_mesh():
+    """Eight corner tets around the origin; each has three longest edges of
+    equal length, so refining it exercises the tie-break of the longest
+    edge (Kuhn meshes and their bisections have no ties)."""
+    verts = np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+    return msh.build_mesh(verts, [
+        [0, 1 + 3 * sx, 2 + 3 * sy, 3 + 3 * sz]
+        for sx, sy, sz in itertools.product((0, 1), repeat=3)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: msh.unit_cube_mesh(1),
+    lambda: bench.builtin_problems()["cube_jump_mu_100"].initial_mesh(),
+    octahedron_mesh], ids=["cube", "cube_jump_mu_100", "octahedron"])
+def test_refinement_matches_loop_bisection(make):
+    m = make()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 3),
+                                replace=False).tolist())
+        r = msh.refine(m, marked)
+        verts, tets, tags, levels, parents = loop_refine(m, marked)
+        ref = msh.build_mesh(verts, tets, tags, refinement_levels=levels,
+                             parents=parents)
+        for name in ("vertices", "tets", "subdomain_tag", "refinement_level",
+                     "parent"):
+            assert bitwise_equal(getattr(r, name), getattr(ref, name)), name
+        assert_topology_matches_loops(r)
+        m = r
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +311,7 @@ def test_edge_face_normals_orthogonality():
     m = msh.unit_cube_mesh(1)
     for e in range(m.n_edges):
         t = m.edge_tangent(e)
-        for f in m.edge_faces[e]:
+        for f in edge_faces(m, e):
             n_ef, n_fe = msh.edge_face_normals(m, e, f)
             nf = m.face_normal(f)
             assert abs(np.dot(n_ef, t)) < 1e-12
@@ -226,16 +326,17 @@ def test_edge_face_normals_orthogonality():
 def test_edge_face_normals_not_adjacent():
     m = msh.unit_cube_mesh(1)
     e = 0
-    f = [f for f in range(m.n_faces) if f not in m.edge_faces[e]][0]
+    f = [f for f in range(m.n_faces) if f not in edge_faces(m, e)][0]
     with pytest.raises(NotAdjacent):
         msh.edge_face_normals(m, e, f)
 
 
 def test_edge_links_closed_and_open():
-    m = msh.unit_cube_mesh(1)
+    m = msh.unit_cube_mesh(2)
+    topo = loop_topology(m.tets, m.n_vertices)
     for e in range(m.n_edges):
-        order, closed = msh.edge_link(m, e)
-        assert sorted(order) == sorted(m.edge_tets[e].tolist())
+        order, closed = walk_edge_link(topo, e)
+        assert sorted(order) == np.nonzero((m.tet_edges == e).any(axis=1))[0].tolist()
         assert closed == (not m.boundary_edge[e])
 
 
@@ -246,7 +347,7 @@ def test_single_valued_differences_telescope():
     psi = rng.standard_normal(m.n_tets)
     for e in m.internal_edges():
         total = 0.0
-        for f in m.edge_faces[e]:
+        for f in edge_faces(m, e):
             tp, tm = m.face_tets[f]
             _, n_fe = msh.edge_face_normals(m, e, f)
             sign = float(np.dot(m.face_normal(f), n_fe))
@@ -277,6 +378,23 @@ def test_text_roundtrip(tmp_path):
     assert m2.n_tets == m.n_tets and m2.n_vertices == m.n_vertices
     assert (m2.subdomain_tag == m.subdomain_tag).all()
     assert np.abs(m2.vertices - m.vertices).max() == 0.0
+
+
+def test_text_reader_rejects_truncated_file(tmp_path):
+    m = msh.unit_cube_mesh(1)
+    path = tmp_path / "mesh.txt"
+    msh.write_mesh_text(m, path)
+    path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+    with pytest.raises(NonConforming, match="header announces 8 vertices and "
+                       "6 tets, 54 numbers; found 49"):
+        msh.read_mesh_text(path)
+
+
+def test_text_reader_rejects_extra_tet_rows(tmp_path):
+    path = tmp_path / "extra.txt"
+    path.write_text("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 0\n0 1 3 2 0\n")
+    with pytest.raises(NonConforming, match="1 tets, 17 numbers; found 22"):
+        msh.read_mesh_text(path)
 
 
 def test_text_reader_validates(tmp_path):
