@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--reference-errors", action="store_true", default=None)
     runp.add_argument("--verify", action="store_true", default=None,
                       help="run the equilibrium checks on every level")
-    runp.add_argument("-v", "--verbose", action="store_true")
+    runp.add_argument("-v", "--verbose", action="count", default=0,
+                      help="-v logs each level, -v -v adds solver details")
 
     sub.add_parser("list", help="list built-in problems")
     return p
@@ -94,8 +95,8 @@ def main(argv=None) -> int:
             print(f"{name:18s} {spec.notes}{grade}")
         return 0
 
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(message)s")
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
+    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
     problems = bench.builtin_problems()
     if args.problem not in problems:
         print(f"unknown problem {args.problem!r}; try 'curlest list'",

@@ -169,7 +169,6 @@ class CurrentDensity:
     """Divergence-free current data: analytic callback or broken polynomial."""
     func: object = None
     field: BrokenPolyField | None = None
-    divergence_free: bool = True
     label: str = ""
 
     @property
@@ -542,6 +541,16 @@ def discrete_gradient(mesh: Mesh, dm_ned: DofMap, dm_lag: DofMap) -> sp.csr_matr
     return G
 
 
+def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a symmetric positive definite matrix in SuperLU's
+    symmetric mode: minimum-degree ordering of the structure of K + K^T and
+    diagonal pivots, so the fill follows the symmetric graph.  Without
+    pivoting, a near-singular pivot shows up as a non-finite solve rather
+    than as an exception."""
+    return spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray) -> np.ndarray:
     """Project the load vector onto the complement of the discrete gradients.
 
@@ -556,10 +565,8 @@ def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray) -> np.ndarr
     if Gf.shape[1] == 0:
         return rhs.copy()
     r = rhs[dofmap.free]
-    K = (Gf.T @ Gf).tocsc()
     try:
-        solve = spla.factorized(K)
-        q = solve(Gf.T @ r)
+        q = _factor_spd(Gf.T @ Gf).solve(Gf.T @ r)
     except RuntimeError as exc:
         raise ProjectionSolveFailure(str(exc))
     if not np.all(np.isfinite(q)):
@@ -586,9 +593,11 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
     """Solve the (singular, consistent) reduced system and scatter to full dofs.
 
     The returned coefficients are one gauge representative; only the curl is
-    used downstream.  Direct backend: shifted factorization plus iterative
-    refinement measured against the unshifted matrix.  CG backend:
-    Jacobi-preconditioned conjugate gradients on the singular system.
+    used downstream.  Direct backend: symmetric-mode factorization of
+    A + eps * mass plus iterative refinement measured against the unshifted
+    matrix; a singular shifted system raises NoConvergence.  CG backend:
+    Jacobi-preconditioned conjugate gradients on the singular system, kept
+    as the test oracle of the direct path.
     """
     cfg = cfg or SolverConfig()
     b = rhs[dofmap.free]
@@ -601,17 +610,26 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
     if cfg.backend == "direct":
         eps = 1e-10 * (A.diagonal().sum() / n)
         reg = mass if mass is not None else sp.identity(n, format="csr")
-        K = (A + eps * reg).tocsc()
-        solve = spla.factorized(K)
+        try:
+            lu = _factor_spd(A + eps * reg)
+        except RuntimeError as exc:
+            raise NoConvergence(f"shifted system: {exc}") from exc
         u = np.zeros(n)
-        for _ in range(50):
+        for step in range(50):
             r = b - A @ u
-            if np.linalg.norm(r) <= cfg.tol * bnorm:
+            rnorm = np.linalg.norm(r)
+            if rnorm <= cfg.tol * bnorm:
                 break
-            u = u + solve(r)
+            du = lu.solve(r)
+            if not np.all(np.isfinite(du)):
+                raise NoConvergence(f"refinement step {step + 1} gave a non-finite "
+                                    "correction; is the shifted system singular?")
+            u = u + du
         else:
             raise NoConvergence("iterative refinement stalled; "
                                 "was the right-hand side gradient-corrected?")
+        log.debug("direct solve of %d dofs: %d refinement steps, relative "
+                  "residual %.2e, factor nnz %d", n, step, rnorm / bnorm, lu.nnz)
     elif cfg.backend == "cg":
         dinv = 1.0 / A.diagonal()
         u = np.zeros(n)
@@ -659,8 +677,7 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     c = np.linalg.solve(V, b)[:, :, 0]
     cref = np.einsum("ti,icm->tcm", c, space.coeffs)
     field = BrokenPolyField(mesh, degree, (geom.J @ cref) / geom.detJ[:, None, None])
-    return CurrentDensity(func=j_func, field=field, divergence_free=True,
-                          label="projected")
+    return CurrentDensity(func=j_func, field=field, label="projected")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ one-call solvers, and small independent oracles."""
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from curlest import _poly
 from curlest import adapt as adm
@@ -90,6 +92,18 @@ def check_conforming(mesh):
         assert stored[key] == c
     assert (mesh.tet_volumes() > 0).all()
     return True
+
+
+def relabelled_cube(n, seed=1):
+    """unit_cube_mesh(n) with vertex ids and tet order shuffled, as the
+    benchmark seeds its meshes."""
+    rng = np.random.default_rng(seed)
+    m = msh.unit_cube_mesh(n)
+    vperm = rng.permutation(m.n_vertices)
+    tperm = rng.permutation(m.n_tets)
+    verts = np.empty_like(m.vertices)
+    verts[vperm] = m.vertices
+    return msh.build_mesh(verts, vperm[m.tets][tperm], m.subdomain_tag[tperm])
 
 
 def jittered_cube(n, seed=5, tag_fn=None):
@@ -212,6 +226,26 @@ def loop_gradient(mesh, dm_ned, dm_lag):
         G[idx] += locG
         cnt[idx] += 1.0
     return np.divide(G, cnt, out=np.zeros_like(G), where=cnt > 0)
+
+
+def colamd_factor(K):
+    """Plain SuperLU with COLAMD column ordering and partial pivoting."""
+    return spla.splu(sp.csc_matrix(K))
+
+
+def colamd_solve(A, b, mass):
+    """Free-dof solution of the singular system A u = b by the library's
+    shift and refinement (factor A + eps * mass, refine against A), on a
+    COLAMD factor in place of the symmetric-mode one."""
+    n = A.shape[0]
+    lu = colamd_factor(A + 1e-10 * (A.diagonal().sum() / n) * mass)
+    u = np.zeros(n)
+    for _ in range(50):
+        r = b - A @ u
+        if np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b):
+            return u
+        u = u + lu.solve(r)
+    raise AssertionError("oracle refinement stalled")
 
 
 def loop_Hh(mesh, dm, u, mu_t):

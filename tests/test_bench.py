@@ -414,12 +414,28 @@ def test_cli_dump_matrix(tmp_path):
     assert (tmp_path / "system.mtx").exists()
 
 
-def test_cli_entrypoint_subprocess():
+def _cli_env():
     # the child imports the package under test, however this process found it
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_cli_double_verbose_logs_the_solve(tmp_path):
+    args = [sys.executable, "-m", "curlest.cli", "run", "cube_poly", "--levels",
+            "1", "--estimator", "eq", "--out", str(tmp_path)]
+    quiet = subprocess.run(args + ["-v"], capture_output=True, text=True,
+                           env=_cli_env())
+    loud = subprocess.run(args + ["-v", "-v"], capture_output=True, text=True,
+                          env=_cli_env())
+    assert quiet.returncode == loud.returncode == 0
+    assert "refinement steps" not in quiet.stderr
+    line = next(s for s in loud.stderr.splitlines() if "refinement steps" in s)
+    assert line.startswith("DEBUG direct solve of ") and "factor nnz" in line
+
+
+def test_cli_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "curlest.cli", "list"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_cli_env())
     assert proc.returncode == 0
     assert "cube_poly" in proc.stdout

@@ -3,17 +3,19 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from curlest import _poly
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree
-from _helpers import (MU1, covariant_basis, cube_H, cube_j, element_dof_matrix,
-                      hash_node_registry, inspace_H, inspace_u, jittered_cube,
-                      loop_curlcurl_mass, loop_gradient, loop_Hh,
-                      loop_interpolate_nedelec, loop_nedelec_dofs,
-                      loop_project_current, solve_cube, two_tet_mesh)
+from _helpers import (MU1, colamd_factor, colamd_solve, covariant_basis, cube_H,
+                      cube_j, element_dof_matrix, hash_node_registry, inspace_H,
+                      inspace_u, jittered_cube, loop_curlcurl_mass, loop_gradient,
+                      loop_Hh, loop_interpolate_nedelec, loop_nedelec_dofs,
+                      loop_project_current, relabelled_cube, solve_cube,
+                      two_tet_mesh)
 
 RNG = np.random.default_rng(17)
 
@@ -299,9 +301,71 @@ def test_inconsistent_rhs_raises_no_convergence():
         fem.solve_magnetostatic(A, b, dm, fem.SolverConfig("cg", max_iter=500))
 
 
-def test_backends_agree_on_field():
-    _, _, _, H1, _ = solve_cube(2, 1, backend="direct")
-    _, _, _, H2, _ = solve_cube(2, 1, backend="cg")
+def test_singular_shifted_system_raises_no_convergence():
+    # with a zero mass the shift vanishes and the curl-curl kernel leaves the
+    # factorisation an exactly zero pivot column on this mesh
+    m = msh.unit_cube_mesh(3)
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 1, homogeneous_boundary=True)
+    A = fem.assemble_curlcurl(m, dm, MU1)
+    b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
+    b = fem.gradient_correction(m, dm, b)
+    with pytest.raises(fem.NoConvergence, match="exactly singular"):
+        fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
+
+
+def test_non_finite_correction_stops_refinement_at_once():
+    # a tiny diagonal pivot that partial pivoting would step over: the
+    # symmetric-mode factor divides by it and the first correction overflows
+    m = msh.unit_cube_mesh(1)
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2, homogeneous_boundary=True)
+    n = dm.n_free
+    tiny = np.array([[1e-310, 1.0], [1.0, 1e-310]])
+    A = sp.block_diag([tiny, sp.identity(n - 2)], format="csr")
+    b = np.zeros(dm.n_dofs)
+    b[dm.free] = 1.0
+    with pytest.raises(fem.NoConvergence, match="refinement step 1 gave a non-finite"):
+        fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
+    u = colamd_solve(A, b[dm.free], sp.csr_matrix(A.shape))
+    assert np.abs(A @ u - b[dm.free]).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (3, 2)])
+def test_symmetric_factor_matches_colamd_oracle(k, n):
+    m = relabelled_cube(n, seed=k)
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, k, homogeneous_boundary=True)
+    dml = fem.build_dofmap(m, fem.KIND_LAGRANGE, k, homogeneous_boundary=True)
+    A = fem.assemble_curlcurl(m, dm, MU1)
+    M = fem.assemble_mass(m, dm)
+    G = fem.discrete_gradient(m, dm, dml)
+    q = np.zeros(dml.n_dofs)
+    q[dml.free] = np.random.default_rng(k).standard_normal(dml.n_free)
+    raw = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)) + G @ q
+    raw[dm.boundary_mask] = 0.0
+    b = fem.gradient_correction(m, dm, raw)
+    scale = abs(G).sum(axis=0).max() * np.abs(raw).max()
+    assert np.abs((G.T @ b)[dml.free]).max() <= 1e-13 * scale
+    H = fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm, mass=M), MU1)
+    ref = np.zeros(dm.n_dofs)
+    ref[dm.free] = colamd_solve(A, b[dm.free], M)
+    Href = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, ref), MU1)
+    assert H.plus(Href.scale(-1.0)).norm() <= 1e-11 * Href.norm()
+
+
+def test_symmetric_factor_halves_colamd_fill():
+    # nnz(L) + nnz(U) repeats exactly on a fixed mesh (symmetric mode
+    # 482,868, COLAMD 1,485,288); a dense factor coming back fails here
+    m = relabelled_cube(3)
+    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 3, homogeneous_boundary=True)
+    A = fem.assemble_curlcurl(m, dm, MU1)
+    K = A + 1e-10 * (A.diagonal().sum() / A.shape[0]) * fem.assemble_mass(m, dm)
+    sym, ref = fem._factor_spd(K), colamd_factor(K)
+    assert 2 * (sym.L.nnz + sym.U.nnz) <= ref.L.nnz + ref.U.nnz
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_backends_agree_on_field(k):
+    _, _, _, H1, _ = solve_cube(2, k, backend="direct")
+    _, _, _, H2, _ = solve_cube(2, k, backend="cg")
     assert H1.plus(H2.scale(-1.0)).norm() < 1e-8 * H1.norm()
 
 
