@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,25 +16,49 @@ from .mesh import Mesh, refine
 log = logging.getLogger("curlest")
 
 ETA_SUM_TOL = 1e-12   # relative gap allowed between sum eta_T^2 and eta_h^2
+MODES = ("uniform", "adaptive")
+ESTIMATORS = ("eq", "both")    # both adds the residual estimator mu_h
 
 
 @dataclass
-class AdaptiveConfig:
-    theta: float = 0.5
-    max_levels: int = 8
-    max_dofs: int = 200_000
-    estimator: str = "eq"          # which estimators to report: eq | res | both
+class RunConfig:
+    """Everything a run reads; the one place for its defaults and checks.
+
+    ``levels`` caps a uniform run at its first resolutions (all when None)
+    and an adaptive run at that many levels (8 when None).
+    """
     degree: int = 1
-    aux_degree: int | None = None  # defaults to degree
+    aux_degree: int | None = None  # estimator degree; defaults to degree
+    mode: str = "uniform"
+    levels: int | None = None
+    theta: float = 0.5
+    estimator: str = "both"
     strict_a2: bool = False
-    solver: fem.SolverConfig = field(default_factory=fem.SolverConfig)
+    max_dofs: int = 200_000
+    out_dir: str | None = None
+    vtk: bool = False
+    dump_matrix: bool = False
+    analysis_grade: bool = False
+    reference_errors: bool = False
     verify: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("bulk parameter must be in (0, 1]")
         if self.aux_degree is None:
             self.aux_degree = self.degree
+        if self.aux_degree < self.degree:
+            raise ValueError("auxiliary degree must be >= degree")
+        if not 0.0 < self.theta <= 1.0:
+            raise ValueError("bulk parameter theta must be in (0, 1]")
+        if self.levels is not None and self.levels < 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; "
+                             f"expected one of {ESTIMATORS}")
+        writes = [f for f in ("vtk", "dump_matrix") if getattr(self, f)]
+        if writes and not self.out_dir:
+            raise ValueError(f"{' and '.join(writes)} write files: set out_dir")
 
 
 @dataclass
@@ -71,7 +95,7 @@ def dorfler_mark(etas: np.ndarray, theta: float) -> set:
 
 
 def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
-                cfg: AdaptiveConfig):
+                cfg: RunConfig):
     """Assemble, correct, and solve one mesh level.
 
     Returns (dofmap, u, Hh, data); ``data`` is the current the solve used
@@ -86,12 +110,12 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
         data = fem.project_current(mesh, j.func, cfg.aux_degree)
     b = fem.assemble_rhs(mesh, dm, data)
     b = fem.gradient_correction(mesh, dm, b)
-    u = fem.solve_magnetostatic(A, b, dm, cfg.solver, mass=M)
+    u = fem.solve_magnetostatic(A, b, dm, M)
     Hh = fem.compute_Hh(mesh, dm, u, mu)
     return dm, u, Hh, data
 
 
-def run_level(problem, mesh: Mesh, cfg: AdaptiveConfig, **labels) -> Level:
+def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     """Solve and estimate one mesh level and build its report row.
 
     ``problem`` provides mu, current() and optionally exact_H; ``labels``
@@ -119,7 +143,7 @@ def run_level(problem, mesh: Mesh, cfg: AdaptiveConfig, **labels) -> Level:
         rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
         row["eq_elem_rel"] = rep["elem_resid_rel"]
         row["eq_face_rel"] = rep["face_resid_rel"]
-    if cfg.estimator in ("res", "both"):
+    if cfg.estimator == "both":
         row["mu_h"] = resm.compute_residual_estimator(mesh, mu, j, Hh,
                                                       cfg.degree).mu_h
     exact_H = getattr(problem, "exact_H", None)
@@ -141,7 +165,7 @@ def set_error(row: dict, err: float) -> None:
         row["eff_res"] = row["mu_h"] / err if err > 0 else np.inf
 
 
-def adaptive_loop(problem, cfg: AdaptiveConfig) -> list[Level]:
+def adaptive_loop(problem, cfg: RunConfig) -> list[Level]:
     """Run the adaptive cycle on a problem description.
 
     ``problem`` provides initial_mesh(), mu, current(), and optionally
@@ -150,12 +174,13 @@ def adaptive_loop(problem, cfg: AdaptiveConfig) -> list[Level]:
     """
     mesh = problem.initial_mesh()
     levels = []
-    for level in range(cfg.max_levels):
+    n_levels = cfg.levels or 8
+    for level in range(n_levels):
         lv = run_level(problem, mesh, cfg, level=level)
         lv.marked = dorfler_mark(lv.eta_T, cfg.theta)
         lv.row["marked"] = len(lv.marked)
         levels.append(lv)
-        if level == cfg.max_levels - 1 or lv.row["n_dofs"] >= cfg.max_dofs:
+        if level == n_levels - 1 or lv.row["n_dofs"] >= cfg.max_dofs:
             break
         t0 = time.perf_counter()
         mesh = refine(mesh, lv.marked)

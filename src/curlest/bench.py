@@ -12,6 +12,7 @@ import numpy as np
 from . import adapt as adaptm
 from . import equilibrate as eqm
 from . import femsys as fem
+from .adapt import RunConfig
 from .mesh import Mesh, l_brick_mesh, unit_cube_mesh, write_vtk
 
 CSV_SCHEMA = "v1"
@@ -235,37 +236,6 @@ def consistency_check(spec: ProblemSpec, n: int = 100, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RunConfig:
-    degree: int = 1
-    aux_degree: int | None = None
-    mode: str = "uniform"          # uniform | adaptive
-    levels: int | None = None
-    theta: float = 0.5
-    estimator: str = "both"        # eq | res | both
-    strict_a2: bool = False
-    max_dofs: int = 200_000
-    solver_backend: str = "direct"
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 50000
-    out_dir: str | None = None
-    vtk: bool = False
-    dump_matrix: bool = False
-    analysis_grade: bool = False
-    reference_errors: bool = False
-    verify: bool = False
-
-    def __post_init__(self):
-        if self.aux_degree is None:
-            self.aux_degree = self.degree
-        if self.aux_degree < self.degree:
-            raise ValueError("auxiliary degree must be >= degree")
-
-    def solver(self) -> fem.SolverConfig:
-        return fem.SolverConfig(self.solver_backend, self.solver_tol,
-                                self.solver_max_iter)
-
-
-@dataclass
 class ExperimentReport:
     problem: str
     rows: list
@@ -320,27 +290,19 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
             f"{spec.name} is analysis grade (numerically differentiated data); "
             "pass analysis_grade=True / --analysis-grade to run it")
     t_start = time.perf_counter()
-    acfg = adaptm.AdaptiveConfig(
-        theta=cfg.theta, max_levels=cfg.levels or 8, max_dofs=cfg.max_dofs,
-        estimator=cfg.estimator, degree=cfg.degree, aux_degree=cfg.aux_degree,
-        strict_a2=cfg.strict_a2, solver=cfg.solver(), verify=cfg.verify)
     if cfg.mode == "uniform":
         res_list = spec.uniform_res.get(cfg.degree, [spec.base_res])
-        if cfg.levels is not None:
-            res_list = res_list[: cfg.levels]
-        levels = [adaptm.run_level(spec, spec.make_mesh(res), acfg,
+        levels = [adaptm.run_level(spec, spec.make_mesh(res), cfg,
                                    level=level, resolution=res)
-                  for level, res in enumerate(res_list)]
-    elif cfg.mode == "adaptive":
-        levels = adaptm.adaptive_loop(spec, acfg)
-        if cfg.reference_errors and spec.exact_H is None:
-            _attach_reference_errors(spec, acfg, levels)
+                  for level, res in enumerate(res_list[: cfg.levels])]
     else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
+        levels = adaptm.adaptive_loop(spec, cfg)
+        if cfg.reference_errors and spec.exact_H is None:
+            _attach_reference_errors(spec, cfg, levels)
 
     metadata = {
         "problem": spec.name,
-        "config": {k: v for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "schema": CSV_SCHEMA,
         "wall_time": time.perf_counter() - t_start,
         "hard_invariants_ok": all(lv.ok for lv in levels),
@@ -361,7 +323,7 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     return report
 
 
-def _attach_reference_errors(spec: ProblemSpec, cfg: adaptm.AdaptiveConfig,
+def _attach_reference_errors(spec: ProblemSpec, cfg: RunConfig,
                              levels: list) -> None:
     """Error columns against a reference from two further adaptive levels.
 

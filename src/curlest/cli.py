@@ -5,15 +5,24 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench
+from .adapt import ESTIMATORS, MODES, RunConfig
 from .errors import CurlestError
 
+_FIELDS = {f.name for f in fields(RunConfig)}
+_FLAGS = {f.name for f in fields(RunConfig) if isinstance(f.default, bool)}
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False,
+             "1": True, "0": False}
 
-def _read_config(path: str) -> dict:
-    """key=value lines; '#' starts a comment."""
-    out = {}
+
+def _config_argv(path: str) -> list[str]:
+    """A key=value config file as option tokens, so that the run parser
+    types and checks its values as it does flags.  '#' starts a comment; a
+    flag takes true/false, yes/no or 1/0."""
+    argv = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -21,34 +30,43 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = value
-    return out
+        key = key.replace("-", "_")
+        option = "--" + key.replace("_", "-")
+        if key not in _FLAGS:
+            argv.append(f"{option}={value}")
+        elif value.lower() not in _BOOLEANS:
+            raise ValueError(f"config key {key!r} takes "
+                             f"{'/'.join(_BOOLEANS)}, not {value!r}")
+        elif _BOOLEANS[value.lower()]:
+            argv.append(option)
+    return argv
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="curlest",
                                 description="magnetostatic benchmark runner")
     sub = p.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run a built-in problem")
+    # options left unset are None, so RunConfig's defaults apply
+    runp = sub.add_parser("run", help="run a built-in problem",
+                          allow_abbrev=allow_abbrev)
     runp.add_argument("problem")
     runp.add_argument("--config", help="key=value config file; flags override")
-    runp.add_argument("--degree", type=int, default=None)
-    runp.add_argument("--aux-degree", type=int, default=None,
+    runp.add_argument("--degree", type=int)
+    runp.add_argument("--aux-degree", type=int,
                       help="estimator degree (defaults to --degree)")
-    runp.add_argument("--mode", choices=("uniform", "adaptive"), default=None)
-    runp.add_argument("--levels", type=int, default=None)
-    runp.add_argument("--theta", type=float, default=None)
-    runp.add_argument("--estimator", choices=("eq", "res", "both"), default=None)
+    runp.add_argument("--mode", choices=MODES)
+    runp.add_argument("--levels", type=int)
+    runp.add_argument("--theta", type=float)
+    runp.add_argument("--estimator", choices=ESTIMATORS)
     runp.add_argument("--strict-a2", action="store_true", default=None)
-    runp.add_argument("--max-dofs", type=int, default=None)
-    runp.add_argument("--out", default=None)
-    runp.add_argument("--solver", choices=("direct", "cg"), default=None)
-    runp.add_argument("--tol", type=float, default=None)
-    runp.add_argument("--max-iter", type=int, default=None)
-    runp.add_argument("--vtk", action="store_true", default=None)
+    runp.add_argument("--max-dofs", type=int)
+    runp.add_argument("--out", dest="out_dir", metavar="DIR")
+    runp.add_argument("--vtk", action="store_true", default=None,
+                      help="write each level's mesh and eta_T (needs --out)")
     runp.add_argument("--dump-matrix", action="store_true", default=None,
-                      help="export the reduced system in matrix-market form")
+                      help="export the reduced system in matrix-market form "
+                           "(needs --out)")
     runp.add_argument("--analysis-grade", action="store_true", default=None)
     runp.add_argument("--reference-errors", action="store_true", default=None)
     runp.add_argument("--verify", action="store_true", default=None,
@@ -60,31 +78,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_TYPES = {
-    "degree": int, "aux_degree": int, "levels": int, "max_dofs": int,
-    "max_iter": int, "theta": float, "tol": float,
-    "mode": str, "estimator": str, "solver": str, "out": str,
-    "strict_a2": lambda s: s.lower() in ("1", "true", "yes"),
-    "vtk": lambda s: s.lower() in ("1", "true", "yes"),
-    "dump_matrix": lambda s: s.lower() in ("1", "true", "yes"),
-    "analysis_grade": lambda s: s.lower() in ("1", "true", "yes"),
-    "reference_errors": lambda s: s.lower() in ("1", "true", "yes"),
-    "verify": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def _merge_options(args) -> dict:
-    opts = {}
+def _run_options(args) -> dict:
+    """The RunConfig fields set on the command line, over those set in the
+    config file, whose keys must be spelt out in full."""
+    spaces = [args]
     if args.config:
-        for key, value in _read_config(args.config).items():
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
-            opts[key] = _CONFIG_TYPES[key](value)
-    for key in _CONFIG_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    return opts
+        spaces.insert(0, _build_parser(allow_abbrev=False).parse_args(
+            ["run", args.problem, *_config_argv(args.config)]))
+    return {k: v for ns in spaces for k, v in vars(ns).items()
+            if k in _FIELDS and v is not None}
 
 
 def main(argv=None) -> int:
@@ -103,29 +105,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     spec = problems[args.problem]
-    opts = _merge_options(args)
-
-    cfg = bench.RunConfig(
-        degree=opts.get("degree", 1),
-        aux_degree=opts.get("aux_degree"),
-        mode=opts.get("mode", "uniform"),
-        levels=opts.get("levels"),
-        theta=opts.get("theta", 0.5),
-        estimator=opts.get("estimator", "both"),
-        strict_a2=opts.get("strict_a2", False),
-        max_dofs=opts.get("max_dofs", 200_000),
-        solver_backend=opts.get("solver", "direct"),
-        solver_tol=opts.get("tol", 1e-10),
-        solver_max_iter=opts.get("max_iter", 50000),
-        out_dir=opts.get("out"),
-        vtk=opts.get("vtk", False),
-        dump_matrix=opts.get("dump_matrix", False),
-        analysis_grade=opts.get("analysis_grade", False),
-        reference_errors=opts.get("reference_errors", False),
-        verify=opts.get("verify", False),
-    )
     try:
-        if cfg.dump_matrix and cfg.out_dir:
+        cfg = RunConfig(**_run_options(args))
+        if cfg.dump_matrix:
             _dump_matrix(spec, cfg)
         report = bench.run_experiment(spec, cfg)
     except (CurlestError, ValueError) as exc:

@@ -41,7 +41,8 @@ class ProjectionSolveFailure(CurlestError):
 
 
 class NoConvergence(CurlestError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
+    """The global solve failed: a singular shifted system, or iterative
+    refinement that does not reach its tolerance."""
 
 
 # equilibration

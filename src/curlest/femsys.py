@@ -580,80 +580,45 @@ def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray) -> np.ndarr
 # solving
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolverConfig:
-    backend: str = "direct"
-    tol: float = 1e-10
-    max_iter: int = 50000
+REFINE_TOL = 1e-10   # relative residual against A that refinement reaches
 
 
 def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
-                        cfg: SolverConfig | None = None,
-                        mass: sp.csr_matrix | None = None) -> FieldCoefficients:
+                        mass: sp.csr_matrix) -> FieldCoefficients:
     """Solve the (singular, consistent) reduced system and scatter to full dofs.
 
     The returned coefficients are one gauge representative; only the curl is
-    used downstream.  Direct backend: symmetric-mode factorization of
-    A + eps * mass plus iterative refinement measured against the unshifted
-    matrix; a singular shifted system raises NoConvergence.  CG backend:
-    Jacobi-preconditioned conjugate gradients on the singular system, kept
-    as the test oracle of the direct path.
+    used downstream.  Symmetric-mode factorization of A + eps * mass plus
+    iterative refinement measured against the unshifted matrix; a singular
+    shifted system raises NoConvergence.
     """
-    cfg = cfg or SolverConfig()
     b = rhs[dofmap.free]
     n = A.shape[0]
     full = np.zeros(dofmap.n_dofs)
     if n == 0 or np.linalg.norm(b) == 0.0:
         return FieldCoefficients(dofmap, full)
     bnorm = np.linalg.norm(b)
-
-    if cfg.backend == "direct":
-        eps = 1e-10 * (A.diagonal().sum() / n)
-        reg = mass if mass is not None else sp.identity(n, format="csr")
-        try:
-            lu = _factor_spd(A + eps * reg)
-        except RuntimeError as exc:
-            raise NoConvergence(f"shifted system: {exc}") from exc
-        u = np.zeros(n)
-        for step in range(50):
-            r = b - A @ u
-            rnorm = np.linalg.norm(r)
-            if rnorm <= cfg.tol * bnorm:
-                break
-            du = lu.solve(r)
-            if not np.all(np.isfinite(du)):
-                raise NoConvergence(f"refinement step {step + 1} gave a non-finite "
-                                    "correction; is the shifted system singular?")
-            u = u + du
-        else:
-            raise NoConvergence("iterative refinement stalled; "
-                                "was the right-hand side gradient-corrected?")
-        log.debug("direct solve of %d dofs: %d refinement steps, relative "
-                  "residual %.2e, factor nnz %d", n, step, rnorm / bnorm, lu.nnz)
-    elif cfg.backend == "cg":
-        dinv = 1.0 / A.diagonal()
-        u = np.zeros(n)
-        r = b.copy()
-        z = dinv * r
-        p = z.copy()
-        rz = float(r @ z)
-        for it in range(cfg.max_iter):
-            if np.linalg.norm(r) <= cfg.tol * bnorm:
-                break
-            Ap = A @ p
-            alpha = rz / float(p @ Ap)
-            u += alpha * p
-            r -= alpha * Ap
-            z = dinv * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        else:
-            raise NoConvergence(f"CG did not reach tol in {cfg.max_iter} iterations")
-        log.debug("cg converged in %d iterations", it)
+    eps = 1e-10 * (A.diagonal().sum() / n)
+    try:
+        lu = _factor_spd(A + eps * mass)
+    except RuntimeError as exc:
+        raise NoConvergence(f"shifted system: {exc}") from exc
+    u = np.zeros(n)
+    for step in range(50):
+        r = b - A @ u
+        rnorm = np.linalg.norm(r)
+        if rnorm <= REFINE_TOL * bnorm:
+            break
+        du = lu.solve(r)
+        if not np.all(np.isfinite(du)):
+            raise NoConvergence(f"refinement step {step + 1} gave a non-finite "
+                                "correction; is the shifted system singular?")
+        u = u + du
     else:
-        raise ValueError(f"unknown solver backend {cfg.backend!r}")
-
+        raise NoConvergence("iterative refinement stalled; "
+                            "was the right-hand side gradient-corrected?")
+    log.debug("direct solve of %d dofs: %d refinement steps, relative "
+              "residual %.2e, factor nnz %d", n, step, rnorm / bnorm, lu.nnz)
     full[dofmap.free] = u
     return FieldCoefficients(dofmap, full)
 

@@ -37,11 +37,10 @@ def cube_j(p):
 MU1 = fem.MaterialField(1.0)
 
 
-def solve_cube(n, k, strict_a2=False, aux=None, backend="direct"):
+def solve_cube(n, k, strict_a2=False, aux=None):
     """Solve the manufactured cube problem; returns (mesh, dofmap, u, Hh, data)."""
     mesh = msh.unit_cube_mesh(n)
-    cfg = adm.AdaptiveConfig(degree=k, aux_degree=aux or k, strict_a2=strict_a2,
-                             solver=fem.SolverConfig(backend=backend))
+    cfg = adm.RunConfig(degree=k, aux_degree=aux or k, strict_a2=strict_a2)
     j = fem.CurrentDensity(func=cube_j)
     dm, u, Hh, data = adm.solve_level(mesh, MU1, j, cfg)
     return mesh, dm, u, Hh, data
@@ -246,6 +245,29 @@ def colamd_solve(A, b, mass):
             return u
         u = u + lu.solve(r)
     raise AssertionError("oracle refinement stalled")
+
+
+def cg_solve(A, b, tol=1e-10, max_iter=50000):
+    """Free-dof solution of the singular, consistent system A u = b by
+    Jacobi-preconditioned conjugate gradients, to a relative residual tol."""
+    dinv = 1.0 / A.diagonal()
+    u = np.zeros(A.shape[0])
+    r = b.copy()
+    z = dinv * r
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(max_iter):
+        if np.linalg.norm(r) <= tol * np.linalg.norm(b):
+            return u
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        u += alpha * p
+        r -= alpha * Ap
+        z = dinv * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError(f"oracle CG did not reach tol in {max_iter} iterations")
 
 
 def loop_Hh(mesh, dm, u, mu_t):

@@ -25,7 +25,7 @@ def _report(name, ok, detail):
 
 def _run_uniform(n, k, kp=None, strict=False):
     mesh = msh.unit_cube_mesh(n)
-    cfg = adm.AdaptiveConfig(degree=k, aux_degree=kp or k, strict_a2=strict)
+    cfg = adm.RunConfig(degree=k, aux_degree=kp or k, strict_a2=strict)
     j = fem.CurrentDensity(func=cube_j)
     dm, u, Hh, data = adm.solve_level(mesh, MU1, j, cfg)
     out = eqm.estimate(mesh, MU1, data, Hh, kp or k, strict_a2=strict)
@@ -127,7 +127,7 @@ def test_criterion_04_edge_compatibility(cube_runs_kp3):
         ok &= rep.worst_abs <= 1e-9 * scale
         ok &= rep.worst_variation <= 1e-9 * scale
     jump = bench.builtin_problems()["cube_jump_mu_100"]
-    cfg = adm.AdaptiveConfig(degree=2, max_levels=2, max_dofs=3000)
+    cfg = adm.RunConfig(degree=2, levels=2, max_dofs=3000, estimator="eq")
     rows = [lv.row for lv in adm.adaptive_loop(jump, cfg)]
     for row in rows:
         scale = max(row["lam_scale"], 1e-30)
@@ -326,8 +326,8 @@ def test_criterion_10_adaptive_behavior():
 
     for name in ("cube_jump_mu_10", "cube_jump_mu_100"):
         spec = bench.builtin_problems()[name]
-        cfg = adm.AdaptiveConfig(theta=0.5, max_levels=5, max_dofs=4000,
-                                 degree=2)
+        cfg = adm.RunConfig(theta=0.5, levels=5, max_dofs=4000,
+                            degree=2, estimator="eq")
         levels = adm.adaptive_loop(spec, cfg)
         etas = [lv.row["eta_h"] for lv in levels]
         mono = all(b < a for a, b in zip(etas, etas[1:]))
@@ -341,8 +341,8 @@ def test_criterion_10_adaptive_behavior():
         ok &= mono and conc
 
     lb = bench.builtin_problems()["lbrick_singular"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=5, max_dofs=4000,
-                             degree=2)
+    cfg = adm.RunConfig(theta=0.5, levels=5, max_dofs=4000,
+                        degree=2, estimator="eq")
     levels = adm.adaptive_loop(lb, cfg)
     decays = levels[-1].row["eta_h"] < levels[0].row["eta_h"]
     conc = True

@@ -69,9 +69,32 @@ def test_mark_tie_break_deterministic():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        adm.AdaptiveConfig(theta=0.0)
+        adm.RunConfig(theta=0.0)
     with pytest.raises(ValueError):
-        adm.AdaptiveConfig(theta=1.5)
+        adm.RunConfig(theta=1.5)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "adaptive"])
+@pytest.mark.parametrize("levels", [0, -1])
+def test_levels_below_one_rejected(mode, levels):
+    # levels=0 must not fall back to the adaptive default of 8 or solve
+    # nothing, and -1 must not slice off the last uniform resolution
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        adm.RunConfig(mode=mode, levels=levels)
+
+
+@pytest.mark.parametrize("option", [{"estimator": "res"}, {"estimator": "bogus"},
+                                    {"mode": "bogus"}])
+def test_unknown_mode_or_estimator_rejected(option):
+    with pytest.raises(ValueError, match="unknown"):
+        adm.RunConfig(**option)
+
+
+@pytest.mark.parametrize("flag", ["vtk", "dump_matrix"])
+def test_output_flags_need_out_dir(flag, tmp_path):
+    with pytest.raises(ValueError, match=f"{flag} write files"):
+        adm.RunConfig(**{flag: True})
+    assert getattr(adm.RunConfig(**{flag: True}, out_dir=str(tmp_path)), flag)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +103,7 @@ def test_config_validation():
 
 def test_theta_one_is_uniform_refinement():
     spec = bench.builtin_problems()["cube_jump_mu_10"]
-    cfg = adm.AdaptiveConfig(theta=1.0, max_levels=2, degree=1)
+    cfg = adm.RunConfig(theta=1.0, levels=2, degree=1, estimator="eq")
     levels = adm.adaptive_loop(spec, cfg)
     assert levels[0].row["marked"] == levels[0].mesh.n_tets
     assert levels[0].marked == set(range(levels[0].mesh.n_tets))
@@ -88,7 +111,8 @@ def test_theta_one_is_uniform_refinement():
 
 def test_jump_problem_monotone_eta():
     spec = bench.builtin_problems()["cube_jump_mu_10"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=1, max_dofs=4000)
+    cfg = adm.RunConfig(theta=0.5, levels=4, degree=1, max_dofs=4000,
+                        estimator="eq")
     rows = [lv.row for lv in adm.adaptive_loop(spec, cfg)]
     etas = [r["eta_h"] for r in rows]
     assert all(b < a for a, b in zip(etas, etas[1:]))
@@ -102,7 +126,8 @@ def _touch_fraction(mesh, on_vertex):
 
 def test_lbrick_marking_concentrates_at_reentrant_edge():
     spec = bench.builtin_problems()["lbrick_singular"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=2, max_dofs=4000)
+    cfg = adm.RunConfig(theta=0.5, levels=4, degree=2, max_dofs=4000,
+                        estimator="eq")
     levels = adm.adaptive_loop(spec, cfg)
 
     def near_edge(v):
@@ -118,7 +143,8 @@ def test_lbrick_marking_concentrates_at_reentrant_edge():
 
 def test_high_contrast_marking_concentrates_at_interface_edge():
     spec = bench.builtin_problems()["cube_jump_mu_1000"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, max_dofs=2500, degree=2)
+    cfg = adm.RunConfig(theta=0.5, levels=4, max_dofs=2500, degree=2,
+                        estimator="eq")
     levels = adm.adaptive_loop(spec, cfg)
 
     def near_interface(v):
@@ -135,15 +161,16 @@ def test_adaptive_cube_efficiency_stays_reliable():
     # with an exact solution the equilibrated index never drops below one up
     # to the oscillation allowance, on every adaptive level
     spec = bench.builtin_problems()["cube_poly"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=4, degree=1, max_dofs=3000,
-                             estimator="eq")
+    cfg = adm.RunConfig(theta=0.5, levels=4, degree=1, max_dofs=3000,
+                        estimator="eq")
     levels = adm.adaptive_loop(spec, cfg)
     assert all(lv.row["eff_eq"] >= 0.99 for lv in levels)
 
 
 def test_adaptive_loop_respects_dof_cap():
     spec = bench.builtin_problems()["cube_jump_mu_10"]
-    cfg = adm.AdaptiveConfig(theta=0.5, max_levels=12, degree=1, max_dofs=500)
+    cfg = adm.RunConfig(theta=0.5, levels=12, degree=1, max_dofs=500,
+                        estimator="eq")
     rows = [lv.row for lv in adm.adaptive_loop(spec, cfg)]
     assert len(rows) < 12
     assert rows[-1]["n_dofs"] >= 500 or len(rows) == 12

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -291,10 +292,8 @@ def test_reference_errors_reuse_the_solved_levels(monkeypatch):
     # three adaptive levels plus the two chain meshes; nothing is re-solved
     assert len(calls) == 5
     assert len(set(calls)) == 5
-    acfg = adm.AdaptiveConfig(theta=cfg.theta, max_levels=3, max_dofs=2000,
-                              degree=1)
-    levels = adm.adaptive_loop(spec, acfg)
-    expect = _resolved_reference_errors(spec, levels, acfg)
+    levels = adm.adaptive_loop(spec, cfg)
+    expect = _resolved_reference_errors(spec, levels, cfg)
     for row, err in zip(rep.rows, expect, strict=True):
         assert abs(row["error"] - err) <= 1e-12 * err
         assert abs(row["eff_eq"] - row["eta_h"] / err) <= 1e-12 * row["eff_eq"]
@@ -412,6 +411,90 @@ def test_cli_dump_matrix(tmp_path):
                    "--dump-matrix"])
     assert rc == 0
     assert (tmp_path / "system.mtx").exists()
+
+
+def test_cli_output_flags_need_out(capsys):
+    for flag in ("--dump-matrix", "--vtk"):
+        assert cli.main(["run", "cube_poly", "--levels", "1", flag]) == 1
+        assert "set out_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_cli_rejects_levels_below_one(levels, capsys):
+    assert cli.main(["run", "cube_poly", "--levels", levels]) == 1
+    assert "levels must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--solver=cg", "--tol=1e-8", "--max-iter=10"])
+def test_cli_has_no_solver_options(option, tmp_path):
+    key, value = option[2:].split("=")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key.replace('-', '_')} = {value}\n")
+    for argv in ([option], ["--config", str(config)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "cube_poly", *argv])
+        assert exc.value.code == 2
+
+
+def _cli_run_config(monkeypatch, argv):
+    """The RunConfig that `curlest run cube_poly ARGV` builds; nothing is solved."""
+    seen = []
+
+    def record(spec, cfg):
+        seen.append(cfg)
+        return bench.ExperimentReport(spec.name, [], {"hard_invariants_ok": True})
+    monkeypatch.setattr(bench, "run_experiment", record)
+    assert cli.main(["run", "cube_poly", *argv]) == 0
+    return seen[0]
+
+
+def test_cli_config_file_and_flags_build_the_same_run_config(tmp_path, monkeypatch):
+    assert _cli_run_config(monkeypatch, []) == bench.RunConfig()
+    out = str(tmp_path / "rep")
+    values = {"degree": "2", "aux_degree": "3", "mode": "adaptive", "levels": "2",
+              "theta": "0.4", "estimator": "eq", "max_dofs": "900", "out": out}
+    flags = ("strict_a2", "vtk", "dump_matrix", "analysis_grade",
+             "reference_errors", "verify")
+    assert {f.name for f in fields(bench.RunConfig)} == \
+        set(values) - {"out"} | {"out_dir"} | set(flags)   # every key is set
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                      + "".join(f"{f} = yes\n" for f in flags))
+    argv = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+    argv += ["--" + f.replace("_", "-") for f in flags]
+    expect = bench.RunConfig(degree=2, aux_degree=3, mode="adaptive", levels=2,
+                             theta=0.4, estimator="eq", max_dofs=900, out_dir=out,
+                             **dict.fromkeys(flags, True))
+    assert _cli_run_config(monkeypatch, ["--config", str(config)]) == expect
+    assert _cli_run_config(monkeypatch, argv) == expect
+
+
+@pytest.mark.parametrize("value, on", [("TRUE", True), ("Yes", True), ("1", True),
+                                       ("false", False), ("NO", False), ("0", False)])
+def test_cli_config_booleans(value, on, tmp_path, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"verify = {value}\n")
+    assert _cli_run_config(monkeypatch, ["--config", str(config)]).verify is on
+
+
+def test_cli_config_rejects_a_misspelt_boolean(tmp_path, capsys):
+    # a misspelt flag value must not read as False
+    config = tmp_path / "run.cfg"
+    config.write_text("verify = ture\n")
+    assert cli.main(["run", "cube_poly", "--config", str(config)]) == 1
+    assert "config key 'verify'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, named", [("estimator = bogus", "'bogus'"),
+                                         ("deg = 2", "--deg=2")])
+def test_cli_config_rejects_unknown_values_and_keys(line, named, tmp_path, capsys):
+    # file values meet the flags' choices, and keys are not abbreviations
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "cube_poly", "--config", str(config)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def _cli_env():

@@ -281,7 +281,7 @@ def test_edge_compat_native_a2_pipeline():
     m = msh.unit_cube_mesh(2)
     from curlest import adapt as adm
     j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
-    cfg = adm.AdaptiveConfig(degree=1)
+    cfg = adm.RunConfig(degree=1)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
     out = eqm.estimate(m, MU1, j, Hh, 1)
     rep = out.edge_report
@@ -320,7 +320,7 @@ def jump_level(request):
     k = request.param
     m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
     j = fem.CurrentDensity(func=wave_j)
-    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.AdaptiveConfig(degree=k))
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=k))
     return m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, k)
 
 
@@ -362,7 +362,7 @@ def test_singular_step1_system_names_the_tet():
     # zeroes the multiplier block of its tets, so the stacked solve fails
     m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
     j = fem.CurrentDensity(func=wave_j)
-    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.AdaptiveConfig(degree=1))
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=1))
     mu = fem.MaterialField({0: 1.0, 1: 100.0})
     mu.values[1] = 0.0
     with pytest.raises(eqm.LocalSolveSingular) as exc:
@@ -419,7 +419,7 @@ def test_step3_matches_loop_oracle_above_solve_degree():
     # k = 3 < k' = 4: face and cell nodes, degree-4 registry
     m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
     j = fem.CurrentDensity(func=wave_j)
-    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.AdaptiveConfig(degree=3))
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=3))
     _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, 4))
 
 
@@ -686,7 +686,7 @@ def test_renumbering_invariance():
     from curlest import adapt as adm
 
     def run(m, kp):
-        cfg = adm.AdaptiveConfig(degree=1, aux_degree=kp)
+        cfg = adm.RunConfig(degree=1, aux_degree=kp)
         j = fem.CurrentDensity(func=cube_j)
         dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
         out = eqm.estimate(m, MU1, data, Hh, kp)
@@ -779,7 +779,7 @@ def test_equilibrium_on_irregular_bisected_mesh():
         m = msh.refine(m, marked)
     from curlest import adapt as adm
     j = fem.CurrentDensity(func=cube_j)
-    cfg = adm.AdaptiveConfig(degree=2)
+    cfg = adm.RunConfig(degree=2)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
     out = eqm.estimate(m, MU1, j, Hh, 3)    # same data the solve used
     rep = eqm.verify_equilibrium(m, MU1, j, Hh, out, raise_on_fail=True)
