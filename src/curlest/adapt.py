@@ -37,7 +37,6 @@ class RunConfig:
     max_dofs: int = 200_000
     out_dir: str | None = None
     vtk: bool = False
-    dump_matrix: bool = False
     analysis_grade: bool = False
     reference_errors: bool = False
     verify: bool = False
@@ -56,9 +55,8 @@ class RunConfig:
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}; "
                              f"expected one of {ESTIMATORS}")
-        writes = [f for f in ("vtk", "dump_matrix") if getattr(self, f)]
-        if writes and not self.out_dir:
-            raise ValueError(f"{' and '.join(writes)} write files: set out_dir")
+        if self.vtk and not self.out_dir:
+            raise ValueError("vtk writes files: set out_dir")
 
 
 @dataclass
@@ -101,18 +99,30 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     Returns (dofmap, u, Hh, data); ``data`` is the current the solve used
     (the projected one under strict_a2 with non-polynomial data).
     """
-    dm = fem.build_dofmap(mesh, fem.KIND_NEDELEC, cfg.degree,
-                          homogeneous_boundary=True)
+    dm = fem.build_dofmap(mesh, cfg.degree)
     A = fem.assemble_curlcurl(mesh, dm, mu)
     M = fem.assemble_mass(mesh, dm)
     data = j
     if cfg.strict_a2 and not j.is_polynomial:
         data = fem.project_current(mesh, j.func, cfg.aux_degree)
     b = fem.assemble_rhs(mesh, dm, data)
-    b = fem.gradient_correction(mesh, dm, b)
+    b = fem.gradient_correction(dm, b)
     u = fem.solve_magnetostatic(A, b, dm, M)
     Hh = fem.compute_Hh(mesh, dm, u, mu)
     return dm, u, Hh, data
+
+
+def estimate_level(dm: fem.DofMap, mu: fem.MaterialField,
+                   data: fem.CurrentDensity, Hh: fem.BrokenPolyField,
+                   cfg: RunConfig) -> eqm.EquilibrationOutput:
+    """The equilibrated estimator on a solved level, at degree aux_degree.
+
+    Its node registry is the dof map's when aux_degree equals the degree,
+    and built at aux_degree otherwise.
+    """
+    reg = (dm.registry if cfg.aux_degree == dm.degree
+           else fem.build_node_registry(dm.mesh, cfg.aux_degree))
+    return eqm.estimate(dm.mesh, mu, data, Hh, reg, strict_a2=cfg.strict_a2)
 
 
 def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
@@ -129,8 +139,7 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     dm, _, Hh, data = solve_level(mesh, mu, j, cfg)
     t_solve = time.perf_counter() - t0
     t0 = time.perf_counter()
-    out = eqm.estimate(mesh, mu, data, Hh, cfg.aux_degree,
-                       strict_a2=cfg.strict_a2)
+    out = estimate_level(dm, mu, data, Hh, cfg)
     t_est = time.perf_counter() - t0
     eta_h, eta_T = out.result.eta_h, out.result.eta_T
     row = dict(labels, n_tets=mesh.n_tets, n_dofs=dm.n_free,

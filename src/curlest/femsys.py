@@ -4,17 +4,18 @@ The curl-conforming space is assembled from per-element dof matrices: the
 canonical moment functionals are parameterized by global vertex ids, so two
 elements sharing an edge or face apply identical functionals and tangential
 continuity of the assembled field is automatic.  The dof matrices V_t of all
-elements come as one stack (``polyspace.nedelec_element_matrices``); assembly,
-H_h and field expansion are stacked products with V_t^-1, which the dof map
-keeps, and the discrete gradient with V_t.  Broken fields are carried around
-as per-element polynomial coefficient blocks over reference coordinates with
-physical components, which keeps curls, gradients, and jumps exact.
+elements come as one stack (``polyspace.nedelec_element_matrices``), built
+once per dof map: assembly, H_h and field expansion are stacked products with
+the V_t^-1 it keeps, and its discrete gradient is built from V_t.  Broken
+fields are carried around as per-element polynomial coefficient blocks over
+reference coordinates with physical components, which keeps curls,
+gradients, and jumps exact.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -206,16 +207,17 @@ class CurrentDensity:
 
 
 # ---------------------------------------------------------------------------
-# node registry (shared by the conforming scalar space and the nodal
-# reconstruction)
+# node registry: the numbering of the conforming scalar space, shared by the
+# discrete gradient and the nodal reconstruction
 # ---------------------------------------------------------------------------
 
 @dataclass
 class NodeRegistry:
+    degree: int
     points: np.ndarray        # (N, 3)
     kind: np.ndarray          # (N,) polyspace NODE_* codes
     entity: np.ndarray        # (N,) global vertex/edge/face/tet id
-    boundary: np.ndarray      # (N,) bool
+    boundary: np.ndarray      # (N,) bool; the other nodes are the free scalar dofs
     tet_nodes: np.ndarray     # (T, nloc) global node id per local node
     incident: np.ndarray      # occurrences t * nloc + loc by node, ascending
     incident_ptr: np.ndarray  # (N+1,) CSR offsets into incident
@@ -281,35 +283,29 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
     pos = pos + 0.0  # normalize signed zeros
 
     ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(first)))])
-    return NodeRegistry(pos, kind, entity, boundary, tet_nodes,
+    return NodeRegistry(degree, pos, kind, entity, boundary, tet_nodes,
                         np.argsort(flat, kind="stable"), ptr)
 
 
 # ---------------------------------------------------------------------------
-# dof maps
+# the dof map: one per mesh level
 # ---------------------------------------------------------------------------
-
-KIND_NEDELEC = "nedelec"
-KIND_LAGRANGE = "lagrange"
-KIND_BROKEN_SCALAR = "broken_scalar"
-
 
 @dataclass
 class DofMap:
+    """The degree-k Nedelec space of a mesh with homogeneous tangential
+    boundary values, and what is built once from its element dof matrices:
+    their inverses, the degree-k Lagrange node registry and the discrete
+    gradient between the free dofs of the two spaces."""
     mesh: Mesh
-    kind: str
     degree: int
     n_dofs: int
     cell_dofs: np.ndarray       # (T, nloc)
     boundary_mask: np.ndarray   # (n_dofs,) bool
-    homogeneous_boundary: bool
-    _vinv: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def free(self) -> np.ndarray:
-        if self.homogeneous_boundary:
-            return np.nonzero(~self.boundary_mask)[0]
-        return np.arange(self.n_dofs)
+    free: np.ndarray            # ids of the interior dofs, ascending
+    Vinv: np.ndarray            # (T, nloc, nloc) inverse element dof matrices
+    registry: NodeRegistry      # degree-k Lagrange nodes
+    G: sp.csc_matrix            # (n_free, free registry nodes) discrete gradient
 
     @property
     def n_free(self) -> int:
@@ -327,63 +323,42 @@ class FieldCoefficients:
             raise ValueError("coefficient vector length does not match dof map")
 
 
-def build_dofmap(mesh: Mesh, kind: str, degree: int,
-                 homogeneous_boundary: bool = False) -> DofMap:
+def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
+    """Number the Nedelec dofs (edge, face, then interior blocks, each
+    entity's dofs contiguous) and build the element dof matrices once."""
     if not 1 <= degree <= MAX_DEGREE:
-        raise UnsupportedDegree(f"{kind} degree {degree} outside 1..{MAX_DEGREE}")
-    if kind == KIND_NEDELEC:
-        k = degree
-        ne, nf = k, k * (k - 1)
-        nc = k * (k - 1) * (k - 2) // 2
-        n_edge = mesh.n_edges * ne
-        n_face = mesh.n_faces * nf
-        n_dofs = n_edge + n_face + mesh.n_tets * nc
+        raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
+    k = degree
+    ne, nf = k, k * (k - 1)
+    nc = k * (k - 1) * (k - 2) // 2
+    n_edge = mesh.n_edges * ne
+    n_face = mesh.n_faces * nf
+    n_dofs = n_edge + n_face + mesh.n_tets * nc
 
-        def blocks(ids, width, offset):
-            return (offset + ids[:, :, None] * width
-                    + np.arange(width)).reshape(len(ids), -1)
+    def blocks(ids, width, offset):
+        return (offset + ids[:, :, None] * width
+                + np.arange(width)).reshape(len(ids), -1)
 
-        cell_dofs = np.concatenate(
-            [blocks(mesh.tet_edges, ne, 0), blocks(mesh.tet_faces, nf, n_edge),
-             blocks(np.arange(mesh.n_tets)[:, None], nc, n_edge + n_face)],
-            axis=1)
-        mask = np.concatenate([np.repeat(mesh.boundary_edge, ne),
-                               np.repeat(mesh.boundary_face, nf),
-                               np.zeros(mesh.n_tets * nc, dtype=bool)])
-        return DofMap(mesh, kind, degree, n_dofs, cell_dofs, mask,
-                      homogeneous_boundary)
-    if kind == KIND_LAGRANGE:
-        reg = build_node_registry(mesh, degree)
-        return DofMap(mesh, kind, degree, reg.n_nodes, reg.tet_nodes,
-                      reg.boundary, homogeneous_boundary)
-    if kind == KIND_BROKEN_SCALAR:
-        nloc = ps.dim_p_tet(degree)
-        cell_dofs = np.arange(mesh.n_tets * nloc,
-                              dtype=np.int64).reshape(mesh.n_tets, nloc)
-        mask = np.zeros(mesh.n_tets * nloc, dtype=bool)
-        return DofMap(mesh, kind, degree, mesh.n_tets * nloc, cell_dofs, mask,
-                      homogeneous_boundary)
-    raise ValueError(f"unknown dof map kind {kind!r}")
+    cell_dofs = np.concatenate(
+        [blocks(mesh.tet_edges, ne, 0), blocks(mesh.tet_faces, nf, n_edge),
+         blocks(np.arange(mesh.n_tets)[:, None], nc, n_edge + n_face)],
+        axis=1)
+    mask = np.concatenate([np.repeat(mesh.boundary_edge, ne),
+                           np.repeat(mesh.boundary_face, nf),
+                           np.zeros(mesh.n_tets * nc, dtype=bool)])
+    V = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
+    reg = build_node_registry(mesh, k)
+    return DofMap(mesh, k, n_dofs, cell_dofs, mask, np.nonzero(~mask)[0],
+                  np.linalg.inv(V), reg, discrete_gradient(V, cell_dofs, mask, reg))
 
 
 # ---------------------------------------------------------------------------
 # element-level machinery
 # ---------------------------------------------------------------------------
 
-def _inverse_element_matrices(dofmap: DofMap) -> np.ndarray:
-    """(T, n, n) stack of V_t^-1, built on first use and kept on the dof map
-    (the mesh is immutable, so it never invalidates)."""
-    if dofmap._vinv is None:
-        m = dofmap.mesh
-        dofmap._vinv = np.linalg.inv(ps.nedelec_element_matrices(
-            m.vertices[m.tets], m.tets, dofmap.degree))
-    return dofmap._vinv
-
-
 def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
     """(T, n) reference-basis coefficients V_t^-1 u_loc of every element."""
-    return np.einsum("tij,tj->ti", _inverse_element_matrices(dofmap),
-                     u.values[dofmap.cell_dofs])
+    return np.einsum("tij,tj->ti", dofmap.Vinv, u.values[dofmap.cell_dofs])
 
 
 class _RefTables:
@@ -419,7 +394,7 @@ def _scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 def _assemble_free(dofmap: DofMap, A_gen: np.ndarray) -> sp.csr_matrix:
     """Map reference-basis element matrices to V^-T A_gen V^-1, sum them and
     keep the free rows and columns."""
-    Vinv = _inverse_element_matrices(dofmap)
+    Vinv = dofmap.Vinv
     A_loc = Vinv.transpose(0, 2, 1) @ A_gen @ Vinv
     A = _scatter(A_loc, dofmap.cell_dofs, dofmap.cell_dofs,
                  (dofmap.n_dofs, dofmap.n_dofs))
@@ -435,8 +410,8 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
     geom = mesh.geom()
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
     A_gen = np.einsum("tab,abij->tij", JtJ, tab.TCC)
-    return _assemble_free(
-        dofmap, A_gen / (geom.detJ * mu.per_tet(mesh))[:, None, None])
+    A_gen /= (geom.detJ * mu.per_tet(mesh))[:, None, None]
+    return _assemble_free(dofmap, A_gen)
 
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -445,12 +420,13 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
     M_gen = np.einsum("tab,abij->tij", K, tab.TVV)
-    return _assemble_free(dofmap, M_gen * geom.detJ[:, None, None])
+    M_gen *= geom.detJ[:, None, None]
+    return _assemble_free(dofmap, M_gen)
 
 
 def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
                  exactness: int | None = None) -> np.ndarray:
-    """Load vector (j, w) over all dofs; boundary entries zeroed."""
+    """Load vector (j, w) over all dofs; the solve reads the free entries."""
     k = dofmap.degree
     if exactness is None:
         exactness = 2 * k + 2 if j.is_polynomial else 2 * k + 4
@@ -461,12 +437,9 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
     jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)    # J^-1 j
     b_gen = geom.detJ[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
                                            tab.vals, jhat)
-    b_loc = np.einsum("tji,tj->ti", _inverse_element_matrices(dofmap), b_gen)
-    b = np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
-                    minlength=dofmap.n_dofs)
-    if dofmap.homogeneous_boundary:
-        b[dofmap.boundary_mask] = 0.0
-    return b
+    b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
+    return np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
+                       minlength=dofmap.n_dofs)
 
 
 def _stacked_eval(func):
@@ -481,8 +454,6 @@ def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
     vals[dofmap.cell_dofs] = ps.nedelec_dof_matrix(
         mesh.vertices[mesh.tets], mesh.tets, dofmap.degree,
         _stacked_eval(func))[:, :, 0]
-    if dofmap.homogeneous_boundary:
-        vals[dofmap.boundary_mask] = 0.0
     return FieldCoefficients(dofmap, vals)
 
 
@@ -524,21 +495,20 @@ def _reference_gradient_dofs(degree: int) -> np.ndarray:
     return C
 
 
-def discrete_gradient(mesh: Mesh, dm_ned: DofMap, dm_lag: DofMap) -> sp.csr_matrix:
-    """Coefficient map G with grad(psi) = field(G psi): full dof sizes.
+def discrete_gradient(V: np.ndarray, cell_dofs: np.ndarray,
+                      boundary_mask: np.ndarray, reg: NodeRegistry) -> sp.csc_matrix:
+    """Coefficient map G with grad(psi) = field(G psi), from the interior
+    nodes of ``reg`` to the interior Nedelec dofs of ``cell_dofs``.
 
-    Gradients map covariantly, so the local block is V_t C with C the
-    reference dofs of the scalar-basis gradients."""
-    if dm_lag.degree != dm_ned.degree:
-        raise ValueError("scalar degree must match the curl-space degree")
-    k = dm_ned.degree
-    locG = (ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
-            @ _reference_gradient_dofs(k))
-    shape = (dm_ned.n_dofs, dm_lag.n_dofs)
-    G = _scatter(locG, dm_ned.cell_dofs, dm_lag.cell_dofs, shape)
-    cnt = _scatter(np.ones_like(locG), dm_ned.cell_dofs, dm_lag.cell_dofs, shape)
+    Gradients map covariantly, so the local block is V_t C with V_t the
+    element dof matrices and C the reference dofs of the scalar-basis
+    gradients."""
+    locG = V @ _reference_gradient_dofs(reg.degree)
+    shape = (len(boundary_mask), reg.n_nodes)
+    G = _scatter(locG, cell_dofs, reg.tet_nodes, shape)
+    cnt = _scatter(np.ones_like(locG), cell_dofs, reg.tet_nodes, shape)
     G.data /= cnt.data  # duplicates from shared entities are equal; average
-    return G
+    return G[np.nonzero(~boundary_mask)[0]][:, np.nonzero(~reg.boundary)[0]].tocsc()
 
 
 def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
@@ -551,17 +521,14 @@ def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def gradient_correction(mesh: Mesh, dofmap: DofMap, rhs: np.ndarray) -> np.ndarray:
+def gradient_correction(dofmap: DofMap, rhs: np.ndarray) -> np.ndarray:
     """Project the load vector onto the complement of the discrete gradients.
 
     Returns r' = r - G q with q solving (G^T G) q = G^T r over the interior
     scalar dofs, so G^T r' = 0 and the singular system stays consistent in
     the presence of quadrature error.
     """
-    dm_lag = build_dofmap(mesh, KIND_LAGRANGE, dofmap.degree,
-                          homogeneous_boundary=True)
-    G = discrete_gradient(mesh, dofmap, dm_lag)
-    Gf = G[dofmap.free][:, dm_lag.free].tocsc()
+    Gf = dofmap.G
     if Gf.shape[1] == 0:
         return rhs.copy()
     r = rhs[dofmap.free]
@@ -704,29 +671,40 @@ def normal_jump_norms(mesh: Mesh, field: BrokenPolyField,
     return out
 
 
-def _sq_error_per_tet(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
-                      exact, exactness: int) -> np.ndarray:
-    """Per-tet mu int |exact - field|^2; ``exact`` gets the (T*q, 3)
-    quadrature points grouped tet by tet."""
-    rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
-    geom = mesh.geom()
-    mu_t = mu.per_tet(mesh)
-    tets = np.arange(mesh.n_tets)
-    vals = field.eval(tets, rule.points)
-    pts = geom.map_points(tets, rule.points)
-    ex_vals = np.asarray(exact(pts.reshape(-1, 3))).reshape(vals.shape)
-    diff = ex_vals - vals
-    return np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.detJ * mu_t
+class QuadratureSample:
+    """A broken field at the quadrature points of its mesh, with the weights
+    and per-tet factors of the energy norm; built once, it is compared with
+    any number of other fields."""
+
+    def __init__(self, mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
+                 exactness: int):
+        self.rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
+        geom = mesh.geom()
+        tets = np.arange(mesh.n_tets)
+        self.mu_t = mu.per_tet(mesh)
+        self.detJ = geom.detJ
+        self.vals = field.eval(tets, self.rule.points)
+        self.pts = geom.map_points(tets, self.rule.points)
+
+    def sq_error_per_tet(self, exact) -> np.ndarray:
+        """Per-tet mu int |exact - field|^2; ``exact`` gets the (T*q, 3)
+        quadrature points grouped tet by tet."""
+        ex_vals = np.asarray(exact(self.pts.reshape(-1, 3))).reshape(self.vals.shape)
+        diff = ex_vals - self.vals
+        return (np.einsum("q,tqc->t", self.rule.weights, diff ** 2)
+                * self.detJ * self.mu_t)
+
+    def l2_error(self, exact) -> float:
+        return float(np.sqrt(self.sq_error_per_tet(exact).sum()))
 
 
 def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
                      exact, exactness: int) -> float:
     """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference."""
-    return float(np.sqrt(_sq_error_per_tet(mesh, mu, field, exact,
-                                           exactness).sum()))
+    return QuadratureSample(mesh, mu, field, exactness).l2_error(exact)
 
 
 def l2_error_per_tet(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
                      exact, exactness: int) -> np.ndarray:
     return np.sqrt(np.maximum(
-        _sq_error_per_tet(mesh, mu, field, exact, exactness), 0.0))
+        QuadratureSample(mesh, mu, field, exactness).sq_error_per_tet(exact), 0.0))

@@ -203,13 +203,14 @@ def loop_curlcurl_mass(mesh, dm, mu_t):
     return A, M
 
 
-def loop_gradient(mesh, dm_ned, dm_lag):
-    """Dense discrete gradient: functionals applied to the mapped gradients
-    of the scalar basis, shared entries averaged."""
-    k = dm_lag.degree
+def loop_gradient(mesh, dm):
+    """Dense discrete gradient over all dofs and all nodes of the dof map's
+    registry: functionals applied to the mapped gradients of the scalar
+    basis, shared entries averaged."""
+    k, reg = dm.degree, dm.registry
     gradc = ps.reference_space(ps.P_SCALAR_TET, k).grad_coeffs()
     geom = mesh.geom()
-    G = np.zeros((dm_ned.n_dofs, dm_lag.n_dofs))
+    G = np.zeros((dm.n_dofs, reg.n_nodes))
     cnt = np.zeros_like(G)
     for t in range(mesh.n_tets):
         Jinv, v0 = geom.Jinv[t], geom.v0[t]
@@ -220,8 +221,8 @@ def loop_gradient(mesh, dm_ned, dm_lag):
             return np.einsum("ba,qbn->qan", Jinv, g)
 
         locG = ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]], mesh.tets[t],
-                                     dm_ned.degree, field_eval)
-        idx = np.ix_(dm_ned.cell_dofs[t], dm_lag.cell_dofs[t])
+                                     k, field_eval)
+        idx = np.ix_(dm.cell_dofs[t], reg.tet_nodes[t])
         G[idx] += locG
         cnt[idx] += 1.0
     return np.divide(G, cnt, out=np.zeros_like(G), where=cnt > 0)
@@ -482,7 +483,7 @@ def hash_node_registry(mesh, degree):
         elif kind[g] == ps.NODE_FACE:
             boundary[g] = mesh.boundary_face[entity[g]]
     ptr = np.cumsum([0] + [len(occ) for occ in incident])
-    return fem.NodeRegistry(np.array(points), np.array(kind),
+    return fem.NodeRegistry(degree, np.array(points), np.array(kind),
                             np.array(entity), boundary, tet_nodes,
                             np.array(sum(incident, []), dtype=np.int64), ptr)
 
@@ -529,7 +530,7 @@ def loop_step3(mesh, fm, kp):
         worst = max(worst, float(np.linalg.norm(rows @ sol - rhs)))
         for (t, loc), v in zip(occ, sol):
             phi[t, loc] = v
-    return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale), kp)
+    return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +611,6 @@ def loop_interpolate_nedelec(mesh, dm, func):
         vals[dm.cell_dofs[t]] = ps.nedelec_dof_matrix(
             mesh.vertices[mesh.tets[t]], mesh.tets[t], dm.degree,
             _one_tet_eval(func))[:, 0]
-    if dm.homogeneous_boundary:
-        vals[dm.boundary_mask] = 0.0
     return vals
 
 

@@ -28,7 +28,7 @@ def _run_uniform(n, k, kp=None, strict=False):
     cfg = adm.RunConfig(degree=k, aux_degree=kp or k, strict_a2=strict)
     j = fem.CurrentDensity(func=cube_j)
     dm, u, Hh, data = adm.solve_level(mesh, MU1, j, cfg)
-    out = eqm.estimate(mesh, MU1, data, Hh, kp or k, strict_a2=strict)
+    out = adm.estimate_level(dm, MU1, data, Hh, cfg)
     err = fem.l2_error_against(mesh, MU1, Hh, cube_H, 2 * k + 4)
     return {"mesh": mesh, "dm": dm, "u": u, "Hh": Hh, "data": data,
             "out": out, "err": err, "n": n, "k": k}
@@ -366,8 +366,9 @@ def test_criterion_11_determinism(tmp_path):
     byte_equal = outs[0] == outs[1]
 
     r = _run_uniform(4, 1)
-    out_a = eqm.estimate(r["mesh"], MU1, r["data"], r["Hh"], 1)
-    out_b = eqm.estimate(r["mesh"], MU1, r["data"], r["Hh"], 1)
+    reg = r["dm"].registry
+    out_a = eqm.estimate(r["mesh"], MU1, r["data"], r["Hh"], reg)
+    out_b = eqm.estimate(r["mesh"], MU1, r["data"], r["Hh"], reg)
     rerun_equal = (out_a.result.eta_h == out_b.result.eta_h
                    and np.array_equal(out_a.result.eta_T, out_b.result.eta_T))
     ok = byte_equal and rerun_equal

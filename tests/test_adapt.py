@@ -6,6 +6,7 @@ import pytest
 from curlest import adapt as adm
 from curlest import bench
 from curlest import femsys as fem
+from curlest import polyspace as ps
 
 RNG = np.random.default_rng(41)
 
@@ -90,11 +91,52 @@ def test_unknown_mode_or_estimator_rejected(option):
         adm.RunConfig(**option)
 
 
-@pytest.mark.parametrize("flag", ["vtk", "dump_matrix"])
+@pytest.mark.parametrize("flag", ["vtk"])
 def test_output_flags_need_out_dir(flag, tmp_path):
-    with pytest.raises(ValueError, match=f"{flag} write files"):
+    with pytest.raises(ValueError, match=f"{flag} writes files"):
         adm.RunConfig(**{flag: True})
     assert getattr(adm.RunConfig(**{flag: True}, out_dir=str(tmp_path)), flag)
+
+
+# ---------------------------------------------------------------------------
+# one dof map per level
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("options, registries", [
+    ({}, 1), ({"verify": True}, 1), ({"aux_degree": 3}, 2)])
+def test_each_level_builds_its_element_matrices_and_registry_once(
+        options, registries, monkeypatch):
+    # the solve, the gradient correction, the estimator and the equilibrium
+    # checks share the dof map's V_t stack and node registry; only an
+    # estimator degree above the solve degree needs a registry of its own
+    counts = {"V": 0, "registry": 0}
+    element_matrices = ps.nedelec_element_matrices
+    build_registry = fem.build_node_registry
+
+    def counted_matrices(*args, **kwargs):
+        counts["V"] += 1
+        return element_matrices(*args, **kwargs)
+
+    def counted_registry(*args, **kwargs):
+        counts["registry"] += 1
+        return build_registry(*args, **kwargs)
+    monkeypatch.setattr(ps, "nedelec_element_matrices", counted_matrices)
+    monkeypatch.setattr(fem, "build_node_registry", counted_registry)
+    spec = bench.builtin_problems()["cube_poly"]
+    rep = bench.run_experiment(spec, adm.RunConfig(degree=2, levels=2, **options))
+    assert rep.ok and len(rep.rows) == 2
+    assert counts == {"V": 2, "registry": 2 * registries}
+
+
+def test_estimator_registry_follows_the_auxiliary_degree():
+    spec = bench.builtin_problems()["cube_poly"]
+    mesh, mu, j = spec.make_mesh(1), spec.mu, spec.current()
+    for aux, shared in ((2, True), (3, False)):
+        cfg = adm.RunConfig(degree=2, aux_degree=aux)
+        dm, _, Hh, data = adm.solve_level(mesh, mu, j, cfg)
+        reg = adm.estimate_level(dm, mu, data, Hh, cfg).phi.registry
+        assert (reg is dm.registry) == shared
+        assert reg.degree == aux
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_jump_problem_tags_align_with_interface():
 def test_error_of_exact_interpolant_vanishes():
     from _helpers import inspace_H, inspace_u
     m = msh.unit_cube_mesh(2)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
+    dm = fem.build_dofmap(m, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh = fem.compute_Hh(m, dm, u, MU1)
     assert fem.l2_error_against(m, MU1, Hh, inspace_H, 2 * 2 + 4) < 1e-9
@@ -248,7 +248,8 @@ def _resolved_reference_errors(spec, levels, cfg):
     chain = []
     for _ in range(2):
         _, _, Hr, _ = adm.solve_level(mesh, spec.mu, j, cfg)
-        out = eqm.estimate(mesh, spec.mu, j, Hr, cfg.aux_degree)
+        out = eqm.estimate(mesh, spec.mu, j, Hr,
+                           fem.build_node_registry(mesh, cfg.aux_degree))
         mesh = msh.refine(mesh, adm.dorfler_mark(out.result.eta_T, cfg.theta))
         chain.append(mesh)
     _, _, H_ref, _ = adm.solve_level(mesh, spec.mu, j, cfg)
@@ -280,18 +281,27 @@ def test_reference_errors_reuse_the_solved_levels(monkeypatch):
     spec = bench.builtin_problems()["cube_jump_mu_10"]
     cfg = bench.RunConfig(degree=1, mode="adaptive", levels=3, max_dofs=2000,
                           estimator="eq", reference_errors=True)
-    calls = []
-    solve = adm.solve_level
+    calls, evals = [], []
+    solve, evaluate = adm.solve_level, fem.BrokenPolyField.eval
 
     def counted(*args, **kwargs):
-        calls.append(args[0].n_tets)
+        calls.append(args[0])
         return solve(*args, **kwargs)
+
+    def recorded(field, tets, ref_pts):
+        evals.append((field.mesh, len(tets), np.asarray(ref_pts)))
+        return evaluate(field, tets, ref_pts)
     monkeypatch.setattr(adm, "solve_level", counted)
+    monkeypatch.setattr(fem.BrokenPolyField, "eval", recorded)
     rep = bench.run_experiment(spec, cfg)
     monkeypatch.undo()
     # three adaptive levels plus the two chain meshes; nothing is re-solved
     assert len(calls) == 5
-    assert len(set(calls)) == 5
+    assert len({m.n_tets for m in calls}) == 5
+    # H_ref is evaluated at the reference quadrature points once, not per level
+    ref_mesh, ref_pts = calls[-1], ps.quadrature("tet", 2 * cfg.degree + 4).points
+    assert sum(m is ref_mesh and n == ref_mesh.n_tets and np.array_equal(p, ref_pts)
+               for m, n, p in evals) == 1
     levels = adm.adaptive_loop(spec, cfg)
     expect = _resolved_reference_errors(spec, levels, cfg)
     for row, err in zip(rep.rows, expect, strict=True):
@@ -351,7 +361,7 @@ def test_benchmark_patch_node_counter(monkeypatch):
         return batch_solve(n, pairs, values)
 
     monkeypatch.setattr(eqm, "solve_node_patches", counting)
-    out = eqm.estimate(m, MU1, data, Hh, 2)
+    out = eqm.estimate(m, MU1, data, Hh, dm.registry)
     assert sum(solved) > 0
     assert repetition._patch_nodes((m,), out.phi) == {"patch_nodes": sum(solved)}
 
@@ -406,17 +416,9 @@ def test_cli_analysis_grade_guard(tmp_path):
     assert rc == 1
 
 
-def test_cli_dump_matrix(tmp_path):
-    rc = cli.main(["run", "cube_poly", "--levels", "1", "--out", str(tmp_path),
-                   "--dump-matrix"])
-    assert rc == 0
-    assert (tmp_path / "system.mtx").exists()
-
-
 def test_cli_output_flags_need_out(capsys):
-    for flag in ("--dump-matrix", "--vtk"):
-        assert cli.main(["run", "cube_poly", "--levels", "1", flag]) == 1
-        assert "set out_dir" in capsys.readouterr().err
+    assert cli.main(["run", "cube_poly", "--levels", "1", "--vtk"]) == 1
+    assert "set out_dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])
@@ -453,7 +455,7 @@ def test_cli_config_file_and_flags_build_the_same_run_config(tmp_path, monkeypat
     out = str(tmp_path / "rep")
     values = {"degree": "2", "aux_degree": "3", "mode": "adaptive", "levels": "2",
               "theta": "0.4", "estimator": "eq", "max_dofs": "900", "out": out}
-    flags = ("strict_a2", "vtk", "dump_matrix", "analysis_grade",
+    flags = ("strict_a2", "vtk", "analysis_grade",
              "reference_errors", "verify")
     assert {f.name for f in fields(bench.RunConfig)} == \
         set(values) - {"out"} | {"out_dir"} | set(flags)   # every key is set

@@ -21,7 +21,8 @@ RNG = np.random.default_rng(23)
 
 def _estimate_cube(n, k, kp=None, strict=False):
     m, dm, u, Hh, data = solve_cube(n, k, strict_a2=strict, aux=kp)
-    out = eqm.estimate(m, MU1, data, Hh, kp or k, strict_a2=strict)
+    reg = dm.registry if kp in (None, k) else fem.build_node_registry(m, kp)
+    out = eqm.estimate(m, MU1, data, Hh, reg, strict_a2=strict)
     return m, Hh, data, out
 
 
@@ -33,7 +34,7 @@ def test_step1_zero_residual_current():
     # interpolate an in-space potential: the residual current vanishes and so
     # does the correction
     m = msh.unit_cube_mesh(2)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
+    dm = fem.build_dofmap(m, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh = fem.compute_Hh(m, dm, u, MU1)
     j = fem.CurrentDensity(func=inspace_j)
@@ -154,7 +155,7 @@ def test_step1_rejects_lower_auxiliary_degree():
 
 def test_step2_zero_for_continuous_field():
     m = msh.unit_cube_mesh(2)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
+    dm = fem.build_dofmap(m, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh = fem.compute_Hh(m, dm, u, MU1)
     corr = eqm.step1_element_corrections(
@@ -283,7 +284,7 @@ def test_edge_compat_native_a2_pipeline():
     j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
     cfg = adm.RunConfig(degree=1)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
-    out = eqm.estimate(m, MU1, j, Hh, 1)
+    out = eqm.estimate(m, MU1, j, Hh, dm.registry)
     rep = out.edge_report
     scale = max(rep.lam_scale, 1e-30)
     assert rep.worst_abs <= 1e-9 * scale
@@ -321,7 +322,7 @@ def jump_level(request):
     m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
     j = fem.CurrentDensity(func=wave_j)
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=k))
-    return m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, k)
+    return m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, dm.registry)
 
 
 def _rel_err(got, want):
@@ -331,7 +332,8 @@ def _rel_err(got, want):
 def _eta_from(m, Hh, corr, kp):
     fm = eqm.step2_face_multipliers(m, Hh, corr, kp)
     return eqm.step4_estimator(m, MU_JUMP, corr,
-                               eqm.step3_reconstruct_phi(m, fm, kp))
+                               eqm.step3_reconstruct_phi(
+                                   m, fm, fem.build_node_registry(m, kp)))
 
 
 def test_step1_matches_loop_oracle(jump_level):
@@ -393,7 +395,7 @@ def test_step2_matches_loop_oracle(jump_level):
         assert np.abs(getattr(fm, key) - ref[key]).max() <= 1e-12 * fm.lam_scale
     # the estimator built on the loop multipliers
     phi = eqm.step3_reconstruct_phi(m, dataclasses.replace(fm, lam=ref["lam"]),
-                                    fm.degree)
+                                    out.phi.registry)
     res = eqm.step4_estimator(m, MU_JUMP, out.correction, phi)
     assert _rel_err(out.result.eta_T, res.eta_T) <= 1e-12
     assert abs(out.result.eta_h - res.eta_h) <= 1e-12 * res.eta_h
@@ -401,7 +403,7 @@ def test_step2_matches_loop_oracle(jump_level):
 
 def _step3_against_loop(m, Hh, out):
     fm = out.multipliers
-    got = eqm.step3_reconstruct_phi(m, fm, fm.degree)
+    got = eqm.step3_reconstruct_phi(m, fm, out.phi.registry)
     ref = loop_step3(m, fm, fm.degree)
     assert _rel_err(got.phi, ref.phi) <= 1e-12
     assert abs(got.max_residual - ref.max_residual) <= 1e-12 * ref.lam_scale
@@ -420,7 +422,8 @@ def test_step3_matches_loop_oracle_above_solve_degree():
     m = jittered_cube(2, tag_fn=lambda c: int(c[0] > 0.5))
     j = fem.CurrentDensity(func=wave_j)
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=3))
-    _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, 4))
+    _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh,
+                                            fem.build_node_registry(m, 4)))
 
 
 def test_edge_sums_match_loop_oracle(jump_level):
@@ -545,7 +548,7 @@ def test_step3_zero_for_zero_multipliers():
     m, Hh, data, out = _estimate_cube(2, 1)
     fm = out.multipliers
     fm.lam[:] = 0.0
-    phi = eqm.step3_reconstruct_phi(m, fm, 1)
+    phi = eqm.step3_reconstruct_phi(m, fm, out.phi.registry)
     assert np.abs(phi.phi).max() == 0.0
 
 
@@ -600,7 +603,7 @@ def test_step4_constant_field_closed_form():
         resid=np.zeros(m.n_tets), jdelta_norm=np.zeros(m.n_tets),
         ortho_resid=np.zeros(m.n_tets), degree=1)
     reg = fem.build_node_registry(m, 1)
-    phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0, 1)
+    phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0)
     res = eqm.step4_estimator(m, MU1, corr, phi)
     V = m.tet_volumes()[0]
     assert abs(res.eta_T[0] - np.linalg.norm(c) * np.sqrt(V)) < 1e-13
@@ -649,25 +652,22 @@ def test_zero_error_fixed_point():
     # potential representable in the space, data matching its double curl:
     # every pipeline stage returns zero
     m = msh.unit_cube_mesh(2)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
+    dm = fem.build_dofmap(m, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh = fem.compute_Hh(m, dm, u, MU1)
     j = fem.CurrentDensity(func=inspace_j)
-    out = eqm.estimate(m, MU1, j, Hh, 2)
+    out = eqm.estimate(m, MU1, j, Hh, dm.registry)
     assert out.result.eta_h <= 1e-8 * max(1.0, np.linalg.norm([3.0]))
 
 
 def test_gauge_independence():
     m, dm, u, Hh, data = solve_cube(2, 2)
-    out1 = eqm.estimate(m, MU1, data, Hh, 2)
+    out1 = eqm.estimate(m, MU1, data, Hh, dm.registry)
     err1 = fem.l2_error_against(m, MU1, Hh, cube_H, 8)
-    dml = fem.build_dofmap(m, fem.KIND_LAGRANGE, 2, homogeneous_boundary=True)
-    G = fem.discrete_gradient(m, dm, dml)
-    q = np.zeros(dml.n_dofs)
-    q[dml.free] = RNG.standard_normal(dml.n_free)
-    u2 = fem.FieldCoefficients(dm, u.values + G @ q)
+    u2 = fem.FieldCoefficients(dm, u.values.copy())
+    u2.values[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
     Hh2 = fem.compute_Hh(m, dm, u2, MU1)
-    out2 = eqm.estimate(m, MU1, data, Hh2, 2)
+    out2 = eqm.estimate(m, MU1, data, Hh2, dm.registry)
     err2 = fem.l2_error_against(m, MU1, Hh2, cube_H, 8)
     assert abs(out1.result.eta_h - out2.result.eta_h) <= 1e-9 * out1.result.eta_h
     assert abs(err1 - err2) <= 1e-9 * err1
@@ -689,7 +689,7 @@ def test_renumbering_invariance():
         cfg = adm.RunConfig(degree=1, aux_degree=kp)
         j = fem.CurrentDensity(func=cube_j)
         dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
-        out = eqm.estimate(m, MU1, data, Hh, kp)
+        out = adm.estimate_level(dm, MU1, data, Hh, cfg)
         return out.result.eta_h, fem.l2_error_against(m, MU1, Hh, cube_H, 6)
 
     for kp in (1, 3):
@@ -703,7 +703,7 @@ def test_reliability_native_a2():
     # oscillation correction at all
     for k, n in [(1, 2), (1, 4), (2, 2), (3, 1), (3, 2)]:
         m, dm, u, Hh, data = solve_cube(n, k, aux=3)
-        out = eqm.estimate(m, MU1, data, Hh, 3)
+        out = eqm.estimate(m, MU1, data, Hh, fem.build_node_registry(m, 3))
         err = fem.l2_error_against(m, MU1, Hh, cube_H, 2 * k + 4)
         assert out.result.eta_h >= err * (1.0 - 1e-8)
 
@@ -711,8 +711,8 @@ def test_reliability_native_a2():
 def test_estimate_rerun_bitwise():
     # two runs on the same inputs give the same bits
     m, dm, u, Hh, data = solve_cube(4, 1)
-    out1 = eqm.estimate(m, MU1, data, Hh, 1)
-    out2 = eqm.estimate(m, MU1, data, Hh, 1)
+    out1 = eqm.estimate(m, MU1, data, Hh, dm.registry)
+    out2 = eqm.estimate(m, MU1, data, Hh, dm.registry)
     assert out1.result.eta_h == out2.result.eta_h
     assert (out1.result.eta_T == out2.result.eta_T).all()
 
@@ -756,13 +756,13 @@ def test_strict_mode_rejects_inconsistent_multipliers():
     fm = out.multipliers
     fm.lam[0, 0] += 10.0 * max(fm.lam_scale, 1.0)   # break one face constant
     with pytest.raises(eqm.InconsistentPatch) as exc:
-        eqm.step3_reconstruct_phi(m, fm, 1, strict=True)
+        eqm.step3_reconstruct_phi(m, fm, out.phi.registry, strict=True)
     # the error names a node of the broken face and its residual over scale
     err = exc.value
     f = fm.internal_faces[0]
     assert err.kind in (ps.NODE_VERTEX, ps.NODE_EDGE)
     assert err.entity in (m.faces[f] if err.kind == ps.NODE_VERTEX else m.face_edges[f])
-    phi = eqm.step3_reconstruct_phi(m, fm, 1)
+    phi = eqm.step3_reconstruct_phi(m, fm, out.phi.registry)
     assert err.value == pytest.approx(phi.max_residual / phi.lam_scale, rel=1e-12)
     assert f"node {err.node} " in str(err)
 
@@ -781,7 +781,7 @@ def test_equilibrium_on_irregular_bisected_mesh():
     j = fem.CurrentDensity(func=cube_j)
     cfg = adm.RunConfig(degree=2)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
-    out = eqm.estimate(m, MU1, j, Hh, 3)    # same data the solve used
+    out = eqm.estimate(m, MU1, j, Hh, fem.build_node_registry(m, 3))  # solve's data
     rep = eqm.verify_equilibrium(m, MU1, j, Hh, out, raise_on_fail=True)
     assert rep["elem_resid_rel"] <= 1e-9
     assert rep["face_resid_rel"] <= 1e-9

@@ -13,7 +13,7 @@ RNG = np.random.default_rng(31)
 def test_exact_field_gives_zero():
     # a smooth in-space potential with matching data: both terms vanish
     m = msh.unit_cube_mesh(2)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 2)
+    dm = fem.build_dofmap(m, 2)
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh = fem.compute_Hh(m, dm, u, MU1)
     rr = res.compute_residual_estimator(
@@ -23,7 +23,7 @@ def test_exact_field_gives_zero():
 
 def test_lowest_order_volume_term_is_data_only():
     m = msh.unit_cube_mesh(1)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 1)
+    dm = fem.build_dofmap(m, 1)
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
     Hh = fem.compute_Hh(m, dm, u, MU1)
     jconst = np.array([0.3, 0.7, -0.2])
@@ -77,7 +77,7 @@ def test_constant_jump_closed_form():
 
 def test_totals_additive():
     m = msh.unit_cube_mesh(2)
-    dm = fem.build_dofmap(m, fem.KIND_NEDELEC, 1)
+    dm = fem.build_dofmap(m, 1)
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
     Hh = fem.compute_Hh(m, dm, u, MU1)
     j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
