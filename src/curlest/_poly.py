@@ -46,10 +46,17 @@ def n_monomials(dim: int, degree: int) -> int:
 
 
 def vandermonde(dim: int, degree: int, points: np.ndarray) -> np.ndarray:
-    """Monomial values at points; returns (npts, n_monomials)."""
+    """Monomial values at points; returns (npts, n_monomials).
+
+    The per-axis powers are multiplied left to right, the order of
+    ``np.prod`` over the axes, so the values do not depend on the layout.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, dim)
     exps = exponents(dim, degree)
-    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+    out = pts[:, 0:1] ** exps[:, 0]
+    for a in range(1, dim):
+        out *= pts[:, a:a + 1] ** exps[:, a]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +78,16 @@ def diff_matrix(dim: int, degree: int, axis: int) -> np.ndarray:
 def diff_stack(dim: int, degree: int) -> np.ndarray:
     """All partial-derivative matrices stacked as (dim, n, n)."""
     return np.stack([diff_matrix(dim, degree, a) for a in range(dim)])
+
+
+@lru_cache(maxsize=None)
+def diff_columns(dim: int, degree: int) -> np.ndarray:
+    """diff_stack as one (n, dim * n) matrix: a row of coefficients times it
+    gives the coefficients of every partial derivative, axis-major."""
+    n = n_monomials(dim, degree)
+    out = np.ascontiguousarray(diff_stack(dim, degree).transpose(2, 0, 1)).reshape(n, -1)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -160,7 +161,7 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
         set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H,
                                             2 * cfg.degree + 4))
     gap = abs(eta_h ** 2 - float((eta_T ** 2).sum()))
-    ok = bool(np.isfinite(eta_h)) and gap <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300)
+    ok = math.isfinite(eta_h) and gap <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300)
     log.info("level %s: %d tets, %d dofs, eta=%.3e", labels.get("level"),
              mesh.n_tets, dm.n_free, eta_h)
     return Level(mesh, Hh, eta_T, row, ok)

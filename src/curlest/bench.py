@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,7 @@ class ExperimentReport:
     metadata: dict
 
     def write_csv(self, path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         lines = [f"# curlest-report schema={CSV_SCHEMA}",
                  ",".join(CSV_COLUMNS)]
         for row in self.rows:
@@ -257,6 +259,7 @@ class ExperimentReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
     def write_json(self, path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         payload = {"problem": self.problem, "schema": CSV_SCHEMA,
                    "metadata": self.metadata, "rows": self.rows}
 
@@ -301,7 +304,7 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
 
     metadata = {
         "problem": spec.name,
-        "config": asdict(cfg),
+        "config": dict(vars(cfg)),   # flat: every field is a scalar or str
         "schema": CSV_SCHEMA,
         "wall_time": time.perf_counter() - t_start,
         "hard_invariants_ok": all(lv.ok for lv in levels),
@@ -311,14 +314,12 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     }
     report = ExperimentReport(spec.name, [lv.row for lv in levels], metadata)
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        report.write_csv(os.path.join(cfg.out_dir, "report.csv"))  # creates out_dir
+        report.write_json(os.path.join(cfg.out_dir, "report.json"))
         if cfg.vtk:
             for i, lv in enumerate(levels):
-                write_vtk(lv.mesh, out / f"mesh_level_{i}.vtk",
+                write_vtk(lv.mesh, os.path.join(cfg.out_dir, f"mesh_level_{i}.vtk"),
                           {"eta_T": lv.eta_T})
-        report.write_csv(out / "report.csv")
-        report.write_json(out / "report.json")
     return report
 
 

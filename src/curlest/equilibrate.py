@@ -127,7 +127,8 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
     hhat = geom.Jinv.transpose(0, 2, 1) @ np.einsum("ti,icm->tcm", h, N.coeffs)
     hhat_curl = (J @ np.einsum("ti,iam->tam", h, N.curl_coeffs())) / det[:, None, None]
-    cv = np.einsum("qai,ti->tqa", tab.curls, h) @ (J.transpose(0, 2, 1) / det[:, None, None])
+    cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(mesh.n_tets, -1, 3)
+          @ (J.transpose(0, 2, 1) / det[:, None, None]))
     resid = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, (cv - jd) ** 2), 0.0))
     jd_norm = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, jd ** 2), 0.0))
     ortho = np.abs(B @ h[..., None]).max(axis=(1, 2), initial=0.0)
@@ -210,54 +211,44 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     frame = np.stack([fr.t1, fr.t2], axis=-1)                      # (Fi, 3, 2)
     org = mesh.vertices[mesh.faces[faces, 0]][:, None, :]
     xi = (face_rule_points(mesh, faces, rule) - org) @ frame / hf
-    v_lam = _poly.vandermonde(2, kp, xi).reshape(xi.shape[:2] + (nP,))
-    dlam = np.einsum("fqm,bmn->fqbn", v_lam, D2) / hf[..., None]
-    curl_cols = np.stack([dlam[:, :, 1], -dlam[:, :, 0]], axis=2)  # (Fi, q, 2, nP)
-    del dlam
-    j2 = jump @ frame
-    mean_row = s[:, None] * np.einsum("q,fqm->fm", w, v_lam)
+    v_lam = _poly.vandermonde(2, kp, xi)                            # (Fi q, nP)
+    # the scaled surface curl (d_2, -d_1) of every monomial, one product
+    rot = np.stack([D2[1], -D2[0]], axis=1).reshape(nP, 2 * nP)
+    curl_cols = (v_lam @ rot).reshape(len(faces), -1, nP) / hf     # (Fi, q 2, nP)
+    j2 = (jump @ frame).reshape(len(faces), -1)                     # (Fi, q 2)
+    w2 = np.repeat(w, 2)
+    wcols = (s[:, None] * w2)[:, :, None] * curl_cols
+    mean_row = s[:, None] * (w @ v_lam.reshape(len(faces), -1, nP))
     S = np.zeros((len(faces), nP + 1, nP + 1))
-    S[:, :nP, :nP] = s[:, None, None] * np.einsum("q,fqcn,fqcm->fnm", w,
-                                                  curl_cols, curl_cols)
+    S[:, :nP, :nP] = wcols.transpose(0, 2, 1) @ curl_cols
     S[:, :nP, nP] = mean_row
     S[:, nP, :nP] = mean_row
     b = np.zeros((len(faces), nP + 1, 1))
-    b[:, :nP, 0] = s[:, None] * np.einsum("q,fqcn,fqc->fn", w, curl_cols, j2)
+    b[:, :nP] = wcols.transpose(0, 2, 1) @ j2[:, :, None]
     sol = _solve_stack(S, b, faces, FaceSolveSingular, "face",
                        "multiplier")[:, :nP, 0]
-    cl = np.einsum("fqcn,fn->fqc", curl_cols, sol)
-    resid = np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, (cl - j2) ** 2), 0.0))
-    jnorm = np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, j2 ** 2), 0.0))
-    mean_abs = np.abs(np.einsum("fm,fm->f", mean_row, sol))
+    cl = (curl_cols @ sol[:, :, None])[:, :, 0]
+    resid = np.sqrt(np.maximum(s * ((cl - j2) ** 2 @ w2), 0.0))
+    jnorm = np.sqrt(np.maximum(s * (j2 ** 2 @ w2), 0.0))
+    mean_abs = np.abs((mean_row * sol).sum(axis=1))
     return sol, resid, jnorm, mean_abs
 
 
-def _physical_gradients(field: BrokenPolyField) -> BrokenPolyField:
-    """The broken gradient of a vector field, component 3 b + c = d_b F_c."""
-    D = _poly.diff_stack(3, field.degree)
-    Jinv = field.mesh.geom().Jinv
-    grads = np.einsum("tnb,nij,tcj->tbci", Jinv, D, field.coeffs, optimize=True)
-    return BrokenPolyField(field.mesh, field.degree,
-                           grads.reshape(len(grads), 9, -1))
-
-
-def _jump_divergence_norm(mesh: Mesh, grads: BrokenPolyField, faces: np.ndarray,
+def _jump_divergence_norm(mesh: Mesh, dG: np.ndarray, faces: np.ndarray,
                           rule, fr: FaceFrame) -> np.ndarray:
     """Exact in-plane divergence of the tangential jump of a broken field.
 
     The jump is a polynomial trace, so its surface divergence is evaluated
-    from the jump of the field's gradient ``grads`` on the listed faces; no
-    fitting is involved and compatible data reports machine zero.
+    from the jump of the field's gradient on the listed faces, ``dG`` (Fi,
+    q, 9) with component 3 b + c = d_b F_c; no fitting is involved and
+    compatible data reports machine zero.
     """
-    dG = face_jump_values(mesh, grads, faces, rule)
-    dG = dG.reshape(dG.shape[:2] + (3, 3))
-    div = np.zeros(dG.shape[:2])
-    for tvec in (fr.t1, fr.t2):
-        dF = np.einsum("fb,fqbc->fqc", tvec, dG)   # (t . grad) of the jump base
-        div += np.einsum("fqc,fc->fq", np.cross(fr.n[:, None, :], dF), tvec)
+    # div_f(n x F) = sum over t in (t1, t2) of (n x (t . grad) F) . t
+    #              = sum_bc t_b (t x n)_c d_b F_c
+    P = sum(t[:, :, None] * np.cross(t, fr.n)[:, None, :] for t in (fr.t1, fr.t2))
+    div = (dG @ P.reshape(len(faces), 9, 1))[:, :, 0]
     s = 2.0 * mesh.face_areas()[faces]
-    return np.sqrt(np.maximum(s * np.einsum("q,fq->f", rule.weights, div ** 2),
-                              0.0))
+    return np.sqrt(np.maximum(s * (div ** 2 @ rule.weights), 0.0))
 
 
 def _solve_single_face(mesh: Mesh, f: int, jump, rule, kp: int):
@@ -280,9 +271,12 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
     index_of = np.full(mesh.n_faces, -1, dtype=np.int64)
     index_of[internal] = np.arange(fi)
     fr = face_frame(mesh, internal)
-    div_norm = _jump_divergence_norm(mesh, _physical_gradients(total),
-                                     internal, rule, fr)
-    jump = tangential_jump_values(mesh, total, internal, rule)   # (Fi, q, 3)
+    # the field and its 9 partial derivatives, evaluated together
+    partials = total.partials().reshape(mesh.n_tets, 9, -1)
+    stacked = BrokenPolyField(mesh, kp, np.concatenate([total.coeffs, partials], axis=1))
+    jumps = face_jump_values(mesh, stacked, internal, rule)          # (Fi, q, 12)
+    div_norm = _jump_divergence_norm(mesh, jumps[:, :, 3:], internal, rule, fr)
+    jump = np.cross(fr.n[:, None, :], jumps[:, :, :3])              # n x [F]
     lam, resid, jnorm, mean_abs = _face_multiplier_solve(mesh, internal, fr,
                                                          jump, rule, kp)
     hf = mesh.face_diameters()[internal]

@@ -10,6 +10,13 @@ the V_t^-1 it keeps, and its discrete gradient is built from V_t.  Broken
 fields are carried around as per-element polynomial coefficient blocks over
 reference coordinates with physical components, which keeps curls,
 gradients, and jumps exact.
+
+The element kernels are shaped for BLAS: the cached reference tables hold
+their quadrature data pre-weighted and reshaped, so the mass blocks of all
+tets are one (T, 9) @ (9, n n) product and the load vector one
+(T, q 3) @ (q 3, n) product; a broken field is evaluated by one
+(T comp, m) @ (m, q) product and differentiated by one product with the
+stacked derivative matrices and one batched J^-T product.
 """
 
 from __future__ import annotations
@@ -28,11 +35,6 @@ from .errors import NoConvergence, OrphanNode, ProjectionSolveFailure, Unsupport
 from .mesh import Mesh
 
 log = logging.getLogger("curlest")
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
 
 MAX_DEGREE = 3  # end-to-end supported range for global spaces
 
@@ -86,12 +88,12 @@ class BrokenPolyField:
         return self.coeffs.shape[1]
 
     def eval(self, tets, ref_pts) -> np.ndarray:
-        """Values on the listed tets at shared reference points: (t, q, comp)."""
+        """Values on the listed tets at shared reference points: (t, q, comp),
+        a view of one (t * comp, q) product."""
         v = _poly.vandermonde(3, self.degree, ref_pts)
-        return np.einsum("qm,tcm->tqc", v, self.coeffs[tets])
-
-    def eval_one(self, t: int, ref_pts) -> np.ndarray:
-        return self.eval([t], ref_pts)[0]
+        c = self.coeffs[tets]
+        out = c.reshape(-1, c.shape[2]) @ v.T
+        return out.reshape(c.shape[:2] + (-1,)).transpose(0, 2, 1)
 
     def eval_points(self, tets, pts) -> np.ndarray:
         """Values at physical points inside the listed tets: (n, comp) for
@@ -108,24 +110,29 @@ class BrokenPolyField:
         out = v @ self.coeffs[tets].transpose(0, 2, 1)
         return out if pts.ndim == 3 else out[:, 0]
 
+    def partials(self) -> np.ndarray:
+        """Coefficients of the physical partial derivatives, (T, 3, comp, n):
+        entry [t, b, c] is d_b F_c.  The reference derivatives of all
+        components are one product with the stacked derivative matrices;
+        the chain rule is one batched J^-T product."""
+        nt, nc, n = self.coeffs.shape
+        dref = self.coeffs.reshape(-1, n) @ _poly.diff_columns(3, self.degree)
+        dref = dref.reshape(nt, nc, 3, n).transpose(0, 2, 1, 3).reshape(nt, 3, -1)
+        out = self.mesh.geom().Jinv.transpose(0, 2, 1) @ dref
+        return out.reshape(nt, 3, nc, n)
+
     def curl(self) -> "BrokenPolyField":
-        D = _poly.diff_stack(3, self.degree)
-        Jinv = self.mesh.geom().Jinv
-        out = np.einsum("abc,tmb,mij,tcj->tai", _EPS3, Jinv, D, self.coeffs,
-                        optimize=True)
+        g = self.partials()
+        out = np.stack([g[:, 1, 2] - g[:, 2, 1], g[:, 2, 0] - g[:, 0, 2],
+                        g[:, 0, 1] - g[:, 1, 0]], axis=1)
         return BrokenPolyField(self.mesh, self.degree, out)
 
     def grad(self) -> "BrokenPolyField":
-        D = _poly.diff_stack(3, self.degree)
-        Jinv = self.mesh.geom().Jinv
-        out = np.einsum("tmb,mij,tj->tbi", Jinv, D, self.coeffs[:, 0, :],
-                        optimize=True)
-        return BrokenPolyField(self.mesh, self.degree, out)
+        return BrokenPolyField(self.mesh, self.degree, self.partials()[:, :, 0])
 
     def div(self) -> "BrokenPolyField":
-        D = _poly.diff_stack(3, self.degree)
-        Jinv = self.mesh.geom().Jinv
-        out = np.einsum("tmb,mij,tbj->ti", Jinv, D, self.coeffs, optimize=True)
+        g = self.partials()
+        out = g[:, 0, 0] + g[:, 1, 1] + g[:, 2, 2]
         return BrokenPolyField(self.mesh, self.degree, out[:, None, :])
 
     def padded_to(self, degree: int) -> "BrokenPolyField":
@@ -370,13 +377,17 @@ class _RefTables:
         self.rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
         space = ps.reference_space(ps.NEDELEC1_TET, degree)
         v = _poly.vandermonde(3, degree, self.rule.points)
-        self.vals = np.einsum("qm,icm->qci", v, space.coeffs)       # (q,3,n)
+        vals = np.einsum("qm,icm->qci", v, space.coeffs)            # (q,3,n)
         self.curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
         w = self.rule.weights
         self.TCC = np.einsum("q,qai,qbj->abij", w, self.curls, self.curls)
-        self.TVV = np.einsum("q,qai,qbj->abij", w, self.vals, self.vals)
+        n = vals.shape[2]
+        # (q * 3, n) and (9, n * n): the weighted values against which the
+        # load vector and the mass blocks are single matrix products
+        self.wvals = (w[:, None, None] * vals).reshape(-1, n)
+        self.TVV = np.einsum("q,qai,qbj->abij", w, vals, vals).reshape(9, n * n)
         grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, degree))[:, :, 1:]
-        self.TVG = np.einsum("q,qai,qbl->abil", w, self.vals, grads)
+        self.TVG = np.einsum("q,qai,qbl->abil", w, vals, grads)
 
 
 _ref_tables = lru_cache(maxsize=None)(_RefTables)
@@ -419,7 +430,7 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     tab = _ref_tables(k, 2 * k + 2)
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
-    M_gen = np.einsum("tab,abij->tij", K, tab.TVV)
+    M_gen = (K.reshape(-1, 9) @ tab.TVV).reshape(dofmap.Vinv.shape)
     M_gen *= geom.detJ[:, None, None]
     return _assemble_free(dofmap, M_gen)
 
@@ -434,9 +445,8 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
     geom = mesh.geom()
     rule = tab.rule
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
-    jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)    # J^-1 j
-    b_gen = geom.detJ[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
-                                           tab.vals, jhat)
+    jhat = jvals @ geom.Jinv.transpose(0, 2, 1)             # J^-1 j
+    b_gen = geom.detJ[:, None] * (jhat.reshape(len(jhat), -1) @ tab.wvals)
     b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
     return np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
                        minlength=dofmap.n_dofs)
@@ -473,7 +483,8 @@ def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
     k = dofmap.degree
     ccoef = ps.reference_space(ps.NEDELEC1_TET, k).curl_coeffs()
     geom = mesh.geom()
-    cc = np.einsum("ti,iam->tam", _local_coefficients(dofmap, u), ccoef)
+    cc = (_local_coefficients(dofmap, u) @ ccoef.reshape(len(ccoef), -1)).reshape(
+        mesh.n_tets, 3, -1)
     out = (geom.J @ cc) / (geom.detJ * mu.per_tet(mesh))[:, None, None]
     return BrokenPolyField(mesh, k, out)
 
@@ -702,9 +713,3 @@ def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
                      exact, exactness: int) -> float:
     """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference."""
     return QuadratureSample(mesh, mu, field, exactness).l2_error(exact)
-
-
-def l2_error_per_tet(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
-                     exact, exactness: int) -> np.ndarray:
-    return np.sqrt(np.maximum(
-        QuadratureSample(mesh, mu, field, exactness).sq_error_per_tet(exact), 0.0))

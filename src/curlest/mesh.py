@@ -46,8 +46,9 @@ class _Geometry:
 
     def map_points(self, tets, ref_pts):
         """Physical coords of reference points for each listed tet."""
-        return self.v0[tets][:, None, :] + np.einsum(
-            "tab,qb->tqa", self.J[tets], ref_pts)
+        J = self.J[tets]
+        x = (J.reshape(-1, 3) @ np.asarray(ref_pts).T).reshape(len(J), 3, -1)
+        return self.v0[tets][:, None, :] + x.transpose(0, 2, 1)
 
     def ref_coords(self, t, pts):
         """Reference coordinates of physical points inside tet t."""

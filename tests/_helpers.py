@@ -37,6 +37,17 @@ def cube_j(p):
 MU1 = fem.MaterialField(1.0)
 
 
+def eval_one(field, t, ref_pts):
+    """Values of a broken field on tet t at reference points: (q, comp)."""
+    return field.eval([t], ref_pts)[0]
+
+
+def l2_error_per_tet(mesh, mu, field, exact, exactness):
+    """Per-tet energy-norm errors against an analytic field."""
+    sample = fem.QuadratureSample(mesh, mu, field, exactness)
+    return np.sqrt(np.maximum(sample.sq_error_per_tet(exact), 0.0))
+
+
 def solve_cube(n, k, strict_a2=False, aux=None):
     """Solve the manufactured cube problem; returns (mesh, dofmap, u, Hh, data)."""
     mesh = msh.unit_cube_mesh(n)
@@ -866,3 +877,138 @@ def loop_refine(mesh, marked):
         marked_edges = live
     return (np.asarray(verts), np.asarray(tets, dtype=np.int64),
             np.asarray(tags), np.asarray(levels), np.asarray(parents))
+
+
+# ---------------------------------------------------------------------------
+# einsum forms of the library's matrix-product kernels, kept as their oracles:
+# each takes what its kernel takes and returns what it returns
+# ---------------------------------------------------------------------------
+
+_EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS3[_i, _j, _k] = 1.0
+    _EPS3[_i, _k, _j] = -1.0
+
+
+def einsum_vandermonde(dim, degree, points):
+    pts = np.asarray(points, dtype=float).reshape(-1, dim)
+    exps = _poly.exponents(dim, degree)
+    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+
+
+def einsum_map_points(geom, tets, ref_pts):
+    return geom.v0[tets][:, None, :] + np.einsum("tab,qb->tqa", geom.J[tets], ref_pts)
+
+
+def einsum_eval(field, tets, ref_pts):
+    v = einsum_vandermonde(3, field.degree, ref_pts)
+    return np.einsum("qm,tcm->tqc", v, field.coeffs[tets])
+
+
+def einsum_partials(field):
+    """(T, 3, comp, n), entry [t, b, c] the coefficients of d_b F_c."""
+    return np.einsum("tnb,nij,tcj->tbci", field.mesh.geom().Jinv,
+                     _poly.diff_stack(3, field.degree), field.coeffs, optimize=True)
+
+
+def einsum_curl(field):
+    return np.einsum("abc,tmb,mij,tcj->tai", _EPS3, field.mesh.geom().Jinv,
+                     _poly.diff_stack(3, field.degree), field.coeffs, optimize=True)
+
+
+def einsum_grad(field):
+    return np.einsum("tmb,mij,tj->tbi", field.mesh.geom().Jinv,
+                     _poly.diff_stack(3, field.degree), field.coeffs[:, 0, :],
+                     optimize=True)
+
+
+def einsum_div(field):
+    return np.einsum("tmb,mij,tbj->ti", field.mesh.geom().Jinv,
+                     _poly.diff_stack(3, field.degree), field.coeffs,
+                     optimize=True)[:, None, :]
+
+
+def _einsum_ref_vals(k, rule):
+    space = ps.reference_space(ps.NEDELEC1_TET, k)
+    return np.einsum("qm,icm->qci", einsum_vandermonde(3, k, rule.points),
+                     space.coeffs)                                   # (q, 3, n)
+
+
+def einsum_assemble_mass(mesh, dofmap):
+    k = dofmap.degree
+    rule = ps.quadrature("tet", min(2 * k + 2, ps.MAX_QUAD_EXACTNESS))
+    vals = _einsum_ref_vals(k, rule)
+    TVV = np.einsum("q,qai,qbj->abij", rule.weights, vals, vals)
+    geom = mesh.geom()
+    K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
+    M_gen = np.einsum("tab,abij->tij", K, TVV) * geom.detJ[:, None, None]
+    return fem._assemble_free(dofmap, M_gen)
+
+
+def einsum_assemble_rhs(mesh, dofmap, j, exactness=None):
+    k = dofmap.degree
+    if exactness is None:
+        exactness = 2 * k + 2 if j.is_polynomial else 2 * k + 4
+    rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
+    geom = mesh.geom()
+    jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
+    jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)
+    b_gen = geom.detJ[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
+                                           _einsum_ref_vals(k, rule), jhat)
+    b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
+    return np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
+                       minlength=dofmap.n_dofs)
+
+
+def einsum_compute_Hh(mesh, dofmap, u, mu):
+    ccoef = ps.reference_space(ps.NEDELEC1_TET, dofmap.degree).curl_coeffs()
+    geom = mesh.geom()
+    cc = np.einsum("ti,iam->tam", fem._local_coefficients(dofmap, u), ccoef)
+    return (geom.J @ cc) / (geom.detJ * mu.per_tet(mesh))[:, None, None]
+
+
+def einsum_step2(mesh, Hh, correction, kp):
+    """Step 2's batched face kernels in einsum form: dict of lam, resid,
+    jnorm, div_norm and mean_abs over the internal faces."""
+    total = Hh.padded_to(kp).plus(correction.Hhat)
+    rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    faces = mesh.internal_faces()
+    fr = msh.face_frame(mesh, faces)
+    w = rule.weights
+    s = 2.0 * mesh.face_areas()[faces]
+
+    grads = fem.BrokenPolyField(mesh, kp, einsum_partials(total).reshape(
+        mesh.n_tets, 9, -1))
+    dG = fem.face_jump_values(mesh, grads, faces, rule)
+    dG = dG.reshape(dG.shape[:2] + (3, 3))
+    div = np.zeros(dG.shape[:2])
+    for tvec in (fr.t1, fr.t2):
+        dF = np.einsum("fb,fqbc->fqc", tvec, dG)
+        div += np.einsum("fqc,fc->fq", np.cross(fr.n[:, None, :], dF), tvec)
+    div_norm = np.sqrt(np.maximum(s * np.einsum("q,fq->f", w, div ** 2), 0.0))
+
+    jump = fem.tangential_jump_values(mesh, total, faces, rule)
+    nP = ps.dim_p_tri(kp)
+    hf = mesh.face_diameters()[faces][:, None, None]
+    frame = np.stack([fr.t1, fr.t2], axis=-1)
+    org = mesh.vertices[mesh.faces[faces, 0]][:, None, :]
+    xi = (fem.face_rule_points(mesh, faces, rule) - org) @ frame / hf
+    v_lam = einsum_vandermonde(2, kp, xi).reshape(xi.shape[:2] + (nP,))
+    dlam = np.einsum("fqm,bmn->fqbn", v_lam, _poly.diff_stack(2, kp)) / hf[..., None]
+    curl_cols = np.stack([dlam[:, :, 1], -dlam[:, :, 0]], axis=2)
+    j2 = jump @ frame
+    mean_row = s[:, None] * np.einsum("q,fqm->fm", w, v_lam)
+    S = np.zeros((len(faces), nP + 1, nP + 1))
+    S[:, :nP, :nP] = s[:, None, None] * np.einsum("q,fqcn,fqcm->fnm", w,
+                                                  curl_cols, curl_cols)
+    S[:, :nP, nP] = mean_row
+    S[:, nP, :nP] = mean_row
+    b = np.zeros((len(faces), nP + 1))
+    b[:, :nP] = s[:, None] * np.einsum("q,fqcn,fqc->fn", w, curl_cols, j2)
+    sol = np.linalg.solve(S, b[..., None])[:, :nP, 0]
+    cl = np.einsum("fqcn,fn->fqc", curl_cols, sol)
+    return {"lam": sol,
+            "resid": np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, (cl - j2) ** 2), 0.0)),
+            "jnorm": np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, j2 ** 2), 0.0)),
+            "div_norm": div_norm,
+            "mean_abs": np.abs(np.einsum("fm,fm->f", mean_row, sol))}

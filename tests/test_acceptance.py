@@ -15,7 +15,7 @@ from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from _helpers import MU1, cube_H, cube_j
+from _helpers import MU1, cube_H, cube_j, eval_one, l2_error_per_tet
 
 
 def _report(name, ok, detail):
@@ -152,7 +152,7 @@ def test_criterion_05_local_well_posedness_oracles():
         field = fem.BrokenPolyField(ref, kp, vcurl[None])
 
         def jd(p, _f=field, _m=ref):
-            return _f.eval_one(0, _m.geom().ref_coords(0, p))
+            return eval_one(_f, 0, _m.geom().ref_coords(0, p))
 
         Hh0 = fem.BrokenPolyField(ref, 1, np.zeros((1, 3, 4)))
         corr = eqm.step1_element_corrections(
@@ -261,7 +261,7 @@ def test_criterion_08_local_efficiency_trend(cube_runs):
     for n in (2, 4, 8):
         r = cube_runs[(1, n)]
         mesh = r["mesh"]
-        err_T = fem.l2_error_per_tet(mesh, MU1, r["Hh"], cube_H, 6)
+        err_T = l2_error_per_tet(mesh, MU1, r["Hh"], cube_H, 6)
         # tets sharing a vertex with tet t: the nonzeros of row t of the
         # tet-vertex incidence times its transpose
         inc = sp.csr_matrix((np.ones(mesh.tets.size), (

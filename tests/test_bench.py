@@ -16,7 +16,7 @@ from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from _helpers import MU1, cube_H, solve_cube
+from _helpers import MU1, cube_H, eval_one, solve_cube
 
 RNG = np.random.default_rng(3)
 
@@ -270,7 +270,7 @@ def _resolved_reference_errors(spec, levels, cfg):
         err_sq = 0.0
         for tr in ref_tets:
             xr = geom_l.ref_coords(anc[tr], pts[tr])
-            diff = ref_vals[tr] - Hl.eval_one(anc[tr], xr)
+            diff = ref_vals[tr] - eval_one(Hl, anc[tr], xr)
             err_sq += geom_ref.detJ[tr] * mu_t[tr] * float(
                 np.einsum("q,qc->", rule.weights, diff ** 2))
         errs.append(np.sqrt(err_sq))

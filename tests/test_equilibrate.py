@@ -11,10 +11,10 @@ from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from _helpers import (MU1, cube_H, cube_j, edge_faces, inspace_j, inspace_u,
-                      jittered_cube, loop_edge_sums, loop_face_multipliers,
-                      loop_face_solve, loop_jump_norms, loop_step1, loop_step3,
-                      solve_cube)
+from _helpers import (MU1, cube_H, cube_j, edge_faces, eval_one, inspace_j,
+                      inspace_u, jittered_cube, loop_edge_sums,
+                      loop_face_multipliers, loop_face_solve, loop_jump_norms,
+                      loop_step1, loop_step3, solve_cube)
 
 RNG = np.random.default_rng(23)
 
@@ -117,7 +117,7 @@ def test_step1_roundtrip_on_reference_tet(kp):
 
         def jd_func(p):
             xhat = m.geom().ref_coords(0, p)
-            return vcurl_field.eval_one(0, xhat)
+            return eval_one(vcurl_field, 0, xhat)
 
         j = fem.CurrentDensity(func=jd_func)
         Hh0 = fem.BrokenPolyField(m, 1, np.zeros((1, 3, 4)))
@@ -129,7 +129,7 @@ def test_step1_roundtrip_on_reference_tet(kp):
         assert corr.Hhat.norm() <= vfield.norm() * (1 + 1e-10)
         # cross-check against the independent dense oracle
         pts, hv, cv, w = _brute_force_step1(m, 1.0, jd_func, kp)
-        hv2 = corr.Hhat.eval_one(0, m.geom().ref_coords(0, pts))
+        hv2 = eval_one(corr.Hhat, 0, m.geom().ref_coords(0, pts))
         assert np.abs(hv - hv2).max() < 1e-9 * max(1.0, np.abs(hv).max())
 
 
@@ -564,8 +564,8 @@ def test_step3_jump_matches_multiplier_polynomials():
     for ii, f in enumerate(fm.internal_faces):
         pts = fem.face_rule_points(m, f, rule)
         tp, tm = m.face_tets[f]
-        jump = (poly.eval_one(tp, geom.ref_coords(tp, pts))
-                - poly.eval_one(tm, geom.ref_coords(tm, pts)))[:, 0]
+        jump = (eval_one(poly, tp, geom.ref_coords(tp, pts))
+                - eval_one(poly, tm, geom.ref_coords(tm, pts)))[:, 0]
         lam = fm.eval(ii, pts)
         assert np.abs(jump - lam).max() < 1e-9 * scale
 

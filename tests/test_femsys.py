@@ -11,11 +11,12 @@ from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree
 from _helpers import (MU1, cg_solve, colamd_factor, colamd_solve, covariant_basis,
-                      cube_H, cube_j, element_dof_matrix, hash_node_registry,
-                      inspace_H, inspace_u, jittered_cube, loop_curlcurl_mass,
-                      loop_gradient, loop_Hh, loop_interpolate_nedelec,
-                      loop_nedelec_dofs, loop_project_current, relabelled_cube,
-                      solve_cube, two_tet_mesh)
+                      cube_H, cube_j, element_dof_matrix, eval_one,
+                      hash_node_registry, inspace_H, inspace_u, jittered_cube,
+                      loop_curlcurl_mass, loop_gradient, loop_Hh,
+                      loop_interpolate_nedelec, loop_nedelec_dofs,
+                      loop_project_current, relabelled_cube, solve_cube,
+                      two_tet_mesh)
 
 RNG = np.random.default_rng(17)
 
@@ -294,6 +295,19 @@ def test_singular_shifted_system_raises_no_convergence():
         fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
 
 
+def test_structurally_singular_shifted_system_raises_no_convergence():
+    # an empty free row and column: the zero pivot is in the structure, so
+    # the check does not rest on how assembly rounds
+    m = msh.unit_cube_mesh(1)
+    dm = fem.build_dofmap(m, 2)
+    live = np.delete(np.arange(dm.n_free), dm.n_free // 2)
+    A = sp.csr_matrix((np.ones(len(live)), (live, live)), shape=(dm.n_free,) * 2)
+    b = np.zeros(dm.n_dofs)
+    b[dm.free] = 1.0
+    with pytest.raises(fem.NoConvergence, match="exactly singular"):
+        fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
+
+
 def test_non_finite_correction_stops_refinement_at_once():
     # a tiny diagonal pivot that partial pivoting would step over: the
     # symmetric-mode factor divides by it and the first correction overflows
@@ -484,14 +498,14 @@ def test_elementwise_stokes_identity():
     w_const = np.array([0.3, -1.1, 0.7])  # constant test field, curl w = 0
     for t in range(m.n_tets):
         lhs = geom.detJ[t] * np.einsum(
-            "q,qc,c->", rule.weights, jh.eval_one(t, rule.points), w_const)
+            "q,qc,c->", rule.weights, eval_one(jh, t, rule.points), w_const)
         rhs = 0.0
         for f in m.tet_faces[t]:
             pts = fem.face_rule_points(m, f, tri)
             n = m.face_normal(f)
             if m.face_tets[f, 0] != t:
                 n = -n
-            vals = Hh.eval_one(t, geom.ref_coords(t, pts))
+            vals = eval_one(Hh, t, geom.ref_coords(t, pts))
             rhs += 2.0 * m.face_areas()[f] * np.einsum(
                 "q,qc,c->", tri.weights, np.cross(n[None, :], vals), w_const)
         scale = max(abs(lhs), 1.0)
