@@ -16,8 +16,7 @@ from .mesh import (Mesh, build_mesh, edge_face_normals, face_frame,
                    l_brick_mesh, read_mesh_text, refine, unit_cube_mesh,
                    write_mesh_text, write_vtk)
 from .polyspace import (LagrangeNodeSet, QuadratureRule, ReferenceSpace,
-                        covariant_map, eval_basis, eval_curl, lagrange_nodes,
-                        piola_map, quadrature, reference_space)
+                        lagrange_nodes, quadrature, reference_space)
 from .residual import ResidualResult, compute_residual_estimator
 
 __version__ = "0.1.0"

@@ -158,8 +158,7 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
                                                       cfg.degree).mu_h
     exact_H = getattr(problem, "exact_H", None)
     if exact_H is not None:
-        set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H,
-                                            2 * cfg.degree + 4))
+        set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H))
     gap = abs(eta_h ** 2 - float((eta_T ** 2).sum()))
     ok = math.isfinite(eta_h) and gap <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300)
     log.info("level %s: %d tets, %d dofs, eta=%.3e", labels.get("level"),

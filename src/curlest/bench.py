@@ -36,19 +36,13 @@ class ProblemSpec:
     exact_H: object = None
     uniform_res: dict = field(default_factory=dict)
     analysis_grade: bool = False
-    sample_fn: object = None
     notes: str = ""
 
     def initial_mesh(self) -> Mesh:
         return self.make_mesh(self.base_res)
 
     def current(self) -> fem.CurrentDensity:
-        return fem.CurrentDensity(func=self.j_func, label=self.name)
-
-    def sample_points(self, n: int, rng) -> np.ndarray:
-        if self.sample_fn is not None:
-            return self.sample_fn(n, rng)
-        return rng.uniform(0.05, 0.95, size=(n, 3))
+        return fem.CurrentDensity(func=self.j_func)
 
 
 def _g(s):
@@ -135,15 +129,6 @@ def lbrick_j(p):
                     axis=1)
 
 
-def _lbrick_samples(n, rng):
-    pts = []
-    while len(pts) < n:
-        p = rng.uniform([-0.95, -0.95, 0.05], [0.95, 0.95, 0.95])
-        if not (p[0] > 0.02 and p[1] < -0.02):
-            pts.append(p)
-    return np.array(pts)
-
-
 def _jump_tags(mu2: float):
     def tag(c):
         return 1 if (c[1] < 0.5 and c[2] < 0.5) else 2
@@ -172,7 +157,6 @@ def builtin_problems() -> dict:
         exact_H=None,
         uniform_res={1: [1, 2, 4], 2: [1, 2], 3: [1]},
         analysis_grade=True,
-        sample_fn=_lbrick_samples,
         notes="reentrant-edge singular potential; current density from "
               "finite differences of the stream function (no exact-error claims)")
     for ell in (1, 2, 3):
@@ -189,46 +173,6 @@ def builtin_problems() -> dict:
             notes="discontinuous permeability, unit current; reference-"
                   "solution protocol for errors")
     return problems
-
-
-def consistency_check(spec: ProblemSpec, n: int = 100, tol: float = 1e-8,
-                      seed: int = 1234) -> float:
-    """Finite-difference double-curl check of the shipped closed forms.
-
-    Guards transcription errors: at random interior points, curl(exact_H)
-    must match j and (for unit permeability) curl(exact_u) must match H.
-    Returns the worst relative mismatch.
-    """
-    if spec.exact_H is None:
-        raise ValueError(f"{spec.name} has no exact field to check against")
-    rng = np.random.default_rng(seed)
-    pts = spec.sample_points(n, rng)
-    h = 1e-5
-
-    def fd_curl(fn, p):
-        out = np.zeros((len(p), 3))
-        d = np.zeros((len(p), 3, 3))
-        for a in range(3):
-            dp = np.zeros(3)
-            dp[a] = h
-            d[:, a, :] = (fn(p + dp) - fn(p - dp)) / (2.0 * h)
-        out[:, 0] = d[:, 1, 2] - d[:, 2, 1]
-        out[:, 1] = d[:, 2, 0] - d[:, 0, 2]
-        out[:, 2] = d[:, 0, 1] - d[:, 1, 0]
-        return out
-
-    jv = spec.j_func(pts)
-    scale = max(float(np.abs(jv).max()), 1.0)
-    worst = float(np.abs(fd_curl(spec.exact_H, pts) - jv).max()) / scale
-    if spec.exact_u is not None and len(spec.mu.values) == 1:
-        mu0 = next(iter(spec.mu.values.values()))
-        Hv = spec.exact_H(pts)
-        hscale = max(float(np.abs(Hv).max()), 1.0)
-        worst = max(worst, float(
-            np.abs(fd_curl(spec.exact_u, pts) / mu0 - Hv).max()) / hscale)
-    if worst > tol:
-        raise ValueError(f"{spec.name}: closed forms inconsistent ({worst:.2e})")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +285,7 @@ def _attach_reference_errors(spec: ProblemSpec, cfg: RunConfig,
         adaptm.estimate_level(dm, mu, data, Hh, cfg).result.eta_T, cfg.theta)
     ref_mesh = adaptm.refine(mesh, marked)
     _, _, H_ref, _ = adaptm.solve_level(ref_mesh, mu, j, cfg)
-    ref = fem.QuadratureSample(ref_mesh, mu, H_ref, 2 * cfg.degree + 4)
+    ref = fem.QuadratureSample(ref_mesh, mu, H_ref)
     anc = mesh.parent[ref_mesh.parent]     # reference tet -> last-level tet
     for lv in reversed(levels):
         def coarse(p):  # the sample passes its points tet by tet

@@ -10,10 +10,13 @@ Pipeline (per estimator run):
           least-squares systems, solved in batches of equal shape;
   step 4  the elementwise energy norm of the corrected field.
 
-The face multiplier data lives in the span of tangential traces, realized as
-the in-plane div-conforming space of the face frame; with that realization
-the surface curl of the scalar face space is exactly the divergence-free
-subspace, which makes step 2 solvable whenever the face data is compatible.
+Step 2 realizes the face space in monomials of the scaled face-frame
+coordinates: the multiplier is a polynomial of degree k' on the face, and its
+surface curl is matched to the tangential jump in the L2 least-squares
+sense.  The tangential traces span the in-plane div-conforming space of the
+face, whose divergence-free subspace is exactly the surface curl of the
+scalar face space, so step 2 is solvable whenever the face data is
+compatible; the tests check that exact sequence on the reference triangle.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_jump_values, face_rule_points,
-                     tangential_jump_norms, tangential_jump_values, _ref_tables)
+                     tangential_jump_norms, tangential_jump_values,
+                     _data_exactness, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
@@ -103,8 +107,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     if kp < Hh.degree:
         raise ValueError("auxiliary degree must be >= the field degree")
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
-    ex = 2 * kp + (2 if j.is_polynomial else 4)
-    tab = _ref_tables(kp, ex)
+    tab = _ref_tables(kp, not j.is_polynomial)
     w = tab.rule.weights
 
     geom = mesh.geom()
@@ -251,21 +254,12 @@ def _jump_divergence_norm(mesh: Mesh, dG: np.ndarray, faces: np.ndarray,
     return np.sqrt(np.maximum(s * (div ** 2 @ rule.weights), 0.0))
 
 
-def _solve_single_face(mesh: Mesh, f: int, jump, rule, kp: int):
-    """Test hook: multiplier coefficients and residual for one face, from
-    the batched solve on a one-face batch."""
-    faces = np.array([f])
-    sol, resid, *_ = _face_multiplier_solve(mesh, faces, face_frame(mesh, faces),
-                                            np.asarray(jump)[None], rule, kp)
-    return sol[0], resid[0]
-
-
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            correction: ElementCorrection, kp: int, *,
                            strict: bool = False) -> FaceMultiplier:
     """Solve the surface-curl problems of all internal faces as one batch."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tri", 2 * kp + 2)
     internal = mesh.internal_faces()
     fi = len(internal)
     index_of = np.full(mesh.n_faces, -1, dtype=np.int64)
@@ -375,13 +369,6 @@ def solve_node_patches(n: int, pairs: np.ndarray, values: np.ndarray):
     sol = (np.linalg.pinv(rows) @ rhs[..., None])[..., 0]
     resid = np.linalg.norm((rows @ sol[..., None])[..., 0] - rhs, axis=1)
     return sol, resid
-
-
-def solve_node_patch(n: int, pairs, values):
-    """One nodal difference system through ``solve_node_patches``."""
-    sol, resid = solve_node_patches(n, np.asarray(pairs).reshape(1, -1, 2),
-                                    np.asarray(values, dtype=float).reshape(1, -1))
-    return sol[0], float(resid[0])
 
 
 @dataclass
@@ -511,7 +498,7 @@ def step4_estimator(mesh: Mesh, mu: MaterialField, correction: ElementCorrection
                     phi: NodalPotential) -> EstimatorResult:
     phi_poly = phi.poly(mesh)
     Htilde = correction.Hhat.plus(phi_poly.grad())
-    eta_T = Htilde.mu_norms(mu.per_tet(mesh), exactness=2 * correction.degree)
+    eta_T = Htilde.mu_norms(mu.per_tet(mesh))
     eta_h = float(np.sqrt((eta_T ** 2).sum()))
     return EstimatorResult(eta_T=eta_T, eta_h=eta_h, Htilde=Htilde,
                            phi_field=phi_poly)
@@ -590,8 +577,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     corr = output.correction
     result = output.result
     kp = corr.degree
-    rule = ps.quadrature("tet", min(2 * kp + (2 if j.is_polynomial else 4),
-                                    ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tet", _data_exactness(kp, not j.is_polynomial))
     geom = mesh.geom()
     tets = np.arange(mesh.n_tets)
     total_curl = Hh.curl().padded_to(kp).plus(corr.Hhat_curl)
@@ -604,7 +590,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                            * geom.detJ).sum()))
 
     total = Hh.padded_to(kp).plus(result.Htilde)
-    face_norms = tangential_jump_norms(mesh, total, exactness=2 * kp + 2)
+    face_norms = tangential_jump_norms(mesh, total)
     face_resid = float(np.sqrt((face_norms ** 2).sum()))
     base_jump = float(np.sqrt((tangential_jump_norms(mesh, Hh) ** 2).sum()))
 
@@ -614,7 +600,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     free = np.nonzero(~reg.boundary)[0]
     P = ps.reference_space(ps.P_SCALAR_TET, reg.degree)
     corrected = Hh.padded_to(kp).plus(corr.Hhat)
-    tri_rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    tri_rule = ps.quadrature("tri", 2 * kp + 2)
     internal = mesh.internal_faces()
     jump = tangential_jump_values(mesh, corrected, internal, tri_rule)
     face_pts = face_rule_points(mesh, internal, tri_rule)

@@ -31,10 +31,6 @@ class WrongKind(CurlestError):
     """Operation not defined for this reference-space kind."""
 
 
-class SingularJacobian(CurlestError):
-    """Element mapping with non-positive Jacobian determinant."""
-
-
 # linear algebra / solving
 class ProjectionSolveFailure(CurlestError):
     """Gradient-projection system could not be solved."""

@@ -39,6 +39,13 @@ log = logging.getLogger("curlest")
 MAX_DEGREE = 3  # end-to-end supported range for global spaces
 
 
+def _data_exactness(degree: int, analytic: bool) -> int:
+    """Exactness of the tet rules that integrate fields of degree p against
+    current data or a reference field: 2p+2 for polynomial data, 2p+4 for
+    analytic data, an analytic reference field included."""
+    return 2 * degree + (4 if analytic else 2)
+
+
 # ---------------------------------------------------------------------------
 # material and current data
 # ---------------------------------------------------------------------------
@@ -51,16 +58,10 @@ class MaterialField:
     def __post_init__(self):
         if np.isscalar(self.values):
             self.values = {0: float(self.values)}
-        if any(v <= 0.0 for v in self.values.values()):
-            raise ValueError("permeability values must be positive")
-
-    @property
-    def mu_min(self) -> float:
-        return min(self.values.values())
-
-    @property
-    def mu_max(self) -> float:
-        return max(self.values.values())
+        for tag, v in self.values.items():
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValueError("permeability values must be positive and "
+                                 f"finite; tag {tag} has {v}")
 
     def per_tet(self, mesh: Mesh) -> np.ndarray:
         if len(self.values) == 1:
@@ -157,10 +158,9 @@ class BrokenPolyField:
             factor = factor[:, None, None]
         return BrokenPolyField(self.mesh, self.degree, self.coeffs * factor)
 
-    def mu_norms(self, mu_per_tet=None, exactness: int | None = None) -> np.ndarray:
-        """Per-tet norms sqrt(mu int |f|^2)."""
-        ex = 2 * self.degree if exactness is None else exactness
-        rule = ps.quadrature("tet", min(ex, ps.MAX_QUAD_EXACTNESS))
+    def mu_norms(self, mu_per_tet=None) -> np.ndarray:
+        """Per-tet norms sqrt(mu int |f|^2), exact."""
+        rule = ps.quadrature("tet", 2 * self.degree)
         vals = self.eval(np.arange(self.mesh.n_tets), rule.points)
         det = self.mesh.geom().detJ
         sq = np.einsum("q,tqc->t", rule.weights, vals ** 2) * det
@@ -168,8 +168,8 @@ class BrokenPolyField:
             sq = sq * np.asarray(mu_per_tet)
         return np.sqrt(np.maximum(sq, 0.0))
 
-    def norm(self, mu_per_tet=None, exactness: int | None = None) -> float:
-        return float(np.sqrt((self.mu_norms(mu_per_tet, exactness) ** 2).sum()))
+    def norm(self, mu_per_tet=None) -> float:
+        return float(np.sqrt((self.mu_norms(mu_per_tet) ** 2).sum()))
 
 
 @dataclass
@@ -177,7 +177,6 @@ class CurrentDensity:
     """Divergence-free current data: analytic callback or broken polynomial."""
     func: object = None
     field: BrokenPolyField | None = None
-    label: str = ""
 
     @property
     def is_polynomial(self) -> bool:
@@ -196,21 +195,6 @@ class CurrentDensity:
             phys_pts = mesh.geom().map_points(tets, np.asarray(ref_pts))
         flat = self.eval_phys(phys_pts.reshape(-1, 3))
         return flat.reshape(len(tets), -1, 3)
-
-    def validate(self, mesh: Mesh, tol: float = 1e-10) -> dict:
-        """Divergence and normal-flux-jump checks for polynomial data."""
-        if self.field is None:
-            raise ValueError("validate requires piecewise-polynomial data")
-        scale = max(self.field.norm(), 1e-30)
-        div_norms = self.field.div().mu_norms()
-        jump = normal_jump_norms(mesh, self.field)
-        return {
-            "max_div": float(div_norms.max(initial=0.0)),
-            "max_flux_jump": float(jump.max(initial=0.0)),
-            "scale": scale,
-            "ok": bool(div_norms.max(initial=0.0) <= tol * scale
-                       and jump.max(initial=0.0) <= tol * scale),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +353,14 @@ def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
 
 
 class _RefTables:
-    """Reference basis tables at a tet quadrature rule, shared per degree;
-    TVG pairs the basis values with the gradients of the non-constant
-    monomials (the gradient orthogonality of estimator step 1)."""
+    """Reference basis tables at the tet rule for polynomial (analytic
+    False) or analytic data, shared per degree; the polynomial-data rule
+    also integrates the curl-curl and mass blocks exactly.  TVG pairs the
+    basis values with the gradients of the non-constant monomials (the
+    gradient orthogonality of estimator step 1)."""
 
-    def __init__(self, degree: int, exactness: int):
-        self.rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
+    def __init__(self, degree: int, analytic: bool):
+        self.rule = ps.quadrature("tet", _data_exactness(degree, analytic))
         space = ps.reference_space(ps.NEDELEC1_TET, degree)
         v = _poly.vandermonde(3, degree, self.rule.points)
         vals = np.einsum("qm,icm->qci", v, space.coeffs)            # (q,3,n)
@@ -417,7 +403,7 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
                       mu: MaterialField) -> sp.csr_matrix:
     """Stiffness (mu^-1 curl u, curl w) over the free dofs."""
     k = dofmap.degree
-    tab = _ref_tables(k, 2 * k + 2)
+    tab = _ref_tables(k, False)
     geom = mesh.geom()
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
     A_gen = np.einsum("tab,abij->tij", JtJ, tab.TCC)
@@ -427,7 +413,7 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     k = dofmap.degree
-    tab = _ref_tables(k, 2 * k + 2)
+    tab = _ref_tables(k, False)
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
     M_gen = (K.reshape(-1, 9) @ tab.TVV).reshape(dofmap.Vinv.shape)
@@ -435,13 +421,10 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     return _assemble_free(dofmap, M_gen)
 
 
-def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity,
-                 exactness: int | None = None) -> np.ndarray:
+def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> np.ndarray:
     """Load vector (j, w) over all dofs; the solve reads the free entries."""
     k = dofmap.degree
-    if exactness is None:
-        exactness = 2 * k + 2 if j.is_polynomial else 2 * k + 4
-    tab = _ref_tables(k, exactness)
+    tab = _ref_tables(k, not j.is_polynomial)
     geom = mesh.geom()
     rule = tab.rule
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
@@ -465,16 +448,6 @@ def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
         mesh.vertices[mesh.tets], mesh.tets, dofmap.degree,
         _stacked_eval(func))[:, :, 0]
     return FieldCoefficients(dofmap, vals)
-
-
-def nedelec_field_to_poly(mesh: Mesh, dofmap: DofMap,
-                          u: FieldCoefficients) -> BrokenPolyField:
-    """Expand assembled coefficients into the broken polynomial representation."""
-    k = dofmap.degree
-    space = ps.reference_space(ps.NEDELEC1_TET, k)
-    cref = np.einsum("ti,icm->tcm", _local_coefficients(dofmap, u), space.coeffs)
-    out = np.einsum("tbc,tbm->tcm", mesh.geom().Jinv, cref)   # J^-T cref
-    return BrokenPolyField(mesh, k, out)
 
 
 def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
@@ -616,11 +589,11 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     verts = mesh.vertices[mesh.tets]
     V = ps.rt_element_matrices(verts, mesh.tets, degree)
     b = ps.rt_dof_matrix(verts, mesh.tets, degree, _stacked_eval(j_func),
-                         exactness=2 * degree + 4)
+                         exactness=_data_exactness(degree, True))
     c = np.linalg.solve(V, b)[:, :, 0]
     cref = np.einsum("ti,icm->tcm", c, space.coeffs)
     field = BrokenPolyField(mesh, degree, (geom.J @ cref) / geom.detJ[:, None, None])
-    return CurrentDensity(func=j_func, field=field, label="projected")
+    return CurrentDensity(func=j_func, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +628,10 @@ def tangential_jump_values(mesh: Mesh, field: BrokenPolyField, f,
     return np.cross(n[..., None, :], face_jump_values(mesh, field, f, rule))
 
 
-def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField,
-                          exactness: int | None = None) -> np.ndarray:
-    """L2 norms of the tangential jump on every internal face (0 on boundary)."""
-    ex = 2 * field.degree if exactness is None else exactness
-    rule = ps.quadrature("tri", min(max(ex, 2), ps.MAX_QUAD_EXACTNESS))
+def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField) -> np.ndarray:
+    """L2 norms of the tangential jump on every internal face (0 on boundary),
+    exact."""
+    rule = ps.quadrature("tri", 2 * field.degree)
     internal = mesh.internal_faces()
     jump = tangential_jump_values(mesh, field, internal, rule)
     out = np.zeros(mesh.n_faces)
@@ -668,28 +640,14 @@ def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField,
     return out
 
 
-def normal_jump_norms(mesh: Mesh, field: BrokenPolyField,
-                      exactness: int | None = None) -> np.ndarray:
-    """L2 norms of the normal jump on every internal face (0 on boundary)."""
-    ex = 2 * field.degree if exactness is None else exactness
-    rule = ps.quadrature("tri", min(max(ex, 2), ps.MAX_QUAD_EXACTNESS))
-    internal = mesh.internal_faces()
-    jump = face_jump_values(mesh, field, internal, rule)
-    dv = np.einsum("fqc,fc->fq", jump, mesh.face_normals()[internal])
-    out = np.zeros(mesh.n_faces)
-    out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(
-        "q,fq->f", rule.weights, dv ** 2))
-    return out
-
-
 class QuadratureSample:
     """A broken field at the quadrature points of its mesh, with the weights
     and per-tet factors of the energy norm; built once, it is compared with
-    any number of other fields."""
+    any number of fields given as functions of the points, so its rule is
+    the one for analytic data."""
 
-    def __init__(self, mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
-                 exactness: int):
-        self.rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
+    def __init__(self, mesh: Mesh, mu: MaterialField, field: BrokenPolyField):
+        self.rule = ps.quadrature("tet", _data_exactness(field.degree, True))
         geom = mesh.geom()
         tets = np.arange(mesh.n_tets)
         self.mu_t = mu.per_tet(mesh)
@@ -710,6 +668,6 @@ class QuadratureSample:
 
 
 def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
-                     exact, exactness: int) -> float:
+                     exact) -> float:
     """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference."""
-    return QuadratureSample(mesh, mu, field, exactness).l2_error(exact)
+    return QuadratureSample(mesh, mu, field).l2_error(exact)

@@ -50,10 +50,6 @@ class _Geometry:
         x = (J.reshape(-1, 3) @ np.asarray(ref_pts).T).reshape(len(J), 3, -1)
         return self.v0[tets][:, None, :] + x.transpose(0, 2, 1)
 
-    def ref_coords(self, t, pts):
-        """Reference coordinates of physical points inside tet t."""
-        return (np.asarray(pts) - self.v0[t]) @ self.Jinv[t].T
-
 
 @dataclass
 class Mesh:
@@ -100,9 +96,6 @@ class Mesh:
             self._geom = _Geometry(self)
         return self._geom
 
-    def tet_volumes(self) -> np.ndarray:
-        return self.geom().vol
-
     def tet_diameters(self) -> np.ndarray:
         if self._tet_diameters is None:
             self._tet_diameters = _diameters(self.vertices[self.tets])
@@ -144,10 +137,6 @@ class Mesh:
             n[flip] = -n[flip]
             self._face_normals = n
         return self._face_normals
-
-    def face_normal(self, f: int) -> np.ndarray:
-        """Unit normal pointing out of the plus-side tet."""
-        return self.face_normals()[f]
 
     def edge_tangent(self, e) -> np.ndarray:
         """Unit tangent of edge e, (3,); (len(e), 3) for an index array."""
@@ -221,12 +210,17 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
 
     Tets are reordered to positive orientation.  Faces and edges are
     numbered in order of first occurrence in the tet list.  Raises
-    NonConforming for invalid complexes and DegenerateTet for (near-)flat
-    cells.
+    NonConforming for invalid complexes and non-finite coordinates, and
+    DegenerateTet for (near-)flat cells.
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float).reshape(-1, 3))
     tets = np.asarray(tets, dtype=np.int64).reshape(-1, 4)
     nv, nt = len(vertices), len(tets)
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonConforming(f"vertex {i} has non-finite coordinates "
+                            f"{vertices[i].tolist()}")
     if tets.min(initial=0) < 0 or tets.max(initial=-1) >= nv:
         raise NonConforming("tet references an invalid vertex id")
     ordered = np.sort(tets, axis=1)

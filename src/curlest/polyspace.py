@@ -1,12 +1,14 @@
 """Reference-element polynomial machinery.
 
 Provides quadrature rules on segment/triangle/tetrahedron, Lagrange node
-sets, and the polynomial spaces used throughout: scalar spaces on the
-tetrahedron and triangle, curl-conforming (first-kind edge) elements,
-divergence-conforming elements, and the in-plane face space that holds
-tangential traces.  Bases are built from orthogonalized monomial generators
-and re-expressed as the dual basis of the canonical moment functionals, so
-the unisolvence matrix of every space is the identity by construction.
+sets, and the polynomial spaces of the tetrahedron used throughout: scalar,
+curl-conforming (first-kind edge) and divergence-conforming.  Bases are built
+from orthogonalized monomial generators and re-expressed as the dual basis of
+the canonical moment functionals, so the unisolvence matrix of every space is
+the identity by construction.  The face space of estimator step 2 is not a
+reference space: step 2 works in face-frame monomials directly (see
+``equilibrate``), and the tests check the exact sequence of the triangle
+spaces behind it.
 """
 
 from __future__ import annotations
@@ -19,17 +21,14 @@ from numpy.polynomial.legendre import leggauss, legval
 from scipy.special import roots_jacobi
 
 from . import _poly
-from .errors import SingularJacobian, UnsupportedDegree, WrongKind
+from .errors import UnsupportedDegree, WrongKind
 
-# Reference tetrahedron (0,0,0),(1,0,0),(0,1,0),(0,0,1); reference triangle
-# (0,0),(1,0),(0,1).
+# Reference tetrahedron (0,0,0),(1,0,0),(0,1,0),(0,0,1).
 TET_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # face i opposite vertex i
-TRI_EDGES = ((0, 1), (0, 2), (1, 2))
 
 EDGE_INDEX = {e: i for i, e in enumerate(TET_EDGES)}
 
@@ -46,10 +45,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 # dimension formulas
 # ---------------------------------------------------------------------------
 
-def dim_p_tet(k: int) -> int:
-    return (k + 1) * (k + 2) * (k + 3) // 6
-
-
 def dim_p_tri(k: int) -> int:
     return (k + 1) * (k + 2) // 2
 
@@ -60,10 +55,6 @@ def dim_nedelec_tet(k: int) -> int:
 
 def dim_rt_tet(k: int) -> int:
     return k * (k + 1) * (k + 3) // 2
-
-
-def dim_rt_tri(k: int) -> int:
-    return k * (k + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -377,36 +368,6 @@ def rt_dof_matrix(verts: np.ndarray, gids, k: int, field_eval,
     return out[0] if one else out
 
 
-def rt_tri_dof_matrix(verts2: np.ndarray, k: int, field_eval) -> np.ndarray:
-    """Edge-normal / interior moments for the in-plane triangle space (2D)."""
-    verts2 = np.asarray(verts2, dtype=float)
-    rows = []
-    seg = quadrature("segment", 2 * k + 2)
-    s = seg.points[:, 0]
-    leg = _legendre_rows(s, k)
-    for a, b in TRI_EDGES:
-        vec = verts2[b] - verts2[a]
-        length = np.linalg.norm(vec)
-        nhat = np.array([vec[1], -vec[0]]) / length
-        pts = verts2[a] + s[:, None] * vec[None, :]
-        vals = field_eval(pts)
-        nv = np.einsum("mcf,c->mf", vals, nhat)
-        for j in range(k):
-            rows.append(length * np.einsum("m,m,mf->f", seg.weights, leg[j], nv))
-    if k >= 2:
-        tri = quadrature("tri", 2 * k)
-        e1 = verts2[1] - verts2[0]
-        e2 = verts2[2] - verts2[0]
-        area2 = abs(e1[0] * e2[1] - e1[1] * e2[0])
-        pts = verts2[0] + tri.points[:, 0:1] * e1 + tri.points[:, 1:2] * e2
-        monos = _poly.vandermonde(2, k - 2, tri.points)
-        vals = field_eval(pts)
-        for mono in monos.T:
-            for c in range(2):
-                rows.append(area2 * np.einsum("m,m,mf->f", tri.weights, mono, vals[:, c, :]))
-    return np.array(rows)
-
-
 # ---------------------------------------------------------------------------
 # reference spaces
 # ---------------------------------------------------------------------------
@@ -414,10 +375,8 @@ def rt_tri_dof_matrix(verts2: np.ndarray, k: int, field_eval) -> np.ndarray:
 P_SCALAR_TET = "P_scalar_tet"
 NEDELEC1_TET = "Nedelec1_tet"
 RT_TET = "RT_tet"
-P_SCALAR_TRI = "P_scalar_tri"
-RT_TANGENTIAL_TRI = "RTtangential_tri"
 
-KINDS = (P_SCALAR_TET, NEDELEC1_TET, RT_TET, P_SCALAR_TRI, RT_TANGENTIAL_TRI)
+KINDS = (P_SCALAR_TET, NEDELEC1_TET, RT_TET)
 
 
 @dataclass(frozen=True)
@@ -440,10 +399,6 @@ class ReferenceSpace:
         v = _poly.vandermonde(self.sdim, self.degree, points)
         return np.einsum("qm,icm->qci", v, self.coeffs)
 
-    def eval_scalar(self, points: np.ndarray) -> np.ndarray:
-        """Scalar-space values as (npts, dim)."""
-        return self.eval(points)[:, 0, :]
-
     def curl_coeffs(self) -> np.ndarray:
         if self.kind != NEDELEC1_TET:
             raise WrongKind(f"curl is only defined for {NEDELEC1_TET}")
@@ -456,22 +411,6 @@ class ReferenceSpace:
             raise WrongKind("grad is only defined for scalar spaces")
         D = _poly.diff_stack(self.sdim, self.degree)
         return np.einsum("bmn,in->ibm", D, self.coeffs[:, 0, :])
-
-    def div_coeffs(self) -> np.ndarray:
-        if self.kind not in (RT_TET, RT_TANGENTIAL_TRI):
-            raise WrongKind("div is only defined for div-conforming spaces")
-        D = _poly.diff_stack(self.sdim, self.degree)
-        return np.einsum("cmn,icn->im", D, self.coeffs)
-
-    def curl2d_coeffs(self) -> np.ndarray:
-        """In-plane rotated gradient (d2 p, -d1 p) of a scalar triangle space."""
-        if self.kind != P_SCALAR_TRI:
-            raise WrongKind("curl2d is only defined for the scalar triangle space")
-        g = self.grad_coeffs()
-        out = np.empty_like(g)
-        out[:, 0, :] = g[:, 1, :]
-        out[:, 1, :] = -g[:, 0, :]
-        return out
 
 
 def _orthonormalize(gen: np.ndarray, sdim: int, degree: int, expected: int) -> np.ndarray:
@@ -495,17 +434,6 @@ def _scalar_dual(sdim: int, degree: int, nodes_cart: np.ndarray) -> np.ndarray:
         raise RuntimeError("node count does not match space dimension")
     C = np.linalg.solve(V, np.eye(nm))
     return C.T.reshape(nm, 1, nm)
-
-
-def _tri_nodes(degree: int) -> np.ndarray:
-    pts = []
-    for i0 in range(degree, -1, -1):
-        for i1 in range(degree - i0, -1, -1):
-            i2 = degree - i0 - i1
-            pts.append((i1 / degree, i2 / degree) if degree > 0 else (1 / 3, 1 / 3))
-    if degree == 0:
-        return np.array([[1 / 3.0, 1 / 3.0]])
-    return np.array(pts)
 
 
 def _nedelec_generators(k: int) -> np.ndarray:
@@ -556,7 +484,7 @@ def _rt_generators(k: int, sdim: int) -> np.ndarray:
 
 
 def _check_degree(kind: str, degree: int) -> None:
-    lo = 0 if kind in (P_SCALAR_TET, P_SCALAR_TRI) else 1
+    lo = 0 if kind == P_SCALAR_TET else 1
     if not lo <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(
             f"{kind} degree {degree} outside implemented range {lo}..{MAX_DEGREE}")
@@ -571,105 +499,24 @@ def reference_space(kind: str, degree: int) -> ReferenceSpace:
         else:
             coeffs = _scalar_dual(3, degree, lagrange_nodes(degree).ref_coords())
         return ReferenceSpace(kind, degree, len(coeffs), 1, 3, coeffs)
-    if kind == P_SCALAR_TRI:
-        if degree == 0:
-            coeffs = np.ones((1, 1, 1))
-        else:
-            coeffs = _scalar_dual(2, degree, _tri_nodes(degree))
-        return ReferenceSpace(kind, degree, len(coeffs), 1, 2, coeffs)
-
     if kind == NEDELEC1_TET:
         gen = _orthonormalize(_nedelec_generators(degree), 3, degree,
                               dim_nedelec_tet(degree))
         dofm = nedelec_dof_matrix
-        verts, sdim = TET_VERTS, 3
     elif kind == RT_TET:
         gen = _orthonormalize(_rt_generators(degree, 3), 3, degree,
                               dim_rt_tet(degree))
         dofm = rt_dof_matrix
-        verts, sdim = TET_VERTS, 3
-    elif kind == RT_TANGENTIAL_TRI:
-        gen = _orthonormalize(_rt_generators(degree, 2), 2, degree,
-                              dim_rt_tri(degree))
-        verts, sdim = TRI_VERTS, 2
-        dofm = None
     else:
         raise WrongKind(f"unknown kind {kind!r}")
 
     def field_eval(pts):
-        v = _poly.vandermonde(sdim, degree, pts)
+        v = _poly.vandermonde(3, degree, pts)
         return np.einsum("qm,icm->qci", v, gen)
 
-    if kind == RT_TANGENTIAL_TRI:
-        V = rt_tri_dof_matrix(TRI_VERTS, degree, field_eval)
-    else:
-        V = dofm(verts, np.arange(len(verts)), degree, field_eval)
+    V = dofm(TET_VERTS, np.arange(4), degree, field_eval)
     if V.shape[0] != V.shape[1]:
         raise RuntimeError("functional count does not match space dimension")
     X = np.linalg.solve(V, np.eye(len(V)))
     coeffs = np.einsum("gi,gcm->icm", X, gen)
-    return ReferenceSpace(kind, degree, len(coeffs), gen.shape[1], sdim, coeffs)
-
-
-def unisolvence_matrix(space: ReferenceSpace) -> np.ndarray:
-    """Canonical functionals applied to the space's own basis (should be I)."""
-    if space.kind == NEDELEC1_TET:
-        return nedelec_dof_matrix(TET_VERTS, np.arange(4), space.degree, space.eval)
-    if space.kind == RT_TET:
-        return rt_dof_matrix(TET_VERTS, np.arange(4), space.degree, space.eval)
-    if space.kind == RT_TANGENTIAL_TRI:
-        return rt_tri_dof_matrix(TRI_VERTS, space.degree, space.eval)
-    if space.kind == P_SCALAR_TET:
-        nodes = (lagrange_nodes(space.degree).ref_coords() if space.degree > 0
-                 else np.array([[0.25, 0.25, 0.25]]))
-        return space.eval_scalar(nodes)
-    if space.kind == P_SCALAR_TRI:
-        return space.eval_scalar(_tri_nodes(space.degree))
-    raise WrongKind(space.kind)
-
-
-# ---------------------------------------------------------------------------
-# public evaluation wrappers and mappings
-# ---------------------------------------------------------------------------
-
-def _validate_points(points: np.ndarray, sdim: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float).reshape(-1, sdim)
-    bary0 = 1.0 - pts.sum(axis=1)
-    if (pts < -1e-9).any() or (bary0 < -1e-9).any():
-        raise ValueError("points outside the reference simplex")
-    return pts
-
-
-def eval_basis(space: ReferenceSpace, points: np.ndarray) -> np.ndarray:
-    """values[i][q] of basis i at point q; vector kinds get a trailing axis."""
-    pts = _validate_points(points, space.sdim)
-    vals = space.eval(pts)
-    if space.ncomp == 1:
-        return vals[:, 0, :].T
-    return vals.transpose(2, 0, 1)
-
-
-def eval_curl(space: ReferenceSpace, points: np.ndarray) -> np.ndarray:
-    """Curl of each basis function of the curl-conforming space."""
-    if space.kind != NEDELEC1_TET:
-        raise WrongKind(f"eval_curl needs {NEDELEC1_TET}, got {space.kind}")
-    pts = _validate_points(points, 3)
-    v = _poly.vandermonde(3, space.degree, pts)
-    return np.einsum("qm,iam->iqa", v, space.curl_coeffs())
-
-
-def covariant_map(J: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
-    """Map reference vector values v to J^{-T} v (tangential-trace preserving)."""
-    J = np.asarray(J, dtype=float)
-    if np.linalg.det(J) <= 0.0:
-        raise SingularJacobian("covariant map needs det J > 0")
-    return np.asarray(ref_values) @ np.linalg.inv(J)
-
-
-def piola_map(J: np.ndarray, ref_values: np.ndarray) -> np.ndarray:
-    """Map reference vector values v to (1/det J) J v (flux preserving)."""
-    J = np.asarray(J, dtype=float)
-    det = np.linalg.det(J)
-    if det <= 0.0:
-        raise SingularJacobian("Piola map needs det J > 0")
-    return np.asarray(ref_values) @ J.T / det
+    return ReferenceSpace(kind, degree, len(coeffs), 3, 3, coeffs)

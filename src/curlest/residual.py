@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyspace as ps
-from .femsys import BrokenPolyField, CurrentDensity, MaterialField, \
-    tangential_jump_norms
+from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
+                     tangential_jump_norms, _data_exactness)
 from .mesh import Mesh
 
 
@@ -19,23 +19,16 @@ class ResidualResult:
     mu_T: np.ndarray      # (T,) squared per-tet aggregation, face terms split half/half
     mu_h: float
 
-    @property
-    def total_sq(self) -> float:
-        return float(self.vol_T.sum() + self.face_sq.sum())
-
 
 def compute_residual_estimator(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
-                               Hh: BrokenPolyField, k: int,
-                               exactness: int | None = None) -> ResidualResult:
+                               Hh: BrokenPolyField, k: int) -> ResidualResult:
     """Volume residual plus tangential-jump terms with 1/k weights.
 
     The face sum runs over internal faces only; for per-tet marking the face
     contribution is split equally between the two neighbors (the estimator
     is reported globally, marking uses the equilibrated one).
     """
-    ex = exactness if exactness is not None else (
-        2 * k + 2 if j.is_polynomial else 2 * k + 4)
-    rule = ps.quadrature("tet", min(ex, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tet", _data_exactness(k, not j.is_polynomial))
     geom = mesh.geom()
     tets = np.arange(mesh.n_tets)
     jv = j.eval_elements(mesh, tets, rule.points)
@@ -45,7 +38,7 @@ def compute_residual_estimator(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     hT = mesh.tet_diameters()
     vol_T = (hT ** 2 / k ** 2) * l2sq
 
-    jumps = tangential_jump_norms(mesh, Hh, exactness=2 * k)
+    jumps = tangential_jump_norms(mesh, Hh)
     hf = mesh.face_diameters()
     face_sq = (hf / k) * jumps ** 2
 

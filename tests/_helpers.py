@@ -1,7 +1,9 @@
 """Shared fixtures-in-plain-code for the test suite: manufactured fields,
-one-call solvers, and small independent oracles."""
+one-call solvers, small independent oracles, and the test hooks and
+test-only spaces that the library itself does not use."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ import scipy.sparse.linalg as spla
 
 from curlest import _poly
 from curlest import adapt as adm
+from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
@@ -37,14 +40,20 @@ def cube_j(p):
 MU1 = fem.MaterialField(1.0)
 
 
+def ref_coords(mesh, t, pts):
+    """Reference coordinates of physical points inside tet t."""
+    geom = mesh.geom()
+    return (np.asarray(pts) - geom.v0[t]) @ geom.Jinv[t].T
+
+
 def eval_one(field, t, ref_pts):
     """Values of a broken field on tet t at reference points: (q, comp)."""
     return field.eval([t], ref_pts)[0]
 
 
-def l2_error_per_tet(mesh, mu, field, exact, exactness):
+def l2_error_per_tet(mesh, mu, field, exact):
     """Per-tet energy-norm errors against an analytic field."""
-    sample = fem.QuadratureSample(mesh, mu, field, exactness)
+    sample = fem.QuadratureSample(mesh, mu, field)
     return np.sqrt(np.maximum(sample.sq_error_per_tet(exact), 0.0))
 
 
@@ -100,7 +109,7 @@ def check_conforming(mesh):
     assert len(stored) == len(count)
     for key, c in count.items():
         assert stored[key] == c
-    assert (mesh.tet_volumes() > 0).all()
+    assert (mesh.geom().vol > 0).all()
     return True
 
 
@@ -309,9 +318,8 @@ def _loop_face_points(mesh, f, rule):
 
 def _loop_traces(mesh, coeffs, degree, f, pts):
     """Values of the coefficient blocks on T+ and T- of face f at pts."""
-    geom = mesh.geom()
     return [np.einsum("qm,...m->q...",
-                      _poly.vandermonde(3, degree, geom.ref_coords(t, pts)),
+                      _poly.vandermonde(3, degree, ref_coords(mesh, t, pts)),
                       coeffs[t])
             for t in mesh.face_tets[f]]
 
@@ -342,7 +350,7 @@ def loop_face_solve(mesh, f, jump, rule, kp, form):
         b = np.concatenate([s * np.einsum("q,qcn,qc->n", w, curl_cols, j2), [0.0]])
         sol = np.linalg.solve(S, b)[:nP]
     elif form == "strong":
-        gens = ps.reference_space(ps.RT_TANGENTIAL_TRI, kp).coeffs
+        gens = tri_space(RT_TANGENTIAL_TRI, kp).coeffs
         dvals = np.einsum("qm,icm->qci", v_lam, gens)
         gram = s * np.einsum("q,qci,qcj->ij", w, dvals, dvals)
         R = s * np.einsum("q,qci,qcn->in", w, dvals, curl_cols)
@@ -362,7 +370,7 @@ def loop_face_multipliers(mesh, Hh, correction, kp, form="weak"):
     """Step 2 face by face: dict of lam, resid, jnorm, div_norm, mean_abs
     over the internal faces in ascending order."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tri", 2 * kp + 2)
     grad_coeffs = np.einsum("tnb,nij,tcj->tbci", mesh.geom().Jinv,
                             _poly.diff_stack(3, kp), total.coeffs)
     rows = []
@@ -398,23 +406,22 @@ def loop_edge_sums(mesh, fm, n_samples=None):
             _, n_fe = msh.edge_face_normals(mesh, e, f)
             rel = pts - fm.origin[i]
             xi = np.stack([rel @ fm.t1[i], rel @ fm.t2[i]], axis=1) / fm.hf[i]
-            r += float(np.dot(mesh.face_normal(f), n_fe)) * (
+            r += float(np.dot(mesh.face_normals()[f], n_fe)) * (
                 _poly.vandermonde(2, fm.degree, xi) @ fm.lam[i])
         max_abs.append(np.abs(r).max())
         variation.append(r.max() - r.min())
     return np.array(max_abs), np.array(variation)
 
 
-def loop_jump_norms(mesh, field, exactness=None):
+def loop_jump_norms(mesh, field):
     """(tangential, normal) jump norms face by face, 0 on boundary faces."""
-    ex = 2 * field.degree if exactness is None else exactness
-    rule = ps.quadrature("tri", min(max(ex, 2), ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tri", 2 * field.degree)
     tang = np.zeros(mesh.n_faces)
     norm = np.zeros(mesh.n_faces)
     for f in mesh.internal_faces():
         pts = _loop_face_points(mesh, f, rule)
         vp, vm = _loop_traces(mesh, field.coeffs, field.degree, f, pts)
-        n = mesh.face_normal(f)
+        n = mesh.face_normals()[f]
         s = 2.0 * mesh.face_areas()[f]
         tang[f] = np.sqrt(s * np.einsum("q,qc->", rule.weights,
                                         np.cross(n[None, :], vp - vm) ** 2))
@@ -557,8 +564,7 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     from curlest import equilibrate as eqm
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
     D = ps.reference_space(ps.RT_TET, kp)
-    ex = 2 * kp + (2 if j.is_polynomial else 4)
-    rule = ps.quadrature("tet", min(ex, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tet", 2 * kp + (2 if j.is_polynomial else 4))
     w = rule.weights
     vand = _poly.vandermonde(3, kp, rule.points)
     Nvals = np.einsum("qm,icm->qci", vand, N.coeffs)
@@ -936,7 +942,7 @@ def _einsum_ref_vals(k, rule):
 
 def einsum_assemble_mass(mesh, dofmap):
     k = dofmap.degree
-    rule = ps.quadrature("tet", min(2 * k + 2, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tet", 2 * k + 2)
     vals = _einsum_ref_vals(k, rule)
     TVV = np.einsum("q,qai,qbj->abij", rule.weights, vals, vals)
     geom = mesh.geom()
@@ -945,11 +951,9 @@ def einsum_assemble_mass(mesh, dofmap):
     return fem._assemble_free(dofmap, M_gen)
 
 
-def einsum_assemble_rhs(mesh, dofmap, j, exactness=None):
+def einsum_assemble_rhs(mesh, dofmap, j):
     k = dofmap.degree
-    if exactness is None:
-        exactness = 2 * k + 2 if j.is_polynomial else 2 * k + 4
-    rule = ps.quadrature("tet", min(exactness, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tet", 2 * k + (2 if j.is_polynomial else 4))
     geom = mesh.geom()
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
     jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)
@@ -971,7 +975,7 @@ def einsum_step2(mesh, Hh, correction, kp):
     """Step 2's batched face kernels in einsum form: dict of lam, resid,
     jnorm, div_norm and mean_abs over the internal faces."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = ps.quadrature("tri", min(2 * kp + 2, ps.MAX_QUAD_EXACTNESS))
+    rule = ps.quadrature("tri", 2 * kp + 2)
     faces = mesh.internal_faces()
     fr = msh.face_frame(mesh, faces)
     w = rule.weights
@@ -1012,3 +1016,248 @@ def einsum_step2(mesh, Hh, correction, kp):
             "jnorm": np.sqrt(np.maximum(s * np.einsum("q,fqc->f", w, j2 ** 2), 0.0)),
             "div_norm": div_norm,
             "mean_abs": np.abs(np.einsum("fm,fm->f", mean_row, sol))}
+
+
+# ---------------------------------------------------------------------------
+# test hooks: one-entity entry points to the batched estimator kernels
+# ---------------------------------------------------------------------------
+
+def solve_single_face(mesh, f, jump, rule, kp):
+    """Multiplier coefficients and residual for one face, from step 2's
+    batched solve on a one-face batch."""
+    faces = np.array([f])
+    sol, resid, *_ = eqm._face_multiplier_solve(
+        mesh, faces, msh.face_frame(mesh, faces), np.asarray(jump)[None], rule, kp)
+    return sol[0], resid[0]
+
+
+def solve_node_patch(n, pairs, values):
+    """One nodal difference system through ``equilibrate.solve_node_patches``."""
+    sol, resid = eqm.solve_node_patches(n, np.asarray(pairs).reshape(1, -1, 2),
+                                        np.asarray(values, dtype=float).reshape(1, -1))
+    return sol[0], float(resid[0])
+
+
+# ---------------------------------------------------------------------------
+# test-only field utilities: broken expansion, normal jumps, data checks
+# ---------------------------------------------------------------------------
+
+def nedelec_field_to_poly(mesh, dofmap, u):
+    """Expand assembled coefficients into the broken polynomial representation."""
+    k = dofmap.degree
+    space = ps.reference_space(ps.NEDELEC1_TET, k)
+    cref = np.einsum("ti,icm->tcm", fem._local_coefficients(dofmap, u), space.coeffs)
+    out = np.einsum("tbc,tbm->tcm", mesh.geom().Jinv, cref)   # J^-T cref
+    return fem.BrokenPolyField(mesh, k, out)
+
+
+def normal_jump_norms(mesh, field):
+    """L2 norms of the normal jump on every internal face (0 on boundary)."""
+    rule = ps.quadrature("tri", 2 * field.degree)
+    internal = mesh.internal_faces()
+    jump = fem.face_jump_values(mesh, field, internal, rule)
+    dv = np.einsum("fqc,fc->fq", jump, mesh.face_normals()[internal])
+    out = np.zeros(mesh.n_faces)
+    out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(
+        "q,fq->f", rule.weights, dv ** 2))
+    return out
+
+
+def validate_current(j, mesh, tol=1e-10):
+    """Divergence and normal-flux-jump checks of piecewise-polynomial data."""
+    scale = max(j.field.norm(), 1e-30)
+    div_norms = j.field.div().mu_norms()
+    jump = normal_jump_norms(mesh, j.field)
+    return {
+        "max_div": float(div_norms.max(initial=0.0)),
+        "max_flux_jump": float(jump.max(initial=0.0)),
+        "scale": scale,
+        "ok": bool(div_norms.max(initial=0.0) <= tol * scale
+                   and jump.max(initial=0.0) <= tol * scale),
+    }
+
+
+# ---------------------------------------------------------------------------
+# closed-form consistency of the built-in problems
+# ---------------------------------------------------------------------------
+
+def lbrick_samples(n, rng):
+    """n points inside the L-brick, away from its boundary and the
+    reentrant edge."""
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform([-0.95, -0.95, 0.05], [0.95, 0.95, 0.95])
+        if not (p[0] > 0.02 and p[1] < -0.02):
+            pts.append(p)
+    return np.array(pts)
+
+
+def sample_points(spec, n, rng):
+    """n interior points of the problem's domain."""
+    if spec.name == "lbrick_singular":
+        return lbrick_samples(n, rng)
+    return rng.uniform(0.05, 0.95, size=(n, 3))
+
+
+def consistency_check(spec, n=100, tol=1e-8, seed=1234):
+    """Finite-difference double-curl check of the shipped closed forms.
+
+    Guards transcription errors: at random interior points, curl(exact_H)
+    must match j and (for unit permeability) curl(exact_u) must match H.
+    Returns the worst relative mismatch.
+    """
+    if spec.exact_H is None:
+        raise ValueError(f"{spec.name} has no exact field to check against")
+    rng = np.random.default_rng(seed)
+    pts = sample_points(spec, n, rng)
+    h = 1e-5
+
+    def fd_curl(fn, p):
+        out = np.zeros((len(p), 3))
+        d = np.zeros((len(p), 3, 3))
+        for a in range(3):
+            dp = np.zeros(3)
+            dp[a] = h
+            d[:, a, :] = (fn(p + dp) - fn(p - dp)) / (2.0 * h)
+        out[:, 0] = d[:, 1, 2] - d[:, 2, 1]
+        out[:, 1] = d[:, 2, 0] - d[:, 0, 2]
+        out[:, 2] = d[:, 0, 1] - d[:, 1, 0]
+        return out
+
+    jv = spec.j_func(pts)
+    scale = max(float(np.abs(jv).max()), 1.0)
+    worst = float(np.abs(fd_curl(spec.exact_H, pts) - jv).max()) / scale
+    if spec.exact_u is not None and len(spec.mu.values) == 1:
+        mu0 = next(iter(spec.mu.values.values()))
+        Hv = spec.exact_H(pts)
+        hscale = max(float(np.abs(Hv).max()), 1.0)
+        worst = max(worst, float(
+            np.abs(fd_curl(spec.exact_u, pts) / mu0 - Hv).max()) / hscale)
+    if worst > tol:
+        raise ValueError(f"{spec.name}: closed forms inconsistent ({worst:.2e})")
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# the triangle spaces behind step 2 and the reference-space checks: the
+# scalar space and the in-plane div-conforming space of the reference
+# triangle, built with the library's generators and dual-basis recipe
+# ---------------------------------------------------------------------------
+
+P_SCALAR_TRI = "P_scalar_tri"
+RT_TANGENTIAL_TRI = "RTtangential_tri"
+TRI_KINDS = (P_SCALAR_TRI, RT_TANGENTIAL_TRI)
+TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+TRI_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def dim_p_tet(k):
+    return (k + 1) * (k + 2) * (k + 3) // 6
+
+
+def dim_rt_tri(k):
+    return k * (k + 2)
+
+
+def tri_nodes(degree):
+    """Lagrange nodes of the reference triangle, vertex-major."""
+    if degree == 0:
+        return np.array([[1 / 3.0, 1 / 3.0]])
+    pts = []
+    for i0 in range(degree, -1, -1):
+        for i1 in range(degree - i0, -1, -1):
+            pts.append((i1 / degree, (degree - i0 - i1) / degree))
+    return np.array(pts)
+
+
+def rt_tri_dof_matrix(verts2, k, field_eval):
+    """Edge-normal / interior moments for the in-plane triangle space (2D)."""
+    verts2 = np.asarray(verts2, dtype=float)
+    rows = []
+    seg = ps.quadrature("segment", 2 * k + 2)
+    s = seg.points[:, 0]
+    leg = ps._legendre_rows(s, k)
+    for a, b in TRI_EDGES:
+        vec = verts2[b] - verts2[a]
+        length = np.linalg.norm(vec)
+        nhat = np.array([vec[1], -vec[0]]) / length
+        pts = verts2[a] + s[:, None] * vec[None, :]
+        nv = np.einsum("mcf,c->mf", field_eval(pts), nhat)
+        for j in range(k):
+            rows.append(length * np.einsum("m,m,mf->f", seg.weights, leg[j], nv))
+    if k >= 2:
+        tri = ps.quadrature("tri", 2 * k)
+        e1 = verts2[1] - verts2[0]
+        e2 = verts2[2] - verts2[0]
+        area2 = abs(e1[0] * e2[1] - e1[1] * e2[0])
+        pts = verts2[0] + tri.points[:, 0:1] * e1 + tri.points[:, 1:2] * e2
+        vals = field_eval(pts)
+        for mono in _poly.vandermonde(2, k - 2, tri.points).T:
+            for c in range(2):
+                rows.append(area2 * np.einsum("m,m,mf->f", tri.weights, mono, vals[:, c, :]))
+    return np.array(rows)
+
+
+@lru_cache(maxsize=None)
+def tri_space(kind, degree):
+    """The triangle space ``kind`` of the given degree as a
+    ``polyspace.ReferenceSpace`` (dual basis of its canonical functionals)."""
+    if kind == P_SCALAR_TRI:
+        coeffs = (np.ones((1, 1, 1)) if degree == 0
+                  else ps._scalar_dual(2, degree, tri_nodes(degree)))
+        return ps.ReferenceSpace(kind, degree, len(coeffs), 1, 2, coeffs)
+    assert kind == RT_TANGENTIAL_TRI, kind
+    gen = ps._orthonormalize(ps._rt_generators(degree, 2), 2, degree,
+                             dim_rt_tri(degree))
+
+    def field_eval(pts):
+        return np.einsum("qm,icm->qci", _poly.vandermonde(2, degree, pts), gen)
+
+    V = rt_tri_dof_matrix(TRI_VERTS, degree, field_eval)
+    X = np.linalg.solve(V, np.eye(len(V)))
+    coeffs = np.einsum("gi,gcm->icm", X, gen)
+    return ps.ReferenceSpace(kind, degree, len(coeffs), 2, 2, coeffs)
+
+
+def any_space(kind, degree):
+    """A library reference space or a triangle space by kind."""
+    if kind in TRI_KINDS:
+        return tri_space(kind, degree)
+    return ps.reference_space(kind, degree)
+
+
+def eval_scalar(space, points):
+    """Scalar-space values as (npts, dim)."""
+    return space.eval(points)[:, 0, :]
+
+
+def div_coeffs(space):
+    """Monomial coefficients (dim, n) of the divergence of each basis field."""
+    D = _poly.diff_stack(space.sdim, space.degree)
+    return np.einsum("cmn,icn->im", D, space.coeffs)
+
+
+def curl2d_coeffs(space):
+    """In-plane rotated gradient (d2 p, -d1 p) of a scalar triangle space."""
+    g = space.grad_coeffs()
+    out = np.empty_like(g)
+    out[:, 0, :] = g[:, 1, :]
+    out[:, 1, :] = -g[:, 0, :]
+    return out
+
+
+def unisolvence_matrix(space):
+    """Canonical functionals applied to the space's own basis (should be I)."""
+    if space.kind == ps.NEDELEC1_TET:
+        return ps.nedelec_dof_matrix(ps.TET_VERTS, np.arange(4), space.degree, space.eval)
+    if space.kind == ps.RT_TET:
+        return ps.rt_dof_matrix(ps.TET_VERTS, np.arange(4), space.degree, space.eval)
+    if space.kind == RT_TANGENTIAL_TRI:
+        return rt_tri_dof_matrix(TRI_VERTS, space.degree, space.eval)
+    if space.kind == ps.P_SCALAR_TET:
+        nodes = (ps.lagrange_nodes(space.degree).ref_coords() if space.degree > 0
+                 else np.array([[0.25, 0.25, 0.25]]))
+        return eval_scalar(space, nodes)
+    if space.kind == P_SCALAR_TRI:
+        return eval_scalar(space, tri_nodes(space.degree))
+    raise ValueError(space.kind)

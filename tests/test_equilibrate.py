@@ -14,7 +14,8 @@ from curlest import polyspace as ps
 from _helpers import (MU1, cube_H, cube_j, edge_faces, eval_one, inspace_j,
                       inspace_u, jittered_cube, loop_edge_sums,
                       loop_face_multipliers, loop_face_solve, loop_jump_norms,
-                      loop_step1, loop_step3, solve_cube)
+                      loop_step1, loop_step3, normal_jump_norms, ref_coords,
+                      solve_cube, solve_node_patch, solve_single_face)
 
 RNG = np.random.default_rng(23)
 
@@ -116,7 +117,7 @@ def test_step1_roundtrip_on_reference_tet(kp):
         vcurl_field = fem.BrokenPolyField(m, kp, vcurl[None])
 
         def jd_func(p):
-            xhat = m.geom().ref_coords(0, p)
+            xhat = ref_coords(m, 0, p)
             return eval_one(vcurl_field, 0, xhat)
 
         j = fem.CurrentDensity(func=jd_func)
@@ -129,7 +130,7 @@ def test_step1_roundtrip_on_reference_tet(kp):
         assert corr.Hhat.norm() <= vfield.norm() * (1 + 1e-10)
         # cross-check against the independent dense oracle
         pts, hv, cv, w = _brute_force_step1(m, 1.0, jd_func, kp)
-        hv2 = eval_one(corr.Hhat, 0, m.geom().ref_coords(0, pts))
+        hv2 = eval_one(corr.Hhat, 0, ref_coords(m, 0, pts))
         assert np.abs(hv - hv2).max() < 1e-9 * max(1.0, np.abs(hv).max())
 
 
@@ -199,7 +200,7 @@ def test_step2_roundtrip(kp, form):
         data3d = (grads[:, 1:2] * fr.t1[None, :] - grads[:, 0:1] * fr.t2[None, :])
 
         if form == "weak":
-            lam, resid = eqm._solve_single_face(m, f, data3d, rule, kp)
+            lam, resid = solve_single_face(m, f, data3d, rule, kp)
         else:
             lam, resid, *_ = loop_face_solve(m, f, data3d, rule, kp, form)
         vals = v @ lam
@@ -255,7 +256,7 @@ def test_edge_compat_perturbation_linearity():
     f = int(edge_faces(m, e)[0])
     idx = fm.index_of[f]
     _, n_fe = msh.edge_face_normals(m, e, f)
-    sign = float(np.dot(m.face_normal(f), n_fe))
+    sign = float(np.dot(m.face_normals()[f], n_fe))
     epsv = 0.37
     s = ps.quadrature("segment", 8).points[:, 0]
     a, b = m.edges[e]
@@ -266,7 +267,7 @@ def test_edge_compat_perturbation_linearity():
         for ff in edge_faces(m, e):
             ii = fmx.index_of[ff]
             _, nfe = msh.edge_face_normals(m, e, ff)
-            sg = float(np.dot(m.face_normal(ff), nfe))
+            sg = float(np.dot(m.face_normals()[ff], nfe))
             r += sg * fmx.eval(ii, pts)
         return r
 
@@ -445,7 +446,7 @@ def test_jump_norms_match_loop_oracle(jump_level):
     m, Hh, out = jump_level
     tang, norm = loop_jump_norms(m, Hh)
     assert _rel_err(fem.tangential_jump_norms(m, Hh), tang) <= 1e-12
-    assert _rel_err(fem.normal_jump_norms(m, Hh), norm) <= 1e-12
+    assert _rel_err(normal_jump_norms(m, Hh), norm) <= 1e-12
 
 
 def test_face_kernels_memory_peak():
@@ -506,7 +507,7 @@ def test_nan_trace_names_the_face():
 # ---------------------------------------------------------------------------
 
 def test_node_patch_solver_zero_data():
-    sol, resid = eqm.solve_node_patch(4, [(0, 1), (1, 2), (2, 3)], [0., 0., 0.])
+    sol, resid = solve_node_patch(4, [(0, 1), (1, 2), (2, 3)], [0., 0., 0.])
     assert np.abs(sol).max() < 1e-14 and resid < 1e-14
 
 
@@ -520,7 +521,7 @@ def test_node_patch_prefix_sum_oracle():
         phi_star -= phi_star.mean()
         pairs = [(i, (i + 1) % mring) for i in range(mring)]
         values = [phi_star[a] - phi_star[b] for a, b in pairs]
-        sol, resid = eqm.solve_node_patch(mring, pairs, values)
+        sol, resid = solve_node_patch(mring, pairs, values)
         assert resid < 1e-12 * max(1.0, np.abs(values).max())
         assert np.abs(sol - phi_star).max() < 1e-10
 
@@ -558,14 +559,13 @@ def test_step3_jump_matches_multiplier_polynomials():
     m, Hh, data, out = _estimate_cube(2, 2, kp=2, strict=True)
     poly = out.phi.poly(m)
     rule = ps.quadrature("tri", 6)
-    geom = m.geom()
     fm = out.multipliers
     scale = max(fm.lam_scale, 1e-30)
     for ii, f in enumerate(fm.internal_faces):
         pts = fem.face_rule_points(m, f, rule)
         tp, tm = m.face_tets[f]
-        jump = (eval_one(poly, tp, geom.ref_coords(tp, pts))
-                - eval_one(poly, tm, geom.ref_coords(tm, pts)))[:, 0]
+        jump = (eval_one(poly, tp, ref_coords(m, tp, pts))
+                - eval_one(poly, tm, ref_coords(m, tm, pts)))[:, 0]
         lam = fm.eval(ii, pts)
         assert np.abs(jump - lam).max() < 1e-9 * scale
 
@@ -605,7 +605,7 @@ def test_step4_constant_field_closed_form():
     reg = fem.build_node_registry(m, 1)
     phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0)
     res = eqm.step4_estimator(m, MU1, corr, phi)
-    V = m.tet_volumes()[0]
+    V = m.geom().vol[0]
     assert abs(res.eta_T[0] - np.linalg.norm(c) * np.sqrt(V)) < 1e-13
     assert res.eta_T[1:].max() == 0.0
 
@@ -663,12 +663,12 @@ def test_zero_error_fixed_point():
 def test_gauge_independence():
     m, dm, u, Hh, data = solve_cube(2, 2)
     out1 = eqm.estimate(m, MU1, data, Hh, dm.registry)
-    err1 = fem.l2_error_against(m, MU1, Hh, cube_H, 8)
+    err1 = fem.l2_error_against(m, MU1, Hh, cube_H)
     u2 = fem.FieldCoefficients(dm, u.values.copy())
     u2.values[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
     Hh2 = fem.compute_Hh(m, dm, u2, MU1)
     out2 = eqm.estimate(m, MU1, data, Hh2, dm.registry)
-    err2 = fem.l2_error_against(m, MU1, Hh2, cube_H, 8)
+    err2 = fem.l2_error_against(m, MU1, Hh2, cube_H)
     assert abs(out1.result.eta_h - out2.result.eta_h) <= 1e-9 * out1.result.eta_h
     assert abs(err1 - err2) <= 1e-9 * err1
 
@@ -690,7 +690,7 @@ def test_renumbering_invariance():
         j = fem.CurrentDensity(func=cube_j)
         dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
         out = adm.estimate_level(dm, MU1, data, Hh, cfg)
-        return out.result.eta_h, fem.l2_error_against(m, MU1, Hh, cube_H, 6)
+        return out.result.eta_h, fem.l2_error_against(m, MU1, Hh, cube_H)
 
     for kp in (1, 3):
         (e1, r1), (e2, r2) = run(m1, kp), run(m2, kp)
@@ -704,7 +704,7 @@ def test_reliability_native_a2():
     for k, n in [(1, 2), (1, 4), (2, 2), (3, 1), (3, 2)]:
         m, dm, u, Hh, data = solve_cube(n, k, aux=3)
         out = eqm.estimate(m, MU1, data, Hh, fem.build_node_registry(m, 3))
-        err = fem.l2_error_against(m, MU1, Hh, cube_H, 2 * k + 4)
+        err = fem.l2_error_against(m, MU1, Hh, cube_H)
         assert out.result.eta_h >= err * (1.0 - 1e-8)
 
 
@@ -787,7 +787,7 @@ def test_equilibrium_on_irregular_bisected_mesh():
     assert rep["face_resid_rel"] <= 1e-9
     d = out.result.diagnostics
     assert d["max_re_abs"] <= 1e-9 * max(d["lam_scale"], 1e-30)
-    err = fem.l2_error_against(m, MU1, Hh, cube_H, 8)
+    err = fem.l2_error_against(m, MU1, Hh, cube_H)
     assert out.result.eta_h >= err * (1 - 1e-8)
     assert out.result.eta_h <= 2.5 * err
 

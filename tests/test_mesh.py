@@ -33,7 +33,7 @@ def test_two_tets_share_face_with_plus_convention():
     assert len(internal) == 1
     f = internal[0]
     assert m.face_tets[f, 0] == 0 and m.face_tets[f, 1] == 1
-    n = m.face_normal(f)
+    n = m.face_normals()[f]
     c_f = m.vertices[m.faces[f]].mean(axis=0)
     c_t = m.vertices[m.tets[0]].mean(axis=0)
     assert np.dot(n, c_f - c_t) > 0.0
@@ -82,7 +82,7 @@ def test_degenerate_tet_rejected():
 
 def test_negative_orientation_is_fixed():
     m = msh.build_mesh(REF_VERTS, [[0, 1, 3, 2]])
-    assert m.tet_volumes()[0] > 0.0
+    assert m.geom().vol[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_unit_cube_counts():
 
 def test_unit_cube_volume_and_tags():
     m = msh.unit_cube_mesh(2)
-    assert abs(m.tet_volumes().sum() - 1.0) < 1e-12
+    assert abs(m.geom().vol.sum() - 1.0) < 1e-12
     assert (m.subdomain_tag == 0).all()
     m2 = msh.unit_cube_mesh(2, tag_fn=lambda c: 1 if c[1] < 0.5 else 2)
     assert set(m2.subdomain_tag) == {1, 2}
@@ -110,7 +110,7 @@ def test_unit_cube_volume_and_tags():
 def test_l_brick_counts_and_geometry():
     m = msh.l_brick_mesh(1)
     assert m.n_tets == 18
-    assert abs(m.tet_volumes().sum() - 3.0) < 1e-12
+    assert abs(m.geom().vol.sum() - 3.0) < 1e-12
     assert check_conforming(m)
     # the reentrant edge x=y=0 is present as a mesh edge
     v = m.vertices
@@ -238,7 +238,7 @@ def test_refine_all_cube():
     r = msh.refine(m, set(range(m.n_tets)))
     assert 12 <= r.n_tets <= 96
     assert check_conforming(r)
-    assert abs(r.tet_volumes().sum() - 1.0) < 1e-12
+    assert abs(r.geom().vol.sum() - 1.0) < 1e-12
 
 
 def test_refine_marks_strictly_increase_and_tags_inherited():
@@ -271,7 +271,7 @@ def test_repeated_refinement_stays_conforming():
                                 replace=False).tolist())
         m = msh.refine(m, marked)
         assert check_conforming(m)
-    assert abs(m.tet_volumes().sum() - 1.0) < 1e-12
+    assert abs(m.geom().vol.sum() - 1.0) < 1e-12
 
 
 def test_bisection_shape_quality_stabilizes():
@@ -284,7 +284,7 @@ def test_bisection_shape_quality_stabilizes():
         marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 4),
                                 replace=False).tolist())
         m = msh.refine(m, marked)
-        qualities.append((m.tet_volumes() / m.tet_diameters() ** 3).min())
+        qualities.append((m.geom().vol / m.tet_diameters() ** 3).min())
     assert qualities[-1] >= 0.8 * qualities[2]
     assert qualities[-1] > 1e-3
 
@@ -313,7 +313,7 @@ def test_edge_face_normals_orthogonality():
         t = m.edge_tangent(e)
         for f in edge_faces(m, e):
             n_ef, n_fe = msh.edge_face_normals(m, e, f)
-            nf = m.face_normal(f)
+            nf = m.face_normals()[f]
             assert abs(np.dot(n_ef, t)) < 1e-12
             assert abs(np.dot(n_ef, nf)) < 1e-12
             assert abs(abs(np.dot(nf, n_fe)) - 1.0) < 1e-12
@@ -350,7 +350,7 @@ def test_single_valued_differences_telescope():
         for f in edge_faces(m, e):
             tp, tm = m.face_tets[f]
             _, n_fe = msh.edge_face_normals(m, e, f)
-            sign = float(np.dot(m.face_normal(f), n_fe))
+            sign = float(np.dot(m.face_normals()[f], n_fe))
             assert abs(abs(sign) - 1.0) < 1e-12
             total += sign * (psi[tp] - psi[tm])
         assert abs(total) < 1e-12 * max(1.0, np.abs(psi).max())
@@ -359,7 +359,7 @@ def test_single_valued_differences_telescope():
 def test_face_normals_point_out_of_plus():
     m = msh.unit_cube_mesh(2)
     for f in m.internal_faces():
-        n = m.face_normal(f)
+        n = m.face_normals()[f]
         tp = m.face_tets[f, 0]
         c_f = m.vertices[m.faces[f]].mean(axis=0)
         c_t = m.vertices[m.tets[tp]].mean(axis=0)
@@ -404,6 +404,24 @@ def test_text_reader_validates(tmp_path):
         ["0 0 0", "1 0 0", "0 1 0", "0 0 1", "1 1 1", "-1 -1 -1"]) +
         "\n0 1 2 3 0\n1 2 3 4 0\n1 2 3 5 0\n")
     with pytest.raises(NonConforming):
+        msh.read_mesh_text(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    m = msh.unit_cube_mesh(1)
+    v = m.vertices.copy()
+    v[3, 1] = bad
+    v[5, 2] = bad
+    with pytest.raises(NonConforming, match="vertex 3 has non-finite coordinates"):
+        msh.build_mesh(v, m.tets)
+
+
+def test_text_reader_rejects_nan_vertex(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("5 2\n0 0 0\n1 0 0\n0 1 0\nnan 0 1\n1 1 1\n"
+                    "0 1 2 3 0\n1 2 3 4 0\n")
+    with pytest.raises(NonConforming, match="vertex 3 has non-finite"):
         msh.read_mesh_text(path)
 
 
