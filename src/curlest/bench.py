@@ -12,6 +12,7 @@ import numpy as np
 
 from . import adapt as adaptm
 from . import femsys as fem
+from . import polyspace as ps
 from .adapt import RunConfig
 from .mesh import Mesh, l_brick_mesh, unit_cube_mesh, write_vtk
 
@@ -273,10 +274,11 @@ def _attach_reference_errors(spec: ProblemSpec, cfg: RunConfig,
 
     The chain continues the adaptive run: the last level's marks refine it
     once, that mesh is solved, estimated and marked, and its refinement is
-    the reference mesh.  Each level's field is compared with the reference
-    field at the reference mesh's quadrature points, located in the level's
-    tets through the refinement genealogy; the reference field is evaluated
-    at those points once.
+    the reference mesh.  A level's field is a polynomial of the reference
+    degree k on every reference tet inside its ancestor tet (found through
+    the refinement genealogy), so its restriction is interpolated exactly
+    at the degree-k Lagrange nodes of the reference tets, and the error is
+    the exact norm of a broken-polynomial difference on the reference mesh.
     """
     mu, j = spec.mu, spec.current()
     mesh = adaptm.refine(levels[-1].mesh, levels[-1].marked)
@@ -285,11 +287,15 @@ def _attach_reference_errors(spec: ProblemSpec, cfg: RunConfig,
         adaptm.estimate_level(dm, mu, data, Hh, cfg).result.eta_T, cfg.theta)
     ref_mesh = adaptm.refine(mesh, marked)
     _, _, H_ref, _ = adaptm.solve_level(ref_mesh, mu, j, cfg)
-    ref = fem.QuadratureSample(ref_mesh, mu, H_ref)
+    k = H_ref.degree
+    nodes = ref_mesh.geom().map_points(np.arange(ref_mesh.n_tets),
+                                       ps.lagrange_nodes(k).ref_coords())
+    to_monomials = ps.reference_space(ps.P_SCALAR_TET, k).coeffs[:, 0, :]
+    mu_t = mu.per_tet(ref_mesh)
     anc = mesh.parent[ref_mesh.parent]     # reference tet -> last-level tet
     for lv in reversed(levels):
-        def coarse(p):  # the sample passes its points tet by tet
-            return lv.Hh.eval_points(np.repeat(anc, len(p) // len(anc)), p)
-        adaptm.set_error(lv.row, ref.l2_error(coarse))
+        restricted = lv.Hh.eval_points(anc, nodes).transpose(0, 2, 1) @ to_monomials
+        diff = fem.BrokenPolyField(ref_mesh, k, H_ref.coeffs - restricted)
+        adaptm.set_error(lv.row, diff.norm(mu_t))
         if lv.mesh.parent is not None:
             anc = lv.mesh.parent[anc]

@@ -618,7 +618,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                                     jv - cv, gv) * geom.detJ).sum())
         face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
                                     jump, gpsi.eval_points(plus, face_pts)))
-        scale = max(jnorm * psi_scale(gpsi), 1e-30)
+        scale = max(jnorm * gpsi.norm(), 1e-30)
         ortho_rels.append(abs(vol_term + face_term) / scale)
 
     report = {
@@ -640,6 +640,3 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
             f"face {report['face_resid_rel']:.3e} exceed {EQUILIBRIUM_TOL:.1e}")
     return report
 
-
-def psi_scale(gpsi: BrokenPolyField) -> float:
-    return max(gpsi.norm(), 1e-30)

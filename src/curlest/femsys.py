@@ -41,8 +41,8 @@ MAX_DEGREE = 3  # end-to-end supported range for global spaces
 
 def _data_exactness(degree: int, analytic: bool) -> int:
     """Exactness of the tet rules that integrate fields of degree p against
-    current data or a reference field: 2p+2 for polynomial data, 2p+4 for
-    analytic data, an analytic reference field included."""
+    current data or an analytic reference field: 2p+2 for polynomial data,
+    2p+4 for analytic data."""
     return 2 * degree + (4 if analytic else 2)
 
 
@@ -58,6 +58,8 @@ class MaterialField:
     def __post_init__(self):
         if np.isscalar(self.values):
             self.values = {0: float(self.values)}
+        if not self.values:
+            raise ValueError("permeability map is empty")
         for tag, v in self.values.items():
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError("permeability values must be positive and "
@@ -97,19 +99,14 @@ class BrokenPolyField:
         return out.reshape(c.shape[:2] + (-1,)).transpose(0, 2, 1)
 
     def eval_points(self, tets, pts) -> np.ndarray:
-        """Values at physical points inside the listed tets: (n, comp) for
-        pts (n, 3) with point i in tets[i], (n, q, comp) for pts (n, q, 3)
-        with the q points of row i in tets[i]."""
+        """Values at physical points, pts (n, q, 3) with the q points of row
+        i inside tets[i]: (n, q, comp), one small product per row."""
         geom = self.mesh.geom()
         tets = np.asarray(tets)
-        pts = np.asarray(pts)
-        rows = pts if pts.ndim == 3 else pts[:, None, :]
-        ref = ((rows - geom.v0[tets][:, None, :])
+        ref = ((pts - geom.v0[tets][:, None, :])
                @ geom.Jinv[tets].transpose(0, 2, 1))
-        v = _poly.vandermonde(3, self.degree, ref)
-        v = v.reshape(rows.shape[:2] + v.shape[-1:])
-        out = v @ self.coeffs[tets].transpose(0, 2, 1)
-        return out if pts.ndim == 3 else out[:, 0]
+        v = _poly.vandermonde(3, self.degree, ref).reshape(pts.shape[:2] + (-1,))
+        return v @ self.coeffs[tets].transpose(0, 2, 1)
 
     def partials(self) -> np.ndarray:
         """Coefficients of the physical partial derivatives, (T, 3, comp, n):
@@ -182,19 +179,14 @@ class CurrentDensity:
     def is_polynomial(self) -> bool:
         return self.field is not None
 
-    def eval_phys(self, pts: np.ndarray) -> np.ndarray:
-        if self.func is None:
-            raise ValueError("analytic callback not available")
-        return np.asarray(self.func(np.asarray(pts, dtype=float)))
-
-    def eval_elements(self, mesh: Mesh, tets, ref_pts, phys_pts=None) -> np.ndarray:
+    def eval_elements(self, mesh: Mesh, tets, ref_pts) -> np.ndarray:
         """(t, q, 3) values on the listed tets."""
         if self.field is not None:
             return self.field.eval(tets, ref_pts)
-        if phys_pts is None:
-            phys_pts = mesh.geom().map_points(tets, np.asarray(ref_pts))
-        flat = self.eval_phys(phys_pts.reshape(-1, 3))
-        return flat.reshape(len(tets), -1, 3)
+        if self.func is None:
+            raise ValueError("current density has neither a callback nor a field")
+        pts = mesh.geom().map_points(tets, np.asarray(ref_pts))
+        return np.asarray(self.func(pts.reshape(-1, 3))).reshape(len(tets), -1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -640,34 +632,16 @@ def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField) -> np.ndarray:
     return out
 
 
-class QuadratureSample:
-    """A broken field at the quadrature points of its mesh, with the weights
-    and per-tet factors of the energy norm; built once, it is compared with
-    any number of fields given as functions of the points, so its rule is
-    the one for analytic data."""
-
-    def __init__(self, mesh: Mesh, mu: MaterialField, field: BrokenPolyField):
-        self.rule = ps.quadrature("tet", _data_exactness(field.degree, True))
-        geom = mesh.geom()
-        tets = np.arange(mesh.n_tets)
-        self.mu_t = mu.per_tet(mesh)
-        self.detJ = geom.detJ
-        self.vals = field.eval(tets, self.rule.points)
-        self.pts = geom.map_points(tets, self.rule.points)
-
-    def sq_error_per_tet(self, exact) -> np.ndarray:
-        """Per-tet mu int |exact - field|^2; ``exact`` gets the (T*q, 3)
-        quadrature points grouped tet by tet."""
-        ex_vals = np.asarray(exact(self.pts.reshape(-1, 3))).reshape(self.vals.shape)
-        diff = ex_vals - self.vals
-        return (np.einsum("q,tqc->t", self.rule.weights, diff ** 2)
-                * self.detJ * self.mu_t)
-
-    def l2_error(self, exact) -> float:
-        return float(np.sqrt(self.sq_error_per_tet(exact).sum()))
-
-
 def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
                      exact) -> float:
-    """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference."""
-    return QuadratureSample(mesh, mu, field).l2_error(exact)
+    """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference;
+    ``exact`` gets the (T*q, 3) quadrature points grouped tet by tet."""
+    rule = ps.quadrature("tet", _data_exactness(field.degree, True))
+    geom = mesh.geom()
+    tets = np.arange(mesh.n_tets)
+    vals = field.eval(tets, rule.points)
+    pts = geom.map_points(tets, rule.points)
+    diff = np.asarray(exact(pts.reshape(-1, 3))).reshape(vals.shape) - vals
+    sq = (np.einsum("q,tqc->t", rule.weights, diff ** 2)
+          * geom.detJ * mu.per_tet(mesh))
+    return float(np.sqrt(sq.sum()))

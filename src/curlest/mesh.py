@@ -490,19 +490,38 @@ def write_mesh_text(mesh: Mesh, path) -> None:
             fh.write(f"{tet[0]} {tet[1]} {tet[2]} {tet[3]} {tag}\n")
 
 
+def _parse_tokens(path, tokens: np.ndarray, dtype, what: str) -> np.ndarray:
+    """``tokens`` converted to ``dtype``; a token that does not convert
+    raises NonConforming naming the file and the token."""
+    try:
+        return tokens.astype(dtype)
+    except (ValueError, OverflowError):
+        kind = "a 64-bit integer" if dtype is np.int64 else "a number"
+        for tok in tokens:
+            try:
+                np.array(tok).astype(dtype)
+            except (ValueError, OverflowError):
+                raise NonConforming(
+                    f"{path}: {what} '{tok}' is not {kind}") from None
+        raise
+
+
 def read_mesh_text(path) -> Mesh:
     """Read the plain-text interchange format and validate conformity."""
     with open(path) as fh:
         tokens = np.array(fh.read().split())
     if len(tokens) < 2:
         raise NonConforming(f"{path}: no 'vertices tets' header")
-    nv, nt = int(tokens[0]), int(tokens[1])
+    nv, nt = (int(n) for n in _parse_tokens(path, tokens[:2], np.int64,
+                                            "header count"))
     if min(nv, nt) < 0 or len(tokens) != 2 + 3 * nv + 5 * nt:
         raise NonConforming(
             f"{path}: header announces {nv} vertices and {nt} tets, "
             f"{3 * nv + 5 * nt} numbers; found {len(tokens) - 2}")
-    verts = tokens[2:2 + 3 * nv].astype(float).reshape(nv, 3)
-    rows = tokens[2 + 3 * nv:].astype(np.int64).reshape(nt, 5)
+    verts = _parse_tokens(path, tokens[2:2 + 3 * nv], float,
+                          "vertex coordinate").reshape(nv, 3)
+    rows = _parse_tokens(path, tokens[2 + 3 * nv:], np.int64,
+                         "tet entry").reshape(nt, 5)
     return build_mesh(verts, rows[:, :4], rows[:, 4])
 
 

@@ -51,12 +51,6 @@ def eval_one(field, t, ref_pts):
     return field.eval([t], ref_pts)[0]
 
 
-def l2_error_per_tet(mesh, mu, field, exact):
-    """Per-tet energy-norm errors against an analytic field."""
-    sample = fem.QuadratureSample(mesh, mu, field)
-    return np.sqrt(np.maximum(sample.sq_error_per_tet(exact), 0.0))
-
-
 def solve_cube(n, k, strict_a2=False, aux=None):
     """Solve the manufactured cube problem; returns (mesh, dofmap, u, Hh, data)."""
     mesh = msh.unit_cube_mesh(n)

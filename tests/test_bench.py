@@ -277,31 +277,43 @@ def _resolved_reference_errors(spec, levels, cfg):
     return errs
 
 
-def test_reference_errors_reuse_the_solved_levels(monkeypatch):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reference_errors_reuse_the_solved_levels(monkeypatch, k):
     spec = bench.builtin_problems()["cube_jump_mu_10"]
-    cfg = bench.RunConfig(degree=1, mode="adaptive", levels=3, max_dofs=2000,
+    cfg = bench.RunConfig(degree=k, mode="adaptive", levels=3, max_dofs=2000,
                           estimator="eq", reference_errors=True)
-    calls, evals = [], []
-    solve, evaluate = adm.solve_level, fem.BrokenPolyField.eval
+    calls, evals, point_evals = [], [], []
+    solve = adm.solve_level
+    evaluate, evaluate_points = fem.BrokenPolyField.eval, fem.BrokenPolyField.eval_points
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return solve(*args, **kwargs)
 
     def recorded(field, tets, ref_pts):
-        evals.append((field.mesh, len(tets), np.asarray(ref_pts)))
+        evals.append((field.mesh, np.asarray(ref_pts)))
         return evaluate(field, tets, ref_pts)
+
+    def recorded_points(field, tets, pts):
+        point_evals.append((field.mesh, pts.shape))
+        return evaluate_points(field, tets, pts)
     monkeypatch.setattr(adm, "solve_level", counted)
     monkeypatch.setattr(fem.BrokenPolyField, "eval", recorded)
+    monkeypatch.setattr(fem.BrokenPolyField, "eval_points", recorded_points)
     rep = bench.run_experiment(spec, cfg)
     monkeypatch.undo()
     # three adaptive levels plus the two chain meshes; nothing is re-solved
     assert len(calls) == 5
     assert len({m.n_tets for m in calls}) == 5
-    # H_ref is evaluated at the reference quadrature points once, not per level
-    ref_mesh, ref_pts = calls[-1], ps.quadrature("tet", 2 * cfg.degree + 4).points
-    assert sum(m is ref_mesh and n == ref_mesh.n_tets and np.array_equal(p, ref_pts)
-               for m, n, p in evals) == 1
+    # the errors are exact polynomial norms: no field on the reference mesh
+    # is evaluated at the 2k+4 rule for analytic data, and each level is
+    # evaluated once, at the Lagrange nodes of the reference tets
+    ref_mesh = calls[-1]
+    analytic_pts = ps.quadrature("tet", 2 * k + 4).points
+    assert not any(m is ref_mesh and np.array_equal(p, analytic_pts)
+                   for m, p in evals)
+    nodes_shape = (ref_mesh.n_tets, len(ps.lagrange_nodes(k).ref_coords()), 3)
+    assert [m for m, shape in point_evals if shape == nodes_shape] == calls[2::-1]
     levels = adm.adaptive_loop(spec, cfg)
     expect = _resolved_reference_errors(spec, levels, cfg)
     for row, err in zip(rep.rows, expect, strict=True):

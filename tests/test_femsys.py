@@ -540,6 +540,8 @@ def test_quadrature_past_the_cap_raises():
 def test_material_field_validation():
     with pytest.raises(ValueError):
         fem.MaterialField({1: -2.0})
+    with pytest.raises(ValueError, match="empty"):
+        fem.MaterialField({})
     mf = fem.MaterialField({1: 1.0, 2: 1000.0})
     assert mf.values == {1: 1.0, 2: 1000.0}
     m = msh.unit_cube_mesh(1, tag_fn=lambda c: 7)
@@ -551,3 +553,9 @@ def test_material_field_validation():
         fem.MaterialField({1: 1.0, 3: 2.0}).per_tet(m2)
     # scalar permeability ignores tags entirely
     assert (fem.MaterialField(2.5).per_tet(m) == 2.5).all()
+
+
+def test_current_without_callback_or_field_raises():
+    m = msh.unit_cube_mesh(1)
+    with pytest.raises(ValueError, match="neither a callback nor a field"):
+        fem.CurrentDensity().eval_elements(m, [0], ps.quadrature("tet", 2).points)

@@ -397,6 +397,23 @@ def test_text_reader_rejects_extra_tet_rows(tmp_path):
         msh.read_mesh_text(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("4 1\n0 0 0\n1 0 0\n0 1 0\nx 0 1\n0 1 2 3 0\n",
+     "vertex coordinate 'x' is not a number"),
+    ("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 1.5\n",
+     "tet entry '1.5' is not a 64-bit integer"),
+    ("four 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 0\n",
+     "header count 'four' is not a 64-bit integer"),
+    ("99999999999999999999 1\n0 0 0\n",
+     "header count '99999999999999999999' is not a 64-bit integer"),
+], ids=["coordinate", "tet-tag", "header", "header-overflow"])
+def test_text_reader_names_a_bad_token(tmp_path, text, message):
+    path = tmp_path / "token.txt"
+    path.write_text(text)
+    with pytest.raises(NonConforming, match=f"token.txt: {message}"):
+        msh.read_mesh_text(path)
+
+
 def test_text_reader_validates(tmp_path):
     path = tmp_path / "bad.txt"
     # face (1,2,3) shared by three tets
