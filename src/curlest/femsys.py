@@ -6,7 +6,9 @@ elements sharing an edge or face apply identical functionals and tangential
 continuity of the assembled field is automatic.  The dof matrices V_t of all
 elements come as one stack (``polyspace.nedelec_element_matrices``), built
 once per dof map: assembly, H_h and field expansion are stacked products with
-the V_t^-1 it keeps, and its discrete gradient is built from V_t.  Broken
+the V_t^-1 it keeps, the curl-curl and mass matrices are summed straight into
+the free-dof CSR pattern it keeps, and its discrete gradient is built from
+V_t.  Broken
 fields are carried around as per-element polynomial coefficient blocks over
 reference coordinates with physical components, which keeps curls,
 gradients, and jumps exact.
@@ -278,8 +280,13 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
 class DofMap:
     """The degree-k Nedelec space of a mesh with homogeneous tangential
     boundary values, and what is built once from its element dof matrices:
-    their inverses, the degree-k Lagrange node registry and the discrete
-    gradient between the free dofs of the two spaces."""
+    their inverses V_t^-1 = V_sigma^-1 S_t^-1 (see
+    ``polyspace.nedelec_element_matrices``), the degree-k Lagrange node
+    registry, the discrete gradient between the free dofs of the two spaces,
+    and the CSR pattern of the free x free block.  ``slot[t, i, j]`` is the
+    position in that pattern of entry (i, j) of element t's block, or
+    ``len(indices)`` when the entry touches a boundary dof, so a sparse
+    matrix is its element blocks summed by one ``np.bincount``."""
     mesh: Mesh
     degree: int
     n_dofs: int
@@ -289,6 +296,9 @@ class DofMap:
     Vinv: np.ndarray            # (T, nloc, nloc) inverse element dof matrices
     registry: NodeRegistry      # degree-k Lagrange nodes
     G: sp.csc_matrix            # (n_free, free registry nodes) discrete gradient
+    indptr: np.ndarray          # (n_free + 1,) free x free CSR pattern:
+    indices: np.ndarray         # (nnz,) canonical: sorted rows, no duplicates
+    slot: np.ndarray            # (T, nloc, nloc) CSR position per local entry
 
     @property
     def n_free(self) -> int:
@@ -308,31 +318,84 @@ class FieldCoefficients:
 
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     """Number the Nedelec dofs (edge, face, then interior blocks, each
-    entity's dofs contiguous) and build the element dof matrices once."""
+    entity's dofs contiguous), build the element dof matrices and their
+    inverses once, and the free-dof sparsity pattern."""
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
-    k = degree
-    ne, nf = k, k * (k - 1)
-    nc = k * (k - 1) * (k - 2) // 2
-    n_edge = mesh.n_edges * ne
-    n_face = mesh.n_faces * nf
-    n_dofs = n_edge + n_face + mesh.n_tets * nc
-
-    def blocks(ids, width, offset):
-        return (offset + ids[:, :, None] * width
-                + np.arange(width)).reshape(len(ids), -1)
-
-    cell_dofs = np.concatenate(
-        [blocks(mesh.tet_edges, ne, 0), blocks(mesh.tet_faces, nf, n_edge),
-         blocks(np.arange(mesh.n_tets)[:, None], nc, n_edge + n_face)],
-        axis=1)
-    mask = np.concatenate([np.repeat(mesh.boundary_edge, ne),
-                           np.repeat(mesh.boundary_face, nf),
-                           np.zeros(mesh.n_tets * nc, dtype=bool)])
-    V = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
+    k, nt = degree, mesh.n_tets
+    # the entities that carry dofs, as (per-tet ids, width, boundary flags);
+    # global entity ids run over them in this order, and so do the dofs
+    tables = [t for t in (
+        (mesh.tet_edges, k, mesh.boundary_edge),
+        (mesh.tet_faces, k * (k - 1), mesh.boundary_face),
+        (np.arange(nt)[:, None], k * (k - 1) * (k - 2) // 2, np.zeros(nt, dtype=bool)))
+        if t[1]]
+    before = np.cumsum([0] + [len(fixed) for _, _, fixed in tables])
+    ent = np.concatenate([ids + n for (ids, _, _), n in zip(tables, before)], axis=1)
+    width = np.concatenate([np.full(len(fixed), w) for _, w, fixed in tables])
+    fixed = np.concatenate([fixed for _, _, fixed in tables])
+    wloc = width[ent[0]]
+    le = np.repeat(np.arange(ent.shape[1]), wloc)       # local entity of local dof
+    off = np.arange(len(le)) - (np.cumsum(wloc) - wloc)[le]  # offset in the entity
+    cell_dofs = (np.cumsum(width) - width)[ent][:, le] + off
+    mask = np.repeat(fixed, width)
+    V, Vinv = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
     reg = build_node_registry(mesh, k)
-    return DofMap(mesh, k, n_dofs, cell_dofs, mask, np.nonzero(~mask)[0],
-                  np.linalg.inv(V), reg, discrete_gradient(V, cell_dofs, mask, reg))
+    return DofMap(mesh, k, len(mask), cell_dofs, mask, np.nonzero(~mask)[0], Vinv,
+                  reg, discrete_gradient(V, cell_dofs, mask, reg),
+                  *_free_pattern(ent, width, ~fixed, le, off))
+
+
+def _free_pattern(ent, width, free, le, off):
+    """indptr, indices and slot of the free x free block (see DofMap), from
+    the dof-carrying entities ``ent`` (T, E) of the tets, their widths and
+    free flags, and each local dof's entity ``le`` and offset ``off`` in it.
+
+    Every dof block belongs to one edge, face or cell, and a boundary
+    entity's dofs are all fixed, so the pattern is built on entities: the
+    (entity, entity) pairs of all tets are deduplicated once, and each pair
+    expands to the block of its row entity's rows and column entity's
+    columns.  Rows of one entity share their column list."""
+    n_ent = len(width)
+    first = np.cumsum(width * free) - width * free           # first free dof
+
+    # the (row entity, column entity) pairs among free entities, sorted;
+    # each row entity's column list is its pairs' column blocks in order
+    ok = free[ent][:, :, None] & free[ent][:, None, :]
+    keys = (ent[:, :, None] * n_ent + ent[:, None, :])[ok]
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    pa, pb = np.divmod(pairs, n_ent)
+    wb = width[pb]
+    seg = np.cumsum(wb) - wb                 # pair's start in the column lists
+    rows, rstart = np.unique(pa, return_index=True)
+    count = np.diff(np.append(rstart, len(pa)))              # pairs per row entity
+    rlen = np.diff(np.append(seg[rstart], wb.sum()))         # its row length
+    rwidth = width[rows]
+    size = rwidth * rlen
+    nnz = int(size.sum())
+    # slot values reach 2 nnz before the clip below
+    itype = np.int32 if 2 * nnz < 2 ** 31 else np.int64
+
+    row_len = np.repeat(rlen, rwidth)
+    indptr = np.zeros(len(row_len) + 1, dtype=itype)
+    np.cumsum(row_len, out=indptr[1:])
+    cols = (np.repeat(first[pb] - seg, wb) + np.arange(wb.sum())).astype(itype)
+    # every row of an entity reads the entity's column list
+    shift = (np.repeat(seg[rstart], rwidth) - indptr[:-1]).astype(itype)
+    indices = cols[np.repeat(shift, row_len) + np.arange(nnz, dtype=itype)]
+
+    # slot = pair start + row offset * row length + column offset, clipped to
+    # the dump slot nnz on entries of boundary entities
+    pstart = np.full(ok.shape, nnz, dtype=itype)
+    pstart[ok] = (np.repeat(np.cumsum(size) - size - seg[rstart], count) + seg)[inverse]
+    rlen_ent = np.zeros(n_ent, dtype=itype)
+    rlen_ent[rows] = rlen
+    off = off.astype(itype)
+    slot = pstart[:, le[:, None], le[None, :]]
+    slot += (off * rlen_ent[ent][:, le])[:, :, None]
+    slot += off
+    np.minimum(slot, nnz, out=slot)
+    return indptr, indices, slot
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +444,14 @@ def _scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _assemble_free(dofmap: DofMap, A_gen: np.ndarray) -> sp.csr_matrix:
-    """Map reference-basis element matrices to V^-T A_gen V^-1, sum them and
-    keep the free rows and columns."""
+    """Map reference-basis element matrices to V^-T A_gen V^-1 and sum them
+    into the dof map's free x free pattern; A_gen is overwritten."""
     Vinv = dofmap.Vinv
-    A_loc = Vinv.transpose(0, 2, 1) @ A_gen @ Vinv
-    A = _scatter(A_loc, dofmap.cell_dofs, dofmap.cell_dofs,
-                 (dofmap.n_dofs, dofmap.n_dofs))
-    free = dofmap.free
-    return A[free][:, free].tocsr()
+    A_loc = np.matmul(Vinv.transpose(0, 2, 1) @ A_gen, Vinv, out=A_gen)
+    nnz = len(dofmap.indices)
+    data = np.bincount(dofmap.slot.ravel(), A_loc.ravel(), minlength=nnz + 1)
+    return sp.csr_matrix((data[:nnz], dofmap.indices, dofmap.indptr),
+                         shape=(dofmap.n_free, dofmap.n_free))
 
 
 def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,

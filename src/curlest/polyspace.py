@@ -14,7 +14,7 @@ spaces behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
@@ -275,13 +275,22 @@ def _reference_dofs(kind: str, k: int, ranks: tuple) -> np.ndarray:
     return V
 
 
-def _reference_dofs_per_tet(kind: str, gids: np.ndarray, k: int) -> np.ndarray:
-    """(T, n, n) reference dof matrices under each tet's global-id vertex
-    order, a writable copy."""
+@lru_cache(maxsize=None)
+def _reference_inverse(k: int, ranks: tuple) -> np.ndarray:
+    """Inverse of the Nedelec reference dof matrix under the vertex order
+    given by ranks."""
+    Vinv = np.linalg.inv(_reference_dofs(NEDELEC1_TET, k, ranks))
+    Vinv.setflags(write=False)
+    return Vinv
+
+
+def _per_tet(gids: np.ndarray, *tables) -> list:
+    """Per table, the (T, n, n) stack of the cached reference matrices
+    table(ranks) under each tet's global-id vertex order, a writable copy."""
     ranks = np.argsort(np.argsort(gids, axis=1), axis=1)
     orders, which = np.unique(ranks, axis=0, return_inverse=True)
-    V = np.stack([_reference_dofs(kind, k, tuple(o)) for o in orders])
-    return V[which.ravel()]
+    return [np.stack([table(tuple(o)) for o in orders])[which.ravel()]
+            for table in tables]
 
 
 def _face_scales(p: np.ndarray) -> np.ndarray:
@@ -299,30 +308,42 @@ def _map_interior_rows(V: np.ndarray, first: int, S: np.ndarray) -> None:
         len(V), -1, V.shape[2])
 
 
-def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
+def nedelec_element_matrices(verts: np.ndarray, gids,
+                             k: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ``nedelec_dof_matrix`` of the covariant-mapped reference basis
-    on tets verts (T, 4, 3) with vertex ids gids (T, 4): (T, n, n).
+    on tets verts (T, 4, 3) with vertex ids gids (T, 4), and their inverses:
+    two (T, n, n) stacks V and Vinv.
 
     On an affine tet the matrix is S_t V_sigma, V_sigma the reference matrix
     under the tet's global-id vertex order.  S_t is the identity on edge rows,
     the ratio of physical to reference area2/|e_d| on face rows and
-    kron(I, vol6 J^-T) on interior rows.
+    kron(I, vol6 J^-T) on interior rows.  The inverse is V_sigma^-1 S_t^-1
+    with V_sigma^-1 cached per vertex order: its face columns are divided by
+    the face ratios and its interior columns mapped by kron(I, J^T / vol6).
     """
     verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
-    V = _reference_dofs_per_tet(NEDELEC1_TET, gids, k)
+    V, Vinv = _per_tet(gids, partial(_reference_dofs, NEDELEC1_TET, k),
+                       partial(_reference_inverse, k))
     T, n_edge, n_face = len(V), 6 * k, 4 * k * (k - 1)
     if k >= 2:
         lv = _gid_sorted(gids, TET_FACES)
         scale = (_face_scales(verts[np.arange(T)[:, None, None], lv])
                  / _face_scales(TET_VERTS[lv]))
-        # face rows run monomial-major, direction-minor
-        V[:, n_edge:n_edge + n_face] *= np.tile(scale, n_face // 8).reshape(T, -1, 1)
+        # face rows (and columns of the inverse) run monomial-major,
+        # direction-minor
+        scale = np.tile(scale, n_face // 8).reshape(T, -1)
+        V[:, n_edge:n_edge + n_face] *= scale[:, :, None]
+        Vinv[:, :, n_edge:n_edge + n_face] /= scale[:, None, :]
     if k >= 3:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         vol6 = np.abs(np.linalg.det(J))
-        _map_interior_rows(V, n_edge + n_face,
+        first = n_edge + n_face
+        _map_interior_rows(V, first,
                            vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1))
-    return V
+        cols = Vinv[:, :, first:].reshape(T, -1, 3)     # rows run (dof, monomial)
+        Vinv[:, :, first:] = (cols @ (J.transpose(0, 2, 1) / vol6[:, None, None])
+                              ).reshape(T, V.shape[1], -1)
+    return V, Vinv
 
 
 def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
@@ -333,7 +354,7 @@ def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
     and kron(I, sign(det J) J) on interior rows.
     """
     verts = np.asarray(verts, dtype=float)
-    V = _reference_dofs_per_tet(RT_TET, np.asarray(gids), k)
+    V, = _per_tet(np.asarray(gids), partial(_reference_dofs, RT_TET, k))
     if k >= 2:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         S = np.sign(np.linalg.det(J))[:, None, None] * J

