@@ -38,7 +38,6 @@ class RunConfig:
     max_dofs: int = 200_000
     out_dir: str | None = None
     vtk: bool = False
-    analysis_grade: bool = False
     reference_errors: bool = False
     verify: bool = False
 

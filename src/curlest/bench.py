@@ -36,7 +36,6 @@ class ProblemSpec:
     exact_u: object = None
     exact_H: object = None
     uniform_res: dict = field(default_factory=dict)
-    analysis_grade: bool = False
     notes: str = ""
 
     def initial_mesh(self) -> Mesh:
@@ -70,70 +69,67 @@ def cube_poly_j(p):
 
 # --- L-brick stream-function data ------------------------------------------
 #
-# The potential is the curl of (0, 0, w) with w a polynomial window times the
-# fractional-power harmonic of the reentrant sector.  The current density is
-# evaluated by high-order finite differences of w with step proportional to
-# the distance from the singular edge, which keeps the relative accuracy
-# uniform (the singular part is homogeneous).  Analysis grade only: no exact
-# error is claimed for this problem.
-
-_W1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_W2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-_W12 = np.convolve(_W1, _W2)
-_OFF7 = np.arange(-3.0, 4.0)
-_OFF13 = np.arange(-6.0, 7.0)
-
+# The potential is u = curl(0, 0, Z W) with Z = (z(1-z))^2 and W = w s: the
+# polynomial window w = (1-x^2)^2 (1-y^2)^2 times s = Re z^(2/3), harmonic
+# on the reentrant sector, so lap W = s lap w + 2 grad w . grad s.  Then
+# H = curl u = (Z' W_x, Z' W_y, -Z lap W) and j = curl H, both ~ r^(-1/3)
+# at the reentrant edge; every derivative is in closed form.
 
 def _lbrick_angle(x, y):
     phi = np.arctan2(y, x)
     # branch cut along the diagonal of the removed quadrant, away from the
-    # domain and from any finite-difference stencil point
+    # domain
     return np.where(phi < -0.25 * np.pi, phi + 2.0 * np.pi, phi)
 
 
-def _lbrick_W(x, y):
-    r2 = x * x + y * y
-    s = r2 ** (1.0 / 3.0) * np.cos(2.0 / 3.0 * _lbrick_angle(x, y))
-    return (1.0 - x * x) ** 2 * (1.0 - y * y) ** 2 * s
+def _window(t):
+    """(1-t^2)^2 and its first three derivatives."""
+    return (1.0 - t * t) ** 2, -4.0 * t * (1.0 - t * t), 12.0 * t * t - 4.0, 24.0 * t
 
 
-def _lbrick_planar_terms(x, y):
-    """W_x, W_y, d(lap W)/dx, d(lap W)/dy by nested 6th-order differences."""
-    r = np.hypot(x, y)
-    d = np.clip(0.05 * r, 1e-8, 5e-3)
-    gx = x[:, None, None] + _OFF7[None, :, None] * d[:, None, None]
-    gy = y[:, None, None] + _OFF7[None, None, :] * d[:, None, None]
-    Wgrid = _lbrick_W(gx, gy)                       # (n, 7, 7)
-    lx = _lbrick_W(x[:, None] + _OFF13[None, :] * d[:, None], y[:, None])
-    ly = _lbrick_W(x[:, None], y[:, None] + _OFF13[None, :] * d[:, None])
-    Wx = Wgrid[:, :, 3] @ _W1 / d
-    Wy = Wgrid[:, 3, :] @ _W1 / d
-    d3 = d ** 3
-    Fx = (np.einsum("nij,i,j->n", Wgrid, _W1, _W2) + lx @ _W12) / d3
-    Fy = (np.einsum("nij,i,j->n", Wgrid, _W2, _W1) + ly @ _W12) / d3
-    return Wx, Wy, Fx, Fy
+def _lbrick_stream(x, y):
+    """W_x, W_y, lap W, d(lap W)/dx, d(lap W)/dy."""
+    # f = z^(2/3) = q^2 on the branch: f' = s_x - i s_y, f'' = s_xx - i s_xy
+    q = np.cbrt(np.hypot(x, y)) * np.exp(1j / 3.0 * _lbrick_angle(x, y))
+    f1, f2 = 2.0 / (3.0 * q), -2.0 / (9.0 * q ** 4)
+    s, sx, sy, sxx, sxy = (q * q).real, f1.real, -f1.imag, f2.real, -f2.imag
+    (a, a1, a2, a3), (b, b1, b2, b3) = _window(x), _window(y)
+    w, wx, wy, wxx, wxy, wyy = a * b, a1 * b, a * b1, a2 * b, a1 * b1, a * b2
+    lw = wxx + wyy
+    lap = s * lw + 2.0 * (wx * sx + wy * sy)
+    lap_x = sx * lw + s * (a3 * b + a1 * b2) + 2.0 * (
+        wxx * sx + wx * sxx + wxy * sy + wy * sxy)
+    lap_y = sy * lw + s * (a2 * b1 + a * b3) + 2.0 * (
+        wxy * sx + wx * sxy + wyy * sy - wy * sxx)   # s_yy = -s_xx
+    return wx * s + w * sx, wy * s + w * sy, lap, lap_x, lap_y
 
 
 def lbrick_u(p):
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     Z = (z * (1.0 - z)) ** 2
-    Wx, Wy, _, _ = _lbrick_planar_terms(x, y)
+    Wx, Wy, _, _, _ = _lbrick_stream(x, y)
     return np.stack([Z * Wy, -Z * Wx, np.zeros_like(x)], axis=1)
+
+
+def lbrick_H(p):
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    Z = (z * (1.0 - z)) ** 2
+    Zp = 2.0 * z * (1.0 - z) * (1.0 - 2.0 * z)
+    Wx, Wy, lap, _, _ = _lbrick_stream(x, y)
+    return np.stack([Zp * Wx, Zp * Wy, -Z * lap], axis=1)
 
 
 def lbrick_j(p):
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     Z = (z * (1.0 - z)) ** 2
     Zpp = 2.0 - 12.0 * z + 12.0 * z * z
-    Wx, Wy, Fx, Fy = _lbrick_planar_terms(x, y)
-    return np.stack([-Z * Fy - Zpp * Wy, Z * Fx + Zpp * Wx, np.zeros_like(x)],
-                    axis=1)
+    Wx, Wy, _, lap_x, lap_y = _lbrick_stream(x, y)
+    return np.stack([-Z * lap_y - Zpp * Wy, Z * lap_x + Zpp * Wx,
+                     np.zeros_like(x)], axis=1)
 
 
-def _jump_tags(mu2: float):
-    def tag(c):
-        return 1 if (c[1] < 0.5 and c[2] < 0.5) else 2
-    return tag
+def _jump_tag(c):
+    return 1 if (c[1] < 0.5 and c[2] < 0.5) else 2
 
 
 def builtin_problems() -> dict:
@@ -155,17 +151,14 @@ def builtin_problems() -> dict:
         mu=fem.MaterialField(1.0),
         j_func=lbrick_j,
         exact_u=lbrick_u,
-        exact_H=None,
+        exact_H=lbrick_H,
         uniform_res={1: [1, 2, 4], 2: [1, 2], 3: [1]},
-        analysis_grade=True,
-        notes="reentrant-edge singular potential; current density from "
-              "finite differences of the stream function (no exact-error claims)")
+        notes="reentrant-edge singular potential, closed-form data")
     for ell in (1, 2, 3):
         mu2 = 10.0 ** ell
-        tag = _jump_tags(mu2)
         problems[f"cube_jump_mu_{int(mu2)}"] = ProblemSpec(
             name=f"cube_jump_mu_{int(mu2)}",
-            make_mesh=lambda n, _t=tag: unit_cube_mesh(n, tag_fn=_t),
+            make_mesh=lambda n: unit_cube_mesh(n, tag_fn=_jump_tag),
             base_res=2,
             mu=fem.MaterialField({1: 1.0, 2: mu2}),
             j_func=lambda p: np.stack(
@@ -232,10 +225,6 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     fields, so sequential reruns are byte-identical; timings live in the
     JSON report.
     """
-    if spec.analysis_grade and not cfg.analysis_grade:
-        raise ValueError(
-            f"{spec.name} is analysis grade (numerically differentiated data); "
-            "pass analysis_grade=True / --analysis-grade to run it")
     t_start = time.perf_counter()
     if cfg.mode == "uniform":
         res_list = spec.uniform_res.get(cfg.degree, [spec.base_res])

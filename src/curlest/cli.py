@@ -64,7 +64,6 @@ def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     runp.add_argument("--out", dest="out_dir", metavar="DIR")
     runp.add_argument("--vtk", action="store_true", default=None,
                       help="write each level's mesh and eta_T (needs --out)")
-    runp.add_argument("--analysis-grade", action="store_true", default=None)
     runp.add_argument("--reference-errors", action="store_true", default=None)
     runp.add_argument("--verify", action="store_true", default=None,
                       help="run the equilibrium checks on every level")
@@ -90,8 +89,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         for name, spec in bench.builtin_problems().items():
-            grade = " [analysis grade]" if spec.analysis_grade else ""
-            print(f"{name:18s} {spec.notes}{grade}")
+            print(f"{name:18s} {spec.notes}")
         return 0
 
     level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]

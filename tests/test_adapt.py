@@ -183,6 +183,16 @@ def test_lbrick_marking_concentrates_at_reentrant_edge():
         assert frac_marked > frac_all
 
 
+def test_lbrick_adaptive_estimator_is_reliable():
+    # the guaranteed bound on a singular solution: eta_h >= error on every
+    # adaptive level of the reentrant-edge problem
+    spec = bench.builtin_problems()["lbrick_singular"]
+    cfg = adm.RunConfig(theta=0.5, levels=4, degree=2, max_dofs=4000,
+                        estimator="eq")
+    effs = [lv.row["eff_eq"] for lv in adm.adaptive_loop(spec, cfg)]
+    assert len(effs) == 4 and min(effs) >= 1.0, effs
+
+
 def test_high_contrast_marking_concentrates_at_interface_edge():
     spec = bench.builtin_problems()["cube_jump_mu_1000"]
     cfg = adm.RunConfig(theta=0.5, levels=4, max_dofs=2500, degree=2,

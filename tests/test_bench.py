@@ -16,8 +16,8 @@ from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from _helpers import (MU1, consistency_check, cube_H, eval_one, ref_coords,
-                      sample_points, solve_cube)
+from _helpers import (MU1, consistency_check, cube_H, eval_one, lbrick_samples,
+                      ref_coords, sample_points, solve_cube)
 
 RNG = np.random.default_rng(3)
 
@@ -80,8 +80,13 @@ def test_cube_poly_symbolic_double_curl():
 
 
 def test_consistency_check_runs():
-    spec = bench.builtin_problems()["cube_poly"]
-    assert consistency_check(spec) < 1e-8
+    probs = bench.builtin_problems()
+    assert consistency_check(probs["cube_poly"]) < 1e-8
+    # the L-brick's r^(-1/3) fields have third derivatives ~ r^(-10/3): at
+    # the sample's nearest point to the edge (r = 0.082) the central-
+    # difference truncation is ~1e-8 relative (measured 7.6e-9), so allow
+    # 1e-6, far below what a transcription error shows
+    assert consistency_check(probs["lbrick_singular"], tol=1e-6) < 1e-6
 
 
 def test_consistency_check_catches_transcription_error():
@@ -118,6 +123,9 @@ def test_lbrick_potential_boundary_trace():
 
 
 def test_lbrick_data_divergence_free():
+    # each central difference truncates at (h^2/6)|d^3 j_a|; near the edge
+    # j ~ r^(-1/3), whose third derivatives are ~ |j| r^-3, so the three
+    # terms stay below h^2 max|j| / r_min^3 (2.7e-3 here; measured 2.6e-5)
     spec = bench.builtin_problems()["lbrick_singular"]
     pts = sample_points(spec, 30, np.random.default_rng(9))
     h = 2e-4
@@ -126,8 +134,45 @@ def test_lbrick_data_divergence_free():
         dp = np.zeros(3)
         dp[a] = h
         div += (spec.j_func(pts + dp)[:, a] - spec.j_func(pts - dp)[:, a]) / (2 * h)
-    scale = np.abs(spec.j_func(pts)).max() / 0.1  # gradient scale proxy
-    assert np.abs(div).max() < 1e-2 * scale  # analysis-grade data
+    r_min = np.hypot(pts[:, 0], pts[:, 1]).min()
+    assert np.abs(div).max() < h ** 2 * np.abs(spec.j_func(pts)).max() / r_min ** 3
+
+
+def test_lbrick_symbolic_oracle():
+    # regenerate u, H = curl u and j = curl H from the stream function, on
+    # the code's angle branch, and compare with the shipped closed forms
+    x, y, z = sympy.symbols("x y z", real=True)
+    s = (x ** 2 + y ** 2) ** sympy.Rational(1, 3) * sympy.cos(2 * sympy.atan2(y, x) / 3)
+    psi = (z * (1 - z)) ** 2 * ((1 - x ** 2) * (1 - y ** 2)) ** 2 * s
+    u = sympy.Matrix([sympy.diff(psi, y), -sympy.diff(psi, x), 0])
+
+    def curl(v):
+        return sympy.Matrix([
+            sympy.diff(v[2], y) - sympy.diff(v[1], z),
+            sympy.diff(v[0], z) - sympy.diff(v[2], x),
+            sympy.diff(v[1], x) - sympy.diff(v[0], y)])
+
+    H = curl(u)
+    branch = {"atan2": lambda b, a: bench._lbrick_angle(a, b)}
+    pts = lbrick_samples(200, np.random.default_rng(11))
+    for expr, closed in ((u, bench.lbrick_u), (H, bench.lbrick_H),
+                         (curl(H), bench.lbrick_j)):
+        f = sympy.lambdify((x, y, z), list(expr), modules=[branch, "numpy"])
+        ref = np.stack([np.broadcast_to(c, len(pts)) for c in f(*pts.T)], axis=1)
+        rel = np.abs(closed(pts) - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert rel.max() < 1e-12, (closed.__name__, rel.max())
+
+
+def test_lbrick_strict_a2_stops_at_the_reentrant_edge():
+    # the RT moments of the r^(-1/3) current are integrated inexactly, so
+    # the projected data is not solenoidal on the tets at the edge
+    spec = bench.builtin_problems()["lbrick_singular"]
+    m = spec.make_mesh(1)
+    with pytest.raises(eqm.DataIncompatible) as exc:
+        adm.run_level(spec, m, adm.RunConfig(degree=2, strict_a2=True,
+                                             estimator="eq"))
+    corners = m.vertices[m.tets[exc.value.tet]]
+    assert (np.abs(corners[:, :2]).max(axis=1) == 0.0).any()
 
 
 def test_jump_problem_tags_align_with_interface():
@@ -218,12 +263,6 @@ def test_rows_monotone_dofs():
     dofs = [r["n_dofs"] for r in rep.rows]
     assert all(b > a for a, b in zip(dofs, dofs[1:]))
     assert [r["level"] for r in rep.rows] == sorted(r["level"] for r in rep.rows)
-
-
-def test_analysis_grade_requires_flag():
-    spec = bench.builtin_problems()["lbrick_singular"]
-    with pytest.raises(ValueError):
-        bench.run_experiment(spec, bench.RunConfig(degree=1, levels=1))
 
 
 def test_reference_error_protocol(tmp_path):
@@ -423,11 +462,6 @@ def test_cli_unknown_problem():
     assert cli.main(["run", "nonsense"]) == 2
 
 
-def test_cli_analysis_grade_guard(tmp_path):
-    rc = cli.main(["run", "lbrick_singular", "--levels", "1"])
-    assert rc == 1
-
-
 def test_cli_output_flags_need_out(capsys):
     assert cli.main(["run", "cube_poly", "--levels", "1", "--vtk"]) == 1
     assert "set out_dir" in capsys.readouterr().err
@@ -467,8 +501,7 @@ def test_cli_config_file_and_flags_build_the_same_run_config(tmp_path, monkeypat
     out = str(tmp_path / "rep")
     values = {"degree": "2", "aux_degree": "3", "mode": "adaptive", "levels": "2",
               "theta": "0.4", "estimator": "eq", "max_dofs": "900", "out": out}
-    flags = ("strict_a2", "vtk", "analysis_grade",
-             "reference_errors", "verify")
+    flags = ("strict_a2", "vtk", "reference_errors", "verify")
     assert {f.name for f in fields(bench.RunConfig)} == \
         set(values) - {"out"} | {"out_dir"} | set(flags)   # every key is set
     config = tmp_path / "all.cfg"
