@@ -8,7 +8,7 @@ from .equilibrate import (EquilibrationOutput, check_edge_compatibility,
                           estimate, step1_element_corrections,
                           step2_face_multipliers, step3_reconstruct_phi,
                           step4_estimator, verify_equilibrium)
-from .femsys import (BrokenPolyField, CurrentDensity, FieldCoefficients,
+from .femsys import (BrokenPolyField, CurrentDensity, FieldCoefficients, Load,
                      MaterialField, assemble_curlcurl, assemble_rhs,
                      build_dofmap, compute_Hh, gradient_correction,
                      project_current, solve_magnetostatic)

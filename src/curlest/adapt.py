@@ -93,11 +93,13 @@ def dorfler_mark(etas: np.ndarray, theta: float) -> set:
 
 
 def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
-                cfg: RunConfig):
+                cfg: RunConfig, row: dict | None = None):
     """Assemble, correct, and solve one mesh level.
 
     Returns (dofmap, u, Hh, data); ``data`` is the current the solve used
-    (the projected one under strict_a2 with non-polynomial data).
+    (the projected one under strict_a2 with non-polynomial data).  ``row``,
+    when given, receives the load's gradient check: its scalar load
+    relative to the rounding bound, and whether the correction ran.
     """
     dm = fem.build_dofmap(mesh, cfg.degree)
     A = fem.assemble_curlcurl(mesh, dm, mu)
@@ -105,8 +107,11 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     data = j
     if cfg.strict_a2 and not j.is_polynomial:
         data = fem.project_current(mesh, j.func, cfg.aux_degree)
-    b = fem.assemble_rhs(mesh, dm, data)
-    b = fem.gradient_correction(dm, b)
+    load = fem.assemble_rhs(mesh, dm, data)
+    b = fem.gradient_correction(dm, load)
+    if row is not None:
+        row["grad_load_ratio"] = load.gradient_ratio
+        row["grad_corrected"] = not load.consistent
     u = fem.solve_magnetostatic(A, b, dm, M)
     Hh = fem.compute_Hh(mesh, dm, u, mu)
     return dm, u, Hh, data
@@ -135,8 +140,9 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     sum eta_T^2 = eta_h^2 to ETA_SUM_TOL.
     """
     mu, j = problem.mu, problem.current()
+    grad = {}
     t0 = time.perf_counter()
-    dm, _, Hh, data = solve_level(mesh, mu, j, cfg)
+    dm, _, Hh, data = solve_level(mesh, mu, j, cfg, grad)
     t_solve = time.perf_counter() - t0
     t0 = time.perf_counter()
     out = estimate_level(dm, mu, data, Hh, cfg)
@@ -144,7 +150,7 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     eta_h, eta_T = out.result.eta_h, out.result.eta_T
     row = dict(labels, n_tets=mesh.n_tets, n_dofs=dm.n_free,
                h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
-               t_estimate=t_est)
+               t_estimate=t_est, **grad)
     row.update({k: out.result.diagnostics[k] for k in
                 ("max_re_abs", "max_re_variation", "oscillation",
                  "step3_max_residual", "lam_scale")})
@@ -160,8 +166,10 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
         set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H))
     gap = abs(eta_h ** 2 - float((eta_T ** 2).sum()))
     ok = math.isfinite(eta_h) and gap <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300)
-    log.info("level %s: %d tets, %d dofs, eta=%.3e", labels.get("level"),
-             mesh.n_tets, dm.n_free, eta_h)
+    log.info("level %s: %d tets, %d dofs, eta=%.3e; scalar load at %.1e of "
+             "its rounding bound, gradient correction %s", labels.get("level"),
+             mesh.n_tets, dm.n_free, eta_h, row["grad_load_ratio"],
+             "ran" if row["grad_corrected"] else "skipped")
     return Level(mesh, Hh, eta_T, row, ok)
 
 

@@ -118,7 +118,12 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     jd = (j.eval_elements(mesh, all_tets, tab.rule.points)
           - jh.eval(all_tets, tab.rule.points))             # (T, q, 3)
 
-    A = np.einsum("tab,abij->tij", JtJ, tab.TCC) / det[:, None, None]
+    # einsum, not the matrix product of assemble_curlcurl: the saddle
+    # solves magnify a change of summation order in A or B to 1e-13
+    # relative in Hhat at k' = 3 and 1e-12 at k' = 4, past the 1e-14 to
+    # which the tests pin step 1 against its per-tet loop
+    A = np.einsum("tab,abij->tij", JtJ,
+                  tab.TCC.reshape(3, 3, N.dim, N.dim)) / det[:, None, None]
     B = (mu.per_tet(mesh) * det)[:, None, None] * np.einsum(
         "tab,abil->tli", np.linalg.inv(JtJ), tab.TVG)
     nR, nB = N.dim, B.shape[1]

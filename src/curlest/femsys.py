@@ -6,9 +6,10 @@ elements sharing an edge or face apply identical functionals and tangential
 continuity of the assembled field is automatic.  The dof matrices V_t of all
 elements come as one stack (``polyspace.nedelec_element_matrices``), built
 once per dof map: assembly, H_h and field expansion are stacked products with
-the V_t^-1 it keeps, the curl-curl and mass matrices are summed straight into
-the free-dof CSR pattern it keeps, and its discrete gradient is built from
-V_t.  Broken
+the V_t^-1 it keeps, and the curl-curl and mass matrices are summed straight
+into the free-dof CSR pattern it keeps.  The discrete gradient is built from
+V_t on first use, which only the gradient correction of a load that is not
+consistent to roundoff makes.  Broken
 fields are carried around as per-element polynomial coefficient blocks over
 reference coordinates with physical components, which keeps curls,
 gradients, and jumps exact.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -282,11 +283,12 @@ class DofMap:
     boundary values, and what is built once from its element dof matrices:
     their inverses V_t^-1 = V_sigma^-1 S_t^-1 (see
     ``polyspace.nedelec_element_matrices``), the degree-k Lagrange node
-    registry, the discrete gradient between the free dofs of the two spaces,
-    and the CSR pattern of the free x free block.  ``slot[t, i, j]`` is the
-    position in that pattern of entry (i, j) of element t's block, or
+    registry and the CSR pattern of the free x free block.  ``slot[t, i, j]``
+    is the position in that pattern of entry (i, j) of element t's block, or
     ``len(indices)`` when the entry touches a boundary dof, so a sparse
-    matrix is its element blocks summed by one ``np.bincount``."""
+    matrix is its element blocks summed by one ``np.bincount``.  The discrete
+    gradient ``G`` between the free dofs of the two spaces is built on first
+    read."""
     mesh: Mesh
     degree: int
     n_dofs: int
@@ -295,7 +297,6 @@ class DofMap:
     free: np.ndarray            # ids of the interior dofs, ascending
     Vinv: np.ndarray            # (T, nloc, nloc) inverse element dof matrices
     registry: NodeRegistry      # degree-k Lagrange nodes
-    G: sp.csc_matrix            # (n_free, free registry nodes) discrete gradient
     indptr: np.ndarray          # (n_free + 1,) free x free CSR pattern:
     indices: np.ndarray         # (nnz,) canonical: sorted rows, no duplicates
     slot: np.ndarray            # (T, nloc, nloc) CSR position per local entry
@@ -303,6 +304,13 @@ class DofMap:
     @property
     def n_free(self) -> int:
         return len(self.free)
+
+    @cached_property
+    def G(self) -> sp.csc_matrix:
+        """(n_free, free registry nodes) discrete gradient."""
+        V, _ = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets],
+                                           self.mesh.tets, self.degree)
+        return discrete_gradient(V, self.cell_dofs, self.boundary_mask, self.registry)
 
 
 @dataclass
@@ -339,10 +347,9 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     off = np.arange(len(le)) - (np.cumsum(wloc) - wloc)[le]  # offset in the entity
     cell_dofs = (np.cumsum(width) - width)[ent][:, le] + off
     mask = np.repeat(fixed, width)
-    V, Vinv = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
-    reg = build_node_registry(mesh, k)
+    _, Vinv = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
     return DofMap(mesh, k, len(mask), cell_dofs, mask, np.nonzero(~mask)[0], Vinv,
-                  reg, discrete_gradient(V, cell_dofs, mask, reg),
+                  build_node_registry(mesh, k),
                   *_free_pattern(ent, width, ~fixed, le, off))
 
 
@@ -421,10 +428,12 @@ class _RefTables:
         vals = np.einsum("qm,icm->qci", v, space.coeffs)            # (q,3,n)
         self.curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
         w = self.rule.weights
-        self.TCC = np.einsum("q,qai,qbj->abij", w, self.curls, self.curls)
         n = vals.shape[2]
-        # (q * 3, n) and (9, n * n): the weighted values against which the
-        # load vector and the mass blocks are single matrix products
+        # (9, n * n) curl and value pairs and (q * 3, n) weighted values:
+        # the curl-curl and mass blocks and the load vector are single
+        # matrix products against them
+        self.TCC = np.einsum("q,qai,qbj->abij", w, self.curls,
+                             self.curls).reshape(9, n * n)
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
         self.TVV = np.einsum("q,qai,qbj->abij", w, vals, vals).reshape(9, n * n)
         grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, degree))[:, :, 1:]
@@ -461,7 +470,7 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
     tab = _ref_tables(k, False)
     geom = mesh.geom()
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
-    A_gen = np.einsum("tab,abij->tij", JtJ, tab.TCC)
+    A_gen = (JtJ.reshape(-1, 9) @ tab.TCC).reshape(dofmap.Vinv.shape)
     A_gen /= (geom.detJ * mu.per_tet(mesh))[:, None, None]
     return _assemble_free(dofmap, A_gen)
 
@@ -476,18 +485,75 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     return _assemble_free(dofmap, M_gen)
 
 
-def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> np.ndarray:
-    """Load vector (j, w) over all dofs; the solve reads the free entries."""
+@dataclass(frozen=True)
+class Load:
+    """A load vector and the scalar load it puts on the free Lagrange nodes.
+
+    ``scalar`` is G^T values[free]: entry p is (j, grad psi_p), which
+    vanishes for a current that is divergence free and integrated exactly.
+    ``bound`` is the rounding error that its assembly may commit (see
+    ``assemble_rhs``).  ``values`` is read-only, so a load that was changed
+    after assembly is a new plain vector, which gets the full correction."""
+    values: np.ndarray   # (n_dofs,) (j, w) over all dofs
+    scalar: np.ndarray   # (free registry nodes,)
+    bound: np.ndarray    # (free registry nodes,)
+
+    @property
+    def gradient_ratio(self) -> float:
+        """The largest |scalar| / bound over the free nodes; 0 without any."""
+        ratio = np.divide(np.abs(self.scalar), self.bound,
+                          out=np.zeros_like(self.bound), where=self.bound > 0)
+        return float(ratio.max(initial=0.0))
+
+    @property
+    def consistent(self) -> bool:
+        """Whether the scalar load is within its rounding bound everywhere."""
+        return self.gradient_ratio <= 1.0
+
+
+def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
+    """Load vector (j, w) over all dofs, with its scalar load and that
+    load's rounding bound; the solve reads the free entries.
+
+    With C the reference dofs of the scalar-basis gradients, the local block
+    of G is V_t C, and V_t^T maps the element load back to the
+    reference-basis load b_gen, so tet t adds C^T b_gen[t] to the scalar
+    load of its nodes.  On a free node no boundary dof contributes: the
+    gradient of psi_p has no tangential trace on a boundary entity.  So G
+    itself is not needed."""
     k = dofmap.degree
     tab = _ref_tables(k, not j.is_polynomial)
     geom = mesh.geom()
     rule = tab.rule
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
     jhat = jvals @ geom.Jinv.transpose(0, 2, 1)             # J^-1 j
-    b_gen = geom.detJ[:, None] * (jhat.reshape(len(jhat), -1) @ tab.wvals)
+    jhat = jhat.reshape(len(jhat), -1)
+    det = geom.detJ[:, None]
+    b_gen = det * (jhat @ tab.wvals)
     b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
-    return np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
-                       minlength=dofmap.n_dofs)
+    values = np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
+                         minlength=dofmap.n_dofs)
+    values.setflags(write=False)
+
+    reg = dofmap.registry
+    C = _reference_gradient_dofs(k)
+    nodes, free = reg.tet_nodes.ravel(), ~reg.boundary
+    scalar = np.bincount(nodes, (b_gen @ C).ravel(), minlength=reg.n_nodes)[free]
+    size = (np.abs(det) * (np.abs(jhat) @ np.abs(tab.wvals))) @ np.abs(C)
+    size = np.bincount(nodes, size.ravel(), minlength=reg.n_nodes)[free]
+    # A computed sum whose terms each pass through at most n roundings on
+    # their way to the result errs by at most n u times the sum of the
+    # terms' magnitudes, to first order (Higham, Accuracy and Stability of
+    # Numerical Algorithms, sec. 3.1).  A term of the scalar load of node p
+    # is rounded by three products (with wvals, det J and C) and by the
+    # additions of three nested sums: 3q - 1 over the quadrature's q points
+    # and 3 components, n_ned - 1 over the product with C and valence - 1
+    # over the tets that hold p.  That makes n = 3q + n_ned + valence, and
+    # ``size`` is the sum of the magnitudes.  The tables wvals and C count
+    # as exact; their own rounding adds a few u per term, well inside n.
+    valence = np.diff(reg.incident_ptr)[free]
+    n = tab.wvals.shape[0] + C.shape[0] + valence
+    return Load(values, scalar, n * (np.finfo(float).eps / 2) * size)
 
 
 def _stacked_eval(func):
@@ -560,13 +626,20 @@ def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def gradient_correction(dofmap: DofMap, rhs: np.ndarray) -> np.ndarray:
+def gradient_correction(dofmap: DofMap, rhs: Load | np.ndarray) -> np.ndarray:
     """Project the load vector onto the complement of the discrete gradients.
 
     Returns r' = r - G q with q solving (G^T G) q = G^T r over the interior
     scalar dofs, so G^T r' = 0 and the singular system stays consistent in
-    the presence of quadrature error.
+    the presence of quadrature error.  A consistent ``Load``, whose G^T r is
+    within its rounding bound, is returned as it is: the projection would
+    move it by roundoff only, and G is not built.  A plain vector is always
+    projected.
     """
+    if isinstance(rhs, Load):
+        if rhs.consistent:
+            return rhs.values.copy()
+        rhs = rhs.values
     Gf = dofmap.G
     if Gf.shape[1] == 0:
         return rhs.copy()

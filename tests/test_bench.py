@@ -138,6 +138,14 @@ def test_lbrick_data_divergence_free():
     assert np.abs(div).max() < h ** 2 * np.abs(spec.j_func(pts)).max() / r_min ** 3
 
 
+def test_lbrick_samples_avoid_the_removed_quadrant():
+    pts = lbrick_samples(10 ** 4, np.random.default_rng(3))
+    x, y, z = pts.T
+    assert ((np.abs(x) < 1) & (np.abs(y) < 1) & (z > 0) & (z < 1)).all()
+    assert ((x < -0.02) | (y > 0.02)).all()     # in the L, 0.02 from the cut
+    assert np.hypot(x, y).min() > 0.02          # so away from the edge too
+
+
 def test_lbrick_symbolic_oracle():
     # regenerate u, H = curl u and j = curl H from the stream function, on
     # the code's angle branch, and compare with the shipped closed forms

@@ -6,6 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from curlest import _poly
+from curlest import adapt as adm
+from curlest import bench
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
@@ -140,14 +142,14 @@ def test_rhs_zero_current():
     m = msh.unit_cube_mesh(1)
     dm = fem.build_dofmap(m, 1)
     j = fem.CurrentDensity(func=lambda p: np.zeros((len(p), 3)))
-    assert not fem.assemble_rhs(m, dm, j).any()
+    assert not fem.assemble_rhs(m, dm, j).values.any()
 
 
 def test_rhs_constant_current_orthogonal_to_gradients():
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, 1)
     j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
-    b = fem.assemble_rhs(m, dm, j)
+    b = fem.assemble_rhs(m, dm, j).values
     resid = dm.G.T @ b[dm.free]
     assert np.abs(resid).max() < 1e-12 * max(np.abs(b).max(), 1.0)
 
@@ -176,7 +178,7 @@ def test_rhs_against_slow_assembler(k, make_mesh):
     m = make_mesh(2)
     dm = fem.build_dofmap(m, k)
     # cube_j is quadratic, so the library's 2k+4 rule integrates it exactly
-    b_fast = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
+    b_fast = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)).values
     b_slow = _slow_rhs(m, dm, cube_j)
     scale = np.abs(b_slow).max()
     assert np.abs(b_fast - b_slow).max() < 1e-10 * scale
@@ -231,6 +233,105 @@ def test_correction_fixed_point():
     assert np.linalg.norm(b2 - b1) <= 1e-12 * max(np.linalg.norm(b1), 1e-30)
     resid = dm.G.T @ b1[dm.free]
     assert np.abs(resid).max() <= 1e-12 * max(np.abs(b1).max(), 1e-30)
+
+
+PROBLEMS = bench.builtin_problems()
+
+
+def _load(name, n, k):
+    spec = PROBLEMS[name]
+    m = spec.make_mesh(n)
+    dm = fem.build_dofmap(m, k)
+    return m, dm, fem.assemble_rhs(m, dm, spec.current())
+
+
+@pytest.mark.parametrize("name, k", [("cube_poly", 1), ("cube_poly", 2),
+                                     ("cube_poly", 3), ("lbrick_singular", 2)])
+def test_scalar_load_is_the_gradient_load(name, k):
+    # assembled without G, the scalar load is G^T b to the rounding of
+    # either side; on the consistent cube data both sides are roundoff
+    _, dm, load = _load(name, 2, k)
+    b = load.values[dm.free]
+    scale = (abs(dm.G).T @ np.abs(b)).max()
+    assert load.scalar.shape == (dm.G.shape[1],)
+    assert np.abs(load.scalar - dm.G.T @ b).max() <= 1e-13 * scale
+
+
+def _solve_with_row(name, m, k):
+    spec = PROBLEMS[name]
+    row = {}
+    dm, _, Hh, _ = adm.solve_level(m, spec.mu, spec.current(),
+                                   adm.RunConfig(degree=k), row)
+    return dm, Hh, row
+
+
+@pytest.mark.parametrize("name, k, levels", [
+    ("cube_poly", 1, 3), ("cube_poly", 3, 2), ("cube_jump_mu_100", 2, 2),
+    ("lbrick_singular", 1, 3), ("lbrick_singular", 2, 2)])
+def test_correction_runs_only_where_the_load_needs_it(name, k, levels):
+    # consistent data are left as they are on every level; the r^(-1/3)
+    # current of the L-brick is integrated inexactly, and its levels with
+    # free scalar nodes are corrected
+    m = PROBLEMS[name].make_mesh(1)
+    corrected = []
+    for _ in range(levels):
+        dm, _, row = _solve_with_row(name, m, k)
+        assert row["grad_corrected"] == (row["grad_load_ratio"] > 1.0)
+        if (~dm.registry.boundary).any():
+            corrected.append(row["grad_corrected"])
+        m = msh.refine(m, range(0, m.n_tets, 3))
+    assert corrected
+    assert all(corrected) if name == "lbrick_singular" else not any(corrected)
+
+
+def test_consistent_level_builds_no_gradient(monkeypatch):
+    calls = []
+    build = fem.discrete_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+    monkeypatch.setattr(fem, "discrete_gradient", counted)
+    _solve_with_row("cube_poly", msh.unit_cube_mesh(2), 2)
+    assert calls == []
+    _solve_with_row("lbrick_singular", PROBLEMS["lbrick_singular"].make_mesh(2), 2)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name, k", [("cube_poly", 3), ("cube_jump_mu_100", 2)])
+def test_skipped_correction_matches_forced_correction(name, k):
+    # the two loads differ by roundoff, and each solve stops at relative
+    # residual REFINE_TOL, so the fields are compared at that tolerance
+    # (they differ by 6e-14 at k=3 and 2e-15 on the jump problem)
+    spec = PROBLEMS[name]
+    m, dm, load = _load(name, 2, k)
+    assert load.consistent
+    A = fem.assemble_curlcurl(m, dm, spec.mu)
+    M = fem.assemble_mass(m, dm)
+    fields = [fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm, M), spec.mu)
+              for b in (fem.gradient_correction(dm, load),
+                        fem.gradient_correction(dm, load.values.copy()))]
+    assert np.array_equal(fields[0].coeffs, _solve_with_row(name, m, k)[1].coeffs)
+    diff = fields[0].plus(fields[1].scale(-1.0)).norm()
+    assert diff <= fem.REFINE_TOL * fields[1].norm()
+
+
+def test_changed_load_is_still_corrected():
+    _, dm, load = _load("cube_poly", 2, 2)
+    assert load.consistent
+    with pytest.raises(ValueError):
+        load.values[dm.free] += 1.0
+    b = load.values.copy()
+    b[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
+    b1 = fem.gradient_correction(dm, b)
+    assert np.abs(dm.G.T @ b1[dm.free]).max() <= 1e-12 * np.abs(b).max()
+    assert np.abs(b1 - load.values).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_load_without_free_nodes_is_consistent():
+    _, dm, load = _load("lbrick_singular", 1, 1)
+    assert len(load.scalar) == 0
+    assert load.gradient_ratio == 0.0 and load.consistent
 
 
 def test_correction_annihilates_pure_gradients():
@@ -338,7 +439,7 @@ def test_symmetric_factor_matches_colamd_oracle(k, n):
     A = fem.assemble_curlcurl(m, dm, MU1)
     M = fem.assemble_mass(m, dm)
     G = dm.G
-    raw = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
+    raw = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)).values.copy()
     raw[dm.free] += G @ np.random.default_rng(k).standard_normal(G.shape[1])
     b = fem.gradient_correction(dm, raw)
     scale = abs(G).sum(axis=0).max() * np.abs(raw[dm.free]).max()

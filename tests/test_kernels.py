@@ -20,7 +20,8 @@ from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 
-from _helpers import (coo_assemble_free, cube_j, einsum_assemble_mass, einsum_assemble_rhs,
+from _helpers import (coo_assemble_free, cube_j, einsum_assemble_curlcurl,
+                      einsum_assemble_mass, einsum_assemble_rhs,
                       einsum_compute_Hh, einsum_curl, einsum_div, einsum_eval,
                       einsum_grad, einsum_map_points, einsum_partials,
                       einsum_step2, einsum_vandermonde, jittered_cube)
@@ -83,10 +84,13 @@ def test_derivatives_match_einsum(mesh, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_assembly_and_Hh_match_einsum(mesh, k):
     dm = fem.build_dofmap(mesh, k)
+    assert_pinned(fem.assemble_curlcurl(mesh, dm, MU).toarray(),
+                  einsum_assemble_curlcurl(mesh, dm, MU).toarray())
     assert_pinned(fem.assemble_mass(mesh, dm).toarray(),
                   einsum_assemble_mass(mesh, dm).toarray())
     for j in (fem.CurrentDensity(func=cube_j), fem.project_current(mesh, cube_j, k)):
-        assert_pinned(fem.assemble_rhs(mesh, dm, j), einsum_assemble_rhs(mesh, dm, j))
+        assert_pinned(fem.assemble_rhs(mesh, dm, j).values,
+                      einsum_assemble_rhs(mesh, dm, j))
     u = fem.FieldCoefficients(dm, np.random.default_rng(k).standard_normal(dm.n_dofs))
     assert_pinned(fem.compute_Hh(mesh, dm, u, MU).coeffs,
                   einsum_compute_Hh(mesh, dm, u, MU))
