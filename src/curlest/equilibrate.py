@@ -55,7 +55,6 @@ EQUILIBRIUM_TOL = 1e-9  # relative residuals that verify_equilibrium accepts
 class ElementCorrection:
     """Per-tet curl-conforming correction and its residual-current data."""
     Hhat: BrokenPolyField          # the local correction field
-    Hhat_curl: BrokenPolyField     # its elementwise curl
     resid: np.ndarray              # (T,) L2 norm of curl(Hhat) - j_delta
     jdelta_norm: np.ndarray        # (T,) L2 norm of j_delta
     ortho_resid: np.ndarray        # (T,) max |(mu Hhat, grad psi)| over basis
@@ -107,7 +106,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     if kp < Hh.degree:
         raise ValueError("auxiliary degree must be >= the field degree")
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
-    tab = _ref_tables(kp, not j.is_polynomial)
+    tab = _ref_tables(kp)
     w = tab.rule.weights
 
     geom = mesh.geom()
@@ -134,7 +133,6 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     h = _solve_stack(S, rhs, all_tets, LocalSolveSingular, "tet", "saddle")[:, :nR, 0]
 
     hhat = geom.Jinv.transpose(0, 2, 1) @ np.einsum("ti,icm->tcm", h, N.coeffs)
-    hhat_curl = (J @ np.einsum("ti,iam->tam", h, N.curl_coeffs())) / det[:, None, None]
     cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(mesh.n_tets, -1, 3)
           @ (J.transpose(0, 2, 1) / det[:, None, None]))
     resid = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, (cv - jd) ** 2), 0.0))
@@ -155,10 +153,8 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                 f"jscale = {ratio[t]:.3e} > tol {STRICT_TOL:.1e}",
                 t, float(ratio[t]))
 
-    return ElementCorrection(
-        Hhat=BrokenPolyField(mesh, kp, hhat),
-        Hhat_curl=BrokenPolyField(mesh, kp, hhat_curl),
-        resid=resid, jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
+    return ElementCorrection(BrokenPolyField(mesh, kp, hhat), resid=resid,
+                             jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +473,6 @@ class EstimatorResult:
     eta_T: np.ndarray
     eta_h: float
     Htilde: BrokenPolyField
-    phi_field: BrokenPolyField
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -501,12 +496,10 @@ class EstimatorResult:
 
 def step4_estimator(mesh: Mesh, mu: MaterialField, correction: ElementCorrection,
                     phi: NodalPotential) -> EstimatorResult:
-    phi_poly = phi.poly(mesh)
-    Htilde = correction.Hhat.plus(phi_poly.grad())
+    Htilde = correction.Hhat.plus(phi.poly(mesh).grad())
     eta_T = Htilde.mu_norms(mu.per_tet(mesh))
     eta_h = float(np.sqrt((eta_T ** 2).sum()))
-    return EstimatorResult(eta_T=eta_T, eta_h=eta_h, Htilde=Htilde,
-                           phi_field=phi_poly)
+    return EstimatorResult(eta_T=eta_T, eta_h=eta_h, Htilde=Htilde)
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +575,10 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     corr = output.correction
     result = output.result
     kp = corr.degree
-    rule = ps.quadrature("tet", _data_exactness(kp, not j.is_polynomial))
+    rule = ps.quadrature("tet", _data_exactness(kp))
     geom = mesh.geom()
     tets = np.arange(mesh.n_tets)
-    total_curl = Hh.curl().padded_to(kp).plus(corr.Hhat_curl)
+    total_curl = Hh.curl().padded_to(kp).plus(corr.Hhat.curl())
     cv = total_curl.eval(tets, rule.points)
     jv = j.eval_elements(mesh, tets, rule.points)
     diff = cv - jv

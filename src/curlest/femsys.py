@@ -8,11 +8,12 @@ elements come as one stack (``polyspace.nedelec_element_matrices``), built
 once per dof map: assembly, H_h and field expansion are stacked products with
 the V_t^-1 it keeps, and the curl-curl and mass matrices are summed straight
 into the free-dof CSR pattern it keeps.  The discrete gradient is built from
-V_t on first use, which only the gradient correction of a load that is not
-consistent to roundoff makes.  Broken
-fields are carried around as per-element polynomial coefficient blocks over
-reference coordinates with physical components, which keeps curls,
-gradients, and jumps exact.
+V_t on first use, one row per dof from one tet that holds it; only the
+gradient correction of a load that is not consistent to roundoff reads it.
+Every integral against current data or an analytic field uses one tet rule
+per degree (``_data_exactness``).  Broken fields are carried around as
+per-element polynomial coefficient blocks over reference coordinates with
+physical components, which keeps curls, gradients, and jumps exact.
 
 The element kernels are shaped for BLAS: the cached reference tables hold
 their quadrature data pre-weighted and reshaped, so the mass blocks of all
@@ -42,11 +43,11 @@ log = logging.getLogger("curlest")
 MAX_DEGREE = 3  # end-to-end supported range for global spaces
 
 
-def _data_exactness(degree: int, analytic: bool) -> int:
-    """Exactness of the tet rules that integrate fields of degree p against
-    current data or an analytic reference field: 2p+2 for polynomial data,
-    2p+4 for analytic data."""
-    return 2 * degree + (4 if analytic else 2)
+def _data_exactness(degree: int) -> int:
+    """Exactness 2p+4 of the tet rules that integrate fields of degree p
+    against current data or an analytic reference field; it is exact on
+    products of two degree-p fields and on projected (degree-p) currents."""
+    return 2 * degree + 4
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +416,13 @@ def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
 
 
 class _RefTables:
-    """Reference basis tables at the tet rule for polynomial (analytic
-    False) or analytic data, shared per degree; the polynomial-data rule
-    also integrates the curl-curl and mass blocks exactly.  TVG pairs the
-    basis values with the gradients of the non-constant monomials (the
-    gradient orthogonality of estimator step 1)."""
+    """Reference basis tables at the data rule of the degree, which also
+    integrates the curl-curl and mass blocks exactly.  TVG pairs the basis
+    values with the gradients of the non-constant monomials (the gradient
+    orthogonality of estimator step 1)."""
 
-    def __init__(self, degree: int, analytic: bool):
-        self.rule = ps.quadrature("tet", _data_exactness(degree, analytic))
+    def __init__(self, degree: int):
+        self.rule = ps.quadrature("tet", _data_exactness(degree))
         space = ps.reference_space(ps.NEDELEC1_TET, degree)
         v = _poly.vandermonde(3, degree, self.rule.points)
         vals = np.einsum("qm,icm->qci", v, space.coeffs)            # (q,3,n)
@@ -443,15 +443,6 @@ class _RefTables:
 _ref_tables = lru_cache(maxsize=None)(_RefTables)
 
 
-def _scatter(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             shape) -> sp.csr_matrix:
-    """Sum element blocks (T, n, m) into a sparse matrix; entry (i, j) of
-    block t lands at (rows[t, i], cols[t, j])."""
-    r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
-    c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
-    return sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
-
-
 def _assemble_free(dofmap: DofMap, A_gen: np.ndarray) -> sp.csr_matrix:
     """Map reference-basis element matrices to V^-T A_gen V^-1 and sum them
     into the dof map's free x free pattern; A_gen is overwritten."""
@@ -467,7 +458,7 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
                       mu: MaterialField) -> sp.csr_matrix:
     """Stiffness (mu^-1 curl u, curl w) over the free dofs."""
     k = dofmap.degree
-    tab = _ref_tables(k, False)
+    tab = _ref_tables(k)
     geom = mesh.geom()
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
     A_gen = (JtJ.reshape(-1, 9) @ tab.TCC).reshape(dofmap.Vinv.shape)
@@ -477,7 +468,7 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     k = dofmap.degree
-    tab = _ref_tables(k, False)
+    tab = _ref_tables(k)
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
     M_gen = (K.reshape(-1, 9) @ tab.TVV).reshape(dofmap.Vinv.shape)
@@ -522,7 +513,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     gradient of psi_p has no tangential trace on a boundary entity.  So G
     itself is not needed."""
     k = dofmap.degree
-    tab = _ref_tables(k, not j.is_polynomial)
+    tab = _ref_tables(k)
     geom = mesh.geom()
     rule = tab.rule
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
@@ -607,13 +598,19 @@ def discrete_gradient(V: np.ndarray, cell_dofs: np.ndarray,
 
     Gradients map covariantly, so the local block is V_t C with V_t the
     element dof matrices and C the reference dofs of the scalar-basis
-    gradients."""
-    locG = V @ _reference_gradient_dofs(reg.degree)
-    shape = (len(boundary_mask), reg.n_nodes)
-    G = _scatter(locG, cell_dofs, reg.tet_nodes, shape)
-    cnt = _scatter(np.ones_like(locG), cell_dofs, reg.tet_nodes, shape)
-    G.data /= cnt.data  # duplicates from shared entities are equal; average
-    return G[np.nonzero(~boundary_mask)[0]][:, np.nonzero(~reg.boundary)[0]].tocsc()
+    gradients.  The row of a dof is read from the first tet that holds it:
+    a dof sees only the gradients of the nodes on the closure of its edge,
+    face or cell, and every tet that holds the dof holds those nodes."""
+    nloc = cell_dofs.shape[1]
+    _, first = np.unique(cell_dofs, return_index=True)
+    t, i = np.divmod(first[~boundary_mask], nloc)
+    rows = V[t, i] @ _reference_gradient_dofs(reg.degree)     # (n_free, n_lag)
+    nodes = reg.tet_nodes[t]
+    free = ~reg.boundary
+    keep = free[nodes]
+    col = np.cumsum(free) - 1                                 # free node index
+    return sp.csc_matrix((rows[keep], (np.nonzero(keep)[0], col[nodes[keep]])),
+                         shape=(len(t), int(free.sum())))
 
 
 def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
@@ -717,7 +714,7 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     verts = mesh.vertices[mesh.tets]
     V = ps.rt_element_matrices(verts, mesh.tets, degree)
     b = ps.rt_dof_matrix(verts, mesh.tets, degree, _stacked_eval(j_func),
-                         exactness=_data_exactness(degree, True))
+                         exactness=_data_exactness(degree))
     c = np.linalg.solve(V, b)[:, :, 0]
     cref = np.einsum("ti,icm->tcm", c, space.coeffs)
     field = BrokenPolyField(mesh, degree, (geom.J @ cref) / geom.detJ[:, None, None])
@@ -772,7 +769,7 @@ def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
                      exact) -> float:
     """Energy norm ||mu^(1/2)(exact - field)|| with an analytic reference;
     ``exact`` gets the (T*q, 3) quadrature points grouped tet by tet."""
-    rule = ps.quadrature("tet", _data_exactness(field.degree, True))
+    rule = ps.quadrature("tet", _data_exactness(field.degree))
     geom = mesh.geom()
     tets = np.arange(mesh.n_tets)
     vals = field.eval(tets, rule.points)

@@ -63,8 +63,6 @@ def dim_rt_tet(k: int) -> int:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    domain: str
-    exactness: int
     points: np.ndarray   # (n, d) reference coordinates
     weights: np.ndarray  # (n,)
 
@@ -94,14 +92,14 @@ def quadrature(domain: str, exactness: int) -> QuadratureRule:
     m = exactness // 2 + 1
     if domain == "segment":
         t, w = _gauss01(m)
-        return QuadratureRule(domain, exactness, t.reshape(-1, 1), w)
+        return QuadratureRule(t.reshape(-1, 1), w)
     if domain == "tri":
         a, wa = _gauss01(m)
         b, wb = _jacobi01(m, 1)
         A, B = np.meshgrid(a, b, indexing="ij")
         pts = np.column_stack([(A * (1.0 - B)).ravel(), B.ravel()])
         w = np.outer(wa, wb).ravel()
-        return QuadratureRule(domain, exactness, pts, w)
+        return QuadratureRule(pts, w)
     if domain == "tet":
         a, wa = _gauss01(m)
         b, wb = _jacobi01(m, 1)
@@ -111,7 +109,7 @@ def quadrature(domain: str, exactness: int) -> QuadratureRule:
         y = B * (1.0 - C)
         pts = np.column_stack([x.ravel(), y.ravel(), C.ravel()])
         w = (wa[:, None, None] * wb[None, :, None] * wc[None, None, :]).ravel()
-        return QuadratureRule(domain, exactness, pts, w)
+        return QuadratureRule(pts, w)
     raise ValueError(f"unknown quadrature domain {domain!r}")
 
 

@@ -16,7 +16,6 @@ from .mesh import Mesh
 class ResidualResult:
     vol_T: np.ndarray     # (T,) squared volume terms h_T^2/k^2 ||j - curl H_h||^2
     face_sq: np.ndarray   # (F,) squared face terms h_f/k ||jump||^2 (0 on boundary)
-    mu_T: np.ndarray      # (T,) squared per-tet aggregation, face terms split half/half
     mu_h: float
 
 
@@ -24,11 +23,10 @@ def compute_residual_estimator(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                                Hh: BrokenPolyField, k: int) -> ResidualResult:
     """Volume residual plus tangential-jump terms with 1/k weights.
 
-    The face sum runs over internal faces only; for per-tet marking the face
-    contribution is split equally between the two neighbors (the estimator
-    is reported globally, marking uses the equilibrated one).
+    The face sum runs over internal faces only.  The estimator is reported
+    globally; marking uses the equilibrated one.
     """
-    rule = ps.quadrature("tet", _data_exactness(k, not j.is_polynomial))
+    rule = ps.quadrature("tet", _data_exactness(k))
     geom = mesh.geom()
     tets = np.arange(mesh.n_tets)
     jv = j.eval_elements(mesh, tets, rule.points)
@@ -41,11 +39,5 @@ def compute_residual_estimator(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     jumps = tangential_jump_norms(mesh, Hh)
     hf = mesh.face_diameters()
     face_sq = (hf / k) * jumps ** 2
-
-    internal = mesh.internal_faces()
-    half = 0.5 * face_sq[internal]
-    mu_T = vol_T.copy()
-    np.add.at(mu_T, mesh.face_tets[internal, 0], half)
-    np.add.at(mu_T, mesh.face_tets[internal, 1], half)
     mu_h = float(np.sqrt(vol_T.sum() + face_sq.sum()))
-    return ResidualResult(vol_T=vol_T, face_sq=face_sq, mu_T=mu_T, mu_h=mu_h)
+    return ResidualResult(vol_T=vol_T, face_sq=face_sq, mu_h=mu_h)

@@ -242,6 +242,22 @@ def loop_gradient(mesh, dm):
     return np.divide(G, cnt, out=np.zeros_like(G), where=cnt > 0)
 
 
+def coo_discrete_gradient(V, cell_dofs, boundary_mask, reg):
+    """The discrete gradient summed over all tets: every local block V_t C
+    into a COO matrix over all dofs and nodes, each entry divided by the
+    number of tets that hold it, then the free rows and columns sliced out.
+    Returns (G, the local blocks V_t C)."""
+    locG = V @ fem._reference_gradient_dofs(reg.degree)
+    rows = np.broadcast_to(cell_dofs[:, :, None], locG.shape).ravel()
+    cols = np.broadcast_to(reg.tet_nodes[:, None, :], locG.shape).ravel()
+    shape = (len(boundary_mask), reg.n_nodes)
+    G = sp.coo_matrix((locG.ravel(), (rows, cols)), shape=shape).tocsr()
+    cnt = sp.coo_matrix((np.ones(locG.size), (rows, cols)), shape=shape).tocsr()
+    G.data /= cnt.data
+    free_nodes = np.nonzero(~reg.boundary)[0]
+    return G[np.nonzero(~boundary_mask)[0]][:, free_nodes].tocsc(), locG
+
+
 def colamd_factor(K):
     """Plain SuperLU with COLAMD column ordering and partial pivoting."""
     return spla.splu(sp.csc_matrix(K))
@@ -423,16 +439,6 @@ def loop_jump_norms(mesh, field):
     return tang, norm
 
 
-def loop_mu_split(mesh, rr):
-    """Residual-estimator mu_T with the face terms split face by face."""
-    mu_T = rr.vol_T.copy()
-    for f in mesh.internal_faces():
-        tp, tm = mesh.face_tets[f]
-        mu_T[tp] += 0.5 * rr.face_sq[f]
-        mu_T[tm] += 0.5 * rr.face_sq[f]
-    return mu_T
-
-
 # ---------------------------------------------------------------------------
 # node registry by coordinate hashing and step 3 node by node: the reference
 # for the topological registry and the batched patch solves
@@ -551,14 +557,18 @@ def loop_step3(mesh, fm, kp):
 
 def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     """Step 1 tet by tet with its own reference tables; returns an
-    ``equilibrate.ElementCorrection``.  ``mode='saddle'`` solves each square
+    ``equilibrate.ElementCorrection``, the curl of its field mapped from the
+    reference curls by J / det J, and a size of that curl for rounding
+    bounds: the coefficients of the curl reached both through the field's
+    derivatives and through the reference curls, every product and sum
+    taken in absolute values.  ``mode='saddle'`` solves each square
     saddle system; ``mode='lstsq_dk'`` instead tests the curl constraint
     against a full div-conforming basis and solves the stacked system in the
     least-squares sense.  Both agree on compatible data."""
     from curlest import equilibrate as eqm
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
     D = ps.reference_space(ps.RT_TET, kp)
-    rule = ps.quadrature("tet", 2 * kp + (2 if j.is_polynomial else 4))
+    rule = ps.quadrature("tet", 2 * kp + 4)
     w = rule.weights
     vand = _poly.vandermonde(3, kp, rule.points)
     Nvals = np.einsum("qm,icm->qci", vand, N.coeffs)
@@ -578,6 +588,9 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     nm = _poly.n_monomials(3, kp)
     hhat = np.zeros((mesh.n_tets, 3, nm))
     hhat_curl = np.zeros((mesh.n_tets, 3, nm))
+    curl_size = np.zeros((mesh.n_tets, 3, nm))
+    absN, absC = np.abs(N.coeffs), np.abs(N.curl_coeffs())
+    absD = np.abs(_poly.diff_columns(3, kp))
     resid, jd_norm, ortho = (np.zeros(mesh.n_tets) for _ in range(3))
     for t in range(mesh.n_tets):
         J, det = geom.J[t], geom.detJ[t]
@@ -600,14 +613,20 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
                                     np.concatenate([rd, np.zeros(nB)]), rcond=None)
         hhat[t] = geom.Jinv[t].T @ np.einsum("i,icm->cm", h, N.coeffs)
         hhat_curl[t] = (J @ np.einsum("i,iam->am", h, N.curl_coeffs())) / det
+        size = np.abs(geom.Jinv[t].T) @ np.einsum("i,icm->cm", np.abs(h), absN)
+        P = np.einsum("ab,cam->bcm", np.abs(geom.Jinv[t]),
+                      (size @ absD).reshape(3, 3, nm))     # |d_b F_c|
+        curl_size[t] = (np.stack([P[1, 2] + P[2, 1], P[2, 0] + P[0, 2],
+                                  P[0, 1] + P[1, 0]])
+                        + np.abs(J) @ np.einsum("i,iam->am", np.abs(h), absC) / abs(det))
         cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
         resid[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, (cv - jd[t]) ** 2)), 0.0))
         jd_norm[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
         ortho[t] = np.abs(B @ h).max(initial=0.0)
-    return eqm.ElementCorrection(
-        Hhat=fem.BrokenPolyField(mesh, kp, hhat),
-        Hhat_curl=fem.BrokenPolyField(mesh, kp, hhat_curl),
-        resid=resid, jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
+    corr = eqm.ElementCorrection(
+        Hhat=fem.BrokenPolyField(mesh, kp, hhat), resid=resid,
+        jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
+    return corr, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size
 
 
 def _one_tet_eval(func):
@@ -974,7 +993,7 @@ def coo_assemble_free(dofmap, A_gen):
 
 def einsum_assemble_rhs(mesh, dofmap, j):
     k = dofmap.degree
-    rule = ps.quadrature("tet", 2 * k + (2 if j.is_polynomial else 4))
+    rule = ps.quadrature("tet", 2 * k + 4)
     geom = mesh.geom()
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
     jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)

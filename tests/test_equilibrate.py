@@ -55,7 +55,7 @@ def test_step1_lowest_order_residual_is_data():
     jn = np.sqrt(np.einsum("q,tqc->t", rule.weights, jv ** 2) * m.geom().detJ)
     assert np.abs(corr.jdelta_norm - jn).max() < 1e-12 * jn.max()
     # curl constraint holds up to the projection residual reported by step 1
-    cv = corr.Hhat_curl.eval(tets, rule.points)
+    cv = corr.Hhat.curl().eval(tets, rule.points)
     diff_sq = np.einsum("q,tqc->t", rule.weights, (cv - jv) ** 2) * m.geom().detJ
     assert np.abs(np.sqrt(diff_sq) - corr.resid).max() < 1e-10 * max(jn.max(), 1)
 
@@ -139,7 +139,7 @@ def test_step1_modes_agree_on_compatible_data():
     # div-conforming basis
     m, dm, u, Hh, data = solve_cube(2, 1)
     c1 = eqm.step1_element_corrections(m, MU1, data, Hh, 3)
-    c2 = loop_step1(m, MU1, data, Hh, 3, mode="lstsq_dk")
+    c2, _, _ = loop_step1(m, MU1, data, Hh, 3, mode="lstsq_dk")
     diff = c1.Hhat.plus(c2.Hhat.scale(-1.0)).norm()
     assert diff < 1e-9 * max(c1.Hhat.norm(), 1e-30)
 
@@ -345,10 +345,18 @@ def test_step1_matches_loop_oracle(jump_level):
     for kp in (k, k + 1):
         for j in (fem.CurrentDensity(func=wave_j), fem.project_current(m, wave_j, kp)):
             got = eqm.step1_element_corrections(m, MU_JUMP, j, Hh, kp)
-            ref = loop_step1(m, MU_JUMP, j, Hh, kp)
-            for key in ("Hhat", "Hhat_curl"):
-                assert _rel_err(getattr(got, key).coeffs,
-                                getattr(ref, key).coeffs) <= 1e-14, key
+            ref, ref_curl, size = loop_step1(m, MU_JUMP, j, Hh, kp)
+            assert _rel_err(got.Hhat.coeffs, ref.Hhat.coeffs) <= 1e-14
+            # differentiating Hhat against mapping the reference curls by
+            # J / det J.  Along either path a coefficient is rounded by at
+            # most nR + n_mono + 7 operations: the sum over the nR basis
+            # coefficients, the 3-term maps by J^-T and J, the n_mono-term
+            # reference derivative and the 3-term chain rule, the division
+            # by det J and the curl's subtraction (Higham, sec. 3.1)
+            nR = ps.dim_nedelec_tet(kp)
+            gamma = nR + _poly.n_monomials(3, kp) + 7
+            assert np.all(np.abs(got.Hhat.curl().coeffs - ref_curl.coeffs)
+                          <= gamma * np.finfo(float).eps / 2 * size)
             assert _rel_err(got.jdelta_norm, ref.jdelta_norm) <= 1e-14
             # roundoff-level on projected data, so relative to the data
             jscale = ref.jdelta_norm.max()
@@ -598,10 +606,8 @@ def test_step4_constant_field_closed_form():
     c = np.array([0.4, -1.2, 2.0])
     coeffs[0, :, 0] = c
     corr = eqm.ElementCorrection(
-        Hhat=fem.BrokenPolyField(m, 1, coeffs),
-        Hhat_curl=fem.BrokenPolyField(m, 1, np.zeros_like(coeffs)),
-        resid=np.zeros(m.n_tets), jdelta_norm=np.zeros(m.n_tets),
-        ortho_resid=np.zeros(m.n_tets), degree=1)
+        Hhat=fem.BrokenPolyField(m, 1, coeffs), resid=np.zeros(m.n_tets),
+        jdelta_norm=np.zeros(m.n_tets), ortho_resid=np.zeros(m.n_tets), degree=1)
     reg = fem.build_node_registry(m, 1)
     phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0)
     res = eqm.step4_estimator(m, MU1, corr, phi)

@@ -15,7 +15,8 @@ from curlest.errors import UnsupportedDegree
 from _helpers import (MU1, cg_solve, colamd_factor, colamd_solve, covariant_basis,
                       cube_H, cube_j, element_dof_matrix, eval_one,
                       hash_node_registry, inspace_H, inspace_u, jittered_cube,
-                      loop_curlcurl_mass, loop_gradient, loop_Hh,
+                      coo_discrete_gradient, loop_curlcurl_mass,
+                      loop_gradient, loop_Hh,
                       loop_interpolate_nedelec, loop_nedelec_dofs,
                       loop_project_current, nedelec_field_to_poly, ref_coords,
                       relabelled_cube, solve_cube, two_tet_mesh,
@@ -154,8 +155,9 @@ def test_rhs_constant_current_orthogonal_to_gradients():
     assert np.abs(resid).max() < 1e-12 * max(np.abs(b).max(), 1.0)
 
 
-def _slow_rhs(mesh, dm, j_func, exactness=10):
-    """Independent assembler: per-element loop straight from definitions."""
+def _slow_rhs(mesh, dm, j_at, exactness=10):
+    """Independent assembler: per-element loop straight from definitions;
+    ``j_at(t, pts)`` is the current at physical points of tet t."""
     rule = ps.quadrature("tet", exactness)
     geom = mesh.geom()
     b = np.zeros(dm.n_dofs)
@@ -163,7 +165,7 @@ def _slow_rhs(mesh, dm, j_func, exactness=10):
         phys_eval = covariant_basis(mesh, dm.degree, t)
         V = element_dof_matrix(mesh, dm.degree, t)
         pts = geom.v0[t] + rule.points @ geom.J[t].T
-        jv = j_func(pts)
+        jv = j_at(t, pts)
         vals = phys_eval(pts)
         b_gen = geom.detJ[t] * np.einsum("q,qci,qc->i", rule.weights, vals, jv)
         b[dm.cell_dofs[t]] += np.linalg.solve(V.T, b_gen)
@@ -179,9 +181,15 @@ def test_rhs_against_slow_assembler(k, make_mesh):
     dm = fem.build_dofmap(m, k)
     # cube_j is quadratic, so the library's 2k+4 rule integrates it exactly
     b_fast = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)).values
-    b_slow = _slow_rhs(m, dm, cube_j)
-    scale = np.abs(b_slow).max()
-    assert np.abs(b_fast - b_slow).max() < 1e-10 * scale
+    b_slow = _slow_rhs(m, dm, lambda t, p: cube_j(p))
+    assert np.abs(b_fast - b_slow).max() < 1e-10 * np.abs(b_slow).max()
+    # a projected current is a degree-k field, which the 2k+2 rule
+    # integrates against the basis exactly, and so does the library's rule
+    jp = fem.project_current(m, cube_j, k)
+    b_fast = fem.assemble_rhs(m, dm, jp).values
+    b_slow = _slow_rhs(m, dm, lambda t, p: jp.field.eval_points([t], p[None])[0],
+                       exactness=2 * k + 2)
+    assert np.abs(b_fast - b_slow).max() < 1e-10 * np.abs(b_slow).max()
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +226,36 @@ def test_stacked_assembly_matches_per_tet_loops(k):
     Hh = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, u), MU_JUMP)
     ref = loop_Hh(m, dm, u, MU_JUMP.per_tet(m))
     assert np.abs(Hh.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("make_mesh", [msh.l_brick_mesh, jittered_cube])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
+    # G from one owner tet per dof against G summed over every tet that
+    # holds the dof and averaged.  In exact arithmetic every tet gives the
+    # same row, and its entries at nodes off the closure of the dof's entity
+    # are zero.  So a computed local entry is its exact value plus a
+    # rounding error, and rho, the largest computed entry that is zero in
+    # exact arithmetic, measures that error on this mesh.  The owner row is
+    # one tet's value and the averaged entry a mean of such values, so they
+    # differ by at most 2 rho; an entry the owner row drops (a node outside
+    # the owner tet) is an average of exact zeros, at most rho.
+    m = make_mesh(2)
+    dm = fem.build_dofmap(m, k)
+    V, _ = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
+    G = fem.discrete_gradient(V, dm.cell_dofs, dm.boundary_mask, dm.registry)
+    want, locG = coo_discrete_gradient(V, dm.cell_dofs, dm.boundary_mask,
+                                       dm.registry)
+    size = np.abs(locG)
+    # exact zeros and exact nonzeros are many orders apart, so the split
+    # between them is unambiguous
+    assert not ((size > 1e-11) & (size < 1e-7)).any()
+    rho = size[size <= 1e-11].max()
+    assert G.shape == want.shape
+    assert abs(G - want).max() <= 2 * rho
+    # the owner rows hold no entry that the averaged build does not
+    assert set(zip(*G.nonzero())) <= set(zip(*want.nonzero()))
+    assert G.nnz < want.nnz
 
 
 # ---------------------------------------------------------------------------

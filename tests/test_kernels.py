@@ -102,9 +102,8 @@ def test_step2_face_kernels_match_einsum(mesh, k):
     # jump divergence, so no output but the mean sits at roundoff level
     rng = np.random.default_rng(k)
     Hh = random_field(rng, mesh, k)
-    corr = eqm.ElementCorrection(Hhat=random_field(rng, mesh, k), Hhat_curl=None,
-                                 resid=None, jdelta_norm=None, ortho_resid=None,
-                                 degree=k)
+    corr = eqm.ElementCorrection(Hhat=random_field(rng, mesh, k), resid=None,
+                                 jdelta_norm=None, ortho_resid=None, degree=k)
     got = eqm.step2_face_multipliers(mesh, Hh, corr, k)
     want = einsum_step2(mesh, Hh, corr, k)
     for key in ("resid", "jnorm", "div_norm"):

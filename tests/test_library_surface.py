@@ -1,5 +1,6 @@
 """Guard on the size of the library: every function, class and method
-defined in ``src/curlest`` is used by the library itself.
+defined in ``src/curlest`` is used by the library itself, and every piece
+of state it stores is read somewhere.
 
 A definition counts as used when its name appears as a name or an attribute
 anywhere in the package outside the definition's own body.  The match is by
@@ -8,6 +9,11 @@ import statements and strings do not count.  Test hooks and test-only
 oracles belong in ``tests/_helpers.py``; the public entry points that no
 library code calls are listed in ``ENTRY_POINTS`` with the reason they stay.
 Dunder methods are called by the runtime and are exempt.
+
+A stored attribute is a dataclass field or a ``self.<name>`` assignment in
+``src/curlest``.  It counts as read when an attribute of that name is loaded,
+or a string equal to it appears (``getattr`` with a key), anywhere in the
+package, the tests or the benchmark.
 """
 
 import ast
@@ -17,6 +23,8 @@ from pathlib import Path
 import curlest
 
 SRC = Path(curlest.__file__).resolve().parent
+READERS = (SRC, Path(__file__).resolve().parent,
+           Path(__file__).resolve().parents[1] / "perfbench")
 
 ENTRY_POINTS = {
     "interpolate_nedelec": "README API: edge-element interpolation of an "
@@ -76,3 +84,69 @@ def test_entry_points_exist():
     defined = {node.name for p in SRC.glob("*.py")
                for _, node in _definitions(ast.parse(p.read_text()))}
     assert set(ENTRY_POINTS) <= defined
+
+
+def _is_dataclass(node) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _stored_attributes(tree):
+    """(qualified name, attribute) of every dataclass field and every
+    ``self.<name>`` assignment target."""
+    for qualname, node in _definitions(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield f"{qualname}.{stmt.target.id}", stmt.target.id
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield f"self.{node.attr}", node.attr
+
+
+def _read_attributes(tree) -> set:
+    """Attributes loaded in tree, and the strings that could name one."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_attributes(stored_trees: dict, reader_trees) -> list[str]:
+    read = set().union(*(_read_attributes(t) for t in reader_trees))
+    return sorted({f"{module}: {qualname}"
+                   for module, tree in stored_trees.items()
+                   for qualname, name in _stored_attributes(tree)
+                   if name not in read})
+
+
+def test_every_stored_attribute_is_read():
+    stored = {p.name: ast.parse(p.read_text(), str(p))
+              for p in sorted(SRC.glob("*.py"))}
+    readers = [ast.parse(p.read_text(), str(p))
+               for d in READERS for p in sorted(d.glob("*.py"))]
+    assert unread_attributes(stored, readers) == []
+
+
+def test_unread_attribute_is_flagged():
+    # negative control: a dataclass field and a self attribute that nothing
+    # reads are reported, a field that a method reads is not
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    kept: int\n"
+        "    lost: int\n"
+        "    def size(self):\n"
+        "        self.cache = self.kept\n"
+        "        return self.kept\n")
+    assert unread_attributes({"box.py": tree}, [tree]) == [
+        "box.py: Box.lost", "box.py: self.cache"]

@@ -4,8 +4,7 @@ from curlest import _poly
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import residual as res
-from _helpers import (MU1, inspace_j, inspace_u, jittered_cube, loop_mu_split,
-                      two_tet_mesh)
+from _helpers import MU1, inspace_j, inspace_u, two_tet_mesh
 
 RNG = np.random.default_rng(31)
 
@@ -69,10 +68,6 @@ def test_constant_jump_closed_form():
         hf = m.face_diameters()[f]
         gsq = 1.0  # |n x t1| = 1
         assert abs(rr.face_sq[f] - hf / k * gsq * A) < 1e-12
-        # split half to each neighbor
-        tp, tm = m.face_tets[f]
-        assert abs(rr.mu_T[tp] - rr.vol_T[tp] - 0.5 * rr.face_sq[f]) < 1e-12
-        assert abs(rr.mu_T[tm] - rr.vol_T[tm] - 0.5 * rr.face_sq[f]) < 1e-12
 
 
 def test_totals_additive():
@@ -84,7 +79,6 @@ def test_totals_additive():
     rr = res.compute_residual_estimator(m, MU1, j, Hh, 1)
     total_sq = rr.vol_T.sum() + rr.face_sq.sum()
     assert abs(rr.mu_h ** 2 - total_sq) <= 1e-12 * rr.mu_h ** 2
-    assert abs(rr.mu_T.sum() - total_sq) <= 1e-12 * rr.mu_h ** 2
 
 
 def test_volume_term_quarters_under_structured_halving():
@@ -102,15 +96,3 @@ def test_volume_term_quarters_under_structured_halving():
     # halving h multiplies each element's h_T^2 by 1/4 at fixed field
     assert abs(vals[4] / vals[2] - 0.25) < 1e-12
 
-
-def test_face_split_matches_loop():
-    # random field on a jittered cube: every internal face has a jump, and
-    # the two scatter-adds give each tet half of each of its faces' terms
-    m = jittered_cube(2)
-    Hh = fem.BrokenPolyField(m, 2, RNG.standard_normal(
-        (m.n_tets, 3, _poly.n_monomials(3, 2))))
-    j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
-    rr = res.compute_residual_estimator(m, MU1, j, Hh, 2)
-    want = loop_mu_split(m, rr)
-    assert np.abs(rr.mu_T - want).max() <= 1e-14 * want.max()
-    assert abs(rr.mu_T.sum() - rr.mu_h ** 2) <= 1e-14 * rr.mu_h ** 2
