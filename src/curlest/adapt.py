@@ -98,12 +98,12 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
 
     Returns (dofmap, u, Hh, data); ``data`` is the current the solve used
     (the projected one under strict_a2 with non-polynomial data).  ``row``,
-    when given, receives the load's gradient check: its scalar load
-    relative to the rounding bound, and whether the correction ran.
+    when given, receives the load's gradient check (its scalar load
+    relative to the rounding bound, and whether the correction ran) and
+    the solve's gauge size and relative residual.
     """
     dm = fem.build_dofmap(mesh, cfg.degree)
     A = fem.assemble_curlcurl(mesh, dm, mu)
-    M = fem.assemble_mass(mesh, dm)
     data = j
     if cfg.strict_a2 and not j.is_polynomial:
         data = fem.project_current(mesh, j.func, cfg.aux_degree)
@@ -112,7 +112,7 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     if row is not None:
         row["grad_load_ratio"] = load.gradient_ratio
         row["grad_corrected"] = not load.consistent
-    u = fem.solve_magnetostatic(A, b, dm, M)
+    u = fem.solve_magnetostatic(A, b, dm, row)
     Hh = fem.compute_Hh(mesh, dm, u, mu)
     return dm, u, Hh, data
 

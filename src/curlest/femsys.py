@@ -1,23 +1,26 @@
-"""Global finite element spaces, assembly, and the gauge-free linear solve.
+"""Global finite element spaces, assembly, and the gauged linear solve.
 
 The curl-conforming space is assembled from per-element dof matrices: the
 canonical moment functionals are parameterized by global vertex ids, so two
 elements sharing an edge or face apply identical functionals and tangential
-continuity of the assembled field is automatic.  The dof matrices V_t of all
-elements come as one stack (``polyspace.nedelec_element_matrices``), built
-once per dof map: assembly, H_h and field expansion are stacked products with
-the V_t^-1 it keeps, and the curl-curl and mass matrices are summed straight
-into the free-dof CSR pattern it keeps.  The discrete gradient is built from
-V_t on first use, one row per dof from one tet that holds it; only the
-gradient correction of a load that is not consistent to roundoff reads it.
+continuity of the assembled field is automatic.  The inverses V_t^-1 of the
+dof matrices of all elements come as one stack
+(``polyspace.nedelec_element_inverses``), built once per dof map: assembly,
+H_h and field expansion are stacked products with them, and the curl-curl
+matrix is summed straight into the free-dof CSR pattern the dof map keeps.
+The discrete gradient is built from V_t on first use, one row per dof from
+one tet that holds it; only the gradient correction of a load that is not
+consistent to roundoff reads it.  The singular curl-curl system is solved in
+the tree-cotree gauge that the dof map picks entity by entity
+(``DofMap.gauge``), so no mass shift and no iteration is needed.
 Every integral against current data or an analytic field uses one tet rule
 per degree (``_data_exactness``).  Broken fields are carried around as
 per-element polynomial coefficient blocks over reference coordinates with
 physical components, which keeps curls, gradients, and jumps exact.
 
 The element kernels are shaped for BLAS: the cached reference tables hold
-their quadrature data pre-weighted and reshaped, so the mass blocks of all
-tets are one (T, 9) @ (9, n n) product and the load vector one
+their quadrature data pre-weighted and reshaped, so the curl-curl blocks of
+all tets are one (T, 9) @ (9, n n) product and the load vector one
 (T, q 3) @ (q 3, n) product; a broken field is evaluated by one
 (T comp, m) @ (m, q) product and differentiated by one product with the
 stacked derivative matrices and one batched J^-T product.
@@ -32,6 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import _poly
 from . import polyspace as ps
@@ -283,13 +287,13 @@ class DofMap:
     """The degree-k Nedelec space of a mesh with homogeneous tangential
     boundary values, and what is built once from its element dof matrices:
     their inverses V_t^-1 = V_sigma^-1 S_t^-1 (see
-    ``polyspace.nedelec_element_matrices``), the degree-k Lagrange node
+    ``polyspace.nedelec_element_inverses``), the degree-k Lagrange node
     registry and the CSR pattern of the free x free block.  ``slot[t, i, j]``
     is the position in that pattern of entry (i, j) of element t's block, or
     ``len(indices)`` when the entry touches a boundary dof, so a sparse
     matrix is its element blocks summed by one ``np.bincount``.  The discrete
-    gradient ``G`` between the free dofs of the two spaces is built on first
-    read."""
+    gradient ``G`` between the free dofs of the two spaces and the gauge are
+    built on first read."""
     mesh: Mesh
     degree: int
     n_dofs: int
@@ -309,9 +313,71 @@ class DofMap:
     @cached_property
     def G(self) -> sp.csc_matrix:
         """(n_free, free registry nodes) discrete gradient."""
-        V, _ = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets],
-                                           self.mesh.tets, self.degree)
+        V = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets],
+                                        self.mesh.tets, self.degree)
         return discrete_gradient(V, self.cell_dofs, self.boundary_mask, self.registry)
+
+    @cached_property
+    def gauge(self) -> np.ndarray:
+        """The tree-cotree gauge: free-dof indices R, one per free Lagrange
+        node, such that G[R, :] is square and nonsingular.  Fixing u[R] = 0
+        removes the gradients from the free space, so the curl-curl block on
+        the other free dofs is positive definite.
+
+        R is picked entity by entity, without G, in the order vertices,
+        edges, faces; in that order G[R, :] is block lower triangular:
+        - vertices: the lowest (constant) moment of every edge of a spanning
+          forest of the interior vertices with all boundary vertices merged
+          into one root.  A vertex hat's gradient has moment +-1 on the
+          edges at its vertex, so this block is the forest's incidence
+          matrix;
+        - edges: moments 1..k-1 of every free edge.  Their Legendre weights
+          are orthogonal to the constant tangential gradient of a vertex
+          hat, and see the k-1 edge nodes through a nonsingular block;
+        - faces (k = 3): the face moment of ``_face_gauge_offset``, which
+          sees the single face node of its face and no other.
+        At k <= 3 there are no cell nodes, so no cell dof is picked."""
+        mesh, k = self.mesh, self.degree
+        inner = ~mesh.boundary_vertex
+        n = int(inner.sum())                     # graph nodes; n is the root
+        node = np.where(inner, np.cumsum(inner) - 1, n)
+        edges = np.nonzero(~mesh.boundary_edge)[0]
+        lo, hi = np.sort(node[mesh.edges[edges]], axis=1).T
+        # root-root edges are loops; the edges from one vertex to the
+        # boundary are one (vertex, root) pair, kept once
+        link = lo != hi
+        keys, first = np.unique((lo * (n + 1) + hi)[link], return_index=True)
+        pair_edge = edges[link][first]
+        a, b = np.divmod(keys, n + 1)
+        graph = sp.csr_matrix((np.ones(len(keys)), (a, b)), shape=(n + 1, n + 1))
+        _, pred = breadth_first_order(graph, n, directed=False,
+                                      return_predecessors=True)
+        v = np.arange(n)
+        tree = pair_edge[np.searchsorted(keys, np.minimum(v, pred[:n]) * (n + 1)
+                                         + np.maximum(v, pred[:n]))]
+        dofs = [tree * k, (edges[:, None] * k + np.arange(1, k)).ravel()]
+        if k == 3:
+            faces = np.nonzero(~mesh.boundary_face)[0]
+            dofs.append(mesh.n_edges * k + faces * k * (k - 1) + _face_gauge_offset(k))
+        return np.searchsorted(self.free, np.concatenate(dofs))
+
+    @cached_property
+    def ungauged(self) -> np.ndarray:
+        """The free-dof indices outside the gauge, ascending."""
+        keep = np.ones(self.n_free, dtype=bool)
+        keep[self.gauge] = False
+        return np.nonzero(keep)[0]
+
+    def dof_entity(self, dof: int) -> str:
+        """The edge, face or cell that carries global dof ``dof``."""
+        k = self.degree
+        for name, count, width in (("edge", self.mesh.n_edges, k),
+                                   ("face", self.mesh.n_faces, k * (k - 1)),
+                                   ("cell", self.mesh.n_tets, k * (k - 1) * (k - 2) // 2)):
+            if dof < count * width:
+                return f"{name} {dof // width}"
+            dof -= count * width
+        raise IndexError(f"no dof {dof} in the dof map")
 
 
 @dataclass
@@ -327,8 +393,8 @@ class FieldCoefficients:
 
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     """Number the Nedelec dofs (edge, face, then interior blocks, each
-    entity's dofs contiguous), build the element dof matrices and their
-    inverses once, and the free-dof sparsity pattern."""
+    entity's dofs contiguous), build the inverses of the element dof
+    matrices once, and the free-dof sparsity pattern."""
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
     k, nt = degree, mesh.n_tets
@@ -348,7 +414,7 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     off = np.arange(len(le)) - (np.cumsum(wloc) - wloc)[le]  # offset in the entity
     cell_dofs = (np.cumsum(width) - width)[ent][:, le] + off
     mask = np.repeat(fixed, width)
-    _, Vinv = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
+    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], mesh.tets, k)
     return DofMap(mesh, k, len(mask), cell_dofs, mask, np.nonzero(~mask)[0], Vinv,
                   build_node_registry(mesh, k),
                   *_free_pattern(ent, width, ~fixed, le, off))
@@ -419,7 +485,8 @@ class _RefTables:
     """Reference basis tables at the data rule of the degree, which also
     integrates the curl-curl and mass blocks exactly.  TVG pairs the basis
     values with the gradients of the non-constant monomials (the gradient
-    orthogonality of estimator step 1)."""
+    orthogonality of estimator step 1); TVV, the value pairs, serves only
+    ``assemble_mass``."""
 
     def __init__(self, degree: int):
         self.rule = ps.quadrature("tet", _data_exactness(degree))
@@ -467,6 +534,8 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
 
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+    """Mass (u, w) over the free dofs.  No run needs it since the solve is
+    gauged; it stays as a test oracle and for the benchmark's tracer."""
     k = dofmap.degree
     tab = _ref_tables(k)
     geom = mesh.geom()
@@ -613,6 +682,22 @@ def discrete_gradient(V: np.ndarray, cell_dofs: np.ndarray,
                          shape=(len(t), int(free.sum())))
 
 
+@lru_cache(maxsize=None)
+def _face_gauge_offset(degree: int) -> int:
+    """The offset of the face moment that the gauge fixes on every free
+    face (degree 3, one face node per face): the largest entry of the face
+    rows of reference face 0 in its face node's column of
+    ``_reference_gradient_dofs``, the first within 1e-8 of it so that a tie
+    in exact arithmetic is not broken by roundoff.  Every face applies its
+    moments in the same gid-sorted frame, and S_t only rescales face rows,
+    so that entry is nonzero on every tet."""
+    nodes = ps.lagrange_nodes(degree)
+    col = np.nonzero((nodes.kind == ps.NODE_FACE) & (nodes.entity == 0))[0][0]
+    first = 6 * degree
+    size = np.abs(_reference_gradient_dofs(degree)[first:first + degree * (degree - 1), col])
+    return int(np.argmax(size >= (1.0 - 1e-8) * size.max()))
+
+
 def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of a symmetric positive definite matrix in SuperLU's
     symmetric mode: minimum-degree ordering of the structure of K + K^T and
@@ -656,45 +741,54 @@ def gradient_correction(dofmap: DofMap, rhs: Load | np.ndarray) -> np.ndarray:
 # solving
 # ---------------------------------------------------------------------------
 
-REFINE_TOL = 1e-10   # relative residual against A that refinement reaches
+RESIDUAL_TOL = 1e-10   # relative residual of the free rows that a solve must reach
 
 
 def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
-                        mass: sp.csr_matrix) -> FieldCoefficients:
-    """Solve the (singular, consistent) reduced system and scatter to full dofs.
+                        row: dict | None = None) -> FieldCoefficients:
+    """Solve the singular, consistent curl-curl system A u = rhs[free] in
+    the tree-cotree gauge and scatter to full dofs.
 
-    The returned coefficients are one gauge representative; only the curl is
-    used downstream.  Symmetric-mode factorization of A + eps * mass plus
-    iterative refinement measured against the unshifted matrix; a singular
-    shifted system raises NoConvergence.
+    The returned coefficients are one gauge representative; only the curl
+    is used downstream.  With R = ``dofmap.gauge`` and C the other free
+    dofs, u[R] = 0 and A[C, C] u[C] = b[C] is solved by one symmetric-mode
+    factorisation of the positive definite block.  The residual is then
+    checked on all free rows: a load with a gradient part (G^T b != 0) has
+    no solution and fails it on the rows in R, which raises NoConvergence.
+    ``row``, when given, receives the relative residual and the gauge size.
     """
     b = rhs[dofmap.free]
-    n = A.shape[0]
     full = np.zeros(dofmap.n_dofs)
-    if n == 0 or np.linalg.norm(b) == 0.0:
-        return FieldCoefficients(dofmap, full)
     bnorm = np.linalg.norm(b)
-    eps = 1e-10 * (A.diagonal().sum() / n)
+    n_gauge = len(dofmap.gauge)
+    if row is not None:
+        row["gauge_dofs"] = n_gauge
+        row["solve_resid_rel"] = 0.0
+    if A.shape[0] == 0 or bnorm == 0.0:
+        return FieldCoefficients(dofmap, full)
+    C = dofmap.ungauged
     try:
-        lu = _factor_spd(A + eps * mass)
+        lu = _factor_spd(A[C][:, C])
     except RuntimeError as exc:
-        raise NoConvergence(f"shifted system: {exc}") from exc
-    u = np.zeros(n)
-    for step in range(50):
-        r = b - A @ u
-        rnorm = np.linalg.norm(r)
-        if rnorm <= REFINE_TOL * bnorm:
-            break
-        du = lu.solve(r)
-        if not np.all(np.isfinite(du)):
-            raise NoConvergence(f"refinement step {step + 1} gave a non-finite "
-                                "correction; is the shifted system singular?")
-        u = u + du
-    else:
-        raise NoConvergence("iterative refinement stalled; "
-                            "was the right-hand side gradient-corrected?")
-    log.debug("direct solve of %d dofs: %d refinement steps, relative "
-              "residual %.2e, factor nnz %d", n, step, rnorm / bnorm, lu.nnz)
+        raise NoConvergence(f"gauged system: {exc}") from exc
+    u = np.zeros(A.shape[0])
+    u[C] = lu.solve(b[C])
+    if not np.all(np.isfinite(u)):
+        raise NoConvergence("the gauged solve gave non-finite values; is the "
+                            "gauged block singular?")
+    r = b - A @ u
+    rel = float(np.linalg.norm(r) / bnorm)
+    if row is not None:
+        row["solve_resid_rel"] = rel
+    log.debug("gauged solve of %d dofs: gauge %d dofs, factor nnz %d, "
+              "relative residual %.2e", A.shape[0], n_gauge, lu.nnz, rel)
+    if not rel <= RESIDUAL_TOL:
+        i = int(np.argmax(np.abs(r)))
+        d = int(dofmap.free[i])
+        raise NoConvergence(
+            f"relative residual {rel:.2e} of the gauged solve exceeds "
+            f"{RESIDUAL_TOL:.0e}; largest at free dof {i} (dof {d}, "
+            f"{dofmap.dof_entity(d)}); was the load gradient-corrected?")
     full[dofmap.free] = u
     return FieldCoefficients(dofmap, full)
 

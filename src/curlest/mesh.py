@@ -163,10 +163,22 @@ def _dedupe(keys):
     """Distinct rows of the 2-d array keys, numbered by first occurrence.
 
     Returns (distinct rows, id of every row of keys, ranks) where ranks maps
-    the lexicographic position of a distinct row to its id.
+    the lexicographic position of a distinct row to its id.  Rows of
+    non-negative integers below n (vertex ids) are packed into one int64
+    key, sum of row[i] n^(w-1-i), whose order is the rows' lexicographic
+    order, so a 1-d unique replaces the slower row-wise one.
     """
-    uniq, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                     return_inverse=True)
+    n = int(keys.max()) + 1 if keys.dtype.kind in "iu" and keys.size else 0
+    if n and keys.min() >= 0 and n ** keys.shape[1] < 2 ** 63:
+        packed = np.zeros(len(keys), dtype=np.int64)
+        for col in keys.T:
+            packed = packed * n + col
+        _, first, inverse = np.unique(packed, return_index=True,
+                                      return_inverse=True)
+        uniq = keys[first]
+    else:
+        uniq, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                         return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))

@@ -282,13 +282,12 @@ def _reference_inverse(k: int, ranks: tuple) -> np.ndarray:
     return Vinv
 
 
-def _per_tet(gids: np.ndarray, *tables) -> list:
-    """Per table, the (T, n, n) stack of the cached reference matrices
-    table(ranks) under each tet's global-id vertex order, a writable copy."""
+def _per_tet(gids: np.ndarray, table) -> np.ndarray:
+    """The (T, n, n) stack of the cached reference matrices table(ranks)
+    under each tet's global-id vertex order, a writable copy."""
     ranks = np.argsort(np.argsort(gids, axis=1), axis=1)
     orders, which = np.unique(ranks, axis=0, return_inverse=True)
-    return [np.stack([table(tuple(o)) for o in orders])[which.ravel()]
-            for table in tables]
+    return np.stack([table(tuple(o)) for o in orders])[which.ravel()]
 
 
 def _face_scales(p: np.ndarray) -> np.ndarray:
@@ -306,23 +305,13 @@ def _map_interior_rows(V: np.ndarray, first: int, S: np.ndarray) -> None:
         len(V), -1, V.shape[2])
 
 
-def nedelec_element_matrices(verts: np.ndarray, gids,
-                             k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``nedelec_dof_matrix`` of the covariant-mapped reference basis
-    on tets verts (T, 4, 3) with vertex ids gids (T, 4), and their inverses:
-    two (T, n, n) stacks V and Vinv.
-
-    On an affine tet the matrix is S_t V_sigma, V_sigma the reference matrix
-    under the tet's global-id vertex order.  S_t is the identity on edge rows,
-    the ratio of physical to reference area2/|e_d| on face rows and
-    kron(I, vol6 J^-T) on interior rows.  The inverse is V_sigma^-1 S_t^-1
-    with V_sigma^-1 cached per vertex order: its face columns are divided by
-    the face ratios and its interior columns mapped by kron(I, J^T / vol6).
-    """
-    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
-    V, Vinv = _per_tet(gids, partial(_reference_dofs, NEDELEC1_TET, k),
-                       partial(_reference_inverse, k))
-    T, n_edge, n_face = len(V), 6 * k, 4 * k * (k - 1)
+def _nedelec_scales(verts: np.ndarray, gids: np.ndarray, k: int):
+    """The parts of S_t that are not the identity (see
+    ``nedelec_element_matrices``): the face-row ratios (T, n_face), by which
+    the face rows of V_sigma are multiplied, and J (T, 3, 3) with vol6 (T,)
+    for the interior rows; None where the degree has no such rows."""
+    T, n_face = len(verts), 4 * k * (k - 1)
+    scale = J = vol6 = None
     if k >= 2:
         lv = _gid_sorted(gids, TET_FACES)
         scale = (_face_scales(verts[np.arange(T)[:, None, None], lv])
@@ -330,18 +319,50 @@ def nedelec_element_matrices(verts: np.ndarray, gids,
         # face rows (and columns of the inverse) run monomial-major,
         # direction-minor
         scale = np.tile(scale, n_face // 8).reshape(T, -1)
-        V[:, n_edge:n_edge + n_face] *= scale[:, :, None]
-        Vinv[:, :, n_edge:n_edge + n_face] /= scale[:, None, :]
     if k >= 3:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         vol6 = np.abs(np.linalg.det(J))
-        first = n_edge + n_face
-        _map_interior_rows(V, first,
+    return scale, J, vol6
+
+
+def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
+    """Stacked ``nedelec_dof_matrix`` of the covariant-mapped reference basis
+    on tets verts (T, 4, 3) with vertex ids gids (T, 4): (T, n, n).
+
+    On an affine tet the matrix is S_t V_sigma, V_sigma the reference matrix
+    under the tet's global-id vertex order.  S_t is the identity on edge rows,
+    the ratio of physical to reference area2/|e_d| on face rows and
+    kron(I, vol6 J^-T) on interior rows.
+    """
+    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
+    V = _per_tet(gids, partial(_reference_dofs, NEDELEC1_TET, k))
+    scale, J, vol6 = _nedelec_scales(verts, gids, k)
+    n_edge = 6 * k
+    if scale is not None:
+        V[:, n_edge:n_edge + scale.shape[1]] *= scale[:, :, None]
+    if J is not None:
+        _map_interior_rows(V, n_edge + scale.shape[1],
                            vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1))
+    return V
+
+
+def nedelec_element_inverses(verts: np.ndarray, gids, k: int) -> np.ndarray:
+    """The inverses of ``nedelec_element_matrices``, (T, n, n), without
+    forming or inverting V: V_sigma^-1 S_t^-1 with V_sigma^-1 cached per
+    vertex order, its face columns divided by the face ratios and its
+    interior columns mapped by kron(I, J^T / vol6)."""
+    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
+    Vinv = _per_tet(gids, partial(_reference_inverse, k))
+    scale, J, vol6 = _nedelec_scales(verts, gids, k)
+    T, n_edge = len(Vinv), 6 * k
+    if scale is not None:
+        Vinv[:, :, n_edge:n_edge + scale.shape[1]] /= scale[:, None, :]
+    if J is not None:
+        first = n_edge + scale.shape[1]
         cols = Vinv[:, :, first:].reshape(T, -1, 3)     # rows run (dof, monomial)
         Vinv[:, :, first:] = (cols @ (J.transpose(0, 2, 1) / vol6[:, None, None])
-                              ).reshape(T, V.shape[1], -1)
-    return V, Vinv
+                              ).reshape(T, Vinv.shape[1], -1)
+    return Vinv
 
 
 def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
@@ -352,7 +373,7 @@ def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
     and kron(I, sign(det J) J) on interior rows.
     """
     verts = np.asarray(verts, dtype=float)
-    V, = _per_tet(np.asarray(gids), partial(_reference_dofs, RT_TET, k))
+    V = _per_tet(np.asarray(gids), partial(_reference_dofs, RT_TET, k))
     if k >= 2:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         S = np.sign(np.linalg.det(J))[:, None, None] * J

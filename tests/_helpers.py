@@ -6,6 +6,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -263,12 +264,13 @@ def colamd_factor(K):
     return spla.splu(sp.csc_matrix(K))
 
 
-def colamd_solve(A, b, mass):
-    """Free-dof solution of the singular system A u = b by the library's
-    shift and refinement (factor A + eps * mass, refine against A), on a
-    COLAMD factor in place of the symmetric-mode one."""
+def shifted_solve(A, b, mass):
+    """Free-dof solution of the singular system A u = b without a gauge, as
+    the library solved it before the tree-cotree gauge: one symmetric-mode
+    factor of A + eps * mass, refined against A to a relative residual of
+    1e-10."""
     n = A.shape[0]
-    lu = colamd_factor(A + 1e-10 * (A.diagonal().sum() / n) * mass)
+    lu = fem._factor_spd(A + 1e-10 * (A.diagonal().sum() / n) * mass)
     u = np.zeros(n)
     for _ in range(50):
         r = b - A @ u
@@ -276,6 +278,28 @@ def colamd_solve(A, b, mass):
             return u
         u = u + lu.solve(r)
     raise AssertionError("oracle refinement stalled")
+
+
+def dense_minnorm_solve(A, b):
+    """Minimum-norm solution of the singular, consistent system A u = b from
+    a dense eigendecomposition of the symmetric A, eigenvalues below 1e-10
+    times the largest dropped, followed by two refinement steps on the same
+    pseudo-inverse."""
+    w, V = np.linalg.eigh(A.toarray())
+    keep = w > 1e-10 * w.max()
+    V, w = V[:, keep], w[keep]
+    u = V @ ((V.T @ b) / w)
+    for _ in range(2):
+        u += V @ ((V.T @ (b - A @ u)) / w)
+    return u
+
+
+def qr_gauge(G):
+    """Free-dof indices R with G[R, :] square and nonsingular, from a dense
+    column-pivoted QR of G^T: the first pivots are the best-conditioned
+    greedy choice of rows of G."""
+    _, _, piv = sla.qr(G.T.toarray(), mode="economic", pivoting=True)
+    return piv[:G.shape[1]]
 
 
 def cg_solve(A, b, tol=1e-10, max_iter=50000):

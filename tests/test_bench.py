@@ -251,8 +251,15 @@ def test_uniform_run_writes_reports(tmp_path):
     assert payload["schema"] == "v1"
     assert "wall_time" in payload["metadata"]
     assert "t_solve" in payload["rows"][0]
+    # the solve's gauge size and residual live in the JSON only as well;
+    # at k = 1 the gauge holds one dof per interior vertex: 1 at n = 2 and
+    # 27 at n = 4
+    assert [r["gauge_dofs"] for r in payload["rows"]] == [1, 27]
+    assert all(0.0 <= r["solve_resid_rel"] <= fem.RESIDUAL_TOL
+               for r in payload["rows"])
     header = (tmp_path / "report.csv").read_text().splitlines()
     assert header[0].endswith("schema=v1")
+    assert header[1] == ",".join(bench.CSV_COLUMNS)
     assert "t_solve" not in header[1]  # timings live in the JSON only
 
 
@@ -567,9 +574,11 @@ def test_cli_double_verbose_logs_the_solve(tmp_path):
     loud = subprocess.run(args + ["-v", "-v"], capture_output=True, text=True,
                           env=_cli_env())
     assert quiet.returncode == loud.returncode == 0
-    assert "refinement steps" not in quiet.stderr
-    line = next(s for s in loud.stderr.splitlines() if "refinement steps" in s)
-    assert line.startswith("DEBUG direct solve of ") and "factor nnz" in line
+    assert "gauged solve" not in quiet.stderr
+    line = next(s for s in loud.stderr.splitlines() if "gauged solve" in s)
+    assert line.startswith("DEBUG gauged solve of ")
+    for part in ("gauge ", "factor nnz ", "relative residual "):
+        assert part in line
 
 
 def test_cli_entrypoint_subprocess():

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 from math import comb
 
@@ -12,7 +13,8 @@ from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree
-from _helpers import (MU1, cg_solve, colamd_factor, colamd_solve, covariant_basis,
+from _helpers import (MU1, cg_solve, colamd_factor, covariant_basis,
+                      dense_minnorm_solve, qr_gauge, shifted_solve,
                       cube_H, cube_j, element_dof_matrix, eval_one,
                       hash_node_registry, inspace_H, inspace_u, jittered_cube,
                       coo_discrete_gradient, loop_curlcurl_mass,
@@ -242,7 +244,7 @@ def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
     # the owner tet) is an average of exact zeros, at most rho.
     m = make_mesh(2)
     dm = fem.build_dofmap(m, k)
-    V, _ = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
+    V = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
     G = fem.discrete_gradient(V, dm.cell_dofs, dm.boundary_mask, dm.registry)
     want, locG = coo_discrete_gradient(V, dm.cell_dofs, dm.boundary_mask,
                                        dm.registry)
@@ -338,20 +340,19 @@ def test_consistent_level_builds_no_gradient(monkeypatch):
 
 @pytest.mark.parametrize("name, k", [("cube_poly", 3), ("cube_jump_mu_100", 2)])
 def test_skipped_correction_matches_forced_correction(name, k):
-    # the two loads differ by roundoff, and each solve stops at relative
-    # residual REFINE_TOL, so the fields are compared at that tolerance
-    # (they differ by 6e-14 at k=3 and 2e-15 on the jump problem)
+    # the two loads differ by roundoff, and each solve is accepted at
+    # relative residual RESIDUAL_TOL, so the fields are compared at that
+    # tolerance (they differ by 5e-14 at k=3 and 1e-15 on the jump problem)
     spec = PROBLEMS[name]
     m, dm, load = _load(name, 2, k)
     assert load.consistent
     A = fem.assemble_curlcurl(m, dm, spec.mu)
-    M = fem.assemble_mass(m, dm)
-    fields = [fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm, M), spec.mu)
+    fields = [fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm), spec.mu)
               for b in (fem.gradient_correction(dm, load),
                         fem.gradient_correction(dm, load.values.copy()))]
     assert np.array_equal(fields[0].coeffs, _solve_with_row(name, m, k)[1].coeffs)
     diff = fields[0].plus(fields[1].scale(-1.0)).norm()
-    assert diff <= fem.REFINE_TOL * fields[1].norm()
+    assert diff <= fem.RESIDUAL_TOL * fields[1].norm()
 
 
 def test_changed_load_is_still_corrected():
@@ -388,8 +389,7 @@ def test_zero_rhs_zero_curl():
     m, dm, u, Hh, _ = solve_cube(1, 1)
     dm0 = fem.build_dofmap(m, 1)
     A = fem.assemble_curlcurl(m, dm0, MU1)
-    u0 = fem.solve_magnetostatic(A, np.zeros(dm0.n_dofs), dm0,
-                                 fem.assemble_mass(m, dm0))
+    u0 = fem.solve_magnetostatic(A, np.zeros(dm0.n_dofs), dm0)
     H0 = fem.compute_Hh(m, dm0, u0, MU1)
     assert H0.norm() < 1e-12
 
@@ -411,93 +411,234 @@ def test_solver_residual_below_tolerance(backend):
 
 
 def test_inconsistent_rhs_raises_no_convergence():
-    # a load vector with a kernel component cannot be solved to tolerance on
-    # the singular system; refinement stalls and says so
+    # a load vector with a gradient part has no solution on the singular
+    # system: the gauged block still solves, and the residual check on all
+    # free rows fails on the one gauge row and names its dof and edge.
+    # Control: the same load after the gradient correction solves
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, 1)
+    assert len(dm.gauge) == 1
     A = fem.assemble_curlcurl(m, dm, MU1)
-    M = fem.assemble_mass(m, dm)
     b = np.zeros(dm.n_dofs)
     b[dm.free] = RNG.standard_normal(dm.n_free)
-    with pytest.raises(fem.NoConvergence):
-        fem.solve_magnetostatic(A, b, dm, M)
+    i = dm.gauge[0]
+    named = f"free dof {i} (dof {dm.free[i]}, edge {dm.free[i]})"
+    with pytest.raises(fem.NoConvergence, match=re.escape(named)):
+        fem.solve_magnetostatic(A, b, dm)
+    row = {}
+    fem.solve_magnetostatic(A, fem.gradient_correction(dm, b), dm, row)
+    assert row["solve_resid_rel"] <= fem.RESIDUAL_TOL
 
 
-def test_unshifted_assembled_system_raises_or_solves_to_tolerance():
-    # with a zero mass the shift vanishes and the factor meets the
-    # curl-curl kernel; whether a pivot comes out exactly zero rests on how
-    # assembly rounds, so either outcome may happen, but never a silent
-    # wrong answer
+def test_gauged_assembled_system_solves_to_tolerance():
+    # the gauged block of the assembled curl-curl matrix is positive
+    # definite, so the corrected load solves to the tolerance on every free
+    # row, with the gauge dofs at zero.  Control: a gradient added to the
+    # load makes the same system fail the residual check
     m = msh.unit_cube_mesh(3)
     dm = fem.build_dofmap(m, 1)
     A = fem.assemble_curlcurl(m, dm, MU1)
     b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
     b = fem.gradient_correction(dm, b)
-    try:
-        u = fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
-    except fem.NoConvergence:
-        return
+    row = {}
+    u = fem.solve_magnetostatic(A, b, dm, row)
     bf = b[dm.free]
-    assert np.linalg.norm(bf - A @ u.values[dm.free]) <= fem.REFINE_TOL * np.linalg.norm(bf)
+    rel = np.linalg.norm(bf - A @ u.values[dm.free]) / np.linalg.norm(bf)
+    assert rel == row["solve_resid_rel"] <= fem.RESIDUAL_TOL
+    assert row["gauge_dofs"] == len(dm.gauge) == dm.G.shape[1]
+    assert not u.values[dm.free[dm.gauge]].any()
+    bad = b.copy()
+    bad[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
+    with pytest.raises(fem.NoConvergence, match="was the load gradient-corrected"):
+        fem.solve_magnetostatic(A, bad, dm)
 
 
-def test_structurally_singular_shifted_system_raises_no_convergence():
-    # an empty free row and column: the zero pivot is in the structure, so
-    # the check does not rest on how assembly rounds
+def test_structurally_singular_gauged_block_raises_no_convergence():
+    # an empty row and column at a dof outside the gauge: the zero pivot is
+    # in the structure of the gauged block, so the check does not rest on
+    # how assembly rounds.  Control: the same deletion at the gauge dof
+    # leaves the block whole, and a load that is zero there solves
     m = msh.unit_cube_mesh(1)
     dm = fem.build_dofmap(m, 2)
-    live = np.delete(np.arange(dm.n_free), dm.n_free // 2)
-    A = sp.csr_matrix((np.ones(len(live)), (live, live)), shape=(dm.n_free,) * 2)
-    b = np.zeros(dm.n_dofs)
-    b[dm.free] = 1.0
-    with pytest.raises(fem.NoConvergence, match="exactly singular"):
-        fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
+    assert len(dm.gauge) == 1
+    for dead in (dm.ungauged[len(dm.ungauged) // 2], dm.gauge[0]):
+        live = np.delete(np.arange(dm.n_free), dead)
+        A = sp.csr_matrix((np.ones(len(live)), (live, live)), shape=(dm.n_free,) * 2)
+        b = np.zeros(dm.n_dofs)
+        b[dm.free[live]] = 1.0
+        if dead in dm.gauge:
+            u = fem.solve_magnetostatic(A, b, dm)
+            assert np.array_equal(u.values, b)
+        else:
+            with pytest.raises(fem.NoConvergence, match="exactly singular"):
+                fem.solve_magnetostatic(A, b, dm)
 
 
-def test_non_finite_correction_stops_refinement_at_once():
-    # a tiny diagonal pivot that partial pivoting would step over: the
-    # symmetric-mode factor divides by it and the first correction overflows
+def test_non_finite_gauged_solve_raises():
+    # a tiny diagonal pivot that partial pivoting would step over, on two
+    # dofs outside the gauge: the symmetric-mode factor divides by it and
+    # the solve overflows.  Control: COLAMD with partial pivoting solves
+    # the same system
     m = msh.unit_cube_mesh(1)
     dm = fem.build_dofmap(m, 2)
     n = dm.n_free
-    tiny = np.array([[1e-310, 1.0], [1.0, 1e-310]])
-    A = sp.block_diag([tiny, sp.identity(n - 2)], format="csr")
+    a, c = dm.ungauged[:2]
+    A = sp.identity(n, format="lil")
+    A[a, a] = A[c, c] = 1e-310
+    A[a, c] = A[c, a] = 1.0
+    A = A.tocsr()
     b = np.zeros(dm.n_dofs)
     b[dm.free] = 1.0
-    with pytest.raises(fem.NoConvergence, match="refinement step 1 gave a non-finite"):
-        fem.solve_magnetostatic(A, b, dm, mass=sp.csr_matrix(A.shape))
-    u = colamd_solve(A, b[dm.free], sp.csr_matrix(A.shape))
+    with pytest.raises(fem.NoConvergence, match="non-finite"):
+        fem.solve_magnetostatic(A, b, dm)
+    u = colamd_factor(A).solve(b[dm.free])
     assert np.abs(A @ u - b[dm.free]).max() < 1e-12
 
 
 @pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (3, 2)])
 def test_symmetric_factor_matches_colamd_oracle(k, n):
+    # the symmetric-mode factor of the gauged block against a COLAMD factor
+    # with partial pivoting of the same block.  (The shifted solve on a
+    # COLAMD factor is no oracle at this tolerance: it stops at relative
+    # residual 1e-10, which leaves its field 9e-11 from the gauged one at
+    # k = 1, n = 3; see the dense-reference test for which side is off.)
     m = relabelled_cube(n, seed=k)
     dm = fem.build_dofmap(m, k)
     A = fem.assemble_curlcurl(m, dm, MU1)
-    M = fem.assemble_mass(m, dm)
     G = dm.G
     raw = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)).values.copy()
     raw[dm.free] += G @ np.random.default_rng(k).standard_normal(G.shape[1])
     b = fem.gradient_correction(dm, raw)
     scale = abs(G).sum(axis=0).max() * np.abs(raw[dm.free]).max()
     assert np.abs(G.T @ b[dm.free]).max() <= 1e-13 * scale
-    H = fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm, mass=M), MU1)
+    H = fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm), MU1)
+    C = dm.ungauged
     ref = np.zeros(dm.n_dofs)
-    ref[dm.free] = colamd_solve(A, b[dm.free], M)
+    ref[dm.free[C]] = colamd_factor(A[C][:, C]).solve(b[dm.free[C]])
     Href = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, ref), MU1)
     assert H.plus(Href.scale(-1.0)).norm() <= 1e-11 * Href.norm()
 
 
 def test_symmetric_factor_halves_colamd_fill():
-    # nnz(L) + nnz(U) repeats exactly on a fixed mesh (symmetric mode
-    # 482,868, COLAMD 1,485,288); a dense factor coming back fails here
+    # nnz(L) + nnz(U) repeats exactly on a fixed mesh: on the gauged block
+    # symmetric mode gives 228,712 and COLAMD 743,666, and the symmetric
+    # factor of the shifted A + eps M had 482,868; a dense factor coming
+    # back fails here
     m = relabelled_cube(3)
     dm = fem.build_dofmap(m, 3)
     A = fem.assemble_curlcurl(m, dm, MU1)
-    K = A + 1e-10 * (A.diagonal().sum() / A.shape[0]) * fem.assemble_mass(m, dm)
-    sym, ref = fem._factor_spd(K), colamd_factor(K)
+    C = dm.ungauged
+    sym, ref = fem._factor_spd(A[C][:, C]), colamd_factor(A[C][:, C])
     assert 2 * (sym.L.nnz + sym.U.nnz) <= ref.L.nnz + ref.U.nnz
+    eps = 1e-10 * (A.diagonal().sum() / A.shape[0])
+    shifted = fem._factor_spd(A + eps * fem.assemble_mass(m, dm))
+    assert 2 * (sym.L.nnz + sym.U.nnz) <= shifted.L.nnz + shifted.U.nnz
+
+
+# ---------------------------------------------------------------------------
+# the tree-cotree gauge
+# ---------------------------------------------------------------------------
+
+def _boundary_chords(m):
+    """Interior edges whose two vertices lie on the boundary."""
+    ends = m.boundary_vertex[m.edges].all(axis=1)
+    return np.nonzero(ends & ~m.boundary_edge)[0]
+
+
+def _refined_jump_mesh():
+    m = PROBLEMS["cube_jump_mu_100"].make_mesh(2)
+    return msh.refine(m, range(0, m.n_tets, 3))
+
+
+GAUGE_MESHES = {
+    "relabelled_cube_2": lambda: relabelled_cube(2, seed=3),
+    "relabelled_cube_3": lambda: relabelled_cube(3, seed=1),
+    "l_brick": lambda: msh.l_brick_mesh(2),
+    "refined_jump": _refined_jump_mesh,
+    "chord_cube_1": lambda: msh.unit_cube_mesh(1),
+    "chord_cube_2": lambda: msh.unit_cube_mesh(2),
+}
+
+
+def _rank(G, rows):
+    """Numerical rank of a row selection of G: singular values above 1e-12
+    times G's largest entry count."""
+    if rows.size == 0:
+        return 0
+    return np.linalg.matrix_rank(rows, tol=1e-12 * np.abs(G.data).max())
+
+
+@lru_cache(maxsize=None)
+def _gauge_case(name, k):
+    m = GAUGE_MESHES[name]()
+    dm = fem.build_dofmap(m, k)
+    return m, dm, dm.G[dm.gauge].toarray()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", list(GAUGE_MESHES))
+def test_gauge_block_is_square_and_nonsingular(name, k):
+    m, dm, GR = _gauge_case(name, k)
+    if name.startswith("chord"):
+        assert len(_boundary_chords(m))
+    assert GR.shape == (dm.G.shape[1],) * 2
+    assert len(np.unique(dm.gauge)) == len(dm.gauge)
+    assert np.array_equal(np.sort(np.concatenate([dm.gauge, dm.ungauged])),
+                          np.arange(dm.n_free))
+    assert _rank(dm.G, GR) == len(GR)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["relabelled_cube_3", "l_brick", "refined_jump"])
+def test_gauge_conditioning_is_near_the_qr_selection(name, k):
+    # the dense column-pivoted QR of G^T picks its rows greedily for
+    # conditioning; the entity-by-entity selection is within 10x of it
+    _, dm, GR = _gauge_case(name, k)
+    ref = np.linalg.cond(dm.G[qr_gauge(dm.G)].toarray())
+    assert np.linalg.cond(GR) <= 10 * ref
+
+
+def test_gauge_leaves_out_edges_between_boundary_vertices():
+    # at k = 1 the moment of such an edge sees no interior vertex hat, so
+    # its row of G is zero and a selection holding it is singular.  The
+    # spanning forest merges the boundary vertices into one root, which
+    # makes these edges loops that no tree holds
+    m, dm, _ = _gauge_case("chord_cube_2", 1)
+    chords = np.searchsorted(dm.free, _boundary_chords(m))
+    assert not np.isin(chords, dm.gauge).any()
+    assert abs(dm.G[chords]).max() <= 1e-14
+    R = dm.gauge.copy()
+    R[0] = chords[0]
+    assert _rank(dm.G, dm.G[R].toarray()) == len(R) - 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gauged_eta_is_closer_to_the_dense_reference(n):
+    # the shifted solve (A + eps M, refined against A) stops at relative
+    # residual 1e-10, and on the k = 1 cube that leaves eta_h 3.5e-11
+    # (n = 2) and 6.4e-11 (n = 3) from a dense minimum-norm reference; the
+    # gauged direct solve is at roundoff, 4e-16 and 2e-15.  (At k = 3 both
+    # sit on the roundoff floor of step 1, near 1e-13 on these meshes.)
+    spec = PROBLEMS["cube_poly"]
+    m = relabelled_cube(n, seed=1)
+    cfg = adm.RunConfig(degree=1)
+    dm = fem.build_dofmap(m, 1)
+    A, b = _corrected_system(m, dm, spec.current())
+    full = np.zeros(dm.n_dofs)
+    full[dm.free] = b
+    sols = {"gauged": fem.solve_magnetostatic(A, full, dm).values[dm.free],
+            "shifted": shifted_solve(A, b, fem.assemble_mass(m, dm)),
+            "reference": dense_minnorm_solve(A, b)}
+    eta = {}
+    for name, u in sols.items():
+        full[dm.free] = u
+        Hh = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, full), spec.mu)
+        eta[name] = adm.estimate_level(dm, spec.mu, spec.current(), Hh,
+                                       cfg).result.eta_h
+    gap = {name: abs(eta[name] / eta["reference"] - 1.0)
+           for name in ("gauged", "shifted")}
+    assert gap["gauged"] <= 1e-14
+    assert 100 * gap["gauged"] < gap["shifted"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -32,6 +32,9 @@ ENTRY_POINTS = {
     "write_mesh_text": "mesh text I/O, the interchange format's writer",
     "read_mesh_text": "mesh text I/O, the interchange format's reader",
     "dump": "EstimatorResult.dump writes the diagnostics as JSON",
+    "assemble_mass": "the Nedelec mass matrix, a test oracle since the "
+                     "gauged solve dropped the shift; the benchmark's "
+                     "tracer wraps it by name",
 }
 
 

@@ -8,7 +8,8 @@ from curlest import mesh as msh
 from curlest.errors import DegenerateTet, NonConforming, NotAdjacent
 from _helpers import (brute_force_faces, check_conforming, edge_faces,
                       jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
-                      loop_topology, two_tet_mesh, walk_edge_link)
+                      loop_topology, relabelled_cube, two_tet_mesh,
+                      walk_edge_link)
 
 RNG = np.random.default_rng(7)
 
@@ -180,6 +181,32 @@ def assert_topology_matches_loops(m):
     ids=["cube1", "cube2", "cube3", "cube4", "lbrick1", "lbrick2", "jittered3"])
 def test_topology_matches_loop_builder(make):
     assert_topology_matches_loops(make())
+
+
+def rowwise_dedupe(keys):
+    """``mesh._dedupe`` by np.unique(axis=0) over whole rows."""
+    uniq, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.reshape(-1)], rank
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_packed_dedupe_matches_rowwise_unique(seed):
+    # face and edge rows of a relabelled mesh go through the packed int64
+    # key; rows too wide for one key and float rows (the glued vertices of
+    # the L-brick) go through the row-wise unique
+    m = relabelled_cube(3, seed=seed)
+    faces = np.sort(m.tets[:, msh.LOCAL_FACES], axis=2).reshape(-1, 3)
+    edges = np.sort(m.tets[:, msh.LOCAL_EDGES], axis=2).reshape(-1, 2)
+    wide = faces + 2 ** 22           # (2^22)^3 = 2^66 exceeds int64
+    floats = RNG.integers(0, 4, (200, 3)) / 3.0
+    for keys in (faces, edges, wide, floats):
+        got, want = msh._dedupe(keys), rowwise_dedupe(keys)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def octahedron_mesh():

@@ -192,7 +192,7 @@ def test_stacked_element_matrices_match_per_tet_functionals(k):
     # jittered, relabelled cube: every tet has its own shape and one of many
     # global-id vertex orders
     m = jittered_cube(2)
-    V, _ = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
+    V = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
     assert V.shape == (m.n_tets, ps.dim_nedelec_tet(k), ps.dim_nedelec_tet(k))
     assert len(np.unique(np.argsort(m.tets, axis=1), axis=0)) > 6
     for t in range(m.n_tets):
