@@ -35,7 +35,7 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_jump_values, face_rule_points,
                      tangential_jump_norms, tangential_jump_values,
-                     _data_exactness, _ref_tables)
+                     _data_exactness, _EntityLayout, _lagrange_layout, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
@@ -406,19 +406,18 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     phi = np.zeros(mesh.n_tets * nloc)
     internal = fm.internal_faces
 
+    lay = _EntityLayout(mesh, _lagrange_layout(kp)[0])
     # internal-face nodes sit in the two tets of their face
-    is_face = reg.kind == ps.NODE_FACE
-    fnode = np.nonzero(is_face)[0][fm.index_of[reg.entity[is_face]] >= 0]
-    f = reg.entity[fnode]
+    fnode = lay.ids(ps.NODE_FACE, internal).ravel()
+    f = np.repeat(internal, lay.width[ps.NODE_FACE])
     fval = fm.eval(fm.index_of[f], reg.points[fnode][:, None, :])[:, 0]
     focc = occ[ptr[fnode, None] + np.arange(2)]
     phi[focc] = np.where(focc // nloc == mesh.face_tets[f, :1], 0.5, -0.5) * fval[:, None]
 
     # (vertex or edge node, internal face) incidences, by node then face
-    by_entity = np.lexsort((reg.entity, reg.kind))  # vertex nodes, then kp-1 per edge
-    edge_slots = (mesh.n_vertices + (kp - 1) * mesh.face_edges[internal][..., None]
-                  + np.arange(kp - 1)).reshape(len(internal), 3 * (kp - 1))
-    node = by_entity[np.concatenate([mesh.faces[internal], edge_slots], axis=1)]
+    node = np.concatenate([lay.ids(ps.NODE_VERTEX, mesh.faces[internal]),
+                           lay.ids(ps.NODE_EDGE, mesh.face_edges[internal])],
+                          axis=2).reshape(len(internal), -1)
     face = np.repeat(internal, node.shape[1])
     order = np.lexsort((face, node.ravel()))
     node, face = node.ravel()[order], face[order]

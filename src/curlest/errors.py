@@ -97,7 +97,7 @@ class InconsistentPatch(NodeError):
 
 
 class OrphanNode(NodeError):
-    """Node registry or patch membership mismatch; indicates an internal bug."""
+    """A node's patch lacks a tet of one of its faces; an internal bug."""
 
 
 class EquilibriumViolated(CurlestError):

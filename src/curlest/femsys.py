@@ -8,9 +8,10 @@ dof matrices of all elements come as one stack
 (``polyspace.nedelec_element_inverses``), built once per dof map: assembly,
 H_h and field expansion are stacked products with them, and the curl-curl
 matrix is summed straight into the free-dof CSR pattern the dof map keeps.
-The discrete gradient is built from V_t on first use, one row per dof from
-one tet that holds it; only the gradient correction of a load that is not
-consistent to roundoff reads it.  The singular curl-curl system is solved in
+The Nedelec dofs and the Lagrange nodes are numbered alike, entity by
+entity (``_EntityLayout``).  The discrete gradient is built from V_t on
+first use, one row per dof from one tet that holds it; only the gradient
+correction of a load that is not consistent to roundoff reads it.  The singular curl-curl system is solved in
 the tree-cotree gauge that the dof map picks entity by entity
 (``DofMap.gauge``), so no mass shift and no iteration is needed.
 Every integral against current data or an analytic field uses one tet rule
@@ -39,7 +40,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from . import _poly
 from . import polyspace as ps
-from .errors import NoConvergence, OrphanNode, ProjectionSolveFailure, UnsupportedDegree
+from .errors import NoConvergence, ProjectionSolveFailure, UnsupportedDegree
 from .mesh import Mesh
 
 log = logging.getLogger("curlest")
@@ -198,9 +199,58 @@ class CurrentDensity:
 
 
 # ---------------------------------------------------------------------------
-# node registry: the numbering of the conforming scalar space, shared by the
-# discrete gradient and the nodal reconstruction
+# the entity layout of the Nedelec dofs and the Lagrange nodes; node registry
 # ---------------------------------------------------------------------------
+
+_TET_ENTITIES = np.array([4, 6, 4, 1])   # vertices, edges, faces, cells per tet
+
+
+class _EntityLayout:
+    """Entity-major numbering with ``width[d]`` ids on every entity of kind d
+    (the polyspace NODE_* codes): kinds in turn, entities in id order, each
+    entity's ids contiguous.  Entity e of kind d is entry base[d] + e of
+    ``first`` (its first id), ``count``, ``fixed`` (its boundary flag) and
+    ``tet_entities`` (T, 15: each tet's vertices, edges, faces and itself)."""
+
+    def __init__(self, mesh: Mesh, width):
+        self.width = np.asarray(width)
+        n = [mesh.n_vertices, mesh.n_edges, mesh.n_faces, mesh.n_tets]
+        self.base = np.cumsum([0] + n[:3])
+        self.count = np.repeat(self.width, n)
+        self.first = np.cumsum(self.count) - self.count
+        self.fixed = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge,
+                                     mesh.boundary_face, np.zeros(n[3], dtype=bool)])
+        self.boundary = np.repeat(self.fixed, self.count)      # per id
+        self.tet_entities = np.concatenate(
+            [mesh.tets, mesh.tet_edges + self.base[1], mesh.tet_faces + self.base[2],
+             np.arange(n[3])[:, None] + self.base[3]], axis=1)
+
+    def ids(self, kind: int, entities) -> np.ndarray:
+        """(..., width[kind]) the ids of the given entities of one kind."""
+        return self.first[self.base[kind] + entities][..., None] + np.arange(self.width[kind])
+
+    def locate(self, ids):
+        """(kind, entity) of the given ids."""
+        g = np.searchsorted(self.first, ids, side="right") - 1
+        kind = np.searchsorted(self.base, g, side="right") - 1
+        return kind, g - self.base[kind]
+
+
+@lru_cache(maxsize=None)
+def _lagrange_layout(degree: int):
+    """Degree-k Lagrange nodes per vertex, edge, face and tet, and a node's
+    offset in its entity, indexed by its weights on the tet's vertices in
+    ascending global-id order: the place of the reference node with those
+    weights among its entity's nodes in ``lagrange_nodes`` order."""
+    nodes = ps.lagrange_nodes(degree)
+    group = nodes.kind * 6 + nodes.entity
+    offset = np.zeros((degree + 1,) * 4, dtype=np.int64)
+    offset[tuple(nodes.multi.T)] = [np.sum(group[:i] == g) for i, g in enumerate(group)]
+    width = np.bincount(nodes.kind[nodes.entity == 0], minlength=4)
+    for table in (width, offset):
+        table.setflags(write=False)
+    return width, offset
+
 
 @dataclass
 class NodeRegistry:
@@ -219,63 +269,32 @@ class NodeRegistry:
 
 
 def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
-    """Deduplicate the per-element Lagrange nodes into a global registry.
-
-    A node is named by topology: its support vertices' global ids in
-    ascending order paired with its barycentric multi-index, packed as
-    gid * (degree + 1) + weight with zero-weight slots last.  Nodes are
-    numbered in order of first occurrence over (tet, local node).
-    Coordinates are accumulated in ascending global-vertex-id order with
-    exact rational weights, so coincident nodes from different elements
-    agree bitwise.
-    """
+    """Number the degree-k Lagrange nodes in the entity layout, as the dof
+    map numbers the Nedelec dofs: vertex v is node v, then come k-1 nodes
+    per edge, (k-1)(k-2)/2 per face and (k-1)(k-2)(k-3)/6 per tet, each
+    entity's in ``lagrange_nodes`` order of their weights on its vertices in
+    ascending global-id order.  Coordinates are accumulated in that vertex
+    order with exact rational weights, so all tets agree on them bitwise."""
     nodes = ps.lagrange_nodes(degree)
-    nt, nloc = mesh.n_tets, nodes.n_nodes
+    width, offset = _lagrange_layout(degree)
+    lay = _EntityLayout(mesh, width)
     order = np.argsort(mesh.tets, axis=1)
-    gids = np.take_along_axis(mesh.tets, order, axis=1)         # (T, 4)
+    vv = mesh.vertices[np.take_along_axis(mesh.tets, order, axis=1)]   # (T, 4, 3)
     w = nodes.multi[:, order].transpose(1, 0, 2)                 # (T, nloc, 4)
-    codes = np.where(w > 0, gids[:, None, :] * (degree + 1) + w,
-                     np.iinfo(np.int64).max)
-    _, first, inverse = np.unique(np.sort(codes, axis=2).reshape(-1, 4),
-                                  axis=0, return_index=True,
-                                  return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    tet_nodes = rank[inverse.ravel()].reshape(nt, nloc)
-    first = np.sort(first)                 # first occurrence of each node
+    col = (np.cumsum(_TET_ENTITIES) - _TET_ENTITIES)[nodes.kind] + nodes.entity
+    tet_nodes = lay.first[lay.tet_entities[:, col]] + offset[tuple(w.transpose(2, 0, 1))]
 
-    # per occurrence: column of the (vertex | edge | face | tet) table
-    col = np.array([0, 4, 10, 14])[nodes.kind] + nodes.entity
-    cells = np.arange(nt)[:, None]
-    ent = np.concatenate([mesh.tets, mesh.tet_edges, mesh.tet_faces, cells],
-                         axis=1)[:, col].ravel()
-    kind_occ = np.tile(nodes.kind, nt)
-    kind, entity = kind_occ[first], ent[first]
+    wf = w / float(degree)
+    pos = wf[..., 0:1] * vv[:, None, 0]
+    for s in (1, 2, 3):      # fixed-order accumulation => bitwise identical
+        pos += wf[..., s:s + 1] * vv[:, None, s]
+    points = np.empty((len(lay.boundary), 3))
+    points[tet_nodes] = pos + 0.0  # normalize signed zeros
+
     flat = tet_nodes.ravel()
-    bad = (kind_occ != kind[flat]) | (ent != entity[flat])
-    if bad.any():
-        i = int(np.argmax(bad))
-        g = int(flat[i])
-        raise OrphanNode(
-            f"node {g}: tet {i // nloc} local node {i % nloc} resolves to "
-            f"({kind_occ[i]},{ent[i]}) vs ({kind[g]},{entity[g]})",
-            node=g, kind=int(kind[g]), entity=int(entity[g]))
-    boundary = np.concatenate(
-        [mesh.boundary_vertex[mesh.tets], mesh.boundary_edge[mesh.tet_edges],
-         mesh.boundary_face[mesh.tet_faces], np.zeros((nt, 1), dtype=bool)],
-        axis=1)[:, col].ravel()[first]
-
-    vv = mesh.vertices[gids[first // nloc]]
-    wf = w.reshape(-1, 4)[first] / float(degree)
-    # fixed-order accumulation => bitwise identical coordinates
-    pos = wf[:, 0:1] * vv[:, 0] + wf[:, 1:2] * vv[:, 1]
-    pos += wf[:, 2:3] * vv[:, 2]
-    pos += wf[:, 3:4] * vv[:, 3]
-    pos = pos + 0.0  # normalize signed zeros
-
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(first)))])
-    return NodeRegistry(degree, pos, kind, entity, boundary, tet_nodes,
-                        np.argsort(flat, kind="stable"), ptr)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(points)))])
+    return NodeRegistry(degree, points, *lay.locate(np.arange(len(points))),
+                        lay.boundary, tet_nodes, np.argsort(flat, kind="stable"), ptr)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +315,18 @@ class DofMap:
     built on first read."""
     mesh: Mesh
     degree: int
-    n_dofs: int
+    layout: _EntityLayout       # the dofs by edge, face and cell
     cell_dofs: np.ndarray       # (T, nloc)
-    boundary_mask: np.ndarray   # (n_dofs,) bool
     free: np.ndarray            # ids of the interior dofs, ascending
     Vinv: np.ndarray            # (T, nloc, nloc) inverse element dof matrices
     registry: NodeRegistry      # degree-k Lagrange nodes
     indptr: np.ndarray          # (n_free + 1,) free x free CSR pattern:
     indices: np.ndarray         # (nnz,) canonical: sorted rows, no duplicates
     slot: np.ndarray            # (T, nloc, nloc) CSR position per local entry
+
+    @property
+    def n_dofs(self) -> int:
+        return len(self.layout.boundary)
 
     @property
     def n_free(self) -> int:
@@ -315,7 +337,7 @@ class DofMap:
         """(n_free, free registry nodes) discrete gradient."""
         V = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets],
                                         self.mesh.tets, self.degree)
-        return discrete_gradient(V, self.cell_dofs, self.boundary_mask, self.registry)
+        return discrete_gradient(V, self.cell_dofs, self.layout.boundary, self.registry)
 
     @cached_property
     def gauge(self) -> np.ndarray:
@@ -355,10 +377,11 @@ class DofMap:
         v = np.arange(n)
         tree = pair_edge[np.searchsorted(keys, np.minimum(v, pred[:n]) * (n + 1)
                                          + np.maximum(v, pred[:n]))]
-        dofs = [tree * k, (edges[:, None] * k + np.arange(1, k)).ravel()]
+        ids = self.layout.ids
+        dofs = [ids(ps.NODE_EDGE, tree)[:, 0], ids(ps.NODE_EDGE, edges)[:, 1:].ravel()]
         if k == 3:
             faces = np.nonzero(~mesh.boundary_face)[0]
-            dofs.append(mesh.n_edges * k + faces * k * (k - 1) + _face_gauge_offset(k))
+            dofs.append(ids(ps.NODE_FACE, faces)[:, _face_gauge_offset(k)])
         return np.searchsorted(self.free, np.concatenate(dofs))
 
     @cached_property
@@ -369,15 +392,9 @@ class DofMap:
         return np.nonzero(keep)[0]
 
     def dof_entity(self, dof: int) -> str:
-        """The edge, face or cell that carries global dof ``dof``."""
-        k = self.degree
-        for name, count, width in (("edge", self.mesh.n_edges, k),
-                                   ("face", self.mesh.n_faces, k * (k - 1)),
-                                   ("cell", self.mesh.n_tets, k * (k - 1) * (k - 2) // 2)):
-            if dof < count * width:
-                return f"{name} {dof // width}"
-            dof -= count * width
-        raise IndexError(f"no dof {dof} in the dof map")
+        """The edge, face or tet that carries global dof ``dof``."""
+        kind, entity = self.layout.locate(dof)
+        return f"{ps.NODE_NAMES[kind]} {entity}"
 
 
 @dataclass
@@ -392,38 +409,27 @@ class FieldCoefficients:
 
 
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
-    """Number the Nedelec dofs (edge, face, then interior blocks, each
-    entity's dofs contiguous), build the inverses of the element dof
-    matrices once, and the free-dof sparsity pattern."""
+    """Number the Nedelec dofs in the entity layout (edge, face, then
+    interior blocks, each entity's dofs contiguous), build the inverses of
+    the element dof matrices once, and the free-dof sparsity pattern."""
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
-    k, nt = degree, mesh.n_tets
-    # the entities that carry dofs, as (per-tet ids, width, boundary flags);
-    # global entity ids run over them in this order, and so do the dofs
-    tables = [t for t in (
-        (mesh.tet_edges, k, mesh.boundary_edge),
-        (mesh.tet_faces, k * (k - 1), mesh.boundary_face),
-        (np.arange(nt)[:, None], k * (k - 1) * (k - 2) // 2, np.zeros(nt, dtype=bool)))
-        if t[1]]
-    before = np.cumsum([0] + [len(fixed) for _, _, fixed in tables])
-    ent = np.concatenate([ids + n for (ids, _, _), n in zip(tables, before)], axis=1)
-    width = np.concatenate([np.full(len(fixed), w) for _, w, fixed in tables])
-    fixed = np.concatenate([fixed for _, _, fixed in tables])
-    wloc = width[ent[0]]
-    le = np.repeat(np.arange(ent.shape[1]), wloc)       # local entity of local dof
-    off = np.arange(len(le)) - (np.cumsum(wloc) - wloc)[le]  # offset in the entity
-    cell_dofs = (np.cumsum(width) - width)[ent][:, le] + off
-    mask = np.repeat(fixed, width)
+    k = degree
+    lay = _EntityLayout(mesh, (0, k, k * (k - 1), k * (k - 1) * (k - 2) // 2))
+    ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
+    le = np.repeat(np.arange(ent.shape[1]), lay.count[ent[0]])  # entity of local dof
+    off = np.arange(len(le)) - np.searchsorted(le, le)        # offset in the entity
     Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], mesh.tets, k)
-    return DofMap(mesh, k, len(mask), cell_dofs, mask, np.nonzero(~mask)[0], Vinv,
-                  build_node_registry(mesh, k),
-                  *_free_pattern(ent, width, ~fixed, le, off))
+    return DofMap(mesh, k, lay, lay.first[ent][:, le] + off,
+                  np.nonzero(~lay.boundary)[0], Vinv, build_node_registry(mesh, k),
+                  *_free_pattern(ent, lay.count, ~lay.fixed, le, off))
 
 
 def _free_pattern(ent, width, free, le, off):
     """indptr, indices and slot of the free x free block (see DofMap), from
-    the dof-carrying entities ``ent`` (T, E) of the tets, their widths and
-    free flags, and each local dof's entity ``le`` and offset ``off`` in it.
+    the dof-carrying entities ``ent`` (T, E) of the tets, the widths and
+    free flags of all entities of the layout, and each local dof's column
+    ``le`` in ``ent`` and offset ``off`` in its entity.
 
     Every dof block belongs to one edge, face or cell, and a boundary
     entity's dofs are all fixed, so the pattern is built on entities: the

@@ -42,7 +42,6 @@ class _Geometry:
         self.J = np.stack([v[:, i, :] - v[:, 0, :] for i in (1, 2, 3)], axis=2)
         self.detJ = np.linalg.det(self.J)
         self.Jinv = np.linalg.inv(self.J)
-        self.vol = self.detJ / 6.0
 
     def map_points(self, tets, ref_pts):
         """Physical coords of reference points for each listed tet."""

@@ -30,8 +30,6 @@ TET_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
 TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # face i opposite vertex i
 
-EDGE_INDEX = {e: i for i, e in enumerate(TET_EDGES)}
-
 MAX_DEGREE = 4
 MAX_QUAD_EXACTNESS = 12
 
@@ -148,23 +146,13 @@ def lagrange_nodes(degree: int) -> LagrangeNodeSet:
             for i2 in range(degree - i0 - i1, -1, -1):
                 multi.append((i0, i1, i2, degree - i0 - i1 - i2))
     multi = np.array(multi, dtype=np.int64)
-    kind = np.empty(len(multi), dtype=np.int64)
-    entity = np.zeros(len(multi), dtype=np.int64)
-    for n, m in enumerate(multi):
-        support = tuple(int(i) for i in np.nonzero(m)[0])
-        if len(support) == 1:
-            kind[n] = NODE_VERTEX
-            entity[n] = support[0]
-        elif len(support) == 2:
-            kind[n] = NODE_EDGE
-            entity[n] = EDGE_INDEX[support]
-        elif len(support) == 3:
-            kind[n] = NODE_FACE
-            # local face index = the local vertex with zero weight
-            entity[n] = int(np.nonzero(m == 0)[0][0])
-        else:
-            kind[n] = NODE_CELL
-    return LagrangeNodeSet(degree, multi, multi / float(degree), kind, entity)
+    # a node lies inside the entity spanned by the vertices it weights; its
+    # NODE_* kind is their number less one
+    local = {s: i for ents in ([(v,) for v in range(4)], TET_EDGES, TET_FACES,
+                               [(0, 1, 2, 3)]) for i, s in enumerate(ents)}
+    entity = np.array([local[tuple(np.nonzero(m)[0])] for m in multi])
+    return LagrangeNodeSet(degree, multi, multi / float(degree),
+                           np.count_nonzero(multi, axis=1) - 1, entity)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def check_conforming(mesh):
     assert len(stored) == len(count)
     for key, c in count.items():
         assert stored[key] == c
-    assert (mesh.geom().vol > 0).all()
+    assert (mesh.geom().detJ / 6 > 0).all()
     return True
 
 
@@ -474,8 +474,10 @@ _NEIGHBOR_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
 
 def hash_node_registry(mesh, degree):
     """Lagrange nodes deduplicated by hashing their coordinates on a
-    1e-8*h grid, tet by tet and node by node; same numbering contract as
-    ``femsys.build_node_registry``."""
+    1e-8*h grid, tet by tet and node by node, and numbered by first
+    occurrence over (tet, local node).  ``femsys.build_node_registry``
+    numbers the same nodes by entity, so the two agree up to a relabelling
+    of the nodes."""
     nodes = ps.lagrange_nodes(degree)
     nloc = nodes.n_nodes
     rho = 1e-8 * mesh.h_min_edge()

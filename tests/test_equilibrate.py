@@ -611,7 +611,7 @@ def test_step4_constant_field_closed_form():
     reg = fem.build_node_registry(m, 1)
     phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0)
     res = eqm.step4_estimator(m, MU1, corr, phi)
-    V = m.geom().vol[0]
+    V = m.geom().detJ[0] / 6
     assert abs(res.eta_T[0] - np.linalg.norm(c) * np.sqrt(V)) < 1e-13
     assert res.eta_T[1:].max() == 0.0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from functools import lru_cache
 from math import comb
@@ -35,7 +36,7 @@ def test_whitney_dof_count_two_tets():
     m = two_tet_mesh()
     dm = fem.build_dofmap(m, 1)
     assert dm.n_dofs == m.n_edges == 9
-    assert dm.boundary_mask.all()      # every edge lies on the hull
+    assert dm.layout.boundary.all()      # every edge lies on the hull
     assert dm.n_free == 0
 
 
@@ -87,16 +88,68 @@ def test_lagrange_registry_counts():
                 assert fem.build_dofmap(m, k).registry.n_nodes == n
 
 
+def _assert_relabelled(got, ref):
+    """``got`` is ``ref`` with its nodes renumbered: perm[i] is the id in
+    ``got`` of node i of ``ref``."""
+    perm = np.full(ref.n_nodes, -1)
+    perm[ref.tet_nodes] = got.tet_nodes
+    assert got.n_nodes == ref.n_nodes
+    assert np.array_equal(np.sort(perm), np.arange(ref.n_nodes))      # a bijection
+    assert np.array_equal(perm[ref.tet_nodes], got.tet_nodes)
+    for key in ("kind", "entity", "boundary"):
+        assert np.array_equal(getattr(got, key)[perm], getattr(ref, key)), key
+    assert got.points[perm].tobytes() == ref.points.tobytes()
+    # each node's incident occurrences, ascending
+    ptr = got.incident_ptr
+    occ = np.concatenate([got.incident[ptr[p]:ptr[p + 1]] for p in perm])
+    assert np.array_equal(occ, ref.incident)
+    assert np.array_equal(np.diff(ptr)[perm], np.diff(ref.incident_ptr))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", REGISTRY_MESHES)
 def test_registry_matches_hash_oracle(name, k):
+    # the oracle numbers nodes by first occurrence, the registry by entity;
+    # they must name the same nodes.  Control: two labels swapped inside one
+    # tet are no relabelling
     m = _registry_mesh(name)
     got = fem.build_node_registry(m, k)
     ref = hash_node_registry(m, k)
-    for key in ("tet_nodes", "kind", "entity", "boundary", "incident",
-                "incident_ptr"):
-        assert np.array_equal(getattr(got, key), getattr(ref, key)), key
-    assert got.points.tobytes() == ref.points.tobytes()
+    _assert_relabelled(got, ref)
+    swapped = got.tet_nodes.copy()
+    swapped[0, [0, 1]] = swapped[0, [1, 0]]
+    with pytest.raises(AssertionError):
+        _assert_relabelled(dataclasses.replace(got, tet_nodes=swapped), ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_registry_numbers_nodes_by_entity(k):
+    # vertex v is node v; edge e's nodes are n_v + (k-1) e + j, running from
+    # its lower-gid end; at k = 3 face f's node sits at its centroid, and at
+    # k = 4 tet t's node at its centroid
+    for m in (relabelled_cube(2), _registry_mesh("bisect1")):
+        reg = fem.build_node_registry(m, k)
+        nodes = ps.lagrange_nodes(k)
+        vert = nodes.kind == ps.NODE_VERTEX
+        assert np.array_equal(reg.tet_nodes[:, vert], m.tets[:, nodes.entity[vert]])
+        assert np.array_equal(reg.points[:m.n_vertices], m.vertices)
+        lo, hi = np.sort(m.edges, axis=1).T
+        j = np.arange(1, k)
+        want = ((k - j) * m.vertices[lo][..., None] + j * m.vertices[hi][..., None]) / k
+        ids = m.n_vertices + (k - 1) * np.arange(m.n_edges)[:, None] + j - 1
+        assert np.allclose(reg.points[ids], want.transpose(0, 2, 1), rtol=0, atol=1e-15)
+        assert (reg.kind[ids] == ps.NODE_EDGE).all()
+        assert np.array_equal(reg.entity[ids], np.broadcast_to(
+            np.arange(m.n_edges)[:, None], ids.shape))
+        faces = m.n_vertices + (k - 1) * m.n_edges
+        if k == 3:
+            centroid = m.vertices[m.faces].mean(axis=1)
+            assert np.allclose(reg.points[faces:faces + m.n_faces], centroid,
+                               rtol=0, atol=1e-15)
+        if k == 4:
+            cells = faces + 3 * m.n_faces
+            assert np.allclose(reg.points[cells:], m.vertices[m.tets].mean(axis=1),
+                               rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +261,7 @@ def test_nedelec_dofmap_matches_loop(k):
     cell_dofs, mask = loop_nedelec_dofs(m, k)
     assert dm.cell_dofs.dtype == np.int64
     assert np.array_equal(dm.cell_dofs, cell_dofs)
-    assert np.array_equal(dm.boundary_mask, mask)
+    assert np.array_equal(dm.layout.boundary, mask)
     assert dm.n_dofs == len(mask)
 
 
@@ -245,8 +298,8 @@ def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
     m = make_mesh(2)
     dm = fem.build_dofmap(m, k)
     V = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
-    G = fem.discrete_gradient(V, dm.cell_dofs, dm.boundary_mask, dm.registry)
-    want, locG = coo_discrete_gradient(V, dm.cell_dofs, dm.boundary_mask,
+    G = fem.discrete_gradient(V, dm.cell_dofs, dm.layout.boundary, dm.registry)
+    want, locG = coo_discrete_gradient(V, dm.cell_dofs, dm.layout.boundary,
                                        dm.registry)
     size = np.abs(locG)
     # exact zeros and exact nonzeros are many orders apart, so the split

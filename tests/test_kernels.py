@@ -175,7 +175,7 @@ def test_free_pattern_is_canonical_and_symmetric(mesh, k):
     # every slot is a pattern position or the one dump slot, and the dump
     # slot takes exactly the entries that touch a boundary dof
     nnz = len(dm.indices)
-    fixed = dm.boundary_mask[dm.cell_dofs]
+    fixed = dm.layout.boundary[dm.cell_dofs]
     assert np.array_equal(dm.slot == nnz, fixed[:, :, None] | fixed[:, None, :])
     assert np.array_equal(np.unique(dm.slot[dm.slot < nnz]), np.arange(nnz))
 

@@ -83,7 +83,7 @@ def test_degenerate_tet_rejected():
 
 def test_negative_orientation_is_fixed():
     m = msh.build_mesh(REF_VERTS, [[0, 1, 3, 2]])
-    assert m.geom().vol[0] > 0.0
+    assert m.geom().detJ[0] / 6 > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_unit_cube_counts():
 
 def test_unit_cube_volume_and_tags():
     m = msh.unit_cube_mesh(2)
-    assert abs(m.geom().vol.sum() - 1.0) < 1e-12
+    assert abs((m.geom().detJ / 6).sum() - 1.0) < 1e-12
     assert (m.subdomain_tag == 0).all()
     m2 = msh.unit_cube_mesh(2, tag_fn=lambda c: 1 if c[1] < 0.5 else 2)
     assert set(m2.subdomain_tag) == {1, 2}
@@ -111,7 +111,7 @@ def test_unit_cube_volume_and_tags():
 def test_l_brick_counts_and_geometry():
     m = msh.l_brick_mesh(1)
     assert m.n_tets == 18
-    assert abs(m.geom().vol.sum() - 3.0) < 1e-12
+    assert abs((m.geom().detJ / 6).sum() - 3.0) < 1e-12
     assert check_conforming(m)
     # the reentrant edge x=y=0 is present as a mesh edge
     v = m.vertices
@@ -265,7 +265,7 @@ def test_refine_all_cube():
     r = msh.refine(m, set(range(m.n_tets)))
     assert 12 <= r.n_tets <= 96
     assert check_conforming(r)
-    assert abs(r.geom().vol.sum() - 1.0) < 1e-12
+    assert abs((r.geom().detJ / 6).sum() - 1.0) < 1e-12
 
 
 def test_refine_marks_strictly_increase_and_tags_inherited():
@@ -298,7 +298,7 @@ def test_repeated_refinement_stays_conforming():
                                 replace=False).tolist())
         m = msh.refine(m, marked)
         assert check_conforming(m)
-    assert abs(m.geom().vol.sum() - 1.0) < 1e-12
+    assert abs((m.geom().detJ / 6).sum() - 1.0) < 1e-12
 
 
 def test_bisection_shape_quality_stabilizes():
@@ -311,7 +311,7 @@ def test_bisection_shape_quality_stabilizes():
         marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 4),
                                 replace=False).tolist())
         m = msh.refine(m, marked)
-        qualities.append((m.geom().vol / m.tet_diameters() ** 3).min())
+        qualities.append((m.geom().detJ / 6 / m.tet_diameters() ** 3).min())
     assert qualities[-1] >= 0.8 * qualities[2]
     assert qualities[-1] > 1e-3
 
