@@ -152,14 +152,13 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
                h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
                t_estimate=t_est, **grad)
     row.update({k: out.result.diagnostics[k] for k in
-                ("max_re_abs", "max_re_variation", "oscillation",
-                 "step3_max_residual", "lam_scale")})
+                ("oscillation", "step3_max_residual", "lam_scale")})
     if cfg.verify:
         rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
         row["eq_elem_rel"] = rep["elem_resid_rel"]
         row["eq_face_rel"] = rep["face_resid_rel"]
     if cfg.estimator == "both":
-        row["mu_h"] = resm.compute_residual_estimator(mesh, mu, j, Hh,
+        row["mu_h"] = resm.compute_residual_estimator(mesh, j, Hh,
                                                       cfg.degree).mu_h
     exact_H = getattr(problem, "exact_H", None)
     if exact_H is not None:

@@ -16,10 +16,10 @@ from . import polyspace as ps
 from .adapt import RunConfig
 from .mesh import Mesh, l_brick_mesh, unit_cube_mesh, write_vtk
 
-CSV_SCHEMA = "v1"
+CSV_SCHEMA = "v2"
 CSV_COLUMNS = ("level", "resolution", "n_tets", "n_dofs", "h_max", "error",
-               "eta_h", "mu_h", "eff_eq", "eff_res", "marked", "max_re_abs",
-               "max_re_variation", "oscillation", "step3_max_residual")
+               "eta_h", "mu_h", "eff_eq", "eff_res", "marked", "oscillation",
+               "step3_max_residual")
 
 
 # ---------------------------------------------------------------------------

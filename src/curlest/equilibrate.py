@@ -7,7 +7,8 @@ Pipeline (per estimator run):
   step 2  per internal face: a scalar multiplier whose surface curl matches
           the tangential jump of the corrected field;
   step 3  per Lagrange node: jump-consistent potential values from tiny
-          least-squares systems, solved in batches of equal shape;
+          least-squares systems, solved in batches of equal shape; the
+          worst residual certifies the edge cycle condition;
   step 4  the elementwise energy norm of the corrected field.
 
 Step 2 realizes the face space in monomials of the scaled face-frame
@@ -296,23 +297,15 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
 
 
 # ---------------------------------------------------------------------------
-# edge compatibility diagnostics
+# edge cycle sums: a test oracle; step 3's patch residual certifies them
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EdgeCompatibility:
-    edges: np.ndarray      # interior edge ids
-    max_abs: np.ndarray    # per edge: max |r_e| over the sample points
-    variation: np.ndarray  # per edge: max r_e - min r_e
+    # one entry per interior edge, in mesh.internal_edges() order
+    max_abs: np.ndarray    # max |r_e| over the sample points
+    variation: np.ndarray  # max r_e - min r_e
     lam_scale: float
-
-    @property
-    def worst_abs(self) -> float:
-        return float(self.max_abs.max(initial=0.0))
-
-    @property
-    def worst_variation(self) -> float:
-        return float(self.variation.max(initial=0.0))
 
 
 def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibility:
@@ -342,7 +335,7 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
     np.add.at(r, row[e], sign[:, None] * fm.eval(idx, pts))
     max_abs = np.abs(r).max(axis=1, initial=0.0)
     variation = r.max(axis=1) - r.min(axis=1)
-    return EdgeCompatibility(interior, max_abs, variation, fm.lam_scale)
+    return EdgeCompatibility(max_abs, variation, fm.lam_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +388,18 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     the multiplier value; edge and vertex nodes solve a small overdetermined
     system (difference equation per incident internal face plus the zero-mean
     row), batched over patches of equal shape.  The theory makes these
-    systems consistent, so least squares recovers the unique solution; the
-    residual is tracked as a diagnostic.
+    systems consistent, so least squares recovers the unique solution.
+
+    The worst residual, ``max_residual``, certifies the edge cycle
+    condition.  The signed multiplier sum r_e around an interior edge e is a
+    polynomial of degree k' along e.  An edge node's system is one cycle
+    around e, so it is consistent only if r_e vanishes at that node.  A
+    vertex patch's cycles are generated by those around its interior edges
+    (its link is a sphere, or a disk at a boundary vertex), so its system is
+    consistent only if r_e(v) = 0 on every interior edge e at v.  That is
+    k'+1 points per edge (k'-1 edge nodes, 2 vertices), so r_e = 0.  Every
+    vertex and edge node on an internal face is solved, so this holds for
+    interior edges with boundary endpoints too.
     """
     kp = reg.degree
     if fm.degree != kp:
@@ -509,7 +512,6 @@ def step4_estimator(mesh: Mesh, mu: MaterialField, correction: ElementCorrection
 class EquilibrationOutput:
     correction: ElementCorrection
     multipliers: FaceMultiplier
-    edge_report: EdgeCompatibility
     phi: NodalPotential
     result: EstimatorResult
 
@@ -526,12 +528,11 @@ def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     face and edge compatibility conditions rest on Galerkin orthogonality
     against the lowest-order edge functions, so estimating a projected-data
     solution against the raw data (or vice versa) moves the projection error
-    into the compatibility diagnostics.
+    into the step-2 and step-3 residuals.
     """
     kp = reg.degree
     corr = step1_element_corrections(mesh, mu, j, Hh, kp, strict_a2=strict_a2)
     fm = step2_face_multipliers(mesh, Hh, corr, kp, strict=strict_a2)
-    edge_report = check_edge_compatibility(mesh, fm)
     phi = step3_reconstruct_phi(mesh, fm, reg, strict=strict_a2)
     result = step4_estimator(mesh, mu, corr, phi)
     jd_scale = max(float(np.sqrt((corr.jdelta_norm ** 2).sum())), 1e-30)
@@ -548,15 +549,13 @@ def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         "step2_max_resid_rel": float((fm.resid / np.maximum(fm.jnorm, jumps * 1e-6)).max(initial=0.0)),
         "step2_max_div": float(fm.div_norm.max(initial=0.0)),
         "step2_max_mean": float(fm.mean_abs.max(initial=0.0)),
-        "max_re_abs": edge_report.worst_abs,
-        "max_re_variation": edge_report.worst_variation,
-        "lam_scale": float(max(edge_report.lam_scale, 1e-300)),
+        "lam_scale": float(max(fm.lam_scale, 1e-300)),
         "step3_max_residual": phi.max_residual,
         # per-element arrays for regression baselining through the JSON dump
         "step1_resid_T": corr.resid,
         "jdelta_norm_T": corr.jdelta_norm,
     }
-    return EquilibrationOutput(corr, fm, edge_report, phi, result)
+    return EquilibrationOutput(corr, fm, phi, result)
 
 
 def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,

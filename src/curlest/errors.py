@@ -37,8 +37,8 @@ class ProjectionSolveFailure(CurlestError):
 
 
 class NoConvergence(CurlestError):
-    """The global solve failed: a singular shifted system, or iterative
-    refinement that does not reach its tolerance."""
+    """The gauged global solve failed: its factorisation raised, or its
+    solution is non-finite or leaves a residual above femsys.RESIDUAL_TOL."""
 
 
 # equilibration

@@ -11,13 +11,14 @@ matrix is summed straight into the free-dof CSR pattern the dof map keeps.
 The Nedelec dofs and the Lagrange nodes are numbered alike, entity by
 entity (``_EntityLayout``).  The discrete gradient is built from V_t on
 first use, one row per dof from one tet that holds it; only the gradient
-correction of a load that is not consistent to roundoff reads it.  The singular curl-curl system is solved in
-the tree-cotree gauge that the dof map picks entity by entity
-(``DofMap.gauge``), so no mass shift and no iteration is needed.
-Every integral against current data or an analytic field uses one tet rule
-per degree (``_data_exactness``).  Broken fields are carried around as
-per-element polynomial coefficient blocks over reference coordinates with
-physical components, which keeps curls, gradients, and jumps exact.
+correction of a load that is not consistent to roundoff reads it.  The
+singular curl-curl system is solved in the tree-cotree gauge that the dof
+map picks entity by entity (``DofMap.gauge``), so no mass shift and no
+iteration is needed.  Every integral against current data or an analytic
+field uses one tet rule per degree (``_data_exactness``).  Broken fields
+are carried around as per-element polynomial coefficient blocks over
+reference coordinates with physical components, which keeps curls,
+gradients, and jumps exact.
 
 The element kernels are shaped for BLAS: the cached reference tables hold
 their quadrature data pre-weighted and reshaped, so the curl-curl blocks of
@@ -826,8 +827,8 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
 # ---------------------------------------------------------------------------
 
 def face_rule_points(mesh: Mesh, f, rule) -> np.ndarray:
-    """Physical quadrature points of face f, identical from both sides:
-    (q, 3) for one face, (len(f), q, 3) for an index array."""
+    """Physical quadrature points of the faces f, identical from both
+    sides: (len(f), q, 3) for an index array, (q, 3) for a single id."""
     v = mesh.vertices[mesh.faces[f]]
     va = v[..., None, 0, :]
     e1 = v[..., None, 1, :] - va
@@ -835,22 +836,21 @@ def face_rule_points(mesh: Mesh, f, rule) -> np.ndarray:
     return va + rule.points[:, 0:1] * e1 + rule.points[:, 1:2] * e2
 
 
-def face_jump_values(mesh: Mesh, field: BrokenPolyField, f,
+def face_jump_values(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
                      rule) -> np.ndarray:
-    """F+ - F- at the face rule points: (q, comp) for one internal face,
-    (len(f), q, comp) for an index array of internal faces."""
-    faces = np.atleast_1d(f)
+    """F+ - F- at the face rule points of an index array of internal faces,
+    (len(faces), q, comp)."""
     pts = face_rule_points(mesh, faces, rule)
     jump = field.eval_points(mesh.face_tets[faces, 0], pts)
     jump -= field.eval_points(mesh.face_tets[faces, 1], pts)
-    return jump if np.ndim(f) else jump[0]
+    return jump
 
 
-def tangential_jump_values(mesh: Mesh, field: BrokenPolyField, f,
-                           rule) -> np.ndarray:
+def tangential_jump_values(mesh: Mesh, field: BrokenPolyField,
+                           faces: np.ndarray, rule) -> np.ndarray:
     """n x (F+ - F-) at the face rule points; shapes as face_jump_values."""
-    n = mesh.face_normals()[f]
-    return np.cross(n[..., None, :], face_jump_values(mesh, field, f, rule))
+    n = mesh.face_normals()[faces]
+    return np.cross(n[:, None, :], face_jump_values(mesh, field, faces, rule))
 
 
 def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField) -> np.ndarray:

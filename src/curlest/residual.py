@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyspace as ps
-from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
-                     tangential_jump_norms, _data_exactness)
+from .femsys import (BrokenPolyField, CurrentDensity, tangential_jump_norms,
+                     _data_exactness)
 from .mesh import Mesh
 
 
@@ -19,12 +19,13 @@ class ResidualResult:
     mu_h: float
 
 
-def compute_residual_estimator(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
+def compute_residual_estimator(mesh: Mesh, j: CurrentDensity,
                                Hh: BrokenPolyField, k: int) -> ResidualResult:
     """Volume residual plus tangential-jump terms with 1/k weights.
 
-    The face sum runs over internal faces only.  The estimator is reported
-    globally; marking uses the equilibrated one.
+    The face sum runs over internal faces only.  This comparison estimator
+    is not weighted by the permeability mu: both terms are plain L2 norms.
+    It is reported globally; marking uses the equilibrated one.
     """
     rule = ps.quadrature("tet", _data_exactness(k))
     geom = mesh.geom()

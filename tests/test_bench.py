@@ -248,7 +248,7 @@ def test_uniform_run_writes_reports(tmp_path):
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "mesh_level_0.vtk").exists()
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema"] == "v1"
+    assert payload["schema"] == "v2"
     assert "wall_time" in payload["metadata"]
     assert "t_solve" in payload["rows"][0]
     # the solve's gauge size and residual live in the JSON only as well;
@@ -258,7 +258,7 @@ def test_uniform_run_writes_reports(tmp_path):
     assert all(0.0 <= r["solve_resid_rel"] <= fem.RESIDUAL_TOL
                for r in payload["rows"])
     header = (tmp_path / "report.csv").read_text().splitlines()
-    assert header[0].endswith("schema=v1")
+    assert header[0].endswith("schema=v2")
     assert header[1] == ",".join(bench.CSV_COLUMNS)
     assert "t_solve" not in header[1]  # timings live in the JSON only
 

@@ -7,6 +7,7 @@ import pytest
 
 from curlest import _poly
 from curlest import adapt as adm
+from curlest import bench
 from curlest import equilibrate as eqm
 from curlest import femsys as fem
 from curlest import mesh as msh
@@ -238,12 +239,23 @@ def test_step2_equation_residual_invariant():
 # edge compatibility
 # ---------------------------------------------------------------------------
 
+def _assert_cycle_sums_vanish(m, out):
+    # the edge-sum oracle and step 3's patch residual, which certifies the
+    # same condition, both at roundoff
+    rep = eqm.check_edge_compatibility(m, out.multipliers)
+    scale = max(rep.lam_scale, 1e-30)
+    assert rep.max_abs.max(initial=0.0) <= 1e-9 * scale
+    assert rep.variation.max(initial=0.0) <= 1e-9 * scale
+    assert out.result.diagnostics["step3_max_residual"] <= 1e-9 * scale
+
+
 def test_edge_compat_zero_for_zero_multipliers():
     m, Hh, data, out = _estimate_cube(2, 1)
     fm = out.multipliers
     fm.lam[:] = 0.0
     rep = eqm.check_edge_compatibility(m, fm)
-    assert rep.worst_abs == 0.0 and rep.worst_variation == 0.0
+    assert rep.max_abs.max(initial=0.0) == 0.0
+    assert rep.variation.max(initial=0.0) == 0.0
 
 
 def test_edge_compat_perturbation_linearity():
@@ -286,18 +298,12 @@ def test_edge_compat_native_a2_pipeline():
     cfg = adm.RunConfig(degree=1)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
     out = eqm.estimate(m, MU1, j, Hh, dm.registry)
-    rep = out.edge_report
-    scale = max(rep.lam_scale, 1e-30)
-    assert rep.worst_abs <= 1e-9 * scale
-    assert rep.worst_variation <= 1e-9 * scale
+    _assert_cycle_sums_vanish(m, out)
 
 
 def test_edge_compat_strict_projected_pipeline():
     m, Hh, data, out = _estimate_cube(2, 1, strict=True)
-    rep = out.edge_report
-    scale = max(rep.lam_scale, 1e-30)
-    assert rep.worst_abs <= 1e-9 * scale
-    assert rep.worst_variation <= 1e-9 * scale
+    _assert_cycle_sums_vanish(m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +443,7 @@ def test_step3_matches_loop_oracle_above_solve_degree():
 
 def test_edge_sums_match_loop_oracle(jump_level):
     m, Hh, out = jump_level
-    rep = out.edge_report
+    rep = eqm.check_edge_compatibility(m, out.multipliers)
     max_abs, variation = loop_edge_sums(m, out.multipliers)
     assert np.abs(rep.max_abs - max_abs).max() <= 1e-12 * rep.lam_scale
     assert np.abs(rep.variation - variation).max() <= 1e-12 * rep.lam_scale
@@ -647,7 +653,7 @@ def test_equilibrium_negative_control_without_step3():
     out.phi.phi[:] = 0.0
     res = eqm.step4_estimator(m, MU1, out.correction, out.phi)
     broken = eqm.EquilibrationOutput(out.correction, out.multipliers,
-                                     out.edge_report, out.phi, res)
+                                     out.phi, res)
     rep = eqm.verify_equilibrium(m, MU1, data, Hh, broken)
     assert rep["face_resid_rel"] > 0.1       # jump stays at its original size
     with pytest.raises(eqm.EquilibriumViolated):
@@ -757,6 +763,95 @@ def test_strict_mode_rejects_incompatible_face_data():
     assert f"face {exc.value.face}" in str(exc.value)
 
 
+def _edge_between_boundary_vertices(m):
+    """An interior edge whose two vertices lie on the boundary."""
+    ie = m.internal_edges()
+    return int(ie[m.boundary_vertex[m.edges[ie]].all(axis=1)][0])
+
+
+def _bump_one_face(m, fm, e):
+    """fm with 1e-6 lam_scale added to the multiplier of the first face
+    around interior edge e; returns that face and the perturbed copy."""
+    f = int(edge_faces(m, e)[0])
+    lam = fm.lam.copy()
+    lam[fm.index_of[f], 0] += 1e-6 * fm.lam_scale
+    return f, dataclasses.replace(fm, lam=lam)
+
+
+def _assert_patch_names_face_node(err, m, f):
+    assert err.kind in (ps.NODE_VERTEX, ps.NODE_EDGE)
+    assert err.entity in (m.faces[f] if err.kind == ps.NODE_VERTEX
+                          else m.face_edges[f])
+
+
+@pytest.mark.parametrize("k, kp", [(2, 2), (3, 4)])
+def test_step3_residual_flags_a_perturbed_multiplier(k, kp):
+    # negative control of step 3's certificate of the edge cycle condition:
+    # cube_jump_mu_100's data are compatible, so the patch residual sits at
+    # roundoff until one multiplier around an interior edge between two
+    # boundary vertices moves by 1e-6 lam_scale
+    spec = bench.builtin_problems()["cube_jump_mu_100"]
+    m = spec.initial_mesh()
+    cfg = adm.RunConfig(degree=k, aux_degree=kp)
+    dm, u, Hh, data = adm.solve_level(m, spec.mu, spec.current(), cfg)
+    out = adm.estimate_level(dm, spec.mu, data, Hh, cfg)
+    fm, reg = out.multipliers, out.phi.registry
+    assert out.phi.max_residual <= 1e-9 * fm.lam_scale
+    f, bumped = _bump_one_face(m, fm, _edge_between_boundary_vertices(m))
+    assert eqm.step3_reconstruct_phi(m, bumped, reg).max_residual > 1e-9 * fm.lam_scale
+    assert eqm.check_edge_compatibility(m, bumped).max_abs.max() > 1e-9 * fm.lam_scale
+    with pytest.raises(eqm.InconsistentPatch) as exc:
+        eqm.step3_reconstruct_phi(m, bumped, reg, strict=True)
+    _assert_patch_names_face_node(exc.value, m, f)
+
+
+def _broken_jump_multipliers(m, kp, rng):
+    """Multipliers lambda_f = psi_{T+} - psi_{T-} of a random broken P_k'
+    potential psi, fitted in the face-frame monomials: every cycle sum
+    telescopes to zero."""
+    internal = m.internal_faces()
+    fr = msh.face_frame(m, internal)
+    psi = fem.BrokenPolyField(m, kp, rng.standard_normal(
+        (m.n_tets, 1, _poly.n_monomials(3, kp))))
+    pts = fem.face_rule_points(m, internal, ps.quadrature("tri", 2 * kp))
+    vals = (psi.eval_points(m.face_tets[internal, 0], pts)
+            - psi.eval_points(m.face_tets[internal, 1], pts))      # (Fi, q, 1)
+    origin = m.vertices[m.faces[internal, 0]]
+    hf = m.face_diameters()[internal]
+    xi = (pts - origin[:, None, :]) @ np.stack([fr.t1, fr.t2], axis=-1) / hf[:, None, None]
+    v = _poly.vandermonde(2, kp, xi).reshape(xi.shape[:2] + (-1,))
+    lam = (np.linalg.pinv(v) @ vals)[:, :, 0]
+    index_of = np.full(m.n_faces, -1, dtype=np.int64)
+    index_of[internal] = np.arange(len(internal))
+    zero = np.zeros(len(internal))
+    return eqm.FaceMultiplier(kp, internal, index_of, lam, origin, fr.t1, fr.t2,
+                              fr.n, hf, zero, zero, zero, zero,
+                              lam_scale=float(np.abs(vals).max()))
+
+
+@pytest.mark.parametrize("kp", [1, 2, 3, 4])
+def test_step3_certifies_cycle_sums_of_broken_jumps(kp):
+    # compatible multipliers by construction: step 3's residual and the
+    # edge-sum oracle both at roundoff.  The one interior edge of
+    # unit_cube_mesh(1) joins two boundary vertices, so at k' = 1 only the
+    # boundary vertices' patches certify it; perturbing one of its faces
+    # must show there
+    rng = np.random.default_rng(kp)
+    for m in (msh.unit_cube_mesh(1), jittered_cube(2)):
+        fm = _broken_jump_multipliers(m, kp, rng)
+        reg = fem.build_node_registry(m, kp)
+        scale = fm.lam_scale
+        assert eqm.step3_reconstruct_phi(m, fm, reg).max_residual <= 1e-9 * scale
+        rep = eqm.check_edge_compatibility(m, fm)
+        assert rep.max_abs.max() <= 1e-9 * scale
+        assert rep.variation.max() <= 1e-9 * scale
+        f, bumped = _bump_one_face(m, fm, _edge_between_boundary_vertices(m))
+        assert eqm.step3_reconstruct_phi(m, bumped, reg).max_residual > 1e-9 * scale
+        with pytest.raises(eqm.InconsistentPatch) as exc:
+            eqm.step3_reconstruct_phi(m, bumped, reg, strict=True)
+        _assert_patch_names_face_node(exc.value, m, f)
+
+
 def test_strict_mode_rejects_inconsistent_multipliers():
     m, Hh, data, out = _estimate_cube(2, 1, strict=True)
     fm = out.multipliers
@@ -791,8 +886,7 @@ def test_equilibrium_on_irregular_bisected_mesh():
     rep = eqm.verify_equilibrium(m, MU1, j, Hh, out, raise_on_fail=True)
     assert rep["elem_resid_rel"] <= 1e-9
     assert rep["face_resid_rel"] <= 1e-9
-    d = out.result.diagnostics
-    assert d["max_re_abs"] <= 1e-9 * max(d["lam_scale"], 1e-30)
+    _assert_cycle_sums_vanish(m, out)
     err = fem.l2_error_against(m, MU1, Hh, cube_H)
     assert out.result.eta_h >= err * (1 - 1e-8)
     assert out.result.eta_h <= 2.5 * err
@@ -804,6 +898,6 @@ def test_diagnostics_dump(tmp_path):
     out.result.dump(path)
     payload = json.loads(path.read_text())
     assert "eta_h" in payload and len(payload["eta_T"]) == m.n_tets
-    assert "max_re_abs" in payload["diagnostics"]
+    assert "step3_max_residual" in payload["diagnostics"]
     assert len(payload["diagnostics"]["step1_resid_T"]) == m.n_tets
     assert len(payload["diagnostics"]["jdelta_norm_T"]) == m.n_tets

@@ -35,6 +35,9 @@ ENTRY_POINTS = {
     "assemble_mass": "the Nedelec mass matrix, a test oracle since the "
                      "gauged solve dropped the shift; the benchmark's "
                      "tracer wraps it by name",
+    "check_edge_compatibility": "the edge cycle sums, a test oracle since "
+                                "step 3's patch residual certifies them; "
+                                "the benchmark's tracer wraps it by name",
 }
 
 

@@ -16,7 +16,7 @@ def test_exact_field_gives_zero():
     u = fem.interpolate_nedelec(m, dm, inspace_u)
     Hh = fem.compute_Hh(m, dm, u, MU1)
     rr = res.compute_residual_estimator(
-        m, MU1, fem.CurrentDensity(func=inspace_j), Hh, 2)
+        m, fem.CurrentDensity(func=inspace_j), Hh, 2)
     assert rr.mu_h < 1e-10
 
 
@@ -27,7 +27,7 @@ def test_lowest_order_volume_term_is_data_only():
     Hh = fem.compute_Hh(m, dm, u, MU1)
     jconst = np.array([0.3, 0.7, -0.2])
     j = fem.CurrentDensity(func=lambda p: np.tile(jconst, (len(p), 1)))
-    rr = res.compute_residual_estimator(m, MU1, j, Hh, 1)
+    rr = res.compute_residual_estimator(m, j, Hh, 1)
     hT = m.tet_diameters()
     expected = hT ** 2 * np.dot(jconst, jconst) * (m.geom().detJ / 6)
     assert np.abs(rr.vol_T - expected).max() < 1e-12 * expected.max()
@@ -43,7 +43,7 @@ def test_volume_weight_closed_form():
     for k in (1, 2, 3):
         Hh = fem.BrokenPolyField(
             m, k, np.zeros((m.n_tets, 3, _poly.n_monomials(3, k))))
-        rr = res.compute_residual_estimator(m, MU1, j, Hh, k)
+        rr = res.compute_residual_estimator(m, j, Hh, k)
         expected = hT ** 2 / k ** 2 * np.dot(jconst, jconst) * (m.geom().detJ / 6)
         assert np.abs(rr.vol_T - expected).max() < 1e-12 * expected.max()
         assert not rr.face_sq.any()
@@ -63,7 +63,7 @@ def test_constant_jump_closed_form():
     Hh = fem.BrokenPolyField(m, 1, coeffs)
     j = fem.CurrentDensity(func=lambda p: np.zeros((len(p), 3)))
     for k in (1, 2, 3):
-        rr = res.compute_residual_estimator(m, MU1, j, Hh, k)
+        rr = res.compute_residual_estimator(m, j, Hh, k)
         A = m.face_areas()[f]
         hf = m.face_diameters()[f]
         gsq = 1.0  # |n x t1| = 1
@@ -76,7 +76,7 @@ def test_totals_additive():
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
     Hh = fem.compute_Hh(m, dm, u, MU1)
     j = fem.CurrentDensity(func=lambda p: np.tile([1.0, 0, 0], (len(p), 1)))
-    rr = res.compute_residual_estimator(m, MU1, j, Hh, 1)
+    rr = res.compute_residual_estimator(m, j, Hh, 1)
     total_sq = rr.vol_T.sum() + rr.face_sq.sum()
     assert abs(rr.mu_h ** 2 - total_sq) <= 1e-12 * rr.mu_h ** 2
 
@@ -90,7 +90,7 @@ def test_volume_term_quarters_under_structured_halving():
     for n in (2, 4):
         m = msh.unit_cube_mesh(n)
         Hh = fem.BrokenPolyField(m, 1, np.zeros((m.n_tets, 3, 4)))
-        rr = res.compute_residual_estimator(m, MU1, j, Hh, 1)
+        rr = res.compute_residual_estimator(m, j, Hh, 1)
         # per-element value, identical across the structured mesh families
         vals[n] = rr.vol_T.sum() / 1.0  # total over the fixed domain
     # halving h multiplies each element's h_T^2 by 1/4 at fixed field
