@@ -152,7 +152,8 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
                h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
                t_estimate=t_est, **grad)
     row.update({k: out.result.diagnostics[k] for k in
-                ("oscillation", "step3_max_residual", "lam_scale")})
+                ("oscillation", "step3_max_residual", "step3_worst_node",
+                 "lam_scale")})
     if cfg.verify:
         rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
         row["eq_elem_rel"] = rep["elem_resid_rel"]

@@ -6,9 +6,10 @@ Pipeline (per estimator run):
           product; all tets in one stacked solve;
   step 2  per internal face: a scalar multiplier whose surface curl matches
           the tangential jump of the corrected field;
-  step 3  per Lagrange node: jump-consistent potential values from tiny
-          least-squares systems, solved in batches of equal shape; the
-          worst residual certifies the edge cycle condition;
+  step 3  per Lagrange node on an internal face: jump-consistent potential
+          values from its tiny least-squares system, all nodes in one
+          sparse solve; the worst residual certifies the edge cycle
+          condition;
   step 4  the elementwise energy norm of the corrected field.
 
 Step 2 realizes the face space in monomials of the scaled face-frame
@@ -27,6 +28,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _poly
 from . import polyspace as ps
@@ -36,7 +38,8 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_jump_values, face_rule_points,
                      tangential_jump_norms, tangential_jump_values,
-                     _data_exactness, _EntityLayout, _lagrange_layout, _ref_tables)
+                     _data_exactness, _EntityLayout, _factor_spd, _lagrange_layout,
+                     _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
@@ -179,7 +182,7 @@ class FaceMultiplier:
     jnorm: np.ndarray            # (Fi,) L2 norm of the face data
     div_norm: np.ndarray         # (Fi,) in-plane divergence of the fitted data
     mean_abs: np.ndarray         # (Fi,) |(lambda, 1)_f|
-    lam_scale: float = 0.0
+    lam_scale: float             # max |lambda| at the face rule points; scales tolerances
 
     @property
     def n_faces(self) -> int:
@@ -206,7 +209,8 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     least-squares problem: the minimizer is geometric, so the result is
     frame- and numbering-independent even when the data carries a small
     incompatibility.  Returns the multiplier coefficients in scaled-frame
-    monomials, (Fi, nP), and the residual, data-norm and mean diagnostics.
+    monomials, (Fi, nP), the residual, data-norm and mean diagnostics, and
+    the largest |lambda| at the face rule points.
     """
     w = rule.weights
     nP = ps.dim_p_tri(kp)
@@ -236,7 +240,8 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     resid = np.sqrt(np.maximum(s * ((cl - j2) ** 2 @ w2), 0.0))
     jnorm = np.sqrt(np.maximum(s * (j2 ** 2 @ w2), 0.0))
     mean_abs = np.abs((mean_row * sol).sum(axis=1))
-    return sol, resid, jnorm, mean_abs
+    values = v_lam.reshape(len(faces), -1, nP) @ sol[:, :, None]
+    return sol, resid, jnorm, mean_abs, float(np.abs(values).max(initial=0.0))
 
 
 def _jump_divergence_norm(mesh: Mesh, dG: np.ndarray, faces: np.ndarray,
@@ -263,9 +268,8 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
     total = Hh.padded_to(kp).plus(correction.Hhat)
     rule = ps.quadrature("tri", 2 * kp + 2)
     internal = mesh.internal_faces()
-    fi = len(internal)
     index_of = np.full(mesh.n_faces, -1, dtype=np.int64)
-    index_of[internal] = np.arange(fi)
+    index_of[internal] = np.arange(len(internal))
     fr = face_frame(mesh, internal)
     # the field and its 9 partial derivatives, evaluated together
     partials = total.partials().reshape(mesh.n_tets, 9, -1)
@@ -273,16 +277,12 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
     jumps = face_jump_values(mesh, stacked, internal, rule)          # (Fi, q, 12)
     div_norm = _jump_divergence_norm(mesh, jumps[:, :, 3:], internal, rule, fr)
     jump = np.cross(fr.n[:, None, :], jumps[:, :, :3])              # n x [F]
-    lam, resid, jnorm, mean_abs = _face_multiplier_solve(mesh, internal, fr,
-                                                         jump, rule, kp)
+    lam, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
+        mesh, internal, fr, jump, rule, kp)
     hf = mesh.face_diameters()[internal]
     out = FaceMultiplier(kp, internal, index_of, lam,
                          mesh.vertices[mesh.faces[internal, 0]], fr.t1, fr.t2,
-                         fr.n, hf, resid, jnorm, div_norm, mean_abs)
-    # amplitude scale over the faces' sample points, used by tolerances
-    if fi:
-        sample = _poly.vandermonde(2, kp, ps.quadrature("tri", 2).points)
-        out.lam_scale = float(np.abs(sample @ lam.T).max(initial=0.0))
+                         fr.n, hf, resid, jnorm, div_norm, mean_abs, lam_scale)
     if strict:
         ratio = div_norm * hf / max(float(jnorm.max(initial=0.0)), 1e-30)
         bad = ratio > STRICT_TOL
@@ -342,27 +342,36 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
 # step 3: nodal reconstruction
 # ---------------------------------------------------------------------------
 
-def solve_node_patches(n: int, pairs: np.ndarray, values: np.ndarray):
-    """Least-squares solves of a batch of nodal difference systems of one
-    shape, each with the zero-mean row.
+def solve_node_patches(pairs: np.ndarray, values: np.ndarray, system: np.ndarray):
+    """Least-squares solve of many nodal difference systems as one sparse,
+    block-diagonal problem.
 
-    ``pairs`` (B, c, 2) are (plus, minus) member indices among the n patch
-    members, ``values`` (B, c) the prescribed differences.  The continuous
-    theory makes these systems consistent, so the residuals (B,) are a pure
-    compatibility diagnostic.  Returns the (B, n) solutions.
+    Row r asks x[pairs[r, 0]] - x[pairs[r, 1]] = values[r] and belongs to
+    system ``system[r]``; the unknowns are 0..n-1, each in some row, and
+    each system adds the zero-mean row of its unknowns.  The normal
+    equations R^T R x = R^T b are solved by one sparse factorization: R^T R
+    is symmetric positive definite when the rows of every system connect
+    its unknowns, and its entries are small integers, so it is bitwise
+    symmetric.  The continuous theory makes the systems consistent, so the
+    residuals are a pure compatibility diagnostic.  Returns x (n,) and the
+    residual norm of every system id 0..max(system), 0 for ids with no row.
     """
-    B, c = values.shape
-    rows = np.zeros((B, c + 1, n))
-    b = np.arange(B)[:, None]
-    r = np.arange(c)
-    rows[b, r, pairs[..., 0]] = 1.0
-    rows[b, r, pairs[..., 1]] = -1.0
-    rows[:, c, :] = 1.0
-    rhs = np.zeros((B, c + 1))
-    rhs[:, :c] = values
-    sol = (np.linalg.pinv(rows) @ rhs[..., None])[..., 0]
-    resid = np.linalg.norm((rows @ sol[..., None])[..., 0] - rhs, axis=1)
-    return sol, resid
+    m = len(values)
+    n = int(pairs.max()) + 1
+    n_sys = int(system.max()) + 1
+    system_of = np.empty(n, dtype=np.int64)
+    system_of[pairs] = system[:, None]
+    rows = np.arange(m)
+    R = sp.csr_matrix(
+        (np.concatenate([np.ones(m), -np.ones(m), np.ones(n)]),
+         (np.concatenate([rows, rows, m + system_of]),
+          np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)]))),
+        shape=(m + n_sys, n))
+    b = np.concatenate([values, np.zeros(n_sys)])
+    x = _factor_spd(R.T @ R).solve(R.T @ b)
+    sq = np.bincount(np.concatenate([system, np.arange(n_sys)]), (R @ x - b) ** 2,
+                     minlength=n_sys)
+    return x, np.sqrt(sq)
 
 
 @dataclass
@@ -371,6 +380,7 @@ class NodalPotential:
     phi: np.ndarray            # (T, nloc) per-element nodal values
     max_residual: float        # worst patch least-squares residual
     lam_scale: float
+    worst_node: int            # registry node of max_residual
 
     def poly(self, mesh: Mesh) -> BrokenPolyField:
         """Broken scalar polynomial assembled from the nodal values."""
@@ -379,16 +389,24 @@ class NodalPotential:
         coeffs = np.einsum("tl,lm->tm", self.phi, P.coeffs[:, 0, :])
         return BrokenPolyField(mesh, k, coeffs[:, None, :])
 
+    @property
+    def worst_node_name(self) -> str:
+        """The worst node's entity, e.g. "vertex 12"."""
+        g = self.worst_node
+        return f"{ps.NODE_NAMES[self.registry.kind[g]]} {self.registry.entity[g]}"
+
 
 def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
                           strict: bool = False) -> NodalPotential:
     """Recover the jump potential on all nodes of the registry at once.
 
-    Interior and boundary-face nodes are zero, internal-face nodes get half
-    the multiplier value; edge and vertex nodes solve a small overdetermined
-    system (difference equation per incident internal face plus the zero-mean
-    row), batched over patches of equal shape.  The theory makes these
-    systems consistent, so least squares recovers the unique solution.
+    Each (node, internal face) incidence asks phi[T+] - phi[T-] =
+    lambda_f(node) and each node adds its zero-mean row; the nodes on the
+    closure of an internal face are solved as one block-diagonal least-
+    squares problem, the others stay 0.  A face node needs no branch: its
+    system is square, 2 x 2, with the solution +-lambda_f / 2.  The theory
+    makes the systems consistent, and ``build_mesh`` checks that every
+    vertex and edge patch is face-connected, so the solution is unique.
 
     The worst residual, ``max_residual``, certifies the edge cycle
     condition.  The signed multiplier sum r_e around an interior edge e is a
@@ -405,65 +423,45 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     if fm.degree != kp:
         raise ValueError("multiplier degree must match the reconstruction degree")
     nloc = reg.tet_nodes.shape[1]
-    ptr, occ = reg.incident_ptr, reg.incident
-    phi = np.zeros(mesh.n_tets * nloc)
     internal = fm.internal_faces
-
     lay = _EntityLayout(mesh, _lagrange_layout(kp)[0])
-    # internal-face nodes sit in the two tets of their face
-    fnode = lay.ids(ps.NODE_FACE, internal).ravel()
-    f = np.repeat(internal, lay.width[ps.NODE_FACE])
-    fval = fm.eval(fm.index_of[f], reg.points[fnode][:, None, :])[:, 0]
-    focc = occ[ptr[fnode, None] + np.arange(2)]
-    phi[focc] = np.where(focc // nloc == mesh.face_tets[f, :1], 0.5, -0.5) * fval[:, None]
 
-    # (vertex or edge node, internal face) incidences, by node then face
+    # (node, internal face) incidences over the closure of every face
     node = np.concatenate([lay.ids(ps.NODE_VERTEX, mesh.faces[internal]),
                            lay.ids(ps.NODE_EDGE, mesh.face_edges[internal])],
                           axis=2).reshape(len(internal), -1)
+    node = np.concatenate([node, lay.ids(ps.NODE_FACE, internal)], axis=1)
     face = np.repeat(internal, node.shape[1])
-    order = np.lexsort((face, node.ravel()))
-    node, face = node.ravel()[order], face[order]
+    node = node.ravel()
     val = fm.eval(fm.index_of[face], reg.points[node][:, None, :])[:, 0]
 
-    # patch positions of T+ and T-: occurrences are sorted by (node, tet)
-    occ_key = np.repeat(np.arange(reg.n_nodes), np.diff(ptr)) * mesh.n_tets + occ // nloc
-    want = node[:, None] * mesh.n_tets + mesh.face_tets[face]
-    at = np.minimum(np.searchsorted(occ_key, want), len(occ_key) - 1)
-    missing = occ_key[at] != want
+    # the node's occurrences t * nloc + local node in T+ and T-
+    tets = mesh.face_tets[face]
+    hit = reg.tet_nodes[tets] == node[:, None, None]              # (M, 2, nloc)
+    missing = ~hit.any(axis=2)
     if missing.any():
         i = int(np.argmax(missing.any(axis=1)))
         g = int(node[i])
         raise OrphanNode(
-            f"node {g}: tets {mesh.face_tets[face[i]]} of face {face[i]} not all "
-            f"in the patch", node=g, kind=int(reg.kind[g]), entity=int(reg.entity[g]))
-    pairs = at - ptr[node, None]
+            f"node {g}: tets {tets[i]} of face {face[i]} not all in the patch",
+            node=g, kind=int(reg.kind[g]), entity=int(reg.entity[g]))
+    unknown, pairs = np.unique(tets * nloc + hit.argmax(axis=2), return_inverse=True)
+    x, resid = solve_node_patches(pairs.reshape(-1, 2), val, node)
+    phi = np.zeros(mesh.n_tets * nloc)
+    phi[unknown] = x
 
-    # one batched least-squares solve per (patch tets, patch faces) shape
-    n_faces = np.bincount(node, minlength=reg.n_nodes)
-    start = np.cumsum(n_faces) - n_faces
-    solved = np.nonzero(n_faces)[0]
-    shapes, group = np.unique(np.stack([np.diff(ptr)[solved], n_faces[solved]], axis=1),
-                              axis=0, return_inverse=True)
-    worst = np.zeros(reg.n_nodes)
-    for s, (n_tets, n_rows) in enumerate(shapes):
-        g = solved[group.ravel() == s]
-        rows = start[g, None] + np.arange(n_rows)
-        sol, worst[g] = solve_node_patches(n_tets, pairs[rows], val[rows])
-        phi[occ[ptr[g, None] + np.arange(n_tets)]] = sol
-
-    scale = max(np.abs(fval).max(initial=0.0), np.abs(val).max(initial=0.0),
-                fm.lam_scale)
-    max_resid = float(worst.max(initial=0.0))
+    scale = max(np.abs(val).max(initial=0.0), fm.lam_scale)
+    worst = int(node[np.argmax(resid[node])])
+    max_resid = float(resid[worst])
+    out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, worst)
     if strict and max_resid > STRICT_TOL * max(scale, 1e-30):
-        g = int(np.argmax(worst))
-        k, e = int(reg.kind[g]), int(reg.entity[g])
+        k, e = int(reg.kind[worst]), int(reg.entity[worst])
         rel = max_resid / max(scale, 1e-30)
         raise InconsistentPatch(
-            f"node {g} ({ps.NODE_NAMES[k]} {e}): patch residual {max_resid:.3e} "
+            f"node {worst} ({out.worst_node_name}): patch residual {max_resid:.3e} "
             f"= {rel:.3e} x {scale:.3e}, above {STRICT_TOL:.1e}",
-            node=g, kind=k, entity=e, value=rel)
-    return NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale)
+            node=worst, kind=k, entity=e, value=rel)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +549,7 @@ def estimate(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         "step2_max_mean": float(fm.mean_abs.max(initial=0.0)),
         "lam_scale": float(max(fm.lam_scale, 1e-300)),
         "step3_max_residual": phi.max_residual,
+        "step3_worst_node": phi.worst_node_name,
         # per-element arrays for regression baselining through the JSON dump
         "step1_resid_T": corr.resid,
         "jdelta_norm_T": corr.jdelta_norm,

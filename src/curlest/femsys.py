@@ -261,8 +261,6 @@ class NodeRegistry:
     entity: np.ndarray        # (N,) global vertex/edge/face/tet id
     boundary: np.ndarray      # (N,) bool; the other nodes are the free scalar dofs
     tet_nodes: np.ndarray     # (T, nloc) global node id per local node
-    incident: np.ndarray      # occurrences t * nloc + loc by node, ascending
-    incident_ptr: np.ndarray  # (N+1,) CSR offsets into incident
 
     @property
     def n_nodes(self) -> int:
@@ -291,11 +289,8 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
         pos += wf[..., s:s + 1] * vv[:, None, s]
     points = np.empty((len(lay.boundary), 3))
     points[tet_nodes] = pos + 0.0  # normalize signed zeros
-
-    flat = tet_nodes.ravel()
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(points)))])
     return NodeRegistry(degree, points, *lay.locate(np.arange(len(points))),
-                        lay.boundary, tet_nodes, np.argsort(flat, kind="stable"), ptr)
+                        lay.boundary, tet_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +613,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     # over the tets that hold p.  That makes n = 3q + n_ned + valence, and
     # ``size`` is the sum of the magnitudes.  The tables wvals and C count
     # as exact; their own rounding adds a few u per term, well inside n.
-    valence = np.diff(reg.incident_ptr)[free]
+    valence = np.bincount(nodes, minlength=reg.n_nodes)[free]
     n = tab.wvals.shape[0] + C.shape[0] + valence
     return Load(values, scalar, n * (np.finfo(float).eps / 2) * size)
 

@@ -184,35 +184,36 @@ def _dedupe(keys):
     return uniq[order], rank[inverse.reshape(-1)], rank
 
 
-def _check_edge_links(n_edges, tet_edges, face_tets, face_edges, boundary_face):
-    """Raise NonConforming unless the tets around every edge form one chain
-    (boundary edge) or one cycle (interior edge).
+def _check_links(name, n, tet_entities, face_entities, face_tets, boundary_face):
+    """Raise NonConforming unless the tets around every entity of one kind
+    (``name``: edge or vertex) are joined through its internal faces.
 
-    Graph nodes are the (tet, local edge) incidences; every internal face
-    links the two incidences of each of its edges.  A node has degree at
-    most two, so the link of an edge is a chain or a cycle exactly when its
-    incidences form one component.
+    Graph nodes are the (tet, local entity) incidences; every internal face
+    links the two incidences of each of its entities.  The link of an edge
+    is a chain or a cycle, and that of a vertex a disk or a sphere, only if
+    the entity's incidences form one component.
     """
     internal = np.nonzero(~boundary_face)[0]
     plus, minus = face_tets[internal, 0], face_tets[internal, 1]
-    fe = face_edges[internal][:, :, None]
-    local_plus = (tet_edges[plus][:, None, :] == fe).argmax(axis=2)
-    local_minus = (tet_edges[minus][:, None, :] == fe).argmax(axis=2)
-    n = tet_edges.size
+    fe = face_entities[internal][:, :, None]
+    w = tet_entities.shape[1]
+    local_plus = (tet_entities[plus][:, None, :] == fe).argmax(axis=2)
+    local_minus = (tet_entities[minus][:, None, :] == fe).argmax(axis=2)
+    size = tet_entities.size
     graph = sp.coo_matrix(
-        (np.ones(local_plus.size), ((6 * plus[:, None] + local_plus).ravel(),
-                                    (6 * minus[:, None] + local_minus).ravel())),
-        shape=(n, n))
+        (np.ones(local_plus.size), ((w * plus[:, None] + local_plus).ravel(),
+                                    (w * minus[:, None] + local_minus).ravel())),
+        shape=(size, size))
     n_comp, label = connected_components(graph, directed=False)
-    comp_edge = np.empty(n_comp, dtype=np.int64)
-    comp_edge[label] = tet_edges.ravel()
-    comps = np.bincount(comp_edge, minlength=n_edges)
+    comp_entity = np.empty(n_comp, dtype=np.int64)
+    comp_entity[label] = tet_entities.ravel()
+    comps = np.bincount(comp_entity, minlength=n)
     bad = np.nonzero(comps != 1)[0]
     if len(bad):
         e = int(bad[0])
-        nb = int((face_edges[boundary_face] == e).sum())
+        nb = int((face_entities[boundary_face] == e).sum())
         raise NonConforming(
-            f"edge {e}: {nb} boundary faces on link, {comps[e]} components")
+            f"{name} {e}: {nb} boundary faces on link, {comps[e]} components")
 
 
 def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
@@ -284,7 +285,9 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
     boundary_edge[face_edges[boundary_face]] = True
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[faces[boundary_face].ravel()] = True
-    _check_edge_links(len(edges), tet_edges, face_tets, face_edges, boundary_face)
+    # edges first, so that a split edge link is reported as the edge's
+    _check_links("edge", len(edges), tet_edges, face_edges, face_tets, boundary_face)
+    _check_links("vertex", nv, tets, faces, face_tets, boundary_face)
 
     if subdomain_tags is None:
         subdomain_tags = np.zeros(nt, dtype=np.int64)

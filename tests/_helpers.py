@@ -482,7 +482,7 @@ def hash_node_registry(mesh, degree):
     nloc = nodes.n_nodes
     rho = 1e-8 * mesh.h_min_edge()
     buckets = {}
-    points, kind, entity, incident = [], [], [], []
+    points, kind, entity = [], [], []
     tet_nodes = np.empty((mesh.n_tets, nloc), dtype=np.int64)
     for t in range(mesh.n_tets):
         gids = mesh.tets[t]
@@ -514,9 +514,7 @@ def hash_node_registry(mesh, degree):
                 points.append(p)
                 kind.append(k)
                 entity.append(ent)
-                incident.append([])
             assert (kind[g], entity[g]) == (k, ent), f"node {g} at {p}"
-            incident[g].append(t * nloc + loc)
             tet_nodes[t, loc] = g
     boundary = np.zeros(len(points), dtype=bool)
     for g in range(len(points)):
@@ -526,24 +524,26 @@ def hash_node_registry(mesh, degree):
             boundary[g] = mesh.boundary_edge[entity[g]]
         elif kind[g] == ps.NODE_FACE:
             boundary[g] = mesh.boundary_face[entity[g]]
-    ptr = np.cumsum([0] + [len(occ) for occ in incident])
     return fem.NodeRegistry(degree, np.array(points), np.array(kind),
-                            np.array(entity), boundary, tet_nodes,
-                            np.array(sum(incident, []), dtype=np.int64), ptr)
+                            np.array(entity), boundary, tet_nodes)
 
 
 def loop_step3(mesh, fm, kp):
     """Step 3 node by node on the hashed registry, one ``np.linalg.lstsq``
-    per vertex or edge patch; returns an ``equilibrate.NodalPotential``."""
+    per vertex or edge patch; returns an ``equilibrate.NodalPotential``
+    whose ``worst_node`` is numbered in the hashed registry."""
     from curlest import equilibrate as eqm
     reg = hash_node_registry(mesh, kp)
     nloc = reg.tet_nodes.shape[1]
     phi = np.zeros((mesh.n_tets, nloc))
     internal = [int(f) for f in mesh.internal_faces()]
-    worst, lam_scale = 0.0, 0.0
+    occurrences = [[] for _ in range(reg.n_nodes)]
+    for t in range(mesh.n_tets):
+        for loc in range(nloc):
+            occurrences[reg.tet_nodes[t, loc]].append((t, loc))
+    worst, worst_node, lam_scale = -1.0, -1, 0.0
     for g in range(reg.n_nodes):
-        occ = [divmod(int(i), nloc)
-               for i in reg.incident[reg.incident_ptr[g]:reg.incident_ptr[g + 1]]]
+        occ = occurrences[g]
         p = reg.points[g][None, :]
         if reg.kind[g] == ps.NODE_FACE and fm.index_of[reg.entity[g]] >= 0:
             f = int(reg.entity[g])
@@ -571,10 +571,13 @@ def loop_step3(mesh, fm, kp):
             lam_scale = max(lam_scale, abs(rhs[r]))
         rows[-1, :] = 1.0
         sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        worst = max(worst, float(np.linalg.norm(rows @ sol - rhs)))
+        resid = float(np.linalg.norm(rows @ sol - rhs))
+        if resid > worst:
+            worst, worst_node = resid, g
         for (t, loc), v in zip(occ, sol):
             phi[t, loc] = v
-    return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale))
+    return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale),
+                              worst_node)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,10 +1101,13 @@ def solve_single_face(mesh, f, jump, rule, kp):
 
 
 def solve_node_patch(n, pairs, values):
-    """One nodal difference system through ``equilibrate.solve_node_patches``."""
-    sol, resid = eqm.solve_node_patches(n, np.asarray(pairs).reshape(1, -1, 2),
-                                        np.asarray(values, dtype=float).reshape(1, -1))
-    return sol[0], float(resid[0])
+    """One nodal difference system on members 0..n-1, each in some pair,
+    through ``equilibrate.solve_node_patches``."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    sol, resid = eqm.solve_node_patches(np.asarray(pairs).reshape(-1, 2), values,
+                                        np.zeros(len(values), dtype=np.int64))
+    assert len(sol) == n
+    return sol, float(resid[0])
 
 
 # ---------------------------------------------------------------------------

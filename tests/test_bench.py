@@ -415,16 +415,18 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
 def test_benchmark_patch_node_counter(monkeypatch):
     # the traced benchmark counts step-3 patch nodes from the registry's
     # kind/entity arrays and NodalPotential.registry; the count must be the
-    # number of vertex and edge nodes the batched patch solver solved
+    # number of vertex and edge systems the patch solver solved
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import repetition
     m, dm, u, Hh, data = solve_cube(2, 2)
     solved = []
     batch_solve = eqm.solve_node_patches
+    kind = dm.registry.kind
 
-    def counting(n, pairs, values):
-        solved.append(len(values))
-        return batch_solve(n, pairs, values)
+    def counting(pairs, values, system):
+        nodes = np.unique(system)
+        solved.append(int(np.isin(kind[nodes], (ps.NODE_VERTEX, ps.NODE_EDGE)).sum()))
+        return batch_solve(pairs, values, system)
 
     monkeypatch.setattr(eqm, "solve_node_patches", counting)
     out = eqm.estimate(m, MU1, data, Hh, dm.registry)

@@ -216,9 +216,13 @@ def test_step2_forms_agree_on_pipeline_data():
     m, dm, u, Hh, data = solve_cube(2, 1)
     corr = eqm.step1_element_corrections(m, MU1, data, Hh, 3)
     f1 = eqm.step2_face_multipliers(m, Hh, corr, 3)
-    f2 = loop_face_multipliers(m, Hh, corr, 3, form="strong")
+    f2 = dataclasses.replace(f1, lam=loop_face_multipliers(m, Hh, corr, 3,
+                                                           form="strong")["lam"])
+    # compared where lam_scale is measured: at the face rule points
+    idx = np.arange(f1.n_faces)
+    pts = fem.face_rule_points(m, f1.internal_faces, ps.quadrature("tri", 8))
     scale = max(f1.lam_scale, 1e-30)
-    assert np.abs(f1.lam - f2["lam"]).max() < 1e-9 * scale
+    assert np.abs(f1.eval(idx, pts) - f2.eval(idx, pts)).max() < 1e-9 * scale
 
 
 def test_step2_zero_mean_invariant():
@@ -332,6 +336,17 @@ def jump_level(request):
     return m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, dm.registry)
 
 
+def _randomly_bisected(rounds, seed):
+    """unit_cube_mesh(1) after rounds of bisecting a random third of its tets."""
+    rng = np.random.default_rng(seed)
+    m = msh.unit_cube_mesh(1)
+    for _ in range(rounds):
+        marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 3),
+                                replace=False).tolist())
+        m = msh.refine(m, marked)
+    return m
+
+
 def _rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
@@ -416,6 +431,15 @@ def test_step2_matches_loop_oracle(jump_level):
     assert abs(out.result.eta_h - res.eta_h) <= 1e-12 * res.eta_h
 
 
+def test_lam_scale_is_the_largest_multiplier_at_the_face_rule_points(jump_level):
+    m, Hh, out = jump_level
+    fm = out.multipliers
+    rule = ps.quadrature("tri", 2 * fm.degree + 2)
+    vals = np.abs(fm.eval(np.arange(fm.n_faces),
+                          fem.face_rule_points(m, fm.internal_faces, rule)))
+    assert abs(fm.lam_scale - vals.max()) <= 1e-14 * vals.max()
+
+
 def _step3_against_loop(m, Hh, out):
     fm = out.multipliers
     got = eqm.step3_reconstruct_phi(m, fm, out.phi.registry)
@@ -430,6 +454,23 @@ def _step3_against_loop(m, Hh, out):
 
 def test_step3_matches_loop_oracle(jump_level):
     _step3_against_loop(*jump_level)
+    # random bisection: vertex and edge patches of many shapes
+    m = _randomly_bisected(5, seed=7)
+    j = fem.CurrentDensity(func=wave_j)
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j,
+                                      adm.RunConfig(degree=jump_level[1].degree))
+    _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, dm.registry))
+
+
+def test_step3_names_the_node_of_largest_residual(jump_level):
+    m, Hh, out = jump_level
+    assert out.result.diagnostics["step3_worst_node"] == out.phi.worst_node_name
+    # one perturbed face: a few patches lose consistency, one the most
+    _, bumped = _bump_one_face(m, out.multipliers, _edge_between_boundary_vertices(m))
+    got = eqm.step3_reconstruct_phi(m, bumped, out.phi.registry)
+    ref = loop_step3(m, bumped, bumped.degree)
+    assert got.max_residual > 1e-9 * got.lam_scale
+    assert got.worst_node_name == ref.worst_node_name
 
 
 def test_step3_matches_loop_oracle_above_solve_degree():
@@ -551,8 +592,8 @@ def test_step3_face_interior_half_values():
         f = int(reg.entity[g])
         val = float(fm.eval(fm.index_of[f], reg.points[g][None, :])[0])
         tp, tm = m.face_tets[f]
-        occ = reg.incident[reg.incident_ptr[g]:reg.incident_ptr[g + 1]]
-        got = dict(zip(occ // reg.tet_nodes.shape[1], out.phi.phi.ravel()[occ]))
+        tets, _ = np.nonzero(reg.tet_nodes == g)
+        got = dict(zip(tets, out.phi.phi[reg.tet_nodes == g]))
         assert abs(got[tp] - 0.5 * val) < 1e-12 * max(1, abs(val))
         assert abs(got[tm] + 0.5 * val) < 1e-12 * max(1, abs(val))
         checked += 1
@@ -588,8 +629,7 @@ def test_step3_mean_condition():
     m, Hh, data, out = _estimate_cube(2, 1)
     reg = out.phi.registry
     for g in range(reg.n_nodes):
-        vals = out.phi.phi.ravel()[
-            reg.incident[reg.incident_ptr[g]:reg.incident_ptr[g + 1]]]
+        vals = out.phi.phi[reg.tet_nodes == g]
         assert abs(sum(vals)) < 1e-10 * max(1.0, np.abs(vals).max())
 
 
@@ -615,7 +655,7 @@ def test_step4_constant_field_closed_form():
         Hhat=fem.BrokenPolyField(m, 1, coeffs), resid=np.zeros(m.n_tets),
         jdelta_norm=np.zeros(m.n_tets), ortho_resid=np.zeros(m.n_tets), degree=1)
     reg = fem.build_node_registry(m, 1)
-    phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0)
+    phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0, 0)
     res = eqm.step4_estimator(m, MU1, corr, phi)
     V = m.geom().detJ[0] / 6
     assert abs(res.eta_T[0] - np.linalg.norm(c) * np.sqrt(V)) < 1e-13
@@ -872,13 +912,7 @@ def test_equilibrium_on_irregular_bisected_mesh():
     # several rounds of random bisection produce stretched elements with
     # arbitrary face orientations; with compatible data the pipeline must
     # stay exact there too
-    rng = np.random.default_rng(99)
-    m = msh.unit_cube_mesh(1)
-    for _ in range(6):
-        marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 3),
-                                replace=False).tolist())
-        m = msh.refine(m, marked)
-    from curlest import adapt as adm
+    m = _randomly_bisected(6, seed=99)
     j = fem.CurrentDensity(func=cube_j)
     cfg = adm.RunConfig(degree=2)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)

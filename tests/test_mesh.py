@@ -69,6 +69,17 @@ def test_kuhn_blocks_touching_along_an_edge_rejected():
         msh.build_mesh(verts, tets)
 
 
+def test_kuhn_blocks_touching_at_a_vertex_rejected():
+    # every edge link is whole, but the tets around the shared corner form
+    # two face-connected groups, so its step-3 patch system has no unique
+    # solution
+    verts, tets = loop_glue([loop_box_kuhn(1, origin)[:2]
+                             for origin in ((0, 0, 0), (1, 1, 1))])
+    with pytest.raises(NonConforming,
+                       match="vertex 7: 12 boundary faces on link, 2 components"):
+        msh.build_mesh(verts, tets)
+
+
 def test_dangling_vertex_rejected():
     verts = np.vstack([REF_VERTS, [[5.0, 5.0, 5.0]]])
     with pytest.raises(NonConforming):
