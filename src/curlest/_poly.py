@@ -46,16 +46,20 @@ def n_monomials(dim: int, degree: int) -> int:
 
 
 def vandermonde(dim: int, degree: int, points: np.ndarray) -> np.ndarray:
-    """Monomial values at points; returns (npts, n_monomials).
+    """Monomial values at points; returns (npts, n_monomials), C-ordered,
+    since the products that consume it round differently on another layout.
 
-    The per-axis powers are multiplied left to right, the order of
-    ``np.prod`` over the axes, so the values do not depend on the layout.
+    Each axis's powers 0..degree are taken once and gathered by exponent;
+    they are multiplied left to right, the order of ``np.prod`` over the
+    axes, so every value is bitwise the point raised monomial by monomial.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, dim)
     exps = exponents(dim, degree)
-    out = pts[:, 0:1] ** exps[:, 0]
-    for a in range(1, dim):
-        out *= pts[:, a:a + 1] ** exps[:, a]
+    powers = pts[:, :, None] ** np.arange(degree + 1)          # (npts, dim, degree+1)
+    cols = [powers[:, a][:, exps[:, a]] for a in range(dim)]   # gathers are F-ordered
+    out = np.multiply(cols[0], cols[1], order="C")
+    for col in cols[2:]:
+        out *= col
     return out
 
 

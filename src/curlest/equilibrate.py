@@ -3,9 +3,13 @@
 Pipeline (per estimator run):
   step 1  per tet: a curl-conforming local field whose curl matches the
           residual current, orthogonal to gradients in the weighted inner
-          product; all tets in one stacked solve;
+          product; every tet's problem is one reference problem in its
+          metric, solved on a reference complement of the gradients, then
+          projected: two stacked SPD solves;
   step 2  per internal face: a scalar multiplier whose surface curl matches
-          the tangential jump of the corrected field;
+          the tangential jump of the corrected field, whose one-sided
+          traces are read from reference tables, one per orientation of a
+          face in a tet;
   step 3  per Lagrange node on an internal face: jump-consistent potential
           values from its tiny least-squares system, all nodes in one
           sparse solve; the worst residual certifies the edge cycle
@@ -36,7 +40,7 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      FaceSolveSingular, InconsistentPatch, LocalSolveSingular,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
-                     NodeRegistry, face_jump_values, face_rule_points,
+                     NodeRegistry, face_jump_values, face_rule_points, face_traces,
                      tangential_jump_norms, tangential_jump_values,
                      _data_exactness, _EntityLayout, _factor_spd, _lagrange_layout,
                      _ref_tables)
@@ -85,10 +89,10 @@ def _solve_stack(S: np.ndarray, b: np.ndarray, ids: np.ndarray, error,
         i = int(np.argmin(rcond))
         raise error(f"{entity} {ids[i]}: singular {system} system, reciprocal "
                     f"condition {rcond[i]:.3e}", int(ids[i]), float(rcond[i]))
-    finite = np.isfinite(sol.reshape(len(sol), -1))
+    finite = np.isfinite(sol[:, :, 0])
     if not finite.all():
         i, m = np.unravel_index(np.argmin(finite), finite.shape)
-        v = float(sol.reshape(len(sol), -1)[i, m])
+        v = float(sol[i, m, 0])
         raise error(f"{entity} {ids[i]}: {system} solve produced non-finite "
                     f"values ({v} in {int((~finite.all(axis=1)).sum())} "
                     f"{entity}s)", int(ids[i]), v)
@@ -98,49 +102,54 @@ def _solve_stack(S: np.ndarray, b: np.ndarray, ids: np.ndarray, error,
 def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                               Hh: BrokenPolyField, kp: int, *,
                               strict_a2: bool = False) -> ElementCorrection:
-    """Solve the per-element saddle problems for the local correction as one
-    stacked solve.
+    """Solve the element problems for the local correction as two stacked
+    SPD solves.
 
-    The curl constraint is imposed against the curls of the local basis (the
-    normal equations of the least-squares curl match), the gradient
-    orthogonality through Lagrange multipliers; every system is square,
-    nonsingular and of the same shape.  Reference tensors map to each tet
-    through J^T J and its inverse.
+    Each tet asks for h with A h = r, the curl match tested against the
+    curls of the local basis, and B h = 0, orthogonality to the gradients.
+    The gradients G of the monomials span the kernel of A and have the same
+    reference coefficients on every tet.  Z, an orthonormal basis of the
+    fields orthogonal to them on the reference tet, spans a complement of
+    that kernel (``_RefTables``), so the problem splits: A_Z y = Z^T r on
+    Z, then (B G) lam = B Z y removes the gradient part that the tet's
+    metric adds, h = Z y - G lam.  In exact arithmetic this is the solution
+    of the saddle system [A B^T; B 0].  A_Z, the curl-curl block on Z, and
+    B G, the scalar stiffness of the monomials times mu, are positive
+    definite.  Every block is one (T, 9) product with a reference table in
+    the metric J^T J or its inverse.
     """
     if kp < Hh.degree:
         raise ValueError("auxiliary degree must be >= the field degree")
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
     tab = _ref_tables(kp)
     w = tab.rule.weights
+    nT, (nR, nZ), nB = mesh.n_tets, tab.Z.shape, tab.G.shape[1]
 
     geom = mesh.geom()
     J, det = geom.J, geom.detJ
-    JtJ = J.transpose(0, 2, 1) @ J
+    JtJ = (J.transpose(0, 2, 1) @ J).reshape(nT, 9)
+    JtJ_inv = np.linalg.inv(JtJ.reshape(nT, 3, 3)).reshape(nT, 9)
     jh = Hh.curl()
-    all_tets = np.arange(mesh.n_tets)
+    all_tets = np.arange(nT)
     jd = (j.eval_elements(mesh, all_tets, tab.rule.points)
           - jh.eval(all_tets, tab.rule.points))             # (T, q, 3)
 
-    # einsum, not the matrix product of assemble_curlcurl: the saddle
-    # solves magnify a change of summation order in A or B to 1e-13
-    # relative in Hhat at k' = 3 and 1e-12 at k' = 4, past the 1e-14 to
-    # which the tests pin step 1 against its per-tet loop
-    A = np.einsum("tab,abij->tij", JtJ,
-                  tab.TCC.reshape(3, 3, N.dim, N.dim)) / det[:, None, None]
-    B = (mu.per_tet(mesh) * det)[:, None, None] * np.einsum(
-        "tab,abil->tli", np.linalg.inv(JtJ), tab.TVG)
-    nR, nB = N.dim, B.shape[1]
-    S = np.block([[A, B.transpose(0, 2, 1)],
-                  [B, np.zeros((mesh.n_tets, nB, nB))]])
-    rhs = np.zeros((mesh.n_tets, nR + nB, 1))
-    rhs[:, :nR, 0] = np.einsum("q,qbi,tqb->ti", w, tab.curls, jd @ J)
-    h = _solve_stack(S, rhs, all_tets, LocalSolveSingular, "tet", "saddle")[:, :nR, 0]
+    A_Z = (JtJ @ tab.ZCCZ).reshape(nT, nZ, nZ) / det[:, None, None]
+    r_Z = (jd @ J).reshape(nT, -1) @ tab.wcurlZ
+    y = _solve_stack(A_Z, r_Z[:, :, None], all_tets, LocalSolveSingular, "tet", "curl")
+    h = y[:, :, 0] @ tab.Z.T
+    scale = (mu.per_tet(mesh) * det)[:, None, None]
+    B = scale * (JtJ_inv @ tab.TVG).reshape(nT, nB, nR)
+    BG = scale * (JtJ_inv @ tab.TVGG).reshape(nT, nB, nB)
+    lam = _solve_stack(BG, B @ h[:, :, None], all_tets, LocalSolveSingular, "tet",
+                       "gradient")
+    h -= lam[:, :, 0] @ tab.G.T
 
-    hhat = geom.Jinv.transpose(0, 2, 1) @ np.einsum("ti,icm->tcm", h, N.coeffs)
-    cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(mesh.n_tets, -1, 3)
+    hhat = geom.Jinv.transpose(0, 2, 1) @ (h @ N.coeffs.reshape(nR, -1)).reshape(nT, 3, -1)
+    cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(nT, -1, 3)
           @ (J.transpose(0, 2, 1) / det[:, None, None]))
-    resid = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, (cv - jd) ** 2), 0.0))
-    jd_norm = np.sqrt(np.maximum(det * np.einsum("q,tqc->t", w, jd ** 2), 0.0))
+    resid = np.sqrt(np.maximum(det * (((cv - jd) ** 2).sum(axis=2) @ w), 0.0))
+    jd_norm = np.sqrt(np.maximum(det * ((jd ** 2).sum(axis=2) @ w), 0.0))
     ortho = np.abs(B @ h[..., None]).max(axis=(1, 2), initial=0.0)
 
     if strict_a2:
@@ -213,7 +222,7 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     the largest |lambda| at the face rule points.
     """
     w = rule.weights
-    nP = ps.dim_p_tri(kp)
+    nF, q, nP = len(faces), len(w), ps.dim_p_tri(kp)
     D2 = _poly.diff_stack(2, kp)
     hf = mesh.face_diameters()[faces][:, None, None]
     s = 2.0 * mesh.face_areas()[faces]
@@ -223,16 +232,17 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     v_lam = _poly.vandermonde(2, kp, xi)                            # (Fi q, nP)
     # the scaled surface curl (d_2, -d_1) of every monomial, one product
     rot = np.stack([D2[1], -D2[0]], axis=1).reshape(nP, 2 * nP)
-    curl_cols = (v_lam @ rot).reshape(len(faces), -1, nP) / hf     # (Fi, q 2, nP)
-    j2 = (jump @ frame).reshape(len(faces), -1)                     # (Fi, q 2)
+    curl_cols = (v_lam @ rot).reshape(nF, 2 * q, nP) / hf          # (Fi, q 2, nP)
+    j2 = (jump @ frame).reshape(nF, 2 * q)
     w2 = np.repeat(w, 2)
     wcols = (s[:, None] * w2)[:, :, None] * curl_cols
-    mean_row = s[:, None] * (w @ v_lam.reshape(len(faces), -1, nP))
-    S = np.zeros((len(faces), nP + 1, nP + 1))
+    v_lam = v_lam.reshape(nF, q, nP)
+    mean_row = s[:, None] * (w @ v_lam)
+    S = np.zeros((nF, nP + 1, nP + 1))
     S[:, :nP, :nP] = wcols.transpose(0, 2, 1) @ curl_cols
     S[:, :nP, nP] = mean_row
     S[:, nP, :nP] = mean_row
-    b = np.zeros((len(faces), nP + 1, 1))
+    b = np.zeros((nF, nP + 1, 1))
     b[:, :nP] = wcols.transpose(0, 2, 1) @ j2[:, :, None]
     sol = _solve_stack(S, b, faces, FaceSolveSingular, "face",
                        "multiplier")[:, :nP, 0]
@@ -240,7 +250,7 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
     resid = np.sqrt(np.maximum(s * ((cl - j2) ** 2 @ w2), 0.0))
     jnorm = np.sqrt(np.maximum(s * (j2 ** 2 @ w2), 0.0))
     mean_abs = np.abs((mean_row * sol).sum(axis=1))
-    values = v_lam.reshape(len(faces), -1, nP) @ sol[:, :, None]
+    values = v_lam @ sol[:, :, None]
     return sol, resid, jnorm, mean_abs, float(np.abs(values).max(initial=0.0))
 
 
@@ -424,6 +434,8 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
         raise ValueError("multiplier degree must match the reconstruction degree")
     nloc = reg.tet_nodes.shape[1]
     internal = fm.internal_faces
+    if not len(internal):      # no jump to reconstruct: phi = 0
+        return NodalPotential(reg, np.zeros((mesh.n_tets, nloc)), 0.0, fm.lam_scale, 0)
     lay = _EntityLayout(mesh, _lagrange_layout(kp)[0])
 
     # (node, internal face) incidences over the closure of every face
@@ -598,9 +610,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     tri_rule = ps.quadrature("tri", 2 * kp + 2)
     internal = mesh.internal_faces()
     jump = tangential_jump_values(mesh, corrected, internal, tri_rule)
-    face_pts = face_rule_points(mesh, internal, tri_rule)
     face_w = 2.0 * mesh.face_areas()[internal]
-    plus = mesh.face_tets[internal, 0]
     ortho_rels = []
     for _ in range(5):
         vals = np.zeros(reg.n_nodes)
@@ -612,7 +622,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,
                                     jv - cv, gv) * geom.detJ).sum())
         face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
-                                    jump, gpsi.eval_points(plus, face_pts)))
+                                    jump, face_traces(mesh, gpsi, internal, tri_rule, 0)))
         scale = max(jnorm * gpsi.norm(), 1e-30)
         ortho_rels.append(abs(vol_term + face_term) / scale)
 

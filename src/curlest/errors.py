@@ -54,7 +54,9 @@ class ElementError(CurlestError):
 
 
 class LocalSolveSingular(ElementError):
-    """Per-element saddle system is singular or gives non-finite values."""
+    """A per-element system of estimator step 1 (the curl problem on the
+    reference complement of the gradients, or the gradient projection) is
+    singular or gives non-finite values."""
 
 
 class DataIncompatible(ElementError):

@@ -25,11 +25,15 @@ their quadrature data pre-weighted and reshaped, so the curl-curl blocks of
 all tets are one (T, 9) @ (9, n n) product and the load vector one
 (T, q 3) @ (q 3, n) product; a broken field is evaluated by one
 (T comp, m) @ (m, q) product and differentiated by one product with the
-stacked derivative matrices and one batched J^-T product.
+stacked derivative matrices and one batched J^-T product.  A face rule sits
+on the reference tet in one of 24 orientations, so a one-sided face trace
+is one product with a cached table of that orientation (``face_traces``),
+and no face point is mapped.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -485,10 +489,19 @@ def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
 
 class _RefTables:
     """Reference basis tables at the data rule of the degree, which also
-    integrates the curl-curl and mass blocks exactly.  TVG pairs the basis
-    values with the gradients of the non-constant monomials (the gradient
-    orthogonality of estimator step 1); TVV, the value pairs, serves only
-    ``assemble_mass``."""
+    integrates the curl-curl and mass blocks exactly.  TVV, the value pairs,
+    serves only ``assemble_mass``.
+
+    The rest serves estimator step 1, one reference problem in the metric
+    of each tet.  G holds the dofs of the gradients of the non-constant
+    monomials, which span the kernel of the curl-curl block on every tet;
+    TVG pairs them with the basis values.  Z is an orthonormal basis of the
+    fields orthogonal to them on the reference tet (the null space of TVG's
+    identity-metric trace): a complement of the kernel that another tet's
+    metric tilts only a little, so projecting off its gradient part loses
+    few digits to cancellation.  ZCCZ, the curl-curl table on Z, TVG and
+    TVGG = TVG G are (9, .) tables; wcurlZ maps the weighted reference
+    current to the load on Z."""
 
     def __init__(self, degree: int):
         self.rule = ps.quadrature("tet", _data_exactness(degree))
@@ -505,8 +518,19 @@ class _RefTables:
                              self.curls).reshape(9, n * n)
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
         self.TVV = np.einsum("q,qai,qbj->abij", w, vals, vals).reshape(9, n * n)
-        grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, degree))[:, :, 1:]
-        self.TVG = np.einsum("q,qai,qbl->abil", w, vals, grads)
+
+        D = _poly.diff_stack(3, degree)
+        grads = np.einsum("qm,bmn->qbn", v, D)[:, :, 1:]
+        self.G = ps.nedelec_dof_matrix(
+            ps.TET_VERTS, np.arange(4), degree,
+            lambda p: np.einsum("qm,bmn->qbn", _poly.vandermonde(3, degree, p), D)[:, :, 1:])
+        nB = self.G.shape[1]
+        TVG = np.einsum("q,qai,qbl->abli", w, vals, grads).reshape(9, nB, n)
+        self.Z = np.linalg.svd(TVG[[0, 4, 8]].sum(axis=0))[2][nB:].T
+        self.ZCCZ = (self.Z.T @ self.TCC.reshape(9, n, n) @ self.Z).reshape(9, -1)
+        self.TVG = TVG.reshape(9, -1)
+        self.TVGG = (TVG @ self.G).reshape(9, -1)
+        self.wcurlZ = (w[:, None, None] * self.curls).reshape(-1, n) @ self.Z
 
 
 _ref_tables = lru_cache(maxsize=None)(_RefTables)
@@ -831,14 +855,40 @@ def face_rule_points(mesh: Mesh, f, rule) -> np.ndarray:
     return va + rule.points[:, 0:1] * e1 + rule.points[:, 1:2] * e2
 
 
+@lru_cache(maxsize=None)
+def _face_trace_tables(degree: int, rule) -> np.ndarray:
+    """(64, q, n_monomials) Vandermonde of the face rule points on every
+    reference face: row 16 a + 4 b + c holds the face whose ascending
+    vertices sit at local positions a, b, c of the tet, the rule's
+    coordinates running along b - a and c - a as in ``face_rule_points``.
+    Only the 24 rows with distinct a, b, c occur."""
+    s = rule.points
+    bary = np.column_stack([1.0 - s[:, 0] - s[:, 1], s])
+    out = np.zeros((64, len(s), _poly.n_monomials(3, degree)))
+    for a, b, c in itertools.permutations(range(4), 3):
+        out[16 * a + 4 * b + c] = _poly.vandermonde(3, degree, bary @ ps.TET_VERTS[[a, b, c]])
+    out.setflags(write=False)
+    return out
+
+
+def face_traces(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
+                rule, side: int) -> np.ndarray:
+    """Values of the field on the plus (side 0) or minus (side 1) tet of
+    each listed face at the face rule points, (len(faces), q, comp): the
+    orientation code of the face in the tet picks its row of
+    ``_face_trace_tables``, so no point is mapped."""
+    tets = mesh.face_tets[faces, side]
+    pos = np.argmax(mesh.tets[tets][:, None, :] == mesh.faces[faces][:, :, None], axis=2)
+    tab = _face_trace_tables(field.degree, rule)
+    return tab[pos @ (16, 4, 1)] @ field.coeffs[tets].transpose(0, 2, 1)
+
+
 def face_jump_values(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
                      rule) -> np.ndarray:
     """F+ - F- at the face rule points of an index array of internal faces,
     (len(faces), q, comp)."""
-    pts = face_rule_points(mesh, faces, rule)
-    jump = field.eval_points(mesh.face_tets[faces, 0], pts)
-    jump -= field.eval_points(mesh.face_tets[faces, 1], pts)
-    return jump
+    return (face_traces(mesh, field, faces, rule, 0)
+            - face_traces(mesh, field, faces, rule, 1))
 
 
 def tangential_jump_values(mesh: Mesh, field: BrokenPolyField,

@@ -587,13 +587,19 @@ def loop_step3(mesh, fm, kp):
 def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     """Step 1 tet by tet with its own reference tables; returns an
     ``equilibrate.ElementCorrection``, the curl of its field mapped from the
-    reference curls by J / det J, and a size of that curl for rounding
-    bounds: the coefficients of the curl reached both through the field's
+    reference curls by J / det J, a size of that curl for rounding bounds
+    (the coefficients of the curl reached both through the field's
     derivatives and through the reference curls, every product and sum
-    taken in absolute values.  ``mode='saddle'`` solves each square
-    saddle system; ``mode='lstsq_dk'`` instead tests the curl constraint
-    against a full div-conforming basis and solves the stacked system in the
-    least-squares sense.  Both agree on compatible data."""
+    taken in absolute values), the (T, nR) reference coefficients h of every
+    tet's solution, and (T,) cond(A_Z) + cond(B G), the 2-norm condition
+    numbers of the two systems into which the gradients G split the
+    problem: the curl-curl block A on Z, an orthonormal basis of the fields
+    orthogonal to the gradients on the reference tet, and the gradient pairs
+    B G.  G is fitted here by least squares.
+    ``mode='saddle'`` solves each square saddle system; ``mode='lstsq_dk'``
+    instead tests the curl constraint against a full div-conforming basis
+    and solves the stacked system in the least-squares sense.  Both agree on
+    compatible data."""
     from curlest import equilibrate as eqm
     N = ps.reference_space(ps.NEDELEC1_TET, kp)
     D = ps.reference_space(ps.RT_TET, kp)
@@ -607,6 +613,9 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     TCC = np.einsum("q,qai,qbj->abij", w, Ncurls, Ncurls)
     TVG = np.einsum("q,qai,qbl->abil", w, Nvals, Pg)
     TDC = np.einsum("q,qai,qbj->abij", w, Dvals, Ncurls)
+    Ghat = np.linalg.lstsq(Nvals.reshape(-1, N.dim), Pg.reshape(-1, Pg.shape[2]),
+                           rcond=None)[0]
+    Z = np.linalg.svd(np.einsum("aail->li", TVG))[2][Ghat.shape[1]:].T
 
     geom = mesh.geom()
     mu_t = mu.per_tet(mesh)
@@ -620,7 +629,8 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     curl_size = np.zeros((mesh.n_tets, 3, nm))
     absN, absC = np.abs(N.coeffs), np.abs(N.curl_coeffs())
     absD = np.abs(_poly.diff_columns(3, kp))
-    resid, jd_norm, ortho = (np.zeros(mesh.n_tets) for _ in range(3))
+    resid, jd_norm, ortho, cond = (np.zeros(mesh.n_tets) for _ in range(4))
+    hs = np.zeros((mesh.n_tets, nR))
     for t in range(mesh.n_tets):
         J, det = geom.J[t], geom.detJ[t]
         JtJ = J.T @ J
@@ -640,6 +650,8 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
             rd = np.einsum("q,qbi,qb->i", w, Dvals, jhat)
             h, *_ = np.linalg.lstsq(np.vstack([Mdc, B]),
                                     np.concatenate([rd, np.zeros(nB)]), rcond=None)
+        hs[t] = h
+        cond[t] = np.linalg.cond(Z.T @ A @ Z) + np.linalg.cond(B @ Ghat)
         hhat[t] = geom.Jinv[t].T @ np.einsum("i,icm->cm", h, N.coeffs)
         hhat_curl[t] = (J @ np.einsum("i,iam->am", h, N.curl_coeffs())) / det
         size = np.abs(geom.Jinv[t].T) @ np.einsum("i,icm->cm", np.abs(h), absN)
@@ -655,7 +667,7 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     corr = eqm.ElementCorrection(
         Hhat=fem.BrokenPolyField(mesh, kp, hhat), resid=resid,
         jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
-    return corr, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size
+    return corr, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size, hs, cond
 
 
 def _one_tet_eval(func):

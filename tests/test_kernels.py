@@ -57,6 +57,84 @@ def test_vandermonde_is_bitwise_the_product_form(dim, degree, npts):
                           einsum_vandermonde(dim, degree, pts))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", range(5))
+def test_vandermonde_gathers_the_per_monomial_powers_bitwise(dim, degree):
+    # the powers of each axis are taken once and gathered by exponent: the
+    # same pow calls as raising every point to every monomial's exponent,
+    # multiplied in the same order, and laid out C-ordered as before
+    pts = np.random.default_rng(degree).uniform(-1.5, 1.5, (2000, dim))
+    exps = _poly.exponents(dim, degree)
+    want = pts[:, 0:1] ** exps[:, 0]
+    for a in range(1, dim):
+        want *= pts[:, a:a + 1] ** exps[:, a]
+    got = _poly.vandermonde(dim, degree, pts)
+    assert np.array_equal(got, want) and got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_face_traces_match_mapped_points(mesh, k):
+    # the orientation tables against mapping every face point through J^-1.
+    # Both evaluate the same polynomial of degree k at reference points
+    # within the reference tet; the mapped point carries the rounding of
+    # the physical point, of x - v0 and of the 3-term product with J^-1,
+    # whose own error is at most cond(J) u relative, so its coordinates
+    # are off by delta <= (16 + 2 cond(J)) u X |J^-1|_inf with X the largest
+    # vertex coordinate.  A monomial of degree <= k moves by at most k delta
+    # there, and each path rounds its monomials and its n_mono-term sum by
+    # (n_mono + 2k) u, all relative to the sum of |coefficients|.
+    rng = np.random.default_rng(k)
+    rule = ps.quadrature("tri", 2 * k + 2)
+    field = random_field(rng, mesh, k)
+    faces = mesh.internal_faces()
+    geom = mesh.geom()
+    u = np.finfo(float).eps / 2
+    X = np.abs(mesh.vertices).max()
+    nm = _poly.n_monomials(3, k)
+    codes = set()
+    for side in (0, 1):
+        tets = mesh.face_tets[faces, side]
+        want = field.eval_points(tets, fem.face_rule_points(mesh, faces, rule))
+        got = fem.face_traces(mesh, field, faces, rule, side)
+        Jinv_inf = np.abs(geom.Jinv[tets]).sum(axis=2).max(axis=1)
+        delta = (16 + 2 * np.linalg.cond(geom.J[tets], np.inf)) * u * X * Jinv_inf
+        size = np.abs(field.coeffs[tets]).sum(axis=2)                 # (F, comp)
+        bound = (k * delta[:, None] + 2 * (nm + 2 * k) * u) * size
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound[:, None, :])
+        for f, t in zip(faces, tets):
+            a, b, c = (list(mesh.tets[t]).index(v) for v in mesh.faces[f])
+            codes.add(16 * a + 4 * b + c)
+    assert len(codes) == 24
+
+
+@pytest.mark.parametrize("kp", [1, 2, 3, 4])
+def test_step1_reference_tables(kp):
+    # the gradients G of the non-constant monomials and the complement Z on
+    # which estimator step 1 solves its curl problem
+    tab = fem._ref_tables(kp)
+    nR, nB = tab.G.shape
+    eps = np.finfo(float).eps
+    assert nB == _poly.n_monomials(3, kp) - 1 and nR == ps.dim_nedelec_tet(kp)
+    sv = np.linalg.svd(tab.G, compute_uv=False)
+    assert sv[-1] > 1e-8 * sv[0]                       # full column rank
+    # the curls of the gradients vanish up to roundoff: the tabulated curls
+    # and the dofs carry errors of a few eps relative to their largest
+    # entries, and the products sum nR terms
+    curls = tab.curls.reshape(-1, nR)
+    assert (np.abs(curls @ tab.G).max()
+            <= nR * eps * np.abs(curls).max() * np.abs(tab.G).max())
+    # Z: orthonormal, orthogonal to the gradients on the reference tet
+    # (B Z = 0 in the identity metric), and with G a basis of the space
+    nZ = tab.Z.shape[1]
+    assert nZ == nR - nB
+    assert np.abs(tab.Z.T @ tab.Z - np.eye(nZ)).max() <= nR * eps
+    Bref = tab.TVG.reshape(9, nB, nR)[[0, 4, 8]].sum(axis=0)
+    assert np.abs(Bref @ tab.Z).max() <= nR * eps * np.abs(Bref).max()
+    sv = np.linalg.svd(np.hstack([tab.Z, tab.G / sv[0]]), compute_uv=False)
+    assert sv[-1] > 1e-8 * sv[0]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_map_points_and_eval_match_einsum(mesh, k):
     rng = np.random.default_rng(k)
