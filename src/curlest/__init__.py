@@ -12,9 +12,9 @@ from .femsys import (BrokenPolyField, CurrentDensity, FieldCoefficients, Load,
                      MaterialField, assemble_curlcurl, assemble_rhs,
                      build_dofmap, compute_Hh, gradient_correction,
                      project_current, solve_magnetostatic)
-from .mesh import (Mesh, build_mesh, edge_face_normals, face_frame,
-                   l_brick_mesh, read_mesh_text, refine, unit_cube_mesh,
-                   write_mesh_text, write_vtk)
+from .mesh import (Mesh, build_mesh, edge_face_normals, l_brick_mesh,
+                   read_mesh_text, refine, unit_cube_mesh, write_mesh_text,
+                   write_vtk)
 from .polyspace import (LagrangeNodeSet, QuadratureRule, ReferenceSpace,
                         lagrange_nodes, quadrature, reference_space)
 from .residual import ResidualResult, compute_residual_estimator

@@ -16,20 +16,23 @@ Pipeline (per estimator run):
           condition;
   step 4  the elementwise energy norm of the corrected field.
 
-Step 2 realizes the face space in monomials of the scaled face-frame
-coordinates: the multiplier is a polynomial of degree k' on the face, and its
-surface curl is matched to the tangential jump in the L2 least-squares
-sense.  The tangential traces span the in-plane div-conforming space of the
-face, whose divergence-free subspace is exactly the surface curl of the
-scalar face space, so step 2 is solvable whenever the face data is
+Step 2 writes each multiplier, a polynomial of degree k' on its face, in the
+face's affine coordinates, those of the face rule, and matches its surface
+curl to the tangential jump in the L2 least-squares sense; every face's
+normal equations are one product of its inverse metric with a cached
+reference table.  The tangential traces span the in-plane div-conforming
+space of the face, whose divergence-free subspace is exactly the surface curl
+of the scalar face space, so step 2 is solvable whenever the face data is
 compatible; the tests check that exact sequence on the reference triangle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,14 +43,13 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      FaceSolveSingular, InconsistentPatch, LocalSolveSingular,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
-                     NodeRegistry, face_jump_values, face_rule_points, face_traces,
+                     NodeRegistry, face_jump_values, face_traces,
                      tangential_jump_norms, tangential_jump_values,
-                     _data_exactness, _EntityLayout, _factor_spd, _lagrange_layout,
-                     _ref_tables)
+                     _data_exactness, _face_orientation, _factor_spd, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
-from .mesh import FaceFrame, Mesh, edge_face_normals, face_frame
+from .mesh import Mesh, edge_face_normals
 
 log = logging.getLogger("curlest")
 
@@ -174,21 +176,56 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 # step 2: face multipliers
 # ---------------------------------------------------------------------------
 
+class _FaceTables:
+    """Reference tables of steps 2 and 3 at degree k'.  A multiplier is a
+    polynomial in its face's affine coordinates (s, t), x = a + s (b - a) +
+    t (c - a) over its ascending vertices, those of the face rule in
+    ``face_traces``.  With E = (b - a, c - a) and g = E E^T its surface
+    gradient is E^T g^-1 D c, D the (s, t) derivatives of the monomials, so
+    each face's blocks are tables in g^-1: the derivative pairs DD (4, nP
+    nP), the weighted derivatives wD (q 2, nP), D and the values V at the
+    rule points, and the zero-mean row w V.  ``nodes`` (nc, nP) holds the
+    values at the degree-k' Lagrange nodes of the face's closure (vertices
+    a, b, c, edges ab, ac, bc, then the face, each entity's in the
+    registry's order), and row 16 a + 4 b + c of ``local`` (64, nc) their
+    local indices in a tet where the face has that orientation code."""
+
+    def __init__(self, kp: int):
+        self.rule = ps.quadrature("tri", 2 * kp + 2)
+        w = self.rule.weights
+        self.V = _poly.vandermonde(2, kp, self.rule.points)
+        D = np.einsum("qm,amn->qan", self.V, _poly.diff_stack(2, kp))    # (q, 2, nP)
+        self.D = D.reshape(-1, D.shape[2])
+        self.wD = (w[:, None, None] * D).reshape(self.D.shape)
+        self.DD = np.einsum("q,qai,qbj->abij", w, D, D).reshape(4, -1)
+        self.mean = w @ self.V
+
+        lag = ps.lagrange_nodes(kp)
+        on = np.nonzero(lag.multi[:, 0] == 0)[0]      # the face opposite vertex 0
+        on = on[np.argsort(lag.kind[on] * 6 + lag.entity[on], kind="stable")]
+        self.nodes = _poly.vandermonde(2, kp, lag.multi[on, 2:] / kp)
+        self.local = np.zeros((64, len(on)), dtype=np.int64)
+        for a, b, c in itertools.permutations(range(4), 3):
+            m4 = np.zeros_like(lag.multi[on])
+            m4[:, [a, b, c]] = lag.multi[on, 1:]
+            self.local[16 * a + 4 * b + c] = (lag.multi == m4[:, None]).all(axis=2).argmax(axis=1)
+
+
+_face_tables = lru_cache(maxsize=None)(_FaceTables)
+
+
 @dataclass
 class FaceMultiplier:
-    """Zero-mean face polynomials whose surface curl matches the tangential
-    jump of the corrected field, stored in scaled face-frame monomials."""
+    """Zero-mean face polynomials whose surface gradient matches minus the
+    tangential jump of the corrected field, stored as monomial coefficients
+    in each face's affine coordinates (``_FaceTables``)."""
     degree: int
-    internal_faces: np.ndarray   # (Fi,) face ids
-    index_of: np.ndarray         # (F,) internal index or -1
-    lam: np.ndarray              # (Fi, nP) monomial coeffs in (xi/h_f)
-    origin: np.ndarray           # (Fi, 3)
-    t1: np.ndarray               # (Fi, 3)
-    t2: np.ndarray               # (Fi, 3)
-    normal: np.ndarray           # (Fi, 3)
-    hf: np.ndarray               # (Fi,)
-    resid: np.ndarray            # (Fi,) L2 norm of curl_f(lambda) - j_face
-    jnorm: np.ndarray            # (Fi,) L2 norm of the face data
+    internal_faces: np.ndarray   # (Fi,) face ids, ascending
+    lam: np.ndarray              # (Fi, nP) monomial coeffs in (s, t)
+    origin: np.ndarray           # (Fi, 3) the face's lowest-id vertex a
+    dual: np.ndarray             # (Fi, 3, 2) E^T g^-1: (x - a) @ dual = (s, t)
+    resid: np.ndarray            # (Fi,) L2 norm of grad_f(lambda) + [F]_t
+    jnorm: np.ndarray            # (Fi,) L2 norm of the face data [F]_t
     div_norm: np.ndarray         # (Fi,) in-plane divergence of the fitted data
     mean_abs: np.ndarray         # (Fi,) |(lambda, 1)_f|
     lam_scale: float             # max |lambda| at the face rule points; scales tolerances
@@ -201,61 +238,48 @@ class FaceMultiplier:
         """Values of multiplier idx at 3D points on its face plane: (n,) for
         one index and pts (n, 3), (len(idx), n) for an index array and pts
         (len(idx), n, 3)."""
-        frame = np.stack([self.t1[idx], self.t2[idx]], axis=-1)   # (..., 3, 2)
-        xi = (np.asarray(pts) - self.origin[idx][..., None, :]) @ frame
-        xi /= np.asarray(self.hf[idx])[..., None, None]
-        v = _poly.vandermonde(2, self.degree, xi)
-        v = v.reshape(xi.shape[:-1] + self.lam.shape[1:])
+        st = (np.asarray(pts) - self.origin[idx][..., None, :]) @ self.dual[idx]
+        v = _poly.vandermonde(2, self.degree, st).reshape(st.shape[:-1] + self.lam.shape[1:])
         return (v @ self.lam[idx][..., None])[..., 0]
 
 
-def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, fr: FaceFrame,
-                           jump: np.ndarray, rule, kp: int):
-    """Surface-curl solves on the listed faces as one batch.
-
-    ``jump`` holds the 3D tangential data at the face rule points,
-    (Fi, q, 3), and ``fr`` the faces' frames.  Each face is a constrained L2
-    least-squares problem: the minimizer is geometric, so the result is
-    frame- and numbering-independent even when the data carries a small
-    incompatibility.  Returns the multiplier coefficients in scaled-frame
-    monomials, (Fi, nP), the residual, data-norm and mean diagnostics, and
-    the largest |lambda| at the face rule points.
+def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: int):
+    """Surface-gradient solves on the listed faces as one batch: min
+    |grad_f lambda + [F]_t| with (lambda, 1)_f = 0, that is, the surface
+    curl of lambda matched to n x [F] in L2, from the jump [F] (Fi, q, 3) at
+    the face rule points.  E [F] are the covariant components of its
+    tangential part, so the load is -s sum_q w D^T g^-1 E [F], and the norm
+    of a tangential field v is that of (E v)^T g^-1 (E v): no frame and no
+    normal.  Returns the coefficients (Fi, nP), the maps E^T g^-1 (Fi, 3, 2),
+    the residual, data-norm and mean diagnostics, and the largest |lambda|
+    at the face rule points.
     """
-    w = rule.weights
-    nF, q, nP = len(faces), len(w), ps.dim_p_tri(kp)
-    D2 = _poly.diff_stack(2, kp)
-    hf = mesh.face_diameters()[faces][:, None, None]
+    tab = _face_tables(kp)
+    w = tab.rule.weights
+    nF, q, nP = len(faces), len(w), tab.V.shape[1]
+    v = mesh.vertices[mesh.faces[faces]]
+    E = v[:, 1:] - v[:, :1]                                         # (Fi, 2, 3)
+    ginv = np.linalg.inv(E @ E.transpose(0, 2, 1))
     s = 2.0 * mesh.face_areas()[faces]
-    frame = np.stack([fr.t1, fr.t2], axis=-1)                      # (Fi, 3, 2)
-    org = mesh.vertices[mesh.faces[faces, 0]][:, None, :]
-    xi = (face_rule_points(mesh, faces, rule) - org) @ frame / hf
-    v_lam = _poly.vandermonde(2, kp, xi)                            # (Fi q, nP)
-    # the scaled surface curl (d_2, -d_1) of every monomial, one product
-    rot = np.stack([D2[1], -D2[0]], axis=1).reshape(nP, 2 * nP)
-    curl_cols = (v_lam @ rot).reshape(nF, 2 * q, nP) / hf          # (Fi, q 2, nP)
-    j2 = (jump @ frame).reshape(nF, 2 * q)
-    w2 = np.repeat(w, 2)
-    wcols = (s[:, None] * w2)[:, :, None] * curl_cols
-    v_lam = v_lam.reshape(nF, q, nP)
-    mean_row = s[:, None] * (w @ v_lam)
+    data = jump @ E.transpose(0, 2, 1)                              # E [F], (Fi, q, 2)
+    mean_row = s[:, None] * tab.mean
     S = np.zeros((nF, nP + 1, nP + 1))
-    S[:, :nP, :nP] = wcols.transpose(0, 2, 1) @ curl_cols
+    S[:, :nP, :nP] = ((s[:, None] * ginv.reshape(nF, 4)) @ tab.DD).reshape(nF, nP, nP)
     S[:, :nP, nP] = mean_row
     S[:, nP, :nP] = mean_row
     b = np.zeros((nF, nP + 1, 1))
-    b[:, :nP] = wcols.transpose(0, 2, 1) @ j2[:, :, None]
+    b[:, :nP, 0] = -s[:, None] * ((data @ ginv).reshape(nF, 2 * q) @ tab.wD)
     sol = _solve_stack(S, b, faces, FaceSolveSingular, "face",
                        "multiplier")[:, :nP, 0]
-    cl = (curl_cols @ sol[:, :, None])[:, :, 0]
-    resid = np.sqrt(np.maximum(s * ((cl - j2) ** 2 @ w2), 0.0))
-    jnorm = np.sqrt(np.maximum(s * (j2 ** 2 @ w2), 0.0))
+    r = np.stack([(sol @ tab.D.T).reshape(nF, q, 2) + data, data])    # E v
+    resid, jnorm = np.sqrt(np.maximum(s * (((r @ ginv) * r).sum(axis=3) @ w), 0.0))
     mean_abs = np.abs((mean_row * sol).sum(axis=1))
-    values = v_lam @ sol[:, :, None]
-    return sol, resid, jnorm, mean_abs, float(np.abs(values).max(initial=0.0))
+    lam_scale = float(np.abs(sol @ tab.V.T).max(initial=0.0))
+    return sol, E.transpose(0, 2, 1) @ ginv, resid, jnorm, mean_abs, lam_scale
 
 
 def _jump_divergence_norm(mesh: Mesh, dG: np.ndarray, faces: np.ndarray,
-                          rule, fr: FaceFrame) -> np.ndarray:
+                          rule) -> np.ndarray:
     """Exact in-plane divergence of the tangential jump of a broken field.
 
     The jump is a polynomial trace, so its surface divergence is evaluated
@@ -263,9 +287,8 @@ def _jump_divergence_norm(mesh: Mesh, dG: np.ndarray, faces: np.ndarray,
     q, 9) with component 3 b + c = d_b F_c; no fitting is involved and
     compatible data reports machine zero.
     """
-    # div_f(n x F) = sum over t in (t1, t2) of (n x (t . grad) F) . t
-    #              = sum_bc t_b (t x n)_c d_b F_c
-    P = sum(t[:, :, None] * np.cross(t, fr.n)[:, None, :] for t in (fr.t1, fr.t2))
+    # div_f(n x F) = sum_bc (e_b x n)_c d_b F_c = -n . curl F
+    P = np.cross(np.eye(3), mesh.face_normals()[faces][:, None, :])    # (Fi, 3, 3)
     div = (dG @ P.reshape(len(faces), 9, 1))[:, :, 0]
     s = 2.0 * mesh.face_areas()[faces]
     return np.sqrt(np.maximum(s * (div ** 2 @ rule.weights), 0.0))
@@ -276,24 +299,19 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            strict: bool = False) -> FaceMultiplier:
     """Solve the surface-curl problems of all internal faces as one batch."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = ps.quadrature("tri", 2 * kp + 2)
+    rule = _face_tables(kp).rule
     internal = mesh.internal_faces()
-    index_of = np.full(mesh.n_faces, -1, dtype=np.int64)
-    index_of[internal] = np.arange(len(internal))
-    fr = face_frame(mesh, internal)
     # the field and its 9 partial derivatives, evaluated together
     partials = total.partials().reshape(mesh.n_tets, 9, -1)
     stacked = BrokenPolyField(mesh, kp, np.concatenate([total.coeffs, partials], axis=1))
     jumps = face_jump_values(mesh, stacked, internal, rule)          # (Fi, q, 12)
-    div_norm = _jump_divergence_norm(mesh, jumps[:, :, 3:], internal, rule, fr)
-    jump = np.cross(fr.n[:, None, :], jumps[:, :, :3])              # n x [F]
-    lam, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
-        mesh, internal, fr, jump, rule, kp)
-    hf = mesh.face_diameters()[internal]
-    out = FaceMultiplier(kp, internal, index_of, lam,
-                         mesh.vertices[mesh.faces[internal, 0]], fr.t1, fr.t2,
-                         fr.n, hf, resid, jnorm, div_norm, mean_abs, lam_scale)
+    div_norm = _jump_divergence_norm(mesh, jumps[:, :, 3:], internal, rule)
+    lam, dual, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
+        mesh, internal, jumps[:, :, :3], kp)
+    out = FaceMultiplier(kp, internal, lam, mesh.vertices[mesh.faces[internal, 0]],
+                         dual, resid, jnorm, div_norm, mean_abs, lam_scale)
     if strict:
+        hf = mesh.face_diameters()[internal]
         ratio = div_norm * hf / max(float(jnorm.max(initial=0.0)), 1e-30)
         bad = ratio > STRICT_TOL
         if bad.any():
@@ -334,8 +352,9 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
     keep = ~mesh.boundary_edge[e]
     order = np.argsort(e[keep], kind="stable")
     idx, e = idx[keep][order], e[keep][order]
-    _, n_fe = edge_face_normals(mesh, e, fm.internal_faces[idx])
-    sign = np.einsum("ia,ia->i", fm.normal[idx], n_fe)
+    f = fm.internal_faces[idx]
+    _, n_fe = edge_face_normals(mesh, e, f)
+    sign = np.einsum("ia,ia->i", mesh.face_normals()[f], n_fe)
     va = mesh.vertices[mesh.edges[e, 0]][:, None, :]
     vb = mesh.vertices[mesh.edges[e, 1]][:, None, :]
     pts = va + s[:, None] * (vb - va)                           # (N, ns, 3)
@@ -417,6 +436,10 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     system is square, 2 x 2, with the solution +-lambda_f / 2.  The theory
     makes the systems consistent, and ``build_mesh`` checks that every
     vertex and edge patch is face-connected, so the solution is unique.
+    Every face reads lambda_f at its closure nodes from one reference table
+    and finds them in T+ and T- through the rows of its orientation codes
+    there; the node ids are T+'s, and a T- that holds another node raises
+    OrphanNode.
 
     The worst residual, ``max_residual``, certifies the edge cycle
     condition.  The signed multiplier sum r_e around an interior edge e is a
@@ -436,28 +459,26 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     internal = fm.internal_faces
     if not len(internal):      # no jump to reconstruct: phi = 0
         return NodalPotential(reg, np.zeros((mesh.n_tets, nloc)), 0.0, fm.lam_scale, 0)
-    lay = _EntityLayout(mesh, _lagrange_layout(kp)[0])
+    tab = _face_tables(kp)
 
-    # (node, internal face) incidences over the closure of every face
-    node = np.concatenate([lay.ids(ps.NODE_VERTEX, mesh.faces[internal]),
-                           lay.ids(ps.NODE_EDGE, mesh.face_edges[internal])],
-                          axis=2).reshape(len(internal), -1)
-    node = np.concatenate([node, lay.ids(ps.NODE_FACE, internal)], axis=1)
-    face = np.repeat(internal, node.shape[1])
-    node = node.ravel()
-    val = fm.eval(fm.index_of[face], reg.points[node][:, None, :])[:, 0]
-
-    # the node's occurrences t * nloc + local node in T+ and T-
-    tets = mesh.face_tets[face]
-    hit = reg.tet_nodes[tets] == node[:, None, None]              # (M, 2, nloc)
-    missing = ~hit.any(axis=2)
-    if missing.any():
-        i = int(np.argmax(missing.any(axis=1)))
-        g = int(node[i])
+    # the (node, internal face) incidences over the closure of every face:
+    # each node's occurrence t * nloc + local node in T+ and T-
+    occ, ids = [], []
+    for side in (0, 1):
+        tets, code = _face_orientation(mesh, internal, side)
+        local = tab.local[code]                                     # (Fi, nc)
+        occ.append(tets[:, None] * nloc + local)
+        ids.append(reg.tet_nodes[tets[:, None], local])
+    node = ids[0].ravel()
+    orphan = node != ids[1].ravel()
+    if orphan.any():
+        i = int(np.argmax(orphan))
+        g, f = int(node[i]), int(internal[i // tab.local.shape[1]])
         raise OrphanNode(
-            f"node {g}: tets {tets[i]} of face {face[i]} not all in the patch",
+            f"node {g}: tet {mesh.face_tets[f, 1]} of face {f} does not hold it",
             node=g, kind=int(reg.kind[g]), entity=int(reg.entity[g]))
-    unknown, pairs = np.unique(tets * nloc + hit.argmax(axis=2), return_inverse=True)
+    val = (fm.lam @ tab.nodes.T).ravel()
+    unknown, pairs = np.unique(np.stack(occ, axis=2), return_inverse=True)
     x, resid = solve_node_patches(pairs.reshape(-1, 2), val, node)
     phi = np.zeros(mesh.n_tets * nloc)
     phi[unknown] = x

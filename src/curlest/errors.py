@@ -37,7 +37,8 @@ class ProjectionSolveFailure(CurlestError):
 
 
 class NoConvergence(CurlestError):
-    """The gauged global solve failed: its factorisation raised, or its
+    """The gauged global solve failed: the gauge's size differs from the
+    number of free Lagrange nodes, its factorisation raised, or its
     solution is non-finite or leaves a residual above femsys.RESIDUAL_TOL."""
 
 

@@ -260,7 +260,6 @@ def _lagrange_layout(degree: int):
 @dataclass
 class NodeRegistry:
     degree: int
-    points: np.ndarray        # (N, 3)
     kind: np.ndarray          # (N,) polyspace NODE_* codes
     entity: np.ndarray        # (N,) global vertex/edge/face/tet id
     boundary: np.ndarray      # (N,) bool; the other nodes are the free scalar dofs
@@ -268,7 +267,7 @@ class NodeRegistry:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.points)
+        return len(self.kind)
 
 
 def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
@@ -276,24 +275,14 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
     map numbers the Nedelec dofs: vertex v is node v, then come k-1 nodes
     per edge, (k-1)(k-2)/2 per face and (k-1)(k-2)(k-3)/6 per tet, each
     entity's in ``lagrange_nodes`` order of their weights on its vertices in
-    ascending global-id order.  Coordinates are accumulated in that vertex
-    order with exact rational weights, so all tets agree on them bitwise."""
+    ascending global-id order."""
     nodes = ps.lagrange_nodes(degree)
     width, offset = _lagrange_layout(degree)
     lay = _EntityLayout(mesh, width)
-    order = np.argsort(mesh.tets, axis=1)
-    vv = mesh.vertices[np.take_along_axis(mesh.tets, order, axis=1)]   # (T, 4, 3)
-    w = nodes.multi[:, order].transpose(1, 0, 2)                 # (T, nloc, 4)
+    w = nodes.multi[:, np.argsort(mesh.tets, axis=1)]            # (nloc, T, 4)
     col = (np.cumsum(_TET_ENTITIES) - _TET_ENTITIES)[nodes.kind] + nodes.entity
-    tet_nodes = lay.first[lay.tet_entities[:, col]] + offset[tuple(w.transpose(2, 0, 1))]
-
-    wf = w / float(degree)
-    pos = wf[..., 0:1] * vv[:, None, 0]
-    for s in (1, 2, 3):      # fixed-order accumulation => bitwise identical
-        pos += wf[..., s:s + 1] * vv[:, None, s]
-    points = np.empty((len(lay.boundary), 3))
-    points[tet_nodes] = pos + 0.0  # normalize signed zeros
-    return NodeRegistry(degree, points, *lay.locate(np.arange(len(points))),
+    tet_nodes = lay.first[lay.tet_entities[:, col]] + offset[tuple(w.transpose(2, 1, 0))]
+    return NodeRegistry(degree, *lay.locate(np.arange(len(lay.boundary))),
                         lay.boundary, tet_nodes)
 
 
@@ -778,15 +767,22 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
     The returned coefficients are one gauge representative; only the curl
     is used downstream.  With R = ``dofmap.gauge`` and C the other free
     dofs, u[R] = 0 and A[C, C] u[C] = b[C] is solved by one symmetric-mode
-    factorisation of the positive definite block.  The residual is then
-    checked on all free rows: a load with a gradient part (G^T b != 0) has
-    no solution and fails it on the rows in R, which raises NoConvergence.
+    factorisation of the positive definite block.  A gauge that does not fix
+    one dof per free Lagrange node raises NoConvergence before any factoring:
+    a consistent load can pass the residual check on a singular block.  The
+    residual is checked on all free rows: a load with a gradient part
+    (G^T b != 0) has no solution and fails it on the rows in R, which
+    raises NoConvergence.
     ``row``, when given, receives the relative residual and the gauge size.
     """
     b = rhs[dofmap.free]
     full = np.zeros(dofmap.n_dofs)
     bnorm = np.linalg.norm(b)
     n_gauge = len(dofmap.gauge)
+    n_nodes = int((~dofmap.registry.boundary).sum())
+    if n_gauge != n_nodes:
+        raise NoConvergence(f"the gauge fixes {n_gauge} dofs for {n_nodes} free "
+                            "Lagrange nodes; it must fix one per node")
     if row is not None:
         row["gauge_dofs"] = n_gauge
         row["solve_resid_rel"] = 0.0
@@ -845,23 +841,14 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
 # face jump utilities and norms
 # ---------------------------------------------------------------------------
 
-def face_rule_points(mesh: Mesh, f, rule) -> np.ndarray:
-    """Physical quadrature points of the faces f, identical from both
-    sides: (len(f), q, 3) for an index array, (q, 3) for a single id."""
-    v = mesh.vertices[mesh.faces[f]]
-    va = v[..., None, 0, :]
-    e1 = v[..., None, 1, :] - va
-    e2 = v[..., None, 2, :] - va
-    return va + rule.points[:, 0:1] * e1 + rule.points[:, 1:2] * e2
-
-
 @lru_cache(maxsize=None)
 def _face_trace_tables(degree: int, rule) -> np.ndarray:
     """(64, q, n_monomials) Vandermonde of the face rule points on every
     reference face: row 16 a + 4 b + c holds the face whose ascending
-    vertices sit at local positions a, b, c of the tet, the rule's
-    coordinates running along b - a and c - a as in ``face_rule_points``.
-    Only the 24 rows with distinct a, b, c occur."""
+    vertices sit at local positions a, b, c of the tet (its orientation
+    code, ``_face_orientation``), the rule's coordinates being the face's
+    affine coordinates, which run along b - a and c - a.  Only the 24 rows
+    with distinct a, b, c occur."""
     s = rule.points
     bary = np.column_stack([1.0 - s[:, 0] - s[:, 1], s])
     out = np.zeros((64, len(s), _poly.n_monomials(3, degree)))
@@ -871,16 +858,24 @@ def _face_trace_tables(degree: int, rule) -> np.ndarray:
     return out
 
 
+def _face_orientation(mesh: Mesh, faces: np.ndarray, side: int):
+    """The plus (side 0) or minus (side 1) tet of each listed face and the
+    face's orientation code in it, 16 a + 4 b + c with a, b, c the local
+    positions in the tet of the face's ascending vertices."""
+    tets = mesh.face_tets[faces, side]
+    pos = np.argmax(mesh.tets[tets][:, None, :] == mesh.faces[faces][:, :, None], axis=2)
+    return tets, pos @ (16, 4, 1)
+
+
 def face_traces(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
                 rule, side: int) -> np.ndarray:
     """Values of the field on the plus (side 0) or minus (side 1) tet of
     each listed face at the face rule points, (len(faces), q, comp): the
     orientation code of the face in the tet picks its row of
     ``_face_trace_tables``, so no point is mapped."""
-    tets = mesh.face_tets[faces, side]
-    pos = np.argmax(mesh.tets[tets][:, None, :] == mesh.faces[faces][:, :, None], axis=2)
+    tets, code = _face_orientation(mesh, faces, side)
     tab = _face_trace_tables(field.degree, rule)
-    return tab[pos @ (16, 4, 1)] @ field.coeffs[tets].transpose(0, 2, 1)
+    return tab[code] @ field.coeffs[tets].transpose(0, 2, 1)
 
 
 def face_jump_values(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,

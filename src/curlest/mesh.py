@@ -150,14 +150,6 @@ class Mesh:
         return np.nonzero(~self.boundary_edge)[0]
 
 
-@dataclass(frozen=True)
-class FaceFrame:
-    """Right-handed orthonormal frame of a face: t1 x t2 = n."""
-    t1: np.ndarray
-    t2: np.ndarray
-    n: np.ndarray
-
-
 def _dedupe(keys):
     """Distinct rows of the 2-d array keys, numbered by first occurrence.
 
@@ -458,18 +450,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# frames
+# edge-face normals
 # ---------------------------------------------------------------------------
-
-def face_frame(mesh: Mesh, f) -> FaceFrame:
-    """Deterministic orthonormal face frame: t1 along the lowest-id face edge,
-    t2 = n x t1.  For an index array of faces the vectors are (len(f), 3)."""
-    n = mesh.face_normals()[f]
-    t1 = mesh.edge_tangent(mesh.face_edges[f].min(axis=-1))
-    t2 = np.cross(n, t1)
-    t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
-    return FaceFrame(t1=t1, t2=t2, n=n)
-
 
 def edge_face_normals(mesh: Mesh, e, f):
     """In-plane outward normal of the face boundary along edge e, and the

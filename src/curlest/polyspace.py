@@ -6,8 +6,8 @@ curl-conforming (first-kind edge) and divergence-conforming.  Bases are built
 from orthogonalized monomial generators and re-expressed as the dual basis of
 the canonical moment functionals, so the unisolvence matrix of every space is
 the identity by construction.  The face space of estimator step 2 is not a
-reference space: step 2 works in face-frame monomials directly (see
-``equilibrate``), and the tests check the exact sequence of the triangle
+reference space: step 2 works in the monomials of each face's affine
+coordinates directly (see ``equilibrate``), and the tests check the exact sequence of the triangle
 spaces behind it.
 """
 

@@ -3,6 +3,7 @@ one-call solvers, small independent oracles, and the test hooks and
 test-only spaces that the library itself does not use."""
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -340,15 +341,78 @@ def loop_Hh(mesh, dm, u, mu_t):
 
 
 # ---------------------------------------------------------------------------
+# face geometry of the step-2 references: physical face rule points and
+# orthonormal face frames.  The references store multipliers in scaled
+# face-frame monomials, step 2 in each face's affine coordinates, so the two
+# are compared by their values at the face rule points
+# ---------------------------------------------------------------------------
+
+def face_rule_points(mesh, f, rule):
+    """Physical quadrature points of the faces f, identical from both
+    sides: (len(f), q, 3) for an index array, (q, 3) for a single id."""
+    v = mesh.vertices[mesh.faces[f]]
+    va = v[..., None, 0, :]
+    e1 = v[..., None, 1, :] - va
+    e2 = v[..., None, 2, :] - va
+    return va + rule.points[:, 0:1] * e1 + rule.points[:, 1:2] * e2
+
+
+@dataclass(frozen=True)
+class FaceFrame:
+    """Right-handed orthonormal frame of a face: t1 x t2 = n."""
+    t1: np.ndarray
+    t2: np.ndarray
+    n: np.ndarray
+
+
+def face_frame(mesh, f):
+    """Deterministic orthonormal face frame: t1 along the lowest-id face edge,
+    t2 = n x t1.  For an index array of faces the vectors are (len(f), 3)."""
+    n = mesh.face_normals()[f]
+    t1 = mesh.edge_tangent(mesh.face_edges[f].min(axis=-1))
+    t2 = np.cross(n, t1)
+    t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
+    return FaceFrame(t1=t1, t2=t2, n=n)
+
+
+def frame_coords(mesh, f, pts):
+    """Scaled face-frame coordinates (x - a) . (t1, t2) / h_f of points on
+    the faces f, a the lowest-id vertex; shapes as ``face_rule_points``."""
+    fr = face_frame(mesh, f)
+    rel = np.asarray(pts) - mesh.vertices[mesh.faces[f, 0]][..., None, :]
+    hf = np.asarray(mesh.face_diameters()[f])[..., None, None]
+    return rel @ np.stack([fr.t1, fr.t2], axis=-1) / hf
+
+
+def frame_eval(mesh, faces, kp, lam, pts):
+    """(len(faces), n) values at the points pts (len(faces), n, 3) of the
+    multipliers with coefficients lam (len(faces), nP) in the scaled
+    face-frame monomials of degree kp."""
+    xi = frame_coords(mesh, faces, pts)
+    v = _poly.vandermonde(2, kp, xi).reshape(xi.shape[:2] + (-1,))
+    return (v @ lam[:, :, None])[:, :, 0]
+
+
+def face_coefficients(values, kp):
+    """Coefficients in the faces' affine-coordinate monomials, as step 2
+    stores them, of the degree-kp face polynomials with the given values
+    (Fi, q) at the step-2 face rule points."""
+    v = _poly.vandermonde(2, kp, ps.quadrature("tri", 2 * kp + 2).points)
+    return np.linalg.lstsq(v, np.asarray(values).T, rcond=None)[0].T
+
+
+def face_index(fm, f):
+    """Index of internal face f among the multipliers of ``fm``."""
+    i = int(np.searchsorted(fm.internal_faces, f))
+    assert fm.internal_faces[i] == f
+    return i
+
+
+# ---------------------------------------------------------------------------
 # per-face and per-edge reference loops for the batched estimator kernels:
 # each evaluates the two traces of one face, or the faces around one edge, at
 # a time with its own point and trace arithmetic
 # ---------------------------------------------------------------------------
-
-def _loop_face_points(mesh, f, rule):
-    a, b, c = mesh.vertices[mesh.faces[f]]
-    return a + rule.points[:, 0:1] * (b - a) + rule.points[:, 1:2] * (c - a)
-
 
 def _loop_traces(mesh, coeffs, degree, f, pts):
     """Values of the coefficient blocks on T+ and T- of face f at pts."""
@@ -365,11 +429,11 @@ def loop_face_solve(mesh, f, jump, rule, kp, form):
     w = rule.weights
     nP = ps.dim_p_tri(kp)
     D2 = _poly.diff_stack(2, kp)
-    fr = msh.face_frame(mesh, f)
+    fr = face_frame(mesh, f)
     org = mesh.vertices[mesh.faces[f][0]]
     hf = mesh.face_diameters()[f]
     j2 = np.stack([jump @ fr.t1, jump @ fr.t2], axis=1)
-    rel = _loop_face_points(mesh, f, rule) - org
+    rel = face_rule_points(mesh, f, rule) - org
     xi = np.stack([rel @ fr.t1, rel @ fr.t2], axis=1) / hf
     v_lam = _poly.vandermonde(2, kp, xi)
     dlam = np.einsum("qm,bmn->qbn", v_lam, D2) / hf
@@ -409,9 +473,9 @@ def loop_face_multipliers(mesh, Hh, correction, kp, form="weak"):
                             _poly.diff_stack(3, kp), total.coeffs)
     rows = []
     for f in mesh.internal_faces():
-        pts = _loop_face_points(mesh, f, rule)
+        pts = face_rule_points(mesh, f, rule)
         vp, vm = _loop_traces(mesh, total.coeffs, kp, f, pts)
-        fr = msh.face_frame(mesh, f)
+        fr = face_frame(mesh, f)
         jump = np.cross(fr.n[None, :], vp - vm)
         gp, gm = _loop_traces(mesh, grad_coeffs, kp, f, pts)
         div = np.zeros(len(pts))
@@ -436,12 +500,8 @@ def loop_edge_sums(mesh, fm, n_samples=None):
         pts = mesh.vertices[a] + s[:, None] * (mesh.vertices[b] - mesh.vertices[a])
         r = np.zeros(len(pts))
         for f in edge_faces(mesh, e):
-            i = fm.index_of[f]
             _, n_fe = msh.edge_face_normals(mesh, e, f)
-            rel = pts - fm.origin[i]
-            xi = np.stack([rel @ fm.t1[i], rel @ fm.t2[i]], axis=1) / fm.hf[i]
-            r += float(np.dot(mesh.face_normals()[f], n_fe)) * (
-                _poly.vandermonde(2, fm.degree, xi) @ fm.lam[i])
+            r += float(np.dot(mesh.face_normals()[f], n_fe)) * fm.eval(face_index(fm, f), pts)
         max_abs.append(np.abs(r).max())
         variation.append(r.max() - r.min())
     return np.array(max_abs), np.array(variation)
@@ -453,7 +513,7 @@ def loop_jump_norms(mesh, field):
     tang = np.zeros(mesh.n_faces)
     norm = np.zeros(mesh.n_faces)
     for f in mesh.internal_faces():
-        pts = _loop_face_points(mesh, f, rule)
+        pts = face_rule_points(mesh, f, rule)
         vp, vm = _loop_traces(mesh, field.coeffs, field.degree, f, pts)
         n = mesh.face_normals()[f]
         s = 2.0 * mesh.face_areas()[f]
@@ -472,12 +532,28 @@ _NEIGHBOR_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                      for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
 
 
+def node_points(mesh, reg):
+    """(N, 3) coordinates of the registry's nodes, accumulated tet by tet
+    over the tet's vertices in ascending global-id order with exact
+    rational weights, so all tets agree on them bitwise."""
+    nodes = ps.lagrange_nodes(reg.degree)
+    order = np.argsort(mesh.tets, axis=1)
+    vv = mesh.vertices[np.take_along_axis(mesh.tets, order, axis=1)]   # (T, 4, 3)
+    wf = nodes.multi[:, order].transpose(1, 0, 2) / float(reg.degree)  # (T, nloc, 4)
+    pos = wf[..., 0:1] * vv[:, None, 0]
+    for s in (1, 2, 3):      # fixed-order accumulation => bitwise identical
+        pos += wf[..., s:s + 1] * vv[:, None, s]
+    points = np.empty((reg.n_nodes, 3))
+    points[reg.tet_nodes] = pos + 0.0  # normalize signed zeros
+    return points
+
+
 def hash_node_registry(mesh, degree):
     """Lagrange nodes deduplicated by hashing their coordinates on a
     1e-8*h grid, tet by tet and node by node, and numbered by first
-    occurrence over (tet, local node).  ``femsys.build_node_registry``
-    numbers the same nodes by entity, so the two agree up to a relabelling
-    of the nodes."""
+    occurrence over (tet, local node); returns the registry and the (N, 3)
+    node coordinates.  ``femsys.build_node_registry`` numbers the same
+    nodes by entity, so the two agree up to a relabelling of the nodes."""
     nodes = ps.lagrange_nodes(degree)
     nloc = nodes.n_nodes
     rho = 1e-8 * mesh.h_min_edge()
@@ -524,8 +600,8 @@ def hash_node_registry(mesh, degree):
             boundary[g] = mesh.boundary_edge[entity[g]]
         elif kind[g] == ps.NODE_FACE:
             boundary[g] = mesh.boundary_face[entity[g]]
-    return fem.NodeRegistry(degree, np.array(points), np.array(kind),
-                            np.array(entity), boundary, tet_nodes)
+    return (fem.NodeRegistry(degree, np.array(kind), np.array(entity), boundary,
+                             tet_nodes), np.array(points))
 
 
 def loop_step3(mesh, fm, kp):
@@ -533,7 +609,7 @@ def loop_step3(mesh, fm, kp):
     per vertex or edge patch; returns an ``equilibrate.NodalPotential``
     whose ``worst_node`` is numbered in the hashed registry."""
     from curlest import equilibrate as eqm
-    reg = hash_node_registry(mesh, kp)
+    reg, points = hash_node_registry(mesh, kp)
     nloc = reg.tet_nodes.shape[1]
     phi = np.zeros((mesh.n_tets, nloc))
     internal = [int(f) for f in mesh.internal_faces()]
@@ -544,10 +620,10 @@ def loop_step3(mesh, fm, kp):
     worst, worst_node, lam_scale = -1.0, -1, 0.0
     for g in range(reg.n_nodes):
         occ = occurrences[g]
-        p = reg.points[g][None, :]
-        if reg.kind[g] == ps.NODE_FACE and fm.index_of[reg.entity[g]] >= 0:
+        p = points[g][None, :]
+        if reg.kind[g] == ps.NODE_FACE and not mesh.boundary_face[reg.entity[g]]:
             f = int(reg.entity[g])
-            val = float(fm.eval(fm.index_of[f], p)[0])
+            val = float(fm.eval(face_index(fm, f), p)[0])
             lam_scale = max(lam_scale, abs(val))
             for t, loc in occ:
                 phi[t, loc] = 0.5 * val if t == mesh.face_tets[f, 0] else -0.5 * val
@@ -567,7 +643,7 @@ def loop_step3(mesh, fm, kp):
             tp, tm = mesh.face_tets[f]
             rows[r, pos[tp]] = 1.0
             rows[r, pos[tm]] = -1.0
-            rhs[r] = float(fm.eval(fm.index_of[f], p)[0])
+            rhs[r] = float(fm.eval(face_index(fm, f), p)[0])
             lam_scale = max(lam_scale, abs(rhs[r]))
         rows[-1, :] = 1.0
         sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
@@ -1053,12 +1129,13 @@ def einsum_compute_Hh(mesh, dofmap, u, mu):
 
 
 def einsum_step2(mesh, Hh, correction, kp):
-    """Step 2's batched face kernels in einsum form: dict of lam, resid,
-    jnorm, div_norm and mean_abs over the internal faces."""
+    """Step 2's batched face kernels in einsum form and in face frames:
+    dict of lam (scaled face-frame monomials), resid, jnorm, div_norm and
+    mean_abs over the internal faces."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     rule = ps.quadrature("tri", 2 * kp + 2)
     faces = mesh.internal_faces()
-    fr = msh.face_frame(mesh, faces)
+    fr = face_frame(mesh, faces)
     w = rule.weights
     s = 2.0 * mesh.face_areas()[faces]
 
@@ -1076,8 +1153,7 @@ def einsum_step2(mesh, Hh, correction, kp):
     nP = ps.dim_p_tri(kp)
     hf = mesh.face_diameters()[faces][:, None, None]
     frame = np.stack([fr.t1, fr.t2], axis=-1)
-    org = mesh.vertices[mesh.faces[faces, 0]][:, None, :]
-    xi = (fem.face_rule_points(mesh, faces, rule) - org) @ frame / hf
+    xi = frame_coords(mesh, faces, face_rule_points(mesh, faces, rule))
     v_lam = einsum_vandermonde(2, kp, xi).reshape(xi.shape[:2] + (nP,))
     dlam = np.einsum("fqm,bmn->fqbn", v_lam, _poly.diff_stack(2, kp)) / hf[..., None]
     curl_cols = np.stack([dlam[:, :, 1], -dlam[:, :, 0]], axis=2)
@@ -1103,13 +1179,16 @@ def einsum_step2(mesh, Hh, correction, kp):
 # test hooks: one-entity entry points to the batched estimator kernels
 # ---------------------------------------------------------------------------
 
-def solve_single_face(mesh, f, jump, rule, kp):
-    """Multiplier coefficients and residual for one face, from step 2's
-    batched solve on a one-face batch."""
+def solve_single_face(mesh, f, tangential, kp):
+    """Multiplier values at the face rule points and residual for one face,
+    from step 2's batched solve on a one-face batch.  ``tangential`` is the
+    data n x [F] at those points, which the surface curl of the multiplier
+    matches; step 2 reads the jump, of which -n x (n x [F]) = [F]_t is the
+    part it sees."""
     faces = np.array([f])
-    sol, resid, *_ = eqm._face_multiplier_solve(
-        mesh, faces, msh.face_frame(mesh, faces), np.asarray(jump)[None], rule, kp)
-    return sol[0], resid[0]
+    jump = -np.cross(mesh.face_normals()[f], tangential)
+    sol, _, resid, *_ = eqm._face_multiplier_solve(mesh, faces, jump[None], kp)
+    return eqm._face_tables(kp).V @ sol[0], resid[0]
 
 
 def solve_node_patch(n, pairs, values):

@@ -14,11 +14,14 @@ from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest import residual
-from _helpers import (MU1, cube_H, cube_j, edge_faces, eval_one, inspace_j,
+from _helpers import (MU1, cube_H, cube_j, edge_faces, eval_one,
+                      face_coefficients, face_frame, face_index,
+                      face_rule_points, frame_coords, frame_eval, inspace_j,
                       inspace_u, jittered_cube, loop_edge_sums,
                       loop_face_multipliers, loop_face_solve, loop_jump_norms,
-                      loop_step1, loop_step3, normal_jump_norms, ref_coords,
-                      solve_cube, solve_node_patch, solve_single_face)
+                      loop_step1, loop_step3, node_points, normal_jump_norms,
+                      ref_coords, relabelled_cube, solve_cube,
+                      solve_node_patch, solve_single_face)
 
 RNG = np.random.default_rng(23)
 
@@ -181,18 +184,15 @@ def test_step2_roundtrip(kp, form):
     # recover it on a single internal face
     m = msh.unit_cube_mesh(1)
     f = int(m.internal_faces()[0])
-    fr = msh.face_frame(m, f)
+    fr = face_frame(m, f)
     hf = m.face_diameters()[f]
-    org = m.vertices[m.faces[f][0]]
     rule = ps.quadrature("tri", 2 * kp + 2)
     area = m.face_areas()[f]
     nm2 = _poly.n_monomials(2, kp)
     D2 = _poly.diff_stack(2, kp)
     for trial in range(4):
         lam0 = RNG.standard_normal(nm2)
-        pts = fem.face_rule_points(m, f, rule)
-        rel = pts - org
-        xi = np.stack([rel @ fr.t1, rel @ fr.t2], axis=1) / hf
+        xi = frame_coords(m, f, face_rule_points(m, f, rule))
         v = _poly.vandermonde(2, kp, xi)
         lam0 -= np.zeros(nm2)
         mean = 2 * area * np.einsum("q,qm,m->", rule.weights, v, lam0) / (2 * area)
@@ -202,11 +202,12 @@ def test_step2_roundtrip(kp, form):
         grads = np.einsum("qm,bmn,n->qb", v, D2, lam0) / hf
         data3d = (grads[:, 1:2] * fr.t1[None, :] - grads[:, 0:1] * fr.t2[None, :])
 
+        # compared by the values at the face rule points
         if form == "weak":
-            lam, resid = solve_single_face(m, f, data3d, rule, kp)
+            vals, resid = solve_single_face(m, f, data3d, kp)
         else:
             lam, resid, *_ = loop_face_solve(m, f, data3d, rule, kp, form)
-        vals = v @ lam
+            vals = v @ lam
         vals0 = v @ lam0
         scale = max(np.abs(vals0).max(), 1e-30)
         tol = 1e-10 if form == "weak" else 1e-9
@@ -218,13 +219,13 @@ def test_step2_forms_agree_on_pipeline_data():
     m, dm, u, Hh, data = solve_cube(2, 1)
     corr = eqm.step1_element_corrections(m, MU1, data, Hh, 3)
     f1 = eqm.step2_face_multipliers(m, Hh, corr, 3)
-    f2 = dataclasses.replace(f1, lam=loop_face_multipliers(m, Hh, corr, 3,
-                                                           form="strong")["lam"])
+    lam2 = loop_face_multipliers(m, Hh, corr, 3, form="strong")["lam"]
     # compared where lam_scale is measured: at the face rule points
-    idx = np.arange(f1.n_faces)
-    pts = fem.face_rule_points(m, f1.internal_faces, ps.quadrature("tri", 8))
+    faces = f1.internal_faces
+    pts = face_rule_points(m, faces, ps.quadrature("tri", 8))
     scale = max(f1.lam_scale, 1e-30)
-    assert np.abs(f1.eval(idx, pts) - f2.eval(idx, pts)).max() < 1e-9 * scale
+    vals, vals2 = f1.eval(np.arange(f1.n_faces), pts), frame_eval(m, faces, 3, lam2, pts)
+    assert np.abs(vals - vals2).max() < 1e-9 * scale
 
 
 def test_step2_zero_mean_invariant():
@@ -272,7 +273,7 @@ def test_edge_compat_perturbation_linearity():
     # constant and check the signed response
     e = int(m.internal_edges()[0])
     f = int(edge_faces(m, e)[0])
-    idx = fm.index_of[f]
+    idx = face_index(fm, f)
     _, n_fe = msh.edge_face_normals(m, e, f)
     sign = float(np.dot(m.face_normals()[f], n_fe))
     epsv = 0.37
@@ -283,7 +284,7 @@ def test_edge_compat_perturbation_linearity():
     def r_e(fmx):
         r = np.zeros(len(pts))
         for ff in edge_faces(m, e):
-            ii = fmx.index_of[ff]
+            ii = face_index(fmx, ff)
             _, nfe = msh.edge_face_normals(m, e, ff)
             sg = float(np.dot(m.face_normals()[ff], nfe))
             r += sg * fmx.eval(ii, pts)
@@ -504,14 +505,20 @@ def test_nan_field_names_the_tet():
 def test_step2_matches_loop_oracle(jump_level):
     m, Hh, out = jump_level
     fm = out.multipliers
-    ref = loop_face_multipliers(m, Hh, out.correction, fm.degree)
-    for key in ("lam", "jnorm", "div_norm"):
+    kp = fm.degree
+    ref = loop_face_multipliers(m, Hh, out.correction, kp)
+    for key in ("jnorm", "div_norm"):
         assert _rel_err(getattr(fm, key), ref[key]) <= 1e-12, key
     for key in ("resid", "mean_abs"):   # roundoff-level on compatible data
         assert np.abs(getattr(fm, key) - ref[key]).max() <= 1e-12 * fm.lam_scale
+    # the multipliers by their values at the face rule points: the loop
+    # stores them in face-frame monomials
+    pts = face_rule_points(m, fm.internal_faces, ps.quadrature("tri", 2 * kp + 2))
+    ref_vals = frame_eval(m, fm.internal_faces, kp, ref["lam"], pts)
+    assert _rel_err(fm.eval(np.arange(fm.n_faces), pts), ref_vals) <= 1e-12
     # the estimator built on the loop multipliers
-    phi = eqm.step3_reconstruct_phi(m, dataclasses.replace(fm, lam=ref["lam"]),
-                                    out.phi.registry)
+    loop_fm = dataclasses.replace(fm, lam=face_coefficients(ref_vals, kp))
+    phi = eqm.step3_reconstruct_phi(m, loop_fm, out.phi.registry)
     res = eqm.step4_estimator(m, MU_JUMP, out.correction, phi)
     assert _rel_err(out.result.eta_T, res.eta_T) <= 1e-12
     assert abs(out.result.eta_h - res.eta_h) <= 1e-12 * res.eta_h
@@ -522,7 +529,7 @@ def test_lam_scale_is_the_largest_multiplier_at_the_face_rule_points(jump_level)
     fm = out.multipliers
     rule = ps.quadrature("tri", 2 * fm.degree + 2)
     vals = np.abs(fm.eval(np.arange(fm.n_faces),
-                          fem.face_rule_points(m, fm.internal_faces, rule)))
+                          face_rule_points(m, fm.internal_faces, rule)))
     assert abs(fm.lam_scale - vals.max()) <= 1e-14 * vals.max()
 
 
@@ -566,6 +573,43 @@ def test_step3_matches_loop_oracle_above_solve_degree():
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=3))
     _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh,
                                             fem.build_node_registry(m, 4)))
+
+
+@pytest.mark.parametrize("k, kp", [(1, 1), (2, 3), (3, 4)])
+def test_step3_matches_loop_oracle_in_every_orientation(k, kp):
+    # the Kuhn cube puts its internal faces in 6 of the 24 orientation codes
+    # on T+ and 4 on T-; the relabelled cube reaches all 24 on both sides,
+    # so step 3 reads every row of its node table.  At k' = 4 each face has
+    # three nodes of its own, which the orientation permutes
+    m = relabelled_cube(3)
+    internal = m.internal_faces()
+    for side in (0, 1):
+        assert len(np.unique(fem._face_orientation(m, internal, side)[1])) == 24
+    j = fem.CurrentDensity(func=wave_j)
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=k))
+    _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh,
+                                            fem.build_node_registry(m, kp)))
+
+
+def test_step3_names_a_node_missing_from_the_minus_tet():
+    # negative control of the node lookup: T- of one internal face holds
+    # another id in place of the face's own node, which lies on no other
+    # face's closure; control: the intact registry reconstructs
+    m = relabelled_cube(3)
+    j = fem.CurrentDensity(func=wave_j)
+    dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=3))
+    fm = eqm.estimate(m, MU_JUMP, data, Hh, dm.registry).multipliers
+    reg = dm.registry
+    f = int(m.internal_faces()[7])
+    g = int(np.nonzero((reg.kind == ps.NODE_FACE) & (reg.entity == f))[0][0])
+    tm = m.face_tets[f, 1]
+    bad = reg.tet_nodes.copy()
+    bad[tm, bad[tm] == g] = 0
+    with pytest.raises(eqm.OrphanNode) as exc:
+        eqm.step3_reconstruct_phi(m, fm, dataclasses.replace(reg, tet_nodes=bad))
+    assert (exc.value.node, exc.value.kind, exc.value.entity) == (g, ps.NODE_FACE, f)
+    assert f"node {g}: tet {tm} of face {f}" in str(exc.value)
+    eqm.step3_reconstruct_phi(m, fm, reg)
 
 
 def test_edge_sums_match_loop_oracle(jump_level):
@@ -624,8 +668,7 @@ def test_singular_face_system_names_the_face():
     rule = ps.quadrature("tri", 4)
     jump = np.ones((len(faces), len(rule.weights), 3))
     with pytest.raises(eqm.FaceSolveSingular) as exc:
-        eqm._face_multiplier_solve(m, faces, msh.face_frame(m, faces), jump,
-                                   rule, 1)
+        eqm._face_multiplier_solve(m, faces, jump, 1)
     assert exc.value.face == faces[3] and exc.value.value == 0.0
     assert f"face {faces[3]}" in str(exc.value)
 
@@ -671,12 +714,13 @@ def test_step3_face_interior_half_values():
     m, Hh, data, out = _estimate_cube(1, 3, kp=3)
     reg = out.phi.registry
     fm = out.multipliers
+    points = node_points(m, reg)
     checked = 0
     for g in range(reg.n_nodes):
         if reg.kind[g] != ps.NODE_FACE or m.boundary_face[reg.entity[g]]:
             continue
         f = int(reg.entity[g])
-        val = float(fm.eval(fm.index_of[f], reg.points[g][None, :])[0])
+        val = float(fm.eval(face_index(fm, f), points[g][None, :])[0])
         tp, tm = m.face_tets[f]
         tets, _ = np.nonzero(reg.tet_nodes == g)
         got = dict(zip(tets, out.phi.phi[reg.tet_nodes == g]))
@@ -703,7 +747,7 @@ def test_step3_jump_matches_multiplier_polynomials():
     fm = out.multipliers
     scale = max(fm.lam_scale, 1e-30)
     for ii, f in enumerate(fm.internal_faces):
-        pts = fem.face_rule_points(m, f, rule)
+        pts = face_rule_points(m, f, rule)
         tp, tm = m.face_tets[f]
         jump = (eval_one(poly, tp, ref_coords(m, tp, pts))
                 - eval_one(poly, tm, ref_coords(m, tm, pts)))[:, 0]
@@ -882,7 +926,7 @@ def test_strict_mode_rejects_incompatible_face_data():
         eqm.step2_face_multipliers(m, Hh, corr, 1, strict=True)
     # the error names the face with the largest div_norm * h_f and its ratio
     fm = eqm.step2_face_multipliers(m, Hh, corr, 1)
-    ratio = fm.div_norm * fm.hf / fm.jnorm.max()
+    ratio = fm.div_norm * m.face_diameters()[fm.internal_faces] / fm.jnorm.max()
     worst = int(np.argmax(ratio))
     assert exc.value.face == fm.internal_faces[worst]
     assert exc.value.value == pytest.approx(ratio[worst], rel=1e-12)
@@ -900,7 +944,7 @@ def _bump_one_face(m, fm, e):
     around interior edge e; returns that face and the perturbed copy."""
     f = int(edge_faces(m, e)[0])
     lam = fm.lam.copy()
-    lam[fm.index_of[f], 0] += 1e-6 * fm.lam_scale
+    lam[face_index(fm, f), 0] += 1e-6 * fm.lam_scale
     return f, dataclasses.replace(fm, lam=lam)
 
 
@@ -933,26 +977,20 @@ def test_step3_residual_flags_a_perturbed_multiplier(k, kp):
 
 def _broken_jump_multipliers(m, kp, rng):
     """Multipliers lambda_f = psi_{T+} - psi_{T-} of a random broken P_k'
-    potential psi, fitted in the face-frame monomials: every cycle sum
-    telescopes to zero."""
+    potential psi, fitted by their values at the face rule points: every
+    cycle sum telescopes to zero."""
     internal = m.internal_faces()
-    fr = msh.face_frame(m, internal)
     psi = fem.BrokenPolyField(m, kp, rng.standard_normal(
         (m.n_tets, 1, _poly.n_monomials(3, kp))))
-    pts = fem.face_rule_points(m, internal, ps.quadrature("tri", 2 * kp))
+    pts = face_rule_points(m, internal, ps.quadrature("tri", 2 * kp + 2))
     vals = (psi.eval_points(m.face_tets[internal, 0], pts)
-            - psi.eval_points(m.face_tets[internal, 1], pts))      # (Fi, q, 1)
-    origin = m.vertices[m.faces[internal, 0]]
-    hf = m.face_diameters()[internal]
-    xi = (pts - origin[:, None, :]) @ np.stack([fr.t1, fr.t2], axis=-1) / hf[:, None, None]
-    v = _poly.vandermonde(2, kp, xi).reshape(xi.shape[:2] + (-1,))
-    lam = (np.linalg.pinv(v) @ vals)[:, :, 0]
-    index_of = np.full(m.n_faces, -1, dtype=np.int64)
-    index_of[internal] = np.arange(len(internal))
+            - psi.eval_points(m.face_tets[internal, 1], pts))[:, :, 0]
+    v = m.vertices[m.faces[internal]]
+    E = v[:, 1:] - v[:, :1]
     zero = np.zeros(len(internal))
-    return eqm.FaceMultiplier(kp, internal, index_of, lam, origin, fr.t1, fr.t2,
-                              fr.n, hf, zero, zero, zero, zero,
-                              lam_scale=float(np.abs(vals).max()))
+    return eqm.FaceMultiplier(kp, internal, face_coefficients(vals, kp), v[:, 0],
+                              E.transpose(0, 2, 1) @ np.linalg.inv(E @ E.transpose(0, 2, 1)),
+                              zero, zero, zero, zero, float(np.abs(vals).max()))
 
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])

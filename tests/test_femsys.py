@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 from functools import lru_cache
@@ -17,7 +18,8 @@ from curlest.errors import UnsupportedDegree
 from _helpers import (MU1, cg_solve, colamd_factor, covariant_basis,
                       dense_minnorm_solve, qr_gauge, shifted_solve,
                       cube_H, cube_j, element_dof_matrix, eval_one,
-                      hash_node_registry, inspace_H, inspace_u, jittered_cube,
+                      face_rule_points, hash_node_registry, inspace_H,
+                      inspace_u, jittered_cube, node_points,
                       coo_discrete_gradient, loop_curlcurl_mass,
                       loop_gradient, loop_Hh,
                       loop_interpolate_nedelec, loop_nedelec_dofs,
@@ -88,9 +90,9 @@ def test_lagrange_registry_counts():
                 assert fem.build_dofmap(m, k).registry.n_nodes == n
 
 
-def _assert_relabelled(got, ref):
+def _assert_relabelled(m, got, ref, ref_points):
     """``got`` is ``ref`` with its nodes renumbered: perm[i] is the id in
-    ``got`` of node i of ``ref``."""
+    ``got`` of node i of ``ref``, whose nodes sit at ``ref_points``."""
     perm = np.full(ref.n_nodes, -1)
     perm[ref.tet_nodes] = got.tet_nodes
     assert got.n_nodes == ref.n_nodes
@@ -98,7 +100,7 @@ def _assert_relabelled(got, ref):
     assert np.array_equal(perm[ref.tet_nodes], got.tet_nodes)
     for key in ("kind", "entity", "boundary"):
         assert np.array_equal(getattr(got, key)[perm], getattr(ref, key)), key
-    assert got.points[perm].tobytes() == ref.points.tobytes()
+    assert node_points(m, got)[perm].tobytes() == ref_points.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -109,12 +111,12 @@ def test_registry_matches_hash_oracle(name, k):
     # tet are no relabelling
     m = _registry_mesh(name)
     got = fem.build_node_registry(m, k)
-    ref = hash_node_registry(m, k)
-    _assert_relabelled(got, ref)
+    ref, points = hash_node_registry(m, k)
+    _assert_relabelled(m, got, ref, points)
     swapped = got.tet_nodes.copy()
     swapped[0, [0, 1]] = swapped[0, [1, 0]]
     with pytest.raises(AssertionError):
-        _assert_relabelled(dataclasses.replace(got, tet_nodes=swapped), ref)
+        _assert_relabelled(m, dataclasses.replace(got, tet_nodes=swapped), ref, points)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -124,26 +126,27 @@ def test_registry_numbers_nodes_by_entity(k):
     # k = 4 tet t's node at its centroid
     for m in (relabelled_cube(2), _registry_mesh("bisect1")):
         reg = fem.build_node_registry(m, k)
+        points = node_points(m, reg)
         nodes = ps.lagrange_nodes(k)
         vert = nodes.kind == ps.NODE_VERTEX
         assert np.array_equal(reg.tet_nodes[:, vert], m.tets[:, nodes.entity[vert]])
-        assert np.array_equal(reg.points[:m.n_vertices], m.vertices)
+        assert np.array_equal(points[:m.n_vertices], m.vertices)
         lo, hi = np.sort(m.edges, axis=1).T
         j = np.arange(1, k)
         want = ((k - j) * m.vertices[lo][..., None] + j * m.vertices[hi][..., None]) / k
         ids = m.n_vertices + (k - 1) * np.arange(m.n_edges)[:, None] + j - 1
-        assert np.allclose(reg.points[ids], want.transpose(0, 2, 1), rtol=0, atol=1e-15)
+        assert np.allclose(points[ids], want.transpose(0, 2, 1), rtol=0, atol=1e-15)
         assert (reg.kind[ids] == ps.NODE_EDGE).all()
         assert np.array_equal(reg.entity[ids], np.broadcast_to(
             np.arange(m.n_edges)[:, None], ids.shape))
         faces = m.n_vertices + (k - 1) * m.n_edges
         if k == 3:
             centroid = m.vertices[m.faces].mean(axis=1)
-            assert np.allclose(reg.points[faces:faces + m.n_faces], centroid,
+            assert np.allclose(points[faces:faces + m.n_faces], centroid,
                                rtol=0, atol=1e-15)
         if k == 4:
             cells = faces + 3 * m.n_faces
-            assert np.allclose(reg.points[cells:], m.vertices[m.tets].mean(axis=1),
+            assert np.allclose(points[cells:], m.vertices[m.tets].mean(axis=1),
                                rtol=0, atol=1e-15)
 
 
@@ -501,6 +504,26 @@ def test_gauged_assembled_system_solves_to_tolerance():
         fem.solve_magnetostatic(A, bad, dm)
 
 
+def test_gauge_of_the_wrong_size_raises_before_factoring():
+    # negative control of the structural check: a cached gauge that lacks
+    # one dof leaves a free Lagrange node unfixed, and the solve names both
+    # counts.  Control: the dof map's own gauge solves
+    m = msh.unit_cube_mesh(2)
+    dm = fem.build_dofmap(m, 2)
+    A = fem.assemble_curlcurl(m, dm, MU1)
+    b = fem.gradient_correction(dm, fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)))
+    n_nodes = int((~dm.registry.boundary).sum())
+    assert len(dm.gauge) == n_nodes
+    short = copy.copy(dm)
+    short.gauge = dm.gauge[:-1]
+    named = f"the gauge fixes {n_nodes - 1} dofs for {n_nodes} free Lagrange nodes"
+    with pytest.raises(fem.NoConvergence, match=re.escape(named)):
+        fem.solve_magnetostatic(A, b, short)
+    row = {}
+    fem.solve_magnetostatic(A, b, dm, row)
+    assert row["solve_resid_rel"] <= fem.RESIDUAL_TOL
+
+
 def test_structurally_singular_gauged_block_raises_no_convergence():
     # an empty row and column at a dof outside the gauge: the zero pivot is
     # in the structure of the gauged block, so the check does not rest on
@@ -836,7 +859,7 @@ def test_elementwise_stokes_identity():
             "q,qc,c->", rule.weights, eval_one(jh, t, rule.points), w_const)
         rhs = 0.0
         for f in m.tet_faces[t]:
-            pts = fem.face_rule_points(m, f, tri)
+            pts = face_rule_points(m, f, tri)
             n = m.face_normals()[f]
             if m.face_tets[f, 0] != t:
                 n = -n

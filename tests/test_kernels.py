@@ -24,7 +24,8 @@ from _helpers import (coo_assemble_free, cube_j, einsum_assemble_curlcurl,
                       einsum_assemble_mass, einsum_assemble_rhs,
                       einsum_compute_Hh, einsum_curl, einsum_div, einsum_eval,
                       einsum_grad, einsum_map_points, einsum_partials,
-                      einsum_step2, einsum_vandermonde, jittered_cube)
+                      einsum_step2, einsum_vandermonde, face_rule_points,
+                      frame_eval, jittered_cube)
 
 TOL = 1e-13
 MU = fem.MaterialField({0: 1.0, 1: 100.0})
@@ -94,7 +95,7 @@ def test_face_traces_match_mapped_points(mesh, k):
     codes = set()
     for side in (0, 1):
         tets = mesh.face_tets[faces, side]
-        want = field.eval_points(tets, fem.face_rule_points(mesh, faces, rule))
+        want = field.eval_points(tets, face_rule_points(mesh, faces, rule))
         got = fem.face_traces(mesh, field, faces, rule, side)
         Jinv_inf = np.abs(geom.Jinv[tets]).sum(axis=2).max(axis=1)
         delta = (16 + 2 * np.linalg.cond(geom.J[tets], np.inf)) * u * X * Jinv_inf
@@ -186,15 +187,14 @@ def test_step2_face_kernels_match_einsum(mesh, k):
     want = einsum_step2(mesh, Hh, corr, k)
     for key in ("resid", "jnorm", "div_norm"):
         assert_pinned(getattr(got, key), want[key])
-    # the multipliers by their values at the face points, which is what
-    # step 3 reads: the face systems' conditioning at k = 3 reaches the
-    # scaled-monomial coefficients, not the polynomials they represent
-    idx = np.arange(got.n_faces)
-    pts = fem.face_rule_points(mesh, got.internal_faces, ps.quadrature("tri", 2 * k + 2))
-    vals = got.eval(idx, pts)
-    got.lam = want["lam"]
-    want_vals = got.eval(idx, pts)
-    assert_pinned(vals, want_vals)
+    # the multipliers by their values at the face points: the oracle stores
+    # them in face-frame monomials, step 2 in each face's affine
+    # coordinates, and at k = 3 the face systems' conditioning reaches the
+    # coefficients, not the polynomials they represent
+    faces = got.internal_faces
+    pts = face_rule_points(mesh, faces, ps.quadrature("tri", 2 * k + 2))
+    want_vals = frame_eval(mesh, faces, k, want["lam"], pts)
+    assert_pinned(got.eval(np.arange(got.n_faces), pts), want_vals)
     # |(lambda, 1)_f| is a constraint residual: compare it with the size of
     # the integral it cancels
     scale = 2.0 * mesh.face_areas().max() * np.abs(want_vals).max()

@@ -7,7 +7,7 @@ from curlest import bench
 from curlest import mesh as msh
 from curlest.errors import DegenerateTet, NonConforming, NotAdjacent
 from _helpers import (brute_force_faces, check_conforming, edge_faces,
-                      jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
+                      face_frame, jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
                       loop_topology, relabelled_cube, two_tet_mesh,
                       walk_edge_link)
 
@@ -332,15 +332,17 @@ def test_bisection_shape_quality_stabilizes():
 # ---------------------------------------------------------------------------
 
 def test_face_frame_orthonormal_and_deterministic():
+    # the frame of the step-2 oracles in _helpers, which store multipliers in
+    # scaled face-frame monomials
     m = msh.unit_cube_mesh(1)
     for f in range(m.n_faces):
-        fr = msh.face_frame(m, f)
+        fr = face_frame(m, f)
         assert abs(np.dot(fr.t1, fr.t2)) < 1e-14
         assert abs(np.linalg.norm(fr.t1) - 1) < 1e-14
         assert abs(np.linalg.norm(fr.t2) - 1) < 1e-14
         assert np.linalg.norm(np.cross(fr.t1, fr.t2) - fr.n) < 1e-14
-    fr1 = msh.face_frame(m, 3)
-    fr2 = msh.face_frame(m, 3)
+    fr1 = face_frame(m, 3)
+    fr2 = face_frame(m, 3)
     assert (fr1.t1 == fr2.t1).all() and (fr1.t2 == fr2.t2).all() \
         and (fr1.n == fr2.n).all()
 

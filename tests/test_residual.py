@@ -4,7 +4,7 @@ from curlest import _poly
 from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import residual as res
-from _helpers import MU1, inspace_j, inspace_u, two_tet_mesh
+from _helpers import MU1, face_frame, inspace_j, inspace_u, two_tet_mesh
 
 RNG = np.random.default_rng(31)
 
@@ -55,7 +55,7 @@ def test_constant_jump_closed_form():
     m = two_tet_mesh()
     f = int(m.internal_faces()[0])
     n = m.face_normals()[f]
-    t1 = msh.face_frame(m, f).t1
+    t1 = face_frame(m, f).t1
     nm = _poly.n_monomials(3, 1)
     coeffs = np.zeros((m.n_tets, 3, nm))
     coeffs[0, :, 0] = t1          # plus side: tangent field
