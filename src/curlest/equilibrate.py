@@ -8,8 +8,8 @@ Pipeline (per estimator run):
           projected: two stacked SPD solves;
   step 2  per internal face: a scalar multiplier whose surface curl matches
           the tangential jump of the corrected field, whose one-sided
-          traces are read from reference tables, one per orientation of a
-          face in a tet;
+          traces are read from reference tables, one per orientation code
+          of a face in a tet (``Mesh.face_codes``);
   step 3  per Lagrange node on an internal face: jump-consistent potential
           values from its tiny least-squares system, all nodes in one
           sparse solve; the worst residual certifies the edge cycle
@@ -18,12 +18,14 @@ Pipeline (per estimator run):
 
 Step 2 writes each multiplier, a polynomial of degree k' on its face, in the
 face's affine coordinates, those of the face rule, and matches its surface
-curl to the tangential jump in the L2 least-squares sense; every face's
-normal equations are one product of its inverse metric with a cached
-reference table.  The tangential traces span the in-plane div-conforming
-space of the face, whose divergence-free subspace is exactly the surface curl
-of the scalar face space, so step 2 is solvable whenever the face data is
-compatible; the tests check that exact sequence on the reference triangle.
+curl to the tangential jump in the L2 least-squares sense at the exact 2k'
+rule; every face's normal equations on the non-constant monomials are one
+product of its inverse metric with a cached reference table, and the zero
+mean fixes the constant.  The tangential traces span the in-plane
+div-conforming space of the face, whose divergence-free subspace is exactly
+the surface curl of the scalar face space, so step 2 is solvable whenever
+the face data is compatible; the tests check that exact sequence on the
+reference triangle.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_jump_values, face_traces,
                      tangential_jump_norms, tangential_jump_values,
-                     _data_exactness, _face_orientation, _factor_spd, _ref_tables)
+                     _data_exactness, _face_rule, _factor_spd, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
@@ -180,21 +182,24 @@ class _FaceTables:
     """Reference tables of steps 2 and 3 at degree k'.  A multiplier is a
     polynomial in its face's affine coordinates (s, t), x = a + s (b - a) +
     t (c - a) over its ascending vertices, those of the face rule in
-    ``face_traces``.  With E = (b - a, c - a) and g = E E^T its surface
+    ``face_traces``, the exact 2k' rule ``rule``: every step-2 integral has
+    degree at most 2k'.  With E = (b - a, c - a) and g = E E^T its surface
     gradient is E^T g^-1 D c, D the (s, t) derivatives of the monomials, so
-    each face's blocks are tables in g^-1: the derivative pairs DD (4, nP
-    nP), the weighted derivatives wD (q 2, nP), D and the values V at the
-    rule points, and the zero-mean row w V.  ``nodes`` (nc, nP) holds the
+    each face's blocks are tables in g^-1.  The constant has no gradient,
+    so the derivative tables cover the non-constant monomials only: the
+    derivative pairs DD (4, (nP-1)^2), the weighted derivatives wD (q 2,
+    nP-1) and D at the rule points.  V holds the values of all nP monomials
+    there and ``mean`` their integrals, w V.  ``nodes`` (nc, nP) holds the
     values at the degree-k' Lagrange nodes of the face's closure (vertices
     a, b, c, edges ab, ac, bc, then the face, each entity's in the
     registry's order), and row 16 a + 4 b + c of ``local`` (64, nc) their
     local indices in a tet where the face has that orientation code."""
 
     def __init__(self, kp: int):
-        self.rule = ps.quadrature("tri", 2 * kp + 2)
+        self.rule = _face_rule(kp)
         w = self.rule.weights
         self.V = _poly.vandermonde(2, kp, self.rule.points)
-        D = np.einsum("qm,amn->qan", self.V, _poly.diff_stack(2, kp))    # (q, 2, nP)
+        D = np.einsum("qm,amn->qan", self.V, _poly.diff_stack(2, kp))[:, :, 1:]
         self.D = D.reshape(-1, D.shape[2])
         self.wD = (w[:, None, None] * D).reshape(self.D.shape)
         self.DD = np.einsum("q,qai,qbj->abij", w, D, D).reshape(4, -1)
@@ -228,7 +233,7 @@ class FaceMultiplier:
     jnorm: np.ndarray            # (Fi,) L2 norm of the face data [F]_t
     div_norm: np.ndarray         # (Fi,) in-plane divergence of the fitted data
     mean_abs: np.ndarray         # (Fi,) |(lambda, 1)_f|
-    lam_scale: float             # max |lambda| at the face rule points; scales tolerances
+    lam_scale: float             # max |lambda| at the 2k' face rule points; scales tolerances
 
     @property
     def n_faces(self) -> int:
@@ -250,62 +255,47 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
     the face rule points.  E [F] are the covariant components of its
     tangential part, so the load is -s sum_q w D^T g^-1 E [F], and the norm
     of a tangential field v is that of (E v)^T g^-1 (E v): no frame and no
-    normal.  Returns the coefficients (Fi, nP), the maps E^T g^-1 (Fi, 3, 2),
-    the residual, data-norm and mean diagnostics, and the largest |lambda|
-    at the face rule points.
+    normal.  The normal equations of the non-constant monomials are SPD;
+    the zero mean then fixes the constant.  Returns the coefficients (Fi,
+    nP), the maps E^T g^-1 (Fi, 3, 2), the residual, data-norm and mean
+    diagnostics, and the largest |lambda| at the face rule points.
     """
     tab = _face_tables(kp)
     w = tab.rule.weights
-    nF, q, nP = len(faces), len(w), tab.V.shape[1]
+    nF, q, n = len(faces), len(w), tab.D.shape[1]
     v = mesh.vertices[mesh.faces[faces]]
     E = v[:, 1:] - v[:, :1]                                         # (Fi, 2, 3)
     ginv = np.linalg.inv(E @ E.transpose(0, 2, 1))
     s = 2.0 * mesh.face_areas()[faces]
     data = jump @ E.transpose(0, 2, 1)                              # E [F], (Fi, q, 2)
-    mean_row = s[:, None] * tab.mean
-    S = np.zeros((nF, nP + 1, nP + 1))
-    S[:, :nP, :nP] = ((s[:, None] * ginv.reshape(nF, 4)) @ tab.DD).reshape(nF, nP, nP)
-    S[:, :nP, nP] = mean_row
-    S[:, nP, :nP] = mean_row
-    b = np.zeros((nF, nP + 1, 1))
-    b[:, :nP, 0] = -s[:, None] * ((data @ ginv).reshape(nF, 2 * q) @ tab.wD)
-    sol = _solve_stack(S, b, faces, FaceSolveSingular, "face",
-                       "multiplier")[:, :nP, 0]
-    r = np.stack([(sol @ tab.D.T).reshape(nF, q, 2) + data, data])    # E v
+    S = ((s[:, None] * ginv.reshape(nF, 4)) @ tab.DD).reshape(nF, n, n)
+    b = -s[:, None] * ((data @ ginv).reshape(nF, 2 * q) @ tab.wD)
+    c = _solve_stack(S, b[:, :, None], faces, FaceSolveSingular, "face",
+                     "multiplier")[:, :, 0]
+    sol = np.column_stack([-(c @ tab.mean[1:]) / tab.mean[0], c])
+    r = np.stack([(c @ tab.D.T).reshape(nF, q, 2) + data, data])   # E v
     resid, jnorm = np.sqrt(np.maximum(s * (((r @ ginv) * r).sum(axis=3) @ w), 0.0))
-    mean_abs = np.abs((mean_row * sol).sum(axis=1))
+    mean_abs = np.abs(s * (sol @ tab.mean))
     lam_scale = float(np.abs(sol @ tab.V.T).max(initial=0.0))
     return sol, E.transpose(0, 2, 1) @ ginv, resid, jnorm, mean_abs, lam_scale
-
-
-def _jump_divergence_norm(mesh: Mesh, dG: np.ndarray, faces: np.ndarray,
-                          rule) -> np.ndarray:
-    """Exact in-plane divergence of the tangential jump of a broken field.
-
-    The jump is a polynomial trace, so its surface divergence is evaluated
-    from the jump of the field's gradient on the listed faces, ``dG`` (Fi,
-    q, 9) with component 3 b + c = d_b F_c; no fitting is involved and
-    compatible data reports machine zero.
-    """
-    # div_f(n x F) = sum_bc (e_b x n)_c d_b F_c = -n . curl F
-    P = np.cross(np.eye(3), mesh.face_normals()[faces][:, None, :])    # (Fi, 3, 3)
-    div = (dG @ P.reshape(len(faces), 9, 1))[:, :, 0]
-    s = 2.0 * mesh.face_areas()[faces]
-    return np.sqrt(np.maximum(s * (div ** 2 @ rule.weights), 0.0))
 
 
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            correction: ElementCorrection, kp: int, *,
                            strict: bool = False) -> FaceMultiplier:
-    """Solve the surface-curl problems of all internal faces as one batch."""
+    """Solve the surface-curl problems of all internal faces as one batch.
+
+    The jumps of the field and of its curl are traced together; the
+    in-plane divergence of the tangential jump is div_f(n x [F]) =
+    -n . [curl F], exact, so compatible data reports machine zero."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = _face_tables(kp).rule
     internal = mesh.internal_faces()
-    # the field and its 9 partial derivatives, evaluated together
-    partials = total.partials().reshape(mesh.n_tets, 9, -1)
-    stacked = BrokenPolyField(mesh, kp, np.concatenate([total.coeffs, partials], axis=1))
-    jumps = face_jump_values(mesh, stacked, internal, rule)          # (Fi, q, 12)
-    div_norm = _jump_divergence_norm(mesh, jumps[:, :, 3:], internal, rule)
+    stacked = BrokenPolyField(
+        mesh, kp, np.concatenate([total.coeffs, total.curl().coeffs], axis=1))
+    jumps = face_jump_values(mesh, stacked, internal)               # (Fi, q, 6)
+    ndiv = (jumps[:, :, 3:] @ mesh.face_normals()[internal][:, :, None])[:, :, 0]
+    w = _face_tables(kp).rule.weights
+    div_norm = np.sqrt(2.0 * mesh.face_areas()[internal] * (ndiv ** 2 @ w))
     lam, dual, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
         mesh, internal, jumps[:, :, :3], kp)
     out = FaceMultiplier(kp, internal, lam, mesh.vertices[mesh.faces[internal, 0]],
@@ -465,8 +455,8 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     # each node's occurrence t * nloc + local node in T+ and T-
     occ, ids = [], []
     for side in (0, 1):
-        tets, code = _face_orientation(mesh, internal, side)
-        local = tab.local[code]                                     # (Fi, nc)
+        tets = mesh.face_tets[internal, side]
+        local = tab.local[mesh.face_codes[internal, side]]          # (Fi, nc)
         occ.append(tets[:, None] * nloc + local)
         ids.append(reg.tet_nodes[tets[:, None], local])
     node = ids[0].ravel()
@@ -484,8 +474,10 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     phi[unknown] = x
 
     scale = max(np.abs(val).max(initial=0.0), fm.lam_scale)
-    worst = int(node[np.argmax(resid[node])])
-    max_resid = float(resid[worst])
+    # the lowest node id within roundoff of the largest residual: residuals
+    # that tie in exact arithmetic (symmetric meshes) name one node
+    max_resid = float(resid[node].max())
+    worst = int(node[resid[node] >= (1.0 - 1e-12) * max_resid].min())
     out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, worst)
     if strict and max_resid > STRICT_TOL * max(scale, 1e-30):
         k, e = int(reg.kind[worst]), int(reg.entity[worst])
@@ -628,9 +620,9 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     free = np.nonzero(~reg.boundary)[0]
     P = ps.reference_space(ps.P_SCALAR_TET, reg.degree)
     corrected = Hh.padded_to(kp).plus(corr.Hhat)
-    tri_rule = ps.quadrature("tri", 2 * kp + 2)
+    tri_rule = _face_tables(kp).rule
     internal = mesh.internal_faces()
-    jump = tangential_jump_values(mesh, corrected, internal, tri_rule)
+    jump = tangential_jump_values(mesh, corrected, internal)
     face_w = 2.0 * mesh.face_areas()[internal]
     ortho_rels = []
     for _ in range(5):
@@ -643,7 +635,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,
                                     jv - cv, gv) * geom.detJ).sum())
         face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
-                                    jump, face_traces(mesh, gpsi, internal, tri_rule, 0)))
+                                    jump, face_traces(mesh, gpsi, internal, 0)))
         scale = max(jnorm * gpsi.norm(), 1e-30)
         ortho_rels.append(abs(vol_term + face_term) / scale)
 

@@ -15,10 +15,11 @@ correction of a load that is not consistent to roundoff reads it.  The
 singular curl-curl system is solved in the tree-cotree gauge that the dof
 map picks entity by entity (``DofMap.gauge``), so no mass shift and no
 iteration is needed.  Every integral against current data or an analytic
-field uses one tet rule per degree (``_data_exactness``).  Broken fields
-are carried around as per-element polynomial coefficient blocks over
-reference coordinates with physical components, which keeps curls,
-gradients, and jumps exact.
+field uses one tet rule per degree (``_data_exactness``), and every face
+integral of the traces of a degree-p field the exact 2p triangle rule
+(``_face_rule``).  Broken fields are carried around as per-element
+polynomial coefficient blocks over reference coordinates with physical
+components, which keeps curls, gradients, and jumps exact.
 
 The element kernels are shaped for BLAS: the cached reference tables hold
 their quadrature data pre-weighted and reshaped, so the curl-curl blocks of
@@ -26,9 +27,10 @@ all tets are one (T, 9) @ (9, n n) product and the load vector one
 (T, q 3) @ (q 3, n) product; a broken field is evaluated by one
 (T comp, m) @ (m, q) product and differentiated by one product with the
 stacked derivative matrices and one batched J^-T product.  A face rule sits
-on the reference tet in one of 24 orientations, so a one-sided face trace
-is one product with a cached table of that orientation (``face_traces``),
-and no face point is mapped.
+on the reference tet in one of 24 orientations, whose codes ``build_mesh``
+stores for each face and side (``Mesh.face_codes``), so a one-sided face
+trace is one product with a cached table of that orientation
+(``face_traces``), and no face point is mapped.
 """
 
 from __future__ import annotations
@@ -841,15 +843,21 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
 # face jump utilities and norms
 # ---------------------------------------------------------------------------
 
+def _face_rule(degree: int) -> ps.QuadratureRule:
+    """The exact 2p triangle rule of the traces of a degree-p field: every
+    face integral of one trace or of two traces' product."""
+    return ps.quadrature("tri", 2 * degree)
+
+
 @lru_cache(maxsize=None)
-def _face_trace_tables(degree: int, rule) -> np.ndarray:
-    """(64, q, n_monomials) Vandermonde of the face rule points on every
-    reference face: row 16 a + 4 b + c holds the face whose ascending
+def _face_trace_tables(degree: int) -> np.ndarray:
+    """(64, q, n_monomials) Vandermonde of the points of ``_face_rule`` on
+    every reference face: row 16 a + 4 b + c holds the face whose ascending
     vertices sit at local positions a, b, c of the tet (its orientation
-    code, ``_face_orientation``), the rule's coordinates being the face's
+    code, ``Mesh.face_codes``), the rule's coordinates being the face's
     affine coordinates, which run along b - a and c - a.  Only the 24 rows
     with distinct a, b, c occur."""
-    s = rule.points
+    s = _face_rule(degree).points
     bary = np.column_stack([1.0 - s[:, 0] - s[:, 1], s])
     out = np.zeros((64, len(s), _poly.n_monomials(3, degree)))
     for a, b, c in itertools.permutations(range(4), 3):
@@ -858,50 +866,37 @@ def _face_trace_tables(degree: int, rule) -> np.ndarray:
     return out
 
 
-def _face_orientation(mesh: Mesh, faces: np.ndarray, side: int):
-    """The plus (side 0) or minus (side 1) tet of each listed face and the
-    face's orientation code in it, 16 a + 4 b + c with a, b, c the local
-    positions in the tet of the face's ascending vertices."""
-    tets = mesh.face_tets[faces, side]
-    pos = np.argmax(mesh.tets[tets][:, None, :] == mesh.faces[faces][:, :, None], axis=2)
-    return tets, pos @ (16, 4, 1)
-
-
 def face_traces(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
-                rule, side: int) -> np.ndarray:
+                side: int) -> np.ndarray:
     """Values of the field on the plus (side 0) or minus (side 1) tet of
-    each listed face at the face rule points, (len(faces), q, comp): the
-    orientation code of the face in the tet picks its row of
-    ``_face_trace_tables``, so no point is mapped."""
-    tets, code = _face_orientation(mesh, faces, side)
-    tab = _face_trace_tables(field.degree, rule)
-    return tab[code] @ field.coeffs[tets].transpose(0, 2, 1)
+    each listed face at the points of its degree's ``_face_rule``,
+    (len(faces), q, comp): the orientation code of the face in the tet
+    picks its row of ``_face_trace_tables``, so no point is mapped."""
+    tab = _face_trace_tables(field.degree)[mesh.face_codes[faces, side]]
+    return tab @ field.coeffs[mesh.face_tets[faces, side]].transpose(0, 2, 1)
 
 
-def face_jump_values(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
-                     rule) -> np.ndarray:
+def face_jump_values(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray) -> np.ndarray:
     """F+ - F- at the face rule points of an index array of internal faces,
     (len(faces), q, comp)."""
-    return (face_traces(mesh, field, faces, rule, 0)
-            - face_traces(mesh, field, faces, rule, 1))
+    return face_traces(mesh, field, faces, 0) - face_traces(mesh, field, faces, 1)
 
 
 def tangential_jump_values(mesh: Mesh, field: BrokenPolyField,
-                           faces: np.ndarray, rule) -> np.ndarray:
+                           faces: np.ndarray) -> np.ndarray:
     """n x (F+ - F-) at the face rule points; shapes as face_jump_values."""
     n = mesh.face_normals()[faces]
-    return np.cross(n[:, None, :], face_jump_values(mesh, field, faces, rule))
+    return np.cross(n[:, None, :], face_jump_values(mesh, field, faces))
 
 
 def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField) -> np.ndarray:
     """L2 norms of the tangential jump on every internal face (0 on boundary),
     exact."""
-    rule = ps.quadrature("tri", 2 * field.degree)
     internal = mesh.internal_faces()
-    jump = tangential_jump_values(mesh, field, internal, rule)
+    jump = tangential_jump_values(mesh, field, internal)
     out = np.zeros(mesh.n_faces)
     out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(
-        "q,fqc->f", rule.weights, jump ** 2))
+        "q,fqc->f", _face_rule(field.degree).weights, jump ** 2))
     return out
 
 

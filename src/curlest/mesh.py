@@ -63,6 +63,7 @@ class Mesh:
     edges: np.ndarray             # (E, 2) ascending vertex ids
     tet_edges: np.ndarray         # (T, 6) in LOCAL_EDGES order
     face_edges: np.ndarray        # (F, 3)
+    face_codes: np.ndarray        # (F, 2) orientation codes in [T+, T-], -1: no tet
     boundary_face: np.ndarray = None
     boundary_edge: np.ndarray = None
     boundary_vertex: np.ndarray = None
@@ -176,25 +177,29 @@ def _dedupe(keys):
     return uniq[order], rank[inverse.reshape(-1)], rank
 
 
-def _check_links(name, n, tet_entities, face_entities, face_tets, boundary_face):
+def _positions(tet_entities, face_entities, face_tets):
+    """Local positions (F, 2, k) of each face's k entities in its plus and
+    minus tets; rows of a missing minus tet are meaningless."""
+    tets = tet_entities[face_tets]                             # (F, 2, w)
+    return (tets[:, :, None, :] == face_entities[:, None, :, None]).argmax(axis=3)
+
+
+def _check_links(name, n, tet_entities, face_entities, pos, face_tets, boundary_face):
     """Raise NonConforming unless the tets around every entity of one kind
     (``name``: edge or vertex) are joined through its internal faces.
 
     Graph nodes are the (tet, local entity) incidences; every internal face
-    links the two incidences of each of its entities.  The link of an edge
-    is a chain or a cycle, and that of a vertex a disk or a sphere, only if
-    the entity's incidences form one component.
+    links the two incidences of each of its entities, at their local
+    positions ``pos`` (``_positions``).  The link of an edge is a chain or a
+    cycle, and that of a vertex a disk or a sphere, only if the entity's
+    incidences form one component.
     """
     internal = np.nonzero(~boundary_face)[0]
-    plus, minus = face_tets[internal, 0], face_tets[internal, 1]
-    fe = face_entities[internal][:, :, None]
     w = tet_entities.shape[1]
-    local_plus = (tet_entities[plus][:, None, :] == fe).argmax(axis=2)
-    local_minus = (tet_entities[minus][:, None, :] == fe).argmax(axis=2)
+    ends = w * face_tets[internal][:, :, None] + pos[internal]     # (Fi, 2, k)
     size = tet_entities.size
     graph = sp.coo_matrix(
-        (np.ones(local_plus.size), ((w * plus[:, None] + local_plus).ravel(),
-                                    (w * minus[:, None] + local_minus).ravel())),
+        (np.ones(ends[:, 0].size), (ends[:, 0].ravel(), ends[:, 1].ravel())),
         shape=(size, size))
     n_comp, label = connected_components(graph, directed=False)
     comp_entity = np.empty(n_comp, dtype=np.int64)
@@ -278,8 +283,14 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[faces[boundary_face].ravel()] = True
     # edges first, so that a split edge link is reported as the edge's
-    _check_links("edge", len(edges), tet_edges, face_edges, face_tets, boundary_face)
-    _check_links("vertex", nv, tets, faces, face_tets, boundary_face)
+    _check_links("edge", len(edges), tet_edges, face_edges,
+                 _positions(tet_edges, face_edges, face_tets), face_tets, boundary_face)
+    # the vertex positions give each face's orientation code in its tets,
+    # 16 a + 4 b + c with a, b, c those of its ascending vertices
+    pos = _positions(tets, faces, face_tets)
+    _check_links("vertex", nv, tets, faces, pos, face_tets, boundary_face)
+    face_codes = pos @ (16, 4, 1)
+    face_codes[boundary_face, 1] = BOUNDARY
 
     if subdomain_tags is None:
         subdomain_tags = np.zeros(nt, dtype=np.int64)
@@ -293,7 +304,7 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         parent=None if parents is None else np.asarray(parents, dtype=np.int64),
         faces=faces, face_tets=face_tets, tet_faces=tet_faces,
         edges=edges, tet_edges=tet_edges, face_edges=face_edges,
-        boundary_face=boundary_face, boundary_edge=boundary_edge,
+        face_codes=face_codes, boundary_face=boundary_face, boundary_edge=boundary_edge,
         boundary_vertex=boundary_vertex, _tet_diameters=diam)
 
 

@@ -59,7 +59,7 @@ def dim_rt_tet(k: int) -> int:
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)   # hashed by identity: a key of table caches
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     points: np.ndarray   # (n, d) reference coordinates
     weights: np.ndarray  # (n,)

@@ -136,6 +136,17 @@ def jittered_cube(n, seed=5, tag_fn=None):
     return msh.build_mesh(verts, vperm[m.tets][tperm], m.subdomain_tag[tperm])
 
 
+def randomly_bisected(rounds, seed):
+    """unit_cube_mesh(1) after rounds of bisecting a random third of its tets."""
+    rng = np.random.default_rng(seed)
+    m = msh.unit_cube_mesh(1)
+    for _ in range(rounds):
+        marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 3),
+                                replace=False).tolist())
+        m = msh.refine(m, marked)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # per-tet reference loops for the stacked element maps: each applies the
 # canonical functionals to the covariant- or Piola-mapped basis of one tet at
@@ -466,9 +477,11 @@ def loop_face_solve(mesh, f, jump, rule, kp, form):
 
 def loop_face_multipliers(mesh, Hh, correction, kp, form="weak"):
     """Step 2 face by face: dict of lam, resid, jnorm, div_norm, mean_abs
-    over the internal faces in ascending order."""
+    over the internal faces in ascending order.  Its rule is exact to
+    degree 2k' + 4, four above the library's, so agreement shows that the
+    library's rule is exact too."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = ps.quadrature("tri", 2 * kp + 2)
+    rule = ps.quadrature("tri", 2 * kp + 4)
     grad_coeffs = np.einsum("tnb,nij,tcj->tbci", mesh.geom().Jinv,
                             _poly.diff_stack(3, kp), total.coeffs)
     rows = []
@@ -508,8 +521,9 @@ def loop_edge_sums(mesh, fm, n_samples=None):
 
 
 def loop_jump_norms(mesh, field):
-    """(tangential, normal) jump norms face by face, 0 on boundary faces."""
-    rule = ps.quadrature("tri", 2 * field.degree)
+    """(tangential, normal) jump norms face by face, 0 on boundary faces, at
+    a rule exact to degree 2p + 4, four above the library's."""
+    rule = ps.quadrature("tri", 2 * field.degree + 4)
     tang = np.zeros(mesh.n_faces)
     norm = np.zeros(mesh.n_faces)
     for f in mesh.internal_faces():
@@ -1129,11 +1143,11 @@ def einsum_compute_Hh(mesh, dofmap, u, mu):
 
 
 def einsum_step2(mesh, Hh, correction, kp):
-    """Step 2's batched face kernels in einsum form and in face frames:
-    dict of lam (scaled face-frame monomials), resid, jnorm, div_norm and
-    mean_abs over the internal faces."""
+    """Step 2's batched face kernels in einsum form and in face frames, at
+    the library's face rule: dict of lam (scaled face-frame monomials),
+    resid, jnorm, div_norm and mean_abs over the internal faces."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
-    rule = ps.quadrature("tri", 2 * kp + 2)
+    rule = fem._face_rule(kp)
     faces = mesh.internal_faces()
     fr = face_frame(mesh, faces)
     w = rule.weights
@@ -1141,7 +1155,7 @@ def einsum_step2(mesh, Hh, correction, kp):
 
     grads = fem.BrokenPolyField(mesh, kp, einsum_partials(total).reshape(
         mesh.n_tets, 9, -1))
-    dG = fem.face_jump_values(mesh, grads, faces, rule)
+    dG = fem.face_jump_values(mesh, grads, faces)
     dG = dG.reshape(dG.shape[:2] + (3, 3))
     div = np.zeros(dG.shape[:2])
     for tvec in (fr.t1, fr.t2):
@@ -1149,7 +1163,7 @@ def einsum_step2(mesh, Hh, correction, kp):
         div += np.einsum("fqc,fc->fq", np.cross(fr.n[:, None, :], dF), tvec)
     div_norm = np.sqrt(np.maximum(s * np.einsum("q,fq->f", w, div ** 2), 0.0))
 
-    jump = fem.tangential_jump_values(mesh, total, faces, rule)
+    jump = fem.tangential_jump_values(mesh, total, faces)
     nP = ps.dim_p_tri(kp)
     hf = mesh.face_diameters()[faces][:, None, None]
     frame = np.stack([fr.t1, fr.t2], axis=-1)
@@ -1216,9 +1230,9 @@ def nedelec_field_to_poly(mesh, dofmap, u):
 
 def normal_jump_norms(mesh, field):
     """L2 norms of the normal jump on every internal face (0 on boundary)."""
-    rule = ps.quadrature("tri", 2 * field.degree)
+    rule = fem._face_rule(field.degree)
     internal = mesh.internal_faces()
-    jump = fem.face_jump_values(mesh, field, internal, rule)
+    jump = fem.face_jump_values(mesh, field, internal)
     dv = np.einsum("fqc,fc->fq", jump, mesh.face_normals()[internal])
     out = np.zeros(mesh.n_faces)
     out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(

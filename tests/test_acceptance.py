@@ -183,7 +183,7 @@ def test_criterion_05_local_well_posedness_oracles():
     worst2 = 0.0
     for trial in range(200):
         kp = int(rng.integers(1, 4))
-        rule = ps.quadrature("tri", 2 * kp + 2)
+        rule = ps.quadrature("tri", 2 * kp)
         nm2 = _poly.n_monomials(2, kp)
         D2 = _poly.diff_stack(2, kp)
         lam0 = rng.standard_normal(nm2)

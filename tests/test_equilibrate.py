@@ -20,7 +20,7 @@ from _helpers import (MU1, cube_H, cube_j, edge_faces, eval_one,
                       inspace_u, jittered_cube, loop_edge_sums,
                       loop_face_multipliers, loop_face_solve, loop_jump_norms,
                       loop_step1, loop_step3, node_points, normal_jump_norms,
-                      ref_coords, relabelled_cube, solve_cube,
+                      randomly_bisected, ref_coords, relabelled_cube, solve_cube,
                       solve_node_patch, solve_single_face)
 
 RNG = np.random.default_rng(23)
@@ -186,7 +186,7 @@ def test_step2_roundtrip(kp, form):
     f = int(m.internal_faces()[0])
     fr = face_frame(m, f)
     hf = m.face_diameters()[f]
-    rule = ps.quadrature("tri", 2 * kp + 2)
+    rule = ps.quadrature("tri", 2 * kp)
     area = m.face_areas()[f]
     nm2 = _poly.n_monomials(2, kp)
     D2 = _poly.diff_stack(2, kp)
@@ -337,17 +337,6 @@ def jump_level(request):
     j = fem.CurrentDensity(func=wave_j)
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=k))
     return m, Hh, eqm.estimate(m, MU_JUMP, data, Hh, dm.registry)
-
-
-def _randomly_bisected(rounds, seed):
-    """unit_cube_mesh(1) after rounds of bisecting a random third of its tets."""
-    rng = np.random.default_rng(seed)
-    m = msh.unit_cube_mesh(1)
-    for _ in range(rounds):
-        marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 3),
-                                replace=False).tolist())
-        m = msh.refine(m, marked)
-    return m
 
 
 def _rel_err(got, want):
@@ -527,7 +516,7 @@ def test_step2_matches_loop_oracle(jump_level):
 def test_lam_scale_is_the_largest_multiplier_at_the_face_rule_points(jump_level):
     m, Hh, out = jump_level
     fm = out.multipliers
-    rule = ps.quadrature("tri", 2 * fm.degree + 2)
+    rule = ps.quadrature("tri", 2 * fm.degree)
     vals = np.abs(fm.eval(np.arange(fm.n_faces),
                           face_rule_points(m, fm.internal_faces, rule)))
     assert abs(fm.lam_scale - vals.max()) <= 1e-14 * vals.max()
@@ -548,7 +537,7 @@ def _step3_against_loop(m, Hh, out):
 def test_step3_matches_loop_oracle(jump_level):
     _step3_against_loop(*jump_level)
     # random bisection: vertex and edge patches of many shapes
-    m = _randomly_bisected(5, seed=7)
+    m = randomly_bisected(5, seed=7)
     j = fem.CurrentDensity(func=wave_j)
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j,
                                       adm.RunConfig(degree=jump_level[1].degree))
@@ -564,6 +553,37 @@ def test_step3_names_the_node_of_largest_residual(jump_level):
     ref = loop_step3(m, bumped, bumped.degree)
     assert got.max_residual > 1e-9 * got.lam_scale
     assert got.worst_node_name == ref.worst_node_name
+
+
+def test_step3_worst_node_is_stable_under_roundoff(monkeypatch):
+    # the first level of `curlest run cube_poly --degree 2`: by symmetry two
+    # vertices share the largest patch residual, so roundoff alone would
+    # pick between them; the lowest id within 1e-12 of the largest is named
+    # however each face's multiplier is rounded.  Negative control: a real
+    # bump moves the name (test_step3_names_the_node_of_largest_residual)
+    spec = bench.builtin_problems()["cube_poly"]
+    cfg = adm.RunConfig(degree=2)
+    m = spec.make_mesh(spec.uniform_res[2][0])
+    dm, u, Hh, data = adm.solve_level(m, spec.mu, spec.current(), cfg)
+    fm = adm.estimate_level(dm, spec.mu, data, Hh, cfg).multipliers
+    resid = []
+    solve = eqm.solve_node_patches
+
+    def recorded(*args):
+        x, r = solve(*args)
+        resid.append(r)
+        return x, r
+
+    monkeypatch.setattr(eqm, "solve_node_patches", recorded)
+    want = eqm.step3_reconstruct_phi(m, fm, dm.registry)
+    tied = np.nonzero(resid[0] >= (1.0 - 1e-12) * resid[0].max())[0]
+    assert len(tied) >= 2 and want.worst_node == tied.min()
+    assert want.max_residual > 1e-3 * want.lam_scale     # a tie of real residuals
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        lam = fm.lam * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], (fm.n_faces, 1)))
+        got = eqm.step3_reconstruct_phi(m, dataclasses.replace(fm, lam=lam), dm.registry)
+        assert got.worst_node_name == want.worst_node_name
 
 
 def test_step3_matches_loop_oracle_above_solve_degree():
@@ -584,7 +604,7 @@ def test_step3_matches_loop_oracle_in_every_orientation(k, kp):
     m = relabelled_cube(3)
     internal = m.internal_faces()
     for side in (0, 1):
-        assert len(np.unique(fem._face_orientation(m, internal, side)[1])) == 24
+        assert len(np.unique(m.face_codes[internal, side])) == 24
     j = fem.CurrentDensity(func=wave_j)
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=k))
     _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh,
@@ -661,11 +681,11 @@ def test_face_kernels_memory_peak():
 
 def test_singular_face_system_names_the_face():
     # a zero area on one face (written into the mesh's cached areas) zeroes
-    # its bordered system, so the batched solve fails on that face alone
+    # its system, so the batched solve fails on that face alone
     m = msh.unit_cube_mesh(2)
     faces = m.internal_faces()
     m.face_areas()[faces[3]] = 0.0
-    rule = ps.quadrature("tri", 4)
+    rule = ps.quadrature("tri", 2)
     jump = np.ones((len(faces), len(rule.weights), 3))
     with pytest.raises(eqm.FaceSolveSingular) as exc:
         eqm._face_multiplier_solve(m, faces, jump, 1)
@@ -1036,7 +1056,7 @@ def test_equilibrium_on_irregular_bisected_mesh():
     # several rounds of random bisection produce stretched elements with
     # arbitrary face orientations; with compatible data the pipeline must
     # stay exact there too
-    m = _randomly_bisected(6, seed=99)
+    m = randomly_bisected(6, seed=99)
     j = fem.CurrentDensity(func=cube_j)
     cfg = adm.RunConfig(degree=2)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)

@@ -8,7 +8,9 @@ so it is pinned bitwise.
 The free x free sparse matrices are summed into the dof map's CSR pattern;
 they are pinned to the COO -> CSR -> free-slice oracle, whose pattern they
 reproduce exactly.  The element inverses from the cached reference inverses
-are pinned to the direct inverse of the element dof matrices.
+are pinned to the direct inverse of the element dof matrices.  The face
+kernels' exact 2k' rule is checked against the loop oracles, which integrate
+at 2k' + 4.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ from _helpers import (coo_assemble_free, cube_j, einsum_assemble_curlcurl,
                       einsum_compute_Hh, einsum_curl, einsum_div, einsum_eval,
                       einsum_grad, einsum_map_points, einsum_partials,
                       einsum_step2, einsum_vandermonde, face_rule_points,
-                      frame_eval, jittered_cube)
+                      frame_eval, jittered_cube, loop_face_multipliers,
+                      loop_jump_norms)
 
 TOL = 1e-13
 MU = fem.MaterialField({0: 1.0, 1: 100.0})
@@ -85,7 +88,7 @@ def test_face_traces_match_mapped_points(mesh, k):
     # there, and each path rounds its monomials and its n_mono-term sum by
     # (n_mono + 2k) u, all relative to the sum of |coefficients|.
     rng = np.random.default_rng(k)
-    rule = ps.quadrature("tri", 2 * k + 2)
+    rule = ps.quadrature("tri", 2 * k)
     field = random_field(rng, mesh, k)
     faces = mesh.internal_faces()
     geom = mesh.geom()
@@ -96,7 +99,7 @@ def test_face_traces_match_mapped_points(mesh, k):
     for side in (0, 1):
         tets = mesh.face_tets[faces, side]
         want = field.eval_points(tets, face_rule_points(mesh, faces, rule))
-        got = fem.face_traces(mesh, field, faces, rule, side)
+        got = fem.face_traces(mesh, field, faces, side)
         Jinv_inf = np.abs(geom.Jinv[tets]).sum(axis=2).max(axis=1)
         delta = (16 + 2 * np.linalg.cond(geom.J[tets], np.inf)) * u * X * Jinv_inf
         size = np.abs(field.coeffs[tets]).sum(axis=2)                 # (F, comp)
@@ -199,6 +202,31 @@ def test_step2_face_kernels_match_einsum(mesh, k):
     # the integral it cancels
     scale = 2.0 * mesh.face_areas().max() * np.abs(want_vals).max()
     assert np.abs(got.mean_abs - want["mean_abs"]).max() <= TOL * scale
+
+
+@pytest.mark.parametrize("kp", [1, 2, 3, 4])
+def test_face_rule_is_exact(mesh, kp):
+    # the library integrates the traces of degree-k' fields at the 2k' face
+    # rule, the loop oracles at 2k' + 4: both exact, so they agree to
+    # roundoff.  Random broken fields give every face an O(1) jump and an
+    # O(1) step-2 residual, so every output is compared relative to its size
+    rng = np.random.default_rng(kp)
+    Hh = random_field(rng, mesh, kp)
+    corr = eqm.ElementCorrection(Hhat=random_field(rng, mesh, kp), resid=None,
+                                 jdelta_norm=None, ortho_resid=None, degree=kp)
+    got = eqm.step2_face_multipliers(mesh, Hh, corr, kp)
+    want = loop_face_multipliers(mesh, Hh, corr, kp)
+
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    for key in ("resid", "jnorm", "div_norm"):
+        assert rel(getattr(got, key), want[key]) <= 1e-12, key
+    faces = got.internal_faces
+    pts = face_rule_points(mesh, faces, ps.quadrature("tri", 2 * kp + 2))
+    assert rel(got.eval(np.arange(got.n_faces), pts),
+               frame_eval(mesh, faces, kp, want["lam"], pts)) <= 1e-12
+    assert rel(fem.tangential_jump_norms(mesh, Hh), loop_jump_norms(mesh, Hh)[0]) <= 1e-12
 
 
 def assert_same_csr(got, want):

@@ -8,8 +8,8 @@ from curlest import mesh as msh
 from curlest.errors import DegenerateTet, NonConforming, NotAdjacent
 from _helpers import (brute_force_faces, check_conforming, edge_faces,
                       face_frame, jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
-                      loop_topology, relabelled_cube, two_tet_mesh,
-                      walk_edge_link)
+                      loop_topology, randomly_bisected, relabelled_cube,
+                      two_tet_mesh, walk_edge_link)
 
 RNG = np.random.default_rng(7)
 
@@ -46,6 +46,28 @@ def test_cube_face_counts_against_brute_force():
     count = brute_force_faces(m.tets)
     assert m.n_faces == len(count) == 18
     assert (~m.boundary_face).sum() == sum(1 for c in count.values() if c == 2) == 6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: relabelled_cube(3),
+    lambda: randomly_bisected(6, seed=99),
+    lambda: msh.refine(relabelled_cube(3), range(0, 162, 5)),
+], ids=["relabelled", "bisected", "refined"])
+def test_face_codes_match_position_search(make):
+    # each face's orientation code in its plus and minus tet, 16 a + 4 b + c
+    # with a, b, c the positions of its ascending vertices in the tet,
+    # against a search of the tet's vertex list; every one of the 24 codes
+    # occurs on each side, and a boundary face has no minus code
+    m = make()
+    for f in range(m.n_faces):
+        for side, t in enumerate(m.face_tets[f]):
+            if t == msh.BOUNDARY:
+                continue
+            a, b, c = (list(m.tets[t]).index(v) for v in m.faces[f])
+            assert m.face_codes[f, side] == 16 * a + 4 * b + c
+    assert (m.face_codes[m.boundary_face, 1] == -1).all()
+    for side in (0, 1):
+        assert len(np.unique(m.face_codes[m.internal_faces(), side])) == 24
 
 
 def test_nonconforming_rejected():
