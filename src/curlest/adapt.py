@@ -17,6 +17,7 @@ from .mesh import Mesh, refine
 log = logging.getLogger("curlest")
 
 ETA_SUM_TOL = 1e-12   # relative gap allowed between sum eta_T^2 and eta_h^2
+MARK_TIE_TOL = 1e-12  # relative band of squared indicators that marking treats as tied
 MODES = ("uniform", "adaptive")
 ESTIMATORS = ("eq", "both")    # both adds the residual estimator mu_h
 
@@ -77,7 +78,10 @@ class Level:
 
 def dorfler_mark(etas: np.ndarray, theta: float) -> set:
     """Minimal-cardinality bulk set carrying a theta fraction of the squared
-    indicator; ties broken by ascending tet id for determinism."""
+    indicator.  Squared indicators within MARK_TIE_TOL relative of the
+    smallest one the set needs count as tied, and the lowest tet ids among
+    them are marked, so indicators that tie in exact arithmetic (symmetric
+    meshes) mark the same tets whatever their roundoff."""
     etas = np.asarray(etas, dtype=float)
     if (etas < 0).any():
         raise ValueError("indicators must be non-negative")
@@ -89,7 +93,10 @@ def dorfler_mark(etas: np.ndarray, theta: float) -> set:
     csum = np.cumsum(sq[order])
     count = int(np.searchsorted(csum, theta * total - 1e-15 * total) + 1)
     count = min(count, len(sq))
-    return set(int(t) for t in order[:count])
+    cutoff = sq[order[count - 1]]
+    above = np.nonzero(sq > (1.0 + MARK_TIE_TOL) * cutoff)[0]
+    tied = np.nonzero(np.abs(sq - cutoff) <= MARK_TIE_TOL * cutoff)[0]
+    return set(int(t) for t in np.concatenate([above, tied[:count - len(above)]]))
 
 
 def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,

@@ -8,8 +8,8 @@ Pipeline (per estimator run):
           projected: two stacked SPD solves;
   step 2  per internal face: a scalar multiplier whose surface curl matches
           the tangential jump of the corrected field, whose one-sided
-          traces are read from reference tables, one per orientation code
-          of a face in a tet (``Mesh.face_codes``);
+          traces are read from reference tables, one per local face of a
+          tet (``Mesh.face_local``);
   step 3  per Lagrange node on an internal face: jump-consistent potential
           values from its tiny least-squares system, all nodes in one
           sparse solve; the worst residual certifies the edge cycle
@@ -30,7 +30,6 @@ reference triangle.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -120,7 +119,8 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     of the saddle system [A B^T; B 0].  A_Z, the curl-curl block on Z, and
     B G, the scalar stiffness of the monomials times mu, are positive
     definite.  Every block is one (T, 9) product with a reference table in
-    the metric J^T J or its inverse.
+    the metric J^T J or its inverse, times the measure |det J|; the curls
+    map by J / det J, so the load r takes the sign of det J.
     """
     if kp < Hh.degree:
         raise ValueError("auxiliary degree must be >= the field degree")
@@ -130,7 +130,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     nT, (nR, nZ), nB = mesh.n_tets, tab.Z.shape, tab.G.shape[1]
 
     geom = mesh.geom()
-    J, det = geom.J, geom.detJ
+    J, det, sign = geom.J, geom.absdet, geom.sign
     JtJ = (J.transpose(0, 2, 1) @ J).reshape(nT, 9)
     JtJ_inv = np.linalg.inv(JtJ.reshape(nT, 3, 3)).reshape(nT, 9)
     jh = Hh.curl()
@@ -139,7 +139,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
           - jh.eval(all_tets, tab.rule.points))             # (T, q, 3)
 
     A_Z = (JtJ @ tab.ZCCZ).reshape(nT, nZ, nZ) / det[:, None, None]
-    r_Z = (jd @ J).reshape(nT, -1) @ tab.wcurlZ
+    r_Z = sign[:, None] * ((jd @ J).reshape(nT, -1) @ tab.wcurlZ)
     y = _solve_stack(A_Z, r_Z[:, :, None], all_tets, LocalSolveSingular, "tet", "curl")
     h = y[:, :, 0] @ tab.Z.T
     scale = (mu.per_tet(mesh) * det)[:, None, None]
@@ -151,7 +151,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
     hhat = geom.Jinv.transpose(0, 2, 1) @ (h @ N.coeffs.reshape(nR, -1)).reshape(nT, 3, -1)
     cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(nT, -1, 3)
-          @ (J.transpose(0, 2, 1) / det[:, None, None]))
+          @ (J.transpose(0, 2, 1) / (sign * det)[:, None, None]))
     resid = np.sqrt(np.maximum(det * (((cv - jd) ** 2).sum(axis=2) @ w), 0.0))
     jd_norm = np.sqrt(np.maximum(det * ((jd ** 2).sum(axis=2) @ w), 0.0))
     ortho = np.abs(B @ h[..., None]).max(axis=(1, 2), initial=0.0)
@@ -192,8 +192,8 @@ class _FaceTables:
     there and ``mean`` their integrals, w V.  ``nodes`` (nc, nP) holds the
     values at the degree-k' Lagrange nodes of the face's closure (vertices
     a, b, c, edges ab, ac, bc, then the face, each entity's in the
-    registry's order), and row 16 a + 4 b + c of ``local`` (64, nc) their
-    local indices in a tet where the face has that orientation code."""
+    registry's order), and row i of ``local`` (4, nc) their local indices
+    in a tet where the face is local face i."""
 
     def __init__(self, kp: int):
         self.rule = _face_rule(kp)
@@ -209,11 +209,11 @@ class _FaceTables:
         on = np.nonzero(lag.multi[:, 0] == 0)[0]      # the face opposite vertex 0
         on = on[np.argsort(lag.kind[on] * 6 + lag.entity[on], kind="stable")]
         self.nodes = _poly.vandermonde(2, kp, lag.multi[on, 2:] / kp)
-        self.local = np.zeros((64, len(on)), dtype=np.int64)
-        for a, b, c in itertools.permutations(range(4), 3):
+        self.local = np.zeros((4, len(on)), dtype=np.int64)
+        for i, f in enumerate(ps.TET_FACES):
             m4 = np.zeros_like(lag.multi[on])
-            m4[:, [a, b, c]] = lag.multi[on, 1:]
-            self.local[16 * a + 4 * b + c] = (lag.multi == m4[:, None]).all(axis=2).argmax(axis=1)
+            m4[:, list(f)] = lag.multi[on, 1:]
+            self.local[i] = (lag.multi == m4[:, None]).all(axis=2).argmax(axis=1)
 
 
 _face_tables = lru_cache(maxsize=None)(_FaceTables)
@@ -427,8 +427,8 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     makes the systems consistent, and ``build_mesh`` checks that every
     vertex and edge patch is face-connected, so the solution is unique.
     Every face reads lambda_f at its closure nodes from one reference table
-    and finds them in T+ and T- through the rows of its orientation codes
-    there; the node ids are T+'s, and a T- that holds another node raises
+    and finds them in T+ and T- through the rows of its local index there;
+    the node ids are T+'s, and a T- that holds another node raises
     OrphanNode.
 
     The worst residual, ``max_residual``, certifies the edge cycle
@@ -456,7 +456,7 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     occ, ids = [], []
     for side in (0, 1):
         tets = mesh.face_tets[internal, side]
-        local = tab.local[mesh.face_codes[internal, side]]          # (Fi, nc)
+        local = tab.local[mesh.face_local[internal, side]]          # (Fi, nc)
         occ.append(tets[:, None] * nloc + local)
         ids.append(reg.tet_nodes[tets[:, None], local])
     node = ids[0].ravel()
@@ -604,10 +604,10 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     cv = total_curl.eval(tets, rule.points)
     jv = j.eval_elements(mesh, tets, rule.points)
     diff = cv - jv
-    elem_sq = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.detJ
+    elem_sq = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.absdet
     elem_resid = float(np.sqrt(elem_sq.sum()))
     jnorm = float(np.sqrt((np.einsum("q,tqc->t", rule.weights, jv ** 2)
-                           * geom.detJ).sum()))
+                           * geom.absdet).sum()))
 
     total = Hh.padded_to(kp).plus(result.Htilde)
     face_norms = tangential_jump_norms(mesh, total)
@@ -633,7 +633,7 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         gpsi = psi.grad()
         gv = gpsi.eval(tets, rule.points)
         vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,
-                                    jv - cv, gv) * geom.detJ).sum())
+                                    jv - cv, gv) * geom.absdet).sum())
         face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
                                     jump, face_traces(mesh, gpsi, internal, 0)))
         scale = max(jnorm * gpsi.norm(), 1e-30)

@@ -1,10 +1,11 @@
 """Global finite element spaces, assembly, and the gauged linear solve.
 
 The curl-conforming space is assembled from per-element dof matrices: the
-canonical moment functionals are parameterized by global vertex ids, so two
-elements sharing an edge or face apply identical functionals and tangential
-continuity of the assembled field is automatic.  The inverses V_t^-1 of the
-dof matrices of all elements come as one stack
+canonical moment functionals are parameterized by the local vertex order,
+which is ascending in the global vertex ids on every tet (``build_mesh``),
+so two elements sharing an edge or face apply identical functionals and
+tangential continuity of the assembled field is automatic.  The inverses
+V_t^-1 of the dof matrices of all elements come as one stack
 (``polyspace.nedelec_element_inverses``), built once per dof map: assembly,
 H_h and field expansion are stacked products with them, and the curl-curl
 matrix is summed straight into the free-dof CSR pattern the dof map keeps.
@@ -27,15 +28,15 @@ all tets are one (T, 9) @ (9, n n) product and the load vector one
 (T, q 3) @ (q 3, n) product; a broken field is evaluated by one
 (T comp, m) @ (m, q) product and differentiated by one product with the
 stacked derivative matrices and one batched J^-T product.  A face rule sits
-on the reference tet in one of 24 orientations, whose codes ``build_mesh``
-stores for each face and side (``Mesh.face_codes``), so a one-sided face
-trace is one product with a cached table of that orientation
-(``face_traces``), and no face point is mapped.
+on the reference tet as one of its 4 faces, whose local index ``build_mesh``
+stores for each face and side (``Mesh.face_local``): the face's vertices
+and the tet's are both ascending, so its affine coordinates are those of
+that reference face, a one-sided face trace is one product with a cached
+table of that face (``face_traces``), and no face point is mapped.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -175,8 +176,7 @@ class BrokenPolyField:
         """Per-tet norms sqrt(mu int |f|^2), exact."""
         rule = ps.quadrature("tet", 2 * self.degree)
         vals = self.eval(np.arange(self.mesh.n_tets), rule.points)
-        det = self.mesh.geom().detJ
-        sq = np.einsum("q,tqc->t", rule.weights, vals ** 2) * det
+        sq = np.einsum("q,tqc->t", rule.weights, vals ** 2) * self.mesh.geom().absdet
         if mu_per_tet is not None:
             sq = sq * np.asarray(mu_per_tet)
         return np.sqrt(np.maximum(sq, 0.0))
@@ -245,14 +245,12 @@ class _EntityLayout:
 
 @lru_cache(maxsize=None)
 def _lagrange_layout(degree: int):
-    """Degree-k Lagrange nodes per vertex, edge, face and tet, and a node's
-    offset in its entity, indexed by its weights on the tet's vertices in
-    ascending global-id order: the place of the reference node with those
-    weights among its entity's nodes in ``lagrange_nodes`` order."""
+    """Degree-k Lagrange nodes per vertex, edge, face and tet, and each
+    local node's offset in its entity: its place among that entity's nodes
+    in ``lagrange_nodes`` order."""
     nodes = ps.lagrange_nodes(degree)
     group = nodes.kind * 6 + nodes.entity
-    offset = np.zeros((degree + 1,) * 4, dtype=np.int64)
-    offset[tuple(nodes.multi.T)] = [np.sum(group[:i] == g) for i, g in enumerate(group)]
+    offset = np.array([np.sum(group[:i] == g) for i, g in enumerate(group)])
     width = np.bincount(nodes.kind[nodes.entity == 0], minlength=4)
     for table in (width, offset):
         table.setflags(write=False)
@@ -276,14 +274,13 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
     """Number the degree-k Lagrange nodes in the entity layout, as the dof
     map numbers the Nedelec dofs: vertex v is node v, then come k-1 nodes
     per edge, (k-1)(k-2)/2 per face and (k-1)(k-2)(k-3)/6 per tet, each
-    entity's in ``lagrange_nodes`` order of their weights on its vertices in
-    ascending global-id order."""
+    entity's in ``lagrange_nodes`` order of their weights on its vertices,
+    which every tet lists in ascending global-id order."""
     nodes = ps.lagrange_nodes(degree)
     width, offset = _lagrange_layout(degree)
     lay = _EntityLayout(mesh, width)
-    w = nodes.multi[:, np.argsort(mesh.tets, axis=1)]            # (nloc, T, 4)
     col = (np.cumsum(_TET_ENTITIES) - _TET_ENTITIES)[nodes.kind] + nodes.entity
-    tet_nodes = lay.first[lay.tet_entities[:, col]] + offset[tuple(w.transpose(2, 1, 0))]
+    tet_nodes = lay.first[lay.tet_entities[:, col]] + offset
     return NodeRegistry(degree, *lay.locate(np.arange(len(lay.boundary))),
                         lay.boundary, tet_nodes)
 
@@ -326,8 +323,7 @@ class DofMap:
     @cached_property
     def G(self) -> sp.csc_matrix:
         """(n_free, free registry nodes) discrete gradient."""
-        V = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets],
-                                        self.mesh.tets, self.degree)
+        V = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets], self.degree)
         return discrete_gradient(V, self.cell_dofs, self.layout.boundary, self.registry)
 
     @cached_property
@@ -410,7 +406,7 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
     le = np.repeat(np.arange(ent.shape[1]), lay.count[ent[0]])  # entity of local dof
     off = np.arange(len(le)) - np.searchsorted(le, le)        # offset in the entity
-    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], mesh.tets, k)
+    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], k)
     return DofMap(mesh, k, lay, lay.first[ent][:, le] + off,
                   np.nonzero(~lay.boundary)[0], Vinv, build_node_registry(mesh, k),
                   *_free_pattern(ent, lay.count, ~lay.fixed, le, off))
@@ -505,23 +501,30 @@ class _RefTables:
         # (9, n * n) curl and value pairs and (q * 3, n) weighted values:
         # the curl-curl and mass blocks and the load vector are single
         # matrix products against them
-        self.TCC = np.einsum("q,qai,qbj->abij", w, self.curls,
-                             self.curls).reshape(9, n * n)
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
-        self.TVV = np.einsum("q,qai,qbj->abij", w, vals, vals).reshape(9, n * n)
+        self.TCC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
+        self.TVV = _pairs(w, vals, vals).reshape(9, n * n)
 
         D = _poly.diff_stack(3, degree)
         grads = np.einsum("qm,bmn->qbn", v, D)[:, :, 1:]
         self.G = ps.nedelec_dof_matrix(
-            ps.TET_VERTS, np.arange(4), degree,
+            ps.TET_VERTS, degree,
             lambda p: np.einsum("qm,bmn->qbn", _poly.vandermonde(3, degree, p), D)[:, :, 1:])
         nB = self.G.shape[1]
-        TVG = np.einsum("q,qai,qbl->abli", w, vals, grads).reshape(9, nB, n)
+        TVG = _pairs(w, vals, grads).transpose(0, 1, 3, 2).reshape(9, nB, n)
         self.Z = np.linalg.svd(TVG[[0, 4, 8]].sum(axis=0))[2][nB:].T
         self.ZCCZ = (self.Z.T @ self.TCC.reshape(9, n, n) @ self.Z).reshape(9, -1)
         self.TVG = TVG.reshape(9, -1)
         self.TVGG = (TVG @ self.G).reshape(9, -1)
         self.wcurlZ = (w[:, None, None] * self.curls).reshape(-1, n) @ self.Z
+
+
+def _pairs(w, f, g) -> np.ndarray:
+    """The weighted pairs sum_q w_q f[q, a, i] g[q, b, j] of two tables of
+    values at the rule points, (3, 3, nf, ng), as one matrix product."""
+    q, _, nf = f.shape
+    out = (w[:, None, None] * f).reshape(q, -1).T @ g.reshape(q, -1)
+    return out.reshape(3, nf, 3, -1).transpose(0, 2, 1, 3)
 
 
 _ref_tables = lru_cache(maxsize=None)(_RefTables)
@@ -546,7 +549,7 @@ def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
     geom = mesh.geom()
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
     A_gen = (JtJ.reshape(-1, 9) @ tab.TCC).reshape(dofmap.Vinv.shape)
-    A_gen /= (geom.detJ * mu.per_tet(mesh))[:, None, None]
+    A_gen /= (geom.absdet * mu.per_tet(mesh))[:, None, None]
     return _assemble_free(dofmap, A_gen)
 
 
@@ -558,7 +561,7 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
     M_gen = (K.reshape(-1, 9) @ tab.TVV).reshape(dofmap.Vinv.shape)
-    M_gen *= geom.detJ[:, None, None]
+    M_gen *= geom.absdet[:, None, None]
     return _assemble_free(dofmap, M_gen)
 
 
@@ -605,7 +608,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
     jhat = jvals @ geom.Jinv.transpose(0, 2, 1)             # J^-1 j
     jhat = jhat.reshape(len(jhat), -1)
-    det = geom.detJ[:, None]
+    det = geom.absdet[:, None]
     b_gen = det * (jhat @ tab.wvals)
     b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
     values = np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
@@ -616,7 +619,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     C = _reference_gradient_dofs(k)
     nodes, free = reg.tet_nodes.ravel(), ~reg.boundary
     scalar = np.bincount(nodes, (b_gen @ C).ravel(), minlength=reg.n_nodes)[free]
-    size = (np.abs(det) * (np.abs(jhat) @ np.abs(tab.wvals))) @ np.abs(C)
+    size = (det * (np.abs(jhat) @ np.abs(tab.wvals))) @ np.abs(C)
     size = np.bincount(nodes, size.ravel(), minlength=reg.n_nodes)[free]
     # A computed sum whose terms each pass through at most n roundings on
     # their way to the result errs by at most n u times the sum of the
@@ -643,7 +646,7 @@ def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
     identical values from both sides by construction."""
     vals = np.zeros(dofmap.n_dofs)
     vals[dofmap.cell_dofs] = ps.nedelec_dof_matrix(
-        mesh.vertices[mesh.tets], mesh.tets, dofmap.degree,
+        mesh.vertices[mesh.tets], dofmap.degree,
         _stacked_eval(func))[:, :, 0]
     return FieldCoefficients(dofmap, vals)
 
@@ -656,7 +659,7 @@ def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
     geom = mesh.geom()
     cc = (_local_coefficients(dofmap, u) @ ccoef.reshape(len(ccoef), -1)).reshape(
         mesh.n_tets, 3, -1)
-    out = (geom.J @ cc) / (geom.detJ * mu.per_tet(mesh))[:, None, None]
+    out = (geom.J @ cc) / (geom.sign * geom.absdet * mu.per_tet(mesh))[:, None, None]
     return BrokenPolyField(mesh, k, out)
 
 
@@ -672,7 +675,7 @@ def _reference_gradient_dofs(degree: int) -> np.ndarray:
     def field_eval(pts):
         return np.einsum("qm,ibm->qbi", _poly.vandermonde(3, degree, pts), gradc)
 
-    C = ps.nedelec_dof_matrix(ps.TET_VERTS, np.arange(4), degree, field_eval)
+    C = ps.nedelec_dof_matrix(ps.TET_VERTS, degree, field_eval)
     C.setflags(write=False)
     return C
 
@@ -706,8 +709,8 @@ def _face_gauge_offset(degree: int) -> int:
     rows of reference face 0 in its face node's column of
     ``_reference_gradient_dofs``, the first within 1e-8 of it so that a tie
     in exact arithmetic is not broken by roundoff.  Every face applies its
-    moments in the same gid-sorted frame, and S_t only rescales face rows,
-    so that entry is nonzero on every tet."""
+    moments in the frame of its ascending vertices, and S_t only rescales
+    face rows, so that entry is nonzero on every tet."""
     nodes = ps.lagrange_nodes(degree)
     col = np.nonzero((nodes.kind == ps.NODE_FACE) & (nodes.entity == 0))[0][0]
     first = 6 * degree
@@ -824,18 +827,19 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
 def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     """Element-wise div-conforming interpolation of an analytic current.
 
-    Face moments follow the global-id orientation, so normal fluxes match
+    Face moments follow the ascending vertex ids, so normal fluxes match
     across internal faces and the interpolant is H(div)-conforming.
     """
     space = ps.reference_space(ps.RT_TET, degree)
     geom = mesh.geom()
     verts = mesh.vertices[mesh.tets]
-    V = ps.rt_element_matrices(verts, mesh.tets, degree)
-    b = ps.rt_dof_matrix(verts, mesh.tets, degree, _stacked_eval(j_func),
+    V = ps.rt_element_matrices(verts, degree)
+    b = ps.rt_dof_matrix(verts, degree, _stacked_eval(j_func),
                          exactness=_data_exactness(degree))
     c = np.linalg.solve(V, b)[:, :, 0]
     cref = np.einsum("ti,icm->tcm", c, space.coeffs)
-    field = BrokenPolyField(mesh, degree, (geom.J @ cref) / geom.detJ[:, None, None])
+    field = BrokenPolyField(mesh, degree,
+                            (geom.J @ cref) / (geom.sign * geom.absdet)[:, None, None])
     return CurrentDensity(func=j_func, field=field)
 
 
@@ -851,17 +855,14 @@ def _face_rule(degree: int) -> ps.QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _face_trace_tables(degree: int) -> np.ndarray:
-    """(64, q, n_monomials) Vandermonde of the points of ``_face_rule`` on
-    every reference face: row 16 a + 4 b + c holds the face whose ascending
-    vertices sit at local positions a, b, c of the tet (its orientation
-    code, ``Mesh.face_codes``), the rule's coordinates being the face's
-    affine coordinates, which run along b - a and c - a.  Only the 24 rows
-    with distinct a, b, c occur."""
+    """(4, q, n_monomials) Vandermonde of the points of ``_face_rule`` on
+    the reference faces: row i holds local face i (``Mesh.face_local``),
+    the rule's coordinates being the face's affine coordinates, which run
+    along b - a and c - a over its vertices a < b < c."""
     s = _face_rule(degree).points
     bary = np.column_stack([1.0 - s[:, 0] - s[:, 1], s])
-    out = np.zeros((64, len(s), _poly.n_monomials(3, degree)))
-    for a, b, c in itertools.permutations(range(4), 3):
-        out[16 * a + 4 * b + c] = _poly.vandermonde(3, degree, bary @ ps.TET_VERTS[[a, b, c]])
+    out = np.stack([_poly.vandermonde(3, degree, bary @ ps.TET_VERTS[list(f)])
+                    for f in ps.TET_FACES])
     out.setflags(write=False)
     return out
 
@@ -870,9 +871,9 @@ def face_traces(mesh: Mesh, field: BrokenPolyField, faces: np.ndarray,
                 side: int) -> np.ndarray:
     """Values of the field on the plus (side 0) or minus (side 1) tet of
     each listed face at the points of its degree's ``_face_rule``,
-    (len(faces), q, comp): the orientation code of the face in the tet
-    picks its row of ``_face_trace_tables``, so no point is mapped."""
-    tab = _face_trace_tables(field.degree)[mesh.face_codes[faces, side]]
+    (len(faces), q, comp): the local index of the face in the tet picks its
+    row of ``_face_trace_tables``, so no point is mapped."""
+    tab = _face_trace_tables(field.degree)[mesh.face_local[faces, side]]
     return tab @ field.coeffs[mesh.face_tets[faces, side]].transpose(0, 2, 1)
 
 
@@ -911,5 +912,5 @@ def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
     pts = geom.map_points(tets, rule.points)
     diff = np.asarray(exact(pts.reshape(-1, 3))).reshape(vals.shape) - vals
     sq = (np.einsum("q,tqc->t", rule.weights, diff ** 2)
-          * geom.detJ * mu.per_tet(mesh))
+          * geom.absdet * mu.per_tet(mesh))
     return float(np.sqrt(sq.sum()))

@@ -1,6 +1,12 @@
 """Conforming tetrahedral meshes with oriented topology.
 
 Orientation conventions used everywhere downstream:
+  * every tet lists its vertex ids in ascending order, so each tet is the
+    reference tet in one vertex order, and its faces and edges list theirs
+    ascending too (the UFC convention of Rognes, Kirby & Logg, SIAM J. Sci.
+    Comput. 31, 2009).  det J of a tet's affine map then takes either
+    sign: |det J| is the measure of every integral, and only the covariant
+    and Piola maps read its sign;
   * for an internal face, the plus side T+ is the adjacent tet with the
     smaller index and the face normal points out of T+;
   * an edge tangent points from the lower to the higher vertex id.
@@ -25,6 +31,11 @@ LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 VOLUME_EPS = 1e-12          # relative to diameter^3
 BOUNDARY = -1
 _EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T
+# the local positions in a tet of the vertices and of the edges (a, b),
+# (a, c), (b, c) of its local face i, whose vertices a < b < c are ascending
+_FACE_VERTICES = np.array(LOCAL_FACES)
+_FACE_EDGES = np.array([[LOCAL_EDGES.index((f[i], f[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
+                        for f in LOCAL_FACES])
 _ROUND_CAP = 64
 
 
@@ -40,7 +51,9 @@ class _Geometry:
         v = mesh.vertices[mesh.tets]              # (T, 4, 3)
         self.v0 = v[:, 0, :]
         self.J = np.stack([v[:, i, :] - v[:, 0, :] for i in (1, 2, 3)], axis=2)
-        self.detJ = np.linalg.det(self.J)
+        det = np.linalg.det(self.J)
+        self.absdet = np.abs(det)     # the measure of every integral
+        self.sign = np.sign(det)      # read by the covariant and Piola maps
         self.Jinv = np.linalg.inv(self.J)
 
     def map_points(self, tets, ref_pts):
@@ -53,7 +66,7 @@ class _Geometry:
 @dataclass
 class Mesh:
     vertices: np.ndarray          # (V, 3)
-    tets: np.ndarray              # (T, 4) positively oriented
+    tets: np.ndarray              # (T, 4) ascending vertex ids
     subdomain_tag: np.ndarray     # (T,)
     refinement_level: np.ndarray  # (T,)
     parent: np.ndarray | None     # (T,) tet id in the mesh this was refined from
@@ -63,7 +76,7 @@ class Mesh:
     edges: np.ndarray             # (E, 2) ascending vertex ids
     tet_edges: np.ndarray         # (T, 6) in LOCAL_EDGES order
     face_edges: np.ndarray        # (F, 3)
-    face_codes: np.ndarray        # (F, 2) orientation codes in [T+, T-], -1: no tet
+    face_local: np.ndarray        # (F, 2) local face index in [T+, T-], -1: no tet
     boundary_face: np.ndarray = None
     boundary_edge: np.ndarray = None
     boundary_vertex: np.ndarray = None
@@ -154,8 +167,7 @@ class Mesh:
 def _dedupe(keys):
     """Distinct rows of the 2-d array keys, numbered by first occurrence.
 
-    Returns (distinct rows, id of every row of keys, ranks) where ranks maps
-    the lexicographic position of a distinct row to its id.  Rows of
+    Returns (distinct rows, id of every row of keys).  Rows of
     non-negative integers below n (vertex ids) are packed into one int64
     key, sum of row[i] n^(w-1-i), whose order is the rows' lexicographic
     order, so a 1-d unique replaces the slower row-wise one.
@@ -174,29 +186,23 @@ def _dedupe(keys):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse.reshape(-1)], rank
+    return uniq[order], rank[inverse.reshape(-1)]
 
 
-def _positions(tet_entities, face_entities, face_tets):
-    """Local positions (F, 2, k) of each face's k entities in its plus and
-    minus tets; rows of a missing minus tet are meaningless."""
-    tets = tet_entities[face_tets]                             # (F, 2, w)
-    return (tets[:, :, None, :] == face_entities[:, None, :, None]).argmax(axis=3)
-
-
-def _check_links(name, n, tet_entities, face_entities, pos, face_tets, boundary_face):
+def _check_links(name, n, tet_entities, face_entities, table, face_tets, face_local,
+                 boundary_face):
     """Raise NonConforming unless the tets around every entity of one kind
     (``name``: edge or vertex) are joined through its internal faces.
 
     Graph nodes are the (tet, local entity) incidences; every internal face
-    links the two incidences of each of its entities, at their local
-    positions ``pos`` (``_positions``).  The link of an edge is a chain or a
-    cycle, and that of a vertex a disk or a sphere, only if the entity's
-    incidences form one component.
+    links the two incidences of each of its entities, at the local
+    positions that row ``face_local`` of ``table`` (4, k) gives in each
+    tet.  The link of an edge is a chain or a cycle, and that of a vertex a
+    disk or a sphere, only if the entity's incidences form one component.
     """
     internal = np.nonzero(~boundary_face)[0]
     w = tet_entities.shape[1]
-    ends = w * face_tets[internal][:, :, None] + pos[internal]     # (Fi, 2, k)
+    ends = w * face_tets[internal][:, :, None] + table[face_local[internal]]  # (Fi, 2, k)
     size = tet_entities.size
     graph = sp.coo_matrix(
         (np.ones(ends[:, 0].size), (ends[:, 0].ravel(), ends[:, 1].ravel())),
@@ -217,7 +223,7 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
                parents=None) -> Mesh:
     """Assemble the full topology from vertex coordinates and tet tuples.
 
-    Tets are reordered to positive orientation.  Faces and edges are
+    Every tet is stored with its vertex ids ascending.  Faces and edges are
     numbered in order of first occurrence in the tet list.  Raises
     NonConforming for invalid complexes and non-finite coordinates, and
     DegenerateTet for (near-)flat cells.
@@ -237,12 +243,10 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
     if repeats.any():
         raise NonConforming(f"tet {int(repeats.argmax())} repeats a vertex")
 
-    tets = tets.copy()
+    tets = ordered
     v = vertices[tets]
     vol6 = np.linalg.det(np.stack([v[:, i] - v[:, 0] for i in (1, 2, 3)], axis=2))
-    flip = vol6 < 0.0
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    diam = _diameters(vertices[tets])
+    diam = _diameters(v)
     bad = np.abs(vol6) / 6.0 <= VOLUME_EPS * diam ** 3
     if bad.any():
         raise DegenerateTet(f"tets {np.nonzero(bad)[0][:10].tolist()} are degenerate")
@@ -253,29 +257,25 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         raise NonConforming(
             f"dangling vertices: {np.nonzero(~used)[0][:10].tolist()}")
 
-    faces, face_of, _ = _dedupe(np.sort(tets[:, LOCAL_FACES], axis=2).reshape(-1, 3))
+    faces, face_of = _dedupe(tets[:, LOCAL_FACES].reshape(-1, 3))
     tet_faces = face_of.reshape(nt, 4)
     count = np.bincount(face_of, minlength=len(faces))
     if (count > 2).any():
         raise NonConforming(f"face {tuple(faces[count.argmax()].tolist())} "
                             "shared by more than two tets")
-    # rows grouped by face, in tet order within each face
+    # rows (tet, local face) grouped by face, in tet order within each face
     rows = np.argsort(face_of, kind="stable")
     start = np.cumsum(count) - count
-    face_tets = np.full((len(faces), 2), BOUNDARY, dtype=np.int64)
-    face_tets[:, 0] = rows[start] // 4
     two = count == 2
-    face_tets[two, 1] = rows[start[two] + 1] // 4
+    face_tets = np.full((len(faces), 2), BOUNDARY, dtype=np.int64)
+    face_local = np.full((len(faces), 2), BOUNDARY, dtype=np.int64)
+    face_tets[:, 0], face_local[:, 0] = np.divmod(rows[start], 4)
+    face_tets[two, 1], face_local[two, 1] = np.divmod(rows[start[two] + 1], 4)
 
-    edge_keys = np.sort(tets[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
-    edges, edge_of, edge_rank = _dedupe(edge_keys)
+    edges, edge_of = _dedupe(tets[:, LOCAL_EDGES].reshape(-1, 2))
     tet_edges = edge_of.reshape(nt, 6)
-    # (a, b), (a, c), (b, c) of each ascending face, located among the
-    # lexicographically sorted edge keys
-    sorted_keys = np.sort(edges[:, 0] * nv + edges[:, 1])
-    a, b, c = faces.T
-    face_edges = edge_rank[np.searchsorted(
-        sorted_keys, np.stack([a * nv + b, a * nv + c, b * nv + c], axis=1))]
+    # (a, b), (a, c), (b, c) of each ascending face, read in its plus tet
+    face_edges = tet_edges[face_tets[:, :1], _FACE_EDGES[face_local[:, 0]]]
 
     boundary_face = face_tets[:, 1] == BOUNDARY
     boundary_edge = np.zeros(len(edges), dtype=bool)
@@ -283,14 +283,10 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[faces[boundary_face].ravel()] = True
     # edges first, so that a split edge link is reported as the edge's
-    _check_links("edge", len(edges), tet_edges, face_edges,
-                 _positions(tet_edges, face_edges, face_tets), face_tets, boundary_face)
-    # the vertex positions give each face's orientation code in its tets,
-    # 16 a + 4 b + c with a, b, c those of its ascending vertices
-    pos = _positions(tets, faces, face_tets)
-    _check_links("vertex", nv, tets, faces, pos, face_tets, boundary_face)
-    face_codes = pos @ (16, 4, 1)
-    face_codes[boundary_face, 1] = BOUNDARY
+    _check_links("edge", len(edges), tet_edges, face_edges, _FACE_EDGES,
+                 face_tets, face_local, boundary_face)
+    _check_links("vertex", nv, tets, faces, _FACE_VERTICES,
+                 face_tets, face_local, boundary_face)
 
     if subdomain_tags is None:
         subdomain_tags = np.zeros(nt, dtype=np.int64)
@@ -304,7 +300,7 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         parent=None if parents is None else np.asarray(parents, dtype=np.int64),
         faces=faces, face_tets=face_tets, tet_faces=tet_faces,
         edges=edges, tet_edges=tet_edges, face_edges=face_edges,
-        face_codes=face_codes, boundary_face=boundary_face, boundary_edge=boundary_edge,
+        face_local=face_local, boundary_face=boundary_face, boundary_edge=boundary_edge,
         boundary_vertex=boundary_vertex, _tet_diameters=diam)
 
 
@@ -340,7 +336,7 @@ def _box_kuhn(n, origin_num, tag_fn=None):
 
 
 def unit_cube_mesh(n: int, tag_fn=None) -> Mesh:
-    """Kuhn split of (0,1)^3 into 6 n^3 positively oriented tets."""
+    """Kuhn split of (0,1)^3 into 6 n^3 tets."""
     if n < 1:
         raise ValueError("n must be >= 1")
     verts, tets, tags = _box_kuhn(n, (0, 0, 0), tag_fn)
@@ -358,7 +354,7 @@ def l_brick_mesh(n: int) -> Mesh:
         raise ValueError("n must be >= 1")
     blocks = [_box_kuhn(n, origin) for origin in ((-n, -n, 0), (-n, 0, 0), (0, 0, 0))]
     offsets = np.cumsum([0] + [len(v) for v, _, _ in blocks[:-1]])
-    verts, vid, _ = _dedupe(np.vstack([v for v, _, _ in blocks]))
+    verts, vid = _dedupe(np.vstack([v for v, _, _ in blocks]))
     tets = vid[np.vstack([t + off for (_, t, _), off in zip(blocks, offsets)])]
     return build_mesh(verts, tets)
 
@@ -541,7 +537,10 @@ def write_vtk(mesh: Mesh, path, cell_data: dict | None = None) -> None:
         for p in mesh.vertices:
             fh.write(f"{p[0]} {p[1]} {p[2]}\n")
         fh.write(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}\n")
-        for tet in mesh.tets:
+        cells = mesh.tets.copy()            # VTK lists a tetra positively oriented
+        neg = mesh.geom().sign < 0
+        cells[neg] = cells[neg][:, [0, 1, 3, 2]]
+        for tet in cells:
             fh.write(f"4 {tet[0]} {tet[1]} {tet[2]} {tet[3]}\n")
         fh.write(f"CELL_TYPES {mesh.n_tets}\n")
         fh.write("\n".join(["10"] * mesh.n_tets) + "\n")

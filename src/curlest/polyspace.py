@@ -14,7 +14,7 @@ spaces behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
@@ -165,30 +165,23 @@ def _legendre_rows(s: np.ndarray, n: int) -> np.ndarray:
     return np.array([legval(2.0 * s - 1.0, eye[j]) for j in range(n)])
 
 
-def _stack_of_tets(verts, gids, field_eval):
+def _stack_of_tets(verts, field_eval):
     """One tet (4, 3) as a stack of one, with a field_eval lifted to match;
-    a stack (T, 4, 3) passes through.  Returns (verts, gids, field_eval,
-    whether the input was one tet)."""
-    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
+    a stack (T, 4, 3) passes through.  Returns (verts, field_eval, whether
+    the input was one tet)."""
+    verts = np.asarray(verts, dtype=float)
     if verts.ndim == 3:
-        return verts, gids, field_eval, False
-    return verts[None], gids[None], lambda p: field_eval(p[0])[None], True
+        return verts, field_eval, False
+    return verts[None], lambda p: field_eval(p[0])[None], True
 
 
-def _gid_sorted(gids: np.ndarray, local) -> np.ndarray:
-    """Local vertices of each entity (rows of ``local``) in ascending
-    global-id order on every tet: (T, len(local), width)."""
-    local = np.asarray(local)
-    return local[np.arange(len(local))[:, None], np.argsort(gids[:, local], axis=2)]
-
-
-def _face_values(verts: np.ndarray, gids: np.ndarray, xi: np.ndarray, field_eval):
-    """Per local face, in its global-id frame (va, e1, e2): e1, e2 (T, 3)
-    and the fields (T, m, 3, nf) at the points va + xi_1 e1 + xi_2 e2."""
-    tets = np.arange(len(verts))
-    for order in _gid_sorted(gids, TET_FACES).transpose(1, 0, 2):
-        va, vb, vc = (verts[tets, order[:, i]] for i in range(3))
-        e1, e2 = vb - va, vc - va
+def _face_values(verts: np.ndarray, xi: np.ndarray, field_eval):
+    """Per local face, in its frame (va, e1, e2) over its vertices in local
+    order: e1, e2 (T, 3) and the fields (T, m, 3, nf) at the points va +
+    xi_1 e1 + xi_2 e2."""
+    for a, b, c in TET_FACES:
+        va = verts[:, a]
+        e1, e2 = verts[:, b] - va, verts[:, c] - va
         yield e1, e2, field_eval(va[:, None] + xi[:, 0:1] * e1[:, None]
                                  + xi[:, 1:2] * e2[:, None])
 
@@ -205,27 +198,27 @@ def _interior_moments(verts: np.ndarray, field_eval, ex: int, degree: int):
     return rows.reshape(len(rows), -1, rows.shape[3])
 
 
-def nedelec_dof_matrix(verts: np.ndarray, gids, k: int, field_eval) -> np.ndarray:
+def nedelec_dof_matrix(verts: np.ndarray, k: int, field_eval) -> np.ndarray:
     """Apply the canonical edge/face/interior moments to a set of fields.
 
     ``field_eval(points (m,3)) -> (m, 3, nf)`` evaluates the fields at
-    physical points.  Vertex ids ``gids`` fix the orientation of the edge and
-    face parameterizations, so two elements sharing an entity produce the
-    same functionals.  Row order: per local edge k tangential moments, per
-    local face k(k-1) in-plane moments, then interior moments.  A stack of
-    tets, verts (T, 4, 3) with gids (T, 4), gives (T, n, nf); field_eval then
-    gets points (T, m, 3) and returns (T, m, 3, nf).
+    physical points.  The local vertex order fixes the orientation of the
+    edge and face parameterizations; meshes list every tet's vertex ids
+    ascending, so two elements sharing an entity produce the same
+    functionals.  Row order: per local edge k tangential moments, per local
+    face k(k-1) in-plane moments, then interior moments.  A stack of tets,
+    verts (T, 4, 3), gives (T, n, nf); field_eval then gets points (T, m, 3)
+    and returns (T, m, 3, nf).
     """
-    verts, gids, field_eval, one = _stack_of_tets(verts, gids, field_eval)
-    tets = np.arange(len(verts))
+    verts, field_eval, one = _stack_of_tets(verts, field_eval)
     ex = 2 * k
     blocks = []
 
     seg = quadrature("segment", ex + 2)
     s = seg.points[:, 0]
     wleg = seg.weights[None, :] * _legendre_rows(s, k)   # (k, m)
-    for lo, hi in _gid_sorted(gids, TET_EDGES).transpose(1, 2, 0):
-        va, vec = verts[tets, lo], verts[tets, hi] - verts[tets, lo]
+    for lo, hi in TET_EDGES:
+        va, vec = verts[:, lo], verts[:, hi] - verts[:, lo]
         length = np.linalg.norm(vec, axis=1)
         pts = va[:, None, :] + s[:, None] * vec[:, None, :]
         vals = field_eval(pts)                      # (T, m, 3, nf)
@@ -235,7 +228,7 @@ def nedelec_dof_matrix(verts: np.ndarray, gids, k: int, field_eval) -> np.ndarra
     if k >= 2:
         tri = quadrature("tri", ex)
         wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 2, tri.points)
-        for e1, e2, vals in _face_values(verts, gids, tri.points, field_eval):
+        for e1, e2, vals in _face_values(verts, tri.points, field_eval):
             area2 = np.linalg.norm(np.cross(e1, e2), axis=1)  # twice the area
             dirs = np.stack([e1 / np.linalg.norm(e1, axis=1)[:, None],
                              e2 / np.linalg.norm(e2, axis=1)[:, None]], axis=1)
@@ -252,30 +245,20 @@ def nedelec_dof_matrix(verts: np.ndarray, gids, k: int, field_eval) -> np.ndarra
 
 
 @lru_cache(maxsize=None)
-def _reference_dofs(kind: str, k: int, ranks: tuple) -> np.ndarray:
-    """Reference-basis dof matrix of ``kind`` under the vertex order given
-    by ranks."""
+def _reference_dofs(kind: str, k: int) -> np.ndarray:
+    """Reference-basis dof matrix of ``kind`` on the reference tet."""
     dofm = nedelec_dof_matrix if kind == NEDELEC1_TET else rt_dof_matrix
-    V = dofm(TET_VERTS, np.array(ranks), k, reference_space(kind, k).eval)
+    V = dofm(TET_VERTS, k, reference_space(kind, k).eval)
     V.setflags(write=False)
     return V
 
 
 @lru_cache(maxsize=None)
-def _reference_inverse(k: int, ranks: tuple) -> np.ndarray:
-    """Inverse of the Nedelec reference dof matrix under the vertex order
-    given by ranks."""
-    Vinv = np.linalg.inv(_reference_dofs(NEDELEC1_TET, k, ranks))
+def _reference_inverse(k: int) -> np.ndarray:
+    """Inverse of the Nedelec reference dof matrix."""
+    Vinv = np.linalg.inv(_reference_dofs(NEDELEC1_TET, k))
     Vinv.setflags(write=False)
     return Vinv
-
-
-def _per_tet(gids: np.ndarray, table) -> np.ndarray:
-    """The (T, n, n) stack of the cached reference matrices table(ranks)
-    under each tet's global-id vertex order, a writable copy."""
-    ranks = np.argsort(np.argsort(gids, axis=1), axis=1)
-    orders, which = np.unique(ranks, axis=0, return_inverse=True)
-    return np.stack([table(tuple(o)) for o in orders])[which.ravel()]
 
 
 def _face_scales(p: np.ndarray) -> np.ndarray:
@@ -293,7 +276,7 @@ def _map_interior_rows(V: np.ndarray, first: int, S: np.ndarray) -> None:
         len(V), -1, V.shape[2])
 
 
-def _nedelec_scales(verts: np.ndarray, gids: np.ndarray, k: int):
+def _nedelec_scales(verts: np.ndarray, k: int):
     """The parts of S_t that are not the identity (see
     ``nedelec_element_matrices``): the face-row ratios (T, n_face), by which
     the face rows of V_sigma are multiplied, and J (T, 3, 3) with vol6 (T,)
@@ -301,9 +284,8 @@ def _nedelec_scales(verts: np.ndarray, gids: np.ndarray, k: int):
     T, n_face = len(verts), 4 * k * (k - 1)
     scale = J = vol6 = None
     if k >= 2:
-        lv = _gid_sorted(gids, TET_FACES)
-        scale = (_face_scales(verts[np.arange(T)[:, None, None], lv])
-                 / _face_scales(TET_VERTS[lv]))
+        lv = np.array(TET_FACES)
+        scale = _face_scales(verts[:, lv]) / _face_scales(TET_VERTS[lv])
         # face rows (and columns of the inverse) run monomial-major,
         # direction-minor
         scale = np.tile(scale, n_face // 8).reshape(T, -1)
@@ -313,18 +295,18 @@ def _nedelec_scales(verts: np.ndarray, gids: np.ndarray, k: int):
     return scale, J, vol6
 
 
-def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
+def nedelec_element_matrices(verts: np.ndarray, k: int) -> np.ndarray:
     """Stacked ``nedelec_dof_matrix`` of the covariant-mapped reference basis
-    on tets verts (T, 4, 3) with vertex ids gids (T, 4): (T, n, n).
+    on tets verts (T, 4, 3): (T, n, n).
 
-    On an affine tet the matrix is S_t V_sigma, V_sigma the reference matrix
-    under the tet's global-id vertex order.  S_t is the identity on edge rows,
-    the ratio of physical to reference area2/|e_d| on face rows and
-    kron(I, vol6 J^-T) on interior rows.
+    On an affine tet the matrix is S_t V_sigma, V_sigma the reference
+    matrix.  S_t is the identity on edge rows, the ratio of physical to
+    reference area2/|e_d| on face rows and kron(I, vol6 J^-T) on interior
+    rows.
     """
-    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
-    V = _per_tet(gids, partial(_reference_dofs, NEDELEC1_TET, k))
-    scale, J, vol6 = _nedelec_scales(verts, gids, k)
+    verts = np.asarray(verts, dtype=float)
+    V = np.repeat(_reference_dofs(NEDELEC1_TET, k)[None], len(verts), axis=0)
+    scale, J, vol6 = _nedelec_scales(verts, k)
     n_edge = 6 * k
     if scale is not None:
         V[:, n_edge:n_edge + scale.shape[1]] *= scale[:, :, None]
@@ -334,14 +316,14 @@ def nedelec_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
     return V
 
 
-def nedelec_element_inverses(verts: np.ndarray, gids, k: int) -> np.ndarray:
+def nedelec_element_inverses(verts: np.ndarray, k: int) -> np.ndarray:
     """The inverses of ``nedelec_element_matrices``, (T, n, n), without
-    forming or inverting V: V_sigma^-1 S_t^-1 with V_sigma^-1 cached per
-    vertex order, its face columns divided by the face ratios and its
-    interior columns mapped by kron(I, J^T / vol6)."""
-    verts, gids = np.asarray(verts, dtype=float), np.asarray(gids)
-    Vinv = _per_tet(gids, partial(_reference_inverse, k))
-    scale, J, vol6 = _nedelec_scales(verts, gids, k)
+    forming or inverting V: V_sigma^-1 S_t^-1 with V_sigma^-1 cached, its
+    face columns divided by the face ratios and its interior columns mapped
+    by kron(I, J^T / vol6)."""
+    verts = np.asarray(verts, dtype=float)
+    Vinv = np.repeat(_reference_inverse(k)[None], len(verts), axis=0)
+    scale, J, vol6 = _nedelec_scales(verts, k)
     T, n_edge = len(Vinv), 6 * k
     if scale is not None:
         Vinv[:, :, n_edge:n_edge + scale.shape[1]] /= scale[:, None, :]
@@ -353,15 +335,15 @@ def nedelec_element_inverses(verts: np.ndarray, gids, k: int) -> np.ndarray:
     return Vinv
 
 
-def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
+def rt_element_matrices(verts: np.ndarray, k: int) -> np.ndarray:
     """Stacked ``rt_dof_matrix`` of the Piola-mapped reference basis on tets
-    verts (T, 4, 3) with vertex ids gids (T, 4): (T, n, n).
+    verts (T, 4, 3): (T, n, n).
 
     The Piola map preserves face fluxes, so S_t is the identity on face rows
     and kron(I, sign(det J) J) on interior rows.
     """
     verts = np.asarray(verts, dtype=float)
-    V = _per_tet(np.asarray(gids), partial(_reference_dofs, RT_TET, k))
+    V = np.repeat(_reference_dofs(RT_TET, k)[None], len(verts), axis=0)
     if k >= 2:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         S = np.sign(np.linalg.det(J))[:, None, None] * J
@@ -369,21 +351,22 @@ def rt_element_matrices(verts: np.ndarray, gids, k: int) -> np.ndarray:
     return V
 
 
-def rt_dof_matrix(verts: np.ndarray, gids, k: int, field_eval,
+def rt_dof_matrix(verts: np.ndarray, k: int, field_eval,
                   exactness: int | None = None) -> np.ndarray:
     """Canonical face-flux / interior moments of the div-conforming space.
 
-    Face normals follow the ascending-global-id convention so that shared
-    faces receive identical functionals from both sides.  Takes one tet or
-    a stack of tets as ``nedelec_dof_matrix`` does.
+    Face normals follow the local vertex order, which meshes keep ascending
+    in the vertex ids, so that shared faces receive identical functionals
+    from both sides.  Takes one tet or a stack of tets as
+    ``nedelec_dof_matrix`` does.
     """
-    verts, gids, field_eval, one = _stack_of_tets(verts, gids, field_eval)
+    verts, field_eval, one = _stack_of_tets(verts, field_eval)
     ex = 2 * k if exactness is None else exactness
     blocks = []
 
     tri = quadrature("tri", ex)
     wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 1, tri.points)
-    for e1, e2, vals in _face_values(verts, gids, tri.points, field_eval):
+    for e1, e2, vals in _face_values(verts, tri.points, field_eval):
         nvec = np.cross(e1, e2)
         area2 = np.linalg.norm(nvec, axis=1)
         nv = np.einsum("tmcf,tc->tmf", vals, nvec / area2[:, None])
@@ -542,7 +525,7 @@ def reference_space(kind: str, degree: int) -> ReferenceSpace:
         v = _poly.vandermonde(3, degree, pts)
         return np.einsum("qm,icm->qci", v, gen)
 
-    V = dofm(TET_VERTS, np.arange(4), degree, field_eval)
+    V = dofm(TET_VERTS, degree, field_eval)
     if V.shape[0] != V.shape[1]:
         raise RuntimeError("functional count does not match space dimension")
     X = np.linalg.solve(V, np.eye(len(V)))

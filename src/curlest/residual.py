@@ -33,7 +33,7 @@ def compute_residual_estimator(mesh: Mesh, j: CurrentDensity,
     jv = j.eval_elements(mesh, tets, rule.points)
     cv = Hh.curl().eval(tets, rule.points)
     diff = jv - cv
-    l2sq = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.detJ
+    l2sq = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.absdet
     hT = mesh.tet_diameters()
     vol_T = (hT ** 2 / k ** 2) * l2sq
 

@@ -105,7 +105,8 @@ def check_conforming(mesh):
     assert len(stored) == len(count)
     for key, c in count.items():
         assert stored[key] == c
-    assert (mesh.geom().detJ / 6 > 0).all()
+    assert (np.diff(mesh.tets, axis=1) > 0).all()
+    assert (mesh.geom().absdet > 0).all()
     return True
 
 
@@ -173,14 +174,14 @@ def piola_basis(mesh, k, t):
 
     def field_eval(pts):
         xhat = (np.asarray(pts) - geom.v0[t]) @ geom.Jinv[t].T
-        return np.einsum("ab,qbn->qan", geom.J[t], space.eval(xhat)) / geom.detJ[t]
+        # the Piola map divides by the signed det J
+        return np.einsum("ab,qbn->qan", geom.J[t], space.eval(xhat)) / np.linalg.det(geom.J[t])
 
     return field_eval
 
 
 def element_dof_matrix(mesh, k, t):
-    return ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]], mesh.tets[t], k,
-                                 covariant_basis(mesh, k, t))
+    return ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]], k, covariant_basis(mesh, k, t))
 
 
 def loop_nedelec_dofs(mesh, k):
@@ -219,11 +220,12 @@ def loop_curlcurl_mass(mesh, dm, mu_t):
     M = np.zeros((dm.n_dofs, dm.n_dofs))
     for t in range(mesh.n_tets):
         Vinv = np.linalg.inv(element_dof_matrix(mesh, k, t))
-        J, det = geom.J[t], geom.detJ[t]
+        J = geom.J[t]
+        det = np.linalg.det(J)         # signed, for the curl map
         cphys = np.einsum("ab,qbi->qai", J, curls) / det
         vphys = np.einsum("ba,qbi->qai", geom.Jinv[t], vals)
-        A_gen = det / mu_t[t] * np.einsum("q,qai,qaj->ij", rule.weights, cphys, cphys)
-        M_gen = det * np.einsum("q,qai,qaj->ij", rule.weights, vphys, vphys)
+        A_gen = abs(det) / mu_t[t] * np.einsum("q,qai,qaj->ij", rule.weights, cphys, cphys)
+        M_gen = abs(det) * np.einsum("q,qai,qaj->ij", rule.weights, vphys, vphys)
         d = dm.cell_dofs[t]
         A[np.ix_(d, d)] += Vinv.T @ A_gen @ Vinv
         M[np.ix_(d, d)] += Vinv.T @ M_gen @ Vinv
@@ -247,8 +249,7 @@ def loop_gradient(mesh, dm):
             g = np.einsum("qm,ibm->qbi", _poly.vandermonde(3, k, xhat), gradc)
             return np.einsum("ba,qbn->qan", Jinv, g)
 
-        locG = ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]], mesh.tets[t],
-                                     k, field_eval)
+        locG = ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]], k, field_eval)
         idx = np.ix_(dm.cell_dofs[t], reg.tet_nodes[t])
         G[idx] += locG
         cnt[idx] += 1.0
@@ -347,7 +348,7 @@ def loop_Hh(mesh, dm, u, mu_t):
         cgen = np.linalg.solve(element_dof_matrix(mesh, k, t),
                                u[dm.cell_dofs[t]])
         cc = np.einsum("i,iam->am", cgen, ccoef)
-        out[t] = (geom.J[t] @ cc) / (geom.detJ[t] * mu_t[t])
+        out[t] = (geom.J[t] @ cc) / (np.linalg.det(geom.J[t]) * mu_t[t])
     return out
 
 
@@ -722,11 +723,13 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     resid, jd_norm, ortho, cond = (np.zeros(mesh.n_tets) for _ in range(4))
     hs = np.zeros((mesh.n_tets, nR))
     for t in range(mesh.n_tets):
-        J, det = geom.J[t], geom.detJ[t]
+        J = geom.J[t]
+        det = np.linalg.det(J)      # signed: the curl map; |det J| is the measure
         JtJ = J.T @ J
-        A = np.einsum("ab,abij->ij", JtJ, TCC) / det
-        B = mu_t[t] * det * np.einsum("ab,abil->li", np.linalg.inv(JtJ), TVG)
-        jhat = jd[t] @ J
+        A = np.einsum("ab,abij->ij", JtJ, TCC) / abs(det)
+        B = mu_t[t] * abs(det) * np.einsum("ab,abil->li", np.linalg.inv(JtJ), TVG)
+        # the load (jd, J c / det) |det J| in reference terms
+        jhat = np.sign(det) * (jd[t] @ J)
         if mode == "saddle":
             S = np.zeros((nR + nB, nR + nB))
             S[:nR, :nR] = A
@@ -736,7 +739,7 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
             rhs[:nR] = np.einsum("q,qbi,qb->i", w, Ncurls, jhat)
             h = np.linalg.solve(S, rhs)[:nR]
         else:
-            Mdc = np.einsum("ab,abij->ij", JtJ, TDC) / det
+            Mdc = np.einsum("ab,abij->ij", JtJ, TDC) / abs(det)
             rd = np.einsum("q,qbi,qb->i", w, Dvals, jhat)
             h, *_ = np.linalg.lstsq(np.vstack([Mdc, B]),
                                     np.concatenate([rd, np.zeros(nB)]), rcond=None)
@@ -751,8 +754,8 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
                                   P[0, 1] + P[1, 0]])
                         + np.abs(J) @ np.einsum("i,iam->am", np.abs(h), absC) / abs(det))
         cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
-        resid[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, (cv - jd[t]) ** 2)), 0.0))
-        jd_norm[t] = np.sqrt(max(det * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
+        resid[t] = np.sqrt(max(abs(det) * float(np.einsum("q,qc->", w, (cv - jd[t]) ** 2)), 0.0))
+        jd_norm[t] = np.sqrt(max(abs(det) * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
         ortho[t] = np.abs(B @ h).max(initial=0.0)
     corr = eqm.ElementCorrection(
         Hhat=fem.BrokenPolyField(mesh, kp, hhat), resid=resid,
@@ -770,7 +773,7 @@ def loop_interpolate_nedelec(mesh, dm, func):
     vals = np.zeros(dm.n_dofs)
     for t in range(mesh.n_tets):
         vals[dm.cell_dofs[t]] = ps.nedelec_dof_matrix(
-            mesh.vertices[mesh.tets[t]], mesh.tets[t], dm.degree,
+            mesh.vertices[mesh.tets[t]], dm.degree,
             _one_tet_eval(func))[:, 0]
     return vals
 
@@ -783,13 +786,11 @@ def loop_project_current(mesh, j_func, k):
     geom = mesh.geom()
     out = np.empty((mesh.n_tets, 3, _poly.n_monomials(3, k)))
     for t in range(mesh.n_tets):
-        verts, gids = mesh.vertices[mesh.tets[t]], mesh.tets[t]
-        V = ps.rt_dof_matrix(verts, gids, k, piola_basis(mesh, k, t),
-                             exactness=2 * k + 4)
-        b = ps.rt_dof_matrix(verts, gids, k, _one_tet_eval(j_func),
-                             exactness=2 * k + 4)[:, 0]
+        verts = mesh.vertices[mesh.tets[t]]
+        V = ps.rt_dof_matrix(verts, k, piola_basis(mesh, k, t), exactness=2 * k + 4)
+        b = ps.rt_dof_matrix(verts, k, _one_tet_eval(j_func), exactness=2 * k + 4)[:, 0]
         cref = np.einsum("i,icm->cm", np.linalg.solve(V, b), space.coeffs)
-        out[t] = (geom.J[t] @ cref) / geom.detJ[t]
+        out[t] = (geom.J[t] @ cref) / np.linalg.det(geom.J[t])
     return out
 
 
@@ -805,8 +806,9 @@ def edge_faces(mesh, e):
 
 
 def loop_topology(tets, n_vertices):
-    """Oriented topology of positively oriented tets, built with dicts in
-    tet order; also the per-edge face and tet lists the link walk reads."""
+    """Oriented topology of the tets (ascending vertex ids), built with
+    dicts in tet order; also the per-edge face and tet lists the link walk
+    reads."""
     nt = len(tets)
     face_ids, face_list, face_adj = {}, [], []
     tet_faces = np.empty((nt, 4), dtype=np.int64)
@@ -1094,7 +1096,7 @@ def einsum_assemble_curlcurl(mesh, dofmap, mu):
     geom = mesh.geom()
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
     A_gen = np.einsum("tab,abij->tij", JtJ, TCC)
-    A_gen /= (geom.detJ * mu.per_tet(mesh))[:, None, None]
+    A_gen /= (geom.absdet * mu.per_tet(mesh))[:, None, None]
     return fem._assemble_free(dofmap, A_gen)
 
 
@@ -1105,7 +1107,7 @@ def einsum_assemble_mass(mesh, dofmap):
     TVV = np.einsum("q,qai,qbj->abij", rule.weights, vals, vals)
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
-    M_gen = np.einsum("tab,abij->tij", K, TVV) * geom.detJ[:, None, None]
+    M_gen = np.einsum("tab,abij->tij", K, TVV) * geom.absdet[:, None, None]
     return fem._assemble_free(dofmap, M_gen)
 
 
@@ -1128,7 +1130,7 @@ def einsum_assemble_rhs(mesh, dofmap, j):
     geom = mesh.geom()
     jvals = j.eval_elements(mesh, np.arange(mesh.n_tets), rule.points)
     jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)
-    b_gen = geom.detJ[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
+    b_gen = geom.absdet[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
                                            _einsum_ref_vals(k, rule), jhat)
     b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
     return np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
@@ -1139,7 +1141,7 @@ def einsum_compute_Hh(mesh, dofmap, u, mu):
     ccoef = ps.reference_space(ps.NEDELEC1_TET, dofmap.degree).curl_coeffs()
     geom = mesh.geom()
     cc = np.einsum("ti,iam->tam", fem._local_coefficients(dofmap, u), ccoef)
-    return (geom.J @ cc) / (geom.detJ * mu.per_tet(mesh))[:, None, None]
+    return (geom.J @ cc) / (np.linalg.det(geom.J) * mu.per_tet(mesh))[:, None, None]
 
 
 def einsum_step2(mesh, Hh, correction, kp):
@@ -1426,9 +1428,9 @@ def curl2d_coeffs(space):
 def unisolvence_matrix(space):
     """Canonical functionals applied to the space's own basis (should be I)."""
     if space.kind == ps.NEDELEC1_TET:
-        return ps.nedelec_dof_matrix(ps.TET_VERTS, np.arange(4), space.degree, space.eval)
+        return ps.nedelec_dof_matrix(ps.TET_VERTS, space.degree, space.eval)
     if space.kind == ps.RT_TET:
-        return ps.rt_dof_matrix(ps.TET_VERTS, np.arange(4), space.degree, space.eval)
+        return ps.rt_dof_matrix(ps.TET_VERTS, space.degree, space.eval)
     if space.kind == RT_TANGENTIAL_TRI:
         return rt_tri_dof_matrix(TRI_VERTS, space.degree, space.eval)
     if space.kind == ps.P_SCALAR_TET:

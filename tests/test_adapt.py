@@ -68,6 +68,30 @@ def test_mark_tie_break_deterministic():
     assert adm.dorfler_mark(etas, 0.5) == {0, 1}
 
 
+def test_mark_is_stable_under_roundoff_ties():
+    # level 3 of the adaptive k = 2 jump run has two tets at the cutoff
+    # whose indicators agree to ~1.6e-15 relative; which of them roundoff
+    # puts first must not decide the marks.  Negative control: a 1e-6 bump
+    # of the unmarked one is a real difference, and marks it in place of
+    # the other
+    spec = bench.builtin_problems()["cube_jump_mu_100"]
+    cfg = adm.RunConfig(degree=2, mode="adaptive", levels=4, estimator="eq")
+    eta = adm.adaptive_loop(spec, cfg)[3].eta_T
+    marked = adm.dorfler_mark(eta, cfg.theta)
+    cutoff = min(eta[sorted(marked)] ** 2)
+    tied = np.nonzero(np.abs(eta ** 2 - cutoff) <= 1e-12 * cutoff)[0]
+    out = [t for t in tied if t not in marked]
+    assert len(tied) >= 2 and out
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        noisy = eta * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], len(eta)))
+        assert adm.dorfler_mark(noisy, cfg.theta) == marked
+    bumped = eta.copy()
+    bumped[out[0]] *= 1.0 + 1e-6
+    changed = adm.dorfler_mark(bumped, cfg.theta)
+    assert changed != marked and out[0] in changed and len(changed) == len(marked)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         adm.RunConfig(theta=0.0)

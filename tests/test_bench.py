@@ -325,7 +325,7 @@ def _resolved_reference_errors(spec, levels, cfg):
         for tr in ref_tets:
             xr = ref_coords(lv.mesh, anc[tr], pts[tr])
             diff = ref_vals[tr] - eval_one(Hl, anc[tr], xr)
-            err_sq += geom_ref.detJ[tr] * mu_t[tr] * float(
+            err_sq += geom_ref.absdet[tr] * mu_t[tr] * float(
                 np.einsum("q,qc->", rule.weights, diff ** 2))
         errs.append(np.sqrt(err_sq))
     return errs

@@ -58,11 +58,11 @@ def test_step1_lowest_order_residual_is_data():
     rule = ps.quadrature("tet", 6)
     tets = np.arange(m.n_tets)
     jv = data.eval_elements(m, tets, rule.points)
-    jn = np.sqrt(np.einsum("q,tqc->t", rule.weights, jv ** 2) * m.geom().detJ)
+    jn = np.sqrt(np.einsum("q,tqc->t", rule.weights, jv ** 2) * m.geom().absdet)
     assert np.abs(corr.jdelta_norm - jn).max() < 1e-12 * jn.max()
     # curl constraint holds up to the projection residual reported by step 1
     cv = corr.Hhat.curl().eval(tets, rule.points)
-    diff_sq = np.einsum("q,tqc->t", rule.weights, (cv - jv) ** 2) * m.geom().detJ
+    diff_sq = np.einsum("q,tqc->t", rule.weights, (cv - jv) ** 2) * m.geom().absdet
     assert np.abs(np.sqrt(diff_sq) - corr.resid).max() < 1e-10 * max(jn.max(), 1)
 
 
@@ -77,7 +77,8 @@ def _brute_force_step1(mesh, mu_val, jd_func, kp):
     space = ps.reference_space(ps.NEDELEC1_TET, kp)
     rule = ps.quadrature("tet", 2 * kp + 4)
     geom = mesh.geom()
-    J, det, Jinv = geom.J[0], geom.detJ[0], geom.Jinv[0]
+    J, Jinv = geom.J[0], geom.Jinv[0]
+    det = np.linalg.det(J)
     pts = geom.map_points([0], rule.points)[0]
     vals = np.einsum("ba,qbn->qan", Jinv, space.eval(rule.points))
     curls = np.einsum("ab,qbn->qan", J, np.einsum(
@@ -87,7 +88,7 @@ def _brute_force_step1(mesh, mu_val, jd_func, kp):
                            _poly.vandermonde(3, kp, rule.points),
                            _poly.diff_stack(3, kp))[:, :, 1:]
     pg = np.einsum("ba,qbn->qan", Jinv, grads_mono)
-    w = rule.weights * det
+    w = rule.weights * abs(det)
     jd = jd_func(pts)
     nR = space.dim
     A = np.einsum("q,qai,qaj->ij", w, curls, curls)
@@ -118,7 +119,7 @@ def test_step1_roundtrip_on_reference_tet(kp):
         vref = np.einsum("i,icm->cm", coef, space.coeffs)
         vphys = m.geom().Jinv[0].T @ vref
         vcurl = (m.geom().J[0] @ np.einsum("i,iam->am", coef,
-                                           space.curl_coeffs())) / m.geom().detJ[0]
+                                           space.curl_coeffs())) / np.linalg.det(m.geom().J[0])
         vfield = fem.BrokenPolyField(m, kp, vphys[None])
         vcurl_field = fem.BrokenPolyField(m, kp, vcurl[None])
 
@@ -385,7 +386,7 @@ def _assert_step1_near_loop(m, kp, got, ref, ref_curl, size, h, cond):
     # subtraction (Higham, sec. 3.1)
     gamma = nR + _poly.n_monomials(3, kp) + 7
     curl_map = (np.linalg.norm(geom.J, 2, axis=(1, 2)) * np.linalg.norm(Ccoef, 2)
-                / np.abs(geom.detJ))
+                / geom.absdet)
     assert np.all(np.abs(got.Hhat.curl().coeffs - ref_curl.coeffs)
                   <= gamma * eps / 2 * size + (curl_map * delta)[:, None, None])
 
@@ -597,14 +598,14 @@ def test_step3_matches_loop_oracle_above_solve_degree():
 
 @pytest.mark.parametrize("k, kp", [(1, 1), (2, 3), (3, 4)])
 def test_step3_matches_loop_oracle_in_every_orientation(k, kp):
-    # the Kuhn cube puts its internal faces in 6 of the 24 orientation codes
-    # on T+ and 4 on T-; the relabelled cube reaches all 24 on both sides,
-    # so step 3 reads every row of its node table.  At k' = 4 each face has
-    # three nodes of its own, which the orientation permutes
+    # the relabelled cube puts its internal faces at each of the 4 local
+    # faces on both sides, so step 3 reads every row of its node table.  At
+    # k' = 4 each face has three nodes of its own, whose local positions
+    # differ from one local face to another
     m = relabelled_cube(3)
     internal = m.internal_faces()
     for side in (0, 1):
-        assert len(np.unique(m.face_codes[internal, side])) == 24
+        assert set(m.face_local[internal, side]) == {0, 1, 2, 3}
     j = fem.CurrentDensity(func=wave_j)
     dm, u, Hh, data = adm.solve_level(m, MU_JUMP, j, adm.RunConfig(degree=k))
     _step3_against_loop(m, Hh, eqm.estimate(m, MU_JUMP, data, Hh,
@@ -807,7 +808,7 @@ def test_step4_constant_field_closed_form():
     reg = fem.build_node_registry(m, 1)
     phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0.0, 0)
     res = eqm.step4_estimator(m, MU1, corr, phi)
-    V = m.geom().detJ[0] / 6
+    V = m.geom().absdet[0] / 6
     assert abs(res.eta_T[0] - np.linalg.norm(c) * np.sqrt(V)) < 1e-13
     assert res.eta_T[1:].max() == 0.0
 
@@ -848,6 +849,27 @@ def test_equilibrium_negative_control_without_step3():
     assert rep["face_resid_rel"] > 0.1       # jump stays at its original size
     with pytest.raises(eqm.EquilibriumViolated):
         eqm.verify_equilibrium(m, MU1, data, Hh, broken, raise_on_fail=True)
+
+
+def test_relabelled_cube_keeps_eta_and_step1_needs_the_sign_of_det_J(monkeypatch):
+    # the Kuhn cube and a relabelled copy store the same tets in other
+    # vertex orders, each of either orientation; the k = 3 estimates agree
+    # to roundoff.  Negative control: step 1 with every det J taken as
+    # positive loses the element equilibrium on the negatively oriented tets
+    spec = bench.builtin_problems()["cube_poly"]
+    cfg = adm.RunConfig(degree=3)
+    eta = []
+    for m in (msh.unit_cube_mesh(3), relabelled_cube(3)):
+        dm, _, Hh, data = adm.solve_level(m, spec.mu, spec.current(), cfg)
+        out = adm.estimate_level(dm, spec.mu, data, Hh, cfg)
+        assert eqm.verify_equilibrium(m, spec.mu, data, Hh, out)["ok"]
+        eta.append(out.result.eta_h)
+    assert abs(eta[1] - eta[0]) <= 1e-11 * eta[0]
+    geom = m.geom()
+    monkeypatch.setattr(geom, "sign", np.ones_like(geom.sign))
+    out = adm.estimate_level(dm, spec.mu, data, Hh, cfg)
+    rep = eqm.verify_equilibrium(m, spec.mu, data, Hh, out)
+    assert not rep["ok"] and rep["elem_resid_rel"] > 1e-3
 
 
 def test_zero_error_fixed_point():

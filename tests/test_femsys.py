@@ -220,7 +220,7 @@ def _slow_rhs(mesh, dm, j_at, exactness=10):
         pts = geom.v0[t] + rule.points @ geom.J[t].T
         jv = j_at(t, pts)
         vals = phys_eval(pts)
-        b_gen = geom.detJ[t] * np.einsum("q,qci,qc->i", rule.weights, vals, jv)
+        b_gen = geom.absdet[t] * np.einsum("q,qci,qc->i", rule.weights, vals, jv)
         b[dm.cell_dofs[t]] += np.linalg.solve(V.T, b_gen)
     return b
 
@@ -295,7 +295,7 @@ def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
     # the owner tet) is an average of exact zeros, at most rho.
     m = make_mesh(2)
     dm = fem.build_dofmap(m, k)
-    V = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
+    V = ps.nedelec_element_matrices(m.vertices[m.tets], k)
     G = fem.discrete_gradient(V, dm.cell_dofs, dm.layout.boundary, dm.registry)
     want, locG = coo_discrete_gradient(V, dm.cell_dofs, dm.layout.boundary,
                                        dm.registry)
@@ -855,7 +855,7 @@ def test_elementwise_stokes_identity():
     geom = m.geom()
     w_const = np.array([0.3, -1.1, 0.7])  # constant test field, curl w = 0
     for t in range(m.n_tets):
-        lhs = geom.detJ[t] * np.einsum(
+        lhs = geom.absdet[t] * np.einsum(
             "q,qc,c->", rule.weights, eval_one(jh, t, rule.points), w_const)
         rhs = 0.0
         for f in m.tet_faces[t]:

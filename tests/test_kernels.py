@@ -78,7 +78,7 @@ def test_vandermonde_gathers_the_per_monomial_powers_bitwise(dim, degree):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_face_traces_match_mapped_points(mesh, k):
-    # the orientation tables against mapping every face point through J^-1.
+    # the local-face tables against mapping every face point through J^-1.
     # Both evaluate the same polynomial of degree k at reference points
     # within the reference tet; the mapped point carries the rounding of
     # the physical point, of x - v0 and of the 3-term product with J^-1,
@@ -95,7 +95,6 @@ def test_face_traces_match_mapped_points(mesh, k):
     u = np.finfo(float).eps / 2
     X = np.abs(mesh.vertices).max()
     nm = _poly.n_monomials(3, k)
-    codes = set()
     for side in (0, 1):
         tets = mesh.face_tets[faces, side]
         want = field.eval_points(tets, face_rule_points(mesh, faces, rule))
@@ -106,10 +105,8 @@ def test_face_traces_match_mapped_points(mesh, k):
         bound = (k * delta[:, None] + 2 * (nm + 2 * k) * u) * size
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= bound[:, None, :])
-        for f, t in zip(faces, tets):
-            a, b, c = (list(mesh.tets[t]).index(v) for v in mesh.faces[f])
-            codes.add(16 * a + 4 * b + c)
-    assert len(codes) == 24
+        # every row of the table is read on each side
+        assert set(mesh.face_local[faces, side]) == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])
@@ -137,6 +134,25 @@ def test_step1_reference_tables(kp):
     assert np.abs(Bref @ tab.Z).max() <= nR * eps * np.abs(Bref).max()
     sv = np.linalg.svd(np.hstack([tab.Z, tab.G / sv[0]]), compute_uv=False)
     assert sv[-1] > 1e-8 * sv[0]
+
+
+@pytest.mark.parametrize("kp", [1, 2, 3, 4])
+def test_reference_pair_tables_match_einsum(kp):
+    # TCC, TVV and TVG as one product of weighted values against the
+    # 3-operand einsums: both sum the same q products of tabulated values,
+    # in another order, so they agree to q u of the summed magnitudes
+    tab = fem._ref_tables(kp)
+    w = tab.rule.weights
+    v = _poly.vandermonde(3, kp, tab.rule.points)
+    vals = np.einsum("qm,icm->qci", v, ps.reference_space(ps.NEDELEC1_TET, kp).coeffs)
+    grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, kp))[:, :, 1:]
+    u = np.finfo(float).eps / 2
+    for got, f, g, spec in ((tab.TCC, tab.curls, tab.curls, "abij"),
+                            (tab.TVV, vals, vals, "abij"),
+                            (tab.TVG, vals, grads, "abji")):
+        want = np.einsum(f"q,qai,qbj->{spec}", w, f, g).reshape(9, -1)
+        size = np.einsum(f"q,qai,qbj->{spec}", w, np.abs(f), np.abs(g)).reshape(9, -1)
+        assert np.all(np.abs(got - want) <= 2 * len(w) * u * size)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -308,8 +324,8 @@ def test_free_pattern_on_one_tet(k, monkeypatch):
 def test_reference_inverse_matches_direct_inverse(mesh, k):
     # V_t^-1 = V_sigma^-1 S_t^-1 from the cached reference inverses against
     # np.linalg.inv of the assembled V_t; both are checked as inverses
-    V = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], mesh.tets, k)
-    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], mesh.tets, k)
+    V = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], k)
+    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], k)
     direct = np.linalg.inv(V)
     assert_pinned(Vinv, direct)
     eye = np.eye(V.shape[1])

@@ -54,20 +54,23 @@ def test_cube_face_counts_against_brute_force():
     lambda: msh.refine(relabelled_cube(3), range(0, 162, 5)),
 ], ids=["relabelled", "bisected", "refined"])
 def test_face_codes_match_position_search(make):
-    # each face's orientation code in its plus and minus tet, 16 a + 4 b + c
-    # with a, b, c the positions of its ascending vertices in the tet,
-    # against a search of the tet's vertex list; every one of the 24 codes
-    # occurs on each side, and a boundary face has no minus code
+    # each face's local index in its plus and minus tet (Mesh.face_local)
+    # against a search of the tet's vertex list: the face is the tet less
+    # the vertex at that position, and its ascending vertices sit at the
+    # positions of LOCAL_FACES there.  Each of the 4 local faces occurs on
+    # each side, and a boundary face has no minus index
     m = make()
     for f in range(m.n_faces):
         for side, t in enumerate(m.face_tets[f]):
             if t == msh.BOUNDARY:
                 continue
-            a, b, c = (list(m.tets[t]).index(v) for v in m.faces[f])
-            assert m.face_codes[f, side] == 16 * a + 4 * b + c
-    assert (m.face_codes[m.boundary_face, 1] == -1).all()
+            pos = [list(m.tets[t]).index(v) for v in m.faces[f]]
+            i = m.face_local[f, side]
+            assert pos == list(msh.LOCAL_FACES[i])
+            assert m.tet_faces[t, i] == f
+    assert (m.face_local[m.boundary_face, 1] == -1).all()
     for side in (0, 1):
-        assert len(np.unique(m.face_codes[m.internal_faces(), side])) == 24
+        assert set(m.face_local[m.internal_faces(), side]) == {0, 1, 2, 3}
 
 
 def test_nonconforming_rejected():
@@ -114,9 +117,27 @@ def test_degenerate_tet_rejected():
         msh.build_mesh(verts, [[0, 1, 2, 3]])
 
 
-def test_negative_orientation_is_fixed():
-    m = msh.build_mesh(REF_VERTS, [[0, 1, 3, 2]])
-    assert m.geom().detJ[0] / 6 > 0.0
+def test_both_orientations_occur():
+    # ascending vertex ids leave det J of either sign, on the Kuhn cube as
+    # on a relabelled one; the measure |det J| still sums to the volume
+    for m in (msh.unit_cube_mesh(3), relabelled_cube(3)):
+        assert set(m.geom().sign) == {-1.0, 1.0}
+        assert abs((m.geom().absdet / 6).sum() - 1.0) < 1e-12
+
+
+def test_every_vertex_order_gives_the_ascending_tet():
+    # one tet given in each of its 24 vertex orders, of either orientation,
+    # is stored as the same ascending row with the same faces and edges.
+    # That row is negatively oriented here: it is kept, not flipped, and
+    # det J carries the sign
+    verts = REF_VERTS[[2, 0, 3, 1]]
+    ref = msh.build_mesh(verts, [[0, 1, 2, 3]])
+    for order in itertools.permutations(range(4)):
+        m = msh.build_mesh(verts, [order])
+        assert m.tets.tolist() == [[0, 1, 2, 3]]
+        assert (m.faces == ref.faces).all() and (m.edges == ref.edges).all()
+        assert m.geom().sign[0] == -1.0
+        assert m.geom().absdet[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +156,7 @@ def test_unit_cube_counts():
 
 def test_unit_cube_volume_and_tags():
     m = msh.unit_cube_mesh(2)
-    assert abs((m.geom().detJ / 6).sum() - 1.0) < 1e-12
+    assert abs((m.geom().absdet / 6).sum() - 1.0) < 1e-12
     assert (m.subdomain_tag == 0).all()
     m2 = msh.unit_cube_mesh(2, tag_fn=lambda c: 1 if c[1] < 0.5 else 2)
     assert set(m2.subdomain_tag) == {1, 2}
@@ -144,7 +165,7 @@ def test_unit_cube_volume_and_tags():
 def test_l_brick_counts_and_geometry():
     m = msh.l_brick_mesh(1)
     assert m.n_tets == 18
-    assert abs((m.geom().detJ / 6).sum() - 3.0) < 1e-12
+    assert abs((m.geom().absdet / 6).sum() - 3.0) < 1e-12
     assert check_conforming(m)
     # the reentrant edge x=y=0 is present as a mesh edge
     v = m.vertices
@@ -223,7 +244,7 @@ def rowwise_dedupe(keys):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse.reshape(-1)], rank
+    return uniq[order], rank[inverse.reshape(-1)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -298,7 +319,7 @@ def test_refine_all_cube():
     r = msh.refine(m, set(range(m.n_tets)))
     assert 12 <= r.n_tets <= 96
     assert check_conforming(r)
-    assert abs((r.geom().detJ / 6).sum() - 1.0) < 1e-12
+    assert abs((r.geom().absdet / 6).sum() - 1.0) < 1e-12
 
 
 def test_refine_marks_strictly_increase_and_tags_inherited():
@@ -331,7 +352,7 @@ def test_repeated_refinement_stays_conforming():
                                 replace=False).tolist())
         m = msh.refine(m, marked)
         assert check_conforming(m)
-    assert abs((m.geom().detJ / 6).sum() - 1.0) < 1e-12
+    assert abs((m.geom().absdet / 6).sum() - 1.0) < 1e-12
 
 
 def test_bisection_shape_quality_stabilizes():
@@ -344,7 +365,7 @@ def test_bisection_shape_quality_stabilizes():
         marked = set(rng.choice(m.n_tets, size=max(1, m.n_tets // 4),
                                 replace=False).tolist())
         m = msh.refine(m, marked)
-        qualities.append((m.geom().detJ / 6 / m.tet_diameters() ** 3).min())
+        qualities.append((m.geom().absdet / 6 / m.tet_diameters() ** 3).min())
     assert qualities[-1] >= 0.8 * qualities[2]
     assert qualities[-1] > 1e-3
 
@@ -512,3 +533,11 @@ def test_vtk_export(tmp_path):
     assert "UNSTRUCTURED_GRID" in text
     assert "eta_T" in text
     assert text.count("\n10") + text.count("10\n") >= m.n_tets
+    # the cells are written positively oriented, though half the stored
+    # (ascending) tets of the Kuhn cube are not
+    lines = text.splitlines()
+    at = lines.index(f"CELLS {m.n_tets} {5 * m.n_tets}")
+    cells = np.array([line.split()[1:] for line in lines[at + 1:at + 1 + m.n_tets]], dtype=int)
+    v = m.vertices[cells]
+    assert (np.linalg.det(v[:, 1:] - v[:, :1]) > 0).all()
+    assert (np.sort(cells, axis=1) == m.tets).all()

@@ -189,22 +189,36 @@ def test_covariant_preserves_tangential_trace():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stacked_element_matrices_match_per_tet_functionals(k):
-    # jittered, relabelled cube: every tet has its own shape and one of many
-    # global-id vertex orders
+    # jittered, relabelled cube: every tet has its own shape, and its
+    # ascending vertex order is of either orientation
     m = jittered_cube(2)
-    V = ps.nedelec_element_matrices(m.vertices[m.tets], m.tets, k)
+    V = ps.nedelec_element_matrices(m.vertices[m.tets], k)
     assert V.shape == (m.n_tets, ps.dim_nedelec_tet(k), ps.dim_nedelec_tet(k))
-    assert len(np.unique(np.argsort(m.tets, axis=1), axis=0)) > 6
+    assert set(m.geom().sign) == {-1.0, 1.0}
     for t in range(m.n_tets):
         ref = element_dof_matrix(m, k, t)
         assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
     # the div-conforming map: face fluxes kept, interior rows mapped by J
-    V = ps.rt_element_matrices(m.vertices[m.tets], m.tets, k)
+    V = ps.rt_element_matrices(m.vertices[m.tets], k)
     assert V.shape == (m.n_tets, ps.dim_rt_tet(k), ps.dim_rt_tet(k))
     for t in range(m.n_tets):
-        ref = ps.rt_dof_matrix(m.vertices[m.tets[t]], m.tets[t], k,
+        ref = ps.rt_dof_matrix(m.vertices[m.tets[t]], k,
                                piola_basis(m, k, t))
         assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_reference_matrices_are_cached_once_per_kind_and_degree():
+    # every tet is the reference tet in one vertex order, so the stacks of
+    # a relabelled mesh need one reference matrix per kind and degree
+    ps._reference_dofs.cache_clear()
+    ps._reference_inverse.cache_clear()
+    m = jittered_cube(2)
+    for k in (1, 2, 3):
+        ps.nedelec_element_matrices(m.vertices[m.tets], k)
+        ps.nedelec_element_inverses(m.vertices[m.tets], k)
+        ps.rt_element_matrices(m.vertices[m.tets], k)
+    assert ps._reference_dofs.cache_info().currsize == 6
+    assert ps._reference_inverse.cache_info().currsize == 3
 
 
 # ---------------------------------------------------------------------------

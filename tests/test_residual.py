@@ -29,7 +29,7 @@ def test_lowest_order_volume_term_is_data_only():
     j = fem.CurrentDensity(func=lambda p: np.tile(jconst, (len(p), 1)))
     rr = res.compute_residual_estimator(m, j, Hh, 1)
     hT = m.tet_diameters()
-    expected = hT ** 2 * np.dot(jconst, jconst) * (m.geom().detJ / 6)
+    expected = hT ** 2 * np.dot(jconst, jconst) * (m.geom().absdet / 6)
     assert np.abs(rr.vol_T - expected).max() < 1e-12 * expected.max()
 
 
@@ -44,7 +44,7 @@ def test_volume_weight_closed_form():
         Hh = fem.BrokenPolyField(
             m, k, np.zeros((m.n_tets, 3, _poly.n_monomials(3, k))))
         rr = res.compute_residual_estimator(m, j, Hh, k)
-        expected = hT ** 2 / k ** 2 * np.dot(jconst, jconst) * (m.geom().detJ / 6)
+        expected = hT ** 2 / k ** 2 * np.dot(jconst, jconst) * (m.geom().absdet / 6)
         assert np.abs(rr.vol_T - expected).max() < 1e-12 * expected.max()
         assert not rr.face_sq.any()
 
