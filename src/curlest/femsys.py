@@ -4,11 +4,15 @@ The curl-conforming space is assembled from per-element dof matrices: the
 canonical moment functionals are parameterized by the local vertex order,
 which is ascending in the global vertex ids on every tet (``build_mesh``),
 so two elements sharing an edge or face apply identical functionals and
-tangential continuity of the assembled field is automatic.  The inverses
-V_t^-1 of the dof matrices of all elements come as one stack
-(``polyspace.nedelec_element_inverses``), built once per dof map: assembly,
-H_h and field expansion are stacked products with them, and the curl-curl
-matrix is summed straight into the free-dof CSR pattern the dof map keeps.
+tangential continuity of the assembled field is automatic.  Every tet is
+the reference tet in one vertex order, so its dof matrix is V_t = S_t
+V_sigma, with V_sigma the reference dof matrix and S_t the identity on edge
+rows, diagonal on face rows and kron(I, vol6 J^-T) on interior rows.
+V_sigma^-1 is folded into the cached reference tables once, and the dof map
+keeps only the non-identity parts of S_t^-1, applied as per-tet scalings
+(``DofMap.unscale``): no (T, n, n) stack of V_t^-1 is formed.  The
+curl-curl matrix is summed straight into the free-dof CSR pattern the dof
+map keeps.
 The Nedelec dofs and the Lagrange nodes are numbered alike, entity by
 entity (``_EntityLayout``).  The discrete gradient is built from V_t on
 first use, one row per dof from one tet that holds it; only the gradient
@@ -24,8 +28,9 @@ components, which keeps curls, gradients, and jumps exact.
 
 The element kernels are shaped for BLAS: the cached reference tables hold
 their quadrature data pre-weighted and reshaped, so the curl-curl blocks of
-all tets are one (T, 9) @ (9, n n) product and the load vector one
-(T, q 3) @ (q 3, n) product; a broken field is evaluated by one
+all tets are one (T, 9) @ (9, n n) product and two scalings, the load
+vector one (T, q 3) @ (q 3, n) product, and H_h one scaling and one
+(T, n) @ (n, 3 m) product; a broken field is evaluated by one
 (T comp, m) @ (m, q) product and differentiated by one product with the
 stacked derivative matrices and one batched J^-T product.  A face rule sits
 on the reference tet as one of its 4 faces, whose local index ``build_mesh``
@@ -292,21 +297,21 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
 @dataclass
 class DofMap:
     """The degree-k Nedelec space of a mesh with homogeneous tangential
-    boundary values, and what is built once from its element dof matrices:
-    their inverses V_t^-1 = V_sigma^-1 S_t^-1 (see
-    ``polyspace.nedelec_element_inverses``), the degree-k Lagrange node
-    registry and the CSR pattern of the free x free block.  ``slot[t, i, j]``
-    is the position in that pattern of entry (i, j) of element t's block, or
-    ``len(indices)`` when the entry touches a boundary dof, so a sparse
-    matrix is its element blocks summed by one ``np.bincount``.  The discrete
-    gradient ``G`` between the free dofs of the two spaces and the gauge are
-    built on first read."""
+    boundary values, and what is built once per mesh: the parts of the
+    element maps S_t that are not the identity (see ``unscale``), the
+    degree-k Lagrange node registry and the CSR pattern of the free x free
+    block.  ``slot[t, i, j]`` is the position in that pattern of entry
+    (i, j) of element t's block, or ``len(indices)`` when the entry touches
+    a boundary dof, so a sparse matrix is its element blocks summed by one
+    ``np.add.at`` (``_assemble_free``).  The discrete gradient ``G`` between
+    the free dofs of the two spaces and the gauge are built on first read."""
     mesh: Mesh
     degree: int
     layout: _EntityLayout       # the dofs by edge, face and cell
     cell_dofs: np.ndarray       # (T, nloc)
     free: np.ndarray            # ids of the interior dofs, ascending
-    Vinv: np.ndarray            # (T, nloc, nloc) inverse element dof matrices
+    face_scale: np.ndarray      # (T, n_face) S_t on the face rows
+    cell_map: np.ndarray | None  # (T, 3, 3) J^T / vol6; None below degree 3
     registry: NodeRegistry      # degree-k Lagrange nodes
     indptr: np.ndarray          # (n_free + 1,) free x free CSR pattern:
     indices: np.ndarray         # (nnz,) canonical: sorted rows, no duplicates
@@ -319,6 +324,24 @@ class DofMap:
     @property
     def n_free(self) -> int:
         return len(self.free)
+
+    def unscale(self, x: np.ndarray, transpose: bool = False) -> None:
+        """x <- x S_t^-1, or x S_t^-T with ``transpose``, in place, for x
+        (T, ..., nloc) whose last axis runs over the local dofs of tet t;
+        x may be a strided view.  S_t^-1 is the identity on the edge
+        columns, divides the face columns by ``face_scale`` and maps the
+        interior columns, which run monomial-major, component-minor, by
+        kron(I, ``cell_map``): one (..., m, 3) @ (3, 3) product for any
+        number m of interior monomials."""
+        T, mid = len(x), (1,) * (x.ndim - 2)
+        first = 6 * self.degree
+        last = first + self.face_scale.shape[1]
+        x[..., first:last] /= self.face_scale.reshape((T,) + mid + (-1,))
+        if self.cell_map is not None:
+            M = self.cell_map.transpose(0, 2, 1) if transpose else self.cell_map
+            cells = x[..., last:]
+            cells[...] = (cells.reshape(cells.shape[:-1] + (-1, 3))
+                          @ M.reshape((T,) + mid + (3, 3))).reshape(cells.shape)
 
     @cached_property
     def G(self) -> sp.csc_matrix:
@@ -397,8 +420,9 @@ class FieldCoefficients:
 
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     """Number the Nedelec dofs in the entity layout (edge, face, then
-    interior blocks, each entity's dofs contiguous), build the inverses of
-    the element dof matrices once, and the free-dof sparsity pattern."""
+    interior blocks, each entity's dofs contiguous), take the per-tet
+    scalings of the element maps once, and build the free-dof sparsity
+    pattern."""
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
     k = degree
@@ -406,9 +430,11 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
     le = np.repeat(np.arange(ent.shape[1]), lay.count[ent[0]])  # entity of local dof
     off = np.arange(len(le)) - np.searchsorted(le, le)        # offset in the entity
-    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], k)
+    scale, J, vol6 = ps._nedelec_scales(mesh.vertices[mesh.tets], k)
+    cell_map = None if J is None else J.transpose(0, 2, 1) / vol6[:, None, None]
     return DofMap(mesh, k, lay, lay.first[ent][:, le] + off,
-                  np.nonzero(~lay.boundary)[0], Vinv, build_node_registry(mesh, k),
+                  np.nonzero(~lay.boundary)[0], scale, cell_map,
+                  build_node_registry(mesh, k),
                   *_free_pattern(ent, lay.count, ~lay.fixed, le, off))
 
 
@@ -458,7 +484,11 @@ def _free_pattern(ent, width, free, le, off):
     rlen_ent = np.zeros(n_ent, dtype=itype)
     rlen_ent[rows] = rlen
     off = off.astype(itype)
-    slot = pstart[:, le[:, None], le[None, :]]
+    # one take over the flattened pairs, so slot comes out C-contiguous and
+    # ravels without a copy
+    T, E = ent.shape
+    slot = np.take(pstart.reshape(T, -1), (le[:, None] * E + le).ravel(),
+                   axis=1).reshape(T, len(le), len(le))
     slot += (off * rlen_ent[ent][:, le])[:, :, None]
     slot += off
     np.minimum(slot, nnz, out=slot)
@@ -469,15 +499,13 @@ def _free_pattern(ent, width, free, le, off):
 # element-level machinery
 # ---------------------------------------------------------------------------
 
-def _local_coefficients(dofmap: DofMap, u: FieldCoefficients) -> np.ndarray:
-    """(T, n) reference-basis coefficients V_t^-1 u_loc of every element."""
-    return np.einsum("tij,tj->ti", dofmap.Vinv, u.values[dofmap.cell_dofs])
-
-
 class _RefTables:
     """Reference basis tables at the data rule of the degree, which also
-    integrates the curl-curl and mass blocks exactly.  TVV, the value pairs,
-    serves only ``assemble_mass``.
+    integrates the curl-curl and mass blocks exactly.  CC and VV, the curl
+    and value pairs, and dof_curls, the curl coefficients, are folded with
+    V_sigma^-1 (``Vref_inv``) into the dof basis of the reference tet, so
+    an element's blocks and its H_h only need the per-tet scalings of
+    ``DofMap.unscale``; VV serves only ``assemble_mass``.
 
     The rest serves estimator step 1, one reference problem in the metric
     of each tet.  G holds the dofs of the gradients of the non-constant
@@ -495,7 +523,8 @@ class _RefTables:
         space = ps.reference_space(ps.NEDELEC1_TET, degree)
         v = _poly.vandermonde(3, degree, self.rule.points)
         vals = np.einsum("qm,icm->qci", v, space.coeffs)            # (q,3,n)
-        self.curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
+        ccoef = space.curl_coeffs()
+        self.curls = np.einsum("qm,iam->qai", v, ccoef)
         w = self.rule.weights
         n = vals.shape[2]
         # (9, n * n) curl and value pairs and (q * 3, n) weighted values:
@@ -503,7 +532,13 @@ class _RefTables:
         # matrix products against them
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
         self.TCC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
-        self.TVV = _pairs(w, vals, vals).reshape(9, n * n)
+        # the pairs V_sigma^-T T_ab V_sigma^-1 and the curl coefficients
+        # V_sigma^-T curl in the dof basis; V_sigma differs from I by
+        # roundoff that grows with the degree, so it is not dropped
+        Vi = self.Vref_inv = np.linalg.inv(ps._reference_dofs(ps.NEDELEC1_TET, degree))
+        self.CC = (Vi.T @ self.TCC.reshape(9, n, n) @ Vi).reshape(9, -1)
+        self.VV = (Vi.T @ _pairs(w, vals, vals).reshape(9, n, n) @ Vi).reshape(9, -1)
+        self.dof_curls = Vi.T @ ccoef.reshape(n, -1)
 
         D = _poly.diff_stack(3, degree)
         grads = np.einsum("qm,bmn->qbn", v, D)[:, :, 1:]
@@ -530,13 +565,27 @@ def _pairs(w, f, g) -> np.ndarray:
 _ref_tables = lru_cache(maxsize=None)(_RefTables)
 
 
-def _assemble_free(dofmap: DofMap, A_gen: np.ndarray) -> sp.csr_matrix:
-    """Map reference-basis element matrices to V^-T A_gen V^-1 and sum them
-    into the dof map's free x free pattern; A_gen is overwritten."""
-    Vinv = dofmap.Vinv
-    A_loc = np.matmul(Vinv.transpose(0, 2, 1) @ A_gen, Vinv, out=A_gen)
+def _element_blocks(dofmap: DofMap, K: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(T, n, n) element blocks S_t^-T (K_t : pairs) S_t^-1 in the local
+    dofs, from per-tet metrics K (T, 9) and a (9, n n) pairs table in the
+    dof basis of the reference tet: one (T, 9) @ (9, n n) product, then the
+    column and the row scalings in place."""
+    n = dofmap.cell_dofs.shape[1]
+    blocks = (K @ pairs).reshape(len(K), n, n)
+    dofmap.unscale(blocks)
+    dofmap.unscale(blocks.transpose(0, 2, 1))
+    return blocks
+
+
+def _assemble_free(dofmap: DofMap, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum element blocks (T, n, n) in the local dofs into the dof map's
+    free x free pattern.  ``np.add.at`` adds them in the order of ``slot``,
+    as a ``np.bincount`` would, but reads the int32 slots without an int64
+    copy of them; the entries that touch a boundary dof all land in the
+    dump slot past the pattern."""
     nnz = len(dofmap.indices)
-    data = np.bincount(dofmap.slot.ravel(), A_loc.ravel(), minlength=nnz + 1)
+    data = np.zeros(nnz + 1)
+    np.add.at(data, dofmap.slot.ravel(), blocks.ravel())
     return sp.csr_matrix((data[:nnz], dofmap.indices, dofmap.indptr),
                          shape=(dofmap.n_free, dofmap.n_free))
 
@@ -544,25 +593,19 @@ def _assemble_free(dofmap: DofMap, A_gen: np.ndarray) -> sp.csr_matrix:
 def assemble_curlcurl(mesh: Mesh, dofmap: DofMap,
                       mu: MaterialField) -> sp.csr_matrix:
     """Stiffness (mu^-1 curl u, curl w) over the free dofs."""
-    k = dofmap.degree
-    tab = _ref_tables(k)
     geom = mesh.geom()
-    JtJ = geom.J.transpose(0, 2, 1) @ geom.J
-    A_gen = (JtJ.reshape(-1, 9) @ tab.TCC).reshape(dofmap.Vinv.shape)
-    A_gen /= (geom.absdet * mu.per_tet(mesh))[:, None, None]
-    return _assemble_free(dofmap, A_gen)
+    K = (geom.J.transpose(0, 2, 1) @ geom.J).reshape(-1, 9)
+    K /= (geom.absdet * mu.per_tet(mesh))[:, None]
+    return _assemble_free(dofmap, _element_blocks(dofmap, K, _ref_tables(dofmap.degree).CC))
 
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """Mass (u, w) over the free dofs.  No run needs it since the solve is
     gauged; it stays as a test oracle and for the benchmark's tracer."""
-    k = dofmap.degree
-    tab = _ref_tables(k)
     geom = mesh.geom()
-    K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
-    M_gen = (K.reshape(-1, 9) @ tab.TVV).reshape(dofmap.Vinv.shape)
-    M_gen *= geom.absdet[:, None, None]
-    return _assemble_free(dofmap, M_gen)
+    K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J).reshape(-1, 9)
+    K *= geom.absdet[:, None]
+    return _assemble_free(dofmap, _element_blocks(dofmap, K, _ref_tables(dofmap.degree).VV))
 
 
 @dataclass(frozen=True)
@@ -595,9 +638,10 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     """Load vector (j, w) over all dofs, with its scalar load and that
     load's rounding bound; the solve reads the free entries.
 
-    With C the reference dofs of the scalar-basis gradients, the local block
-    of G is V_t C, and V_t^T maps the element load back to the
-    reference-basis load b_gen, so tet t adds C^T b_gen[t] to the scalar
+    The element load is V_t^-T b_gen, from the reference-basis load b_gen:
+    b_gen @ V_sigma^-1, scaled by S_t^-T.  With C the reference dofs of the
+    scalar-basis gradients, the local block of G is V_t C, and V_t^T maps
+    the element load back to b_gen, so tet t adds C^T b_gen[t] to the scalar
     load of its nodes.  On a free node no boundary dof contributes: the
     gradient of psi_p has no tangential trace on a boundary entity.  So G
     itself is not needed."""
@@ -610,7 +654,8 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     jhat = jhat.reshape(len(jhat), -1)
     det = geom.absdet[:, None]
     b_gen = det * (jhat @ tab.wvals)
-    b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
+    b_loc = b_gen @ tab.Vref_inv
+    dofmap.unscale(b_loc)
     values = np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
                          minlength=dofmap.n_dofs)
     values.setflags(write=False)
@@ -653,12 +698,15 @@ def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
 
 def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
                mu: MaterialField) -> BrokenPolyField:
-    """H_h = mu^-1 curl u_h as a broken polynomial."""
+    """H_h = mu^-1 curl u_h as a broken polynomial: the reference-basis
+    coefficients of u_h on tet t are V_sigma^-1 S_t^-1 u_loc, so the
+    reference curl is one scaling of u_loc and one product with the
+    folded curl table."""
     k = dofmap.degree
-    ccoef = ps.reference_space(ps.NEDELEC1_TET, k).curl_coeffs()
     geom = mesh.geom()
-    cc = (_local_coefficients(dofmap, u) @ ccoef.reshape(len(ccoef), -1)).reshape(
-        mesh.n_tets, 3, -1)
+    x = u.values[dofmap.cell_dofs]
+    dofmap.unscale(x, transpose=True)
+    cc = (x @ _ref_tables(k).dof_curls).reshape(mesh.n_tets, 3, -1)
     out = (geom.J @ cc) / (geom.sign * geom.absdet * mu.per_tet(mesh))[:, None, None]
     return BrokenPolyField(mesh, k, out)
 

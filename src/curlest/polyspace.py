@@ -253,14 +253,6 @@ def _reference_dofs(kind: str, k: int) -> np.ndarray:
     return V
 
 
-@lru_cache(maxsize=None)
-def _reference_inverse(k: int) -> np.ndarray:
-    """Inverse of the Nedelec reference dof matrix."""
-    Vinv = np.linalg.inv(_reference_dofs(NEDELEC1_TET, k))
-    Vinv.setflags(write=False)
-    return Vinv
-
-
 def _face_scales(p: np.ndarray) -> np.ndarray:
     """area2 / |e_d| of face frames p (..., 3, 3), vertices in frame order."""
     e = p[..., 1:, :] - p[..., :1, :]
@@ -279,15 +271,14 @@ def _map_interior_rows(V: np.ndarray, first: int, S: np.ndarray) -> None:
 def _nedelec_scales(verts: np.ndarray, k: int):
     """The parts of S_t that are not the identity (see
     ``nedelec_element_matrices``): the face-row ratios (T, n_face), by which
-    the face rows of V_sigma are multiplied, and J (T, 3, 3) with vol6 (T,)
-    for the interior rows; None where the degree has no such rows."""
+    the face rows of V_sigma are multiplied (no columns at degree 1), and
+    J (T, 3, 3) with vol6 (T,) for the interior rows, None below degree 3."""
     T, n_face = len(verts), 4 * k * (k - 1)
-    scale = J = vol6 = None
+    scale, J, vol6 = np.ones((T, 0)), None, None
     if k >= 2:
         lv = np.array(TET_FACES)
         scale = _face_scales(verts[:, lv]) / _face_scales(TET_VERTS[lv])
-        # face rows (and columns of the inverse) run monomial-major,
-        # direction-minor
+        # face rows run monomial-major, direction-minor
         scale = np.tile(scale, n_face // 8).reshape(T, -1)
     if k >= 3:
         J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
@@ -308,31 +299,11 @@ def nedelec_element_matrices(verts: np.ndarray, k: int) -> np.ndarray:
     V = np.repeat(_reference_dofs(NEDELEC1_TET, k)[None], len(verts), axis=0)
     scale, J, vol6 = _nedelec_scales(verts, k)
     n_edge = 6 * k
-    if scale is not None:
-        V[:, n_edge:n_edge + scale.shape[1]] *= scale[:, :, None]
+    V[:, n_edge:n_edge + scale.shape[1]] *= scale[:, :, None]
     if J is not None:
         _map_interior_rows(V, n_edge + scale.shape[1],
                            vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1))
     return V
-
-
-def nedelec_element_inverses(verts: np.ndarray, k: int) -> np.ndarray:
-    """The inverses of ``nedelec_element_matrices``, (T, n, n), without
-    forming or inverting V: V_sigma^-1 S_t^-1 with V_sigma^-1 cached, its
-    face columns divided by the face ratios and its interior columns mapped
-    by kron(I, J^T / vol6)."""
-    verts = np.asarray(verts, dtype=float)
-    Vinv = np.repeat(_reference_inverse(k)[None], len(verts), axis=0)
-    scale, J, vol6 = _nedelec_scales(verts, k)
-    T, n_edge = len(Vinv), 6 * k
-    if scale is not None:
-        Vinv[:, :, n_edge:n_edge + scale.shape[1]] /= scale[:, None, :]
-    if J is not None:
-        first = n_edge + scale.shape[1]
-        cols = Vinv[:, :, first:].reshape(T, -1, 3)     # rows run (dof, monomial)
-        Vinv[:, :, first:] = (cols @ (J.transpose(0, 2, 1) / vol6[:, None, None])
-                              ).reshape(T, Vinv.shape[1], -1)
-    return Vinv
 
 
 def rt_element_matrices(verts: np.ndarray, k: int) -> np.ndarray:

@@ -1086,6 +1086,13 @@ def _einsum_ref_vals(k, rule):
                      space.coeffs)                                   # (q, 3, n)
 
 
+def element_inverses(mesh, k):
+    """(T, n, n) V_t^-1 by np.linalg.inv of the stacked element dof
+    matrices: the oracles' element maps, independent of the folded tables
+    and per-tet scalings of the library."""
+    return np.linalg.inv(ps.nedelec_element_matrices(mesh.vertices[mesh.tets], k))
+
+
 def einsum_assemble_curlcurl(mesh, dofmap, mu):
     k = dofmap.degree
     rule = ps.quadrature("tet", 2 * k + 2)
@@ -1097,7 +1104,8 @@ def einsum_assemble_curlcurl(mesh, dofmap, mu):
     JtJ = geom.J.transpose(0, 2, 1) @ geom.J
     A_gen = np.einsum("tab,abij->tij", JtJ, TCC)
     A_gen /= (geom.absdet * mu.per_tet(mesh))[:, None, None]
-    return fem._assemble_free(dofmap, A_gen)
+    Vinv = element_inverses(mesh, k)
+    return coo_assemble_free(dofmap, Vinv.transpose(0, 2, 1) @ A_gen @ Vinv)
 
 
 def einsum_assemble_mass(mesh, dofmap):
@@ -1108,15 +1116,14 @@ def einsum_assemble_mass(mesh, dofmap):
     geom = mesh.geom()
     K = np.linalg.inv(geom.J.transpose(0, 2, 1) @ geom.J)
     M_gen = np.einsum("tab,abij->tij", K, TVV) * geom.absdet[:, None, None]
-    return fem._assemble_free(dofmap, M_gen)
+    Vinv = element_inverses(mesh, k)
+    return coo_assemble_free(dofmap, Vinv.transpose(0, 2, 1) @ M_gen @ Vinv)
 
 
-def coo_assemble_free(dofmap, A_gen):
-    """The free x free matrix of element blocks V^-T A_gen V^-1 the long
-    way: every entry into a full COO matrix, converted to CSR (sorted,
-    duplicates summed), then the free rows and columns sliced out."""
-    Vinv = dofmap.Vinv
-    A_loc = Vinv.transpose(0, 2, 1) @ A_gen @ Vinv
+def coo_assemble_free(dofmap, A_loc):
+    """The free x free matrix of element blocks A_loc (T, n, n) in the local
+    dofs the long way: every entry into a full COO matrix, converted to CSR
+    (sorted, duplicates summed), then the free rows and columns sliced out."""
     rows = np.broadcast_to(dofmap.cell_dofs[:, :, None], A_loc.shape).ravel()
     cols = np.broadcast_to(dofmap.cell_dofs[:, None, :], A_loc.shape).ravel()
     A = sp.coo_matrix((A_loc.ravel(), (rows, cols)),
@@ -1132,7 +1139,7 @@ def einsum_assemble_rhs(mesh, dofmap, j):
     jhat = np.einsum("tbc,tqc->tqb", geom.Jinv, jvals)
     b_gen = geom.absdet[:, None] * np.einsum("q,qbi,tqb->ti", rule.weights,
                                            _einsum_ref_vals(k, rule), jhat)
-    b_loc = np.einsum("tji,tj->ti", dofmap.Vinv, b_gen)
+    b_loc = np.einsum("tji,tj->ti", element_inverses(mesh, k), b_gen)
     return np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
                        minlength=dofmap.n_dofs)
 
@@ -1140,7 +1147,9 @@ def einsum_assemble_rhs(mesh, dofmap, j):
 def einsum_compute_Hh(mesh, dofmap, u, mu):
     ccoef = ps.reference_space(ps.NEDELEC1_TET, dofmap.degree).curl_coeffs()
     geom = mesh.geom()
-    cc = np.einsum("ti,iam->tam", fem._local_coefficients(dofmap, u), ccoef)
+    c = np.einsum("tij,tj->ti", element_inverses(mesh, dofmap.degree),
+                  u.values[dofmap.cell_dofs])
+    cc = np.einsum("ti,iam->tam", c, ccoef)
     return (geom.J @ cc) / (np.linalg.det(geom.J) * mu.per_tet(mesh))[:, None, None]
 
 
@@ -1225,7 +1234,8 @@ def nedelec_field_to_poly(mesh, dofmap, u):
     """Expand assembled coefficients into the broken polynomial representation."""
     k = dofmap.degree
     space = ps.reference_space(ps.NEDELEC1_TET, k)
-    cref = np.einsum("ti,icm->tcm", fem._local_coefficients(dofmap, u), space.coeffs)
+    c = np.einsum("tij,tj->ti", element_inverses(mesh, k), u.values[dofmap.cell_dofs])
+    cref = np.einsum("ti,icm->tcm", c, space.coeffs)
     out = np.einsum("tbc,tbm->tcm", mesh.geom().Jinv, cref)   # J^-T cref
     return fem.BrokenPolyField(mesh, k, out)
 

@@ -131,11 +131,11 @@ def test_output_flags_need_out_dir(flag, tmp_path):
 def test_each_level_builds_its_element_matrices_and_registry_once(
         options, registries, monkeypatch):
     # the solve, the gradient correction, the estimator and the equilibrium
-    # checks share the dof map's V_t^-1 stack and node registry; only an
+    # checks share the dof map's per-tet scalings and node registry; only an
     # estimator degree above the solve degree needs a registry of its own.
     # The consistent cube load builds no discrete gradient, so V_t itself
     # is never built
-    counts = {"V": 0, "Vinv": 0, "registry": 0}
+    counts = {"V": 0, "scales": 0, "registry": 0}
 
     def counted(key, build):
         def wrapped(*args, **kwargs):
@@ -144,14 +144,13 @@ def test_each_level_builds_its_element_matrices_and_registry_once(
         return wrapped
     monkeypatch.setattr(ps, "nedelec_element_matrices",
                         counted("V", ps.nedelec_element_matrices))
-    monkeypatch.setattr(ps, "nedelec_element_inverses",
-                        counted("Vinv", ps.nedelec_element_inverses))
+    monkeypatch.setattr(ps, "_nedelec_scales", counted("scales", ps._nedelec_scales))
     monkeypatch.setattr(fem, "build_node_registry",
                         counted("registry", fem.build_node_registry))
     spec = bench.builtin_problems()["cube_poly"]
     rep = bench.run_experiment(spec, adm.RunConfig(degree=2, levels=2, **options))
     assert rep.ok and len(rep.rows) == 2
-    assert counts == {"V": 0, "Vinv": 2, "registry": 2 * registries}
+    assert counts == {"V": 0, "scales": 2, "registry": 2 * registries}
 
 
 def test_estimator_registry_follows_the_auxiliary_degree():

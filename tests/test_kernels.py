@@ -7,14 +7,19 @@ so it is pinned bitwise.
 
 The free x free sparse matrices are summed into the dof map's CSR pattern;
 they are pinned to the COO -> CSR -> free-slice oracle, whose pattern they
-reproduce exactly.  The element inverses from the cached reference inverses
-are pinned to the direct inverse of the element dof matrices.  The face
+reproduce exactly, and their summation holds one stack of element blocks
+at most.  The element maps by the folded reference tables and the per-tet
+scalings are pinned to the direct inverse of the element dof matrices.  The face
 kernels' exact 2k' rule is checked against the loop oracles, which integrate
 at 2k' + 4.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from curlest import _poly
 from curlest import equilibrate as eqm
@@ -25,6 +30,7 @@ from curlest import polyspace as ps
 from _helpers import (coo_assemble_free, cube_j, einsum_assemble_curlcurl,
                       einsum_assemble_mass, einsum_assemble_rhs,
                       einsum_compute_Hh, einsum_curl, einsum_div, einsum_eval,
+                      element_inverses,
                       einsum_grad, einsum_map_points, einsum_partials,
                       einsum_step2, einsum_vandermonde, face_rule_points,
                       frame_eval, jittered_cube, loop_face_multipliers,
@@ -138,7 +144,7 @@ def test_step1_reference_tables(kp):
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])
 def test_reference_pair_tables_match_einsum(kp):
-    # TCC, TVV and TVG as one product of weighted values against the
+    # TCC and TVG as one product of weighted values against the
     # 3-operand einsums: both sum the same q products of tabulated values,
     # in another order, so they agree to q u of the summed magnitudes
     tab = fem._ref_tables(kp)
@@ -148,7 +154,6 @@ def test_reference_pair_tables_match_einsum(kp):
     grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, kp))[:, :, 1:]
     u = np.finfo(float).eps / 2
     for got, f, g, spec in ((tab.TCC, tab.curls, tab.curls, "abij"),
-                            (tab.TVV, vals, vals, "abij"),
                             (tab.TVG, vals, grads, "abji")):
         want = np.einsum(f"q,qai,qbj->{spec}", w, f, g).reshape(9, -1)
         size = np.einsum(f"q,qai,qbj->{spec}", w, np.abs(f), np.abs(g)).reshape(9, -1)
@@ -260,9 +265,9 @@ def oracle_recorder(monkeypatch):
     """Have fem._assemble_free also run the COO oracle on its input."""
     pairs, assemble = [], fem._assemble_free
 
-    def recorded(dofmap, A_gen):
-        want = coo_assemble_free(dofmap, A_gen)
-        pairs.append((assemble(dofmap, A_gen), want))
+    def recorded(dofmap, blocks):
+        want = coo_assemble_free(dofmap, blocks)
+        pairs.append((assemble(dofmap, blocks), want))
         return pairs[-1][0]
     monkeypatch.setattr(fem, "_assemble_free", recorded)
     return pairs
@@ -279,10 +284,44 @@ def test_free_pattern_assembly_matches_coo_oracle(mesh, k, monkeypatch):
     for got, want in pairs:
         assert_same_csr(got, want)
     # a non-symmetric block with no zero entries fills every slot
-    n = dm.Vinv.shape[1]
+    n = dm.cell_dofs.shape[1]
     blocks = np.random.default_rng(k).standard_normal((mesh.n_tets, n, n))
-    got = fem._assemble_free(dm, blocks.copy())
+    got = fem._assemble_free(dm, blocks)
     assert_same_csr(got, coo_assemble_free(dm, blocks))
+
+
+def _assembly_peak(m, dm, mu):
+    """Peak traced memory of one curl-curl assembly, its caches filled."""
+    fem.assemble_curlcurl(m, dm, mu)
+    tracemalloc.start()
+    try:
+        fem.assemble_curlcurl(m, dm, mu)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_holds_one_block_stack_at_most(monkeypatch):
+    # curl-curl assembly at k = 3 makes one (T, n, n) stack of element
+    # blocks and the CSR arrays, and no copy of the (T, n, n) slot map
+    m = msh.unit_cube_mesh(3)
+    dm = fem.build_dofmap(m, 3)
+    mu = fem.MaterialField(1.0)
+    T, n, _ = dm.slot.shape
+    nnz = len(dm.indices)
+    bound = 1.1 * (T * n * n * 8 + nnz * 8 + dm.indices.nbytes + dm.indptr.nbytes)
+    assert _assembly_peak(m, dm, mu) < bound
+    want = fem.assemble_curlcurl(m, dm, mu)
+
+    # negative control: np.bincount sums the same entries in the same
+    # order, bitwise alike, but casts the int32 slots to an int64 copy
+    def bincount_free(dofmap, blocks):
+        data = np.bincount(dofmap.slot.ravel(), blocks.ravel(), minlength=nnz + 1)
+        return sp.csr_matrix((data[:nnz], dofmap.indices, dofmap.indptr),
+                             shape=(dofmap.n_free, dofmap.n_free))
+    monkeypatch.setattr(fem, "_assemble_free", bincount_free)
+    assert np.array_equal(fem.assemble_curlcurl(m, dm, mu).data, want.data)
+    assert _assembly_peak(m, dm, mu) > bound
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -321,15 +360,53 @@ def test_free_pattern_on_one_tet(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_reference_inverse_matches_direct_inverse(mesh, k):
-    # V_t^-1 = V_sigma^-1 S_t^-1 from the cached reference inverses against
-    # np.linalg.inv of the assembled V_t; both are checked as inverses
-    V = ps.nedelec_element_matrices(mesh.vertices[mesh.tets], k)
-    Vinv = ps.nedelec_element_inverses(mesh.vertices[mesh.tets], k)
-    direct = np.linalg.inv(V)
-    assert_pinned(Vinv, direct)
-    eye = np.eye(V.shape[1])
-    resid = np.abs(Vinv @ V - eye).max()
-    assert resid <= TOL, f"|Vinv V - I| = {resid:.1e}"
-    assert np.abs(direct @ V - eye).max() <= TOL
-    assert np.array_equal(fem.build_dofmap(mesh, k).Vinv, Vinv)
+def test_folded_tables_match_element_inverses(mesh, k):
+    # the reference tables folded with V_sigma^-1 and the dof map's per-tet
+    # scalings against V_t^-1 from np.linalg.inv of the element dof
+    # matrices, on tets of both orientations: element blocks V_t^-T A_gen
+    # V_t^-1 (with a metric that is not symmetric, so that rows and
+    # columns are told apart), loads V_t^-T b_gen and coefficients
+    # V_t^-1 u_loc
+    assert set(mesh.geom().sign) == {-1.0, 1.0}
+    dm = fem.build_dofmap(mesh, k)
+    tab = fem._ref_tables(k)
+    Vinv = element_inverses(mesh, k)
+    T, n, _ = Vinv.shape
+    assert not any(isinstance(v, np.ndarray) and v.shape == (T, n, n) and v.dtype.kind == "f"
+                   for v in vars(dm).values())
+    rng = np.random.default_rng(k)
+    vals = np.einsum("qm,icm->qci", _poly.vandermonde(3, k, tab.rule.points),
+                     ps.reference_space(ps.NEDELEC1_TET, k).coeffs)
+    TVV = np.einsum("q,qai,qbj->abij", tab.rule.weights, vals, vals).reshape(9, -1)
+    K = rng.standard_normal((T, 9))
+    for generic, folded in ((tab.TCC, tab.CC), (TVV, tab.VV)):
+        A_gen = (K @ generic).reshape(T, n, n)
+        assert_pinned(fem._element_blocks(dm, K, folded),
+                      Vinv.transpose(0, 2, 1) @ A_gen @ Vinv)
+    b_gen = rng.standard_normal((T, n))
+    got = b_gen @ tab.Vref_inv
+    dm.unscale(got)
+    assert_pinned(got, np.einsum("tji,tj->ti", Vinv, b_gen))
+    u_loc = rng.standard_normal((T, n))
+    got = u_loc.copy()
+    dm.unscale(got, transpose=True)
+    assert_pinned(got @ tab.Vref_inv.T, np.einsum("tij,tj->ti", Vinv, u_loc))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_unscale_inverts_the_element_map(mesh, k):
+    # x S_t^-1 S_t = x and x S_t^-T S_t^T = x with S_t = V_t V_sigma^-1
+    # from the element dof matrices.  Degree 4, above the global spaces'
+    # range, has 4 interior monomials: the dof map of degree 3 is given its
+    # scalings
+    verts = mesh.vertices[mesh.tets]
+    scale, J, vol6 = ps._nedelec_scales(verts, k)
+    dm = dataclasses.replace(fem.build_dofmap(mesh, 3), degree=k, face_scale=scale,
+                             cell_map=J.transpose(0, 2, 1) / vol6[:, None, None])
+    S = ps.nedelec_element_matrices(verts, k) @ np.linalg.inv(
+        ps._reference_dofs(ps.NEDELEC1_TET, k))
+    x = np.random.default_rng(k).standard_normal(S.shape[:2])
+    for transpose, Sm in ((False, S), (True, S.transpose(0, 2, 1))):
+        y = x.copy()
+        dm.unscale(y, transpose)
+        assert_pinned(np.einsum("ti,tij->tj", y, Sm), x)
