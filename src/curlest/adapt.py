@@ -154,20 +154,20 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     t0 = time.perf_counter()
     out = estimate_level(dm, mu, data, Hh, cfg)
     t_est = time.perf_counter() - t0
-    eta_h, eta_T = out.result.eta_h, out.result.eta_T
+    eta_h, eta_T, diag = out.result.eta_h, out.result.eta_T, out.result.diagnostics
     row = dict(labels, n_tets=mesh.n_tets, n_dofs=dm.n_free,
                h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
-               t_estimate=t_est, **grad)
-    row.update({k: out.result.diagnostics[k] for k in
-                ("oscillation", "step3_max_residual", "step3_worst_node",
-                 "lam_scale")})
+               t_estimate=t_est, **grad, oscillation=diag["oscillation"],
+               step3_max_residual=diag["step3_max_residual"],
+               step3_worst_node=diag["step3_worst_node"],
+               lam_scale=diag["lam_scale"])
     if cfg.verify:
         rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
         row["eq_elem_rel"] = rep["elem_resid_rel"]
         row["eq_face_rel"] = rep["face_resid_rel"]
     if cfg.estimator == "both":
-        row["mu_h"] = resm.compute_residual_estimator(mesh, j, Hh,
-                                                      cfg.degree).mu_h
+        row["mu_h"] = resm.compute_residual_estimator(
+            mesh, out.correction.jdelta_norm, Hh, cfg.degree).mu_h
     exact_H = getattr(problem, "exact_H", None)
     if exact_H is not None:
         set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H))

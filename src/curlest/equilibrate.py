@@ -45,7 +45,7 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_jump_values, face_traces,
-                     tangential_jump_norms, tangential_jump_values,
+                     sq_norms, tangential_jump_norms, tangential_jump_values,
                      _data_exactness, _face_rule, _factor_spd, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
@@ -67,7 +67,8 @@ class ElementCorrection:
     """Per-tet curl-conforming correction and its residual-current data."""
     Hhat: BrokenPolyField          # the local correction field
     resid: np.ndarray              # (T,) L2 norm of curl(Hhat) - j_delta
-    jdelta_norm: np.ndarray        # (T,) L2 norm of j_delta
+    jdelta_norm: np.ndarray        # (T,) L2 norm of j_delta = j - curl H_h; also the
+                                   # residual estimator's volume term
     ortho_resid: np.ndarray        # (T,) max |(mu Hhat, grad psi)| over basis
     degree: int
 
@@ -132,7 +133,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     geom = mesh.geom()
     J, det, sign = geom.J, geom.absdet, geom.sign
     JtJ = (J.transpose(0, 2, 1) @ J).reshape(nT, 9)
-    JtJ_inv = np.linalg.inv(JtJ.reshape(nT, 3, 3)).reshape(nT, 9)
+    JtJ_inv = (geom.Jinv @ geom.Jinv.transpose(0, 2, 1)).reshape(nT, 9)
     jh = Hh.curl()
     all_tets = np.arange(nT)
     jd = (j.eval_elements(mesh, all_tets, tab.rule.points)
@@ -152,8 +153,9 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     hhat = geom.Jinv.transpose(0, 2, 1) @ (h @ N.coeffs.reshape(nR, -1)).reshape(nT, 3, -1)
     cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(nT, -1, 3)
           @ (J.transpose(0, 2, 1) / (sign * det)[:, None, None]))
-    resid = np.sqrt(np.maximum(det * (((cv - jd) ** 2).sum(axis=2) @ w), 0.0))
-    jd_norm = np.sqrt(np.maximum(det * ((jd ** 2).sum(axis=2) @ w), 0.0))
+    cv -= jd
+    resid = np.sqrt(np.maximum(det * sq_norms(cv, w), 0.0))
+    jd_norm = np.sqrt(np.maximum(det * sq_norms(jd, w), 0.0))
     ortho = np.abs(B @ h[..., None]).max(axis=(1, 2), initial=0.0)
 
     if strict_a2:
@@ -253,8 +255,8 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
     |grad_f lambda + [F]_t| with (lambda, 1)_f = 0, that is, the surface
     curl of lambda matched to n x [F] in L2, from the jump [F] (Fi, q, 3) at
     the face rule points.  E [F] are the covariant components of its
-    tangential part, so the load is -s sum_q w D^T g^-1 E [F], and the norm
-    of a tangential field v is that of (E v)^T g^-1 (E v): no frame and no
+    tangential part, so the load is -s sum_q w D^T g^-1 E [F], and a
+    tangential field v is E^T g^-1 (E v), whose norm needs no frame and no
     normal.  The normal equations of the non-constant monomials are SPD;
     the zero mean then fixes the constant.  Returns the coefficients (Fi,
     nP), the maps E^T g^-1 (Fi, 3, 2), the residual, data-norm and mean
@@ -266,6 +268,7 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
     v = mesh.vertices[mesh.faces[faces]]
     E = v[:, 1:] - v[:, :1]                                         # (Fi, 2, 3)
     ginv = np.linalg.inv(E @ E.transpose(0, 2, 1))
+    dual = E.transpose(0, 2, 1) @ ginv                              # E^T g^-1
     s = 2.0 * mesh.face_areas()[faces]
     data = jump @ E.transpose(0, 2, 1)                              # E [F], (Fi, q, 2)
     S = ((s[:, None] * ginv.reshape(nF, 4)) @ tab.DD).reshape(nF, n, n)
@@ -274,10 +277,11 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
                      "multiplier")[:, :, 0]
     sol = np.column_stack([-(c @ tab.mean[1:]) / tab.mean[0], c])
     r = np.stack([(c @ tab.D.T).reshape(nF, q, 2) + data, data])   # E v
-    resid, jnorm = np.sqrt(np.maximum(s * (((r @ ginv) * r).sum(axis=3) @ w), 0.0))
+    resid, jnorm = np.sqrt(np.maximum(
+        s * sq_norms(r @ dual.transpose(0, 2, 1), w), 0.0))
     mean_abs = np.abs(s * (sol @ tab.mean))
     lam_scale = float(np.abs(sol @ tab.V.T).max(initial=0.0))
-    return sol, E.transpose(0, 2, 1) @ ginv, resid, jnorm, mean_abs, lam_scale
+    return sol, dual, resid, jnorm, mean_abs, lam_scale
 
 
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
@@ -293,9 +297,9 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
     stacked = BrokenPolyField(
         mesh, kp, np.concatenate([total.coeffs, total.curl().coeffs], axis=1))
     jumps = face_jump_values(mesh, stacked, internal)               # (Fi, q, 6)
-    ndiv = (jumps[:, :, 3:] @ mesh.face_normals()[internal][:, :, None])[:, :, 0]
+    ndiv = jumps[:, :, 3:] @ mesh.face_normals()[internal][:, :, None]   # (Fi, q, 1)
     w = _face_tables(kp).rule.weights
-    div_norm = np.sqrt(2.0 * mesh.face_areas()[internal] * (ndiv ** 2 @ w))
+    div_norm = np.sqrt(2.0 * mesh.face_areas()[internal] * sq_norms(ndiv, w))
     lam, dual, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
         mesh, internal, jumps[:, :, :3], kp)
     out = FaceMultiplier(kp, internal, lam, mesh.vertices[mesh.faces[internal, 0]],
@@ -601,13 +605,10 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     geom = mesh.geom()
     tets = np.arange(mesh.n_tets)
     total_curl = Hh.curl().padded_to(kp).plus(corr.Hhat.curl())
-    cv = total_curl.eval(tets, rule.points)
     jv = j.eval_elements(mesh, tets, rule.points)
-    diff = cv - jv
-    elem_sq = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.absdet
-    elem_resid = float(np.sqrt(elem_sq.sum()))
-    jnorm = float(np.sqrt((np.einsum("q,tqc->t", rule.weights, jv ** 2)
-                           * geom.absdet).sum()))
+    resid = jv - total_curl.eval(tets, rule.points)
+    # jv may be the array the data's callback keeps, so its copy is squared
+    jnorm = float(np.sqrt((sq_norms(jv.copy(), rule.weights) * geom.absdet).sum()))
 
     total = Hh.padded_to(kp).plus(result.Htilde)
     face_norms = tangential_jump_norms(mesh, total)
@@ -633,11 +634,13 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         gpsi = psi.grad()
         gv = gpsi.eval(tets, rule.points)
         vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,
-                                    jv - cv, gv) * geom.absdet).sum())
+                                    resid, gv) * geom.absdet).sum())
         face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
                                     jump, face_traces(mesh, gpsi, internal, 0)))
         scale = max(jnorm * gpsi.norm(), 1e-30)
         ortho_rels.append(abs(vol_term + face_term) / scale)
+    elem_sq = sq_norms(resid, rule.weights) * geom.absdet
+    elem_resid = float(np.sqrt(elem_sq.sum()))
 
     report = {
         "elem_resid": elem_resid,

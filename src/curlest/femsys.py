@@ -32,7 +32,15 @@ all tets are one (T, 9) @ (9, n n) product and two scalings, the load
 vector one (T, q 3) @ (q 3, n) product, and H_h one scaling and one
 (T, n) @ (n, 3 m) product; a broken field is evaluated by one
 (T comp, m) @ (m, q) product and differentiated by one product with the
-stacked derivative matrices and one batched J^-T product.  A face rule sits
+stacked derivative matrices and one batched J^-T product.  Tet-rule points
+are mapped component-major (``_Geometry.map_points``), so an analytic
+callback reads contiguous coordinate columns without a copy, and every
+per-entity weighted squared norm squares an array it owns in place and sums
+it with one matrix-vector product in that array's memory order
+(``sq_norms``).  Each stage evaluates each tet-rule quantity once: the load
+and estimator step 1 evaluate the current once each, and step 1's integral
+of j - curl H_h is also the residual estimator's volume term; no tet-rule
+array is kept across the solve.  A face rule sits
 on the reference tet as one of its 4 faces, whose local index ``build_mesh``
 stores for each face and side (``Mesh.face_local``): the face's vertices
 and the tet's are both ascending, so its affine coordinates are those of
@@ -66,6 +74,21 @@ def _data_exactness(degree: int) -> int:
     against current data or an analytic reference field; it is exact on
     products of two degree-p fields and on projected (degree-p) currents."""
     return 2 * degree + 4
+
+
+def sq_norms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-entity weighted squared norms sum_q w_q |x[..., q, :]|^2 of x
+    (..., q, c), the values of a field at the points of a rule with weights
+    w.  x is squared in place, so the caller hands over an array it owns
+    and no longer reads.  x is C-ordered, or the (q, c) transpose of a
+    C-ordered (..., c, q) array such as ``BrokenPolyField.eval`` returns;
+    the weights are laid out in that memory order, so the sum is one
+    matrix-vector product over the flat rows and no temporary is made."""
+    np.square(x, out=x)
+    *lead, q, c = x.shape
+    if x.flags.c_contiguous:
+        return x.reshape(*lead, q * c) @ np.repeat(w, c)
+    return x.swapaxes(-1, -2).reshape(*lead, q * c) @ np.tile(w, c)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +204,7 @@ class BrokenPolyField:
         """Per-tet norms sqrt(mu int |f|^2), exact."""
         rule = ps.quadrature("tet", 2 * self.degree)
         vals = self.eval(np.arange(self.mesh.n_tets), rule.points)
-        sq = np.einsum("q,tqc->t", rule.weights, vals ** 2) * self.mesh.geom().absdet
+        sq = sq_norms(vals, rule.weights) * self.mesh.geom().absdet
         if mu_per_tet is not None:
             sq = sq * np.asarray(mu_per_tet)
         return np.sqrt(np.maximum(sq, 0.0))
@@ -505,7 +528,9 @@ class _RefTables:
     and value pairs, and dof_curls, the curl coefficients, are folded with
     V_sigma^-1 (``Vref_inv``) into the dof basis of the reference tet, so
     an element's blocks and its H_h only need the per-tet scalings of
-    ``DofMap.unscale``; VV serves only ``assemble_mass``.
+    ``DofMap.unscale``; VV serves only ``assemble_mass``.  These four are
+    built on first read: at an estimator degree above the solve's, only
+    step 1 reads the tables.
 
     The rest serves estimator step 1, one reference problem in the metric
     of each tet.  G holds the dofs of the gradients of the non-constant
@@ -519,26 +544,19 @@ class _RefTables:
     current to the load on Z."""
 
     def __init__(self, degree: int):
+        self.degree = degree
         self.rule = ps.quadrature("tet", _data_exactness(degree))
         space = ps.reference_space(ps.NEDELEC1_TET, degree)
         v = _poly.vandermonde(3, degree, self.rule.points)
-        vals = np.einsum("qm,icm->qci", v, space.coeffs)            # (q,3,n)
-        ccoef = space.curl_coeffs()
-        self.curls = np.einsum("qm,iam->qai", v, ccoef)
+        vals = self._values()
+        self.curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
         w = self.rule.weights
         n = vals.shape[2]
-        # (9, n * n) curl and value pairs and (q * 3, n) weighted values:
-        # the curl-curl and mass blocks and the load vector are single
-        # matrix products against them
+        # (9, n * n) curl pairs and (q * 3, n) weighted values: the
+        # curl-curl blocks and the load vector are single matrix products
+        # against them
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
         self.TCC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
-        # the pairs V_sigma^-T T_ab V_sigma^-1 and the curl coefficients
-        # V_sigma^-T curl in the dof basis; V_sigma differs from I by
-        # roundoff that grows with the degree, so it is not dropped
-        Vi = self.Vref_inv = np.linalg.inv(ps._reference_dofs(ps.NEDELEC1_TET, degree))
-        self.CC = (Vi.T @ self.TCC.reshape(9, n, n) @ Vi).reshape(9, -1)
-        self.VV = (Vi.T @ _pairs(w, vals, vals).reshape(9, n, n) @ Vi).reshape(9, -1)
-        self.dof_curls = Vi.T @ ccoef.reshape(n, -1)
 
         D = _poly.diff_stack(3, degree)
         grads = np.einsum("qm,bmn->qbn", v, D)[:, :, 1:]
@@ -552,6 +570,38 @@ class _RefTables:
         self.TVG = TVG.reshape(9, -1)
         self.TVGG = (TVG @ self.G).reshape(9, -1)
         self.wcurlZ = (w[:, None, None] * self.curls).reshape(-1, n) @ self.Z
+
+    def _values(self) -> np.ndarray:
+        """(q, 3, n) values of the reference basis at the rule points."""
+        v = _poly.vandermonde(3, self.degree, self.rule.points)
+        space = ps.reference_space(ps.NEDELEC1_TET, self.degree)
+        return np.einsum("qm,icm->qci", v, space.coeffs)
+
+    @cached_property
+    def Vref_inv(self) -> np.ndarray:
+        """V_sigma^-1; V_sigma differs from I by roundoff that grows with
+        the degree, so it is not dropped."""
+        return np.linalg.inv(ps._reference_dofs(ps.NEDELEC1_TET, self.degree))
+
+    def _folded(self, pairs: np.ndarray) -> np.ndarray:
+        """(9, n n) pairs V_sigma^-T T_ab V_sigma^-1 in the dof basis."""
+        Vi = self.Vref_inv
+        return (Vi.T @ pairs.reshape(9, len(Vi), -1) @ Vi).reshape(9, -1)
+
+    @cached_property
+    def CC(self) -> np.ndarray:
+        return self._folded(self.TCC)
+
+    @cached_property
+    def VV(self) -> np.ndarray:
+        vals = self._values()
+        return self._folded(_pairs(self.rule.weights, vals, vals))
+
+    @cached_property
+    def dof_curls(self) -> np.ndarray:
+        """(n, 3 m) curl coefficients V_sigma^-T curl in the dof basis."""
+        ccoef = ps.reference_space(ps.NEDELEC1_TET, self.degree).curl_coeffs()
+        return self.Vref_inv.T @ ccoef.reshape(len(ccoef), -1)
 
 
 def _pairs(w, f, g) -> np.ndarray:
@@ -944,8 +994,8 @@ def tangential_jump_norms(mesh: Mesh, field: BrokenPolyField) -> np.ndarray:
     internal = mesh.internal_faces()
     jump = tangential_jump_values(mesh, field, internal)
     out = np.zeros(mesh.n_faces)
-    out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal] * np.einsum(
-        "q,fqc->f", _face_rule(field.degree).weights, jump ** 2))
+    out[internal] = np.sqrt(2.0 * mesh.face_areas()[internal]
+                            * sq_norms(jump, _face_rule(field.degree).weights))
     return out
 
 
@@ -959,6 +1009,5 @@ def l2_error_against(mesh: Mesh, mu: MaterialField, field: BrokenPolyField,
     vals = field.eval(tets, rule.points)
     pts = geom.map_points(tets, rule.points)
     diff = np.asarray(exact(pts.reshape(-1, 3))).reshape(vals.shape) - vals
-    sq = (np.einsum("q,tqc->t", rule.weights, diff ** 2)
-          * geom.absdet * mu.per_tet(mesh))
+    sq = sq_norms(diff, rule.weights) * geom.absdet * mu.per_tet(mesh)
     return float(np.sqrt(sq.sum()))

@@ -57,10 +57,14 @@ class _Geometry:
         self.Jinv = np.linalg.inv(self.J)
 
     def map_points(self, tets, ref_pts):
-        """Physical coords of reference points for each listed tet."""
-        J = self.J[tets]
-        x = (J.reshape(-1, 3) @ np.asarray(ref_pts).T).reshape(len(J), 3, -1)
-        return self.v0[tets][:, None, :] + x.transpose(0, 2, 1)
+        """Physical coords of reference points for each listed tet, (t, q, 3):
+        a view of a component-major (3, t, q) array, so ``reshape(-1, 3)``
+        gives the (t q, 3) points, grouped tet by tet, without a copy and
+        with each coordinate a contiguous column."""
+        Jc = self.J.transpose(1, 0, 2)[:, tets]              # (3, t, 3): row c of J
+        x = (Jc.reshape(-1, 3) @ np.asarray(ref_pts).T).reshape(3, Jc.shape[1], -1)
+        x += self.v0.T[:, tets, None]
+        return x.transpose(1, 2, 0)
 
 
 @dataclass
@@ -85,6 +89,8 @@ class Mesh:
     _face_diameters: np.ndarray = field(default=None, repr=False, compare=False)
     _tet_diameters: np.ndarray = field(default=None, repr=False, compare=False)
     _face_normals: np.ndarray = field(default=None, repr=False, compare=False)
+    _internal_faces: np.ndarray = field(default=None, repr=False, compare=False)
+    _internal_edges: np.ndarray = field(default=None, repr=False, compare=False)
 
     # -- derived quantities -------------------------------------------------
 
@@ -158,10 +164,14 @@ class Mesh:
         return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
     def internal_faces(self) -> np.ndarray:
-        return np.nonzero(~self.boundary_face)[0]
+        if self._internal_faces is None:
+            self._internal_faces = np.nonzero(~self.boundary_face)[0]
+        return self._internal_faces
 
     def internal_edges(self) -> np.ndarray:
-        return np.nonzero(~self.boundary_edge)[0]
+        if self._internal_edges is None:
+            self._internal_edges = np.nonzero(~self.boundary_edge)[0]
+        return self._internal_edges
 
 
 def _dedupe(keys):
@@ -190,7 +200,7 @@ def _dedupe(keys):
 
 
 def _check_links(name, n, tet_entities, face_entities, table, face_tets, face_local,
-                 boundary_face):
+                 boundary_face, internal):
     """Raise NonConforming unless the tets around every entity of one kind
     (``name``: edge or vertex) are joined through its internal faces.
 
@@ -199,8 +209,8 @@ def _check_links(name, n, tet_entities, face_entities, table, face_tets, face_lo
     positions that row ``face_local`` of ``table`` (4, k) gives in each
     tet.  The link of an edge is a chain or a cycle, and that of a vertex a
     disk or a sphere, only if the entity's incidences form one component.
+    ``internal`` lists the internal faces.
     """
-    internal = np.nonzero(~boundary_face)[0]
     w = tet_entities.shape[1]
     ends = w * face_tets[internal][:, :, None] + table[face_local[internal]]  # (Fi, 2, k)
     size = tet_entities.size
@@ -282,11 +292,12 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
     boundary_edge[face_edges[boundary_face]] = True
     boundary_vertex = np.zeros(nv, dtype=bool)
     boundary_vertex[faces[boundary_face].ravel()] = True
+    internal = np.nonzero(~boundary_face)[0]
     # edges first, so that a split edge link is reported as the edge's
     _check_links("edge", len(edges), tet_edges, face_edges, _FACE_EDGES,
-                 face_tets, face_local, boundary_face)
+                 face_tets, face_local, boundary_face, internal)
     _check_links("vertex", nv, tets, faces, _FACE_VERTICES,
-                 face_tets, face_local, boundary_face)
+                 face_tets, face_local, boundary_face, internal)
 
     if subdomain_tags is None:
         subdomain_tags = np.zeros(nt, dtype=np.int64)
@@ -301,7 +312,8 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         faces=faces, face_tets=face_tets, tet_faces=tet_faces,
         edges=edges, tet_edges=tet_edges, face_edges=face_edges,
         face_local=face_local, boundary_face=boundary_face, boundary_edge=boundary_edge,
-        boundary_vertex=boundary_vertex, _tet_diameters=diam)
+        boundary_vertex=boundary_vertex, _tet_diameters=diam,
+        _internal_faces=internal, _internal_edges=np.nonzero(~boundary_edge)[0])
 
 
 # ---------------------------------------------------------------------------

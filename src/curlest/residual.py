@@ -1,4 +1,11 @@
-"""Classical degree-weighted residual error estimator, for comparison runs."""
+"""Classical degree-weighted residual error estimator, for comparison runs.
+
+Its volume term is h_T^2/k^2 ||j - curl H_h||_T^2.  Estimator step 1
+already integrates that residual current on every tet
+(``ElementCorrection.jdelta_norm``), for the current the solve used and at
+the estimator's data rule, so the volume term is read from there and this
+module evaluates no current and no tet rule of its own.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import polyspace as ps
-from .femsys import (BrokenPolyField, CurrentDensity, tangential_jump_norms,
-                     _data_exactness)
+from .femsys import BrokenPolyField, tangential_jump_norms
 from .mesh import Mesh
 
 
@@ -19,26 +24,18 @@ class ResidualResult:
     mu_h: float
 
 
-def compute_residual_estimator(mesh: Mesh, j: CurrentDensity,
+def compute_residual_estimator(mesh: Mesh, jdelta_norm: np.ndarray,
                                Hh: BrokenPolyField, k: int) -> ResidualResult:
     """Volume residual plus tangential-jump terms with 1/k weights.
 
-    The face sum runs over internal faces only.  This comparison estimator
-    is not weighted by the permeability mu: both terms are plain L2 norms.
-    It is reported globally; marking uses the equilibrated one.
+    ``jdelta_norm`` (T,) holds ||j - curl H_h||_T, step 1's
+    ``ElementCorrection.jdelta_norm``.  The face sum runs over internal
+    faces only.  This comparison estimator is not weighted by the
+    permeability mu: both terms are plain L2 norms.  It is reported
+    globally; marking uses the equilibrated one.
     """
-    rule = ps.quadrature("tet", _data_exactness(k))
-    geom = mesh.geom()
-    tets = np.arange(mesh.n_tets)
-    jv = j.eval_elements(mesh, tets, rule.points)
-    cv = Hh.curl().eval(tets, rule.points)
-    diff = jv - cv
-    l2sq = np.einsum("q,tqc->t", rule.weights, diff ** 2) * geom.absdet
-    hT = mesh.tet_diameters()
-    vol_T = (hT ** 2 / k ** 2) * l2sq
-
+    vol_T = (mesh.tet_diameters() ** 2 / k ** 2) * jdelta_norm ** 2
     jumps = tangential_jump_norms(mesh, Hh)
-    hf = mesh.face_diameters()
-    face_sq = (hf / k) * jumps ** 2
+    face_sq = (mesh.face_diameters() / k) * jumps ** 2
     mu_h = float(np.sqrt(vol_T.sum() + face_sq.sum()))
     return ResidualResult(vol_T=vol_T, face_sq=face_sq, mu_h=mu_h)

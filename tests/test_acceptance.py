@@ -317,7 +317,7 @@ def test_criterion_09_residual_estimator_contrast(cube_runs):
     for k in (1, 2, 3):
         r = cube_runs[(k, 2)]
         rr = resm.compute_residual_estimator(
-            r["mesh"], fem.CurrentDensity(func=cube_j), r["Hh"], k)
+            r["mesh"], r["out"].correction.jdelta_norm, r["Hh"], k)
         eff_res = rr.mu_h / r["err"]
         eff_eq = r["out"].result.eta_h / r["err"]
         effs[k] = eff_res

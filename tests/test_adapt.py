@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ from curlest import adapt as adm
 from curlest import bench
 from curlest import femsys as fem
 from curlest import polyspace as ps
+from curlest import residual as resm
 
 RNG = np.random.default_rng(41)
 
@@ -151,6 +153,47 @@ def test_each_level_builds_its_element_matrices_and_registry_once(
     rep = bench.run_experiment(spec, adm.RunConfig(degree=2, levels=2, **options))
     assert rep.ok and len(rep.rows) == 2
     assert counts == {"V": 0, "scales": 2, "registry": 2 * registries}
+
+
+def test_each_level_evaluates_the_current_twice_and_exact_H_once(monkeypatch):
+    # the load and step 1 each evaluate the analytic current once; the
+    # residual estimator reads step 1's volume integral and evaluates
+    # nothing, and the error evaluates exact_H once
+    spec = bench.builtin_problems()["cube_poly"]
+    counts = {"j": 0, "H": 0, "j_in_residual": 0}
+
+    def counted(key, f):
+        def wrapped(p):
+            counts[key] += 1
+            return f(p)
+        return wrapped
+    spec = dataclasses.replace(spec, j_func=counted("j", spec.j_func),
+                               exact_H=counted("H", spec.exact_H))
+    residual = resm.compute_residual_estimator
+
+    def watched(*args):
+        before = counts["j"]
+        out = residual(*args)
+        counts["j_in_residual"] += counts["j"] - before
+        return out
+    monkeypatch.setattr(resm, "compute_residual_estimator", watched)
+    for k in (1, 2):
+        counts.update(j=0, H=0)
+        lv = adm.run_level(spec, spec.make_mesh(2), adm.RunConfig(degree=k))
+        assert "mu_h" in lv.row and "error" in lv.row
+        assert counts == {"j": 2, "H": 1, "j_in_residual": 0}
+
+
+def test_folded_tables_are_built_only_where_read():
+    # at k = 3, k' = 4 only step 1 reads the degree-4 tables: their folded
+    # V_sigma^-1 tables are never built
+    fem._ref_tables.cache_clear()
+    spec = bench.builtin_problems()["cube_poly"]
+    adm.run_level(spec, spec.make_mesh(1), adm.RunConfig(degree=3, aux_degree=4))
+    built = vars(fem._ref_tables(4))
+    assert "ZCCZ" in built
+    assert not {"Vref_inv", "CC", "VV", "dof_curls"} & set(built)
+    assert {"Vref_inv", "CC", "dof_curls"} <= set(vars(fem._ref_tables(3)))
 
 
 def test_estimator_registry_follows_the_auxiliary_degree():

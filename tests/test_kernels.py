@@ -2,7 +2,7 @@
 
 Each kernel reorders its sums, so it is pinned to its einsum oracle to 1e-13
 relative to the oracle's largest entry, at k = 1..3 on a relabelled, jittered
-two-material mesh.  The Vandermonde keeps its powers and its product order,
+two-material mesh; the per-entity norm helper, to 1e-14.  The Vandermonde keeps its powers and its product order,
 so it is pinned bitwise.
 
 The free x free sparse matrices are summed into the dof map's CSR pattern;
@@ -40,10 +40,14 @@ TOL = 1e-13
 MU = fem.MaterialField({0: 1.0, 1: 100.0})
 
 
-def assert_pinned(got, want):
+def assert_pinned(got, want, tol=TOL):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def assert_pinned14(got, want):
+    assert_pinned(got, want, 1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +170,43 @@ def test_map_points_and_eval_match_einsum(mesh, k):
     rule = ps.quadrature("tet", 2 * k + 2)
     tets = rng.integers(0, mesh.n_tets, 2 * mesh.n_tets)
     geom = mesh.geom()
-    assert_pinned(geom.map_points(tets, rule.points),
-                  einsum_map_points(geom, tets, rule.points))
+    pts = geom.map_points(tets, rule.points)
+    assert_pinned(pts, einsum_map_points(geom, tets, rule.points))
+    # the (N, 3) points an analytic callback gets share the map's memory
+    # and hold each coordinate in a contiguous column
+    flat = pts.reshape(-1, 3)
+    assert np.shares_memory(flat, pts) and flat.flags.f_contiguous
     for ncomp in (1, 3, 9):
         field = random_field(rng, mesh, k, ncomp)
         assert_pinned(field.eval(tets, rule.points), einsum_eval(field, tets, rule.points))
         assert_pinned(field.eval([5], rule.points), einsum_eval(field, [5], rule.points))
+
+
+def test_sq_norms_match_einsum(mesh):
+    # the three layouts the norm helper reads: a C-ordered (T, q, c) array,
+    # the transposed view BrokenPolyField.eval returns, and step 2's metric
+    # form v^T g^-1 v of covariant components v, the tangential field
+    # E^T g^-1 v squared
+    rng = np.random.default_rng(7)
+    rule = ps.quadrature("tet", 6)
+    w = rule.weights
+    x = rng.standard_normal((mesh.n_tets, len(w), 3))
+    want = np.einsum("q,tqc,tqc->t", w, x, x)
+    assert_pinned14(fem.sq_norms(x.copy(), w), want)
+
+    vals = random_field(rng, mesh, 2).eval(np.arange(mesh.n_tets), rule.points)
+    assert not vals.flags.c_contiguous
+    want = np.einsum("q,tqc,tqc->t", w, vals, vals)
+    assert_pinned14(fem.sq_norms(vals, w), want)
+
+    faces = mesh.internal_faces()
+    tri = fem._face_rule(2)
+    v = mesh.vertices[mesh.faces[faces]]
+    E = v[:, 1:] - v[:, :1]
+    ginv = np.linalg.inv(E @ E.transpose(0, 2, 1))
+    r = rng.standard_normal((2, len(faces), len(tri.weights), 2))
+    want = np.einsum("q,sfqa,fab,sfqb->sf", tri.weights, r, ginv, r)
+    assert_pinned14(fem.sq_norms(r @ (ginv @ E), tri.weights), want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
