@@ -7,22 +7,24 @@ so two elements sharing an edge or face apply identical functionals and
 tangential continuity of the assembled field is automatic.  Every tet is
 the reference tet in one vertex order, so its dof matrix is V_t = S_t
 V_sigma, with V_sigma the reference dof matrix and S_t the identity on edge
-rows, diagonal on face rows and kron(I, vol6 J^-T) on interior rows.
-V_sigma^-1 is folded into the cached reference tables once, and the dof map
-keeps only the non-identity parts of S_t^-1, applied as per-tet scalings
-(``DofMap.unscale``): no (T, n, n) stack of V_t^-1 is formed.  The
-curl-curl matrix is summed straight into the free-dof CSR pattern the dof
-map keeps.
+rows, diagonal on face rows and kron(I, vol6 J^-T) on interior rows.  No
+V_t is formed: the functionals are applied on the reference tet only, to
+fields pulled back from all tets at once (covariantly for the Nedelec
+interpolant, by Piola for the current projection, which then solves with
+V_sigma alone).  V_sigma^-1 is folded into the cached reference tables
+once, and the dof map keeps only the non-identity parts of S_t, applied as
+per-tet scalings (``DofMap.unscale`` applies S_t^-1).  The curl-curl
+matrix is summed straight into the free-dof CSR pattern the dof map keeps.
 The Nedelec dofs and the Lagrange nodes are numbered alike, entity by
-entity (``_EntityLayout``).  The discrete gradient is built from V_t on
-first use, one row per dof from one tet that holds it; only the gradient
-correction of a load that is not consistent to roundoff reads it.  The
-singular curl-curl system is solved in the tree-cotree gauge that the dof
-map picks entity by entity (``DofMap.gauge``), so no mass shift and no
-iteration is needed.  Every integral against current data or an analytic
-field uses one tet rule per degree (``_data_exactness``), and every face
-integral of the traces of a degree-p field the exact 2p triangle rule
-(``_face_rule``).  Broken fields are carried around as per-element
+entity (``_EntityLayout``).  The discrete gradient is built on first use
+from the owner rows of S_t (V_sigma C), one row per dof from one tet that
+holds it; only the gradient correction of a load that is not consistent to
+roundoff reads it.  The singular curl-curl system is solved in the
+tree-cotree gauge that the dof map picks entity by entity
+(``DofMap.gauge``), so no mass shift and no iteration is needed.  Every
+integral against current data or an analytic field uses one tet rule per
+degree (``_data_exactness``), and every face integral of the traces of a
+degree-p field the exact 2p triangle rule (``_face_rule``).  Broken fields are carried around as per-element
 polynomial coefficient blocks over reference coordinates with physical
 components, which keeps curls, gradients, and jumps exact.
 
@@ -369,8 +371,7 @@ class DofMap:
     @cached_property
     def G(self) -> sp.csc_matrix:
         """(n_free, free registry nodes) discrete gradient."""
-        V = ps.nedelec_element_matrices(self.mesh.vertices[self.mesh.tets], self.degree)
-        return discrete_gradient(V, self.cell_dofs, self.layout.boundary, self.registry)
+        return discrete_gradient(self)
 
     @cached_property
     def gauge(self) -> np.ndarray:
@@ -453,12 +454,29 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
     le = np.repeat(np.arange(ent.shape[1]), lay.count[ent[0]])  # entity of local dof
     off = np.arange(len(le)) - np.searchsorted(le, le)        # offset in the entity
-    scale, J, vol6 = ps._nedelec_scales(mesh.vertices[mesh.tets], k)
-    cell_map = None if J is None else J.transpose(0, 2, 1) / vol6[:, None, None]
+    cell_map = None
+    if k >= 3:     # J^T / vol6, C-contiguous: unscale's products round by layout
+        geom = mesh.geom()
+        cell_map = np.ascontiguousarray(geom.J.transpose(0, 2, 1)) / geom.absdet[:, None, None]
     return DofMap(mesh, k, lay, lay.first[ent][:, le] + off,
-                  np.nonzero(~lay.boundary)[0], scale, cell_map,
+                  np.nonzero(~lay.boundary)[0], _face_scale(mesh, k), cell_map,
                   build_node_registry(mesh, k),
                   *_free_pattern(ent, lay.count, ~lay.fixed, le, off))
+
+
+def _face_scale(mesh: Mesh, k: int) -> np.ndarray:
+    """S_t on the face rows, (T, 4 k(k-1)): the ratio of area2 / |e_d| on
+    the tet to that on the reference tet for every local face and in-plane
+    direction d, repeated over the face's monomials (its rows run
+    monomial-major, direction-minor); no columns at degree 1."""
+    if k < 2:
+        return np.ones((mesh.n_tets, 0))
+    lv = np.array(ps.TET_FACES)
+    v = np.concatenate([mesh.vertices[mesh.tets], ps.TET_VERTS[None]])
+    e = v[:, lv[:, 1:]] - v[:, lv[:, :1]]      # face frames; the reference tet's last
+    area2 = np.linalg.norm(np.cross(e[:, :, 0], e[:, :, 1]), axis=-1)
+    r = area2[..., None] / np.linalg.norm(e, axis=-1)
+    return np.tile(r[:-1] / r[-1], k * (k - 1) // 2).reshape(mesh.n_tets, -1)
 
 
 def _free_pattern(ent, width, free, le, off):
@@ -731,18 +749,29 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     return Load(values, scalar, n * (np.finfo(float).eps / 2) * size)
 
 
-def _stacked_eval(func):
-    """field_eval of the stacked dof functionals for a function of (N, 3) points."""
-    return lambda pts: np.asarray(func(pts.reshape(-1, 3))).reshape(pts.shape)[..., None]
+def _pulled_back(mesh: Mesh, func, M: np.ndarray):
+    """field_eval of the reference functionals for an analytic field pulled
+    back from every tet: at reference points, the values f(F_t(x)) @ M_t
+    with all tets on the field axis, (q, 3, T).  ``func`` is evaluated as
+    analytic current data are, at the points of ``_Geometry.map_points``."""
+    f, tets = CurrentDensity(func=func), np.arange(mesh.n_tets)
+    return lambda ref_pts: (f.eval_elements(mesh, tets, ref_pts) @ M).transpose(1, 2, 0)
 
 
 def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
-    """Canonical dof interpolation of an analytic field; shared dofs receive
-    identical values from both sides by construction."""
+    """Canonical dof interpolation of an analytic field: the reference
+    functionals of its covariant pull-back J^T f on all tets, mapped by
+    S_t (face rows times ``face_scale``, interior rows by kron(I,
+    |det J| J^-T)).  Shared dofs receive identical values from both sides
+    by construction."""
+    k, geom, T = dofmap.degree, mesh.geom(), mesh.n_tets
+    d = ps.nedelec_dof_matrix(ps.TET_VERTS, k, _pulled_back(mesh, func, geom.J)).T
+    first, last = 6 * k, 6 * k + dofmap.face_scale.shape[1]
+    d[:, first:last] *= dofmap.face_scale
+    cells = d[:, last:].reshape(T, -1, 3)
+    d[:, last:] = (cells @ (geom.absdet[:, None, None] * geom.Jinv)).reshape(T, -1)
     vals = np.zeros(dofmap.n_dofs)
-    vals[dofmap.cell_dofs] = ps.nedelec_dof_matrix(
-        mesh.vertices[mesh.tets], dofmap.degree,
-        _stacked_eval(func))[:, :, 0]
+    vals[dofmap.cell_dofs] = d
     return FieldCoefficients(dofmap, vals)
 
 
@@ -778,20 +807,31 @@ def _reference_gradient_dofs(degree: int) -> np.ndarray:
     return C
 
 
-def discrete_gradient(V: np.ndarray, cell_dofs: np.ndarray,
-                      boundary_mask: np.ndarray, reg: NodeRegistry) -> sp.csc_matrix:
-    """Coefficient map G with grad(psi) = field(G psi), from the interior
-    nodes of ``reg`` to the interior Nedelec dofs of ``cell_dofs``.
+def discrete_gradient(dofmap: DofMap) -> sp.csc_matrix:
+    """Coefficient map G with grad(psi) = field(G psi), from the free nodes
+    of the dof map's registry to its free Nedelec dofs.
 
-    Gradients map covariantly, so the local block is V_t C with V_t the
-    element dof matrices and C the reference dofs of the scalar-basis
-    gradients.  The row of a dof is read from the first tet that holds it:
-    a dof sees only the gradients of the nodes on the closure of its edge,
-    face or cell, and every tet that holds the dof holds those nodes."""
-    nloc = cell_dofs.shape[1]
-    _, first = np.unique(cell_dofs, return_index=True)
-    t, i = np.divmod(first[~boundary_mask], nloc)
-    rows = V[t, i] @ _reference_gradient_dofs(reg.degree)     # (n_free, n_lag)
+    Gradients map covariantly, so the local block is S_t (V_sigma C), with
+    C the reference dofs of the scalar-basis gradients.  The row of a dof
+    is read from the first tet that holds it: a dof sees only the gradients
+    of the nodes on the closure of its edge, face or cell, and every tet
+    that holds the dof holds those nodes.  Row i of S_t is e_i on an edge
+    row, ``face_scale`` times e_i on a face row, and row c of |det J| J^-T
+    on the components of its monomial on an interior row."""
+    k, reg = dofmap.degree, dofmap.registry
+    nloc = dofmap.cell_dofs.shape[1]
+    _, first = np.unique(dofmap.cell_dofs, return_index=True)
+    t, i = np.divmod(first[~dofmap.layout.boundary], nloc)
+    VC = ps._reference_dofs(ps.NEDELEC1_TET, k) @ _reference_gradient_dofs(k)
+    rows = VC[i]                                              # (n_free, n_lag)
+    lo, hi = 6 * k, 6 * k + dofmap.face_scale.shape[1]
+    face = (lo <= i) & (i < hi)
+    rows[face] *= dofmap.face_scale[t[face], i[face] - lo][:, None]
+    cell = i >= hi
+    geom, tc = dofmap.mesh.geom(), t[cell]
+    m, c = np.divmod(i[cell] - hi, 3)
+    S = geom.absdet[tc, None] * geom.Jinv[tc, :, c]          # row c of |det J| J^-T
+    rows[cell] = np.einsum("nb,nbl->nl", S, VC[hi + 3 * m[:, None] + np.arange(3)])
     nodes = reg.tet_nodes[t]
     free = ~reg.boundary
     keep = free[nodes]
@@ -923,21 +963,23 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
 # ---------------------------------------------------------------------------
 
 def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
-    """Element-wise div-conforming interpolation of an analytic current.
+    """Element-wise div-conforming interpolation of an analytic current:
+    the reference functionals of its Piola pull-back det J J^-1 j on all
+    tets, one solve with the reference dof matrix, and the Piola map back.
 
     Face moments follow the ascending vertex ids, so normal fluxes match
     across internal faces and the interpolant is H(div)-conforming.
     """
     space = ps.reference_space(ps.RT_TET, degree)
     geom = mesh.geom()
-    verts = mesh.vertices[mesh.tets]
-    V = ps.rt_element_matrices(verts, degree)
-    b = ps.rt_dof_matrix(verts, degree, _stacked_eval(j_func),
+    det = (geom.sign * geom.absdet)[:, None, None]
+    # det J J^-T, C-contiguous: a batched product with a strided one is slower
+    M = det * np.ascontiguousarray(geom.Jinv.transpose(0, 2, 1))
+    b = ps.rt_dof_matrix(ps.TET_VERTS, degree, _pulled_back(mesh, j_func, M),
                          exactness=_data_exactness(degree))
-    c = np.linalg.solve(V, b)[:, :, 0]
-    cref = np.einsum("ti,icm->tcm", c, space.coeffs)
-    field = BrokenPolyField(mesh, degree,
-                            (geom.J @ cref) / (geom.sign * geom.absdet)[:, None, None])
+    c = np.linalg.solve(ps._reference_dofs(ps.RT_TET, degree), b)       # (n, T)
+    cref = np.einsum("it,icm->tcm", c, space.coeffs)
+    field = BrokenPolyField(mesh, degree, (geom.J @ cref) / det)
     return CurrentDensity(func=j_func, field=field)
 
 

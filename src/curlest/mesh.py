@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,16 +46,20 @@ def _diameters(v):
 
 
 class _Geometry:
-    """Per-element affine map data, computed lazily and cached on the mesh."""
+    """Per-element affine map data of the tets with vertex coordinates v
+    (T, 4, 3), cached on the mesh.  ``build_mesh`` makes it for its
+    degeneracy check, so J^-1 waits for its first read."""
 
-    def __init__(self, mesh: "Mesh"):
-        v = mesh.vertices[mesh.tets]              # (T, 4, 3)
+    def __init__(self, v: np.ndarray):
         self.v0 = v[:, 0, :]
         self.J = np.stack([v[:, i, :] - v[:, 0, :] for i in (1, 2, 3)], axis=2)
         det = np.linalg.det(self.J)
         self.absdet = np.abs(det)     # the measure of every integral
         self.sign = np.sign(det)      # read by the covariant and Piola maps
-        self.Jinv = np.linalg.inv(self.J)
+
+    @cached_property
+    def Jinv(self) -> np.ndarray:
+        return np.linalg.inv(self.J)
 
     def map_points(self, tets, ref_pts):
         """Physical coords of reference points for each listed tet, (t, q, 3):
@@ -112,7 +117,7 @@ class Mesh:
 
     def geom(self) -> _Geometry:
         if self._geom is None:
-            self._geom = _Geometry(self)
+            self._geom = _Geometry(self.vertices[self.tets])
         return self._geom
 
     def tet_diameters(self) -> np.ndarray:
@@ -255,9 +260,9 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
 
     tets = ordered
     v = vertices[tets]
-    vol6 = np.linalg.det(np.stack([v[:, i] - v[:, 0] for i in (1, 2, 3)], axis=2))
+    geom = _Geometry(v)
     diam = _diameters(v)
-    bad = np.abs(vol6) / 6.0 <= VOLUME_EPS * diam ** 3
+    bad = geom.absdet / 6.0 <= VOLUME_EPS * diam ** 3
     if bad.any():
         raise DegenerateTet(f"tets {np.nonzero(bad)[0][:10].tolist()} are degenerate")
 
@@ -312,7 +317,7 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         faces=faces, face_tets=face_tets, tet_faces=tet_faces,
         edges=edges, tet_edges=tet_edges, face_edges=face_edges,
         face_local=face_local, boundary_face=boundary_face, boundary_edge=boundary_edge,
-        boundary_vertex=boundary_vertex, _tet_diameters=diam,
+        boundary_vertex=boundary_vertex, _geom=geom, _tet_diameters=diam,
         _internal_faces=internal, _internal_edges=np.nonzero(~boundary_edge)[0])
 
 

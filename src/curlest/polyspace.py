@@ -5,10 +5,12 @@ sets, and the polynomial spaces of the tetrahedron used throughout: scalar,
 curl-conforming (first-kind edge) and divergence-conforming.  Bases are built
 from orthogonalized monomial generators and re-expressed as the dual basis of
 the canonical moment functionals, so the unisolvence matrix of every space is
-the identity by construction.  The face space of estimator step 2 is not a
-reference space: step 2 works in the monomials of each face's affine
-coordinates directly (see ``equilibrate``), and the tests check the exact sequence of the triangle
-spaces behind it.
+the identity by construction.  The canonical functionals take one tet;
+the library applies them on the reference tet only, to fields pulled back
+from every tet of a mesh at once (``femsys``).  The face space of
+estimator step 2 is not a reference space: step 2 works in the monomials
+of each face's affine coordinates directly (see ``equilibrate``), and the
+tests check the exact sequence of the triangle spaces behind it.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 # ---------------------------------------------------------------------------
 # dimension formulas
 # ---------------------------------------------------------------------------
-
-def dim_p_tri(k: int) -> int:
-    return (k + 1) * (k + 2) // 2
-
 
 def dim_nedelec_tet(k: int) -> int:
     return k * (k + 2) * (k + 3) // 2
@@ -165,52 +163,41 @@ def _legendre_rows(s: np.ndarray, n: int) -> np.ndarray:
     return np.array([legval(2.0 * s - 1.0, eye[j]) for j in range(n)])
 
 
-def _stack_of_tets(verts, field_eval):
-    """One tet (4, 3) as a stack of one, with a field_eval lifted to match;
-    a stack (T, 4, 3) passes through.  Returns (verts, field_eval, whether
-    the input was one tet)."""
-    verts = np.asarray(verts, dtype=float)
-    if verts.ndim == 3:
-        return verts, field_eval, False
-    return verts[None], lambda p: field_eval(p[0])[None], True
-
-
 def _face_values(verts: np.ndarray, xi: np.ndarray, field_eval):
     """Per local face, in its frame (va, e1, e2) over its vertices in local
-    order: e1, e2 (T, 3) and the fields (T, m, 3, nf) at the points va +
+    order: e1, e2 (3,) and the fields (m, 3, nf) at the points va +
     xi_1 e1 + xi_2 e2."""
     for a, b, c in TET_FACES:
-        va = verts[:, a]
-        e1, e2 = verts[:, b] - va, verts[:, c] - va
-        yield e1, e2, field_eval(va[:, None] + xi[:, 0:1] * e1[:, None]
-                                 + xi[:, 1:2] * e2[:, None])
+        va = verts[a]
+        e1, e2 = verts[b] - va, verts[c] - va
+        yield e1, e2, field_eval(va + xi[:, 0:1] * e1 + xi[:, 1:2] * e2)
 
 
 def _interior_moments(verts: np.ndarray, field_eval, ex: int, degree: int):
     """Moments of the fields against the monomials of degree <= degree in
-    reference coordinates, monomial-major, component-minor: (T, 3 n_mono, nf)."""
+    reference coordinates, monomial-major, component-minor: (3 n_mono, nf)."""
     tet = quadrature("tet", ex)
-    E = verts[:, 1:] - verts[:, :1]                 # rows: edges from vertex 0
-    vals = field_eval(verts[:, :1] + tet.points @ E)
+    E = verts[1:] - verts[:1]                       # rows: edges from vertex 0
+    vals = field_eval(verts[:1] + tet.points @ E)
     wmono = tet.weights[:, None] * _poly.vandermonde(3, degree, tet.points)
-    vol6 = np.abs(np.linalg.det(E.transpose(0, 2, 1)))
-    rows = vol6[:, None, None, None] * np.einsum("mo,tmcf->tocf", wmono, vals)
-    return rows.reshape(len(rows), -1, rows.shape[3])
+    vol6 = np.abs(np.linalg.det(E.T))
+    rows = vol6 * np.einsum("mo,mcf->ocf", wmono, vals)
+    return rows.reshape(-1, rows.shape[2])
 
 
 def nedelec_dof_matrix(verts: np.ndarray, k: int, field_eval) -> np.ndarray:
-    """Apply the canonical edge/face/interior moments to a set of fields.
+    """Apply the canonical edge/face/interior moments of the tet verts
+    (4, 3) to a set of fields: (n, nf).
 
     ``field_eval(points (m,3)) -> (m, 3, nf)`` evaluates the fields at
     physical points.  The local vertex order fixes the orientation of the
     edge and face parameterizations; meshes list every tet's vertex ids
     ascending, so two elements sharing an entity produce the same
     functionals.  Row order: per local edge k tangential moments, per local
-    face k(k-1) in-plane moments, then interior moments.  A stack of tets,
-    verts (T, 4, 3), gives (T, n, nf); field_eval then gets points (T, m, 3)
-    and returns (T, m, 3, nf).
+    face k(k-1) in-plane moments, then interior moments.  The library
+    applies them on the reference tet only, to fields pulled back from all
+    tets at once (nf = T).
     """
-    verts, field_eval, one = _stack_of_tets(verts, field_eval)
     ex = 2 * k
     blocks = []
 
@@ -218,30 +205,26 @@ def nedelec_dof_matrix(verts: np.ndarray, k: int, field_eval) -> np.ndarray:
     s = seg.points[:, 0]
     wleg = seg.weights[None, :] * _legendre_rows(s, k)   # (k, m)
     for lo, hi in TET_EDGES:
-        va, vec = verts[:, lo], verts[:, hi] - verts[:, lo]
-        length = np.linalg.norm(vec, axis=1)
-        pts = va[:, None, :] + s[:, None] * vec[:, None, :]
-        vals = field_eval(pts)                      # (T, m, 3, nf)
-        tv = np.einsum("tmcf,tc->tmf", vals, vec / length[:, None])
-        blocks.append(length[:, None, None] * (wleg @ tv))   # (T, k, nf)
+        va, vec = verts[lo], verts[hi] - verts[lo]
+        length = np.linalg.norm(vec)
+        vals = field_eval(va + s[:, None] * vec)        # (m, 3, nf)
+        tv = np.einsum("mcf,c->mf", vals, vec / length)
+        blocks.append(length * (wleg @ tv))             # (k, nf)
 
     if k >= 2:
         tri = quadrature("tri", ex)
         wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 2, tri.points)
         for e1, e2, vals in _face_values(verts, tri.points, field_eval):
-            area2 = np.linalg.norm(np.cross(e1, e2), axis=1)  # twice the area
-            dirs = np.stack([e1 / np.linalg.norm(e1, axis=1)[:, None],
-                             e2 / np.linalg.norm(e2, axis=1)[:, None]], axis=1)
+            area2 = np.linalg.norm(np.cross(e1, e2))    # twice the area
+            dirs = np.stack([e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)])
             # row order: monomial-major, direction-minor
-            rows = area2[:, None, None, None] * np.einsum(
-                "mo,tdc,tmcf->todf", wmono, dirs, vals)
-            blocks.append(rows.reshape(len(rows), -1, rows.shape[3]))
+            rows = area2 * np.einsum("mo,dc,mcf->odf", wmono, dirs, vals)
+            blocks.append(rows.reshape(-1, rows.shape[2]))
 
     if k >= 3:
         blocks.append(_interior_moments(verts, field_eval, ex, k - 3))
 
-    out = np.concatenate(blocks, axis=1)
-    return out[0] if one else out
+    return np.concatenate(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -253,85 +236,15 @@ def _reference_dofs(kind: str, k: int) -> np.ndarray:
     return V
 
 
-def _face_scales(p: np.ndarray) -> np.ndarray:
-    """area2 / |e_d| of face frames p (..., 3, 3), vertices in frame order."""
-    e = p[..., 1:, :] - p[..., :1, :]
-    area2 = np.linalg.norm(np.cross(e[..., 0, :], e[..., 1, :]), axis=-1)
-    return area2[..., None] / np.linalg.norm(e, axis=-1)
-
-
-def _map_interior_rows(V: np.ndarray, first: int, S: np.ndarray) -> None:
-    """Apply S (T, 3, 3) to the component axis of the interior moment rows
-    V[:, first:] in place; those rows run monomial-major, component-minor."""
-    interior = V[:, first:].reshape(len(V), -1, 3, V.shape[2])
-    V[:, first:] = np.einsum("tcb,tobn->tocn", S, interior).reshape(
-        len(V), -1, V.shape[2])
-
-
-def _nedelec_scales(verts: np.ndarray, k: int):
-    """The parts of S_t that are not the identity (see
-    ``nedelec_element_matrices``): the face-row ratios (T, n_face), by which
-    the face rows of V_sigma are multiplied (no columns at degree 1), and
-    J (T, 3, 3) with vol6 (T,) for the interior rows, None below degree 3."""
-    T, n_face = len(verts), 4 * k * (k - 1)
-    scale, J, vol6 = np.ones((T, 0)), None, None
-    if k >= 2:
-        lv = np.array(TET_FACES)
-        scale = _face_scales(verts[:, lv]) / _face_scales(TET_VERTS[lv])
-        # face rows run monomial-major, direction-minor
-        scale = np.tile(scale, n_face // 8).reshape(T, -1)
-    if k >= 3:
-        J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
-        vol6 = np.abs(np.linalg.det(J))
-    return scale, J, vol6
-
-
-def nedelec_element_matrices(verts: np.ndarray, k: int) -> np.ndarray:
-    """Stacked ``nedelec_dof_matrix`` of the covariant-mapped reference basis
-    on tets verts (T, 4, 3): (T, n, n).
-
-    On an affine tet the matrix is S_t V_sigma, V_sigma the reference
-    matrix.  S_t is the identity on edge rows, the ratio of physical to
-    reference area2/|e_d| on face rows and kron(I, vol6 J^-T) on interior
-    rows.
-    """
-    verts = np.asarray(verts, dtype=float)
-    V = np.repeat(_reference_dofs(NEDELEC1_TET, k)[None], len(verts), axis=0)
-    scale, J, vol6 = _nedelec_scales(verts, k)
-    n_edge = 6 * k
-    V[:, n_edge:n_edge + scale.shape[1]] *= scale[:, :, None]
-    if J is not None:
-        _map_interior_rows(V, n_edge + scale.shape[1],
-                           vol6[:, None, None] * np.linalg.inv(J).transpose(0, 2, 1))
-    return V
-
-
-def rt_element_matrices(verts: np.ndarray, k: int) -> np.ndarray:
-    """Stacked ``rt_dof_matrix`` of the Piola-mapped reference basis on tets
-    verts (T, 4, 3): (T, n, n).
-
-    The Piola map preserves face fluxes, so S_t is the identity on face rows
-    and kron(I, sign(det J) J) on interior rows.
-    """
-    verts = np.asarray(verts, dtype=float)
-    V = np.repeat(_reference_dofs(RT_TET, k)[None], len(verts), axis=0)
-    if k >= 2:
-        J = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
-        S = np.sign(np.linalg.det(J))[:, None, None] * J
-        _map_interior_rows(V, 4 * dim_p_tri(k - 1), S)
-    return V
-
-
 def rt_dof_matrix(verts: np.ndarray, k: int, field_eval,
                   exactness: int | None = None) -> np.ndarray:
-    """Canonical face-flux / interior moments of the div-conforming space.
+    """Canonical face-flux / interior moments of the div-conforming space on
+    the tet verts (4, 3), applied as ``nedelec_dof_matrix`` applies its own.
 
     Face normals follow the local vertex order, which meshes keep ascending
     in the vertex ids, so that shared faces receive identical functionals
-    from both sides.  Takes one tet or a stack of tets as
-    ``nedelec_dof_matrix`` does.
+    from both sides.
     """
-    verts, field_eval, one = _stack_of_tets(verts, field_eval)
     ex = 2 * k if exactness is None else exactness
     blocks = []
 
@@ -339,15 +252,14 @@ def rt_dof_matrix(verts: np.ndarray, k: int, field_eval,
     wmono = tri.weights[:, None] * _poly.vandermonde(2, k - 1, tri.points)
     for e1, e2, vals in _face_values(verts, tri.points, field_eval):
         nvec = np.cross(e1, e2)
-        area2 = np.linalg.norm(nvec, axis=1)
-        nv = np.einsum("tmcf,tc->tmf", vals, nvec / area2[:, None])
-        blocks.append(area2[:, None, None] * (wmono.T @ nv))
+        area2 = np.linalg.norm(nvec)
+        nv = np.einsum("mcf,c->mf", vals, nvec / area2)
+        blocks.append(area2 * (wmono.T @ nv))
 
     if k >= 2:
         blocks.append(_interior_moments(verts, field_eval, ex, k - 2))
 
-    out = np.concatenate(blocks, axis=1)
-    return out[0] if one else out
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,9 @@ def randomly_bisected(rounds, seed):
 
 
 # ---------------------------------------------------------------------------
-# per-tet reference loops for the stacked element maps: each applies the
-# canonical functionals to the covariant- or Piola-mapped basis of one tet at
-# a time
+# per-tet reference loops for the element maps: each applies the canonical
+# functionals on the physical tet to the covariant- or Piola-mapped basis of
+# one tet at a time; the library applies them on the reference tet only
 # ---------------------------------------------------------------------------
 
 def covariant_basis(mesh, k, t):
@@ -182,6 +182,37 @@ def piola_basis(mesh, k, t):
 
 def element_dof_matrix(mesh, k, t):
     return ps.nedelec_dof_matrix(mesh.vertices[mesh.tets[t]], k, covariant_basis(mesh, k, t))
+
+
+def nedelec_element_matrices(mesh, k):
+    """(T, n, n) element dof matrices V_t, one tet at a time."""
+    return np.stack([element_dof_matrix(mesh, k, t) for t in range(mesh.n_tets)])
+
+
+def element_maps(mesh, k):
+    """(T, n, n) S_t from its definition, tet by tet: the identity on the
+    edge rows; on the rows of local face (a, b, c), in-plane direction d
+    (e_1 = b - a, e_2 = c - a), the ratio of area2 / |e_d| on the tet to
+    that on the reference tet; kron(I, vol6 J^-T) on the interior rows."""
+    n = ps.dim_nedelec_tet(k)
+    n_face = k * (k - 1)
+    cells = 6 * k + 4 * n_face
+    out = np.zeros((mesh.n_tets, n, n))
+    for t in range(mesh.n_tets):
+        v = mesh.vertices[mesh.tets[t]]
+        S = np.eye(n)
+        for f, (a, b, c) in enumerate(ps.TET_FACES):
+            for verts, power in ((v, 1), (ps.TET_VERTS, -1)):
+                e = [verts[b] - verts[a], verts[c] - verts[a]]
+                area2 = np.linalg.norm(np.cross(*e))
+                for d in (0, 1):
+                    rows = 6 * k + f * n_face + np.arange(d, n_face, 2)
+                    S[rows, rows] *= (area2 / np.linalg.norm(e[d])) ** power
+        J = (v[1:] - v[0]).T
+        S[cells:, cells:] = np.kron(np.eye((n - cells) // 3),
+                                    abs(np.linalg.det(J)) * np.linalg.inv(J).T)
+        out[t] = S
+    return out
 
 
 def loop_nedelec_dofs(mesh, k):
@@ -439,7 +470,7 @@ def loop_face_solve(mesh, f, jump, rule, kp, form):
     squares) or 'strong' (fit the data in the trace space, then match
     surface-curl coefficients); returns (lam, resid, jnorm, mean_abs)."""
     w = rule.weights
-    nP = ps.dim_p_tri(kp)
+    nP = dim_p_tri(kp)
     D2 = _poly.diff_stack(2, kp)
     fr = face_frame(mesh, f)
     org = mesh.vertices[mesh.faces[f][0]]
@@ -672,7 +703,7 @@ def loop_step3(mesh, fm, kp):
 
 
 # ---------------------------------------------------------------------------
-# per-tet references for the stacked step 1 and the stacked dof functionals
+# per-tet references for the stacked step 1 and the pulled-back dof functionals
 # ---------------------------------------------------------------------------
 
 def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
@@ -1087,10 +1118,10 @@ def _einsum_ref_vals(k, rule):
 
 
 def element_inverses(mesh, k):
-    """(T, n, n) V_t^-1 by np.linalg.inv of the stacked element dof
+    """(T, n, n) V_t^-1 by np.linalg.inv of the per-tet element dof
     matrices: the oracles' element maps, independent of the folded tables
     and per-tet scalings of the library."""
-    return np.linalg.inv(ps.nedelec_element_matrices(mesh.vertices[mesh.tets], k))
+    return np.linalg.inv(nedelec_element_matrices(mesh, k))
 
 
 def einsum_assemble_curlcurl(mesh, dofmap, mu):
@@ -1175,7 +1206,7 @@ def einsum_step2(mesh, Hh, correction, kp):
     div_norm = np.sqrt(np.maximum(s * np.einsum("q,fq->f", w, div ** 2), 0.0))
 
     jump = fem.tangential_jump_values(mesh, total, faces)
-    nP = ps.dim_p_tri(kp)
+    nP = dim_p_tri(kp)
     hf = mesh.face_diameters()[faces][:, None, None]
     frame = np.stack([fr.t1, fr.t2], axis=-1)
     xi = frame_coords(mesh, faces, face_rule_points(mesh, faces, rule))
@@ -1338,6 +1369,10 @@ RT_TANGENTIAL_TRI = "RTtangential_tri"
 TRI_KINDS = (P_SCALAR_TRI, RT_TANGENTIAL_TRI)
 TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TRI_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def dim_p_tri(k):
+    return (k + 1) * (k + 2) // 2
 
 
 def dim_p_tet(k):

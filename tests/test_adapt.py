@@ -7,7 +7,6 @@ import pytest
 from curlest import adapt as adm
 from curlest import bench
 from curlest import femsys as fem
-from curlest import polyspace as ps
 from curlest import residual as resm
 
 RNG = np.random.default_rng(41)
@@ -135,24 +134,22 @@ def test_each_level_builds_its_element_matrices_and_registry_once(
     # the solve, the gradient correction, the estimator and the equilibrium
     # checks share the dof map's per-tet scalings and node registry; only an
     # estimator degree above the solve degree needs a registry of its own.
-    # The consistent cube load builds no discrete gradient, so V_t itself
-    # is never built
-    counts = {"V": 0, "scales": 0, "registry": 0}
+    # The consistent cube load builds no discrete gradient
+    counts = {"G": 0, "scales": 0, "registry": 0}
 
     def counted(key, build):
         def wrapped(*args, **kwargs):
             counts[key] += 1
             return build(*args, **kwargs)
         return wrapped
-    monkeypatch.setattr(ps, "nedelec_element_matrices",
-                        counted("V", ps.nedelec_element_matrices))
-    monkeypatch.setattr(ps, "_nedelec_scales", counted("scales", ps._nedelec_scales))
+    monkeypatch.setattr(fem, "discrete_gradient", counted("G", fem.discrete_gradient))
+    monkeypatch.setattr(fem, "_face_scale", counted("scales", fem._face_scale))
     monkeypatch.setattr(fem, "build_node_registry",
                         counted("registry", fem.build_node_registry))
     spec = bench.builtin_problems()["cube_poly"]
     rep = bench.run_experiment(spec, adm.RunConfig(degree=2, levels=2, **options))
     assert rep.ok and len(rep.rows) == 2
-    assert counts == {"V": 0, "scales": 2, "registry": 2 * registries}
+    assert counts == {"G": 0, "scales": 2, "registry": 2 * registries}
 
 
 def test_each_level_evaluates_the_current_twice_and_exact_H_once(monkeypatch):

@@ -14,7 +14,7 @@ from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest import residual
-from _helpers import (MU1, cube_H, cube_j, edge_faces, eval_one,
+from _helpers import (MU1, cube_H, cube_j, dim_p_tri, edge_faces, eval_one,
                       face_coefficients, face_frame, face_index,
                       face_rule_points, frame_coords, frame_eval, inspace_j,
                       inspace_u, jittered_cube, loop_edge_sums,
@@ -453,7 +453,7 @@ def test_estimate_on_a_mesh_without_internal_faces(k):
     j = fem.CurrentDensity(func=cube_j)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, adm.RunConfig(degree=k))
     out = eqm.estimate(m, MU1, data, Hh, dm.registry)
-    assert out.multipliers.n_faces == 0 and out.multipliers.lam.shape == (0, ps.dim_p_tri(k))
+    assert out.multipliers.n_faces == 0 and out.multipliers.lam.shape == (0, dim_p_tri(k))
     assert not out.phi.phi.any() and out.phi.max_residual == 0.0
     assert np.array_equal(out.result.Htilde.coeffs, out.correction.Hhat.coeffs)
     assert out.result.eta_h == out.correction.Hhat.norm(MU1.per_tet(m))

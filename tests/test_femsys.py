@@ -23,7 +23,8 @@ from _helpers import (MU1, cg_solve, colamd_factor, covariant_basis,
                       coo_discrete_gradient, loop_curlcurl_mass,
                       loop_gradient, loop_Hh,
                       loop_interpolate_nedelec, loop_nedelec_dofs,
-                      loop_project_current, nedelec_field_to_poly, ref_coords,
+                      loop_project_current, nedelec_element_matrices,
+                      nedelec_field_to_poly, ref_coords,
                       relabelled_cube, solve_cube, two_tet_mesh,
                       validate_current)
 
@@ -295,10 +296,9 @@ def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
     # the owner tet) is an average of exact zeros, at most rho.
     m = make_mesh(2)
     dm = fem.build_dofmap(m, k)
-    V = ps.nedelec_element_matrices(m.vertices[m.tets], k)
-    G = fem.discrete_gradient(V, dm.cell_dofs, dm.layout.boundary, dm.registry)
-    want, locG = coo_discrete_gradient(V, dm.cell_dofs, dm.layout.boundary,
-                                       dm.registry)
+    G = fem.discrete_gradient(dm)
+    want, locG = coo_discrete_gradient(nedelec_element_matrices(m, k), dm.cell_dofs,
+                                       dm.layout.boundary, dm.registry)
     size = np.abs(locG)
     # exact zeros and exact nonzeros are many orders apart, so the split
     # between them is unambiguous

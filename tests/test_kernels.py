@@ -30,7 +30,7 @@ from curlest import polyspace as ps
 from _helpers import (coo_assemble_free, cube_j, einsum_assemble_curlcurl,
                       einsum_assemble_mass, einsum_assemble_rhs,
                       einsum_compute_Hh, einsum_curl, einsum_div, einsum_eval,
-                      element_inverses,
+                      element_inverses, element_maps,
                       einsum_grad, einsum_map_points, einsum_partials,
                       einsum_step2, einsum_vandermonde, face_rule_points,
                       frame_eval, jittered_cube, loop_face_multipliers,
@@ -430,16 +430,16 @@ def test_folded_tables_match_element_inverses(mesh, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_unscale_inverts_the_element_map(mesh, k):
-    # x S_t^-1 S_t = x and x S_t^-T S_t^T = x with S_t = V_t V_sigma^-1
-    # from the element dof matrices.  Degree 4, above the global spaces'
-    # range, has 4 interior monomials: the dof map of degree 3 is given its
-    # scalings
-    verts = mesh.vertices[mesh.tets]
-    scale, J, vol6 = ps._nedelec_scales(verts, k)
-    dm = dataclasses.replace(fem.build_dofmap(mesh, 3), degree=k, face_scale=scale,
-                             cell_map=J.transpose(0, 2, 1) / vol6[:, None, None])
-    S = ps.nedelec_element_matrices(verts, k) @ np.linalg.inv(
-        ps._reference_dofs(ps.NEDELEC1_TET, k))
+    # x S_t^-1 S_t = x and x S_t^-T S_t^T = x with S_t from its definition
+    # (element_maps).  Degree 4, above the global spaces' range, has 6 face
+    # rows per face and 4 interior monomials: the dof map of degree 3 is
+    # given its face scalings repeated over the 3 face monomials
+    dm = fem.build_dofmap(mesh, 3)
+    T = mesh.n_tets
+    face = dm.face_scale.reshape(T, 4, -1)[:, :, :2]
+    dm = dataclasses.replace(dm, degree=k, face_scale=np.tile(
+        face, k * (k - 1) // 2).reshape(T, -1))
+    S = element_maps(mesh, k)
     x = np.random.default_rng(k).standard_normal(S.shape[:2])
     for transpose, Sm in ((False, S), (True, S.transpose(0, 2, 1))):
         y = x.copy()

@@ -117,6 +117,25 @@ def test_degenerate_tet_rejected():
         msh.build_mesh(verts, [[0, 1, 2, 3]])
 
 
+def test_exactly_flat_tet_rejected():
+    # the degeneracy check reads the geometry that build_mesh seeds on the
+    # mesh, whose J^-1 waits for its first read: a singular J raises
+    # DegenerateTet, not a linear algebra error
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0]])
+    with pytest.raises(DegenerateTet):
+        msh.build_mesh(verts, [[0, 1, 2, 3]])
+
+
+def test_build_mesh_seeds_the_geometry():
+    # the J and det J of the degeneracy check are the mesh's geometry, the
+    # same bits as a geometry built afresh
+    m = jittered_cube(2)
+    assert m._geom is not None
+    fresh = msh._Geometry(m.vertices[m.tets])
+    for name in ("v0", "J", "absdet", "sign", "Jinv"):
+        assert np.array_equal(getattr(m.geom(), name), getattr(fresh, name))
+
+
 def test_both_orientations_occur():
     # ascending vertex ids leave det J of either sign, on the Kuhn cube as
     # on a relabelled one; the measure |det J| still sums to the volume

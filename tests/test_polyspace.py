@@ -7,9 +7,9 @@ from curlest import _poly
 from curlest import polyspace as ps
 from curlest.errors import UnsupportedDegree, WrongKind
 from _helpers import (P_SCALAR_TRI, RT_TANGENTIAL_TRI, TRI_KINDS, any_space,
-                      curl2d_coeffs, dim_p_tet, dim_rt_tri, div_coeffs,
-                      element_dof_matrix, eval_scalar, jittered_cube,
-                      piola_basis, unisolvence_matrix)
+                      curl2d_coeffs, dim_p_tet, dim_p_tri, dim_rt_tri,
+                      div_coeffs, element_maps, eval_scalar, jittered_cube,
+                      unisolvence_matrix)
 
 RNG = np.random.default_rng(42)
 
@@ -63,7 +63,7 @@ DIMS = {
     ps.P_SCALAR_TET: dim_p_tet,
     ps.NEDELEC1_TET: ps.dim_nedelec_tet,
     ps.RT_TET: ps.dim_rt_tet,
-    P_SCALAR_TRI: ps.dim_p_tri,
+    P_SCALAR_TRI: dim_p_tri,
     RT_TANGENTIAL_TRI: dim_rt_tri,
 }
 # the library's tetrahedral kinds, then the triangle spaces behind step 2
@@ -187,35 +187,53 @@ def test_covariant_preserves_tangential_trace():
         assert np.abs(mom_phys - mom_ref).max() < 1e-10 * max(1, np.abs(mom_ref).max())
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_stacked_element_matrices_match_per_tet_functionals(k):
+def smooth_field(p):
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    return np.stack([np.sin(x + 2.0 * y), np.cos(y - z), x * y * z + np.exp(z)], axis=1)
+
+
+def pulled_back(m, M):
+    """field_eval of smooth_field pulled back from every tet of m: at
+    reference points, f(F_t(x)) @ M_t with the tets on the field axis."""
+    geom = m.geom()
+
+    def field_eval(p):
+        pts = geom.v0[:, None, :] + p @ geom.J.transpose(0, 2, 1)     # (T, q, 3)
+        f = smooth_field(pts.reshape(-1, 3)).reshape(pts.shape)
+        return (f @ M).transpose(1, 2, 0)
+
+    return field_eval
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pulled_back_functionals_match_physical_functionals(k):
     # jittered, relabelled cube: every tet has its own shape, and its
-    # ascending vertex order is of either orientation
+    # ascending vertex order is of either orientation.  The reference
+    # functionals of the covariant pull-back J^T f, mapped by S_t, are the
+    # physical ones of f; those of the Piola pull-back det J J^-1 j keep the
+    # face fluxes, and sign(det J) J maps their interior moments
     m = jittered_cube(2)
-    V = ps.nedelec_element_matrices(m.vertices[m.tets], k)
-    assert V.shape == (m.n_tets, ps.dim_nedelec_tet(k), ps.dim_nedelec_tet(k))
-    assert set(m.geom().sign) == {-1.0, 1.0}
-    for t in range(m.n_tets):
-        ref = element_dof_matrix(m, k, t)
-        assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the div-conforming map: face fluxes kept, interior rows mapped by J
-    V = ps.rt_element_matrices(m.vertices[m.tets], k)
-    assert V.shape == (m.n_tets, ps.dim_rt_tet(k), ps.dim_rt_tet(k))
-    for t in range(m.n_tets):
-        ref = ps.rt_dof_matrix(m.vertices[m.tets[t]], k,
-                               piola_basis(m, k, t))
-        assert np.abs(V[t] - ref).max() <= 1e-12 * np.abs(ref).max()
+    geom = m.geom()
+    assert set(geom.sign) == {-1.0, 1.0}
+    ned = ps.nedelec_dof_matrix(ps.TET_VERTS, k, pulled_back(m, geom.J))
+    det = (geom.sign * geom.absdet)[:, None, None]
+    rt = ps.rt_dof_matrix(ps.TET_VERTS, k, pulled_back(m, det * geom.Jinv.transpose(0, 2, 1)))
+    assert ned.shape == (ps.dim_nedelec_tet(k), m.n_tets)
+    assert rt.shape == (ps.dim_rt_tet(k), m.n_tets)
+    S = element_maps(m, k)
+    n_face = 4 * dim_p_tri(k - 1)
 
+    def one(p):
+        return smooth_field(p)[:, :, None]
 
-def test_reference_matrices_are_cached_once_per_kind_and_degree():
-    # every tet is the reference tet in one vertex order, so the stacks of
-    # a relabelled mesh need one reference matrix per kind and degree
-    ps._reference_dofs.cache_clear()
-    m = jittered_cube(2)
-    for k in (1, 2, 3):
-        ps.nedelec_element_matrices(m.vertices[m.tets], k)
-        ps.rt_element_matrices(m.vertices[m.tets], k)
-    assert ps._reference_dofs.cache_info().currsize == 6
+    for t in range(m.n_tets):
+        verts = m.vertices[m.tets[t]]
+        want = ps.nedelec_dof_matrix(verts, k, one)[:, 0]
+        assert np.abs(S[t] @ ned[:, t] - want).max() <= 1e-13 * np.abs(want).max()
+        want = ps.rt_dof_matrix(verts, k, one)[:, 0]
+        got = rt[:, t].copy()
+        got[n_face:] = (got[n_face:].reshape(-1, 3) @ (geom.sign[t] * geom.J[t]).T).ravel()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
