@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -58,6 +59,8 @@ class RunConfig:
                              f"expected one of {ESTIMATORS}")
         if self.vtk and not self.out_dir:
             raise ValueError("vtk writes files: set out_dir")
+        if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise ValueError(f"out_dir {self.out_dir!r} is not a directory")
 
 
 @dataclass

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**_run_options(args))
         report = bench.run_experiment(spec, cfg)
-    except (CurlestError, ValueError) as exc:
+    except (CurlestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for row in report.rows:

@@ -1,53 +1,40 @@
 """Global finite element spaces, assembly, and the gauged linear solve.
 
-The curl-conforming space is assembled from per-element dof matrices: the
-canonical moment functionals are parameterized by the local vertex order,
-which is ascending in the global vertex ids on every tet (``build_mesh``),
-so two elements sharing an edge or face apply identical functionals and
-tangential continuity of the assembled field is automatic.  Every tet is
-the reference tet in one vertex order, so its dof matrix is V_t = S_t
-V_sigma, with V_sigma the reference dof matrix and S_t the identity on edge
-rows, diagonal on face rows and kron(I, vol6 J^-T) on interior rows.  No
-V_t is formed: the functionals are applied on the reference tet only, to
-fields pulled back from all tets at once (covariantly for the Nedelec
-interpolant, by Piola for the current projection, which then solves with
-V_sigma alone).  V_sigma^-1 is folded into the cached reference tables
-once, and the dof map keeps only the non-identity parts of S_t, applied as
-per-tet scalings (``DofMap.unscale`` applies S_t^-1).  The curl-curl
-matrix is summed straight into the free-dof CSR pattern the dof map keeps.
-The Nedelec dofs and the Lagrange nodes are numbered alike, entity by
-entity (``_EntityLayout``).  The discrete gradient is built on first use
-from the owner rows of S_t (V_sigma C), one row per dof from one tet that
-holds it; only the gradient correction of a load that is not consistent to
-roundoff reads it.  The singular curl-curl system is solved in the
-tree-cotree gauge that the dof map picks entity by entity
-(``DofMap.gauge``), so no mass shift and no iteration is needed.  Every
-integral against current data or an analytic field uses one tet rule per
-degree (``_data_exactness``), and every face integral of the traces of a
-degree-p field the exact 2p triangle rule (``_face_rule``).  Broken fields are carried around as per-element
-polynomial coefficient blocks over reference coordinates with physical
-components, which keeps curls, gradients, and jumps exact.
+Every tet lists its vertices in ascending global-id order (``build_mesh``),
+so it is the reference tet in one vertex order, and two tets that share an
+edge or face apply identical moment functionals: the assembled field is
+tangentially continuous.  The element dof matrix is V_t = S_t V_sigma, with
+V_sigma the reference one and S_t the element map: the identity on edge
+dofs, diagonal on face dofs and kron(I, vol6 J^-T) on interior dofs.  No
+V_t is formed: V_sigma^-1 is folded into cached reference tables, the
+functionals are applied on the reference tet only, to fields pulled back
+from all tets at once, and the dof map owns S_t.  ``DofMap.apply_map`` is
+the one place that applies it, forward or inverse, on the local columns
+that ``_local_columns`` derives from the entity layout.  The Nedelec dofs
+and the Lagrange nodes are numbered alike, entity by entity
+(``_EntityLayout``), and matrices are summed straight into the free-dof
+CSR pattern of the dof map.  The discrete gradient, S_t (V_sigma C) on one
+owner tet per dof, is built on first use; only the gradient correction of
+a load that is not consistent to roundoff reads it.  The singular
+curl-curl system is solved in the tree-cotree gauge that the dof map picks
+entity by entity (``DofMap.gauge``), with no shift and no iteration.
 
-The element kernels are shaped for BLAS: the cached reference tables hold
-their quadrature data pre-weighted and reshaped, so the curl-curl blocks of
-all tets are one (T, 9) @ (9, n n) product and two scalings, the load
-vector one (T, q 3) @ (q 3, n) product, and H_h one scaling and one
-(T, n) @ (n, 3 m) product; a broken field is evaluated by one
-(T comp, m) @ (m, q) product and differentiated by one product with the
-stacked derivative matrices and one batched J^-T product.  Tet-rule points
-are mapped component-major (``_Geometry.map_points``), so an analytic
-callback reads contiguous coordinate columns without a copy, and every
-per-entity weighted squared norm squares an array it owns in place and sums
-it with one matrix-vector product in that array's memory order
-(``sq_norms``).  Each stage evaluates each tet-rule quantity once: the load
-and estimator step 1 evaluate the current once each, and step 1's integral
-of j - curl H_h is also the residual estimator's volume term; no tet-rule
-array is kept across the solve.  A face rule sits
-on the reference tet as one of its 4 faces, whose local index ``build_mesh``
-stores for each face and side (``Mesh.face_local``): the face's vertices
-and the tet's are both ascending, so its affine coordinates are those of
-that reference face, a one-sided face trace is one product with a cached
-table of that face (``face_traces``), and no face point is mapped.
+Integrals against current data or an analytic field use one tet rule per
+degree (``_data_exactness``), face integrals of degree-p traces the exact
+2p triangle rule (``_face_rule``).  A face rule sits on the reference tet
+as one of its 4 faces (``Mesh.face_local``), so a one-sided trace is one
+product with a cached table (``face_traces``) and no face point is mapped.
+Broken fields are per-element polynomial coefficient blocks over reference
+coordinates with physical components, which keeps curls, gradients and
+jumps exact.
+
+The kernels are shaped for BLAS: the curl-curl blocks of all tets are one
+(T, 9) @ (9, n n) product and two applications of S_t^-1, the load one
+(T, q 3) @ (q 3, n) product, H_h one (T, n) @ (n, 3 m) product, and a
+broken field is evaluated by one (T comp, m) @ (m, q) product.  Tet-rule
+points are mapped component-major (``_Geometry.map_points``), a per-entity
+weighted squared norm is one matrix-vector product (``sq_norms``), and
+each stage evaluates each tet-rule quantity once.
 """
 
 from __future__ import annotations
@@ -99,22 +86,24 @@ def sq_norms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MaterialField:
-    """Piecewise-constant permeability, one value per subdomain tag."""
+    """Piecewise-constant permeability: a scalar for the whole mesh, or one
+    value per subdomain tag, which must then name every tag of the mesh."""
     values: dict | float
 
     def __post_init__(self):
         if np.isscalar(self.values):
-            self.values = {0: float(self.values)}
-        if not self.values:
+            self.values = float(self.values)
+        values = self.values if isinstance(self.values, dict) else {0: self.values}
+        if not values:
             raise ValueError("permeability map is empty")
-        for tag, v in self.values.items():
+        for tag, v in values.items():
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError("permeability values must be positive and "
                                  f"finite; tag {tag} has {v}")
 
     def per_tet(self, mesh: Mesh) -> np.ndarray:
-        if len(self.values) == 1:
-            return np.full(mesh.n_tets, next(iter(self.values.values())))
+        if not isinstance(self.values, dict):
+            return np.full(mesh.n_tets, self.values)
         keys = np.array(sorted(self.values))
         tags = mesh.subdomain_tag
         at = np.minimum(np.searchsorted(keys, tags), len(keys) - 1)
@@ -242,6 +231,13 @@ class CurrentDensity:
 _TET_ENTITIES = np.array([4, 6, 4, 1])   # vertices, edges, faces, cells per tet
 
 
+def _local_columns(width, kind: int) -> slice:
+    """The columns of a tet's ids of one kind among its local ids in a
+    layout of these widths, which run kind by kind, entity by entity."""
+    size = np.asarray(width) * _TET_ENTITIES
+    return slice(int(size[:kind].sum()), int(size[:kind + 1].sum()))
+
+
 class _EntityLayout:
     """Entity-major numbering with ``width[d]`` ids on every entity of kind d
     (the polyspace NODE_* codes): kinds in turn, entities in id order, each
@@ -322,8 +318,8 @@ def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
 @dataclass
 class DofMap:
     """The degree-k Nedelec space of a mesh with homogeneous tangential
-    boundary values, and what is built once per mesh: the parts of the
-    element maps S_t that are not the identity (see ``unscale``), the
+    boundary values, and what is built once per mesh: the non-identity
+    parts of the element maps S_t, which only ``apply_map`` applies, the
     degree-k Lagrange node registry and the CSR pattern of the free x free
     block.  ``slot[t, i, j]`` is the position in that pattern of entry
     (i, j) of element t's block, or ``len(indices)`` when the entry touches
@@ -335,8 +331,8 @@ class DofMap:
     layout: _EntityLayout       # the dofs by edge, face and cell
     cell_dofs: np.ndarray       # (T, nloc)
     free: np.ndarray            # ids of the interior dofs, ascending
-    face_scale: np.ndarray      # (T, n_face) S_t on the face rows
-    cell_map: np.ndarray | None  # (T, 3, 3) J^T / vol6; None below degree 3
+    face_scale: np.ndarray      # (T, 4, 2) S_t per local face and direction
+    cell_map: np.ndarray        # (T, 3, 3) J^T / vol6
     registry: NodeRegistry      # degree-k Lagrange nodes
     indptr: np.ndarray          # (n_free + 1,) free x free CSR pattern:
     indices: np.ndarray         # (nnz,) canonical: sorted rows, no duplicates
@@ -350,23 +346,32 @@ class DofMap:
     def n_free(self) -> int:
         return len(self.free)
 
+    def apply_map(self, x: np.ndarray, inverse: bool = False,
+                  transpose: bool = False) -> None:
+        """x <- x S_t^T in place, or x S_t^-1 with ``inverse``; x S_t or
+        x S_t^-T with ``transpose``.  x is (T, ..., nloc), the local dofs of
+        tet t on its last axis, and may be a strided view.  The face columns
+        run monomial-major, direction-minor and take ``face_scale``; the
+        interior ones run monomial-major, component-minor and take one
+        (..., m, 3) @ (3, 3) product, with vol6 J^-1 or ``cell_map``."""
+        T, mid, w = len(x), (1,) * (x.ndim - 2), self.layout.width
+        faces = x[..., _local_columns(w, ps.NODE_FACE)]
+        r = np.repeat(self.face_scale, w[ps.NODE_FACE] // 2, axis=1)
+        r = r.reshape((T,) + mid + faces.shape[-1:])
+        if inverse:
+            faces /= r
+            M = self.cell_map
+        else:
+            faces *= r
+            geom = self.mesh.geom()
+            M = geom.absdet[:, None, None] * geom.Jinv
+        M = M.transpose(0, 2, 1) if transpose else M
+        cells = x[..., _local_columns(w, ps.NODE_CELL)]
+        cells[...] = (cells.reshape(x.shape[:-1] + (w[ps.NODE_CELL] // 3, 3))
+                      @ M.reshape((T,) + mid + (3, 3))).reshape(cells.shape)
+
     def unscale(self, x: np.ndarray, transpose: bool = False) -> None:
-        """x <- x S_t^-1, or x S_t^-T with ``transpose``, in place, for x
-        (T, ..., nloc) whose last axis runs over the local dofs of tet t;
-        x may be a strided view.  S_t^-1 is the identity on the edge
-        columns, divides the face columns by ``face_scale`` and maps the
-        interior columns, which run monomial-major, component-minor, by
-        kron(I, ``cell_map``): one (..., m, 3) @ (3, 3) product for any
-        number m of interior monomials."""
-        T, mid = len(x), (1,) * (x.ndim - 2)
-        first = 6 * self.degree
-        last = first + self.face_scale.shape[1]
-        x[..., first:last] /= self.face_scale.reshape((T,) + mid + (-1,))
-        if self.cell_map is not None:
-            M = self.cell_map.transpose(0, 2, 1) if transpose else self.cell_map
-            cells = x[..., last:]
-            cells[...] = (cells.reshape(cells.shape[:-1] + (-1, 3))
-                          @ M.reshape((T,) + mid + (3, 3))).reshape(cells.shape)
+        self.apply_map(x, inverse=True, transpose=transpose)   # x S_t^-1 or x S_t^-T
 
     @cached_property
     def G(self) -> sp.csc_matrix:
@@ -450,33 +455,34 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     if not 1 <= degree <= MAX_DEGREE:
         raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
     k = degree
-    lay = _EntityLayout(mesh, (0, k, k * (k - 1), k * (k - 1) * (k - 2) // 2))
+    lay = _EntityLayout(mesh, _nedelec_width(k))
     ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
     le = np.repeat(np.arange(ent.shape[1]), lay.count[ent[0]])  # entity of local dof
     off = np.arange(len(le)) - np.searchsorted(le, le)        # offset in the entity
-    cell_map = None
-    if k >= 3:     # J^T / vol6, C-contiguous: unscale's products round by layout
-        geom = mesh.geom()
-        cell_map = np.ascontiguousarray(geom.J.transpose(0, 2, 1)) / geom.absdet[:, None, None]
+    # J^T / vol6, C-contiguous: unscale's products round by layout
+    geom = mesh.geom()
+    cell_map = np.ascontiguousarray(geom.J.transpose(0, 2, 1)) / geom.absdet[:, None, None]
     return DofMap(mesh, k, lay, lay.first[ent][:, le] + off,
-                  np.nonzero(~lay.boundary)[0], _face_scale(mesh, k), cell_map,
+                  np.nonzero(~lay.boundary)[0], _face_scale(mesh), cell_map,
                   build_node_registry(mesh, k),
                   *_free_pattern(ent, lay.count, ~lay.fixed, le, off))
 
 
-def _face_scale(mesh: Mesh, k: int) -> np.ndarray:
-    """S_t on the face rows, (T, 4 k(k-1)): the ratio of area2 / |e_d| on
-    the tet to that on the reference tet for every local face and in-plane
-    direction d, repeated over the face's monomials (its rows run
-    monomial-major, direction-minor); no columns at degree 1."""
-    if k < 2:
-        return np.ones((mesh.n_tets, 0))
+def _nedelec_width(k: int) -> tuple:
+    """Degree-k Nedelec dofs per vertex, edge, face and tet."""
+    return (0, k, k * (k - 1), k * (k - 1) * (k - 2) // 2)
+
+
+def _face_scale(mesh: Mesh) -> np.ndarray:
+    """S_t on the face rows, (T, 4, 2): the ratio of area2 / |e_d| on the
+    tet to that on the reference tet for every local face and in-plane
+    direction d; it scales each of the face's monomials alike."""
     lv = np.array(ps.TET_FACES)
     v = np.concatenate([mesh.vertices[mesh.tets], ps.TET_VERTS[None]])
     e = v[:, lv[:, 1:]] - v[:, lv[:, :1]]      # face frames; the reference tet's last
     area2 = np.linalg.norm(np.cross(e[:, :, 0], e[:, :, 1]), axis=-1)
     r = area2[..., None] / np.linalg.norm(e, axis=-1)
-    return np.tile(r[:-1] / r[-1], k * (k - 1) // 2).reshape(mesh.n_tets, -1)
+    return r[:-1] / r[-1]
 
 
 def _free_pattern(ent, width, free, le, off):
@@ -761,15 +767,11 @@ def _pulled_back(mesh: Mesh, func, M: np.ndarray):
 def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
     """Canonical dof interpolation of an analytic field: the reference
     functionals of its covariant pull-back J^T f on all tets, mapped by
-    S_t (face rows times ``face_scale``, interior rows by kron(I,
-    |det J| J^-T)).  Shared dofs receive identical values from both sides
-    by construction."""
-    k, geom, T = dofmap.degree, mesh.geom(), mesh.n_tets
+    S_t (``DofMap.apply_map``).  Shared dofs receive identical values from
+    both sides by construction."""
+    k, geom = dofmap.degree, mesh.geom()
     d = ps.nedelec_dof_matrix(ps.TET_VERTS, k, _pulled_back(mesh, func, geom.J)).T
-    first, last = 6 * k, 6 * k + dofmap.face_scale.shape[1]
-    d[:, first:last] *= dofmap.face_scale
-    cells = d[:, last:].reshape(T, -1, 3)
-    d[:, last:] = (cells @ (geom.absdet[:, None, None] * geom.Jinv)).reshape(T, -1)
+    dofmap.apply_map(d)
     vals = np.zeros(dofmap.n_dofs)
     vals[dofmap.cell_dofs] = d
     return FieldCoefficients(dofmap, vals)
@@ -815,23 +817,17 @@ def discrete_gradient(dofmap: DofMap) -> sp.csc_matrix:
     C the reference dofs of the scalar-basis gradients.  The row of a dof
     is read from the first tet that holds it: a dof sees only the gradients
     of the nodes on the closure of its edge, face or cell, and every tet
-    that holds the dof holds those nodes.  Row i of S_t is e_i on an edge
-    row, ``face_scale`` times e_i on a face row, and row c of |det J| J^-T
-    on the components of its monomial on an interior row."""
+    that holds the dof holds those nodes.  S_t is applied to (V_sigma C)^T
+    on every tet by ``DofMap.apply_map``, and row i of tet t is column i of
+    the result."""
     k, reg = dofmap.degree, dofmap.registry
     nloc = dofmap.cell_dofs.shape[1]
     _, first = np.unique(dofmap.cell_dofs, return_index=True)
     t, i = np.divmod(first[~dofmap.layout.boundary], nloc)
     VC = ps._reference_dofs(ps.NEDELEC1_TET, k) @ _reference_gradient_dofs(k)
-    rows = VC[i]                                              # (n_free, n_lag)
-    lo, hi = 6 * k, 6 * k + dofmap.face_scale.shape[1]
-    face = (lo <= i) & (i < hi)
-    rows[face] *= dofmap.face_scale[t[face], i[face] - lo][:, None]
-    cell = i >= hi
-    geom, tc = dofmap.mesh.geom(), t[cell]
-    m, c = np.divmod(i[cell] - hi, 3)
-    S = geom.absdet[tc, None] * geom.Jinv[tc, :, c]          # row c of |det J| J^-T
-    rows[cell] = np.einsum("nb,nbl->nl", S, VC[hi + 3 * m[:, None] + np.arange(3)])
+    x = np.tile(VC.T, (len(dofmap.cell_dofs), 1, 1))         # (T, n_lag, nloc)
+    dofmap.apply_map(x)
+    rows = x[t, :, i]                                         # (n_free, n_lag)
     nodes = reg.tet_nodes[t]
     free = ~reg.boundary
     keep = free[nodes]
@@ -851,8 +847,9 @@ def _face_gauge_offset(degree: int) -> int:
     face rows, so that entry is nonzero on every tet."""
     nodes = ps.lagrange_nodes(degree)
     col = np.nonzero((nodes.kind == ps.NODE_FACE) & (nodes.entity == 0))[0][0]
-    first = 6 * degree
-    size = np.abs(_reference_gradient_dofs(degree)[first:first + degree * (degree - 1), col])
+    width = _nedelec_width(degree)
+    first = _local_columns(width, ps.NODE_FACE).start
+    size = np.abs(_reference_gradient_dofs(degree)[first:first + width[ps.NODE_FACE], col])
     return int(np.argmax(size >= (1.0 - 1e-8) * size.max()))
 
 

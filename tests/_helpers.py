@@ -1347,8 +1347,8 @@ def consistency_check(spec, n=100, tol=1e-8, seed=1234):
     jv = spec.j_func(pts)
     scale = max(float(np.abs(jv).max()), 1.0)
     worst = float(np.abs(fd_curl(spec.exact_H, pts) - jv).max()) / scale
-    if spec.exact_u is not None and len(spec.mu.values) == 1:
-        mu0 = next(iter(spec.mu.values.values()))
+    if spec.exact_u is not None and not isinstance(spec.mu.values, dict):
+        mu0 = spec.mu.values                     # one permeability everywhere
         Hv = spec.exact_H(pts)
         hscale = max(float(np.abs(Hv).max()), 1.0)
         worst = max(worst, float(

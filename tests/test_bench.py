@@ -484,6 +484,25 @@ def test_cli_output_flags_need_out(capsys):
     assert "set out_dir" in capsys.readouterr().err
 
 
+def test_cli_reports_a_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert cli.main(["run", "cube_poly", "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err
+
+
+def test_cli_reports_an_out_path_that_is_a_file_before_the_run(tmp_path, capsys,
+                                                               monkeypatch):
+    def unreachable(spec, cfg):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(bench, "run_experiment", unreachable)
+    out = tmp_path / "report"
+    out.write_text("")
+    assert cli.main(["run", "cube_poly", "--levels", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not a directory" in err
+
+
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_cli_rejects_levels_below_one(levels, capsys):
     assert cli.main(["run", "cube_poly", "--levels", levels]) == 1

@@ -908,8 +908,13 @@ def test_material_field_validation():
     assert (mf.per_tet(m2) == np.where(m2.subdomain_tag == 1, 1.0, 1000.0)).all()
     with pytest.raises(ValueError, match="tag 2 "):   # between the keys
         fem.MaterialField({1: 1.0, 3: 2.0}).per_tet(m2)
+    # a map with one key is a map: it names one tag, not the whole mesh
+    with pytest.raises(ValueError, match="tag 2 "):
+        fem.MaterialField({1: 5.0}).per_tet(m2)
+    assert (fem.MaterialField({7: 5.0}).per_tet(m) == 5.0).all()
     # scalar permeability ignores tags entirely
     assert (fem.MaterialField(2.5).per_tet(m) == 2.5).all()
+    assert (fem.MaterialField(2.5).per_tet(m2) == 2.5).all()
 
 
 def test_current_without_callback_or_field_raises():

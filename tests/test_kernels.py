@@ -428,19 +428,23 @@ def test_folded_tables_match_element_inverses(mesh, k):
     assert_pinned(got @ tab.Vref_inv.T, np.einsum("tij,tj->ti", Vinv, u_loc))
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_unscale_inverts_the_element_map(mesh, k):
-    # x S_t^-1 S_t = x and x S_t^-T S_t^T = x with S_t from its definition
-    # (element_maps).  Degree 4, above the global spaces' range, has 6 face
-    # rows per face and 4 interior monomials: the dof map of degree 3 is
-    # given its face scalings repeated over the 3 face monomials
-    dm = fem.build_dofmap(mesh, 3)
-    T = mesh.n_tets
-    face = dm.face_scale.reshape(T, 4, -1)[:, :, :2]
-    dm = dataclasses.replace(dm, degree=k, face_scale=np.tile(
-        face, k * (k - 1) // 2).reshape(T, -1))
+    # the forward map gives x S_t^T, and unscale undoes it: x S_t^-1 S_t = x
+    # and x S_t^-T S_t^T = x, with S_t from its definition (element_maps).
+    # Degree 1 has no face or interior columns, degree 2 no interior ones.
+    # Degree 4, above the global spaces' range, has 6 face rows per face and
+    # 4 interior monomials: the dof map of degree 3 is given the entity
+    # layout of degree 4, as the face factors and cell maps are the same
+    dm = fem.build_dofmap(mesh, min(k, 3))
+    dm = dataclasses.replace(
+        dm, degree=k, layout=fem._EntityLayout(mesh, fem._nedelec_width(k)))
     S = element_maps(mesh, k)
+    assert dm.face_scale.shape == (mesh.n_tets, 4, 2)
     x = np.random.default_rng(k).standard_normal(S.shape[:2])
+    y = x.copy()
+    dm.apply_map(y)
+    assert_pinned(y, np.einsum("ti,tji->tj", x, S))
     for transpose, Sm in ((False, S), (True, S.transpose(0, 2, 1))):
         y = x.copy()
         dm.unscale(y, transpose)
