@@ -12,7 +12,9 @@ import numpy as np
 
 from . import equilibrate as eqm
 from . import femsys as fem
+from . import polyspace as ps
 from . import residual as resm
+from .errors import UnsupportedDegree
 from .mesh import Mesh, refine
 
 log = logging.getLogger("curlest")
@@ -46,8 +48,9 @@ class RunConfig:
     def __post_init__(self):
         if self.aux_degree is None:
             self.aux_degree = self.degree
-        if self.aux_degree < self.degree:
-            raise ValueError("auxiliary degree must be >= degree")
+        if not 1 <= self.degree <= self.aux_degree <= ps.MAX_DEGREE:
+            raise UnsupportedDegree(f"need 1 <= degree <= aux_degree <= {ps.MAX_DEGREE}; "
+                                    f"got {self.degree} and {self.aux_degree}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("bulk parameter theta must be in (0, 1]")
         if self.levels is not None and self.levels < 1:

@@ -14,10 +14,10 @@ that ``_local_columns`` derives from the entity layout.  The Nedelec dofs
 and the Lagrange nodes are numbered alike, entity by entity
 (``_EntityLayout``), and matrices are summed straight into the free-dof
 CSR pattern of the dof map.  The discrete gradient, S_t (V_sigma C) on one
-owner tet per dof, is built on first use; only the gradient correction of
-a load that is not consistent to roundoff reads it.  The singular
-curl-curl system is solved in the tree-cotree gauge that the dof map picks
-entity by entity (``DofMap.gauge``), with no shift and no iteration.
+owner tet per dof (``_mapped_gradients``), is built on first use; only the
+gradient correction of a load that is not consistent to roundoff reads it.
+The singular curl-curl system is solved, with no shift and no iteration,
+in the tree-cotree gauge that ``DofMap.gauge`` picks by one rule for all k.
 
 Integrals against current data or an analytic field use one tet rule per
 degree (``_data_exactness``), face integrals of degree-p traces the exact
@@ -54,8 +54,6 @@ from .errors import NoConvergence, ProjectionSolveFailure, UnsupportedDegree
 from .mesh import Mesh
 
 log = logging.getLogger("curlest")
-
-MAX_DEGREE = 3  # end-to-end supported range for global spaces
 
 
 def _data_exactness(degree: int) -> int:
@@ -386,19 +384,20 @@ class DofMap:
         the other free dofs is positive definite.
 
         R is picked entity by entity, without G, in the order vertices,
-        edges, faces; in that order G[R, :] is block lower triangular:
+        edges, faces, cells; a dof sees only the nodes on the closure of its
+        entity, so in that order G[R, :] is block lower triangular:
         - vertices: the lowest (constant) moment of every edge of a spanning
           forest of the interior vertices with all boundary vertices merged
           into one root.  A vertex hat's gradient has moment +-1 on the
           edges at its vertex, so this block is the forest's incidence
           matrix;
-        - edges: moments 1..k-1 of every free edge.  Their Legendre weights
-          are orthogonal to the constant tangential gradient of a vertex
-          hat, and see the k-1 edge nodes through a nonsingular block;
-        - faces (k = 3): the face moment of ``_face_gauge_offset``, which
-          sees the single face node of its face and no other.
-        At k <= 3 there are no cell nodes, so no cell dof is picked."""
-        mesh, k = self.mesh, self.degree
+        - each free edge, face and cell: one moment per Lagrange node of its
+          own, the ``_pivoted_rows`` of the block of its moments and those
+          nodes' gradients (Schoberl & Zaglmayr, COMPEL 24, 2005).  S_t is
+          the identity on edge rows and rescales face rows, so one pick on
+          the reference tet serves all edges or faces; it mixes cell rows,
+          so each cell picks from its mapped block."""
+        mesh, lay = self.mesh, self.layout
         inner = ~mesh.boundary_vertex
         n = int(inner.sum())                     # graph nodes; n is the root
         node = np.where(inner, np.cumsum(inner) - 1, n)
@@ -416,11 +415,17 @@ class DofMap:
         v = np.arange(n)
         tree = pair_edge[np.searchsorted(keys, np.minimum(v, pred[:n]) * (n + 1)
                                          + np.maximum(v, pred[:n]))]
-        ids = self.layout.ids
-        dofs = [ids(ps.NODE_EDGE, tree)[:, 0], ids(ps.NODE_EDGE, edges)[:, 1:].ravel()]
-        if k == 3:
-            faces = np.nonzero(~mesh.boundary_face)[0]
-            dofs.append(ids(ps.NODE_FACE, faces)[:, _face_gauge_offset(k)])
+        dofs = [lay.ids(ps.NODE_EDGE, tree)[:, 0]]
+        nodes, C = ps.lagrange_nodes(self.degree), _reference_gradient_dofs(self.degree)
+        for kind, free in ((ps.NODE_EDGE, edges),
+                           (ps.NODE_FACE, np.nonzero(~mesh.boundary_face)[0]),
+                           (ps.NODE_CELL, np.arange(mesh.n_tets))):
+            at = _local_columns(lay.width, kind).start + np.arange(lay.width[kind])
+            own = (nodes.kind == kind) & (nodes.entity == 0)
+            block = (C[at][:, own] if kind != ps.NODE_CELL else
+                     _mapped_gradients(self, own)[..., at].transpose(0, 2, 1))
+            dofs.append((lay.first[lay.base[kind] + free][:, None]
+                         + _pivoted_rows(block)).ravel())
         return np.searchsorted(self.free, np.concatenate(dofs))
 
     @cached_property
@@ -452,8 +457,8 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     interior blocks, each entity's dofs contiguous), take the per-tet
     scalings of the element maps once, and build the free-dof sparsity
     pattern."""
-    if not 1 <= degree <= MAX_DEGREE:
-        raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{MAX_DEGREE}")
+    if not 1 <= degree <= ps.MAX_DEGREE:
+        raise UnsupportedDegree(f"Nedelec degree {degree} outside 1..{ps.MAX_DEGREE}")
     k = degree
     lay = _EntityLayout(mesh, _nedelec_width(k))
     ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
@@ -809,25 +814,29 @@ def _reference_gradient_dofs(degree: int) -> np.ndarray:
     return C
 
 
+def _mapped_gradients(dofmap: DofMap, nodes=slice(None)) -> np.ndarray:
+    """(T, n_lag, nloc) the transposed local blocks S_t (V_sigma C) of the
+    gradients of the scalar basis, or of the given nodes' only: gradients
+    map covariantly, so ``DofMap.apply_map`` maps the tiled reference block."""
+    k = dofmap.degree
+    VC = ps._reference_dofs(ps.NEDELEC1_TET, k) @ _reference_gradient_dofs(k)[:, nodes]
+    x = np.tile(VC.T, (len(dofmap.cell_dofs), 1, 1))
+    dofmap.apply_map(x)
+    return x
+
+
 def discrete_gradient(dofmap: DofMap) -> sp.csc_matrix:
     """Coefficient map G with grad(psi) = field(G psi), from the free nodes
     of the dof map's registry to its free Nedelec dofs.
 
-    Gradients map covariantly, so the local block is S_t (V_sigma C), with
-    C the reference dofs of the scalar-basis gradients.  The row of a dof
-    is read from the first tet that holds it: a dof sees only the gradients
-    of the nodes on the closure of its edge, face or cell, and every tet
-    that holds the dof holds those nodes.  S_t is applied to (V_sigma C)^T
-    on every tet by ``DofMap.apply_map``, and row i of tet t is column i of
-    the result."""
-    k, reg = dofmap.degree, dofmap.registry
-    nloc = dofmap.cell_dofs.shape[1]
+    The row of a dof is read from the first tet that holds it, as column i
+    of that tet's ``_mapped_gradients``: a dof sees only the gradients of
+    the nodes on the closure of its edge, face or cell, and every tet that
+    holds the dof holds those nodes."""
+    reg = dofmap.registry
     _, first = np.unique(dofmap.cell_dofs, return_index=True)
-    t, i = np.divmod(first[~dofmap.layout.boundary], nloc)
-    VC = ps._reference_dofs(ps.NEDELEC1_TET, k) @ _reference_gradient_dofs(k)
-    x = np.tile(VC.T, (len(dofmap.cell_dofs), 1, 1))         # (T, n_lag, nloc)
-    dofmap.apply_map(x)
-    rows = x[t, :, i]                                         # (n_free, n_lag)
+    t, i = np.divmod(first[~dofmap.layout.boundary], dofmap.cell_dofs.shape[1])
+    rows = _mapped_gradients(dofmap)[t, :, i]                 # (n_free, n_lag)
     nodes = reg.tet_nodes[t]
     free = ~reg.boundary
     keep = free[nodes]
@@ -836,21 +845,19 @@ def discrete_gradient(dofmap: DofMap) -> sp.csc_matrix:
                          shape=(len(t), int(free.sum())))
 
 
-@lru_cache(maxsize=None)
-def _face_gauge_offset(degree: int) -> int:
-    """The offset of the face moment that the gauge fixes on every free
-    face (degree 3, one face node per face): the largest entry of the face
-    rows of reference face 0 in its face node's column of
-    ``_reference_gradient_dofs``, the first within 1e-8 of it so that a tie
-    in exact arithmetic is not broken by roundoff.  Every face applies its
-    moments in the frame of its ascending vertices, and S_t only rescales
-    face rows, so that entry is nonzero on every tet."""
-    nodes = ps.lagrange_nodes(degree)
-    col = np.nonzero((nodes.kind == ps.NODE_FACE) & (nodes.entity == 0))[0][0]
-    width = _nedelec_width(degree)
-    first = _local_columns(width, ps.NODE_FACE).start
-    size = np.abs(_reference_gradient_dofs(degree)[first:first + width[ps.NODE_FACE], col])
-    return int(np.argmax(size >= (1.0 - 1e-8) * size.max()))
+def _pivoted_rows(B: np.ndarray) -> np.ndarray:
+    """(..., n) ascending indices of n rows of each (m, n) block B, picked
+    by greedy column-pivoted QR of B^T: each step takes the row of largest
+    norm, the first within 1e-8 of it so that a tie in exact arithmetic is
+    not broken by roundoff, and projects its direction off the others."""
+    picks = np.zeros(B.shape[:-2] + B.shape[-1:], dtype=int)
+    for j in range(B.shape[-1]):
+        size = np.linalg.norm(B, axis=-1)
+        i = picks[..., j] = np.argmax(size >= (1.0 - 1e-8) * size.max(-1, keepdims=True), -1)
+        q = np.take_along_axis(B, i[..., None, None], axis=-2)
+        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+        B = B - (B @ q.swapaxes(-1, -2)) * q
+    return np.sort(picks, axis=-1)
 
 
 def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:

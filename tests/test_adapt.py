@@ -8,6 +8,7 @@ from curlest import adapt as adm
 from curlest import bench
 from curlest import femsys as fem
 from curlest import residual as resm
+from curlest.errors import UnsupportedDegree
 
 RNG = np.random.default_rng(41)
 
@@ -98,6 +99,15 @@ def test_config_validation():
         adm.RunConfig(theta=0.0)
     with pytest.raises(ValueError):
         adm.RunConfig(theta=1.5)
+
+
+@pytest.mark.parametrize("degree, aux", [(0, None), (0, 1), (1, 5), (5, None), (3, 2)])
+def test_degrees_outside_one_cap_rejected(degree, aux):
+    # one cap for the solve and the estimator degree, checked before any
+    # level is built
+    with pytest.raises(UnsupportedDegree, match="1 <= degree <= aux_degree <= 4"):
+        adm.RunConfig(degree=degree, aux_degree=aux)
+    assert adm.RunConfig(degree=4).aux_degree == 4
 
 
 @pytest.mark.parametrize("mode", ["uniform", "adaptive"])
@@ -191,6 +201,16 @@ def test_folded_tables_are_built_only_where_read():
     assert "ZCCZ" in built
     assert not {"Vref_inv", "CC", "VV", "dof_curls"} & set(built)
     assert {"Vref_inv", "CC", "dof_curls"} <= set(vars(fem._ref_tables(3)))
+
+
+def test_degree_four_level_is_in_equilibrium():
+    # k = k' = 4 end to end: the gauge fixes face and cell moments, the
+    # constant current is consistent, and the estimate is in equilibrium
+    spec = bench.builtin_problems()["cube_jump_mu_100"]
+    lv = adm.run_level(spec, spec.make_mesh(spec.base_res),
+                       adm.RunConfig(degree=4, estimator="eq", verify=True))
+    assert lv.ok and not lv.row["grad_corrected"]
+    assert lv.row["eq_elem_rel"] <= 1e-9 and lv.row["eq_face_rel"] <= 1e-9
 
 
 def test_estimator_registry_follows_the_auxiliary_degree():

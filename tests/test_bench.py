@@ -503,6 +503,17 @@ def test_cli_reports_an_out_path_that_is_a_file_before_the_run(tmp_path, capsys,
     assert err.startswith("error: ") and "is not a directory" in err
 
 
+@pytest.mark.parametrize("argv", [["--degree", "0"],
+                                  ["--degree", "1", "--aux-degree", "5"]])
+def test_cli_rejects_an_unsupported_degree_before_the_run(argv, capsys, monkeypatch):
+    def unreachable(spec, cfg):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(bench, "run_experiment", unreachable)
+    assert cli.main(["run", "cube_poly", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "aux_degree <= 4" in err
+
+
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_cli_rejects_levels_below_one(levels, capsys):
     assert cli.main(["run", "cube_poly", "--levels", levels]) == 1

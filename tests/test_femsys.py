@@ -45,13 +45,15 @@ def test_whitney_dof_count_two_tets():
 
 def test_dofmap_degree_bounds():
     m = two_tet_mesh()
-    with pytest.raises(UnsupportedDegree):
-        fem.build_dofmap(m, 4)
+    for k in (0, 5):
+        with pytest.raises(UnsupportedDegree):
+            fem.build_dofmap(m, k)
+    assert fem.build_dofmap(m, 4).n_dofs == m.n_edges * 4 + m.n_faces * 12 + m.n_tets * 12
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_random_conforming_field_tangential_continuity(k):
-    m = msh.unit_cube_mesh(1 if k == 3 else 2)
+    m = msh.unit_cube_mesh(1 if k >= 3 else 2)
     dm = fem.build_dofmap(m, k)
     u = fem.FieldCoefficients(dm, RNG.standard_normal(dm.n_dofs))
     poly = nedelec_field_to_poly(m, dm, u)
@@ -82,13 +84,12 @@ REGISTRY_MESHES = ["cube1", "cube2", "cube3", "jittered", "bisect0", "bisect1",
 
 def test_lagrange_registry_counts():
     for m in (msh.unit_cube_mesh(2), _registry_mesh("bisect0")):
-        for k in (1, 2, 3, 4):
+        for k in range(1, ps.MAX_DEGREE + 1):
             n = (m.n_vertices + (k - 1) * m.n_edges + comb(k - 1, 2) * m.n_faces
                  + comb(k - 1, 3) * m.n_tets)
             reg = fem.build_node_registry(m, k)
             assert (reg.degree, reg.n_nodes) == (k, n)
-            if k <= fem.MAX_DEGREE:
-                assert fem.build_dofmap(m, k).registry.n_nodes == n
+            assert fem.build_dofmap(m, k).registry.n_nodes == n
 
 
 def _assert_relabelled(m, got, ref, ref_points):
@@ -628,6 +629,7 @@ GAUGE_MESHES = {
     "refined_jump": _refined_jump_mesh,
     "chord_cube_1": lambda: msh.unit_cube_mesh(1),
     "chord_cube_2": lambda: msh.unit_cube_mesh(2),
+    "jittered_cube_3": lambda: jittered_cube(3),
 }
 
 
@@ -646,7 +648,7 @@ def _gauge_case(name, k):
     return m, dm, dm.G[dm.gauge].toarray()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", list(GAUGE_MESHES))
 def test_gauge_block_is_square_and_nonsingular(name, k):
     m, dm, GR = _gauge_case(name, k)
@@ -659,14 +661,82 @@ def test_gauge_block_is_square_and_nonsingular(name, k):
     assert _rank(dm.G, GR) == len(GR)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("name", ["relabelled_cube_3", "l_brick", "refined_jump"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(GAUGE_MESHES))
 def test_gauge_conditioning_is_near_the_qr_selection(name, k):
     # the dense column-pivoted QR of G^T picks its rows greedily for
-    # conditioning; the entity-by-entity selection is within 10x of it
+    # conditioning; the entity-by-entity selection is within 10x of it.
+    # The one-tet-wide cube has no free node at k = 1
     _, dm, GR = _gauge_case(name, k)
+    if not GR.size:
+        assert dm.G.shape[1] == 0 and (name, k) == ("chord_cube_1", 1)
+        return
     ref = np.linalg.cond(dm.G[qr_gauge(dm.G)].toarray())
     assert np.linalg.cond(GR) <= 10 * ref
+
+
+def _gauge_offsets(dm):
+    """The kind, entity and offset in its entity of every gauge dof."""
+    dofs = dm.free[dm.gauge]
+    kind, entity = dm.layout.locate(dofs)
+    return kind, entity, dofs - dm.layout.first[dm.layout.base[kind] + entity]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gauge_picks_below_degree_four_are_the_fixed_offsets(k):
+    # besides the tree edges' lowest moments, moments 1..k-1 of every free
+    # edge and, at k = 3, moment 2 of every free face: the one rule picks
+    # the offsets that the gauge fixed by hand before, so the k <= 3
+    # solves keep their gauge.  No cell has a Lagrange node
+    m, dm, _ = _gauge_case("l_brick", k)
+    kind, entity, off = _gauge_offsets(dm)
+    edge = (kind == ps.NODE_EDGE) & (off > 0)
+    assert (np.bincount(off[edge], minlength=k)[1:] == (~m.boundary_edge).sum()).all()
+    face = kind == ps.NODE_FACE
+    assert np.array_equal(np.sort(entity[face]),
+                          np.nonzero(~m.boundary_face)[0] if k == 3 else [])
+    assert (off[face] == 2).all()
+    assert not (kind == ps.NODE_CELL).any()
+
+
+def test_degree_four_face_pick_is_well_conditioned_on_every_reference_face():
+    # every free face fixes moments 2, 6 and 11, one pick that serves a face
+    # whichever local face of its owner tet it is: the picked rows are well
+    # conditioned on the reference block of each of the four.  Control: the
+    # first three moments are singular to roundoff
+    m, dm, _ = _gauge_case("jittered_cube_3", 4)
+    kind, entity, off = _gauge_offsets(dm)
+    face = kind == ps.NODE_FACE
+    assert np.array_equal(np.unique(entity[face]), np.nonzero(~m.boundary_face)[0])
+    assert np.array_equal(off[face].reshape(-1, 3), np.tile([2, 6, 11], (face.sum() // 3, 1)))
+    nodes, C = ps.lagrange_nodes(4), fem._reference_gradient_dofs(4)
+    width = fem._nedelec_width(4)[ps.NODE_FACE]
+    first = fem._local_columns(fem._nedelec_width(4), ps.NODE_FACE).start
+    for f in range(4):
+        block = C[first + f * width:first + (f + 1) * width,
+                  (nodes.kind == ps.NODE_FACE) & (nodes.entity == f)]
+        assert np.linalg.cond(block[[2, 6, 11]]) <= 10
+        assert np.linalg.cond(block[:3]) >= 1e10
+
+
+@pytest.mark.parametrize("name", ["chord_cube_1", "jittered_cube_3"])
+def test_degree_four_cell_pick_is_the_largest_entry_of_its_mapped_block(name):
+    # kron(I, vol6 J^-T) mixes the components of the cell moments, so each
+    # tet picks its own: one moment, at the largest entry of its mapped
+    # block, which is nonzero.  Control: on the Kuhn cube the moment that
+    # tet 0 picks sees no cell node gradient on another tet
+    m, dm, _ = _gauge_case(name, 4)
+    cols = fem._local_columns(dm.layout.width, ps.NODE_CELL)
+    cell = ps.lagrange_nodes(4).kind == ps.NODE_CELL
+    block = np.abs(fem._mapped_gradients(dm, cell)[:, 0, cols])
+    picked = np.isin(dm.layout.ids(ps.NODE_CELL, np.arange(m.n_tets)),
+                     dm.free[dm.gauge])
+    assert (picked.sum(axis=1) == 1).all()
+    assert (block[picked] >= (1.0 - 1e-8) * block.max(axis=1)).all()
+    assert block[picked].min() >= 1e-8 * block.max()
+    if name == "chord_cube_1":
+        fixed = np.argmax(picked[0])
+        assert block[:, fixed].min() <= 1e-12 * block.max()
 
 
 def test_gauge_leaves_out_edges_between_boundary_vertices():
