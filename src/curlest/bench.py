@@ -142,7 +142,7 @@ def builtin_problems() -> dict:
         j_func=cube_poly_j,
         exact_u=cube_poly_u,
         exact_H=cube_poly_H,
-        uniform_res={1: [2, 4, 8], 2: [1, 2, 4], 3: [1, 2, 3]},
+        uniform_res={1: [2, 4, 8], 2: [1, 2, 4], 3: [1, 2, 3], 4: [1, 2, 3]},
         notes="polynomial potential on the unit cube, homogeneous BC")
     problems["lbrick_singular"] = ProblemSpec(
         name="lbrick_singular",
@@ -152,7 +152,7 @@ def builtin_problems() -> dict:
         j_func=lbrick_j,
         exact_u=lbrick_u,
         exact_H=lbrick_H,
-        uniform_res={1: [1, 2, 4], 2: [1, 2], 3: [1]},
+        uniform_res={1: [1, 2, 4], 2: [1, 2], 3: [1], 4: [1]},
         notes="reentrant-edge singular potential, closed-form data")
     for ell in (1, 2, 3):
         mu2 = 10.0 ** ell
@@ -163,7 +163,7 @@ def builtin_problems() -> dict:
             mu=fem.MaterialField({1: 1.0, 2: mu2}),
             j_func=lambda p: np.stack(
                 [np.ones(len(p)), np.zeros(len(p)), np.zeros(len(p))], axis=1),
-            uniform_res={1: [2, 4], 2: [2, 4]},
+            uniform_res={1: [2, 4], 2: [2, 4], 3: [2, 3], 4: [2, 3]},
             notes="discontinuous permeability, unit current; reference-"
                   "solution protocol for errors")
     return problems
@@ -227,7 +227,10 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     """
     t_start = time.perf_counter()
     if cfg.mode == "uniform":
-        res_list = spec.uniform_res.get(cfg.degree, [spec.base_res])
+        if cfg.degree not in spec.uniform_res:
+            raise ValueError(f"problem {spec.name!r} has no uniform resolutions "
+                             f"at degree {cfg.degree}")
+        res_list = spec.uniform_res[cfg.degree]
         levels = [adaptm.run_level(spec, spec.make_mesh(res), cfg,
                                    level=level, resolution=res)
                   for level, res in enumerate(res_list[: cfg.levels])]

@@ -111,8 +111,10 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
     Each tet asks for h with A h = r, the curl match tested against the
     curls of the local basis, and B h = 0, orthogonality to the gradients.
-    The gradients G of the monomials span the kernel of A and have the same
-    reference coefficients on every tet.  Z, an orthonormal basis of the
+    h holds coefficients in the dof basis of the reference tet, that of
+    every ``_RefTables`` table, so the dofs G of the gradients of the
+    monomials are their coefficients: they span the kernel of A and are
+    the same on every tet.  Z, an orthonormal basis of the
     fields orthogonal to them on the reference tet, spans a complement of
     that kernel (``_RefTables``), so the problem splits: A_Z y = Z^T r on
     Z, then (B G) lam = B Z y removes the gradient part that the tet's
@@ -125,7 +127,6 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     """
     if kp < Hh.degree:
         raise ValueError("auxiliary degree must be >= the field degree")
-    N = ps.reference_space(ps.NEDELEC1_TET, kp)
     tab = _ref_tables(kp)
     w = tab.rule.weights
     nT, (nR, nZ), nB = mesh.n_tets, tab.Z.shape, tab.G.shape[1]
@@ -150,7 +151,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
                        "gradient")
     h -= lam[:, :, 0] @ tab.G.T
 
-    hhat = geom.Jinv.transpose(0, 2, 1) @ (h @ N.coeffs.reshape(nR, -1)).reshape(nT, 3, -1)
+    hhat = geom.Jinv.transpose(0, 2, 1) @ (h @ tab.coeffs.reshape(nR, -1)).reshape(nT, 3, -1)
     cv = ((h @ tab.curls.reshape(-1, nR).T).reshape(nT, -1, 3)
           @ (J.transpose(0, 2, 1) / (sign * det)[:, None, None]))
     cv -= jd

@@ -3,21 +3,24 @@
 Every tet lists its vertices in ascending global-id order (``build_mesh``),
 so it is the reference tet in one vertex order, and two tets that share an
 edge or face apply identical moment functionals: the assembled field is
-tangentially continuous.  The element dof matrix is V_t = S_t V_sigma, with
-V_sigma the reference one and S_t the element map: the identity on edge
-dofs, diagonal on face dofs and kron(I, vol6 J^-T) on interior dofs.  No
-V_t is formed: V_sigma^-1 is folded into cached reference tables, the
-functionals are applied on the reference tet only, to fields pulled back
-from all tets at once, and the dof map owns S_t.  ``DofMap.apply_map`` is
-the one place that applies it, forward or inverse, on the local columns
-that ``_local_columns`` derives from the entity layout.  The Nedelec dofs
-and the Lagrange nodes are numbered alike, entity by entity
+tangentially continuous.  The reference tables of a degree are all in the
+dof basis of the reference tet, in which the canonical dofs of a field are
+its coefficients (``_RefTables`` inverts the reference dof matrix once).
+The local basis of tet t is that basis, mapped covariantly, times S_t^-1,
+with S_t the element map: the identity on edge dofs, diagonal on face dofs
+and kron(I, vol6 J^-T) on interior dofs.  So no element dof matrix is
+formed: the functionals are applied on the reference tet only, to fields
+pulled back from all tets at once, and ``DofMap.apply_map`` is the one
+place that applies S_t, forward or inverse, on the local columns that
+``_local_columns`` derives from the entity layout.  The Nedelec dofs and
+the Lagrange nodes are numbered alike, entity by entity
 (``_EntityLayout``), and matrices are summed straight into the free-dof
-CSR pattern of the dof map.  The discrete gradient, S_t (V_sigma C) on one
-owner tet per dof (``_mapped_gradients``), is built on first use; only the
-gradient correction of a load that is not consistent to roundoff reads it.
-The singular curl-curl system is solved, with no shift and no iteration,
-in the tree-cotree gauge that ``DofMap.gauge`` picks by one rule for all k.
+CSR pattern of the dof map.  The discrete gradient, S_t C on one owner tet
+per dof with C the reference dofs of the scalar-basis gradients
+(``_mapped_gradients``), is built on first use; only the gradient
+correction of a load that is not consistent to roundoff reads it.  The
+singular curl-curl system is solved, with no shift and no iteration, in
+the tree-cotree gauge that ``DofMap.gauge`` picks by one rule for all k.
 
 Integrals against current data or an analytic field use one tet rule per
 degree (``_data_exactness``), face integrals of degree-p traces the exact
@@ -40,7 +43,7 @@ each stage evaluates each tet-rule quantity once.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -353,20 +356,18 @@ class DofMap:
         interior ones run monomial-major, component-minor and take one
         (..., m, 3) @ (3, 3) product, with vol6 J^-1 or ``cell_map``."""
         T, mid, w = len(x), (1,) * (x.ndim - 2), self.layout.width
-        faces = x[..., _local_columns(w, ps.NODE_FACE)]
-        r = np.repeat(self.face_scale, w[ps.NODE_FACE] // 2, axis=1)
-        r = r.reshape((T,) + mid + faces.shape[-1:])
-        if inverse:
-            faces /= r
-            M = self.cell_map
-        else:
-            faces *= r
+        if w[ps.NODE_FACE]:
+            faces = x[..., _local_columns(w, ps.NODE_FACE)]
+            r = np.repeat(self.face_scale, w[ps.NODE_FACE] // 2, axis=1)
+            r = r.reshape((T,) + mid + faces.shape[-1:])
+            faces[...] = faces / r if inverse else faces * r
+        if w[ps.NODE_CELL]:
             geom = self.mesh.geom()
-            M = geom.absdet[:, None, None] * geom.Jinv
-        M = M.transpose(0, 2, 1) if transpose else M
-        cells = x[..., _local_columns(w, ps.NODE_CELL)]
-        cells[...] = (cells.reshape(x.shape[:-1] + (w[ps.NODE_CELL] // 3, 3))
-                      @ M.reshape((T,) + mid + (3, 3))).reshape(cells.shape)
+            M = self.cell_map if inverse else geom.absdet[:, None, None] * geom.Jinv
+            M = M.transpose(0, 2, 1) if transpose else M
+            cells = x[..., _local_columns(w, ps.NODE_CELL)]
+            cells[...] = (cells.reshape(x.shape[:-1] + (w[ps.NODE_CELL] // 3, 3))
+                          @ M.reshape((T,) + mid + (3, 3))).reshape(cells.shape)
 
     def unscale(self, x: np.ndarray, transpose: bool = False) -> None:
         self.apply_map(x, inverse=True, transpose=transpose)   # x S_t^-1 or x S_t^-T
@@ -416,12 +417,14 @@ class DofMap:
         tree = pair_edge[np.searchsorted(keys, np.minimum(v, pred[:n]) * (n + 1)
                                          + np.maximum(v, pred[:n]))]
         dofs = [lay.ids(ps.NODE_EDGE, tree)[:, 0]]
-        nodes, C = ps.lagrange_nodes(self.degree), _reference_gradient_dofs(self.degree)
+        nodes, C = ps.lagrange_nodes(self.degree), _ref_tables(self.degree).C
         for kind, free in ((ps.NODE_EDGE, edges),
                            (ps.NODE_FACE, np.nonzero(~mesh.boundary_face)[0]),
                            (ps.NODE_CELL, np.arange(mesh.n_tets))):
-            at = _local_columns(lay.width, kind).start + np.arange(lay.width[kind])
             own = (nodes.kind == kind) & (nodes.entity == 0)
+            if not own.any():           # no node of its own: no dof to fix
+                continue
+            at = _local_columns(lay.width, kind).start + np.arange(lay.width[kind])
             block = (C[at][:, own] if kind != ps.NODE_CELL else
                      _mapped_gradients(self, own)[..., at].transpose(0, 2, 1))
             dofs.append((lay.first[lay.base[kind] + free][:, None]
@@ -552,14 +555,18 @@ def _free_pattern(ent, width, free, le, off):
 # ---------------------------------------------------------------------------
 
 class _RefTables:
-    """Reference basis tables at the data rule of the degree, which also
-    integrates the curl-curl and mass blocks exactly.  CC and VV, the curl
-    and value pairs, and dof_curls, the curl coefficients, are folded with
-    V_sigma^-1 (``Vref_inv``) into the dof basis of the reference tet, so
-    an element's blocks and its H_h only need the per-tet scalings of
-    ``DofMap.unscale``; VV serves only ``assemble_mass``.  These four are
-    built on first read: at an estimator degree above the solve's, only
-    step 1 reads the tables.
+    """The reference tables of the degree, all in the dof basis of the
+    reference tet, in which the canonical dofs of a field are its
+    coefficients.  ``coeffs`` (n, 3, m) holds the monomial coefficients of
+    that basis: V_sigma^-T times those of ``reference_space``, with V_sigma
+    the dof matrix of the latter, I up to roundoff that grows with the
+    degree.  The other tables derive from ``coeffs``, at the data rule of
+    the degree, which also integrates the curl-curl and mass blocks
+    exactly: the curl coefficients ``dof_curls`` (n, 3 m), the curls, the
+    weighted values ``wvals`` (q 3, n) and the curl and value pairs CC and
+    VV (9, n n).  So an element's blocks, its load and its H_h only need
+    ``DofMap.unscale``; VV serves only ``assemble_mass``.  C (n, n_lag)
+    holds the dofs of the scalar-basis gradients.
 
     The rest serves estimator step 1, one reference problem in the metric
     of each tet.  G holds the dofs of the gradients of the non-constant
@@ -573,19 +580,22 @@ class _RefTables:
     current to the load on Z."""
 
     def __init__(self, degree: int):
-        self.degree = degree
         self.rule = ps.quadrature("tet", _data_exactness(degree))
-        space = ps.reference_space(ps.NEDELEC1_TET, degree)
-        v = _poly.vandermonde(3, degree, self.rule.points)
-        vals = self._values()
-        self.curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
-        w = self.rule.weights
-        n = vals.shape[2]
-        # (9, n * n) curl pairs and (q * 3, n) weighted values: the
-        # curl-curl blocks and the load vector are single matrix products
-        # against them
+        w, v = self.rule.weights, _poly.vandermonde(3, degree, self.rule.points)
+        generic = ps.reference_space(ps.NEDELEC1_TET, degree)
+        Vi = np.linalg.inv(ps._reference_dofs(ps.NEDELEC1_TET, degree))
+        space = replace(generic, coeffs=np.einsum("gi,gcm->icm", Vi, generic.coeffs))
+        self.coeffs = space.coeffs
+        ccoef, n = space.curl_coeffs(), len(Vi)
+        self.dof_curls = ccoef.reshape(n, -1)
+        vals = np.einsum("qm,icm->qci", v, self.coeffs)
+        self.curls = np.einsum("qm,iam->qai", v, ccoef)
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
-        self.TCC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
+        self.CC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
+        self.VV = _pairs(w, vals, vals).reshape(9, n * n)
+        gradc = ps.reference_space(ps.P_SCALAR_TET, degree).grad_coeffs()
+        self.C = ps.nedelec_dof_matrix(ps.TET_VERTS, degree, lambda p: np.einsum(
+            "qm,ibm->qbi", _poly.vandermonde(3, degree, p), gradc))
 
         D = _poly.diff_stack(3, degree)
         grads = np.einsum("qm,bmn->qbn", v, D)[:, :, 1:]
@@ -595,42 +605,10 @@ class _RefTables:
         nB = self.G.shape[1]
         TVG = _pairs(w, vals, grads).transpose(0, 1, 3, 2).reshape(9, nB, n)
         self.Z = np.linalg.svd(TVG[[0, 4, 8]].sum(axis=0))[2][nB:].T
-        self.ZCCZ = (self.Z.T @ self.TCC.reshape(9, n, n) @ self.Z).reshape(9, -1)
+        self.ZCCZ = (self.Z.T @ self.CC.reshape(9, n, n) @ self.Z).reshape(9, -1)
         self.TVG = TVG.reshape(9, -1)
         self.TVGG = (TVG @ self.G).reshape(9, -1)
         self.wcurlZ = (w[:, None, None] * self.curls).reshape(-1, n) @ self.Z
-
-    def _values(self) -> np.ndarray:
-        """(q, 3, n) values of the reference basis at the rule points."""
-        v = _poly.vandermonde(3, self.degree, self.rule.points)
-        space = ps.reference_space(ps.NEDELEC1_TET, self.degree)
-        return np.einsum("qm,icm->qci", v, space.coeffs)
-
-    @cached_property
-    def Vref_inv(self) -> np.ndarray:
-        """V_sigma^-1; V_sigma differs from I by roundoff that grows with
-        the degree, so it is not dropped."""
-        return np.linalg.inv(ps._reference_dofs(ps.NEDELEC1_TET, self.degree))
-
-    def _folded(self, pairs: np.ndarray) -> np.ndarray:
-        """(9, n n) pairs V_sigma^-T T_ab V_sigma^-1 in the dof basis."""
-        Vi = self.Vref_inv
-        return (Vi.T @ pairs.reshape(9, len(Vi), -1) @ Vi).reshape(9, -1)
-
-    @cached_property
-    def CC(self) -> np.ndarray:
-        return self._folded(self.TCC)
-
-    @cached_property
-    def VV(self) -> np.ndarray:
-        vals = self._values()
-        return self._folded(_pairs(self.rule.weights, vals, vals))
-
-    @cached_property
-    def dof_curls(self) -> np.ndarray:
-        """(n, 3 m) curl coefficients V_sigma^-T curl in the dof basis."""
-        ccoef = ps.reference_space(ps.NEDELEC1_TET, self.degree).curl_coeffs()
-        return self.Vref_inv.T @ ccoef.reshape(len(ccoef), -1)
 
 
 def _pairs(w, f, g) -> np.ndarray:
@@ -717,13 +695,14 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     """Load vector (j, w) over all dofs, with its scalar load and that
     load's rounding bound; the solve reads the free entries.
 
-    The element load is V_t^-T b_gen, from the reference-basis load b_gen:
-    b_gen @ V_sigma^-1, scaled by S_t^-T.  With C the reference dofs of the
-    scalar-basis gradients, the local block of G is V_t C, and V_t^T maps
-    the element load back to b_gen, so tet t adds C^T b_gen[t] to the scalar
-    load of its nodes.  On a free node no boundary dof contributes: the
-    gradient of psi_p has no tangential trace on a boundary entity.  So G
-    itself is not needed."""
+    Each tet's load in the dof basis of the reference tet, b_ref, is one
+    product with the weighted values; S_t^-T (``DofMap.unscale``) turns it
+    into the element load.  With C the reference dofs of the scalar-basis
+    gradients, which are their coefficients in that basis, the local block
+    of G is S_t C, and S_t^T maps the element load back to b_ref, so tet t
+    adds C^T b_ref[t] to the scalar load of its nodes.  On a free node no
+    boundary dof contributes: the gradient of psi_p has no tangential trace
+    on a boundary entity.  So G itself is not needed."""
     k = dofmap.degree
     tab = _ref_tables(k)
     geom = mesh.geom()
@@ -732,17 +711,12 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     jhat = jvals @ geom.Jinv.transpose(0, 2, 1)             # J^-1 j
     jhat = jhat.reshape(len(jhat), -1)
     det = geom.absdet[:, None]
-    b_gen = det * (jhat @ tab.wvals)
-    b_loc = b_gen @ tab.Vref_inv
-    dofmap.unscale(b_loc)
-    values = np.bincount(dofmap.cell_dofs.ravel(), weights=b_loc.ravel(),
-                         minlength=dofmap.n_dofs)
-    values.setflags(write=False)
+    b_ref = det * (jhat @ tab.wvals)
 
     reg = dofmap.registry
-    C = _reference_gradient_dofs(k)
+    C = tab.C
     nodes, free = reg.tet_nodes.ravel(), ~reg.boundary
-    scalar = np.bincount(nodes, (b_gen @ C).ravel(), minlength=reg.n_nodes)[free]
+    scalar = np.bincount(nodes, (b_ref @ C).ravel(), minlength=reg.n_nodes)[free]
     size = (det * (np.abs(jhat) @ np.abs(tab.wvals))) @ np.abs(C)
     size = np.bincount(nodes, size.ravel(), minlength=reg.n_nodes)[free]
     # A computed sum whose terms each pass through at most n roundings on
@@ -757,6 +731,10 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     # as exact; their own rounding adds a few u per term, well inside n.
     valence = np.bincount(nodes, minlength=reg.n_nodes)[free]
     n = tab.wvals.shape[0] + C.shape[0] + valence
+    dofmap.unscale(b_ref)                                   # the element loads
+    values = np.bincount(dofmap.cell_dofs.ravel(), weights=b_ref.ravel(),
+                         minlength=dofmap.n_dofs)
+    values.setflags(write=False)
     return Load(values, scalar, n * (np.finfo(float).eps / 2) * size)
 
 
@@ -784,10 +762,10 @@ def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
 
 def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
                mu: MaterialField) -> BrokenPolyField:
-    """H_h = mu^-1 curl u_h as a broken polynomial: the reference-basis
-    coefficients of u_h on tet t are V_sigma^-1 S_t^-1 u_loc, so the
-    reference curl is one scaling of u_loc and one product with the
-    folded curl table."""
+    """H_h = mu^-1 curl u_h as a broken polynomial: the coefficients of u_h
+    on tet t in the dof basis of the reference tet are S_t^-1 u_loc, so the
+    reference curl is one scaling of u_loc and one product with the curl
+    table of that basis."""
     k = dofmap.degree
     geom = mesh.geom()
     x = u.values[dofmap.cell_dofs]
@@ -801,26 +779,14 @@ def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
 # discrete gradient and right-hand-side correction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _reference_gradient_dofs(degree: int) -> np.ndarray:
-    """(n_ned, n_lag) reference Nedelec dofs of the scalar-basis gradients."""
-    gradc = ps.reference_space(ps.P_SCALAR_TET, degree).grad_coeffs()
-
-    def field_eval(pts):
-        return np.einsum("qm,ibm->qbi", _poly.vandermonde(3, degree, pts), gradc)
-
-    C = ps.nedelec_dof_matrix(ps.TET_VERTS, degree, field_eval)
-    C.setflags(write=False)
-    return C
-
-
 def _mapped_gradients(dofmap: DofMap, nodes=slice(None)) -> np.ndarray:
-    """(T, n_lag, nloc) the transposed local blocks S_t (V_sigma C) of the
-    gradients of the scalar basis, or of the given nodes' only: gradients
-    map covariantly, so ``DofMap.apply_map`` maps the tiled reference block."""
-    k = dofmap.degree
-    VC = ps._reference_dofs(ps.NEDELEC1_TET, k) @ _reference_gradient_dofs(k)[:, nodes]
-    x = np.tile(VC.T, (len(dofmap.cell_dofs), 1, 1))
+    """(T, n_lag, nloc) the transposed local blocks S_t C of the gradients
+    of the scalar basis, or of the given nodes' only.  The reference dofs C
+    are the gradients' coefficients in the dof basis of the reference tet,
+    and gradients map covariantly, so ``DofMap.apply_map`` maps the tiled
+    reference block."""
+    C = _ref_tables(dofmap.degree).C[:, nodes]
+    x = np.tile(C.T, (len(dofmap.cell_dofs), 1, 1))
     dofmap.apply_map(x)
     return x
 

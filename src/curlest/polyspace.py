@@ -4,10 +4,17 @@ Provides quadrature rules on segment/triangle/tetrahedron, Lagrange node
 sets, and the polynomial spaces of the tetrahedron used throughout: scalar,
 curl-conforming (first-kind edge) and divergence-conforming.  Bases are built
 from orthogonalized monomial generators and re-expressed as the dual basis of
-the canonical moment functionals, so the unisolvence matrix of every space is
-the identity by construction.  The canonical functionals take one tet;
-the library applies them on the reference tet only, to fields pulled back
-from every tet of a mesh at once (``femsys``).  The face space of
+the canonical moment functionals.  Their unisolvence matrix, the functionals
+applied to the basis (``_reference_dofs``), is the identity only up to the
+rounding of evaluating a basis with large coefficients: its largest entry
+off I measures 4.5e-16, 4.4e-15, 2.6e-13 and 1.1e-11 for the edge spaces at
+k = 1..4, and up to 1.8e-11 for the divergence-conforming ones.  One step
+of refinement still leaves 3.5e-12 at k = 4, so the rest cannot be
+corrected away, and the library does not take the matrix for I: ``femsys``
+solves with it (the current projection) or inverts it once per degree
+(``_RefTables``).  The canonical functionals take one tet; the library
+applies them on the reference tet only, to fields pulled back from every
+tet of a mesh at once (``femsys``).  The face space of
 estimator step 2 is not a reference space: step 2 works in the monomials
 of each face's affine coordinates directly (see ``equilibrate``), and the
 tests check the exact sequence of the triangle spaces behind it.

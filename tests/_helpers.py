@@ -292,7 +292,7 @@ def coo_discrete_gradient(V, cell_dofs, boundary_mask, reg):
     into a COO matrix over all dofs and nodes, each entry divided by the
     number of tets that hold it, then the free rows and columns sliced out.
     Returns (G, the local blocks V_t C)."""
-    locG = V @ fem._reference_gradient_dofs(reg.degree)
+    locG = V @ fem._ref_tables(reg.degree).C
     rows = np.broadcast_to(cell_dofs[:, :, None], locG.shape).ravel()
     cols = np.broadcast_to(reg.tet_nodes[:, None, :], locG.shape).ravel()
     shape = (len(boundary_mask), reg.n_nodes)
@@ -1119,7 +1119,7 @@ def _einsum_ref_vals(k, rule):
 
 def element_inverses(mesh, k):
     """(T, n, n) V_t^-1 by np.linalg.inv of the per-tet element dof
-    matrices: the oracles' element maps, independent of the folded tables
+    matrices: the oracles' element maps, independent of the reference tables
     and per-tet scalings of the library."""
     return np.linalg.inv(nedelec_element_matrices(mesh, k))
 

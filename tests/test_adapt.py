@@ -191,18 +191,6 @@ def test_each_level_evaluates_the_current_twice_and_exact_H_once(monkeypatch):
         assert counts == {"j": 2, "H": 1, "j_in_residual": 0}
 
 
-def test_folded_tables_are_built_only_where_read():
-    # at k = 3, k' = 4 only step 1 reads the degree-4 tables: their folded
-    # V_sigma^-1 tables are never built
-    fem._ref_tables.cache_clear()
-    spec = bench.builtin_problems()["cube_poly"]
-    adm.run_level(spec, spec.make_mesh(1), adm.RunConfig(degree=3, aux_degree=4))
-    built = vars(fem._ref_tables(4))
-    assert "ZCCZ" in built
-    assert not {"Vref_inv", "CC", "VV", "dof_curls"} & set(built)
-    assert {"Vref_inv", "CC", "dof_curls"} <= set(vars(fem._ref_tables(3)))
-
-
 def test_degree_four_level_is_in_equilibrium():
     # k = k' = 4 end to end: the gauge fixes face and cell moments, the
     # constant current is consistent, and the estimate is in equilibrium

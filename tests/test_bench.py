@@ -463,6 +463,32 @@ def test_cli_list():
     assert cli.main(["list"]) == 0
 
 
+def test_every_builtin_problem_has_uniform_resolutions_at_every_degree():
+    for spec in bench.builtin_problems().values():
+        assert sorted(spec.uniform_res) == list(range(1, ps.MAX_DEGREE + 1)), spec.name
+
+
+def test_cli_uniform_run_without_resolutions_at_the_degree_fails_before_the_run(
+        capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a level was solved")
+    problems = bench.builtin_problems()
+    del problems["cube_poly"].uniform_res[3]
+    monkeypatch.setattr(bench, "builtin_problems", lambda: problems)
+    monkeypatch.setattr(adm, "run_level", unreachable)
+    assert cli.main(["run", "cube_poly", "--degree", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'cube_poly'" in err and "degree 3" in err
+
+
+def test_cli_uniform_degree_four_run_solves_every_level(tmp_path):
+    out = tmp_path / "rep"
+    assert cli.main(["run", "cube_poly", "--degree", "4", "--levels", "2",
+                     "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [r["resolution"] for r in rows] == [1, 2]
+
+
 def test_cli_run_and_config_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("degree = 2\nlevels = 1\nestimator = eq\n# comment\n")

@@ -434,7 +434,7 @@ def test_step1_oracle_catches_a_faulty_step1(jump_level, monkeypatch, fault):
     else:
         tab.Z = tab.Z[:, 1:]
         nR = len(tab.Z)
-        tab.ZCCZ = (tab.Z.T @ tab.TCC.reshape(9, nR, nR) @ tab.Z).reshape(9, -1)
+        tab.ZCCZ = (tab.Z.T @ tab.CC.reshape(9, nR, nR) @ tab.Z).reshape(9, -1)
         tab.wcurlZ = (tab.rule.weights[:, None, None] * tab.curls).reshape(-1, nR) @ tab.Z
     monkeypatch.setattr(eqm, "_ref_tables", lambda degree: tab)
     j = fem.CurrentDensity(func=wave_j)

@@ -699,6 +699,18 @@ def test_gauge_picks_below_degree_four_are_the_fixed_offsets(k):
     assert not (kind == ps.NODE_CELL).any()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gauge_maps_gradients_only_where_cells_have_nodes(monkeypatch, k):
+    # the gauge visits only the kinds with Lagrange nodes of their own, and
+    # below k = 4 no cell has one: no gradient block is mapped over the tets
+    dm = fem.build_dofmap(GAUGE_MESHES["l_brick"](), k)
+    calls, mapped = [], fem._mapped_gradients
+    monkeypatch.setattr(fem, "_mapped_gradients",
+                        lambda *args: calls.append(args) or mapped(*args))
+    assert len(dm.gauge) == (~dm.registry.boundary).sum()
+    assert len(calls) == (k == 4)
+
+
 def test_degree_four_face_pick_is_well_conditioned_on_every_reference_face():
     # every free face fixes moments 2, 6 and 11, one pick that serves a face
     # whichever local face of its owner tet it is: the picked rows are well
@@ -709,7 +721,7 @@ def test_degree_four_face_pick_is_well_conditioned_on_every_reference_face():
     face = kind == ps.NODE_FACE
     assert np.array_equal(np.unique(entity[face]), np.nonzero(~m.boundary_face)[0])
     assert np.array_equal(off[face].reshape(-1, 3), np.tile([2, 6, 11], (face.sum() // 3, 1)))
-    nodes, C = ps.lagrange_nodes(4), fem._reference_gradient_dofs(4)
+    nodes, C = ps.lagrange_nodes(4), fem._ref_tables(4).C
     width = fem._nedelec_width(4)[ps.NODE_FACE]
     first = fem._local_columns(fem._nedelec_width(4), ps.NODE_FACE).start
     for f in range(4):

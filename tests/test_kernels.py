@@ -8,8 +8,9 @@ so it is pinned bitwise.
 The free x free sparse matrices are summed into the dof map's CSR pattern;
 they are pinned to the COO -> CSR -> free-slice oracle, whose pattern they
 reproduce exactly, and their summation holds one stack of element blocks
-at most.  The element maps by the folded reference tables and the per-tet
-scalings are pinned to the direct inverse of the element dof matrices.  The face
+at most.  The element maps by the reference tables, which are in the dof
+basis of the reference tet, and the per-tet scalings are pinned to the
+direct inverse of the element dof matrices.  The face
 kernels' exact 2k' rule is checked against the loop oracles, which integrate
 at 2k' + 4.
 """
@@ -148,16 +149,18 @@ def test_step1_reference_tables(kp):
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])
 def test_reference_pair_tables_match_einsum(kp):
-    # TCC and TVG as one product of weighted values against the
-    # 3-operand einsums: both sum the same q products of tabulated values,
-    # in another order, so they agree to q u of the summed magnitudes
+    # CC, VV and TVG as one product of weighted values against the
+    # 3-operand einsums: both sum the same q products of tabulated values
+    # of the dof basis, in another order, so they agree to q u of the
+    # summed magnitudes
     tab = fem._ref_tables(kp)
     w = tab.rule.weights
     v = _poly.vandermonde(3, kp, tab.rule.points)
-    vals = np.einsum("qm,icm->qci", v, ps.reference_space(ps.NEDELEC1_TET, kp).coeffs)
+    vals = np.einsum("qm,icm->qci", v, tab.coeffs)
     grads = np.einsum("qm,bmn->qbn", v, _poly.diff_stack(3, kp))[:, :, 1:]
     u = np.finfo(float).eps / 2
-    for got, f, g, spec in ((tab.TCC, tab.curls, tab.curls, "abij"),
+    for got, f, g, spec in ((tab.CC, tab.curls, tab.curls, "abij"),
+                            (tab.VV, vals, vals, "abij"),
                             (tab.TVG, vals, grads, "abji")):
         want = np.einsum(f"q,qai,qbj->{spec}", w, f, g).reshape(9, -1)
         size = np.einsum(f"q,qai,qbj->{spec}", w, np.abs(f), np.abs(g)).reshape(9, -1)
@@ -395,13 +398,13 @@ def test_free_pattern_on_one_tet(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_folded_tables_match_element_inverses(mesh, k):
-    # the reference tables folded with V_sigma^-1 and the dof map's per-tet
-    # scalings against V_t^-1 from np.linalg.inv of the element dof
-    # matrices, on tets of both orientations: element blocks V_t^-T A_gen
-    # V_t^-1 (with a metric that is not symmetric, so that rows and
-    # columns are told apart), loads V_t^-T b_gen and coefficients
-    # V_t^-1 u_loc
+def test_reference_tables_are_in_the_dof_basis(mesh, k):
+    # the reference tables and the dof map's per-tet scalings against
+    # V_t^-1 from np.linalg.inv of the element dof matrices, applied to
+    # tables of the generic basis of reference_space, on tets of both
+    # orientations: element blocks V_t^-T A_gen V_t^-1 (with a metric that
+    # is not symmetric, so that rows and columns are told apart), loads
+    # V_t^-T b_gen and curls of the coefficients V_t^-1 u_loc
     assert set(mesh.geom().sign) == {-1.0, 1.0}
     dm = fem.build_dofmap(mesh, k)
     tab = fem._ref_tables(k)
@@ -410,22 +413,34 @@ def test_folded_tables_match_element_inverses(mesh, k):
     assert not any(isinstance(v, np.ndarray) and v.shape == (T, n, n) and v.dtype.kind == "f"
                    for v in vars(dm).values())
     rng = np.random.default_rng(k)
-    vals = np.einsum("qm,icm->qci", _poly.vandermonde(3, k, tab.rule.points),
-                     ps.reference_space(ps.NEDELEC1_TET, k).coeffs)
-    TVV = np.einsum("q,qai,qbj->abij", tab.rule.weights, vals, vals).reshape(9, -1)
+    generic = ps.reference_space(ps.NEDELEC1_TET, k)
+    w, v = tab.rule.weights, _poly.vandermonde(3, k, tab.rule.points)
+    vals = np.einsum("qm,icm->qci", v, generic.coeffs)
+    curls = np.einsum("qm,iam->qai", v, generic.curl_coeffs())
     K = rng.standard_normal((T, 9))
-    for generic, folded in ((tab.TCC, tab.CC), (TVV, tab.VV)):
-        A_gen = (K @ generic).reshape(T, n, n)
-        assert_pinned(fem._element_blocks(dm, K, folded),
+    for f, table in ((curls, tab.CC), (vals, tab.VV)):
+        A_gen = (K @ np.einsum("q,qai,qbj->abij", w, f, f).reshape(9, -1)).reshape(T, n, n)
+        assert_pinned(fem._element_blocks(dm, K, table),
                       Vinv.transpose(0, 2, 1) @ A_gen @ Vinv)
-    b_gen = rng.standard_normal((T, n))
-    got = b_gen @ tab.Vref_inv
+    jhat = rng.standard_normal((T, len(w) * 3))
+    got = jhat @ tab.wvals
     dm.unscale(got)
+    b_gen = jhat @ (w[:, None, None] * vals).reshape(-1, n)
     assert_pinned(got, np.einsum("tji,tj->ti", Vinv, b_gen))
     u_loc = rng.standard_normal((T, n))
     got = u_loc.copy()
     dm.unscale(got, transpose=True)
-    assert_pinned(got @ tab.Vref_inv.T, np.einsum("tij,tj->ti", Vinv, u_loc))
+    assert_pinned(got @ tab.dof_curls,
+                  np.einsum("tij,tj->ti", Vinv, u_loc) @ generic.curl_coeffs().reshape(n, -1))
+    # the canonical dofs of the basis are the identity, up to the rounding
+    # of its values: a value sums n_m monomial terms of magnitude at most
+    # sum |coeffs| on the reference tet, and every functional weighs the
+    # values by less than 2 in sum (measured: at most 0.05 of this bound)
+    basis = dataclasses.replace(generic, coeffs=tab.coeffs)
+    nm = tab.coeffs.shape[2]
+    bound = 2 * nm * (np.finfo(float).eps / 2) * np.abs(tab.coeffs).sum(axis=(1, 2))
+    dofs = ps.nedelec_dof_matrix(ps.TET_VERTS, k, basis.eval)
+    assert np.all(np.abs(dofs - np.eye(n)) <= bound)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
