@@ -5,7 +5,7 @@ so it is the reference tet in one vertex order, and two tets that share an
 edge or face apply identical moment functionals: the assembled field is
 tangentially continuous.  The reference tables of a degree are all in the
 dof basis of the reference tet, in which the canonical dofs of a field are
-its coefficients (``_RefTables`` inverts the reference dof matrix once).
+its coefficients; ``polyspace.reference_space`` returns that basis.
 The local basis of tet t is that basis, mapped covariantly, times S_t^-1,
 with S_t the element map: the identity on edge dofs, diagonal on face dofs
 and kron(I, vol6 J^-T) on interior dofs.  So no element dof matrix is
@@ -43,7 +43,7 @@ each stage evaluates each tet-rule quantity once.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -558,13 +558,13 @@ class _RefTables:
     """The reference tables of the degree, all in the dof basis of the
     reference tet, in which the canonical dofs of a field are its
     coefficients.  ``coeffs`` (n, 3, m) holds the monomial coefficients of
-    that basis: V_sigma^-T times those of ``reference_space``, with V_sigma
-    the dof matrix of the latter, I up to roundoff that grows with the
-    degree.  The other tables derive from ``coeffs``, at the data rule of
-    the degree, which also integrates the curl-curl and mass blocks
-    exactly: the curl coefficients ``dof_curls`` (n, 3 m), the curls, the
-    weighted values ``wvals`` (q 3, n) and the curl and value pairs CC and
-    VV (9, n n).  So an element's blocks, its load and its H_h only need
+    that basis, as ``reference_space`` returns them: it applies the one
+    correction of the basis, so no table here corrects or inverts anything.
+    The other tables derive from ``coeffs``, at the data rule of the
+    degree, which also integrates the curl-curl and mass blocks exactly:
+    the curl coefficients ``dof_curls`` (n, 3 m), the curls, the weighted
+    values ``wvals`` (q 3, n) and the curl and value pairs CC and VV (9,
+    n n).  So an element's blocks, its load and its H_h only need
     ``DofMap.unscale``; VV serves only ``assemble_mass``.  C (n, n_lag)
     holds the dofs of the scalar-basis gradients.
 
@@ -582,11 +582,9 @@ class _RefTables:
     def __init__(self, degree: int):
         self.rule = ps.quadrature("tet", _data_exactness(degree))
         w, v = self.rule.weights, _poly.vandermonde(3, degree, self.rule.points)
-        generic = ps.reference_space(ps.NEDELEC1_TET, degree)
-        Vi = np.linalg.inv(ps._reference_dofs(ps.NEDELEC1_TET, degree))
-        space = replace(generic, coeffs=np.einsum("gi,gcm->icm", Vi, generic.coeffs))
+        space = ps.reference_space(ps.NEDELEC1_TET, degree)
         self.coeffs = space.coeffs
-        ccoef, n = space.curl_coeffs(), len(Vi)
+        ccoef, n = space.curl_coeffs(), space.dim
         self.dof_curls = ccoef.reshape(n, -1)
         vals = np.einsum("qm,icm->qci", v, self.coeffs)
         self.curls = np.einsum("qm,iam->qai", v, ccoef)
@@ -594,14 +592,11 @@ class _RefTables:
         self.CC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
         self.VV = _pairs(w, vals, vals).reshape(9, n * n)
         gradc = ps.reference_space(ps.P_SCALAR_TET, degree).grad_coeffs()
-        self.C = ps.nedelec_dof_matrix(ps.TET_VERTS, degree, lambda p: np.einsum(
-            "qm,ibm->qbi", _poly.vandermonde(3, degree, p), gradc))
+        self.C = ps.reference_dofs(ps.NEDELEC1_TET, degree, gradc)
 
         D = _poly.diff_stack(3, degree)
         grads = np.einsum("qm,bmn->qbn", v, D)[:, :, 1:]
-        self.G = ps.nedelec_dof_matrix(
-            ps.TET_VERTS, degree,
-            lambda p: np.einsum("qm,bmn->qbn", _poly.vandermonde(3, degree, p), D)[:, :, 1:])
+        self.G = ps.reference_dofs(ps.NEDELEC1_TET, degree, D.transpose(2, 0, 1)[1:])
         nB = self.G.shape[1]
         TVG = _pairs(w, vals, grads).transpose(0, 1, 3, 2).reshape(9, nB, n)
         self.Z = np.linalg.svd(TVG[[0, 4, 8]].sum(axis=0))[2][nB:].T
@@ -935,7 +930,8 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
 def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     """Element-wise div-conforming interpolation of an analytic current:
     the reference functionals of its Piola pull-back det J J^-1 j on all
-    tets, one solve with the reference dof matrix, and the Piola map back.
+    tets, which are its coefficients in the basis of ``reference_space``
+    (that basis carries the one correction), and the Piola map back.
 
     Face moments follow the ascending vertex ids, so normal fluxes match
     across internal faces and the interpolant is H(div)-conforming.
@@ -947,8 +943,7 @@ def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     M = det * np.ascontiguousarray(geom.Jinv.transpose(0, 2, 1))
     b = ps.rt_dof_matrix(ps.TET_VERTS, degree, _pulled_back(mesh, j_func, M),
                          exactness=_data_exactness(degree))
-    c = np.linalg.solve(ps._reference_dofs(ps.RT_TET, degree), b)       # (n, T)
-    cref = np.einsum("it,icm->tcm", c, space.coeffs)
+    cref = np.einsum("it,icm->tcm", b, space.coeffs)
     field = BrokenPolyField(mesh, degree, (geom.J @ cref) / det)
     return CurrentDensity(func=j_func, field=field)
 

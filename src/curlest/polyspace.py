@@ -4,20 +4,21 @@ Provides quadrature rules on segment/triangle/tetrahedron, Lagrange node
 sets, and the polynomial spaces of the tetrahedron used throughout: scalar,
 curl-conforming (first-kind edge) and divergence-conforming.  Bases are built
 from orthogonalized monomial generators and re-expressed as the dual basis of
-the canonical moment functionals.  Their unisolvence matrix, the functionals
-applied to the basis (``_reference_dofs``), is the identity only up to the
-rounding of evaluating a basis with large coefficients: its largest entry
-off I measures 4.5e-16, 4.4e-15, 2.6e-13 and 1.1e-11 for the edge spaces at
-k = 1..4, and up to 1.8e-11 for the divergence-conforming ones.  One step
-of refinement still leaves 3.5e-12 at k = 4, so the rest cannot be
-corrected away, and the library does not take the matrix for I: ``femsys``
-solves with it (the current projection) or inverts it once per degree
-(``_RefTables``).  The canonical functionals take one tet; the library
-applies them on the reference tet only, to fields pulled back from every
-tet of a mesh at once (``femsys``).  The face space of
-estimator step 2 is not a reference space: step 2 works in the monomials
-of each face's affine coordinates directly (see ``equilibrate``), and the
-tests check the exact sequence of the triangle spaces behind it.
+the canonical moment functionals, which ``reference_dofs`` applies to fields
+given by monomial coefficients.  The functionals of that dual basis are I
+only up to the rounding of evaluating a basis with large coefficients: their
+largest entry off I measures 4.5e-16, 4.4e-15, 2.6e-13 and 1.1e-11 for the
+edge spaces at k = 1..4, and up to 1.8e-11 for the divergence-conforming
+ones.  So ``reference_space`` multiplies the coefficients by the inverse of
+that matrix once, and returns the corrected basis, in which the canonical
+dofs of a field are its coefficients to within the rounding of that one
+product; no other module corrects a basis or solves with the functionals.
+The canonical functionals take one tet; the library applies them on the
+reference tet only, to fields pulled back from every tet of a mesh at once
+(``femsys``).  The face space of estimator step 2 is not a reference space:
+step 2 works in the monomials of each face's affine coordinates directly
+(see ``equilibrate``), and the tests check the exact sequence of the
+triangle spaces behind it.
 """
 
 from __future__ import annotations
@@ -234,15 +235,6 @@ def nedelec_dof_matrix(verts: np.ndarray, k: int, field_eval) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-@lru_cache(maxsize=None)
-def _reference_dofs(kind: str, k: int) -> np.ndarray:
-    """Reference-basis dof matrix of ``kind`` on the reference tet."""
-    dofm = nedelec_dof_matrix if kind == NEDELEC1_TET else rt_dof_matrix
-    V = dofm(TET_VERTS, k, reference_space(kind, k).eval)
-    V.setflags(write=False)
-    return V
-
-
 def rt_dof_matrix(verts: np.ndarray, k: int, field_eval,
                   exactness: int | None = None) -> np.ndarray:
     """Canonical face-flux / interior moments of the div-conforming space on
@@ -283,7 +275,8 @@ KINDS = (P_SCALAR_TET, NEDELEC1_TET, RT_TET)
 @dataclass(frozen=True)
 class ReferenceSpace:
     """A polynomial space on a reference simplex, stored as the dual basis of
-    its canonical degree-of-freedom functionals.
+    its canonical degree-of-freedom functionals; for the vector kinds, the
+    basis that ``reference_space`` has corrected once (module docstring).
 
     ``coeffs`` has shape (dim, ncomp, n_monomials): basis function i is
     ``sum_m coeffs[i, c, m] * monomial_m`` in component c.
@@ -403,21 +396,28 @@ def reference_space(kind: str, degree: int) -> ReferenceSpace:
     if kind == NEDELEC1_TET:
         gen = _orthonormalize(_nedelec_generators(degree), 3, degree,
                               dim_nedelec_tet(degree))
-        dofm = nedelec_dof_matrix
     elif kind == RT_TET:
         gen = _orthonormalize(_rt_generators(degree, 3), 3, degree,
                               dim_rt_tet(degree))
-        dofm = rt_dof_matrix
     else:
         raise WrongKind(f"unknown kind {kind!r}")
-
-    def field_eval(pts):
-        v = _poly.vandermonde(3, degree, pts)
-        return np.einsum("qm,icm->qci", v, gen)
-
-    V = dofm(TET_VERTS, degree, field_eval)
+    V = reference_dofs(kind, degree, gen)
     if V.shape[0] != V.shape[1]:
         raise RuntimeError("functional count does not match space dimension")
-    X = np.linalg.solve(V, np.eye(len(V)))
-    coeffs = np.einsum("gi,gcm->icm", X, gen)
+    coeffs = np.einsum("gi,gcm->icm", np.linalg.solve(V, np.eye(len(V))), gen)
+    # the one correction: the functionals of that dual basis are I only up
+    # to roundoff, so its coefficients are multiplied by their inverse once
+    V_sigma = reference_dofs(kind, degree, coeffs)
+    coeffs = np.einsum("gi,gcm->icm", np.linalg.inv(V_sigma), coeffs)
     return ReferenceSpace(kind, degree, len(coeffs), 3, 3, coeffs)
+
+
+def reference_dofs(kind: str, degree: int, coeffs: np.ndarray) -> np.ndarray:
+    """The canonical functionals of the vector ``kind`` on the reference tet
+    applied to the fields with monomial coefficients ``coeffs`` (n, 3, m)
+    of the degree, in ``reference_space``'s layout: (n_dofs, n)."""
+    dofm = {NEDELEC1_TET: nedelec_dof_matrix, RT_TET: rt_dof_matrix}.get(kind)
+    if dofm is None:
+        raise WrongKind(f"no vector functionals for kind {kind!r}")
+    return dofm(TET_VERTS, degree, lambda pts: np.einsum(
+        "qm,icm->qci", _poly.vandermonde(3, degree, pts), coeffs))
