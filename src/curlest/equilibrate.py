@@ -44,7 +44,7 @@ from .errors import (DataIncompatible, EquilibriumViolated, FaceIncompatible,
                      FaceSolveSingular, InconsistentPatch, LocalSolveSingular,
                      OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
-                     NodeRegistry, face_jump_values, face_traces,
+                     NodeRegistry, face_traces,
                      sq_norms, tangential_jump_norms, tangential_jump_values,
                      _data_exactness, _face_rule, _factor_spd, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
@@ -163,7 +163,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
         if not j.is_polynomial:
             raise DataIncompatible("strict mode requires piecewise-polynomial data")
         jd_poly = j.field.padded_to(kp).plus(jh.padded_to(kp).scale(-1.0))
-        scale = max(float(jd_norm.max(initial=0.0)), 1e-30) / mesh.h_min_edge()
+        scale = max(float(j.field.mu_norms().max(initial=0.0)), 1e-30) / mesh.h_min_edge()
         ratio = jd_poly.div().mu_norms() / scale
         t = int(np.argmax(ratio))
         if ratio[t] > STRICT_TOL:
@@ -237,6 +237,7 @@ class FaceMultiplier:
     div_norm: np.ndarray         # (Fi,) in-plane divergence of the fitted data
     mean_abs: np.ndarray         # (Fi,) |(lambda, 1)_f|
     lam_scale: float             # max |lambda| at the 2k' face rule points; scales tolerances
+    trace_scale: float           # max L2 norm of a face trace of the corrected field
 
     @property
     def n_faces(self) -> int:
@@ -292,28 +293,36 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
 
     The jumps of the field and of its curl are traced together; the
     in-plane divergence of the tangential jump is div_f(n x [F]) =
-    -n . [curl F], exact, so compatible data reports machine zero."""
+    -n . [curl F], exact, so compatible data reports machine zero.  The
+    strict checks of steps 2 and 3 scale by the face norms of the traces
+    of curl F, the data j up to step 1's residual, and of F, which do not
+    vanish with the error as the jumps do."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     internal = mesh.internal_faces()
     stacked = BrokenPolyField(
         mesh, kp, np.concatenate([total.coeffs, total.curl().coeffs], axis=1))
-    jumps = face_jump_values(mesh, stacked, internal)               # (Fi, q, 6)
+    plus = face_traces(mesh, stacked, internal, 0)                   # (Fi, q, 6)
+    jumps = plus - face_traces(mesh, stacked, internal, 1)
     ndiv = jumps[:, :, 3:] @ mesh.face_normals()[internal][:, :, None]   # (Fi, q, 1)
     w = _face_tables(kp).rule.weights
-    div_norm = np.sqrt(2.0 * mesh.face_areas()[internal] * sq_norms(ndiv, w))
+    area2 = 2.0 * mesh.face_areas()[internal]
+    div_norm = np.sqrt(area2 * sq_norms(ndiv, w))
     lam, dual, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
         mesh, internal, jumps[:, :, :3], kp)
+    # the largest face norms of F and of curl F on the plus side
+    trace_scale, jscale = np.sqrt((area2[:, None] * sq_norms(plus.reshape(
+        len(internal), len(w), 2, 3).transpose(0, 2, 1, 3), w)).max(axis=0, initial=0.0))
     out = FaceMultiplier(kp, internal, lam, mesh.vertices[mesh.faces[internal, 0]],
-                         dual, resid, jnorm, div_norm, mean_abs, lam_scale)
+                         dual, resid, jnorm, div_norm, mean_abs, lam_scale,
+                         float(trace_scale))
     if strict:
-        hf = mesh.face_diameters()[internal]
-        ratio = div_norm * hf / max(float(jnorm.max(initial=0.0)), 1e-30)
+        ratio = div_norm / max(float(jscale), 1e-30)
         bad = ratio > STRICT_TOL
         if bad.any():
             i = int(np.argmax(ratio))
             raise FaceIncompatible(
                 f"{int(bad.sum())} faces violate the in-plane divergence "
-                f"condition; worst face {internal[i]}: div_norm*h_f/jscale = "
+                f"condition; worst face {internal[i]}: div_norm/jscale = "
                 f"{ratio[i]:.3e} > tol {STRICT_TOL:.1e}",
                 face=int(internal[i]), value=float(ratio[i]))
     return out
@@ -484,12 +493,13 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     max_resid = float(resid[node].max())
     worst = int(node[resid[node] >= (1.0 - 1e-12) * max_resid].min())
     out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, worst)
-    if strict and max_resid > STRICT_TOL * max(scale, 1e-30):
+    data_scale = max(fm.trace_scale, 1e-30)     # lambda's data are jumps of F
+    if strict and max_resid > STRICT_TOL * data_scale:
         k, e = int(reg.kind[worst]), int(reg.entity[worst])
-        rel = max_resid / max(scale, 1e-30)
+        rel = max_resid / data_scale
         raise InconsistentPatch(
             f"node {worst} ({out.worst_node_name}): patch residual {max_resid:.3e} "
-            f"= {rel:.3e} x {scale:.3e}, above {STRICT_TOL:.1e}",
+            f"= {rel:.3e} x {data_scale:.3e}, above {STRICT_TOL:.1e}",
             node=worst, kind=k, entity=e, value=rel)
     return out
 

@@ -369,9 +369,6 @@ class DofMap:
             cells[...] = (cells.reshape(x.shape[:-1] + (w[ps.NODE_CELL] // 3, 3))
                           @ M.reshape((T,) + mid + (3, 3))).reshape(cells.shape)
 
-    def unscale(self, x: np.ndarray, transpose: bool = False) -> None:
-        self.apply_map(x, inverse=True, transpose=transpose)   # x S_t^-1 or x S_t^-T
-
     @cached_property
     def G(self) -> sp.csc_matrix:
         """(n_free, free registry nodes) discrete gradient."""
@@ -467,7 +464,7 @@ def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     ent = lay.tet_entities[:, np.repeat(lay.width, _TET_ENTITIES) > 0]  # with dofs
     le = np.repeat(np.arange(ent.shape[1]), lay.count[ent[0]])  # entity of local dof
     off = np.arange(len(le)) - np.searchsorted(le, le)        # offset in the entity
-    # J^T / vol6, C-contiguous: unscale's products round by layout
+    # J^T / vol6, C-contiguous: the inverse map's products round by layout
     geom = mesh.geom()
     cell_map = np.ascontiguousarray(geom.J.transpose(0, 2, 1)) / geom.absdet[:, None, None]
     return DofMap(mesh, k, lay, lay.first[ent][:, le] + off,
@@ -558,15 +555,15 @@ class _RefTables:
     """The reference tables of the degree, all in the dof basis of the
     reference tet, in which the canonical dofs of a field are its
     coefficients.  ``coeffs`` (n, 3, m) holds the monomial coefficients of
-    that basis, as ``reference_space`` returns them: it applies the one
-    correction of the basis, so no table here corrects or inverts anything.
-    The other tables derive from ``coeffs``, at the data rule of the
-    degree, which also integrates the curl-curl and mass blocks exactly:
-    the curl coefficients ``dof_curls`` (n, 3 m), the curls, the weighted
-    values ``wvals`` (q 3, n) and the curl and value pairs CC and VV (9,
-    n n).  So an element's blocks, its load and its H_h only need
-    ``DofMap.unscale``; VV serves only ``assemble_mass``.  C (n, n_lag)
-    holds the dofs of the scalar-basis gradients.
+    that basis as ``reference_space`` returns them, corrected there.  The
+    other tables derive from them: the curl coefficients ``dof_curls`` (n,
+    3 m) and, at the data rule of the degree, the curls, the weighted values
+    ``wvals`` (q 3, n) and the value pairs VV (9, n n).  The curl pairs CC
+    (9, n n), of degree 2k - 2, take the rule exact for that degree, whose
+    fewer points round less: the estimator amplifies the rounding of CC.
+    So an element's blocks, its load and its H_h only need the inverse
+    element map (``DofMap.apply_map``); VV serves only ``assemble_mass``.
+    C (n, n_lag) holds the dofs of the scalar-basis gradients.
 
     The rest serves estimator step 1, one reference problem in the metric
     of each tet.  G holds the dofs of the gradients of the non-constant
@@ -589,7 +586,9 @@ class _RefTables:
         vals = np.einsum("qm,icm->qci", v, self.coeffs)
         self.curls = np.einsum("qm,iam->qai", v, ccoef)
         self.wvals = (w[:, None, None] * vals).reshape(-1, n)
-        self.CC = _pairs(w, self.curls, self.curls).reshape(9, n * n)
+        cc = ps.quadrature("tet", 2 * degree - 2)
+        c = np.einsum("qm,iam->qai", _poly.vandermonde(3, degree, cc.points), ccoef)
+        self.CC = _pairs(cc.weights, c, c).reshape(9, n * n)
         self.VV = _pairs(w, vals, vals).reshape(9, n * n)
         gradc = ps.reference_space(ps.P_SCALAR_TET, degree).grad_coeffs()
         self.C = ps.reference_dofs(ps.NEDELEC1_TET, degree, gradc)
@@ -624,8 +623,8 @@ def _element_blocks(dofmap: DofMap, K: np.ndarray, pairs: np.ndarray) -> np.ndar
     column and the row scalings in place."""
     n = dofmap.cell_dofs.shape[1]
     blocks = (K @ pairs).reshape(len(K), n, n)
-    dofmap.unscale(blocks)
-    dofmap.unscale(blocks.transpose(0, 2, 1))
+    dofmap.apply_map(blocks, inverse=True)
+    dofmap.apply_map(blocks.transpose(0, 2, 1), inverse=True)
     return blocks
 
 
@@ -691,8 +690,8 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     load's rounding bound; the solve reads the free entries.
 
     Each tet's load in the dof basis of the reference tet, b_ref, is one
-    product with the weighted values; S_t^-T (``DofMap.unscale``) turns it
-    into the element load.  With C the reference dofs of the scalar-basis
+    product with the weighted values; S_t^-T (``DofMap.apply_map``) turns
+    it into the element load.  With C the reference dofs of the scalar-basis
     gradients, which are their coefficients in that basis, the local block
     of G is S_t C, and S_t^T maps the element load back to b_ref, so tet t
     adds C^T b_ref[t] to the scalar load of its nodes.  On a free node no
@@ -726,7 +725,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, j: CurrentDensity) -> Load:
     # as exact; their own rounding adds a few u per term, well inside n.
     valence = np.bincount(nodes, minlength=reg.n_nodes)[free]
     n = tab.wvals.shape[0] + C.shape[0] + valence
-    dofmap.unscale(b_ref)                                   # the element loads
+    dofmap.apply_map(b_ref, inverse=True)                   # the element loads
     values = np.bincount(dofmap.cell_dofs.ravel(), weights=b_ref.ravel(),
                          minlength=dofmap.n_dofs)
     values.setflags(write=False)
@@ -764,7 +763,7 @@ def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
     k = dofmap.degree
     geom = mesh.geom()
     x = u.values[dofmap.cell_dofs]
-    dofmap.unscale(x, transpose=True)
+    dofmap.apply_map(x, inverse=True, transpose=True)
     cc = (x @ _ref_tables(k).dof_curls).reshape(mesh.n_tets, 3, -1)
     out = (geom.J @ cc) / (geom.sign * geom.absdet * mu.per_tet(mesh))[:, None, None]
     return BrokenPolyField(mesh, k, out)
@@ -930,20 +929,19 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
 def project_current(mesh: Mesh, j_func, degree: int) -> CurrentDensity:
     """Element-wise div-conforming interpolation of an analytic current:
     the reference functionals of its Piola pull-back det J J^-1 j on all
-    tets, which are its coefficients in the basis of ``reference_space``
-    (that basis carries the one correction), and the Piola map back.
+    tets, which are its coefficients in the corrected basis of
+    ``reference_space``, and the Piola map back.
 
     Face moments follow the ascending vertex ids, so normal fluxes match
     across internal faces and the interpolant is H(div)-conforming.
     """
-    space = ps.reference_space(ps.RT_TET, degree)
     geom = mesh.geom()
     det = (geom.sign * geom.absdet)[:, None, None]
     # det J J^-T, C-contiguous: a batched product with a strided one is slower
     M = det * np.ascontiguousarray(geom.Jinv.transpose(0, 2, 1))
     b = ps.rt_dof_matrix(ps.TET_VERTS, degree, _pulled_back(mesh, j_func, M),
                          exactness=_data_exactness(degree))
-    cref = np.einsum("it,icm->tcm", b, space.coeffs)
+    cref = np.einsum("it,icm->tcm", b, ps.reference_space(ps.RT_TET, degree).coeffs)
     field = BrokenPolyField(mesh, degree, (geom.J @ cref) / det)
     return CurrentDensity(func=j_func, field=field)
 

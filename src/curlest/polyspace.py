@@ -4,21 +4,17 @@ Provides quadrature rules on segment/triangle/tetrahedron, Lagrange node
 sets, and the polynomial spaces of the tetrahedron used throughout: scalar,
 curl-conforming (first-kind edge) and divergence-conforming.  Bases are built
 from orthogonalized monomial generators and re-expressed as the dual basis of
-the canonical moment functionals, which ``reference_dofs`` applies to fields
-given by monomial coefficients.  The functionals of that dual basis are I
-only up to the rounding of evaluating a basis with large coefficients: their
-largest entry off I measures 4.5e-16, 4.4e-15, 2.6e-13 and 1.1e-11 for the
-edge spaces at k = 1..4, and up to 1.8e-11 for the divergence-conforming
-ones.  So ``reference_space`` multiplies the coefficients by the inverse of
-that matrix once, and returns the corrected basis, in which the canonical
-dofs of a field are its coefficients to within the rounding of that one
-product; no other module corrects a basis or solves with the functionals.
-The canonical functionals take one tet; the library applies them on the
-reference tet only, to fields pulled back from every tet of a mesh at once
-(``femsys``).  The face space of estimator step 2 is not a reference space:
-step 2 works in the monomials of each face's affine coordinates directly
-(see ``equilibrate``), and the tests check the exact sequence of the
-triangle spaces behind it.
+the canonical moment functionals, which ``reference_dofs`` applies.  Those
+functionals give I on that basis only up to rounding: their largest entry
+off I is 4.5e-16, 4.4e-15, 2.6e-13 and 1.1e-11 for the edge spaces at k =
+1..4, up to 1.8e-11 for the divergence-conforming ones.  So
+``reference_space`` corrects the basis once, by their inverse, and no other
+module corrects a basis or solves with the functionals.  The library applies
+them on the reference tet only, to fields pulled back from every tet of a
+mesh at once (``femsys``).  The face space of estimator step 2 is not a
+reference space: step 2 works in the monomials of each face's affine
+coordinates directly (see ``equilibrate``), and the tests check the exact
+sequence of the triangle spaces behind it.
 """
 
 from __future__ import annotations
@@ -275,8 +271,8 @@ KINDS = (P_SCALAR_TET, NEDELEC1_TET, RT_TET)
 @dataclass(frozen=True)
 class ReferenceSpace:
     """A polynomial space on a reference simplex, stored as the dual basis of
-    its canonical degree-of-freedom functionals; for the vector kinds, the
-    basis that ``reference_space`` has corrected once (module docstring).
+    its canonical degree-of-freedom functionals, corrected once (module
+    docstring).
 
     ``coeffs`` has shape (dim, ncomp, n_monomials): basis function i is
     ``sum_m coeffs[i, c, m] * monomial_m`` in component c.
@@ -405,10 +401,9 @@ def reference_space(kind: str, degree: int) -> ReferenceSpace:
     if V.shape[0] != V.shape[1]:
         raise RuntimeError("functional count does not match space dimension")
     coeffs = np.einsum("gi,gcm->icm", np.linalg.solve(V, np.eye(len(V))), gen)
-    # the one correction: the functionals of that dual basis are I only up
-    # to roundoff, so its coefficients are multiplied by their inverse once
-    V_sigma = reference_dofs(kind, degree, coeffs)
-    coeffs = np.einsum("gi,gcm->icm", np.linalg.inv(V_sigma), coeffs)
+    # the one correction: the inverse of the functionals of that dual basis
+    V_sigma_inv = np.linalg.inv(reference_dofs(kind, degree, coeffs))
+    coeffs = np.einsum("gi,gcm->icm", V_sigma_inv, coeffs)
     return ReferenceSpace(kind, degree, len(coeffs), 3, 3, coeffs)
 
 

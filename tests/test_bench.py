@@ -181,6 +181,8 @@ def test_lbrick_strict_a2_stops_at_the_reentrant_edge():
                                              estimator="eq"))
     corners = m.vertices[m.tets[exc.value.tet]]
     assert (np.abs(corners[:, :2]).max(axis=1) == 0.0).any()
+    # measured 9.4e-2 of the data's scale, far above roundoff
+    assert exc.value.value > 1e-3
 
 
 def test_jump_problem_tags_align_with_interface():
@@ -487,6 +489,28 @@ def test_cli_uniform_degree_four_run_solves_every_level(tmp_path):
                      "--out", str(out)]) == 0
     rows = json.loads((out / "report.json").read_text())["rows"]
     assert [r["resolution"] for r in rows] == [1, 2]
+
+
+def test_cli_strict_run_passes_where_the_solution_is_exact(tmp_path):
+    # cube_poly's solution lies in the k = 4 space: H_h, the estimate and
+    # every residual of the strict checks are roundoff.  The checks' scales
+    # come from the data and the traces of the corrected field, which stay
+    # finite, so the run passes all three
+    out = tmp_path / "rep"
+    assert cli.main(["run", "cube_poly", "--degree", "4", "--strict-a2",
+                     "--levels", "2", "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [r["resolution"] for r in rows] == [1, 2]
+    assert all(r["eta_h"] <= 1e-10 and r["error"] <= 1e-10 for r in rows), rows
+
+
+def test_cli_strict_run_on_singular_data_stops_in_step_1(capsys):
+    # negative control of the data scale of step 1: the projected r^(-1/3)
+    # current is not solenoidal at the reentrant edge
+    assert cli.main(["run", "lbrick_singular", "--degree", "2", "--strict-a2",
+                     "--levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "divergence compatibility" in err
 
 
 def test_cli_run_and_config_override(tmp_path):

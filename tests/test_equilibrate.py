@@ -950,10 +950,10 @@ def test_strict_mode_rejects_divergent_data():
     bad.field.coeffs[t, 0, 1] += 1.0     # x-dependence in one tet: div != 0
     with pytest.raises(eqm.DataIncompatible) as exc:
         eqm.step1_element_corrections(m, MU1, bad, Hh, 1, strict_a2=True)
-    # the error names that tet and its div_norm * h_min / jscale
+    # the error names that tet and its div_norm * h_min / jscale, with
+    # jscale the largest element norm of the data
     jd = bad.field.plus(Hh.curl().scale(-1.0))
-    corr = eqm.step1_element_corrections(m, MU1, bad, Hh, 1)
-    ratio = jd.div().mu_norms()[t] * m.h_min_edge() / corr.jdelta_norm.max()
+    ratio = jd.div().mu_norms()[t] * m.h_min_edge() / bad.field.mu_norms().max()
     assert exc.value.tet == t
     assert exc.value.value == pytest.approx(ratio, rel=1e-12)
     assert f"tet {t}:" in str(exc.value)
@@ -967,9 +967,15 @@ def test_strict_mode_rejects_incompatible_face_data():
     assert corr.oscillation > 1e-3   # data genuinely incompatible at k'=1
     with pytest.raises(eqm.FaceIncompatible) as exc:
         eqm.step2_face_multipliers(m, Hh, corr, 1, strict=True)
-    # the error names the face with the largest div_norm * h_f and its ratio
+    # the error names the face with the largest div_norm and its ratio to
+    # jscale, the largest face norm of the curl of the corrected field
     fm = eqm.step2_face_multipliers(m, Hh, corr, 1)
-    ratio = fm.div_norm * m.face_diameters()[fm.internal_faces] / fm.jnorm.max()
+    faces, rule = fm.internal_faces, ps.quadrature("tri", 2)
+    curl = Hh.plus(corr.Hhat).curl().eval_points(
+        m.face_tets[faces, 0], face_rule_points(m, faces, rule))
+    jscale = np.sqrt(2.0 * m.face_areas()[faces]
+                     * np.einsum("q,fqc,fqc->f", rule.weights, curl, curl)).max()
+    ratio = fm.div_norm / jscale
     worst = int(np.argmax(ratio))
     assert exc.value.face == fm.internal_faces[worst]
     assert exc.value.value == pytest.approx(ratio[worst], rel=1e-12)
@@ -1031,9 +1037,11 @@ def _broken_jump_multipliers(m, kp, rng):
     v = m.vertices[m.faces[internal]]
     E = v[:, 1:] - v[:, :1]
     zero = np.zeros(len(internal))
+    # no field lies behind these multipliers: their own size scales them
+    scale = float(np.abs(vals).max())
     return eqm.FaceMultiplier(kp, internal, face_coefficients(vals, kp), v[:, 0],
                               E.transpose(0, 2, 1) @ np.linalg.inv(E @ E.transpose(0, 2, 1)),
-                              zero, zero, zero, zero, float(np.abs(vals).max()))
+                              zero, zero, zero, zero, scale, scale)
 
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])
@@ -1065,13 +1073,14 @@ def test_strict_mode_rejects_inconsistent_multipliers():
     fm.lam[0, 0] += 10.0 * max(fm.lam_scale, 1.0)   # break one face constant
     with pytest.raises(eqm.InconsistentPatch) as exc:
         eqm.step3_reconstruct_phi(m, fm, out.phi.registry, strict=True)
-    # the error names a node of the broken face and its residual over scale
+    # the error names a node of the broken face and its residual over the
+    # largest face trace of the corrected field
     err = exc.value
     f = fm.internal_faces[0]
     assert err.kind in (ps.NODE_VERTEX, ps.NODE_EDGE)
     assert err.entity in (m.faces[f] if err.kind == ps.NODE_VERTEX else m.face_edges[f])
     phi = eqm.step3_reconstruct_phi(m, fm, out.phi.registry)
-    assert err.value == pytest.approx(phi.max_residual / phi.lam_scale, rel=1e-12)
+    assert err.value == pytest.approx(phi.max_residual / fm.trace_scale, rel=1e-12)
     assert f"node {err.node} " in str(err)
 
 

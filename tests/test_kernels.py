@@ -401,10 +401,10 @@ def test_free_pattern_on_one_tet(k, monkeypatch):
 def test_reference_tables_are_in_the_dof_basis(mesh, k):
     # the reference tables and the dof map's per-tet scalings against
     # V_t^-1 from np.linalg.inv of the element dof matrices, applied to
-    # tables of the generic basis of reference_space, on tets of both
-    # orientations: element blocks V_t^-T A_gen V_t^-1 (with a metric that
-    # is not symmetric, so that rows and columns are told apart), loads
-    # V_t^-T b_gen and curls of the coefficients V_t^-1 u_loc
+    # tables of the basis of reference_space that the oracle integrates
+    # itself, on tets of both orientations: element blocks V_t^-T A V_t^-1
+    # (with a metric that is not symmetric, so that rows and columns are
+    # told apart), loads V_t^-T b and curls of the coefficients V_t^-1 u_loc
     assert set(mesh.geom().sign) == {-1.0, 1.0}
     dm = fem.build_dofmap(mesh, k)
     tab = fem._ref_tables(k)
@@ -413,40 +413,42 @@ def test_reference_tables_are_in_the_dof_basis(mesh, k):
     assert not any(isinstance(v, np.ndarray) and v.shape == (T, n, n) and v.dtype.kind == "f"
                    for v in vars(dm).values())
     rng = np.random.default_rng(k)
-    generic = ps.reference_space(ps.NEDELEC1_TET, k)
+    space = ps.reference_space(ps.NEDELEC1_TET, k)
     w, v = tab.rule.weights, _poly.vandermonde(3, k, tab.rule.points)
-    vals = np.einsum("qm,icm->qci", v, generic.coeffs)
-    curls = np.einsum("qm,iam->qai", v, generic.curl_coeffs())
+    vals = np.einsum("qm,icm->qci", v, space.coeffs)
+    curls = np.einsum("qm,iam->qai", v, space.curl_coeffs())
     K = rng.standard_normal((T, 9))
     for f, table in ((curls, tab.CC), (vals, tab.VV)):
-        A_gen = (K @ np.einsum("q,qai,qbj->abij", w, f, f).reshape(9, -1)).reshape(T, n, n)
+        A = (K @ np.einsum("q,qai,qbj->abij", w, f, f).reshape(9, -1)).reshape(T, n, n)
         assert_pinned(fem._element_blocks(dm, K, table),
-                      Vinv.transpose(0, 2, 1) @ A_gen @ Vinv)
+                      Vinv.transpose(0, 2, 1) @ A @ Vinv)
     jhat = rng.standard_normal((T, len(w) * 3))
     got = jhat @ tab.wvals
-    dm.unscale(got)
-    b_gen = jhat @ (w[:, None, None] * vals).reshape(-1, n)
-    assert_pinned(got, np.einsum("tji,tj->ti", Vinv, b_gen))
+    dm.apply_map(got, inverse=True)
+    b = jhat @ (w[:, None, None] * vals).reshape(-1, n)
+    assert_pinned(got, np.einsum("tji,tj->ti", Vinv, b))
     u_loc = rng.standard_normal((T, n))
     got = u_loc.copy()
-    dm.unscale(got, transpose=True)
+    dm.apply_map(got, inverse=True, transpose=True)
     assert_pinned(got @ tab.dof_curls,
-                  np.einsum("tij,tj->ti", Vinv, u_loc) @ generic.curl_coeffs().reshape(n, -1))
-    # the canonical dofs of the basis are the identity, up to the rounding
-    # of its values: a value sums n_m monomial terms of magnitude at most
-    # sum |coeffs| on the reference tet, and every functional weighs the
-    # values by less than 2 in sum (measured: at most 0.05 of this bound)
-    basis = dataclasses.replace(generic, coeffs=tab.coeffs)
-    nm = tab.coeffs.shape[2]
-    bound = 2 * nm * (np.finfo(float).eps / 2) * np.abs(tab.coeffs).sum(axis=(1, 2))
-    dofs = ps.nedelec_dof_matrix(ps.TET_VERTS, k, basis.eval)
+                  np.einsum("tij,tj->ti", Vinv, u_loc) @ space.curl_coeffs().reshape(n, -1))
+    # the tables hold that basis, and its canonical dofs are the identity,
+    # up to the rounding of its values: a value sums n_m monomial terms of
+    # magnitude at most sum |coeffs| on the reference tet, and every
+    # functional weighs the values by less than 2 in sum (measured: at most
+    # 0.05 of this bound)
+    assert np.array_equal(tab.coeffs, space.coeffs)
+    nm = space.coeffs.shape[2]
+    bound = 2 * nm * (np.finfo(float).eps / 2) * np.abs(space.coeffs).sum(axis=(1, 2))
+    dofs = ps.nedelec_dof_matrix(ps.TET_VERTS, k, space.eval)
     assert np.all(np.abs(dofs - np.eye(n)) <= bound)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_unscale_inverts_the_element_map(mesh, k):
-    # the forward map gives x S_t^T, and unscale undoes it: x S_t^-1 S_t = x
-    # and x S_t^-T S_t^T = x, with S_t from its definition (element_maps).
+    # the forward map gives x S_t^T, and the inverse map undoes it:
+    # x S_t^-1 S_t = x and x S_t^-T S_t^T = x, with S_t from its definition
+    # (element_maps).
     # Degree 1 has no face or interior columns, degree 2 no interior ones.
     # Degree 4, above the global spaces' range, has 6 face rows per face and
     # 4 interior monomials: the dof map of degree 3 is given the entity
@@ -462,5 +464,5 @@ def test_unscale_inverts_the_element_map(mesh, k):
     assert_pinned(y, np.einsum("ti,tji->tj", x, S))
     for transpose, Sm in ((False, S), (True, S.transpose(0, 2, 1))):
         y = x.copy()
-        dm.unscale(y, transpose)
+        dm.apply_map(y, inverse=True, transpose=transpose)
         assert_pinned(np.einsum("ti,tij->tj", y, Sm), x)

@@ -93,6 +93,22 @@ def test_unisolvence_identity(kind, k):
     assert np.abs(U - np.eye(space.dim)).max() < 1e-10
 
 
+# largest |functionals - I| of the corrected bases, measured 2.2e-16,
+# 2.3e-15, 1.1e-13, 3.5e-12 (edge) and 1.1e-16, 3.6e-15, 1.8e-13, 9.1e-12
+# (face) at k = 1..4; the bounds allow about 4x
+CORRECTED_BOUNDS = {ps.NEDELEC1_TET: (1e-15, 1e-14, 4e-13, 1.5e-11),
+                    ps.RT_TET: (5e-16, 1.5e-14, 8e-13, 4e-11)}
+
+
+@pytest.mark.parametrize("kind", [ps.NEDELEC1_TET, ps.RT_TET])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reference_functionals_of_the_corrected_basis_are_I(kind, k):
+    space = ps.reference_space(kind, k)
+    V = ps.reference_dofs(kind, k, space.coeffs)
+    assert V.shape == (space.dim, space.dim)
+    assert np.abs(V - np.eye(space.dim)).max() <= CORRECTED_BOUNDS[kind][k - 1]
+
+
 def test_edge_space_k2_condition_number():
     space = ps.reference_space(ps.NEDELEC1_TET, 2)
     U = unisolvence_matrix(space)
@@ -155,6 +171,9 @@ def test_lifted_gradients_are_curl_free(k):
 def test_eval_curl_wrong_kind():
     with pytest.raises(WrongKind):
         ps.reference_space(ps.RT_TET, 1).curl_coeffs()
+    scalar = ps.reference_space(ps.P_SCALAR_TET, 1)
+    with pytest.raises(WrongKind):
+        ps.reference_dofs(ps.P_SCALAR_TET, 1, scalar.coeffs)
 
 
 def test_eval_basis_degree_out_of_range():
