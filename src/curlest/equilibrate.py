@@ -412,7 +412,6 @@ class NodalPotential:
     registry: NodeRegistry     # its degree is the potential's
     phi: np.ndarray            # (T, nloc) per-element nodal values
     max_residual: float        # worst patch least-squares residual
-    lam_scale: float
     worst_node: int            # registry node of max_residual
 
     def poly(self, mesh: Mesh) -> BrokenPolyField:
@@ -462,7 +461,7 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     nloc = reg.tet_nodes.shape[1]
     internal = fm.internal_faces
     if not len(internal):      # no jump to reconstruct: phi = 0
-        return NodalPotential(reg, np.zeros((mesh.n_tets, nloc)), 0.0, fm.lam_scale, 0)
+        return NodalPotential(reg, np.zeros((mesh.n_tets, nloc)), 0.0, 0)
     tab = _face_tables(kp)
 
     # the (node, internal face) incidences over the closure of every face:
@@ -487,12 +486,11 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     phi = np.zeros(mesh.n_tets * nloc)
     phi[unknown] = x
 
-    scale = max(np.abs(val).max(initial=0.0), fm.lam_scale)
     # the lowest node id within roundoff of the largest residual: residuals
     # that tie in exact arithmetic (symmetric meshes) name one node
     max_resid = float(resid[node].max())
     worst = int(node[resid[node] >= (1.0 - 1e-12) * max_resid].min())
-    out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, scale, worst)
+    out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, worst)
     data_scale = max(fm.trace_scale, 1e-30)     # lambda's data are jumps of F
     if strict and max_resid > STRICT_TOL * data_scale:
         k, e = int(reg.kind[worst]), int(reg.entity[worst])

@@ -271,8 +271,8 @@ KINDS = (P_SCALAR_TET, NEDELEC1_TET, RT_TET)
 @dataclass(frozen=True)
 class ReferenceSpace:
     """A polynomial space on a reference simplex, stored as the dual basis of
-    its canonical degree-of-freedom functionals, corrected once (module
-    docstring).
+    its canonical degree-of-freedom functionals, corrected once for the
+    vector kinds (module docstring).
 
     ``coeffs`` has shape (dim, ncomp, n_monomials): basis function i is
     ``sum_m coeffs[i, c, m] * monomial_m`` in component c.

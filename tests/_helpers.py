@@ -663,14 +663,13 @@ def loop_step3(mesh, fm, kp):
     for t in range(mesh.n_tets):
         for loc in range(nloc):
             occurrences[reg.tet_nodes[t, loc]].append((t, loc))
-    worst, worst_node, lam_scale = -1.0, -1, 0.0
+    worst, worst_node = -1.0, -1
     for g in range(reg.n_nodes):
         occ = occurrences[g]
         p = points[g][None, :]
         if reg.kind[g] == ps.NODE_FACE and not mesh.boundary_face[reg.entity[g]]:
             f = int(reg.entity[g])
             val = float(fm.eval(face_index(fm, f), p)[0])
-            lam_scale = max(lam_scale, abs(val))
             for t, loc in occ:
                 phi[t, loc] = 0.5 * val if t == mesh.face_tets[f, 0] else -0.5 * val
             continue
@@ -690,7 +689,6 @@ def loop_step3(mesh, fm, kp):
             rows[r, pos[tp]] = 1.0
             rows[r, pos[tm]] = -1.0
             rhs[r] = float(fm.eval(face_index(fm, f), p)[0])
-            lam_scale = max(lam_scale, abs(rhs[r]))
         rows[-1, :] = 1.0
         sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
         resid = float(np.linalg.norm(rows @ sol - rhs))
@@ -698,8 +696,7 @@ def loop_step3(mesh, fm, kp):
             worst, worst_node = resid, g
         for (t, loc), v in zip(occ, sol):
             phi[t, loc] = v
-    return eqm.NodalPotential(reg, phi, worst, max(lam_scale, fm.lam_scale),
-                              worst_node)
+    return eqm.NodalPotential(reg, phi, worst, worst_node)
 
 
 # ---------------------------------------------------------------------------
