@@ -110,10 +110,12 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     """Assemble, correct, and solve one mesh level.
 
     Returns (dofmap, u, Hh, data); ``data`` is the current the solve used
-    (the projected one under strict_a2 with non-polynomial data).  ``row``,
-    when given, receives the load's gradient check (its scalar load
-    relative to the rounding bound, and whether the correction ran) and
-    the solve's gauge size and relative residual.
+    (the projected one under strict_a2 with non-polynomial data).  The
+    load is gradient-corrected only when it is not ``consistent``: a
+    consistent load would move by roundoff only, and G is not built.
+    ``row``, when given, receives the load's gradient check (its scalar
+    load relative to the rounding bound, and whether the correction ran)
+    and the solve's gauge size and relative residual.
     """
     dm = fem.build_dofmap(mesh, cfg.degree)
     A = fem.assemble_curlcurl(mesh, dm, mu)
@@ -121,11 +123,12 @@ def solve_level(mesh: Mesh, mu: fem.MaterialField, j: fem.CurrentDensity,
     if cfg.strict_a2 and not j.is_polynomial:
         data = fem.project_current(mesh, j.func, cfg.aux_degree)
     load = fem.assemble_rhs(mesh, dm, data)
-    b = fem.gradient_correction(dm, load)
+    b = load.values if load.consistent else fem.gradient_correction(dm, load.values)
+    u, resid = fem.solve_magnetostatic(A, b, dm)
     if row is not None:
-        row["grad_load_ratio"] = load.gradient_ratio
-        row["grad_corrected"] = not load.consistent
-    u = fem.solve_magnetostatic(A, b, dm, row)
+        row.update(grad_load_ratio=load.gradient_ratio,
+                   grad_corrected=not load.consistent,
+                   gauge_dofs=len(dm.gauge), solve_resid_rel=resid)
     Hh = fem.compute_Hh(mesh, dm, u, mu)
     return dm, u, Hh, data
 
@@ -153,20 +156,20 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     sum eta_T^2 = eta_h^2 to ETA_SUM_TOL.
     """
     mu, j = problem.mu, problem.current()
-    grad = {}
+    solved = {}
     t0 = time.perf_counter()
-    dm, _, Hh, data = solve_level(mesh, mu, j, cfg, grad)
+    dm, _, Hh, data = solve_level(mesh, mu, j, cfg, solved)
     t_solve = time.perf_counter() - t0
     t0 = time.perf_counter()
     out = estimate_level(dm, mu, data, Hh, cfg)
     t_est = time.perf_counter() - t0
-    eta_h, eta_T, diag = out.result.eta_h, out.result.eta_T, out.result.diagnostics
+    eta_h, eta_T = out.result.eta_h, out.result.eta_T
     row = dict(labels, n_tets=mesh.n_tets, n_dofs=dm.n_free,
                h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
-               t_estimate=t_est, **grad, oscillation=diag["oscillation"],
-               step3_max_residual=diag["step3_max_residual"],
-               step3_worst_node=diag["step3_worst_node"],
-               lam_scale=diag["lam_scale"])
+               t_estimate=t_est, **solved, oscillation=out.correction.oscillation,
+               step3_max_residual=out.phi.max_residual,
+               step3_worst_node=out.phi.worst_node_name,
+               lam_scale=max(out.multipliers.lam_scale, 1e-300))
     if cfg.verify:
         rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
         row["eq_elem_rel"] = rep["elem_resid_rel"]

@@ -102,6 +102,3 @@ class InconsistentPatch(NodeError):
 class OrphanNode(NodeError):
     """A node's patch lacks a tet of one of its faces; an internal bug."""
 
-
-class EquilibriumViolated(CurlestError):
-    """Corrected field fails the equilibrium checks."""

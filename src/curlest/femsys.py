@@ -296,6 +296,10 @@ class NodeRegistry:
     def n_nodes(self) -> int:
         return len(self.kind)
 
+    def node_name(self, g: int) -> str:
+        """The entity that carries node ``g``, e.g. "vertex 12"."""
+        return f"{ps.NODE_NAMES[self.kind[g]]} {self.entity[g]}"
+
 
 def build_node_registry(mesh: Mesh, degree: int) -> NodeRegistry:
     """Number the degree-k Lagrange nodes in the entity layout, as the dof
@@ -666,8 +670,11 @@ class Load:
     ``scalar`` is G^T values[free]: entry p is (j, grad psi_p), which
     vanishes for a current that is divergence free and integrated exactly.
     ``bound`` is the rounding error that its assembly may commit (see
-    ``assemble_rhs``).  ``values`` is read-only, so a load that was changed
-    after assembly is a new plain vector, which gets the full correction."""
+    ``assemble_rhs``).  ``values`` is read-only because ``consistent``
+    describes these values: ``adapt.solve_level`` solves a consistent
+    load's ``values`` uncorrected, and a load changed after assembly is a
+    new plain vector, whose gradient part nobody has bounded, so it gets
+    the full correction."""
     values: np.ndarray   # (n_dofs,) (j, w) over all dofs
     scalar: np.ndarray   # (free registry nodes,)
     bound: np.ndarray    # (free registry nodes,)
@@ -830,20 +837,15 @@ def _factor_spd(K: sp.spmatrix) -> spla.SuperLU:
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def gradient_correction(dofmap: DofMap, rhs: Load | np.ndarray) -> np.ndarray:
+def gradient_correction(dofmap: DofMap, rhs: np.ndarray) -> np.ndarray:
     """Project the load vector onto the complement of the discrete gradients.
 
     Returns r' = r - G q with q solving (G^T G) q = G^T r over the interior
     scalar dofs, so G^T r' = 0 and the singular system stays consistent in
-    the presence of quadrature error.  A consistent ``Load``, whose G^T r is
-    within its rounding bound, is returned as it is: the projection would
-    move it by roundoff only, and G is not built.  A plain vector is always
-    projected.
+    the presence of quadrature error.  It always projects; whether a load
+    needs it is decided by the caller (``adapt.solve_level`` skips a
+    ``Load`` that is ``consistent``).
     """
-    if isinstance(rhs, Load):
-        if rhs.consistent:
-            return rhs.values.copy()
-        rhs = rhs.values
     Gf = dofmap.G
     if Gf.shape[1] == 0:
         return rhs.copy()
@@ -866,8 +868,8 @@ def gradient_correction(dofmap: DofMap, rhs: Load | np.ndarray) -> np.ndarray:
 RESIDUAL_TOL = 1e-10   # relative residual of the free rows that a solve must reach
 
 
-def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
-                        row: dict | None = None) -> FieldCoefficients:
+def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray,
+                        dofmap: DofMap) -> tuple[FieldCoefficients, float]:
     """Solve the singular, consistent curl-curl system A u = rhs[free] in
     the tree-cotree gauge and scatter to full dofs.
 
@@ -879,8 +881,8 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
     a consistent load can pass the residual check on a singular block.  The
     residual is checked on all free rows: a load with a gradient part
     (G^T b != 0) has no solution and fails it on the rows in R, which
-    raises NoConvergence.
-    ``row``, when given, receives the relative residual and the gauge size.
+    raises NoConvergence.  Returns the coefficients and the relative
+    residual |b - A u| / |b| of the free rows, 0 for a zero load.
     """
     b = rhs[dofmap.free]
     full = np.zeros(dofmap.n_dofs)
@@ -890,11 +892,8 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
     if n_gauge != n_nodes:
         raise NoConvergence(f"the gauge fixes {n_gauge} dofs for {n_nodes} free "
                             "Lagrange nodes; it must fix one per node")
-    if row is not None:
-        row["gauge_dofs"] = n_gauge
-        row["solve_resid_rel"] = 0.0
     if A.shape[0] == 0 or bnorm == 0.0:
-        return FieldCoefficients(dofmap, full)
+        return FieldCoefficients(dofmap, full), 0.0
     C = dofmap.ungauged
     try:
         lu = _factor_spd(A[C][:, C])
@@ -907,8 +906,6 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
                             "gauged block singular?")
     r = b - A @ u
     rel = float(np.linalg.norm(r) / bnorm)
-    if row is not None:
-        row["solve_resid_rel"] = rel
     log.debug("gauged solve of %d dofs: gauge %d dofs, factor nnz %d, "
               "relative residual %.2e", A.shape[0], n_gauge, lu.nnz, rel)
     if not rel <= RESIDUAL_TOL:
@@ -919,7 +916,7 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray, dofmap: DofMap,
             f"{RESIDUAL_TOL:.0e}; largest at free dof {i} (dof {d}, "
             f"{dofmap.dof_entity(d)}); was the load gradient-corrected?")
     full[dofmap.free] = u
-    return FieldCoefficients(dofmap, full)
+    return FieldCoefficients(dofmap, full), rel
 
 
 # ---------------------------------------------------------------------------

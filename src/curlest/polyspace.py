@@ -129,10 +129,6 @@ class LagrangeNodeSet:
     kind: np.ndarray     # (n,) NODE_* classification
     entity: np.ndarray   # (n,) local vertex/edge/face index (0 for cell nodes)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.multi)
-
     def ref_coords(self) -> np.ndarray:
         """Cartesian coordinates on the reference tetrahedron."""
         return self.bary[:, 1:] @ TET_VERTS[1:]
@@ -283,11 +279,6 @@ class ReferenceSpace:
     ncomp: int
     sdim: int
     coeffs: np.ndarray
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Values at reference points; returns (npts, ncomp, dim)."""
-        v = _poly.vandermonde(self.sdim, self.degree, points)
-        return np.einsum("qm,icm->qci", v, self.coeffs)
 
     def curl_coeffs(self) -> np.ndarray:
         if self.kind != NEDELEC1_TET:

@@ -162,7 +162,7 @@ def covariant_basis(mesh, k, t):
 
     def field_eval(pts):
         xhat = (np.asarray(pts) - geom.v0[t]) @ Jinv.T
-        return np.einsum("ba,qbn->qan", Jinv, space.eval(xhat))
+        return np.einsum("ba,qbn->qan", Jinv, space_eval(space, xhat))
 
     return field_eval
 
@@ -175,7 +175,8 @@ def piola_basis(mesh, k, t):
     def field_eval(pts):
         xhat = (np.asarray(pts) - geom.v0[t]) @ geom.Jinv[t].T
         # the Piola map divides by the signed det J
-        return np.einsum("ab,qbn->qan", geom.J[t], space.eval(xhat)) / np.linalg.det(geom.J[t])
+        return (np.einsum("ab,qbn->qan", geom.J[t], space_eval(space, xhat))
+                / np.linalg.det(geom.J[t]))
 
     return field_eval
 
@@ -243,7 +244,7 @@ def loop_curlcurl_mass(mesh, dm, mu_t):
     k = dm.degree
     space = ps.reference_space(ps.NEDELEC1_TET, k)
     rule = ps.quadrature("tet", 2 * k + 2)
-    vals = space.eval(rule.points)                                   # (q,3,n)
+    vals = space_eval(space, rule.points)                                   # (q,3,n)
     curls = np.einsum("qm,iam->qai", _poly.vandermonde(3, k, rule.points),
                       space.curl_coeffs())
     geom = mesh.geom()
@@ -601,7 +602,7 @@ def hash_node_registry(mesh, degree):
     node coordinates.  ``femsys.build_node_registry`` numbers the same
     nodes by entity, so the two agree up to a relabelling of the nodes."""
     nodes = ps.lagrange_nodes(degree)
-    nloc = nodes.n_nodes
+    nloc = len(nodes.multi)
     rho = 1e-8 * mesh.h_min_edge()
     buckets = {}
     points, kind, entity = [], [], []
@@ -696,7 +697,7 @@ def loop_step3(mesh, fm, kp):
             worst, worst_node = resid, g
         for (t, loc), v in zip(occ, sol):
             phi[t, loc] = v
-    return eqm.NodalPotential(reg, phi, worst, worst_node)
+    return eqm.NodalPotential(reg, phi, worst, worst_node, reg.node_name(worst_node))
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +788,7 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
         ortho[t] = np.abs(B @ h).max(initial=0.0)
     corr = eqm.ElementCorrection(
         Hhat=fem.BrokenPolyField(mesh, kp, hhat), resid=resid,
+        oscillation=float(np.sqrt((resid ** 2).sum())),
         jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
     return corr, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size, hs, cond
 
@@ -1447,9 +1449,16 @@ def any_space(kind, degree):
     return ps.reference_space(kind, degree)
 
 
+def space_eval(space, points):
+    """Values of a reference space's basis at reference points, from its
+    monomial coefficients: (npts, ncomp, dim)."""
+    v = _poly.vandermonde(space.sdim, space.degree, points)
+    return np.einsum("qm,icm->qci", v, space.coeffs)
+
+
 def eval_scalar(space, points):
     """Scalar-space values as (npts, dim)."""
-    return space.eval(points)[:, 0, :]
+    return space_eval(space, points)[:, 0, :]
 
 
 def div_coeffs(space):
@@ -1469,12 +1478,14 @@ def curl2d_coeffs(space):
 
 def unisolvence_matrix(space):
     """Canonical functionals applied to the space's own basis (should be I)."""
+    def field_eval(points):
+        return space_eval(space, points)
     if space.kind == ps.NEDELEC1_TET:
-        return ps.nedelec_dof_matrix(ps.TET_VERTS, space.degree, space.eval)
+        return ps.nedelec_dof_matrix(ps.TET_VERTS, space.degree, field_eval)
     if space.kind == ps.RT_TET:
-        return ps.rt_dof_matrix(ps.TET_VERTS, space.degree, space.eval)
+        return ps.rt_dof_matrix(ps.TET_VERTS, space.degree, field_eval)
     if space.kind == RT_TANGENTIAL_TRI:
-        return rt_tri_dof_matrix(TRI_VERTS, space.degree, space.eval)
+        return rt_tri_dof_matrix(TRI_VERTS, space.degree, field_eval)
     if space.kind == ps.P_SCALAR_TET:
         nodes = (ps.lagrange_nodes(space.degree).ref_coords() if space.degree > 0
                  else np.array([[0.25, 0.25, 0.25]]))

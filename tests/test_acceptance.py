@@ -118,7 +118,7 @@ def _cycle_sums(mesh, out):
     scale = max(rep.lam_scale, 1e-30)
     return (rep.max_abs.max(initial=0.0) / scale,
             rep.variation.max(initial=0.0) / scale,
-            out.result.diagnostics["step3_max_residual"] / scale)
+            out.phi.max_residual / scale)
 
 
 def test_criterion_04_edge_compatibility(cube_runs_kp3):
@@ -145,6 +145,7 @@ def test_criterion_04_edge_compatibility(cube_runs_kp3):
         out = eqm.estimate(lv.mesh, jump.mu, jump.current(), lv.Hh,
                            fem.build_node_registry(lv.mesh, cfg.degree))
         assert out.result.eta_h == lv.row["eta_h"]
+        assert lv.row["step3_worst_node"] == out.phi.worst_node_name
         re, var, s3 = _cycle_sums(lv.mesh, out)
         ok &= re <= 1e-9 and var <= 1e-9
         ok &= lv.row["step3_max_residual"] <= 1e-9 * max(lv.row["lam_scale"], 1e-30)

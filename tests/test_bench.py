@@ -241,6 +241,13 @@ def test_error_numbering_invariant():
 # runner and reports
 # ---------------------------------------------------------------------------
 
+# the report.json row between the level labels and the optional columns:
+# size, estimate, timings, the solve's record, the estimator's residuals
+ROW_CORE = ["n_tets", "n_dofs", "h_max", "eta_h", "t_solve", "t_estimate",
+            "grad_load_ratio", "grad_corrected", "gauge_dofs", "solve_resid_rel",
+            "oscillation", "step3_max_residual", "step3_worst_node", "lam_scale"]
+
+
 def test_uniform_run_writes_reports(tmp_path):
     spec = bench.builtin_problems()["cube_poly"]
     cfg = bench.RunConfig(degree=1, levels=2, out_dir=str(tmp_path), vtk=True)
@@ -253,6 +260,10 @@ def test_uniform_run_writes_reports(tmp_path):
     assert payload["schema"] == "v2"
     assert "wall_time" in payload["metadata"]
     assert "t_solve" in payload["rows"][0]
+    # without --verify no eq_* column; the residual estimator and the exact
+    # error close the row
+    assert [list(r) for r in payload["rows"]] == 2 * [
+        ["level", "resolution", *ROW_CORE, "mu_h", "error", "eff_eq", "eff_res"]]
     # the solve's gauge size and residual live in the JSON only as well;
     # at k = 1 the gauge holds one dof per interior vertex: 1 at n = 2 and
     # 27 at n = 4
@@ -294,6 +305,11 @@ def test_reference_error_protocol(tmp_path):
     # itself an approximation, so allow its own error as slack)
     assert all(r["eta_h"] > 0.8 * r["error"] for r in rep.rows)
     assert rep.metadata["reference_protocol"].startswith("2 extra")
+    # an adaptive row has no resolution; every refined level adds its marks
+    # and refinement time before the reference error
+    row = ["level", *ROW_CORE, "marked", "t_refine", "error", "eff_eq"]
+    assert [list(r) for r in rep.rows] == (
+        (len(rep.rows) - 1) * [row] + [[k for k in row if k != "t_refine"]])
 
 
 def _resolved_reference_errors(spec, levels, cfg):

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,7 @@ from _helpers import (MU1, cube_H, cube_j, dim_p_tri, edge_faces, eval_one,
                       loop_face_multipliers, loop_face_solve, loop_jump_norms,
                       loop_step1, loop_step3, node_points, normal_jump_norms,
                       randomly_bisected, ref_coords, relabelled_cube, solve_cube,
-                      solve_node_patch, solve_single_face)
+                      solve_node_patch, solve_single_face, space_eval)
 
 RNG = np.random.default_rng(23)
 
@@ -80,7 +79,7 @@ def _brute_force_step1(mesh, mu_val, jd_func, kp):
     J, Jinv = geom.J[0], geom.Jinv[0]
     det = np.linalg.det(J)
     pts = geom.map_points([0], rule.points)[0]
-    vals = np.einsum("ba,qbn->qan", Jinv, space.eval(rule.points))
+    vals = np.einsum("ba,qbn->qan", Jinv, space_eval(space, rule.points))
     curls = np.einsum("ab,qbn->qan", J, np.einsum(
         "qm,iam->qai", _poly.vandermonde(3, kp, rule.points),
         space.curl_coeffs()).transpose(0, 1, 2)) / det
@@ -254,7 +253,7 @@ def _assert_cycle_sums_vanish(m, out):
     scale = max(rep.lam_scale, 1e-30)
     assert rep.max_abs.max(initial=0.0) <= 1e-9 * scale
     assert rep.variation.max(initial=0.0) <= 1e-9 * scale
-    assert out.result.diagnostics["step3_max_residual"] <= 1e-9 * scale
+    assert out.phi.max_residual <= 1e-9 * scale
 
 
 def test_edge_compat_zero_for_zero_multipliers():
@@ -547,7 +546,6 @@ def test_step3_matches_loop_oracle(jump_level):
 
 def test_step3_names_the_node_of_largest_residual(jump_level):
     m, Hh, out = jump_level
-    assert out.result.diagnostics["step3_worst_node"] == out.phi.worst_node_name
     # one perturbed face: a few patches lose consistency, one the most
     _, bumped = _bump_one_face(m, out.multipliers, _edge_between_boundary_vertices(m))
     got = eqm.step3_reconstruct_phi(m, bumped, out.phi.registry)
@@ -804,9 +802,10 @@ def test_step4_constant_field_closed_form():
     coeffs[0, :, 0] = c
     corr = eqm.ElementCorrection(
         Hhat=fem.BrokenPolyField(m, 1, coeffs), resid=np.zeros(m.n_tets),
-        jdelta_norm=np.zeros(m.n_tets), ortho_resid=np.zeros(m.n_tets), degree=1)
+        oscillation=0.0, jdelta_norm=np.zeros(m.n_tets),
+        ortho_resid=np.zeros(m.n_tets), degree=1)
     reg = fem.build_node_registry(m, 1)
-    phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0)
+    phi = eqm.NodalPotential(reg, np.zeros((m.n_tets, 4)), 0.0, 0, reg.node_name(0))
     res = eqm.step4_estimator(m, MU1, corr, phi)
     V = m.geom().absdet[0] / 6
     assert abs(res.eta_T[0] - np.linalg.norm(c) * np.sqrt(V)) < 1e-13
@@ -825,7 +824,8 @@ def test_step4_additivity():
 
 def test_equilibrium_native_degree_three():
     m, Hh, data, out = _estimate_cube(1, 3, kp=3)
-    rep = eqm.verify_equilibrium(m, MU1, data, Hh, out, raise_on_fail=True)
+    rep = eqm.verify_equilibrium(m, MU1, data, Hh, out)
+    assert rep["ok"]
     assert rep["elem_resid_rel"] <= 1e-9
     assert rep["face_resid_rel"] <= 1e-9
     assert rep["ortho_rel_max"] <= 1e-9
@@ -834,7 +834,8 @@ def test_equilibrium_native_degree_three():
 def test_equilibrium_projected_low_degree():
     m, Hh, data, out = _estimate_cube(2, 1, strict=True)
     assert data.is_polynomial
-    rep = eqm.verify_equilibrium(m, MU1, data, Hh, out, raise_on_fail=True)
+    rep = eqm.verify_equilibrium(m, MU1, data, Hh, out)
+    assert rep["ok"]
     assert rep["elem_resid_rel"] <= 1e-9
     assert rep["face_resid_rel"] <= 1e-9
 
@@ -847,8 +848,7 @@ def test_equilibrium_negative_control_without_step3():
                                      out.phi, res)
     rep = eqm.verify_equilibrium(m, MU1, data, Hh, broken)
     assert rep["face_resid_rel"] > 0.1       # jump stays at its original size
-    with pytest.raises(eqm.EquilibriumViolated):
-        eqm.verify_equilibrium(m, MU1, data, Hh, broken, raise_on_fail=True)
+    assert rep["ok"] is False
 
 
 def test_relabelled_cube_keeps_eta_and_step1_needs_the_sign_of_det_J(monkeypatch):
@@ -1092,21 +1092,11 @@ def test_equilibrium_on_irregular_bisected_mesh():
     cfg = adm.RunConfig(degree=2)
     dm, u, Hh, data = adm.solve_level(m, MU1, j, cfg)
     out = eqm.estimate(m, MU1, j, Hh, fem.build_node_registry(m, 3))  # solve's data
-    rep = eqm.verify_equilibrium(m, MU1, j, Hh, out, raise_on_fail=True)
+    rep = eqm.verify_equilibrium(m, MU1, j, Hh, out)
+    assert rep["ok"]
     assert rep["elem_resid_rel"] <= 1e-9
     assert rep["face_resid_rel"] <= 1e-9
     _assert_cycle_sums_vanish(m, out)
     err = fem.l2_error_against(m, MU1, Hh, cube_H)
     assert out.result.eta_h >= err * (1 - 1e-8)
     assert out.result.eta_h <= 2.5 * err
-
-
-def test_diagnostics_dump(tmp_path):
-    m, Hh, data, out = _estimate_cube(1, 1)
-    path = tmp_path / "diag.json"
-    out.result.dump(path)
-    payload = json.loads(path.read_text())
-    assert "eta_h" in payload and len(payload["eta_T"]) == m.n_tets
-    assert "step3_max_residual" in payload["diagnostics"]
-    assert len(payload["diagnostics"]["step1_resid_T"]) == m.n_tets
-    assert len(payload["diagnostics"]["jdelta_norm_T"]) == m.n_tets

@@ -319,7 +319,7 @@ def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
 def test_correction_fixed_point():
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, 1)
-    b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
+    b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)).values
     b1 = fem.gradient_correction(dm, b)
     b2 = fem.gradient_correction(dm, b1)
     assert np.linalg.norm(b2 - b1) <= 1e-12 * max(np.linalg.norm(b1), 1e-30)
@@ -399,9 +399,8 @@ def test_skipped_correction_matches_forced_correction(name, k):
     m, dm, load = _load(name, 2, k)
     assert load.consistent
     A = fem.assemble_curlcurl(m, dm, spec.mu)
-    fields = [fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm), spec.mu)
-              for b in (fem.gradient_correction(dm, load),
-                        fem.gradient_correction(dm, load.values.copy()))]
+    fields = [fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm)[0], spec.mu)
+              for b in (load.values, fem.gradient_correction(dm, load.values))]
     assert np.array_equal(fields[0].coeffs, _solve_with_row(name, m, k)[1].coeffs)
     diff = fields[0].plus(fields[1].scale(-1.0)).norm()
     assert diff <= fem.RESIDUAL_TOL * fields[1].norm()
@@ -441,15 +440,16 @@ def test_zero_rhs_zero_curl():
     m, dm, u, Hh, _ = solve_cube(1, 1)
     dm0 = fem.build_dofmap(m, 1)
     A = fem.assemble_curlcurl(m, dm0, MU1)
-    u0 = fem.solve_magnetostatic(A, np.zeros(dm0.n_dofs), dm0)
+    u0, _ = fem.solve_magnetostatic(A, np.zeros(dm0.n_dofs), dm0)
     H0 = fem.compute_Hh(m, dm0, u0, MU1)
     assert H0.norm() < 1e-12
 
 
 def _corrected_system(m, dm, data):
-    """Free-dof curl-curl matrix and gradient-corrected load of a level."""
+    """Free-dof curl-curl matrix and the load that solve_level solves with."""
     A = fem.assemble_curlcurl(m, dm, MU1)
-    b = fem.gradient_correction(dm, fem.assemble_rhs(m, dm, data))
+    load = fem.assemble_rhs(m, dm, data)
+    b = load.values if load.consistent else fem.gradient_correction(dm, load.values)
     return A, b[dm.free]
 
 
@@ -477,9 +477,8 @@ def test_inconsistent_rhs_raises_no_convergence():
     named = f"free dof {i} (dof {dm.free[i]}, edge {dm.free[i]})"
     with pytest.raises(fem.NoConvergence, match=re.escape(named)):
         fem.solve_magnetostatic(A, b, dm)
-    row = {}
-    fem.solve_magnetostatic(A, fem.gradient_correction(dm, b), dm, row)
-    assert row["solve_resid_rel"] <= fem.RESIDUAL_TOL
+    _, rel = fem.solve_magnetostatic(A, fem.gradient_correction(dm, b), dm)
+    assert rel <= fem.RESIDUAL_TOL
 
 
 def test_gauged_assembled_system_solves_to_tolerance():
@@ -490,14 +489,13 @@ def test_gauged_assembled_system_solves_to_tolerance():
     m = msh.unit_cube_mesh(3)
     dm = fem.build_dofmap(m, 1)
     A = fem.assemble_curlcurl(m, dm, MU1)
-    b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
+    b = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)).values
     b = fem.gradient_correction(dm, b)
-    row = {}
-    u = fem.solve_magnetostatic(A, b, dm, row)
+    u, resid = fem.solve_magnetostatic(A, b, dm)
     bf = b[dm.free]
     rel = np.linalg.norm(bf - A @ u.values[dm.free]) / np.linalg.norm(bf)
-    assert rel == row["solve_resid_rel"] <= fem.RESIDUAL_TOL
-    assert row["gauge_dofs"] == len(dm.gauge) == dm.G.shape[1]
+    assert rel == resid <= fem.RESIDUAL_TOL
+    assert len(dm.gauge) == dm.G.shape[1]
     assert not u.values[dm.free[dm.gauge]].any()
     bad = b.copy()
     bad[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
@@ -512,7 +510,8 @@ def test_gauge_of_the_wrong_size_raises_before_factoring():
     m = msh.unit_cube_mesh(2)
     dm = fem.build_dofmap(m, 2)
     A = fem.assemble_curlcurl(m, dm, MU1)
-    b = fem.gradient_correction(dm, fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j)))
+    load = fem.assemble_rhs(m, dm, fem.CurrentDensity(func=cube_j))
+    b = fem.gradient_correction(dm, load.values)
     n_nodes = int((~dm.registry.boundary).sum())
     assert len(dm.gauge) == n_nodes
     short = copy.copy(dm)
@@ -520,9 +519,8 @@ def test_gauge_of_the_wrong_size_raises_before_factoring():
     named = f"the gauge fixes {n_nodes - 1} dofs for {n_nodes} free Lagrange nodes"
     with pytest.raises(fem.NoConvergence, match=re.escape(named)):
         fem.solve_magnetostatic(A, b, short)
-    row = {}
-    fem.solve_magnetostatic(A, b, dm, row)
-    assert row["solve_resid_rel"] <= fem.RESIDUAL_TOL
+    _, rel = fem.solve_magnetostatic(A, b, dm)
+    assert rel <= fem.RESIDUAL_TOL
 
 
 def test_structurally_singular_gauged_block_raises_no_convergence():
@@ -539,7 +537,7 @@ def test_structurally_singular_gauged_block_raises_no_convergence():
         b = np.zeros(dm.n_dofs)
         b[dm.free[live]] = 1.0
         if dead in dm.gauge:
-            u = fem.solve_magnetostatic(A, b, dm)
+            u, _ = fem.solve_magnetostatic(A, b, dm)
             assert np.array_equal(u.values, b)
         else:
             with pytest.raises(fem.NoConvergence, match="exactly singular"):
@@ -583,7 +581,7 @@ def test_symmetric_factor_matches_colamd_oracle(k, n):
     b = fem.gradient_correction(dm, raw)
     scale = abs(G).sum(axis=0).max() * np.abs(raw[dm.free]).max()
     assert np.abs(G.T @ b[dm.free]).max() <= 1e-13 * scale
-    H = fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm), MU1)
+    H = fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm)[0], MU1)
     C = dm.ungauged
     ref = np.zeros(dm.n_dofs)
     ref[dm.free[C]] = colamd_factor(A[C][:, C]).solve(b[dm.free[C]])
@@ -779,7 +777,7 @@ def test_gauged_eta_is_closer_to_the_dense_reference(n):
     A, b = _corrected_system(m, dm, spec.current())
     full = np.zeros(dm.n_dofs)
     full[dm.free] = b
-    sols = {"gauged": fem.solve_magnetostatic(A, full, dm).values[dm.free],
+    sols = {"gauged": fem.solve_magnetostatic(A, full, dm)[0].values[dm.free],
             "shifted": shifted_solve(A, b, fem.assemble_mass(m, dm)),
             "reference": dense_minnorm_solve(A, b)}
     eta = {}

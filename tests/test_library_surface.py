@@ -8,7 +8,11 @@ bare name, so a method is used when any attribute of that name is read;
 import statements and strings do not count.  Test hooks and test-only
 oracles belong in ``tests/_helpers.py``; the public entry points that no
 library code calls are listed in ``ENTRY_POINTS`` with the reason they stay.
-Dunder methods are called by the runtime and are exempt.
+Dunder methods are called by the runtime and are exempt.  Because the
+match is by bare name, a method name may be defined by one class only,
+unless ``SHARED_METHODS`` lists it with the classes the library calls it
+on; a test-only method that shares a name with a used one would otherwise
+pass unseen.
 
 A stored attribute is a dataclass field or a ``self.<name>`` assignment in
 ``src/curlest``.  It counts as read when an attribute of that name is loaded,
@@ -17,7 +21,7 @@ package, the tests or the benchmark.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import curlest
@@ -31,7 +35,6 @@ ENTRY_POINTS = {
                            "analytic field",
     "write_mesh_text": "mesh text I/O, the interchange format's writer",
     "read_mesh_text": "mesh text I/O, the interchange format's reader",
-    "dump": "EstimatorResult.dump writes the diagnostics as JSON",
     "assemble_mass": "the Nedelec mass matrix, a test oracle since the "
                      "gauged solve dropped the shift; the benchmark's "
                      "tracer wraps it by name",
@@ -39,6 +42,17 @@ ENTRY_POINTS = {
                                 "step 3's patch residual certifies them; "
                                 "the benchmark's tracer wraps it by name",
 }
+
+# method names defined by more than one class, each with the classes that
+# define it; the library calls the method on every one of them
+SHARED_METHODS = {
+    "eval": {"BrokenPolyField", "FaceMultiplier"},
+    "n_faces": {"FaceMultiplier", "Mesh"},
+}
+
+
+def _src_trees() -> dict:
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
 def _used_names(tree) -> Counter:
@@ -65,8 +79,7 @@ def _definitions(tree):
 
 
 def unused_definitions() -> list[str]:
-    trees = {p.name: ast.parse(p.read_text(), str(p))
-             for p in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     used = sum((_used_names(t) for t in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
@@ -90,6 +103,38 @@ def test_entry_points_exist():
     defined = {node.name for p in SRC.glob("*.py")
                for _, node in _definitions(ast.parse(p.read_text()))}
     assert set(ENTRY_POINTS) <= defined
+
+
+def shared_methods(trees: dict) -> dict:
+    """Method name -> the classes that define it, for every non-dunder
+    name that more than one class in trees defines."""
+    owners = defaultdict(set)
+    for tree in trees.values():
+        for qualname, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and not (
+                            stmt.name.startswith("__") and stmt.name.endswith("__")):
+                        owners[stmt.name].add(qualname)
+    return {name: cls for name, cls in owners.items() if len(cls) > 1}
+
+
+def test_shared_method_names_are_listed():
+    assert shared_methods(_src_trees()) == SHARED_METHODS
+
+
+def test_second_method_definition_is_flagged():
+    # negative control: a class that defines a method name some library
+    # class already defines makes that name shared; a dunder does not
+    trees = _src_trees()
+    trees["extra.py"] = ast.parse(
+        "class Extra:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def ref_coords(self):\n"
+        "        return None\n")
+    assert shared_methods(trees) == {
+        **SHARED_METHODS, "ref_coords": {"LagrangeNodeSet", "Extra"}}
 
 
 def _is_dataclass(node) -> bool:
@@ -135,8 +180,7 @@ def unread_attributes(stored_trees: dict, reader_trees) -> list[str]:
 
 
 def test_every_stored_attribute_is_read():
-    stored = {p.name: ast.parse(p.read_text(), str(p))
-              for p in sorted(SRC.glob("*.py"))}
+    stored = _src_trees()
     readers = [ast.parse(p.read_text(), str(p))
                for d in READERS for p in sorted(d.glob("*.py"))]
     assert unread_attributes(stored, readers) == []
