@@ -43,7 +43,7 @@ from .errors import (DataIncompatible, FaceIncompatible, FaceSolveSingular,
                      InconsistentPatch, LocalSolveSingular, OrphanNode)
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_traces,
-                     sq_norms, tangential_jump_norms, tangential_jump_values,
+                     sq_norms, tangential_jump_norms,
                      _data_exactness, _face_rule, _factor_spd, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
@@ -62,14 +62,15 @@ EQUILIBRIUM_TOL = 1e-9  # relative residuals that verify_equilibrium accepts
 
 @dataclass
 class ElementCorrection:
-    """Per-tet curl-conforming correction and its residual-current data."""
+    """Per-tet curl-conforming correction and the residual-current norms
+    that a level reports.  Its orthogonality to the gradients, B h = 0, is
+    the equation of step 1's own SPD gradient solve, so it is not stored."""
     Hhat: BrokenPolyField          # the local correction field
     resid: np.ndarray              # (T,) L2 norm of curl(Hhat) - j_delta
     oscillation: float             # sqrt(sum resid^2): the global norm of the
                                    # unequilibrated part of the residual current
     jdelta_norm: np.ndarray        # (T,) L2 norm of j_delta = j - curl H_h; also the
                                    # residual estimator's volume term
-    ortho_resid: np.ndarray        # (T,) max |(mu Hhat, grad psi)| over basis
     degree: int
 
 
@@ -152,7 +153,6 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     cv -= jd
     resid = np.sqrt(np.maximum(det * sq_norms(cv, w), 0.0))
     jd_norm = np.sqrt(np.maximum(det * sq_norms(jd, w), 0.0))
-    ortho = np.abs(B @ h[..., None]).max(axis=(1, 2), initial=0.0)
 
     if strict_a2:
         if not j.is_polynomial:
@@ -170,7 +170,7 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
     return ElementCorrection(BrokenPolyField(mesh, kp, hhat), resid=resid,
                              oscillation=float(np.sqrt((resid ** 2).sum())),
-                             jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
+                             jdelta_norm=jd_norm, degree=kp)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,9 @@ class _FaceTables:
     gradient is E^T g^-1 D c, D the (s, t) derivatives of the monomials, so
     each face's blocks are tables in g^-1.  The constant has no gradient,
     so the derivative tables cover the non-constant monomials only: the
-    derivative pairs DD (4, (nP-1)^2), the weighted derivatives wD (q 2,
-    nP-1) and D at the rule points.  V holds the values of all nP monomials
-    there and ``mean`` their integrals, w V.  ``nodes`` (nc, nP) holds the
+    derivative pairs DD (4, (nP-1)^2) and the weighted derivatives wD (q 2,
+    nP-1) at the rule points.  V holds the values of all nP monomials there
+    and ``mean`` their integrals, w V.  ``nodes`` (nc, nP) holds the
     values at the degree-k' Lagrange nodes of the face's closure (vertices
     a, b, c, edges ab, ac, bc, then the face, each entity's in the
     registry's order), and row i of ``local`` (4, nc) their local indices
@@ -199,8 +199,7 @@ class _FaceTables:
         w = self.rule.weights
         self.V = _poly.vandermonde(2, kp, self.rule.points)
         D = np.einsum("qm,amn->qan", self.V, _poly.diff_stack(2, kp))[:, :, 1:]
-        self.D = D.reshape(-1, D.shape[2])
-        self.wD = (w[:, None, None] * D).reshape(self.D.shape)
+        self.wD = (w[:, None, None] * D).reshape(-1, D.shape[2])
         self.DD = np.einsum("q,qai,qbj->abij", w, D, D).reshape(4, -1)
         self.mean = w @ self.V
 
@@ -222,16 +221,15 @@ _face_tables = lru_cache(maxsize=None)(_FaceTables)
 class FaceMultiplier:
     """Zero-mean face polynomials whose surface gradient matches minus the
     tangential jump of the corrected field, stored as monomial coefficients
-    in each face's affine coordinates (``_FaceTables``)."""
+    in each face's affine coordinates (``_FaceTables``).  The zero mean
+    holds by construction and the equation's residual vanishes exactly
+    when ``div_norm`` does, so the strict check reads ``div_norm`` alone."""
     degree: int
     internal_faces: np.ndarray   # (Fi,) face ids, ascending
     lam: np.ndarray              # (Fi, nP) monomial coeffs in (s, t)
     origin: np.ndarray           # (Fi, 3) the face's lowest-id vertex a
     dual: np.ndarray             # (Fi, 3, 2) E^T g^-1: (x - a) @ dual = (s, t)
-    resid: np.ndarray            # (Fi,) L2 norm of grad_f(lambda) + [F]_t
-    jnorm: np.ndarray            # (Fi,) L2 norm of the face data [F]_t
     div_norm: np.ndarray         # (Fi,) in-plane divergence of the fitted data
-    mean_abs: np.ndarray         # (Fi,) |(lambda, 1)_f|
     lam_scale: float             # max |lambda| at the 2k' face rule points; scales tolerances
     trace_scale: float           # max L2 norm of a face trace of the corrected field
 
@@ -257,12 +255,11 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
     tangential field v is E^T g^-1 (E v), whose norm needs no frame and no
     normal.  The normal equations of the non-constant monomials are SPD;
     the zero mean then fixes the constant.  Returns the coefficients (Fi,
-    nP), the maps E^T g^-1 (Fi, 3, 2), the residuals, data norms and
-    means per face, and the largest |lambda| at the face rule points.
+    nP), the maps E^T g^-1 (Fi, 3, 2) and the largest |lambda| at the face
+    rule points.
     """
     tab = _face_tables(kp)
-    w = tab.rule.weights
-    nF, q, n = len(faces), len(w), tab.D.shape[1]
+    nF, q, n = len(faces), len(tab.rule.weights), tab.wD.shape[1]
     v = mesh.vertices[mesh.faces[faces]]
     E = v[:, 1:] - v[:, :1]                                         # (Fi, 2, 3)
     ginv = np.linalg.inv(E @ E.transpose(0, 2, 1))
@@ -274,12 +271,8 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
     c = _solve_stack(S, b[:, :, None], faces, FaceSolveSingular, "face",
                      "multiplier")[:, :, 0]
     sol = np.column_stack([-(c @ tab.mean[1:]) / tab.mean[0], c])
-    r = np.stack([(c @ tab.D.T).reshape(nF, q, 2) + data, data])   # E v
-    resid, jnorm = np.sqrt(np.maximum(
-        s * sq_norms(r @ dual.transpose(0, 2, 1), w), 0.0))
-    mean_abs = np.abs(s * (sol @ tab.mean))
     lam_scale = float(np.abs(sol @ tab.V.T).max(initial=0.0))
-    return sol, dual, resid, jnorm, mean_abs, lam_scale
+    return sol, dual, lam_scale
 
 
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
@@ -303,14 +296,12 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
     w = _face_tables(kp).rule.weights
     area2 = 2.0 * mesh.face_areas()[internal]
     div_norm = np.sqrt(area2 * sq_norms(ndiv, w))
-    lam, dual, resid, jnorm, mean_abs, lam_scale = _face_multiplier_solve(
-        mesh, internal, jumps[:, :, :3], kp)
+    lam, dual, lam_scale = _face_multiplier_solve(mesh, internal, jumps[:, :, :3], kp)
     # the largest face norms of F and of curl F on the plus side
     trace_scale, jscale = np.sqrt((area2[:, None] * sq_norms(plus.reshape(
         len(internal), len(w), 2, 3).transpose(0, 2, 1, 3), w)).max(axis=0, initial=0.0))
     out = FaceMultiplier(kp, internal, lam, mesh.vertices[mesh.faces[internal, 0]],
-                         dual, resid, jnorm, div_norm, mean_abs, lam_scale,
-                         float(trace_scale))
+                         dual, div_norm, lam_scale, float(trace_scale))
     if strict:
         ratio = div_norm / max(float(jscale), 1e-30)
         bad = ratio > STRICT_TOL
@@ -405,11 +396,13 @@ def solve_node_patches(pairs: np.ndarray, values: np.ndarray, system: np.ndarray
 
 @dataclass
 class NodalPotential:
+    """Step 3's jump potential, per-tet values at the registry's nodes, and
+    its certificate of the edge cycle condition: the worst patch residual
+    and the entity of its node, the lowest node id within roundoff of it."""
     registry: NodeRegistry     # its degree is the potential's
     phi: np.ndarray            # (T, nloc) per-element nodal values
     max_residual: float        # worst patch least-squares residual
-    worst_node: int            # registry node of max_residual
-    worst_node_name: str       # its entity, e.g. "vertex 12"
+    worst_node_name: str       # the entity of its node, e.g. "vertex 12"
 
     def poly(self, mesh: Mesh) -> BrokenPolyField:
         """Broken scalar polynomial assembled from the nodal values."""
@@ -452,7 +445,7 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     nloc = reg.tet_nodes.shape[1]
     internal = fm.internal_faces
     if not len(internal):      # no jump to reconstruct: phi = 0
-        return NodalPotential(reg, np.zeros((mesh.n_tets, nloc)), 0.0, 0,
+        return NodalPotential(reg, np.zeros((mesh.n_tets, nloc)), 0.0,
                               reg.node_name(0))
     tab = _face_tables(kp)
 
@@ -482,7 +475,7 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     # that tie in exact arithmetic (symmetric meshes) name one node
     max_resid = float(resid[node].max())
     worst = int(node[resid[node] >= (1.0 - 1e-12) * max_resid].min())
-    out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid, worst,
+    out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid,
                          reg.node_name(worst))
     data_scale = max(fm.trace_scale, 1e-30)     # lambda's data are jumps of F
     if strict and max_resid > STRICT_TOL * data_scale:
@@ -561,14 +554,15 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
 
     (a) per element the curl of H_h + correction matches the data; (b) the
     corrected field is tangentially continuous.  Together these are the
-    distributional statement.  Also evaluates the gradient-orthogonality sum
-    for random conforming test potentials, which must vanish for
-    divergence-free data; the potentials are continuous piecewise
-    polynomials on the estimator's node registry, zero on the boundary.
+    distributional statement.  Its pairing with a conforming gradient
+    reduces, by Green's formula, to the data's gradient load (j, grad psi),
+    which the scalar load of every level measures already
+    (``grad_load_ratio``).
 
-    Returns the report: the residuals, absolute and relative, and ``ok``,
-    whether both relative residuals are within EQUILIBRIUM_TOL.  It raises
-    nothing; the caller decides what a failed check means.
+    Returns the report: the residuals, absolute and relative, the norms
+    they are relative to, and ``ok``, whether both relative residuals are
+    within EQUILIBRIUM_TOL.  It raises nothing; the caller decides what a
+    failed check means.
     """
     corr = output.correction
     result = output.result
@@ -580,48 +574,20 @@ def verify_equilibrium(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     jv = j.eval_elements(mesh, tets, rule.points)
     resid = jv - total_curl.eval(tets, rule.points)
     # jv may be the array the data's callback keeps, so its copy is squared
-    jnorm = float(np.sqrt((sq_norms(jv.copy(), rule.weights) * geom.absdet).sum()))
+    j_norm = float(np.sqrt((sq_norms(jv.copy(), rule.weights) * geom.absdet).sum()))
 
     total = Hh.padded_to(kp).plus(result.Htilde)
     face_norms = tangential_jump_norms(mesh, total)
     face_resid = float(np.sqrt((face_norms ** 2).sum()))
     base_jump = float(np.sqrt((tangential_jump_norms(mesh, Hh) ** 2).sum()))
-
-    # gradient-orthogonality sum with random conforming potentials
-    rng = np.random.default_rng(0)
-    reg = output.phi.registry
-    free = np.nonzero(~reg.boundary)[0]
-    P = ps.reference_space(ps.P_SCALAR_TET, reg.degree)
-    corrected = Hh.padded_to(kp).plus(corr.Hhat)
-    tri_rule = _face_tables(kp).rule
-    internal = mesh.internal_faces()
-    jump = tangential_jump_values(mesh, corrected, internal)
-    face_w = 2.0 * mesh.face_areas()[internal]
-    ortho_rels = []
-    for _ in range(5):
-        vals = np.zeros(reg.n_nodes)
-        vals[free] = rng.standard_normal(len(free))
-        coeffs = np.einsum("tl,lm->tm", vals[reg.tet_nodes], P.coeffs[:, 0, :])
-        psi = BrokenPolyField(mesh, reg.degree, coeffs[:, None, :])
-        gpsi = psi.grad()
-        gv = gpsi.eval(tets, rule.points)
-        vol_term = float((np.einsum("q,tqc,tqc->t", rule.weights,
-                                    resid, gv) * geom.absdet).sum())
-        face_term = float(np.einsum("f,q,fqc,fqc->", face_w, tri_rule.weights,
-                                    jump, face_traces(mesh, gpsi, internal, 0)))
-        scale = max(jnorm * gpsi.norm(), 1e-30)
-        ortho_rels.append(abs(vol_term + face_term) / scale)
-    elem_sq = sq_norms(resid, rule.weights) * geom.absdet
-    elem_resid = float(np.sqrt(elem_sq.sum()))
+    elem_resid = float(np.sqrt((sq_norms(resid, rule.weights) * geom.absdet).sum()))
 
     report = {
         "elem_resid": elem_resid,
-        "elem_resid_rel": elem_resid / max(jnorm, 1e-30),
-        "elem_resid_max_T": float(np.sqrt(elem_sq.max(initial=0.0))),
+        "elem_resid_rel": elem_resid / max(j_norm, 1e-30),
         "face_resid": face_resid,
         "face_resid_rel": face_resid / max(base_jump, 1e-30),
-        "ortho_rel_max": float(max(ortho_rels)) if ortho_rels else 0.0,
-        "j_norm": jnorm,
+        "j_norm": j_norm,
         "base_jump_norm": base_jump,
     }
     ok = (report["elem_resid_rel"] <= EQUILIBRIUM_TOL

@@ -25,18 +25,16 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ClosureOverflow, DegenerateTet, NonConforming, NotAdjacent
-
-LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+from .polyspace import TET_EDGES, TET_FACES
 
 VOLUME_EPS = 1e-12          # relative to diameter^3
 BOUNDARY = -1
-_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T
+_EDGE_A, _EDGE_B = np.array(TET_EDGES).T
 # the local positions in a tet of the vertices and of the edges (a, b),
 # (a, c), (b, c) of its local face i, whose vertices a < b < c are ascending
-_FACE_VERTICES = np.array(LOCAL_FACES)
-_FACE_EDGES = np.array([[LOCAL_EDGES.index((f[i], f[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
-                        for f in LOCAL_FACES])
+_FACE_VERTICES = np.array(TET_FACES)
+_FACE_EDGES = np.array([[TET_EDGES.index((f[i], f[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
+                        for f in TET_FACES])
 _ROUND_CAP = 64
 
 
@@ -83,7 +81,7 @@ class Mesh:
     face_tets: np.ndarray         # (F, 2) [T+, T- or BOUNDARY]
     tet_faces: np.ndarray         # (T, 4) face id opposite local vertex i
     edges: np.ndarray             # (E, 2) ascending vertex ids
-    tet_edges: np.ndarray         # (T, 6) in LOCAL_EDGES order
+    tet_edges: np.ndarray         # (T, 6) in TET_EDGES order
     face_edges: np.ndarray        # (F, 3)
     face_local: np.ndarray        # (F, 2) local face index in [T+, T-], -1: no tet
     boundary_face: np.ndarray = None
@@ -155,10 +153,10 @@ class Mesh:
             v = self.vertices[self.faces]
             n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
             n /= np.linalg.norm(n, axis=1)[:, None]
-            centroid_f = v.mean(axis=1)
-            centroid_t = self.vertices[self.tets[self.face_tets[:, 0]]].mean(axis=1)
-            flip = np.einsum("fa,fa->f", n, centroid_f - centroid_t) < 0.0
-            n[flip] = -n[flip]
+            # over its ascending vertices, local face 0 or 2 points out of
+            # a positively oriented tet, 1 or 3 into it
+            n *= (np.array([1.0, -1.0, 1.0, -1.0])[self.face_local[:, 0]]
+                  * self.geom().sign[self.face_tets[:, 0]])[:, None]
             self._face_normals = n
         return self._face_normals
 
@@ -272,7 +270,7 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         raise NonConforming(
             f"dangling vertices: {np.nonzero(~used)[0][:10].tolist()}")
 
-    faces, face_of = _dedupe(tets[:, LOCAL_FACES].reshape(-1, 3))
+    faces, face_of = _dedupe(tets[:, TET_FACES].reshape(-1, 3))
     tet_faces = face_of.reshape(nt, 4)
     count = np.bincount(face_of, minlength=len(faces))
     if (count > 2).any():
@@ -287,7 +285,7 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
     face_tets[:, 0], face_local[:, 0] = np.divmod(rows[start], 4)
     face_tets[two, 1], face_local[two, 1] = np.divmod(rows[start[two] + 1], 4)
 
-    edges, edge_of = _dedupe(tets[:, LOCAL_EDGES].reshape(-1, 2))
+    edges, edge_of = _dedupe(tets[:, TET_EDGES].reshape(-1, 2))
     tet_edges = edge_of.reshape(nt, 6)
     # (a, b), (a, c), (b, c) of each ascending face, read in its plus tet
     face_edges = tet_edges[face_tets[:, :1], _FACE_EDGES[face_local[:, 0]]]
@@ -383,7 +381,7 @@ def l_brick_mesh(n: int) -> Mesh:
 def _longest_edges(vertices, tets):
     """Ascending end points (T, 6, 2) of every tet's edges and the local index
     of its longest edge; ties go to the smallest (low id, high id) pair."""
-    ends = np.sort(tets[:, LOCAL_EDGES], axis=2)
+    ends = np.sort(tets[:, TET_EDGES], axis=2)
     length = np.linalg.norm(vertices[ends[..., 0]] - vertices[ends[..., 1]], axis=-1)
     key = ends[..., 0] * len(vertices) + ends[..., 1]
     key[length < length.max(axis=1, keepdims=True)] = np.iinfo(np.int64).max

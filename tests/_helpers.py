@@ -653,8 +653,9 @@ def hash_node_registry(mesh, degree):
 
 def loop_step3(mesh, fm, kp):
     """Step 3 node by node on the hashed registry, one ``np.linalg.lstsq``
-    per vertex or edge patch; returns an ``equilibrate.NodalPotential``
-    whose ``worst_node`` is numbered in the hashed registry."""
+    per vertex or edge patch; returns an ``equilibrate.NodalPotential``,
+    whose worst node is the first of largest residual in the hashed
+    registry's numbering."""
     from curlest import equilibrate as eqm
     reg, points = hash_node_registry(mesh, kp)
     nloc = reg.tet_nodes.shape[1]
@@ -697,7 +698,7 @@ def loop_step3(mesh, fm, kp):
             worst, worst_node = resid, g
         for (t, loc), v in zip(occ, sol):
             phi[t, loc] = v
-    return eqm.NodalPotential(reg, phi, worst, worst_node, reg.node_name(worst_node))
+    return eqm.NodalPotential(reg, phi, worst, reg.node_name(worst_node))
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +707,10 @@ def loop_step3(mesh, fm, kp):
 
 def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     """Step 1 tet by tet with its own reference tables; returns an
-    ``equilibrate.ElementCorrection``, the curl of its field mapped from the
-    reference curls by J / det J, a size of that curl for rounding bounds
+    ``equilibrate.ElementCorrection``, each tet's max |B h|, the residual
+    of the orthogonality to the gradients that its solve imposes, the curl
+    of its field mapped from the reference curls by J / det J, a size of
+    that curl for rounding bounds
     (the coefficients of the curl reached both through the field's
     derivatives and through the reference curls, every product and sum
     taken in absolute values), the (T, nR) reference coefficients h of every
@@ -789,8 +792,8 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     corr = eqm.ElementCorrection(
         Hhat=fem.BrokenPolyField(mesh, kp, hhat), resid=resid,
         oscillation=float(np.sqrt((resid ** 2).sum())),
-        jdelta_norm=jd_norm, ortho_resid=ortho, degree=kp)
-    return corr, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size, hs, cond
+        jdelta_norm=jd_norm, degree=kp)
+    return corr, ortho, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size, hs, cond
 
 
 def _one_tet_eval(func):
@@ -843,7 +846,7 @@ def loop_topology(tets, n_vertices):
     face_ids, face_list, face_adj = {}, [], []
     tet_faces = np.empty((nt, 4), dtype=np.int64)
     for t, tet in enumerate(tets):
-        for i, loc in enumerate(msh.LOCAL_FACES):
+        for i, loc in enumerate(ps.TET_FACES):
             key = tuple(sorted(int(tet[l]) for l in loc))
             f = face_ids.get(key)
             if f is None:
@@ -866,7 +869,7 @@ def loop_topology(tets, n_vertices):
     edge_ids, edge_list = {}, []
     tet_edges = np.empty((nt, 6), dtype=np.int64)
     for t, tet in enumerate(tets):
-        for i, (a, b) in enumerate(msh.LOCAL_EDGES):
+        for i, (a, b) in enumerate(ps.TET_EDGES):
             key = (int(tet[a]), int(tet[b]))
             key = key if key[0] < key[1] else (key[1], key[0])
             e = edge_ids.get(key)
@@ -994,7 +997,7 @@ def loop_glue(blocks):
 
 def _loop_longest_edge(verts, tet):
     best = None
-    for a, b in msh.LOCAL_EDGES:
+    for a, b in ps.TET_EDGES:
         va, vb = tet[a], tet[b]
         key = (va, vb) if va < vb else (vb, va)
         ln = float(np.linalg.norm(verts[key[0]] - verts[key[1]]))
@@ -1021,7 +1024,7 @@ def loop_refine(mesh, marked):
             changed = False
             for tet in tets:
                 keys = [tuple(sorted((tet[a], tet[b])))
-                        for a, b in msh.LOCAL_EDGES]
+                        for a, b in ps.TET_EDGES]
                 if any(key in marked_edges for key in keys):
                     le = _loop_longest_edge(varray, tet)
                     if le not in marked_edges:
@@ -1052,7 +1055,7 @@ def loop_refine(mesh, marked):
         tets, tags, levels, parents = new_tets, new_tags, new_levels, new_parents
         live = set()
         for tet in tets:
-            for a, b in msh.LOCAL_EDGES:
+            for a, b in ps.TET_EDGES:
                 key = tuple(sorted((tet[a], tet[b])))
                 if key in marked_edges:
                     live.add(key)
@@ -1241,8 +1244,9 @@ def solve_single_face(mesh, f, tangential, kp):
     matches; step 2 reads the jump, of which -n x (n x [F]) = [F]_t is the
     part it sees."""
     faces = np.array([f])
-    jump = -np.cross(mesh.face_normals()[f], tangential)
-    sol, _, resid, *_ = eqm._face_multiplier_solve(mesh, faces, jump[None], kp)
+    jump = -np.cross(mesh.face_normals()[f], tangential)[None]
+    sol, *_ = eqm._face_multiplier_solve(mesh, faces, jump, kp)
+    resid = face_certificates(mesh, faces, sol, jump, kp)["resid"]
     return eqm._face_tables(kp).V @ sol[0], resid[0]
 
 
@@ -1254,6 +1258,94 @@ def solve_node_patch(n, pairs, values):
                                         np.zeros(len(values), dtype=np.int64))
     assert len(sol) == n
     return sol, float(resid[0])
+
+
+# ---------------------------------------------------------------------------
+# certificates of the local solves, from the steps' outputs: each restates
+# what the estimator's pipeline already guarantees, so a run stores none
+# ---------------------------------------------------------------------------
+
+def gradient_moments(mesh, mu, field):
+    """(T,) max_p |(mu F, grad p)_T| of a broken field F over the non-constant
+    monomials p of its degree in each tet's reference coordinates, by an
+    exact rule: the orthogonality that step 1's gradient solve imposes on
+    its correction."""
+    k = field.degree
+    rule = ps.quadrature("tet", 2 * k)
+    geom = mesh.geom()
+    ref_grads = np.einsum("qm,bmn->qbn", _poly.vandermonde(3, k, rule.points),
+                          _poly.diff_stack(3, k))[:, :, 1:]
+    grads = np.einsum("tba,qbn->tqan", geom.Jinv, ref_grads)      # J^-T grad p
+    vals = field.eval(np.arange(mesh.n_tets), rule.points)
+    mom = np.einsum("q,tqa,tqan->tn", rule.weights, vals, grads)
+    return np.abs((mu.per_tet(mesh) * geom.absdet)[:, None] * mom).max(axis=1, initial=0.0)
+
+
+def face_certificates(mesh, faces, lam, jump, kp):
+    """Step 2's certificates of multipliers lam (Fi, nP) in the library's
+    affine face coordinates against the jumps [F] (Fi, q, 3) at the face
+    rule points: dict of resid, the L2 norm of grad_f(lambda) + [F]_t,
+    jnorm, that of [F]_t, and mean_abs, |(lambda, 1)_f|."""
+    tab = eqm._face_tables(kp)
+    w = tab.rule.weights
+    v = mesh.vertices[mesh.faces[faces]]
+    E = v[:, 1:] - v[:, :1]
+    dual = E.transpose(0, 2, 1) @ np.linalg.inv(E @ E.transpose(0, 2, 1))
+    s = 2.0 * mesh.face_areas()[faces]
+    d_st = np.einsum("qm,amn,fn->fqa", tab.V, _poly.diff_stack(2, kp), lam)
+    grad = d_st @ dual.transpose(0, 2, 1)                    # (Fi, q, 3)
+    n = mesh.face_normals()[faces][:, None, :]
+    jt = jump - np.sum(jump * n, axis=2, keepdims=True) * n
+
+    def norm(x):
+        return np.sqrt(s * np.einsum("q,fqc->f", w, x ** 2))
+
+    return {"resid": norm(grad + jt), "jnorm": norm(jt),
+            "mean_abs": np.abs(s * (lam @ tab.mean))}
+
+
+def step2_certificates(mesh, Hh, correction, fm):
+    """``face_certificates`` of step 2's multipliers fm against the jumps of
+    the corrected field H_h + Hhat."""
+    total = Hh.padded_to(fm.degree).plus(correction.Hhat)
+    jump = fem.face_jump_values(mesh, total, fm.internal_faces)
+    return face_certificates(mesh, fm.internal_faces, fm.lam, jump, fm.degree)
+
+
+def random_potential_orthogonality(mesh, j, Hh, out, trials=5, seed=0):
+    """Largest |(j - curl(H_h + Hhat), grad psi) + sum_f ([H_h + Hhat]_t,
+    grad psi)_f| / (||j|| ||grad psi||) over random conforming potentials
+    psi on the estimator's node registry, zero on the boundary.  By Green's
+    formula the sum is the data's gradient load (j, grad psi), so it
+    vanishes for divergence-free data."""
+    corr = out.correction
+    kp = corr.degree
+    rule = ps.quadrature("tet", fem._data_exactness(kp))
+    geom = mesh.geom()
+    tets = np.arange(mesh.n_tets)
+    jv = j.eval_elements(mesh, tets, rule.points)
+    resid = jv - Hh.curl().padded_to(kp).plus(corr.Hhat.curl()).eval(tets, rule.points)
+    jnorm = np.sqrt((np.einsum("q,tqc->t", rule.weights, jv ** 2) * geom.absdet).sum())
+    internal = mesh.internal_faces()
+    jump = fem.tangential_jump_values(mesh, Hh.padded_to(kp).plus(corr.Hhat), internal)
+    face_w = 2.0 * mesh.face_areas()[internal]
+    tri_w = fem._face_rule(kp).weights
+    reg = out.phi.registry
+    free = np.nonzero(~reg.boundary)[0]
+    P = ps.reference_space(ps.P_SCALAR_TET, reg.degree)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        vals = np.zeros(reg.n_nodes)
+        vals[free] = rng.standard_normal(len(free))
+        coeffs = np.einsum("tl,lm->tm", vals[reg.tet_nodes], P.coeffs[:, 0, :])
+        gpsi = fem.BrokenPolyField(mesh, reg.degree, coeffs[:, None, :]).grad()
+        vol = (np.einsum("q,tqc,tqc->t", rule.weights, resid,
+                         gpsi.eval(tets, rule.points)) * geom.absdet).sum()
+        face = np.einsum("f,q,fqc,fqc->", face_w, tri_w, jump,
+                         fem.face_traces(mesh, gpsi, internal, 0))
+        worst = max(worst, abs(vol + face) / max(jnorm * gpsi.norm(), 1e-30))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from _helpers import (coo_assemble_free, cube_j, einsum_assemble_curlcurl,
                       einsum_grad, einsum_map_points, einsum_partials,
                       einsum_step2, einsum_vandermonde, face_rule_points,
                       frame_eval, jittered_cube, loop_face_multipliers,
-                      loop_jump_norms, space_eval)
+                      loop_jump_norms, space_eval, step2_certificates)
 
 TOL = 1e-13
 MU = fem.MaterialField({0: 1.0, 1: 100.0})
@@ -244,12 +244,12 @@ def test_step2_face_kernels_match_einsum(mesh, k):
     rng = np.random.default_rng(k)
     Hh = random_field(rng, mesh, k)
     corr = eqm.ElementCorrection(Hhat=random_field(rng, mesh, k), resid=None,
-                                 oscillation=None, jdelta_norm=None,
-                                 ortho_resid=None, degree=k)
+                                 oscillation=None, jdelta_norm=None, degree=k)
     got = eqm.step2_face_multipliers(mesh, Hh, corr, k)
+    cert = dict(step2_certificates(mesh, Hh, corr, got), div_norm=got.div_norm)
     want = einsum_step2(mesh, Hh, corr, k)
     for key in ("resid", "jnorm", "div_norm"):
-        assert_pinned(getattr(got, key), want[key])
+        assert_pinned(cert[key], want[key])
     # the multipliers by their values at the face points: the oracle stores
     # them in face-frame monomials, step 2 in each face's affine
     # coordinates, and at k = 3 the face systems' conditioning reaches the
@@ -261,7 +261,7 @@ def test_step2_face_kernels_match_einsum(mesh, k):
     # |(lambda, 1)_f| is a constraint residual: compare it with the size of
     # the integral it cancels
     scale = 2.0 * mesh.face_areas().max() * np.abs(want_vals).max()
-    assert np.abs(got.mean_abs - want["mean_abs"]).max() <= TOL * scale
+    assert np.abs(cert["mean_abs"] - want["mean_abs"]).max() <= TOL * scale
 
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])
@@ -273,16 +273,16 @@ def test_face_rule_is_exact(mesh, kp):
     rng = np.random.default_rng(kp)
     Hh = random_field(rng, mesh, kp)
     corr = eqm.ElementCorrection(Hhat=random_field(rng, mesh, kp), resid=None,
-                                 oscillation=None, jdelta_norm=None,
-                                 ortho_resid=None, degree=kp)
+                                 oscillation=None, jdelta_norm=None, degree=kp)
     got = eqm.step2_face_multipliers(mesh, Hh, corr, kp)
+    cert = dict(step2_certificates(mesh, Hh, corr, got), div_norm=got.div_norm)
     want = loop_face_multipliers(mesh, Hh, corr, kp)
 
     def rel(a, b):
         return np.abs(a - b).max() / np.abs(b).max()
 
     for key in ("resid", "jnorm", "div_norm"):
-        assert rel(getattr(got, key), want[key]) <= 1e-12, key
+        assert rel(cert[key], want[key]) <= 1e-12, key
     faces = got.internal_faces
     pts = face_rule_points(mesh, faces, ps.quadrature("tri", 2 * kp + 2))
     assert rel(got.eval(np.arange(got.n_faces), pts),

@@ -5,6 +5,7 @@ import pytest
 
 from curlest import bench
 from curlest import mesh as msh
+from curlest import polyspace as ps
 from curlest.errors import DegenerateTet, NonConforming, NotAdjacent
 from _helpers import (brute_force_faces, check_conforming, edge_faces,
                       face_frame, jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
@@ -57,7 +58,7 @@ def test_face_codes_match_position_search(make):
     # each face's local index in its plus and minus tet (Mesh.face_local)
     # against a search of the tet's vertex list: the face is the tet less
     # the vertex at that position, and its ascending vertices sit at the
-    # positions of LOCAL_FACES there.  Each of the 4 local faces occurs on
+    # positions of TET_FACES there.  Each of the 4 local faces occurs on
     # each side, and a boundary face has no minus index
     m = make()
     for f in range(m.n_faces):
@@ -66,7 +67,7 @@ def test_face_codes_match_position_search(make):
                 continue
             pos = [list(m.tets[t]).index(v) for v in m.faces[f]]
             i = m.face_local[f, side]
-            assert pos == list(msh.LOCAL_FACES[i])
+            assert pos == list(ps.TET_FACES[i])
             assert m.tet_faces[t, i] == f
     assert (m.face_local[m.boundary_face, 1] == -1).all()
     for side in (0, 1):
@@ -272,8 +273,8 @@ def test_packed_dedupe_matches_rowwise_unique(seed):
     # key; rows too wide for one key and float rows (the glued vertices of
     # the L-brick) go through the row-wise unique
     m = relabelled_cube(3, seed=seed)
-    faces = np.sort(m.tets[:, msh.LOCAL_FACES], axis=2).reshape(-1, 3)
-    edges = np.sort(m.tets[:, msh.LOCAL_EDGES], axis=2).reshape(-1, 2)
+    faces = np.sort(m.tets[:, ps.TET_FACES], axis=2).reshape(-1, 3)
+    edges = np.sort(m.tets[:, ps.TET_EDGES], axis=2).reshape(-1, 2)
     wide = faces + 2 ** 22           # (2^22)^3 = 2^66 exceeds int64
     floats = RNG.integers(0, 4, (200, 3)) / 3.0
     for keys in (faces, edges, wide, floats):
@@ -459,13 +460,20 @@ def test_single_valued_differences_telescope():
 
 
 def test_face_normals_point_out_of_plus():
-    m = msh.unit_cube_mesh(2)
-    for f in m.internal_faces():
-        n = m.face_normals()[f]
-        tp = m.face_tets[f, 0]
-        c_f = m.vertices[m.faces[f]].mean(axis=0)
-        c_t = m.vertices[m.tets[tp]].mean(axis=0)
-        assert np.dot(n, c_f - c_t) > 0.0
+    # every face, boundary faces too, against the centroid rule: the unit
+    # normal of the face's plane turned to point from T+'s centroid to the
+    # face's
+    for m in (msh.unit_cube_mesh(3), relabelled_cube(3, 2), jittered_cube(3),
+              msh.l_brick_mesh(2), randomly_bisected(3, 7)):
+        n = m.face_normals()
+        v = m.vertices[m.faces]
+        c_f = v.mean(axis=1)
+        c_t = m.vertices[m.tets[m.face_tets[:, 0]]].mean(axis=1)
+        want = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        want /= np.linalg.norm(want, axis=1)[:, None]
+        want *= np.sign(np.einsum("fa,fa->f", want, c_f - c_t))[:, None]
+        assert np.array_equal(n, want)
+        assert (np.einsum("fa,fa->f", n, c_f - c_t) > 0.0).all()
 
 
 # ---------------------------------------------------------------------------
