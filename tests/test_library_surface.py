@@ -66,6 +66,7 @@ TEST_READ_STATE = {
 SHARED_METHODS = {
     "eval": {"BrokenPolyField", "FaceMultiplier"},
     "n_faces": {"FaceMultiplier", "Mesh"},
+    "ok": {"ExperimentReport", "Level"},
 }
 
 
