@@ -71,22 +71,15 @@ class Level:
     """What later levels, reference errors and reports read of one level.
 
     Matrices and the estimator's intermediate fields are not kept.
-    ``marked`` is set by the adaptive loop.
+    ``marked`` is set by the adaptive loop; ``ok`` says whether the level's
+    hard invariant held.
     """
     mesh: Mesh
     Hh: fem.BrokenPolyField
     eta_T: np.ndarray
     row: dict
+    ok: bool
     marked: set | None = None
-
-    @property
-    def ok(self) -> bool:
-        """The level's hard invariant: a finite eta_h with sum eta_T^2 =
-        eta_h^2 to ETA_SUM_TOL.  Checked when read."""
-        eta_h = self.row["eta_h"]
-        return math.isfinite(eta_h) and (
-            abs(eta_h ** 2 - float(self.eta_T.dot(self.eta_T)))
-            <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300))
 
 
 def dorfler_mark(etas: np.ndarray, theta: float) -> set:
@@ -159,23 +152,24 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     ``problem`` provides mu, current() and optionally exact_H; ``labels``
     (level, resolution) lead the row.  The residual estimator, the error
     against exact_H and the equilibrium checks are added when cfg and the
-    problem ask for them; ``Level.ok`` checks the level's hard invariant.
+    problem ask for them.  The hard invariant is a finite eta_h with
+    sum eta_T^2 = eta_h^2 to ETA_SUM_TOL.
     """
     mu, j = problem.mu, problem.current()
     solved = {}
     t0 = time.perf_counter()
     dm, _, Hh, data = solve_level(mesh, mu, j, cfg, solved)
-    t1 = time.perf_counter()
+    t_solve = time.perf_counter() - t0
+    t0 = time.perf_counter()
     out = estimate_level(dm, mu, data, Hh, cfg)
-    t2 = time.perf_counter()
+    t_est = time.perf_counter() - t0
     eta_h, eta_T = out.result.eta_h, out.result.eta_T
-    row = {**labels, "n_tets": mesh.n_tets, "n_dofs": dm.n_free,
-           "h_max": mesh.h_max, "eta_h": eta_h, "t_solve": t1 - t0,
-           "t_estimate": t2 - t1, **solved,
-           "oscillation": out.correction.oscillation,
-           "step3_max_residual": out.phi.max_residual,
-           "step3_worst_node": out.phi.worst_node_name,
-           "lam_scale": max(out.multipliers.lam_scale, 1e-300)}
+    row = dict(labels, n_tets=mesh.n_tets, n_dofs=dm.n_free,
+               h_max=mesh.h_max(), eta_h=eta_h, t_solve=t_solve,
+               t_estimate=t_est, **solved, oscillation=out.correction.oscillation,
+               step3_max_residual=out.phi.max_residual,
+               step3_worst_node=out.phi.worst_node_name,
+               lam_scale=max(out.multipliers.lam_scale, 1e-300))
     if cfg.verify:
         rep = eqm.verify_equilibrium(mesh, mu, data, Hh, out)
         row["eq_elem_rel"] = rep["elem_resid_rel"]
@@ -186,13 +180,13 @@ def run_level(problem, mesh: Mesh, cfg: RunConfig, **labels) -> Level:
     exact_H = getattr(problem, "exact_H", None)
     if exact_H is not None:
         set_error(row, fem.l2_error_against(mesh, mu, Hh, exact_H))
-    if log.isEnabledFor(logging.INFO):
-        log.info("level %s: %d tets, %d dofs, eta=%.3e; scalar load at %.1e "
-                 "of its rounding bound, gradient correction %s",
-                 labels.get("level"), mesh.n_tets, dm.n_free, eta_h,
-                 row["grad_load_ratio"],
-                 "ran" if row["grad_corrected"] else "skipped")
-    return Level(mesh, Hh, eta_T, row)
+    gap = abs(eta_h ** 2 - float((eta_T ** 2).sum()))
+    ok = math.isfinite(eta_h) and gap <= ETA_SUM_TOL * max(eta_h ** 2, 1e-300)
+    log.info("level %s: %d tets, %d dofs, eta=%.3e; scalar load at %.1e of "
+             "its rounding bound, gradient correction %s", labels.get("level"),
+             mesh.n_tets, dm.n_free, eta_h, row["grad_load_ratio"],
+             "ran" if row["grad_corrected"] else "skipped")
+    return Level(mesh, Hh, eta_T, row, ok)
 
 
 def set_error(row: dict, err: float) -> None:

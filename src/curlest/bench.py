@@ -175,19 +175,12 @@ def builtin_problems() -> dict:
 
 @dataclass
 class ExperimentReport:
-    """A run's rows and metadata, and the levels they report: each level's
-    mesh, field and indicators stay reachable, for VTK output or a closer
-    look, as long as the report is kept.  ``ok`` checks every level's hard
-    invariant when read; ``report.json`` records it as the metadata key
-    ``hard_invariants_ok``."""
     problem: str
     rows: list
     metadata: dict
-    levels: list = field(default_factory=list, repr=False, compare=False)
 
-    def write_csv(self, out_dir) -> None:
-        """Write ``report.csv`` into out_dir, creating the directory."""
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    def write_csv(self, path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         lines = [f"# curlest-report schema={CSV_SCHEMA}",
                  ",".join(CSV_COLUMNS)]
         for row in self.rows:
@@ -201,14 +194,12 @@ class ExperimentReport:
                 else:
                     cells.append(f"{float(v):.12e}")
             lines.append(",".join(cells))
-        (Path(out_dir) / "report.csv").write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
 
-    def write_json(self, out_dir) -> None:
-        """Write ``report.json`` into out_dir, creating the directory."""
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    def write_json(self, path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         payload = {"problem": self.problem, "schema": CSV_SCHEMA,
-                   "metadata": dict(self.metadata, hard_invariants_ok=self.ok),
-                   "rows": self.rows}
+                   "metadata": self.metadata, "rows": self.rows}
 
         def default(o):
             if isinstance(o, (np.integer,)):
@@ -219,12 +210,11 @@ class ExperimentReport:
                 return o.tolist()
             return str(o)
 
-        (Path(out_dir) / "report.json").write_text(
-            json.dumps(payload, indent=1, default=default))
+        Path(path).write_text(json.dumps(payload, indent=1, default=default))
 
     @property
     def ok(self) -> bool:
-        return all(lv.ok for lv in self.levels)
+        return bool(self.metadata.get("hard_invariants_ok", False))
 
 
 def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
@@ -254,17 +244,17 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
         "config": dict(vars(cfg)),   # flat: every field is a scalar or str
         "schema": CSV_SCHEMA,
         "wall_time": time.perf_counter() - t_start,
+        "hard_invariants_ok": all(lv.ok for lv in levels),
         "reference_protocol": "2 extra adaptive levels at the same degree"
                               if cfg.reference_errors else None,
         "notes": spec.notes,
     }
-    report = ExperimentReport(spec.name, [lv.row for lv in levels], metadata,
-                              levels)
+    report = ExperimentReport(spec.name, [lv.row for lv in levels], metadata)
     if cfg.out_dir:
-        report.write_csv(cfg.out_dir)
-        report.write_json(cfg.out_dir)
+        report.write_csv(os.path.join(cfg.out_dir, "report.csv"))  # creates out_dir
+        report.write_json(os.path.join(cfg.out_dir, "report.json"))
         if cfg.vtk:
-            for i, lv in enumerate(report.levels):
+            for i, lv in enumerate(levels):
                 write_vtk(lv.mesh, os.path.join(cfg.out_dir, f"mesh_level_{i}.vtk"),
                           {"eta_T": lv.eta_T})
     return report

@@ -87,7 +87,6 @@ class Mesh:
     boundary_face: np.ndarray = None
     boundary_edge: np.ndarray = None
     boundary_vertex: np.ndarray = None
-    h_max: float = None           # longest tet edge
     _geom: _Geometry = field(default=None, repr=False, compare=False)
     _face_areas: np.ndarray = field(default=None, repr=False, compare=False)
     _face_diameters: np.ndarray = field(default=None, repr=False, compare=False)
@@ -139,6 +138,9 @@ class Mesh:
             self._face_diameters = np.maximum(
                 d, np.linalg.norm(v[:, 2] - v[:, 1], axis=1))
         return self._face_diameters
+
+    def h_max(self) -> float:
+        return float(self.tet_diameters().max())
 
     def h_min_edge(self) -> float:
         v = self.vertices
@@ -313,9 +315,8 @@ def build_mesh(vertices, tets, subdomain_tags=None, *, refinement_levels=None,
         faces=faces, face_tets=face_tets, tet_faces=tet_faces,
         edges=edges, tet_edges=tet_edges, face_edges=face_edges,
         face_local=face_local, boundary_face=boundary_face, boundary_edge=boundary_edge,
-        boundary_vertex=boundary_vertex, h_max=float(diam.max()), _geom=geom,
-        _tet_diameters=diam, _internal_faces=internal,
-        _internal_edges=np.nonzero(~boundary_edge)[0])
+        boundary_vertex=boundary_vertex, _geom=geom, _tet_diameters=diam,
+        _internal_faces=internal, _internal_edges=np.nonzero(~boundary_edge)[0])
 
 
 # ---------------------------------------------------------------------------

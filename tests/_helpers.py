@@ -707,10 +707,8 @@ def loop_step3(mesh, fm, kp):
 
 def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     """Step 1 tet by tet with its own reference tables; returns an
-    ``equilibrate.ElementCorrection``, each tet's max |B h|, the residual
-    of the orthogonality to the gradients that its solve imposes, the curl
-    of its field mapped from the reference curls by J / det J, a size of
-    that curl for rounding bounds
+    ``equilibrate.ElementCorrection``, the curl of its field mapped from the
+    reference curls by J / det J, a size of that curl for rounding bounds
     (the coefficients of the curl reached both through the field's
     derivatives and through the reference curls, every product and sum
     taken in absolute values), the (T, nR) reference coefficients h of every
@@ -752,7 +750,7 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
     curl_size = np.zeros((mesh.n_tets, 3, nm))
     absN, absC = np.abs(N.coeffs), np.abs(N.curl_coeffs())
     absD = np.abs(_poly.diff_columns(3, kp))
-    resid, jd_norm, ortho, cond = (np.zeros(mesh.n_tets) for _ in range(4))
+    resid, jd_norm, cond = (np.zeros(mesh.n_tets) for _ in range(3))
     hs = np.zeros((mesh.n_tets, nR))
     for t in range(mesh.n_tets):
         J = geom.J[t]
@@ -788,12 +786,11 @@ def loop_step1(mesh, mu, j, Hh, kp, mode="saddle"):
         cv = np.einsum("qai,i->qa", Ncurls, h) @ (J.T / det)
         resid[t] = np.sqrt(max(abs(det) * float(np.einsum("q,qc->", w, (cv - jd[t]) ** 2)), 0.0))
         jd_norm[t] = np.sqrt(max(abs(det) * float(np.einsum("q,qc->", w, jd[t] ** 2)), 0.0))
-        ortho[t] = np.abs(B @ h).max(initial=0.0)
     corr = eqm.ElementCorrection(
         Hhat=fem.BrokenPolyField(mesh, kp, hhat), resid=resid,
         oscillation=float(np.sqrt((resid ** 2).sum())),
         jdelta_norm=jd_norm, degree=kp)
-    return corr, ortho, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size, hs, cond
+    return corr, fem.BrokenPolyField(mesh, kp, hhat_curl), curl_size, hs, cond
 
 
 def _one_tet_eval(func):

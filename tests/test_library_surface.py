@@ -66,7 +66,6 @@ TEST_READ_STATE = {
 SHARED_METHODS = {
     "eval": {"BrokenPolyField", "FaceMultiplier"},
     "n_faces": {"FaceMultiplier", "Mesh"},
-    "ok": {"ExperimentReport", "Level"},
 }
 
 
