@@ -226,6 +226,9 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     JSON report.
     """
     t_start = time.perf_counter()
+    # reference errors stand in for exact ones on adaptive runs only
+    reference = (cfg.mode == "adaptive" and cfg.reference_errors
+                 and spec.exact_H is None)
     if cfg.mode == "uniform":
         if cfg.degree not in spec.uniform_res:
             raise ValueError(f"problem {spec.name!r} has no uniform resolutions "
@@ -236,7 +239,7 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
                   for level, res in enumerate(res_list[: cfg.levels])]
     else:
         levels = adaptm.adaptive_loop(spec, cfg)
-        if cfg.reference_errors and spec.exact_H is None:
+        if reference:
             _attach_reference_errors(spec, cfg, levels)
 
     metadata = {
@@ -246,7 +249,7 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
         "wall_time": time.perf_counter() - t_start,
         "hard_invariants_ok": all(lv.ok for lv in levels),
         "reference_protocol": "2 extra adaptive levels at the same degree"
-                              if cfg.reference_errors else None,
+                              if reference else None,
         "notes": spec.notes,
     }
     report = ExperimentReport(spec.name, [lv.row for lv in levels], metadata)

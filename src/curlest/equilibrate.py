@@ -157,9 +157,10 @@ def step1_element_corrections(mesh: Mesh, mu: MaterialField, j: CurrentDensity,
     if strict_a2:
         if not j.is_polynomial:
             raise DataIncompatible("strict mode requires piecewise-polynomial data")
-        jd_poly = j.field.padded_to(kp).plus(jh.padded_to(kp).scale(-1.0))
+        # div(j - curl H_h) = div j: the residual current's divergence is
+        # that of the projected data
         scale = max(float(j.field.mu_norms().max(initial=0.0)), 1e-30) / mesh.h_min_edge()
-        ratio = jd_poly.div().mu_norms() / scale
+        ratio = j.field.div().mu_norms() / scale
         t = int(np.argmax(ratio))
         if ratio[t] > STRICT_TOL:
             raise DataIncompatible(
@@ -221,29 +222,17 @@ _face_tables = lru_cache(maxsize=None)(_FaceTables)
 class FaceMultiplier:
     """Zero-mean face polynomials whose surface gradient matches minus the
     tangential jump of the corrected field, stored as monomial coefficients
-    in each face's affine coordinates (``_FaceTables``).  The zero mean
-    holds by construction and the equation's residual vanishes exactly
-    when ``div_norm`` does, so the strict check reads ``div_norm`` alone."""
+    in each face's affine coordinates (``_FaceTables``); the zero mean
+    holds by construction."""
     degree: int
     internal_faces: np.ndarray   # (Fi,) face ids, ascending
     lam: np.ndarray              # (Fi, nP) monomial coeffs in (s, t)
-    origin: np.ndarray           # (Fi, 3) the face's lowest-id vertex a
-    dual: np.ndarray             # (Fi, 3, 2) E^T g^-1: (x - a) @ dual = (s, t)
-    div_norm: np.ndarray         # (Fi,) in-plane divergence of the fitted data
     lam_scale: float             # max |lambda| at the 2k' face rule points; scales tolerances
     trace_scale: float           # max L2 norm of a face trace of the corrected field
 
     @property
     def n_faces(self) -> int:
         return len(self.internal_faces)
-
-    def eval(self, idx, pts) -> np.ndarray:
-        """Values of multiplier idx at 3D points on its face plane: (n,) for
-        one index and pts (n, 3), (len(idx), n) for an index array and pts
-        (len(idx), n, 3)."""
-        st = (np.asarray(pts) - self.origin[idx][..., None, :]) @ self.dual[idx]
-        v = _poly.vandermonde(2, self.degree, st).reshape(st.shape[:-1] + self.lam.shape[1:])
-        return (v @ self.lam[idx][..., None])[..., 0]
 
 
 def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: int):
@@ -255,15 +244,13 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
     tangential field v is E^T g^-1 (E v), whose norm needs no frame and no
     normal.  The normal equations of the non-constant monomials are SPD;
     the zero mean then fixes the constant.  Returns the coefficients (Fi,
-    nP), the maps E^T g^-1 (Fi, 3, 2) and the largest |lambda| at the face
-    rule points.
+    nP) and the largest |lambda| at the face rule points.
     """
     tab = _face_tables(kp)
     nF, q, n = len(faces), len(tab.rule.weights), tab.wD.shape[1]
     v = mesh.vertices[mesh.faces[faces]]
     E = v[:, 1:] - v[:, :1]                                         # (Fi, 2, 3)
     ginv = np.linalg.inv(E @ E.transpose(0, 2, 1))
-    dual = E.transpose(0, 2, 1) @ ginv                              # E^T g^-1
     s = 2.0 * mesh.face_areas()[faces]
     data = jump @ E.transpose(0, 2, 1)                              # E [F], (Fi, q, 2)
     S = ((s[:, None] * ginv.reshape(nF, 4)) @ tab.DD).reshape(nF, n, n)
@@ -272,7 +259,7 @@ def _face_multiplier_solve(mesh: Mesh, faces: np.ndarray, jump: np.ndarray, kp: 
                      "multiplier")[:, :, 0]
     sol = np.column_stack([-(c @ tab.mean[1:]) / tab.mean[0], c])
     lam_scale = float(np.abs(sol @ tab.V.T).max(initial=0.0))
-    return sol, dual, lam_scale
+    return sol, lam_scale
 
 
 def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
@@ -280,29 +267,28 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            strict: bool = False) -> FaceMultiplier:
     """Solve the surface-curl problems of all internal faces as one batch.
 
-    The jumps of the field and of its curl are traced together; the
-    in-plane divergence of the tangential jump is div_f(n x [F]) =
-    -n . [curl F], exact, so compatible data reports machine zero.  The
-    strict checks of steps 2 and 3 scale by the face norms of the traces
-    of curl F, the data j up to step 1's residual, and of F, which do not
-    vanish with the error as the jumps do."""
+    The solves read the jumps of the corrected field F = H_h + Hhat, and
+    step 3's strict check scales by the largest face norm of the traces of
+    F, which does not vanish with the error as the jumps do.  The strict
+    check of this step traces curl F too: the in-plane divergence of the
+    tangential jump is div_f(n x [F]) = -n . [curl F], exact, so compatible
+    data reports machine zero, and it is scaled by the largest face norm of
+    curl F, the data j up to step 1's residual."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     internal = mesh.internal_faces()
-    stacked = BrokenPolyField(
-        mesh, kp, np.concatenate([total.coeffs, total.curl().coeffs], axis=1))
-    plus = face_traces(mesh, stacked, internal, 0)                   # (Fi, q, 6)
-    jumps = plus - face_traces(mesh, stacked, internal, 1)
-    ndiv = jumps[:, :, 3:] @ mesh.face_normals()[internal][:, :, None]   # (Fi, q, 1)
+    plus = face_traces(mesh, total, internal, 0)                     # (Fi, q, 3)
+    jumps = plus - face_traces(mesh, total, internal, 1)
+    lam, lam_scale = _face_multiplier_solve(mesh, internal, jumps, kp)
     w = _face_tables(kp).rule.weights
     area2 = 2.0 * mesh.face_areas()[internal]
-    div_norm = np.sqrt(area2 * sq_norms(ndiv, w))
-    lam, dual, lam_scale = _face_multiplier_solve(mesh, internal, jumps[:, :, :3], kp)
-    # the largest face norms of F and of curl F on the plus side
-    trace_scale, jscale = np.sqrt((area2[:, None] * sq_norms(plus.reshape(
-        len(internal), len(w), 2, 3).transpose(0, 2, 1, 3), w)).max(axis=0, initial=0.0))
-    out = FaceMultiplier(kp, internal, lam, mesh.vertices[mesh.faces[internal, 0]],
-                         dual, div_norm, lam_scale, float(trace_scale))
+    trace_scale = np.sqrt((area2 * sq_norms(plus, w)).max(initial=0.0))
     if strict:
+        curl = total.curl()
+        cplus = face_traces(mesh, curl, internal, 0)
+        ndiv = ((cplus - face_traces(mesh, curl, internal, 1))
+                @ mesh.face_normals()[internal][:, :, None])         # (Fi, q, 1)
+        div_norm = np.sqrt(area2 * sq_norms(ndiv, w))
+        jscale = np.sqrt((area2 * sq_norms(cplus, w)).max(initial=0.0))
         ratio = div_norm / max(float(jscale), 1e-30)
         bad = ratio > STRICT_TOL
         if bad.any():
@@ -312,7 +298,7 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                 f"condition; worst face {internal[i]}: div_norm/jscale = "
                 f"{ratio[i]:.3e} > tol {STRICT_TOL:.1e}",
                 face=int(internal[i]), value=float(ratio[i]))
-    return out
+    return FaceMultiplier(kp, internal, lam, lam_scale, float(trace_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +320,29 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
     and the absolute size are reported separately so constancy and zero mean
     can be checked independently.  Every face around an interior edge is
     internal, so the (edge, face) incidences come from the internal faces'
-    edges; each edge sums its faces in ascending face order.
+    edges; each edge sums its faces in ascending face order.  An edge runs
+    from its lower to its higher vertex, so its points x = a + s (b - a) sit
+    at (s, 0), (0, s) or (1 - s, s) in the affine coordinates of a face
+    a < b < c, as it is the face's edge ab, ac or bc (``Mesh.face_edges``).
     """
     interior = mesh.internal_edges()
     s = ps.quadrature("segment", 2 * fm.degree + 4).points[:, 0]
+    zero = np.zeros_like(s)
+    st = np.stack([np.column_stack(c) for c in ((s, zero), (zero, s), (1.0 - s, s))])
+    V = _poly.vandermonde(2, fm.degree, st).reshape(3, len(s), -1)   # (3, ns, nP)
     idx = np.repeat(np.arange(fm.n_faces), 3)
+    local = np.tile(np.arange(3), fm.n_faces)               # the edge's index in its face
     e = mesh.face_edges[fm.internal_faces].ravel()
     keep = ~mesh.boundary_edge[e]
     order = np.argsort(e[keep], kind="stable")
-    idx, e = idx[keep][order], e[keep][order]
+    idx, local, e = idx[keep][order], local[keep][order], e[keep][order]
     f = fm.internal_faces[idx]
     _, n_fe = edge_face_normals(mesh, e, f)
     sign = np.einsum("ia,ia->i", mesh.face_normals()[f], n_fe)
-    va = mesh.vertices[mesh.edges[e, 0]][:, None, :]
-    vb = mesh.vertices[mesh.edges[e, 1]][:, None, :]
-    pts = va + s[:, None] * (vb - va)                           # (N, ns, 3)
     row = np.full(mesh.n_edges, -1, dtype=np.int64)
     row[interior] = np.arange(len(interior))
     r = np.zeros((len(interior), len(s)))
-    np.add.at(r, row[e], sign[:, None] * fm.eval(idx, pts))
+    np.add.at(r, row[e], sign[:, None] * (V[local] @ fm.lam[idx][:, :, None])[:, :, 0])
     max_abs = np.abs(r).max(axis=1, initial=0.0)
     variation = r.max(axis=1) - r.min(axis=1)
     return EdgeCompatibility(max_abs, variation, fm.lam_scale)

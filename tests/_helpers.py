@@ -53,6 +53,11 @@ def eval_one(field, t, ref_pts):
     return field.eval([t], ref_pts)[0]
 
 
+def scaled(field, factor):
+    """The broken field ``factor * field``."""
+    return fem.BrokenPolyField(field.mesh, field.degree, field.coeffs * factor)
+
+
 def solve_cube(n, k, strict_a2=False, aux=None):
     """Solve the manufactured cube problem; returns (mesh, dofmap, u, Hh, data)."""
     mesh = msh.unit_cube_mesh(n)
@@ -445,6 +450,19 @@ def face_coefficients(values, kp):
     return np.linalg.lstsq(v, np.asarray(values).T, rcond=None)[0].T
 
 
+def multiplier_eval(mesh, fm, idx, pts):
+    """Values of step-2 multiplier idx of ``fm`` at 3D points on its face
+    plane: (n,) for one index and pts (n, 3), (len(idx), n) for an index
+    array and pts (len(idx), n, 3).  The affine coordinates of x are
+    (x - a) E^T g^-1, a the face's lowest-id vertex."""
+    v = mesh.vertices[mesh.faces[fm.internal_faces[idx]]]
+    E = v[..., 1:, :] - v[..., :1, :]
+    dual = np.swapaxes(E, -1, -2) @ np.linalg.inv(E @ np.swapaxes(E, -1, -2))
+    st = (np.asarray(pts) - v[..., None, 0, :]) @ dual
+    vals = _poly.vandermonde(2, fm.degree, st).reshape(st.shape[:-1] + fm.lam.shape[1:])
+    return (vals @ fm.lam[idx][..., None])[..., 0]
+
+
 def face_index(fm, f):
     """Index of internal face f among the multipliers of ``fm``."""
     i = int(np.searchsorted(fm.internal_faces, f))
@@ -547,7 +565,8 @@ def loop_edge_sums(mesh, fm, n_samples=None):
         r = np.zeros(len(pts))
         for f in edge_faces(mesh, e):
             _, n_fe = msh.edge_face_normals(mesh, e, f)
-            r += float(np.dot(mesh.face_normals()[f], n_fe)) * fm.eval(face_index(fm, f), pts)
+            r += (float(np.dot(mesh.face_normals()[f], n_fe))
+                  * multiplier_eval(mesh, fm, face_index(fm, f), pts))
         max_abs.append(np.abs(r).max())
         variation.append(r.max() - r.min())
     return np.array(max_abs), np.array(variation)
@@ -671,7 +690,7 @@ def loop_step3(mesh, fm, kp):
         p = points[g][None, :]
         if reg.kind[g] == ps.NODE_FACE and not mesh.boundary_face[reg.entity[g]]:
             f = int(reg.entity[g])
-            val = float(fm.eval(face_index(fm, f), p)[0])
+            val = float(multiplier_eval(mesh, fm, face_index(fm, f), p)[0])
             for t, loc in occ:
                 phi[t, loc] = 0.5 * val if t == mesh.face_tets[f, 0] else -0.5 * val
             continue
@@ -690,7 +709,7 @@ def loop_step3(mesh, fm, kp):
             tp, tm = mesh.face_tets[f]
             rows[r, pos[tp]] = 1.0
             rows[r, pos[tm]] = -1.0
-            rhs[r] = float(fm.eval(face_index(fm, f), p)[0])
+            rhs[r] = float(multiplier_eval(mesh, fm, face_index(fm, f), p)[0])
         rows[-1, :] = 1.0
         sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
         resid = float(np.linalg.norm(rows @ sol - rhs))
@@ -1242,7 +1261,7 @@ def solve_single_face(mesh, f, tangential, kp):
     part it sees."""
     faces = np.array([f])
     jump = -np.cross(mesh.face_normals()[f], tangential)[None]
-    sol, *_ = eqm._face_multiplier_solve(mesh, faces, jump, kp)
+    sol, _ = eqm._face_multiplier_solve(mesh, faces, jump, kp)
     resid = face_certificates(mesh, faces, sol, jump, kp)["resid"]
     return eqm._face_tables(kp).V @ sol[0], resid[0]
 
@@ -1303,10 +1322,17 @@ def face_certificates(mesh, faces, lam, jump, kp):
 
 def step2_certificates(mesh, Hh, correction, fm):
     """``face_certificates`` of step 2's multipliers fm against the jumps of
-    the corrected field H_h + Hhat."""
+    the corrected field F = H_h + Hhat, and div_norm, the L2 norm of the
+    in-plane divergence of the face data, div_f(n x [F]) = -n . [curl F]."""
+    faces = fm.internal_faces
     total = Hh.padded_to(fm.degree).plus(correction.Hhat)
-    jump = fem.face_jump_values(mesh, total, fm.internal_faces)
-    return face_certificates(mesh, fm.internal_faces, fm.lam, jump, fm.degree)
+    jump = fem.face_jump_values(mesh, total, faces)
+    out = face_certificates(mesh, faces, fm.lam, jump, fm.degree)
+    ndiv = np.einsum("fqc,fc->fq", fem.face_jump_values(mesh, total.curl(), faces),
+                     mesh.face_normals()[faces])
+    w = fem._face_rule(fm.degree).weights
+    out["div_norm"] = np.sqrt(2.0 * mesh.face_areas()[faces] * (ndiv ** 2 @ w))
+    return out
 
 
 def random_potential_orthogonality(mesh, j, Hh, out, trials=5, seed=0):

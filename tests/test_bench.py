@@ -312,6 +312,18 @@ def test_reference_error_protocol(tmp_path):
         (len(rep.rows) - 1) * [row] + [[k for k in row if k != "t_refine"]])
 
 
+@pytest.mark.parametrize("name, mode", [("cube_jump_mu_100", "uniform"),
+                                        ("cube_poly", "adaptive")])
+def test_reference_protocol_only_where_it_ran(name, mode):
+    # --reference-errors applies to adaptive runs of problems without an
+    # exact solution: a uniform run has no error column, and a problem with
+    # an exact solution reports exact errors; neither records the protocol
+    cfg = bench.RunConfig(degree=1, mode=mode, levels=1, reference_errors=True)
+    rep = bench.run_experiment(bench.builtin_problems()[name], cfg)
+    assert rep.metadata["reference_protocol"] is None
+    assert ("error" in rep.rows[0]) == (mode == "adaptive")
+
+
 def _resolved_reference_errors(spec, levels, cfg):
     """Oracle: the reference protocol without reuse.  Re-solves the last
     level and every level with solve_level, continues the chain from a fresh

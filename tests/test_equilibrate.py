@@ -18,9 +18,9 @@ from _helpers import (MU1, cube_H, cube_j, dim_p_tri, edge_faces, eval_one,
                       face_rule_points, frame_coords, frame_eval,
                       gradient_moments, inspace_j, inspace_u, jittered_cube,
                       loop_edge_sums, loop_face_multipliers, loop_face_solve,
-                      loop_jump_norms, loop_step1, loop_step3, node_points,
-                      normal_jump_norms, random_potential_orthogonality,
-                      randomly_bisected, ref_coords, relabelled_cube, solve_cube,
+                      loop_jump_norms, loop_step1, loop_step3, multiplier_eval,
+                      node_points, normal_jump_norms, random_potential_orthogonality,
+                      randomly_bisected, ref_coords, relabelled_cube, scaled, solve_cube,
                       solve_node_patch, solve_single_face, space_eval,
                       step2_certificates)
 
@@ -148,7 +148,7 @@ def test_step1_modes_agree_on_compatible_data():
     m, dm, u, Hh, data = solve_cube(2, 1)
     c1 = eqm.step1_element_corrections(m, MU1, data, Hh, 3)
     c2, *_ = loop_step1(m, MU1, data, Hh, 3, mode="lstsq_dk")
-    diff = c1.Hhat.plus(c2.Hhat.scale(-1.0)).norm()
+    diff = c1.Hhat.plus(scaled(c2.Hhat, -1.0)).norm()
     assert diff < 1e-9 * max(c1.Hhat.norm(), 1e-30)
 
 
@@ -226,7 +226,8 @@ def test_step2_forms_agree_on_pipeline_data():
     faces = f1.internal_faces
     pts = face_rule_points(m, faces, ps.quadrature("tri", 8))
     scale = max(f1.lam_scale, 1e-30)
-    vals, vals2 = f1.eval(np.arange(f1.n_faces), pts), frame_eval(m, faces, 3, lam2, pts)
+    vals = multiplier_eval(m, f1, np.arange(f1.n_faces), pts)
+    vals2 = frame_eval(m, faces, 3, lam2, pts)
     assert np.abs(vals - vals2).max() < 1e-9 * scale
 
 
@@ -291,7 +292,7 @@ def test_edge_compat_perturbation_linearity():
             ii = face_index(fmx, ff)
             _, nfe = msh.edge_face_normals(m, e, ff)
             sg = float(np.dot(m.face_normals()[ff], nfe))
-            r += sg * fmx.eval(ii, pts)
+            r += sg * multiplier_eval(m, fmx, ii, pts)
         return r
 
     before = r_e(fm)
@@ -409,13 +410,13 @@ def test_step1_matches_loop_oracle(jump_level):
             # the triangle inequality the curl residual moves by at most the
             # norm of the curl of the difference of the two corrections
             jscale = ref.jdelta_norm.max()
-            diff = dataclasses.replace(got, Hhat=got.Hhat.plus(ref.Hhat.scale(-1.0)))
+            diff = dataclasses.replace(got, Hhat=got.Hhat.plus(scaled(ref.Hhat, -1.0)))
             assert np.all(np.abs(got.resid - ref.resid)
                           <= diff.Hhat.curl().mu_norms() + 1e-14 * jscale)
             # steps 2-4 are linear in the correction, so eta_T moves by at
             # most the estimate of that difference alone, plus roundoff
             res, res_ref = _eta_from(m, Hh, got, kp), _eta_from(m, Hh, ref, kp)
-            moved = _eta_from(m, Hh.scale(0.0), diff, kp)
+            moved = _eta_from(m, scaled(Hh, 0.0), diff, kp)
             assert np.all(np.abs(res.eta_T - res_ref.eta_T)
                           <= moved.eta_T + 1e-14 * res_ref.eta_T.max())
             assert abs(res.eta_h - res_ref.eta_h) <= moved.eta_h + 1e-14 * res_ref.eta_h
@@ -500,7 +501,7 @@ def test_step2_matches_loop_oracle(jump_level):
     fm = out.multipliers
     kp = fm.degree
     ref = loop_face_multipliers(m, Hh, out.correction, kp)
-    got = dict(step2_certificates(m, Hh, out.correction, fm), div_norm=fm.div_norm)
+    got = step2_certificates(m, Hh, out.correction, fm)
     for key in ("jnorm", "div_norm"):
         assert _rel_err(got[key], ref[key]) <= 1e-12, key
     for key in ("resid", "mean_abs"):   # roundoff-level on compatible data
@@ -509,7 +510,7 @@ def test_step2_matches_loop_oracle(jump_level):
     # stores them in face-frame monomials
     pts = face_rule_points(m, fm.internal_faces, ps.quadrature("tri", 2 * kp + 2))
     ref_vals = frame_eval(m, fm.internal_faces, kp, ref["lam"], pts)
-    assert _rel_err(fm.eval(np.arange(fm.n_faces), pts), ref_vals) <= 1e-12
+    assert _rel_err(multiplier_eval(m, fm, np.arange(fm.n_faces), pts), ref_vals) <= 1e-12
     # the estimator built on the loop multipliers
     loop_fm = dataclasses.replace(fm, lam=face_coefficients(ref_vals, kp))
     phi = eqm.step3_reconstruct_phi(m, loop_fm, out.phi.registry)
@@ -522,8 +523,8 @@ def test_lam_scale_is_the_largest_multiplier_at_the_face_rule_points(jump_level)
     m, Hh, out = jump_level
     fm = out.multipliers
     rule = ps.quadrature("tri", 2 * fm.degree)
-    vals = np.abs(fm.eval(np.arange(fm.n_faces),
-                          face_rule_points(m, fm.internal_faces, rule)))
+    vals = np.abs(multiplier_eval(m, fm, np.arange(fm.n_faces),
+                                  face_rule_points(m, fm.internal_faces, rule)))
     assert abs(fm.lam_scale - vals.max()) <= 1e-14 * vals.max()
 
 
@@ -743,7 +744,7 @@ def test_step3_face_interior_half_values():
         if reg.kind[g] != ps.NODE_FACE or m.boundary_face[reg.entity[g]]:
             continue
         f = int(reg.entity[g])
-        val = float(fm.eval(face_index(fm, f), points[g][None, :])[0])
+        val = float(multiplier_eval(m, fm, face_index(fm, f), points[g][None, :])[0])
         tp, tm = m.face_tets[f]
         tets, _ = np.nonzero(reg.tet_nodes == g)
         got = dict(zip(tets, out.phi.phi[reg.tet_nodes == g]))
@@ -774,7 +775,7 @@ def test_step3_jump_matches_multiplier_polynomials():
         tp, tm = m.face_tets[f]
         jump = (eval_one(poly, tp, ref_coords(m, tp, pts))
                 - eval_one(poly, tm, ref_coords(m, tm, pts)))[:, 0]
-        lam = fm.eval(ii, pts)
+        lam = multiplier_eval(m, fm, ii, pts)
         assert np.abs(jump - lam).max() < 1e-9 * scale
 
 
@@ -953,9 +954,13 @@ def test_strict_mode_rejects_divergent_data():
     with pytest.raises(eqm.DataIncompatible) as exc:
         eqm.step1_element_corrections(m, MU1, bad, Hh, 1, strict_a2=True)
     # the error names that tet and its div_norm * h_min / jscale, with
-    # jscale the largest element norm of the data
-    jd = bad.field.plus(Hh.curl().scale(-1.0))
-    ratio = jd.div().mu_norms()[t] * m.h_min_edge() / bad.field.mu_norms().max()
+    # jscale the largest element norm of the data.  div(j - curl H_h) =
+    # div j: the check reads the data's divergence, which is that of the
+    # residual current to roundoff
+    div_j = bad.field.div().mu_norms()
+    div_jd = bad.field.plus(scaled(Hh.curl(), -1.0)).div().mu_norms()
+    assert np.abs(div_j - div_jd).max() <= 1e-12 * div_j.max()
+    ratio = div_j[t] * m.h_min_edge() / bad.field.mu_norms().max()
     assert exc.value.tet == t
     assert exc.value.value == pytest.approx(ratio, rel=1e-12)
     assert f"tet {t}:" in str(exc.value)
@@ -977,11 +982,32 @@ def test_strict_mode_rejects_incompatible_face_data():
         m.face_tets[faces, 0], face_rule_points(m, faces, rule))
     jscale = np.sqrt(2.0 * m.face_areas()[faces]
                      * np.einsum("q,fqc,fqc->f", rule.weights, curl, curl)).max()
-    ratio = fm.div_norm / jscale
+    ratio = step2_certificates(m, Hh, corr, fm)["div_norm"] / jscale
     worst = int(np.argmax(ratio))
     assert exc.value.face == fm.internal_faces[worst]
     assert exc.value.value == pytest.approx(ratio[worst], rel=1e-12)
     assert f"face {exc.value.face}" in str(exc.value)
+
+
+@pytest.mark.parametrize("strict, traces, curls", [(False, 2, 0), (True, 4, 1)])
+def test_step2_traces_the_curl_only_in_strict_mode(monkeypatch, strict, traces, curls):
+    # a default step 2 traces the corrected field once per side; only its
+    # strict check takes the curl and traces it too
+    m, dm, u, Hh, data = solve_cube(2, 2, strict_a2=True)
+    corr = eqm.step1_element_corrections(m, MU1, data, Hh, 2, strict_a2=strict)
+    calls = {"traces": 0, "curls": 0}
+    face_traces, curl = eqm.face_traces, fem.BrokenPolyField.curl
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eqm, "face_traces", counted("traces", face_traces))
+    monkeypatch.setattr(fem.BrokenPolyField, "curl", counted("curls", curl))
+    eqm.step2_face_multipliers(m, Hh, corr, 2, strict=strict)
+    assert calls == {"traces": traces, "curls": curls}
 
 
 def _edge_between_boundary_vertices(m):
@@ -1036,13 +1062,9 @@ def _broken_jump_multipliers(m, kp, rng):
     pts = face_rule_points(m, internal, ps.quadrature("tri", 2 * kp + 2))
     vals = (psi.eval_points(m.face_tets[internal, 0], pts)
             - psi.eval_points(m.face_tets[internal, 1], pts))[:, :, 0]
-    v = m.vertices[m.faces[internal]]
-    E = v[:, 1:] - v[:, :1]
     # no field lies behind these multipliers: their own size scales them
     scale = float(np.abs(vals).max())
-    return eqm.FaceMultiplier(kp, internal, face_coefficients(vals, kp), v[:, 0],
-                              E.transpose(0, 2, 1) @ np.linalg.inv(E @ E.transpose(0, 2, 1)),
-                              np.zeros(len(internal)), scale, scale)
+    return eqm.FaceMultiplier(kp, internal, face_coefficients(vals, kp), scale, scale)
 
 
 @pytest.mark.parametrize("kp", [1, 2, 3, 4])

@@ -25,7 +25,7 @@ from _helpers import (MU1, cg_solve, colamd_factor, covariant_basis,
                       loop_interpolate_nedelec, loop_nedelec_dofs,
                       loop_project_current, nedelec_element_matrices,
                       nedelec_field_to_poly, ref_coords,
-                      relabelled_cube, solve_cube, two_tet_mesh,
+                      relabelled_cube, scaled, solve_cube, two_tet_mesh,
                       validate_current)
 
 RNG = np.random.default_rng(17)
@@ -402,7 +402,7 @@ def test_skipped_correction_matches_forced_correction(name, k):
     fields = [fem.compute_Hh(m, dm, fem.solve_magnetostatic(A, b, dm)[0], spec.mu)
               for b in (load.values, fem.gradient_correction(dm, load.values))]
     assert np.array_equal(fields[0].coeffs, _solve_with_row(name, m, k)[1].coeffs)
-    diff = fields[0].plus(fields[1].scale(-1.0)).norm()
+    diff = fields[0].plus(scaled(fields[1], -1.0)).norm()
     assert diff <= fem.RESIDUAL_TOL * fields[1].norm()
 
 
@@ -586,7 +586,7 @@ def test_symmetric_factor_matches_colamd_oracle(k, n):
     ref = np.zeros(dm.n_dofs)
     ref[dm.free[C]] = colamd_factor(A[C][:, C]).solve(b[dm.free[C]])
     Href = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, ref), MU1)
-    assert H.plus(Href.scale(-1.0)).norm() <= 1e-11 * Href.norm()
+    assert H.plus(scaled(Href, -1.0)).norm() <= 1e-11 * Href.norm()
 
 
 def test_symmetric_factor_halves_colamd_fill():
@@ -799,7 +799,7 @@ def test_backends_agree_on_field(k):
     u2 = np.zeros(dm.n_dofs)
     u2[dm.free] = cg_solve(A, b)
     H2 = fem.compute_Hh(m, dm, fem.FieldCoefficients(dm, u2), MU1)
-    assert H1.plus(H2.scale(-1.0)).norm() < 1e-8 * H1.norm()
+    assert H1.plus(scaled(H2, -1.0)).norm() < 1e-8 * H1.norm()
 
 
 def test_galerkin_orthogonality():
@@ -898,7 +898,7 @@ def test_stacked_interpolation_and_projection_match_per_tet_loops(k):
     # coefficients amplify the roundoff of the small solves
     got = fem.project_current(m, wavy, k).field
     ref = fem.BrokenPolyField(m, k, loop_project_current(m, wavy, k))
-    diff = got.plus(ref.scale(-1.0)).mu_norms()
+    diff = got.plus(scaled(ref, -1.0)).mu_norms()
     assert (diff / ref.mu_norms()).max() <= 1e-12
 
 

@@ -55,7 +55,6 @@ TEST_READ_STATE = {
         "the output of the edge-sum oracle, which the benchmark's tracer keeps",
     "equilibrate.py: ElementCorrection.resid":
         "the per-tet terms of the row's oscillation",
-    "equilibrate.py: FaceMultiplier.div_norm": "the strict step-2 check's values",
     "errors.py: self.node": "the registry id that a NodeError carries",
     "residual.py: ResidualResult.face_sq": "the face terms of mu_h",
     "residual.py: ResidualResult.vol_T": "the volume terms of mu_h",
@@ -64,7 +63,6 @@ TEST_READ_STATE = {
 # method names defined by more than one class, each with the classes that
 # define it; the library calls the method on every one of them
 SHARED_METHODS = {
-    "eval": {"BrokenPolyField", "FaceMultiplier"},
     "n_faces": {"FaceMultiplier", "Mesh"},
 }
 
