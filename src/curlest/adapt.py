@@ -62,6 +62,9 @@ class RunConfig:
                              f"expected one of {ESTIMATORS}")
         if self.vtk and not self.out_dir:
             raise ValueError("vtk writes files: set out_dir")
+        if self.reference_errors and self.mode != "adaptive":
+            raise ValueError("reference errors come from further adaptive levels: "
+                             "set mode to adaptive")
         if self.out_dir and os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
             raise ValueError(f"out_dir {self.out_dir!r} is not a directory")
 

@@ -226,9 +226,11 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
     JSON report.
     """
     t_start = time.perf_counter()
-    # reference errors stand in for exact ones on adaptive runs only
-    reference = (cfg.mode == "adaptive" and cfg.reference_errors
-                 and spec.exact_H is None)
+    # reference errors stand in for exact ones (RunConfig admits them on
+    # adaptive runs only)
+    if cfg.reference_errors and spec.exact_H is not None:
+        raise ValueError(f"problem {spec.name!r} has an exact solution: "
+                         "its errors need no reference")
     if cfg.mode == "uniform":
         if cfg.degree not in spec.uniform_res:
             raise ValueError(f"problem {spec.name!r} has no uniform resolutions "
@@ -239,7 +241,7 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
                   for level, res in enumerate(res_list[: cfg.levels])]
     else:
         levels = adaptm.adaptive_loop(spec, cfg)
-        if reference:
+        if cfg.reference_errors:
             _attach_reference_errors(spec, cfg, levels)
 
     metadata = {
@@ -249,7 +251,7 @@ def run_experiment(spec: ProblemSpec, cfg: RunConfig) -> ExperimentReport:
         "wall_time": time.perf_counter() - t_start,
         "hard_invariants_ok": all(lv.ok for lv in levels),
         "reference_protocol": "2 extra adaptive levels at the same degree"
-                              if reference else None,
+                              if cfg.reference_errors else None,
         "notes": spec.notes,
     }
     report = ExperimentReport(spec.name, [lv.row for lv in levels], metadata)

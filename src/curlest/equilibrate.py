@@ -11,9 +11,9 @@ Pipeline (per estimator run):
           traces are read from reference tables, one per local face of a
           tet (``Mesh.face_local``);
   step 3  per Lagrange node on an internal face: jump-consistent potential
-          values from its tiny least-squares system, all nodes in one
-          sparse solve; the worst residual certifies the edge cycle
-          condition;
+          values from its tiny least-squares system, one batched dense
+          solve per system size; the worst residual certifies the edge
+          cycle condition;
   step 4  the elementwise energy norm of the corrected field.
 
 Step 2 writes each multiplier, a polynomial of degree k' on its face, in the
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _poly
 from . import polyspace as ps
@@ -44,7 +43,7 @@ from .errors import (DataIncompatible, FaceIncompatible, FaceSolveSingular,
 from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
                      NodeRegistry, face_traces,
                      sq_norms, tangential_jump_norms,
-                     _data_exactness, _face_rule, _factor_spd, _ref_tables)
+                     _data_exactness, _face_rule, _ref_tables)
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
@@ -353,35 +352,52 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
 # ---------------------------------------------------------------------------
 
 def solve_node_patches(pairs: np.ndarray, values: np.ndarray, system: np.ndarray):
-    """Least-squares solve of many nodal difference systems as one sparse,
-    block-diagonal problem.
+    """Least-squares solve of many small nodal difference systems, batched by
+    system size.
 
     Row r asks x[pairs[r, 0]] - x[pairs[r, 1]] = values[r] and belongs to
     system ``system[r]``; the unknowns are 0..n-1, each in some row, and
-    each system adds the zero-mean row of its unknowns.  The normal
-    equations R^T R x = R^T b are solved by one sparse factorization: R^T R
-    is symmetric positive definite when the rows of every system connect
-    its unknowns, and its entries are small integers, so it is bitwise
-    symmetric.  The continuous theory makes the systems consistent, so the
-    residuals are a pure compatibility diagnostic.  Returns x (n,) and the
-    residual norm of every system id 0..max(system), 0 for ids with no row.
+    each system adds the zero-mean row of its unknowns.  A system's normal
+    matrix is L + 11^T, the graph Laplacian of its difference rows plus the
+    zero-mean row, which is symmetric positive definite when the rows
+    connect its unknowns.  The systems are numbered by size and their
+    unknowns by system, so every normal matrix is one dense block of a flat
+    array that a single ``np.bincount`` fills, as it does the right-hand
+    sides, and each size class is one batched dense solve.  The continuous
+    theory makes the systems consistent, so the residuals are a pure
+    compatibility diagnostic.  Returns x (n,) and the residual norm of every
+    system id 0..max(system): the rows' squared residuals plus (sum x)^2
+    over its unknowns, 0 for ids with no row.
     """
-    m = len(values)
     n = int(pairs.max()) + 1
     n_sys = int(system.max()) + 1
     system_of = np.empty(n, dtype=np.int64)
     system_of[pairs] = system[:, None]
-    rows = np.arange(m)
-    R = sp.csr_matrix(
-        (np.concatenate([np.ones(m), -np.ones(m), np.ones(n)]),
-         (np.concatenate([rows, rows, m + system_of]),
-          np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)]))),
-        shape=(m + n_sys, n))
-    b = np.concatenate([values, np.zeros(n_sys)])
-    x = _factor_spd(R.T @ R).solve(R.T @ b)
-    sq = np.bincount(np.concatenate([system, np.arange(n_sys)]), (R @ x - b) ** 2,
-                     minlength=n_sys)
-    return x, np.sqrt(sq)
+    size = np.bincount(system_of, minlength=n_sys)
+    rank = np.empty(n_sys, dtype=np.int64)              # systems numbered by size
+    rank[np.argsort(size, kind="stable")] = np.arange(n_sys)
+    size = np.sort(size)
+    first = np.concatenate([[0], np.cumsum(size)])      # of each system's unknowns
+    block = np.concatenate([[0], np.cumsum(size * size)])   # of its normal matrix
+    pos = np.empty(n, dtype=np.int64)                   # unknowns numbered by system
+    pos[np.argsort(rank[system_of], kind="stable")] = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    s = rank[system]
+    la, lb, w = pos[a] - first[s], pos[b] - first[s], size[s]
+    entry = block[s] + np.stack([la * w + la, lb * w + lb, la * w + lb, lb * w + la])
+    A = np.bincount(entry.ravel(), np.repeat([1.0, 1.0, -1.0, -1.0], len(values)),
+                    minlength=block[-1]) + 1.0
+    rhs = np.bincount(np.concatenate([pos[a], pos[b]]),
+                      np.concatenate([values, -values]), minlength=n)
+    y = np.empty(n)
+    for c, lo, count in zip(*np.unique(size, return_index=True, return_counts=True)):
+        hi = lo + count
+        y[first[lo]:first[hi]] = np.linalg.solve(
+            A[block[lo]:block[hi]].reshape(count, c, c),
+            rhs[first[lo]:first[hi]].reshape(count, c, 1)).ravel()
+    x = y[pos]
+    sq = np.bincount(system, (x[a] - x[b] - values) ** 2, minlength=n_sys)
+    return x, np.sqrt(sq + np.bincount(system_of, x, minlength=n_sys) ** 2)
 
 
 @dataclass
@@ -408,11 +424,11 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
 
     Each (node, internal face) incidence asks phi[T+] - phi[T-] =
     lambda_f(node) and each node adds its zero-mean row; the nodes on the
-    closure of an internal face are solved as one block-diagonal least-
-    squares problem, the others stay 0.  A face node needs no branch: its
-    system is square, 2 x 2, with the solution +-lambda_f / 2.  The theory
-    makes the systems consistent, and ``build_mesh`` checks that every
-    vertex and edge patch is face-connected, so the solution is unique.
+    closure of an internal face are solved by ``solve_node_patches``, the
+    others stay 0.  A face node needs no branch: its system is square,
+    2 x 2, with the solution +-lambda_f / 2.  The theory makes the systems
+    consistent, and ``build_mesh`` checks that every vertex and edge patch
+    is face-connected, so the solution is unique.
     Every face reads lambda_f at its closure nodes from one reference table
     and finds them in T+ and T- through the rows of its local index there;
     the node ids are T+'s, and a T- that holds another node raises

@@ -314,14 +314,18 @@ def test_reference_error_protocol(tmp_path):
 
 @pytest.mark.parametrize("name, mode", [("cube_jump_mu_100", "uniform"),
                                         ("cube_poly", "adaptive")])
-def test_reference_protocol_only_where_it_ran(name, mode):
+def test_reference_protocol_only_where_it_ran(name, mode, capsys):
     # --reference-errors applies to adaptive runs of problems without an
-    # exact solution: a uniform run has no error column, and a problem with
-    # an exact solution reports exact errors; neither records the protocol
-    cfg = bench.RunConfig(degree=1, mode=mode, levels=1, reference_errors=True)
-    rep = bench.run_experiment(bench.builtin_problems()[name], cfg)
-    assert rep.metadata["reference_protocol"] is None
-    assert ("error" in rep.rows[0]) == (mode == "adaptive")
+    # exact solution: RunConfig refuses a uniform run, run_experiment a
+    # problem with an exact solution, and the CLI exits 1 with the reason
+    why = "set mode to adaptive" if mode == "uniform" else "has an exact solution"
+    with pytest.raises(ValueError, match=why):
+        cfg = bench.RunConfig(degree=1, mode=mode, levels=1, reference_errors=True)
+        bench.run_experiment(bench.builtin_problems()[name], cfg)
+    argv = ["run", name, "--mode", mode, "--degree", "1", "--levels", "1",
+            "--reference-errors"]
+    assert cli.main(argv) == 1
+    assert why in capsys.readouterr().err
 
 
 def _resolved_reference_errors(spec, levels, cfg):

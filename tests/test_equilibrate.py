@@ -734,6 +734,59 @@ def test_node_patch_prefix_sum_oracle():
         assert np.abs(sol - phi_star).max() < 1e-10
 
 
+def _difference_systems(rng, sizes):
+    """Connected difference systems of the given sizes: a random spanning
+    tree of each plus as many random extra rows, with the unknown ids of all
+    systems interleaved and every other system id left without rows.
+    Returns pairs, system ids, the unknowns of each system, and a potential
+    x* whose differences make every system consistent."""
+    ids = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
+    pairs, system = [], []
+    for s, u in enumerate(ids):
+        tree = [(u[rng.integers(0, i)], u[i]) for i in range(1, len(u))]
+        rows = tree + [tuple(rng.choice(u, 2, replace=False))
+                       for _ in range(rng.integers(0, len(u)))]
+        pairs += [p[::-1] if rng.random() < 0.5 else p for p in rows]
+        system += [2 * s] * len(rows)
+    return np.array(pairs), np.array(system), ids, rng.standard_normal(int(sizes.sum()))
+
+
+def test_node_patch_batch_matches_per_system_lstsq():
+    # every size from 2 to 48 (the largest vertex patch) and 40 more at
+    # random, so most size classes batch several systems
+    rng = np.random.default_rng(37)
+    sizes = np.concatenate([np.arange(2, 49), rng.integers(2, 49, 40)])
+    pairs, system, ids, xs = _difference_systems(rng, sizes)
+    noise = rng.standard_normal(len(pairs))
+    for values in (xs[pairs[:, 0]] - xs[pairs[:, 1]], noise):   # consistent, not
+        x, resid = eqm.solve_node_patches(pairs, values, system)
+        assert not resid[1::2].any()                 # ids without rows
+        for s, u in enumerate(ids):
+            rows = np.nonzero(system == 2 * s)[0]
+            col = {g: i for i, g in enumerate(u)}
+            R = np.zeros((len(rows) + 1, len(u)))
+            for r, (a, b) in enumerate(pairs[rows]):
+                R[r, col[a]], R[r, col[b]] = 1.0, -1.0
+            R[-1] = 1.0                               # the zero-mean row
+            rhs = np.append(values[rows], 0.0)
+            # lstsq's own residual on consistent rows reaches 1e-13 here;
+            # one correction step brings the oracle to roundoff
+            ref = np.linalg.lstsq(R, rhs, rcond=None)[0]
+            ref += np.linalg.lstsq(R, rhs - R @ ref, rcond=None)[0]
+            assert np.abs(x[u] - ref).max() <= 1e-13
+            assert abs(resid[2 * s] - np.linalg.norm(R @ ref - rhs)) <= 1e-13
+
+    # negative control: a bumped value moves its own system's residual only
+    values = xs[pairs[:, 0]] - xs[pairs[:, 1]]
+    _, before = eqm.solve_node_patches(pairs, values, system)
+    r = int(rng.integers(len(values)))
+    values[r] += 1.0
+    _, after = eqm.solve_node_patches(pairs, values, system)
+    own = system[r]
+    assert before[own] < 1e-13 and after[own] > 0.1
+    assert np.array_equal(np.delete(after, own), np.delete(before, own))
+
+
 def test_step3_face_interior_half_values():
     m, Hh, data, out = _estimate_cube(1, 3, kp=3)
     reg = out.phi.registry

@@ -307,8 +307,10 @@ def test_owner_row_gradient_matches_averaged_build(make_mesh, k):
     rho = size[size <= 1e-11].max()
     assert G.shape == want.shape
     assert abs(G - want).max() <= 2 * rho
-    # the owner rows hold no entry that the averaged build does not
-    assert set(zip(*G.nonzero())) <= set(zip(*want.nonzero()))
+    # the owner rows hold no entry that the averaged build does not; its
+    # stored pattern, as a mean of rounding errors can cancel to 0.0
+    held = want.tocoo()
+    assert set(zip(*G.nonzero())) <= set(zip(held.row, held.col))
     assert G.nnz < want.nnz
 
 

@@ -24,6 +24,9 @@ benchmark, and read by a test.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -229,3 +232,24 @@ def test_unread_attribute_is_flagged():
         "        return self.kept\n")
     assert unread_attributes({"box.py": tree}, [tree]) == [
         "box.py: Box.lost", "box.py: self.cache"]
+
+
+def test_a_run_leaves_scipy_special_unloaded():
+    # the quadrature rules come from numpy and the estimator's local solves
+    # are dense: neither the import nor a one-level run loads scipy.special;
+    # negative control: importing it shows in the same listing
+    listing = "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+    code = ("import sys\n"
+            "import curlest\n"
+            "from curlest import bench\n"
+            "bench.run_experiment(bench.builtin_problems()['cube_poly'],\n"
+            "                     bench.RunConfig(degree=1, levels=1))\n"
+            + listing + "import scipy.special\n" + listing)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "[]" and "'scipy.special'" in out[1]
+    # nor does the estimator import scipy at all
+    imports = [n for n in ast.walk(ast.parse((SRC / "equilibrate.py").read_text()))
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not [n for n in imports if "scipy" in ast.unparse(n)]

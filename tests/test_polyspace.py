@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,13 +42,58 @@ def test_tri_rule_degree_two_closed_forms():
 
 
 @pytest.mark.parametrize("domain,dim", [("tri", 2), ("tet", 3)])
-def test_monomial_sweep_exactness_eight(domain, dim):
-    rule = ps.quadrature(domain, 8)
+def test_collapsed_rules_are_exact_to_the_cap(domain, dim):
+    # every rule up to MAX_QUAD_EXACTNESS integrates every monomial of its
+    # exactness to 1e-14 relative, the smallest integrals included
     worst = 0.0
-    for exp in _poly.exponents(dim, 8):
-        val = np.dot(rule.weights, np.prod(rule.points ** exp, axis=1))
-        worst = max(worst, abs(val - monomial_integral(exp)))
-    assert worst < 1e-12
+    for e in range(ps.MAX_QUAD_EXACTNESS + 1):
+        rule = ps.quadrature(domain, e)
+        for exp in _poly.exponents(dim, e):
+            val = np.dot(rule.weights, np.prod(rule.points ** exp, axis=1))
+            worst = max(worst, abs(val / monomial_integral(exp) - 1.0))
+    assert worst < 1e-14
+
+
+def _gauss_jacobi_40_digits(m, alpha, start):
+    """Gauss rule on [0, 1] for the weight (1-t)^alpha in 40-digit mpmath:
+    the roots of the Jacobi polynomial P_m^(alpha, 0)(2t - 1), by Newton
+    from ``start``, and the closed-form weights 1 / ((1-x^2) P_m'(x)^2)."""
+    mp = mpmath.mp.clone()      # sympy's dependency
+    mp.dps = 40
+
+    def jacobi(n, a, b, x):     # the classical three-term recurrence
+        p0, p1 = mp.mpf(1), (a + 1) + (a + b + 2) * (x - 1) / 2
+        if n == 0:
+            return p0
+        for k in range(2, n + 1):
+            c = 2 * k + a + b
+            p0, p1 = p1, ((c - 1) * (c * (c - 2) * x + a * a - b * b) * p1
+                          - 2 * (k + a - 1) * (k + b - 1) * c * p0) \
+                / (2 * k * (k + a + b) * (c - 2))
+        return p1
+
+    x = [mp.findroot(lambda x: jacobi(m, alpha, 0, x), mp.mpf(2 * float(t) - 1))
+         for t in start]
+    dP = [(m + alpha + 1) / mp.mpf(2) * jacobi(m - 1, alpha + 1, 1, xi) for xi in x]
+    w = [1 / ((1 - xi ** 2) * d ** 2) for xi, d in zip(x, dP)]
+    # the weights sum to the weight's integral only if the m roots differ
+    assert abs(sum(w) - mp.mpf(1) / (alpha + 1)) < mp.mpf(10) ** -35
+    return (np.array([float((xi + 1) / 2) for xi in x]),
+            np.array([float(wi) for wi in w]))
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_jacobi_rules_match_a_40_digit_rule(m, alpha):
+    # the collapsed rules' Jacobi factors at every m that exactness <= 12
+    # reaches
+    t, w = ps._jacobi01(m, alpha)
+    t_ref, w_ref = _gauss_jacobi_40_digits(m, alpha, t)
+    assert np.abs(t - t_ref).max() <= 1e-15
+    assert np.abs(w - w_ref).max() <= 1e-15
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        # a recurrence in a wider long double rounds the rule correctly
+        assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
 
 
 def test_quadrature_degree_cap():
