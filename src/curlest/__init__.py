@@ -8,12 +8,10 @@ from .equilibrate import (EquilibrationOutput, check_edge_compatibility,
                           estimate, step1_element_corrections,
                           step2_face_multipliers, step3_reconstruct_phi,
                           step4_estimator, verify_equilibrium)
-from .femsys import (BrokenPolyField, CurrentDensity, FieldCoefficients, Load,
-                     MaterialField, assemble_curlcurl, assemble_rhs,
-                     build_dofmap, compute_Hh, gradient_correction,
-                     project_current, solve_magnetostatic)
-from .mesh import (Mesh, build_mesh, edge_face_normals, l_brick_mesh,
-                   read_mesh_text, refine, unit_cube_mesh, write_mesh_text,
+from .femsys import (BrokenPolyField, CurrentDensity, Load, MaterialField,
+                     assemble_curlcurl, assemble_rhs, build_dofmap, compute_Hh,
+                     gradient_correction, project_current, solve_magnetostatic)
+from .mesh import (Mesh, build_mesh, l_brick_mesh, refine, unit_cube_mesh,
                    write_vtk)
 from .polyspace import (LagrangeNodeSet, QuadratureRule, ReferenceSpace,
                         lagrange_nodes, quadrature, reference_space)

@@ -55,6 +55,8 @@ class RunConfig:
             raise ValueError("bulk parameter theta must be in (0, 1]")
         if self.levels is not None and self.levels < 1:
             raise ValueError(f"levels must be at least 1, got {self.levels}")
+        if self.max_dofs < 1:
+            raise ValueError(f"max_dofs must be at least 1, got {self.max_dofs}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.estimator not in ESTIMATORS:

@@ -47,7 +47,7 @@ from .femsys import (BrokenPolyField, CurrentDensity, MaterialField,
 # not called here: the benchmark's tracer wraps equilibrate.build_node_registry
 # by name, so the name stays importable from this module
 from .femsys import build_node_registry  # noqa: F401
-from .mesh import Mesh, edge_face_normals
+from .mesh import Mesh
 
 log = logging.getLogger("curlest")
 
@@ -227,7 +227,8 @@ class FaceMultiplier:
     internal_faces: np.ndarray   # (Fi,) face ids, ascending
     lam: np.ndarray              # (Fi, nP) monomial coeffs in (s, t)
     lam_scale: float             # max |lambda| at the 2k' face rule points; scales tolerances
-    trace_scale: float           # max L2 norm of a face trace of the corrected field
+    trace_scale: float | None    # max L2 norm of a face trace of the corrected
+                                 # field; strict mode only, None otherwise
 
     @property
     def n_faces(self) -> int:
@@ -266,22 +267,24 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                            strict: bool = False) -> FaceMultiplier:
     """Solve the surface-curl problems of all internal faces as one batch.
 
-    The solves read the jumps of the corrected field F = H_h + Hhat, and
-    step 3's strict check scales by the largest face norm of the traces of
-    F, which does not vanish with the error as the jumps do.  The strict
-    check of this step traces curl F too: the in-plane divergence of the
-    tangential jump is div_f(n x [F]) = -n . [curl F], exact, so compatible
-    data reports machine zero, and it is scaled by the largest face norm of
-    curl F, the data j up to step 1's residual."""
+    The solves read the jumps of the corrected field F = H_h + Hhat.  In
+    strict mode step 2 also forms the largest face norm of the traces of F,
+    the scale of step 3's strict check, which does not vanish with the
+    error as the jumps do.  The strict check of this step traces curl F
+    too: the in-plane divergence of the tangential jump is div_f(n x [F]) =
+    -n . [curl F], exact, so compatible data reports machine zero, and it
+    is scaled by the largest face norm of curl F, the data j up to step 1's
+    residual."""
     total = Hh.padded_to(kp).plus(correction.Hhat)
     internal = mesh.internal_faces()
     plus = face_traces(mesh, total, internal, 0)                     # (Fi, q, 3)
     jumps = plus - face_traces(mesh, total, internal, 1)
     lam, lam_scale = _face_multiplier_solve(mesh, internal, jumps, kp)
-    w = _face_tables(kp).rule.weights
-    area2 = 2.0 * mesh.face_areas()[internal]
-    trace_scale = np.sqrt((area2 * sq_norms(plus, w)).max(initial=0.0))
+    trace_scale = None
     if strict:
+        w = _face_tables(kp).rule.weights
+        area2 = 2.0 * mesh.face_areas()[internal]
+        trace_scale = float(np.sqrt((area2 * sq_norms(plus, w)).max(initial=0.0)))
         curl = total.curl()
         cplus = face_traces(mesh, curl, internal, 0)
         ndiv = ((cplus - face_traces(mesh, curl, internal, 1))
@@ -297,7 +300,7 @@ def step2_face_multipliers(mesh: Mesh, Hh: BrokenPolyField,
                 f"condition; worst face {internal[i]}: div_norm/jscale = "
                 f"{ratio[i]:.3e} > tol {STRICT_TOL:.1e}",
                 face=int(internal[i]), value=float(ratio[i]))
-    return FaceMultiplier(kp, internal, lam, lam_scale, float(trace_scale))
+    return FaceMultiplier(kp, internal, lam, lam_scale, trace_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +326,11 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
     from its lower to its higher vertex, so its points x = a + s (b - a) sit
     at (s, 0), (0, s) or (1 - s, s) in the affine coordinates of a face
     a < b < c, as it is the face's edge ab, ac or bc (``Mesh.face_edges``).
+    A face's term is signed by n_f . (t x n_ef), t the edge's tangent and
+    n_ef the face's in-plane normal out of it at the edge: with n = (b - a)
+    x (c - a), t x n_ef is -n/|n| on ab and bc, which run along the turn a
+    -> b -> c, and n/|n| on ac, so the sign is (-1, 1, -1)[edge] times the
+    face's ``Mesh.face_signs``.
     """
     interior = mesh.internal_edges()
     s = ps.quadrature("segment", 2 * fm.degree + 4).points[:, 0]
@@ -336,8 +344,7 @@ def check_edge_compatibility(mesh: Mesh, fm: FaceMultiplier) -> EdgeCompatibilit
     order = np.argsort(e[keep], kind="stable")
     idx, local, e = idx[keep][order], local[keep][order], e[keep][order]
     f = fm.internal_faces[idx]
-    _, n_fe = edge_face_normals(mesh, e, f)
-    sign = np.einsum("ia,ia->i", mesh.face_normals()[f], n_fe)
+    sign = np.array([-1.0, 1.0, -1.0])[local] * mesh.face_signs()[f]
     row = np.full(mesh.n_edges, -1, dtype=np.int64)
     row[interior] = np.arange(len(interior))
     r = np.zeros((len(interior), len(s)))
@@ -483,14 +490,17 @@ def step3_reconstruct_phi(mesh: Mesh, fm: FaceMultiplier, reg: NodeRegistry, *,
     worst = int(node[resid[node] >= (1.0 - 1e-12) * max_resid].min())
     out = NodalPotential(reg, phi.reshape(mesh.n_tets, nloc), max_resid,
                          reg.node_name(worst))
-    data_scale = max(fm.trace_scale, 1e-30)     # lambda's data are jumps of F
-    if strict and max_resid > STRICT_TOL * data_scale:
-        k, e = int(reg.kind[worst]), int(reg.entity[worst])
-        rel = max_resid / data_scale
-        raise InconsistentPatch(
-            f"node {worst} ({out.worst_node_name}): patch residual {max_resid:.3e} "
-            f"= {rel:.3e} x {data_scale:.3e}, above {STRICT_TOL:.1e}",
-            node=worst, kind=k, entity=e, value=rel)
+    if strict:
+        if fm.trace_scale is None:
+            raise ValueError("a strict step 3 needs the multipliers of a strict step 2")
+        data_scale = max(fm.trace_scale, 1e-30)     # lambda's data are jumps of F
+        if max_resid > STRICT_TOL * data_scale:
+            k, e = int(reg.kind[worst]), int(reg.entity[worst])
+            rel = max_resid / data_scale
+            raise InconsistentPatch(
+                f"node {worst} ({out.worst_node_name}): patch residual {max_resid:.3e} "
+                f"= {rel:.3e} x {data_scale:.3e}, above {STRICT_TOL:.1e}",
+                node=worst, kind=k, entity=e, value=rel)
     return out
 
 

@@ -18,10 +18,6 @@ class ClosureOverflow(CurlestError):
     """Refinement closure loop exceeded its iteration cap."""
 
 
-class NotAdjacent(CurlestError):
-    """Queried entities are not adjacent."""
-
-
 # polynomial spaces
 class UnsupportedDegree(CurlestError):
     """Polynomial degree outside the implemented range."""

@@ -439,17 +439,6 @@ class DofMap:
         return f"{ps.NODE_NAMES[kind]} {entity}"
 
 
-@dataclass
-class FieldCoefficients:
-    dofmap: DofMap
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.dofmap.n_dofs,):
-            raise ValueError("coefficient vector length does not match dof map")
-
-
 def build_dofmap(mesh: Mesh, degree: int) -> DofMap:
     """Number the Nedelec dofs in the entity layout (edge, face, then
     interior blocks, each entity's dofs contiguous), take the per-tet
@@ -742,28 +731,30 @@ def _pulled_back(mesh: Mesh, func, M: np.ndarray):
     return lambda ref_pts: (f.eval_elements(mesh, tets, ref_pts) @ M).transpose(1, 2, 0)
 
 
-def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> FieldCoefficients:
-    """Canonical dof interpolation of an analytic field: the reference
-    functionals of its covariant pull-back J^T f on all tets, mapped by
-    S_t (``DofMap.apply_map``).  Shared dofs receive identical values from
-    both sides by construction."""
+def interpolate_nedelec(mesh: Mesh, dofmap: DofMap, func) -> np.ndarray:
+    """Canonical dof interpolation of an analytic field, (n_dofs,): the
+    reference functionals of its covariant pull-back J^T f on all tets,
+    mapped by S_t (``DofMap.apply_map``).  Shared dofs receive identical
+    values from both sides by construction."""
     k, geom = dofmap.degree, mesh.geom()
     d = ps.nedelec_dof_matrix(ps.TET_VERTS, k, _pulled_back(mesh, func, geom.J)).T
     dofmap.apply_map(d)
     vals = np.zeros(dofmap.n_dofs)
     vals[dofmap.cell_dofs] = d
-    return FieldCoefficients(dofmap, vals)
+    return vals
 
 
-def compute_Hh(mesh: Mesh, dofmap: DofMap, u: FieldCoefficients,
+def compute_Hh(mesh: Mesh, dofmap: DofMap, u: np.ndarray,
                mu: MaterialField) -> BrokenPolyField:
-    """H_h = mu^-1 curl u_h as a broken polynomial: the coefficients of u_h
-    on tet t in the dof basis of the reference tet are S_t^-1 u_loc, so the
-    reference curl is one scaling of u_loc and one product with the curl
-    table of that basis."""
+    """H_h = mu^-1 curl u_h as a broken polynomial, from the (n_dofs,)
+    coefficients u: those of u_h on tet t in the dof basis of the reference
+    tet are S_t^-1 u_loc, so the reference curl is one scaling of u_loc and
+    one product with the curl table of that basis."""
+    if np.shape(u) != (dofmap.n_dofs,):
+        raise ValueError(f"{np.shape(u)} coefficients for {dofmap.n_dofs} dofs")
     k = dofmap.degree
     geom = mesh.geom()
-    x = u.values[dofmap.cell_dofs]
+    x = np.asarray(u, dtype=float)[dofmap.cell_dofs]
     dofmap.apply_map(x, inverse=True, transpose=True)
     cc = (x @ _ref_tables(k).dof_curls).reshape(mesh.n_tets, 3, -1)
     out = (geom.J @ cc) / (geom.sign * geom.absdet * mu.per_tet(mesh))[:, None, None]
@@ -867,7 +858,7 @@ RESIDUAL_TOL = 1e-10   # relative residual of the free rows that a solve must re
 
 
 def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray,
-                        dofmap: DofMap) -> tuple[FieldCoefficients, float]:
+                        dofmap: DofMap) -> tuple[np.ndarray, float]:
     """Solve the singular, consistent curl-curl system A u = rhs[free] in
     the tree-cotree gauge and scatter to full dofs.
 
@@ -879,8 +870,8 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray,
     a consistent load can pass the residual check on a singular block.  The
     residual is checked on all free rows: a load with a gradient part
     (G^T b != 0) has no solution and fails it on the rows in R, which
-    raises NoConvergence.  Returns the coefficients and the relative
-    residual |b - A u| / |b| of the free rows, 0 for a zero load.
+    raises NoConvergence.  Returns the (n_dofs,) coefficients and the
+    relative residual |b - A u| / |b| of the free rows, 0 for a zero load.
     """
     b = rhs[dofmap.free]
     full = np.zeros(dofmap.n_dofs)
@@ -891,7 +882,7 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray,
         raise NoConvergence(f"the gauge fixes {n_gauge} dofs for {n_nodes} free "
                             "Lagrange nodes; it must fix one per node")
     if A.shape[0] == 0 or bnorm == 0.0:
-        return FieldCoefficients(dofmap, full), 0.0
+        return full, 0.0
     C = dofmap.ungauged
     try:
         lu = _factor_spd(A[C][:, C])
@@ -914,7 +905,7 @@ def solve_magnetostatic(A: sp.csr_matrix, rhs: np.ndarray,
             f"{RESIDUAL_TOL:.0e}; largest at free dof {i} (dof {d}, "
             f"{dofmap.dof_entity(d)}); was the load gradient-corrected?")
     full[dofmap.free] = u
-    return FieldCoefficients(dofmap, full), rel
+    return full, rel
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ClosureOverflow, DegenerateTet, NonConforming, NotAdjacent
+from .errors import ClosureOverflow, DegenerateTet, NonConforming
 from .polyspace import TET_EDGES, TET_FACES
 
 VOLUME_EPS = 1e-12          # relative to diameter^3
@@ -147,24 +147,23 @@ class Mesh:
         return float(np.linalg.norm(v[self.edges[:, 0]] - v[self.edges[:, 1]],
                                     axis=1).min())
 
+    def face_signs(self) -> np.ndarray:
+        """(F,) +1 where (b - a) x (c - a) of a face's ascending vertices
+        a < b < c points out of its plus tet, -1 where it points in."""
+        # over its ascending vertices, local face 0 or 2 points out of
+        # a positively oriented tet, 1 or 3 into it
+        return (np.array([1.0, -1.0, 1.0, -1.0])[self.face_local[:, 0]]
+                * self.geom().sign[self.face_tets[:, 0]])
+
     def face_normals(self) -> np.ndarray:
         """Unit normals pointing out of the plus-side tets, (F, 3)."""
         if self._face_normals is None:
             v = self.vertices[self.faces]
             n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
             n /= np.linalg.norm(n, axis=1)[:, None]
-            # over its ascending vertices, local face 0 or 2 points out of
-            # a positively oriented tet, 1 or 3 into it
-            n *= (np.array([1.0, -1.0, 1.0, -1.0])[self.face_local[:, 0]]
-                  * self.geom().sign[self.face_tets[:, 0]])[:, None]
+            n *= self.face_signs()[:, None]
             self._face_normals = n
         return self._face_normals
-
-    def edge_tangent(self, e) -> np.ndarray:
-        """Unit tangent of edge e, (3,); (len(e), 3) for an index array."""
-        ab = self.edges[e]
-        t = self.vertices[ab[..., 1]] - self.vertices[ab[..., 0]]
-        return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
     def internal_faces(self) -> np.ndarray:
         if self._internal_faces is None:
@@ -396,12 +395,7 @@ def refine(mesh: Mesh, marked) -> Mesh:
     inherited; ``parent`` maps every new tet to its ancestor in ``mesh``.
     """
     marked = np.unique(np.fromiter(marked, dtype=np.int64))
-    if not len(marked):
-        return build_mesh(mesh.vertices.copy(), mesh.tets.copy(),
-                          mesh.subdomain_tag.copy(),
-                          refinement_levels=mesh.refinement_level.copy(),
-                          parents=np.arange(mesh.n_tets))
-    if marked[0] < 0 or marked[-1] >= mesh.n_tets:
+    if len(marked) and (marked[0] < 0 or marked[-1] >= mesh.n_tets):
         raise ValueError("marked set contains invalid tet ids")
 
     verts, tets = mesh.vertices, mesh.tets
@@ -472,76 +466,8 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# edge-face normals
+# export
 # ---------------------------------------------------------------------------
-
-def edge_face_normals(mesh: Mesh, e, f):
-    """In-plane outward normal of the face boundary along edge e, and the
-    edge-frame normal tangent x in-plane normal; e and f may be matching
-    index arrays of (edge, face) incidences, giving (len(e), 3) each."""
-    e, f = np.asarray(e), np.asarray(f)
-    adjacent = (mesh.face_edges[f] == e[..., None]).any(axis=-1)
-    if not adjacent.all():
-        bad = np.argmin(adjacent.ravel())
-        raise NotAdjacent(f"face {f.ravel()[bad]} is not adjacent to edge "
-                          f"{e.ravel()[bad]}")
-    ab = mesh.edges[e]
-    opp = mesh.faces[f].sum(axis=-1) - ab[..., 0] - ab[..., 1]
-    t = mesh.edge_tangent(e)
-    w = mesh.vertices[opp] - mesh.vertices[ab[..., 0]]
-    m = w - np.sum(w * t, axis=-1, keepdims=True) * t
-    n_ef = -m / np.linalg.norm(m, axis=-1, keepdims=True)
-    n_fe = np.cross(t, n_ef)
-    return n_ef, n_fe
-
-
-# ---------------------------------------------------------------------------
-# I/O
-# ---------------------------------------------------------------------------
-
-def write_mesh_text(mesh: Mesh, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_tets}\n")
-        for p in mesh.vertices:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for tet, tag in zip(mesh.tets, mesh.subdomain_tag):
-            fh.write(f"{tet[0]} {tet[1]} {tet[2]} {tet[3]} {tag}\n")
-
-
-def _parse_tokens(path, tokens: np.ndarray, dtype, what: str) -> np.ndarray:
-    """``tokens`` converted to ``dtype``; a token that does not convert
-    raises NonConforming naming the file and the token."""
-    try:
-        return tokens.astype(dtype)
-    except (ValueError, OverflowError):
-        kind = "a 64-bit integer" if dtype is np.int64 else "a number"
-        for tok in tokens:
-            try:
-                np.array(tok).astype(dtype)
-            except (ValueError, OverflowError):
-                raise NonConforming(
-                    f"{path}: {what} '{tok}' is not {kind}") from None
-        raise
-
-
-def read_mesh_text(path) -> Mesh:
-    """Read the plain-text interchange format and validate conformity."""
-    with open(path) as fh:
-        tokens = np.array(fh.read().split())
-    if len(tokens) < 2:
-        raise NonConforming(f"{path}: no 'vertices tets' header")
-    nv, nt = (int(n) for n in _parse_tokens(path, tokens[:2], np.int64,
-                                            "header count"))
-    if min(nv, nt) < 0 or len(tokens) != 2 + 3 * nv + 5 * nt:
-        raise NonConforming(
-            f"{path}: header announces {nv} vertices and {nt} tets, "
-            f"{3 * nv + 5 * nt} numbers; found {len(tokens) - 2}")
-    verts = _parse_tokens(path, tokens[2:2 + 3 * nv], float,
-                          "vertex coordinate").reshape(nv, 3)
-    rows = _parse_tokens(path, tokens[2 + 3 * nv:], np.int64,
-                         "tet entry").reshape(nt, 5)
-    return build_mesh(verts, rows[:, :4], rows[:, 4])
-
 
 def write_vtk(mesh: Mesh, path, cell_data: dict | None = None) -> None:
     """Legacy ASCII VTK export with optional per-tet scalar fields."""

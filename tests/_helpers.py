@@ -414,11 +414,37 @@ class FaceFrame:
     n: np.ndarray
 
 
+def edge_tangent(mesh, e):
+    """Unit tangent of edge e, from its lower to its higher vertex id, (3,);
+    (len(e), 3) for an index array."""
+    ab = mesh.edges[e]
+    t = mesh.vertices[ab[..., 1]] - mesh.vertices[ab[..., 0]]
+    return t / np.linalg.norm(t, axis=-1, keepdims=True)
+
+
+def edge_face_normals(mesh, e, f):
+    """The geometric edge frame of face f at its edge e: the in-plane normal
+    n_ef out of the face at the edge and n_fe = tangent x n_ef.  e and f may
+    be matching index arrays of (edge, face) incidences, giving (len(e), 3)
+    each.  The oracle of the edge sums' signs n_f . n_fe, which the library
+    takes from the topology alone."""
+    e, f = np.asarray(e), np.asarray(f)
+    assert (mesh.face_edges[f] == e[..., None]).any(axis=-1).all(), "not adjacent"
+    ab = mesh.edges[e]
+    opp = mesh.faces[f].sum(axis=-1) - ab[..., 0] - ab[..., 1]
+    t = edge_tangent(mesh, e)
+    w = mesh.vertices[opp] - mesh.vertices[ab[..., 0]]
+    m = w - np.sum(w * t, axis=-1, keepdims=True) * t
+    n_ef = -m / np.linalg.norm(m, axis=-1, keepdims=True)
+    n_fe = np.cross(t, n_ef)
+    return n_ef, n_fe
+
+
 def face_frame(mesh, f):
     """Deterministic orthonormal face frame: t1 along the lowest-id face edge,
     t2 = n x t1.  For an index array of faces the vectors are (len(f), 3)."""
     n = mesh.face_normals()[f]
-    t1 = mesh.edge_tangent(mesh.face_edges[f].min(axis=-1))
+    t1 = edge_tangent(mesh, mesh.face_edges[f].min(axis=-1))
     t2 = np.cross(n, t1)
     t2 /= np.linalg.norm(t2, axis=-1, keepdims=True)
     return FaceFrame(t1=t1, t2=t2, n=n)
@@ -564,7 +590,7 @@ def loop_edge_sums(mesh, fm, n_samples=None):
         pts = mesh.vertices[a] + s[:, None] * (mesh.vertices[b] - mesh.vertices[a])
         r = np.zeros(len(pts))
         for f in edge_faces(mesh, e):
-            _, n_fe = msh.edge_face_normals(mesh, e, f)
+            _, n_fe = edge_face_normals(mesh, e, f)
             r += (float(np.dot(mesh.face_normals()[f], n_fe))
                   * multiplier_eval(mesh, fm, face_index(fm, f), pts))
         max_abs.append(np.abs(r).max())
@@ -1197,7 +1223,7 @@ def einsum_compute_Hh(mesh, dofmap, u, mu):
     ccoef = ps.reference_space(ps.NEDELEC1_TET, dofmap.degree).curl_coeffs()
     geom = mesh.geom()
     c = np.einsum("tij,tj->ti", element_inverses(mesh, dofmap.degree),
-                  u.values[dofmap.cell_dofs])
+                  u[dofmap.cell_dofs])
     cc = np.einsum("ti,iam->tam", c, ccoef)
     return (geom.J @ cc) / (np.linalg.det(geom.J) * mu.per_tet(mesh))[:, None, None]
 
@@ -1379,7 +1405,7 @@ def nedelec_field_to_poly(mesh, dofmap, u):
     """Expand assembled coefficients into the broken polynomial representation."""
     k = dofmap.degree
     space = ps.reference_space(ps.NEDELEC1_TET, k)
-    c = np.einsum("tij,tj->ti", element_inverses(mesh, k), u.values[dofmap.cell_dofs])
+    c = np.einsum("tij,tj->ti", element_inverses(mesh, k), u[dofmap.cell_dofs])
     cref = np.einsum("ti,icm->tcm", c, space.coeffs)
     out = np.einsum("tbc,tbm->tcm", mesh.geom().Jinv, cref)   # J^-T cref
     return fem.BrokenPolyField(mesh, k, out)

@@ -99,6 +99,10 @@ def test_config_validation():
         adm.RunConfig(theta=0.0)
     with pytest.raises(ValueError):
         adm.RunConfig(theta=1.5)
+    # a dof cap below 1 would stop an adaptive run after its first level
+    for max_dofs in (0, -7):
+        with pytest.raises(ValueError, match="max_dofs must be at least 1"):
+            adm.RunConfig(mode="adaptive", max_dofs=max_dofs)
 
 
 @pytest.mark.parametrize("degree, aux", [(0, None), (0, 1), (1, 5), (5, None), (3, 2)])

@@ -602,6 +602,18 @@ def test_cli_rejects_levels_below_one(levels, capsys):
     assert "levels must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_dofs", ["0", "-7"])
+def test_cli_rejects_max_dofs_below_one(max_dofs, capsys, monkeypatch):
+    # the cap is checked before the run: below 1 it would stop an adaptive
+    # run after level 0 and exit 0
+    def unreachable(spec, cfg):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(bench, "run_experiment", unreachable)
+    argv = ["--mode", "adaptive", "--degree", "1", "--levels", "3", "--max-dofs", max_dofs]
+    assert cli.main(["run", "cube_jump_mu_10", *argv]) == 1
+    assert "max_dofs must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", ["--solver=cg", "--tol=1e-8", "--max-iter=10"])
 def test_cli_has_no_solver_options(option, tmp_path):
     key, value = option[2:].split("=")

@@ -13,8 +13,8 @@ from curlest import femsys as fem
 from curlest import mesh as msh
 from curlest import polyspace as ps
 from curlest import residual
-from _helpers import (MU1, cube_H, cube_j, dim_p_tri, edge_faces, eval_one,
-                      face_coefficients, face_frame, face_index,
+from _helpers import (MU1, cube_H, cube_j, dim_p_tri, edge_face_normals,
+                      edge_faces, eval_one, face_coefficients, face_frame, face_index,
                       face_rule_points, frame_coords, frame_eval,
                       gradient_moments, inspace_j, inspace_u, jittered_cube,
                       loop_edge_sums, loop_face_multipliers, loop_face_solve,
@@ -279,7 +279,7 @@ def test_edge_compat_perturbation_linearity():
     e = int(m.internal_edges()[0])
     f = int(edge_faces(m, e)[0])
     idx = face_index(fm, f)
-    _, n_fe = msh.edge_face_normals(m, e, f)
+    _, n_fe = edge_face_normals(m, e, f)
     sign = float(np.dot(m.face_normals()[f], n_fe))
     epsv = 0.37
     s = ps.quadrature("segment", 8).points[:, 0]
@@ -290,7 +290,7 @@ def test_edge_compat_perturbation_linearity():
         r = np.zeros(len(pts))
         for ff in edge_faces(m, e):
             ii = face_index(fmx, ff)
-            _, nfe = msh.edge_face_normals(m, e, ff)
+            _, nfe = edge_face_normals(m, e, ff)
             sg = float(np.dot(m.face_normals()[ff], nfe))
             r += sg * multiplier_eval(m, fmx, ii, pts)
         return r
@@ -636,6 +636,12 @@ def test_step3_names_a_node_missing_from_the_minus_tet():
     eqm.step3_reconstruct_phi(m, fm, reg)
 
 
+EDGE_SUM_MESHES = {"cube": lambda: msh.unit_cube_mesh(3),
+                   "lbrick": lambda: msh.l_brick_mesh(2),
+                   "bisected": lambda: randomly_bisected(3, 7),
+                   "jittered": lambda: jittered_cube(3)}
+
+
 def test_edge_sums_match_loop_oracle(jump_level):
     m, Hh, out = jump_level
     rep = eqm.check_edge_compatibility(m, out.multipliers)
@@ -649,6 +655,28 @@ def test_edge_sums_match_loop_oracle(jump_level):
     max_abs, variation = loop_edge_sums(m, fm)
     assert _rel_err(rep.max_abs, max_abs) <= 1e-12
     assert _rel_err(rep.variation, variation) <= 1e-12
+    # and on four mesh families.  The library signs each (face, edge) term
+    # from the topology, (-1, 1, -1)[edge's index in the face] times the
+    # face's sign, the oracle by n_f . n_fe from the face's geometric frame
+    (kp, n_mono), rng = (fm.degree, fm.lam.shape[1]), np.random.default_rng(fm.degree)
+    for name, make in EDGE_SUM_MESHES.items():
+        mf = make()
+        internal = mf.internal_faces()
+        fmf = eqm.FaceMultiplier(kp, internal, rng.standard_normal(
+            (len(internal), n_mono)), 1.0, None)
+        rep = eqm.check_edge_compatibility(mf, fmf)
+        max_abs, variation = loop_edge_sums(mf, fmf)
+        assert _rel_err(rep.max_abs, max_abs) <= 1e-12, name
+        assert _rel_err(rep.variation, variation) <= 1e-12, name
+        assert np.isin(mf.face_signs(), (-1.0, 1.0)).all(), name
+        f, local = np.repeat(internal, 3), np.tile(np.arange(3), len(internal))
+        table = np.array([-1.0, 1.0, -1.0])[local] * mf.face_signs()[f]
+        _, n_fe = edge_face_normals(mf, mf.face_edges[f, local], f)
+        geometric = np.einsum("ia,ia->i", mf.face_normals()[f], n_fe)
+        assert np.abs(geometric - table).max() <= 1e-14, name
+        # negative control: one flipped entry is caught
+        table[len(table) // 2] *= -1.0
+        assert np.abs(geometric - table).max() > 1.9, name
 
 
 def test_jump_norms_match_loop_oracle(jump_level):
@@ -945,8 +973,8 @@ def test_gauge_independence():
     m, dm, u, Hh, data = solve_cube(2, 2)
     out1 = eqm.estimate(m, MU1, data, Hh, dm.registry)
     err1 = fem.l2_error_against(m, MU1, Hh, cube_H)
-    u2 = fem.FieldCoefficients(dm, u.values.copy())
-    u2.values[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
+    u2 = u.copy()
+    u2[dm.free] += dm.G @ RNG.standard_normal(dm.G.shape[1])
     Hh2 = fem.compute_Hh(m, dm, u2, MU1)
     out2 = eqm.estimate(m, MU1, data, Hh2, dm.registry)
     err2 = fem.l2_error_against(m, MU1, Hh2, cube_H)
@@ -1095,7 +1123,11 @@ def test_step3_residual_flags_a_perturbed_multiplier(k, kp):
     cfg = adm.RunConfig(degree=k, aux_degree=kp)
     dm, u, Hh, data = adm.solve_level(m, spec.mu, spec.current(), cfg)
     out = adm.estimate_level(dm, spec.mu, data, Hh, cfg)
-    fm, reg = out.multipliers, out.phi.registry
+    # the strict step 3 below reads the trace scale that only a strict step 2 forms
+    reg = out.phi.registry
+    with pytest.raises(ValueError, match="multipliers of a strict step 2"):
+        eqm.step3_reconstruct_phi(m, out.multipliers, reg, strict=True)
+    fm = eqm.step2_face_multipliers(m, Hh, out.correction, kp, strict=True)
     assert out.phi.max_residual <= 1e-9 * fm.lam_scale
     f, bumped = _bump_one_face(m, fm, _edge_between_boundary_vertices(m))
     assert eqm.step3_reconstruct_phi(m, bumped, reg).max_residual > 1e-9 * fm.lam_scale

@@ -39,8 +39,6 @@ READERS = (SRC, Path(__file__).resolve().parents[1] / "perfbench")
 ENTRY_POINTS = {
     "interpolate_nedelec": "public edge-element interpolation of an analytic "
                            "field; tests build in-space solutions with it",
-    "write_mesh_text": "mesh text I/O, the interchange format's writer",
-    "read_mesh_text": "mesh text I/O, the interchange format's reader",
     "assemble_mass": "the Nedelec mass matrix, a test oracle since the "
                      "gauged solve dropped the shift; the benchmark's "
                      "tracer wraps it by name",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from curlest import bench
 from curlest import mesh as msh
 from curlest import polyspace as ps
-from curlest.errors import DegenerateTet, NonConforming, NotAdjacent
-from _helpers import (brute_force_faces, check_conforming, edge_faces,
-                      face_frame, jittered_cube, loop_box_kuhn, loop_glue, loop_refine,
+from curlest.errors import DegenerateTet, NonConforming
+from _helpers import (brute_force_faces, check_conforming, edge_face_normals,
+                      edge_faces, edge_tangent, face_frame, jittered_cube,
+                      loop_box_kuhn, loop_glue, loop_refine,
                       loop_topology, randomly_bisected, relabelled_cube,
                       two_tet_mesh, walk_edge_link)
 
@@ -319,10 +321,15 @@ def test_refinement_matches_loop_bisection(make):
 # ---------------------------------------------------------------------------
 
 def test_refine_empty_is_identity():
-    m = msh.unit_cube_mesh(1)
-    r = msh.refine(m, set())
-    assert r.n_tets == m.n_tets and r.n_vertices == m.n_vertices
-    assert (r.parent == np.arange(m.n_tets)).all()
+    # no marks take the general path: it bisects nothing and rebuilds every
+    # array bitwise, on a generated and on a refined mesh
+    for m in (msh.unit_cube_mesh(1), msh.refine(msh.l_brick_mesh(1), {0, 5})):
+        r = msh.refine(m, set())
+        for fld in dataclasses.fields(m):
+            if not fld.name.startswith("_") and fld.name != "parent":
+                a, b = getattr(r, fld.name), getattr(m, fld.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), fld.name
+        assert np.array_equal(r.parent, np.arange(m.n_tets))
 
 
 def test_refine_single_tet():
@@ -413,9 +420,9 @@ def test_face_frame_orthonormal_and_deterministic():
 def test_edge_face_normals_orthogonality():
     m = msh.unit_cube_mesh(1)
     for e in range(m.n_edges):
-        t = m.edge_tangent(e)
+        t = edge_tangent(m, e)
         for f in edge_faces(m, e):
-            n_ef, n_fe = msh.edge_face_normals(m, e, f)
+            n_ef, n_fe = edge_face_normals(m, e, f)
             nf = m.face_normals()[f]
             assert abs(np.dot(n_ef, t)) < 1e-12
             assert abs(np.dot(n_ef, nf)) < 1e-12
@@ -424,14 +431,6 @@ def test_edge_face_normals_orthogonality():
             opp = [v for v in m.faces[f] if v not in m.edges[e]][0]
             mid = m.vertices[m.edges[e]].mean(axis=0)
             assert np.dot(n_ef, mid - m.vertices[opp]) > 0.0
-
-
-def test_edge_face_normals_not_adjacent():
-    m = msh.unit_cube_mesh(1)
-    e = 0
-    f = [f for f in range(m.n_faces) if f not in edge_faces(m, e)][0]
-    with pytest.raises(NotAdjacent):
-        msh.edge_face_normals(m, e, f)
 
 
 def test_edge_links_closed_and_open():
@@ -452,7 +451,7 @@ def test_single_valued_differences_telescope():
         total = 0.0
         for f in edge_faces(m, e):
             tp, tm = m.face_tets[f]
-            _, n_fe = msh.edge_face_normals(m, e, f)
+            _, n_fe = edge_face_normals(m, e, f)
             sign = float(np.dot(m.face_normals()[f], n_fe))
             assert abs(abs(sign) - 1.0) < 1e-12
             total += sign * (psi[tp] - psi[tm])
@@ -476,64 +475,6 @@ def test_face_normals_point_out_of_plus():
         assert (np.einsum("fa,fa->f", n, c_f - c_t) > 0.0).all()
 
 
-# ---------------------------------------------------------------------------
-# I/O
-# ---------------------------------------------------------------------------
-
-def test_text_roundtrip(tmp_path):
-    m = msh.unit_cube_mesh(2, tag_fn=lambda c: int(c[0] > 0.5))
-    path = tmp_path / "mesh.txt"
-    msh.write_mesh_text(m, path)
-    m2 = msh.read_mesh_text(path)
-    assert m2.n_tets == m.n_tets and m2.n_vertices == m.n_vertices
-    assert (m2.subdomain_tag == m.subdomain_tag).all()
-    assert np.abs(m2.vertices - m.vertices).max() == 0.0
-
-
-def test_text_reader_rejects_truncated_file(tmp_path):
-    m = msh.unit_cube_mesh(1)
-    path = tmp_path / "mesh.txt"
-    msh.write_mesh_text(m, path)
-    path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
-    with pytest.raises(NonConforming, match="header announces 8 vertices and "
-                       "6 tets, 54 numbers; found 49"):
-        msh.read_mesh_text(path)
-
-
-def test_text_reader_rejects_extra_tet_rows(tmp_path):
-    path = tmp_path / "extra.txt"
-    path.write_text("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 0\n0 1 3 2 0\n")
-    with pytest.raises(NonConforming, match="1 tets, 17 numbers; found 22"):
-        msh.read_mesh_text(path)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("4 1\n0 0 0\n1 0 0\n0 1 0\nx 0 1\n0 1 2 3 0\n",
-     "vertex coordinate 'x' is not a number"),
-    ("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 1.5\n",
-     "tet entry '1.5' is not a 64-bit integer"),
-    ("four 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3 0\n",
-     "header count 'four' is not a 64-bit integer"),
-    ("99999999999999999999 1\n0 0 0\n",
-     "header count '99999999999999999999' is not a 64-bit integer"),
-], ids=["coordinate", "tet-tag", "header", "header-overflow"])
-def test_text_reader_names_a_bad_token(tmp_path, text, message):
-    path = tmp_path / "token.txt"
-    path.write_text(text)
-    with pytest.raises(NonConforming, match=f"token.txt: {message}"):
-        msh.read_mesh_text(path)
-
-
-def test_text_reader_validates(tmp_path):
-    path = tmp_path / "bad.txt"
-    # face (1,2,3) shared by three tets
-    path.write_text("6 3\n" + "\n".join(
-        ["0 0 0", "1 0 0", "0 1 0", "0 0 1", "1 1 1", "-1 -1 -1"]) +
-        "\n0 1 2 3 0\n1 2 3 4 0\n1 2 3 5 0\n")
-    with pytest.raises(NonConforming):
-        msh.read_mesh_text(path)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_vertex_rejected(bad):
     m = msh.unit_cube_mesh(1)
@@ -544,13 +485,9 @@ def test_non_finite_vertex_rejected(bad):
         msh.build_mesh(v, m.tets)
 
 
-def test_text_reader_rejects_nan_vertex(tmp_path):
-    path = tmp_path / "nan.txt"
-    path.write_text("5 2\n0 0 0\n1 0 0\n0 1 0\nnan 0 1\n1 1 1\n"
-                    "0 1 2 3 0\n1 2 3 4 0\n")
-    with pytest.raises(NonConforming, match="vertex 3 has non-finite"):
-        msh.read_mesh_text(path)
-
+# ---------------------------------------------------------------------------
+# export
+# ---------------------------------------------------------------------------
 
 def test_vtk_export(tmp_path):
     m = msh.unit_cube_mesh(1)
